@@ -10,7 +10,7 @@
 //!   under a sustained update stream with periodic retraining.
 //! * [`thrash`] — a cache-polluting background thread standing in for
 //!   Intel CAT in the L3-contention experiments (§5.2.1, CAIDA* in
-//!   Figure 12); DESIGN.md §2 records the substitution.
+//!   Figure 12).
 //! * [`report`] — small table/geomean helpers shared by the bench binaries.
 
 #![forbid(unsafe_code)]

@@ -4,8 +4,8 @@
 //! and the 1.5MB-L3 contention experiment). CAT needs root + specific Xeon
 //! SKUs; the portable equivalent is an antagonist thread that continuously
 //! sweeps a buffer sized like the cache share being stolen, evicting the
-//! classifier's lines. Both mechanisms shrink the effective L3; DESIGN.md
-//! §2 records the substitution.
+//! classifier's lines. Both mechanisms shrink the effective L3 the
+//! classifier sees.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md §5 calls out.
+//! Ablations of the system's design choices.
 //!
 //! 1. **Early termination** (§4): query the remainder with/without the
 //!    iSets' best-priority floor.

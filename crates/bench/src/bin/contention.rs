@@ -3,7 +3,7 @@
 //! Paper: restricting L3 to 1.5MB costs CutSplit ~50% of its throughput but
 //! NuevoMatch (w/ cs remainder) only ~30%, because nm's hot index fits the
 //! private caches. Intel CAT is substituted by a cache-thrasher antagonist
-//! thread (DESIGN.md §2).
+//! thread (`nm_analysis::thrash`).
 
 use nm_analysis::{CacheThrasher, Table};
 use nm_bench::{assert_same_results, measure_seq, nm_cs, scale, suite};

@@ -18,13 +18,14 @@ use nm_cutsplit::CutSplit;
 use nm_neurocuts::NeuroCuts;
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::system::parallel::{ParallelStats, BATCH};
-use nuevomatch::{ClassifierHandle, Runtime, RuntimeConfig};
+use nuevomatch::system::parallel::BATCH;
+use nuevomatch::system::runtime::{Replicated, SplitPlan};
+use nuevomatch::{ClassifierHandle, RunStats, Runtime, RuntimeConfig};
 
 /// Two replicated baseline instances (the §5.1 baseline mode) through the
 /// worker runtime.
-fn run_replicated(rt: &Runtime, c: &dyn Classifier, trace: &TraceBuf) -> ParallelStats {
-    rt.run_replicated(c, 2, trace).expect("replicated runtime").into()
+fn run_replicated(rt: &Runtime, c: &dyn Classifier, trace: &TraceBuf) -> RunStats {
+    rt.run(&Replicated::new(c, 2), trace).expect("replicated runtime")
 }
 
 /// NuevoMatch's iSet/remainder two-worker split through the worker runtime.
@@ -32,8 +33,8 @@ fn run_two_workers<R: Classifier>(
     rt: &Runtime,
     handle: &ClassifierHandle<R>,
     trace: &TraceBuf,
-) -> ParallelStats {
-    rt.run_split(handle, trace).expect("two-worker runtime").into()
+) -> RunStats {
+    rt.run(&SplitPlan::new(handle), trace).expect("two-worker runtime")
 }
 
 fn main() {
@@ -115,7 +116,7 @@ fn main() {
         print!("{}", table.render());
         println!(
             "\nPaper 500K GM: latency 2.7x/4.4x/2.6x, throughput 1.3x/2.2x/1.2x (12 cores; \
-             this host: 1 core, see EXPERIMENTS.md)\n"
+             this host: 1 core, see benchmark/README.md)\n"
         );
     }
 }

@@ -26,6 +26,7 @@ use nm_common::{FiveTuple, UpdateBatch};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::parallel::run_sequential;
+use nuevomatch::system::runtime::Replicated;
 use nuevomatch::{ClassifierHandle, Runtime, RuntimeConfig};
 
 const SHARDS: &[usize] = &[1, 2, 4];
@@ -158,7 +159,7 @@ fn main() {
         let engine = ClassifierHandle::new(&set, &nm_bench::nm_tm_config(), TupleMerge::build)
             .expect("nm/tm handle");
         let rt = Runtime::new(RuntimeConfig::default());
-        let stats = rt.run_replicated(&engine, 2, &trace).expect("replicated run");
+        let stats = rt.run(&Replicated::new(&engine, 2), &trace).expect("replicated run");
         let seq = run_sequential(&engine, &trace);
         assert_eq!(stats.checksum, seq.checksum, "{app}: replicated diverged from sequential");
         let row = GridRow {

@@ -67,6 +67,6 @@ fn main() {
     print!("{}", table.render());
     println!(
         "\nNote: LLVM auto-vectorises the 'serial' loop on modern rustc, so the paper's\n\
-         serial/SIMD gap narrows; see the module docs and EXPERIMENTS.md."
+         serial/SIMD gap narrows; see the module docs."
     );
 }

@@ -46,13 +46,16 @@
 //! ```
 
 use nm_analysis::{drift_floor, throughput_at, UpdateModel};
+use nm_bench::update::{
+    concentrated_drift, measure_retrain_latencies, measure_update_curve, UpdateBenchConfig,
+};
 use nm_bench::{nm_tm_config, scale};
 use nm_classbench::{generate, AppKind};
 use nm_common::{Classifier, SplitMix64, UpdateBatch};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::parallel::run_batched;
-use nuevomatch::{measure_update_curve, ClassifierHandle, PartialRetrainPolicy, UpdateBenchConfig};
+use nuevomatch::{ClassifierHandle, PartialRetrainPolicy};
 
 /// One update transaction: `ops` uniform-random rules re-inserted with
 /// unchanged boxes — each a §3.9 matching-set change that tombstones the
@@ -210,11 +213,10 @@ fn main() {
         .expect("nm/tm handle build");
     let h_full = ClassifierHandle::new(&set, &nm_tm_config(), TupleMerge::build)
         .expect("nm/tm handle build");
-    // Latency, via the shared methodology (`measure_retrain_latencies`,
-    // also behind `nmctl update-bench --bench-json`): concentrated drift at
-    // the low end of the largest iSet, partial vs full timed on the same
-    // handle. Leaves h_full drift-free.
-    let lat = nuevomatch::measure_retrain_latencies(&h_full, &set)
+    // Latency (`measure_retrain_latencies`): concentrated drift at the low
+    // end of the largest iSet, partial vs full timed on the same handle.
+    // Leaves h_full drift-free.
+    let lat = measure_retrain_latencies(&h_full, &set)
         .expect("retrain latency measurement (concentrated drift must pass gates)");
     let (partial_s, full_s) = (lat.partial_s, lat.full_s);
     let (drift_ops, dirty_fraction) = (lat.drift_ops, lat.dirty_leaf_fraction);
@@ -222,7 +224,7 @@ fn main() {
 
     // Verdict equivalence: the same concentrated drift on both handles, one
     // republishing through each path — then bit-identical over the trace.
-    let leaf_batch = nuevomatch::concentrated_drift(h_partial.snapshot().engine(), &set, drift_ops)
+    let leaf_batch = concentrated_drift(h_partial.snapshot().engine(), &set, drift_ops)
         .expect("concentrated drift batch");
     h_partial.apply(&leaf_batch);
     h_full.apply(&leaf_batch);

@@ -1,6 +1,6 @@
 //! # nm-bench — the experiment harness
 //!
-//! One binary per paper table/figure (see DESIGN.md §4 for the index):
+//! One binary per paper table/figure:
 //!
 //! ```text
 //! cargo run -p nm-bench --release --bin table1       # … table2, table3
@@ -44,11 +44,11 @@
 //! Columns report Mpps through `run_batched` (the `classify_batch` path);
 //! the `seq` column is the per-key `classify` loop for reference, and
 //! every batched row's checksum is asserted equal to it, so the sweep
-//! doubles as a batch/scalar equivalence check on real traffic. The
-//! criterion companion (`cargo bench -p nm-bench --bench batch`) tracks
-//! the same speedups on fixed 2K-rule workloads.
+//! doubles as a batch/scalar equivalence check on real traffic.
 
 #![warn(missing_docs)]
+
+pub mod update;
 
 use nm_common::{Classifier, RuleSet, ShardPlanConfig, ShardStrategy, TraceBuf};
 use nm_cutsplit::CutSplit;

@@ -24,10 +24,8 @@ pub enum ParsedCommand {
     /// `nmctl train <file> --out …`
     Train(Args),
     /// `nmctl serve <file> …` — concurrent readers + a live update stream
-    /// against a `ClassifierHandle`.
+    /// against a `ShardedHandle`.
     Serve(Args),
-    /// `nmctl update-bench <file> …` — the measured Figure 7 curve.
-    UpdateBench(Args),
     /// `nmctl help` or anything unrecognised.
     Help,
 }
@@ -87,7 +85,6 @@ pub fn parse_command(argv: &[String]) -> Result<ParsedCommand, String> {
         "classify" => ParsedCommand::Classify(rest),
         "train" => ParsedCommand::Train(rest),
         "serve" => ParsedCommand::Serve(rest),
-        "update-bench" => ParsedCommand::UpdateBench(rest),
         _ => ParsedCommand::Help,
     })
 }
@@ -119,10 +116,6 @@ mod tests {
     fn command_dispatch() {
         assert!(matches!(parse_command(&v(&["generate"])).unwrap(), ParsedCommand::Generate(_)));
         assert!(matches!(parse_command(&v(&["serve", "x"])).unwrap(), ParsedCommand::Serve(_)));
-        assert!(matches!(
-            parse_command(&v(&["update-bench", "x"])).unwrap(),
-            ParsedCommand::UpdateBench(_)
-        ));
         assert!(matches!(parse_command(&v(&["nope"])).unwrap(), ParsedCommand::Help));
         assert!(matches!(parse_command(&v(&[])).unwrap(), ParsedCommand::Help));
     }

@@ -13,11 +13,7 @@ use nm_trace::{caida_like_trace, uniform_trace, zipf_trace, CaidaLikeConfig};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
 use nuevomatch::system::parallel::{run_batched, run_sequential};
 use nuevomatch::system::runtime::{PinPolicy, Runtime, RuntimeConfig, ShardedClassifier};
-use nuevomatch::{
-    measure_update_curve, ClassifierHandle, NuevoMatchConfig, ShardedHandle, UpdateBenchConfig,
-    UpdatePacer,
-};
-use nuevomatch::{NuevoMatch, Topology};
+use nuevomatch::{NuevoMatch, NuevoMatchConfig, ShardedHandle, Topology};
 use nuevomatch::{OracleTable, ServeClient, ServeConfig, ServePlane, Server, Transport};
 
 /// Usage text.
@@ -37,10 +33,6 @@ USAGE:
                  [--deadline-us D] [--validate-every N]            # micro-batching + oracle
                  [--udp-readers N]                                 # SO_REUSEPORT reader fleet
                  [--shards S] [--pin true|false]                   # sharded handle replicas
-  nmctl update-bench <rules.cb> [--seconds S] [--update-rate U] [--retrain-every R]
-                 [--batch B] [--json true] [--bench-json PATH]     # measured Figure 7 curve
-                 # --bench-json also measures partial vs full retrain latency and
-                 # writes a BENCH_update.json-style perf artifact
 
 engines: linear tss tm cs nc nm-tm nm-cs nm-nc     traces: uniform zipf:<alpha> caida
         (tm/cs/nc also accept tuplemerge/cutsplit/neurocuts; with --batch B > 1
@@ -52,7 +44,8 @@ sharding: --shards S > 1 partitions the rule-set (range steering on an
         shard's workers to one NUMA node's CPUs (no-op on 1-CPU machines —
         the runtime degrades to unpinned there). bench runs static shards;
         serve fans its update stream across per-shard handle replicas under
-        one logical generation.
+        one logical generation (--shards 1, the default, is the one-replica
+        case of the same control plane).
 serving: serve binds real loopback sockets (--listen, port 0 = ephemeral):
         length-prefixed key frames in, (rule, priority, generation) verdicts
         out. Requests micro-batch per reader — flush at --max-batch or after
@@ -78,7 +71,6 @@ pub fn run(cmd: ParsedCommand) -> Result<String, String> {
         ParsedCommand::Classify(a) => cmd_classify(&a),
         ParsedCommand::Train(a) => cmd_train(&a),
         ParsedCommand::Serve(a) => cmd_serve(&a),
-        ParsedCommand::UpdateBench(a) => cmd_update_bench(&a),
     }
 }
 
@@ -280,8 +272,8 @@ fn cmd_bench(a: &Args) -> Result<String, String> {
         run_batched(engine.as_ref(), &trace, batch)
     };
     if json {
-        // Machine-readable form, shape-compatible with the `update-bench`
-        // samples: static benches report generation 0 and update_rate 0.
+        // Machine-readable form, shape-compatible with `serve --json`:
+        // static benches report generation 0 and update_rate 0.
         return Ok(format!(
             "{{\"engine\":\"{}\",\"rules\":{},\"build_s\":{:.3},\"memory_bytes\":{},\
              \"packets\":{},\"batch\":{},\"pps\":{:.1},\"ns_per_packet\":{:.1},\
@@ -350,10 +342,10 @@ fn cmd_train(a: &Args) -> Result<String, String> {
     ))
 }
 
-/// Builds the update stream both live-update commands replay: transaction
-/// `seq` modifies `ops` existing rules to fresh random dst-port ranges, so
-/// every op drifts one rule from its iSet to the remainder (the worst case
-/// for §3.9, and the one Figure 7 models).
+/// Builds one transaction of the update stream `serve` replays: `ops`
+/// existing rules modified to fresh random dst-port ranges, so every op
+/// drifts one rule from its iSet to the remainder (the worst case for §3.9,
+/// and the one Figure 7 models).
 fn drift_batch(set: &RuleSet, rng: &mut nm_common::SplitMix64, ops: usize) -> UpdateBatch {
     let mut batch = UpdateBatch::new();
     for _ in 0..ops {
@@ -366,29 +358,6 @@ fn drift_batch(set: &RuleSet, rng: &mut nm_common::SplitMix64, ops: usize) -> Up
         );
     }
     batch
-}
-
-/// The two control planes `nmctl serve` can front: one whole-set handle, or
-/// per-shard handle replicas kept in sync by update fan-out.
-enum ServeHandle {
-    Plain(ClassifierHandle<TupleMerge>),
-    Sharded(ShardedHandle<TupleMerge>),
-}
-
-impl ServeHandle {
-    fn generation(&self) -> u64 {
-        match self {
-            ServeHandle::Plain(h) => h.generation(),
-            ServeHandle::Sharded(h) => h.generation(),
-        }
-    }
-
-    fn remainder_fraction(&self) -> f64 {
-        match self {
-            ServeHandle::Plain(h) => h.snapshot().engine().remainder_fraction(),
-            ServeHandle::Sharded(h) => h.remainder_fraction(),
-        }
-    }
 }
 
 /// Folds an update batch into the oracle's rule truth (upsert on id).
@@ -604,100 +573,59 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
 
     let trace = uniform_trace(&set, packets, seed);
     let t0 = std::time::Instant::now();
-    let serve = if shards > 1 {
-        let plan = ShardPlanConfig { shards, dim: None, strategy: ShardStrategy::Range };
-        ServeHandle::Sharded(
-            ShardedHandle::new(&set, &NuevoMatchConfig::default(), &plan, TupleMerge::build)
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        ServeHandle::Plain(
-            ClassifierHandle::new(&set, &NuevoMatchConfig::default(), TupleMerge::build)
-                .map_err(|e| e.to_string())?,
-        )
-    };
+    // One control plane whatever the shard count: per-shard handle replicas
+    // under one logical generation (one replica when `--shards 1`).
+    let plan = ShardPlanConfig { shards, dim: None, strategy: ShardStrategy::Range };
+    let serve = ShardedHandle::new(&set, &NuevoMatchConfig::default(), &plan, TupleMerge::build)
+        .map_err(|e| e.to_string())?;
     let build_s = t0.elapsed().as_secs_f64();
 
     let ops_per_batch = 16usize;
     let validate = scfg.validate_every > 0;
     let mut rng = nm_common::SplitMix64::new(seed ^ 0xdead_beef);
     let start = std::time::Instant::now();
-    let wire = match &serve {
-        // Whole-set handle: the shared pacer (same loop body
-        // `measure_update_curve` uses), retrains on background threads.
-        ServeHandle::Plain(handle) => {
-            serve_wire(handle.clone(), &scfg, &trace, readers, batch, |oracle| {
-                let mut truth = OracleTruth::new(validate, &set);
-                truth.publish(oracle, handle.generation());
-                let mut pacer = UpdatePacer::new(update_rate, ops_per_batch, retrain_every);
-                let mut retrain_joins = Vec::new();
-                while start.elapsed().as_secs_f64() < seconds {
-                    pacer.tick(handle, &mut retrain_joins, |_| {
-                        let b = drift_batch(&set, &mut rng, ops_per_batch);
-                        truth.absorb(&b);
-                        b
-                    });
-                    truth.publish(oracle, handle.generation());
+    // Paced fan-out applies; retrains fan across every shard on a background
+    // thread, so a multi-second retrain neither stalls this updater loop nor
+    // overshoots the requested duration — the serve path keeps pinning
+    // coherent epochs.
+    let wire = serve_wire(serve.clone(), &scfg, &trace, readers, batch, |oracle| {
+        let mut truth = OracleTruth::new(validate, &set);
+        truth.publish(oracle, serve.generation());
+        let interval = (update_rate > 0.0)
+            .then(|| std::time::Duration::from_secs_f64(ops_per_batch as f64 / update_rate));
+        let mut next_fire = std::time::Instant::now();
+        let mut last_retrain = std::time::Instant::now();
+        let mut retrain_joins = Vec::new();
+        let mut applied = 0u64;
+        while start.elapsed().as_secs_f64() < seconds {
+            match interval {
+                Some(dt) if std::time::Instant::now() >= next_fire => {
+                    let batch = drift_batch(&set, &mut rng, ops_per_batch);
+                    applied += batch.len() as u64;
+                    truth.absorb(&batch);
+                    serve.apply(&batch);
+                    next_fire += dt;
                 }
-                let applied = pacer.ops_applied();
-                // Wait out every retrain the pacer spawned so the stats
-                // below are settled and no trainer is killed by exit; a
-                // retrain bumps the generation with the same rule truth.
-                UpdatePacer::drain(retrain_joins);
-                truth.publish(oracle, handle.generation());
-                (applied, handle.retrains_completed())
-            })?
+                _ => std::thread::sleep(std::time::Duration::from_micros(200)),
+            }
+            let idle = retrain_joins.last().map_or(true, std::thread::JoinHandle::is_finished);
+            if retrain_every > 0.0 && idle && last_retrain.elapsed().as_secs_f64() >= retrain_every
+            {
+                last_retrain = std::time::Instant::now();
+                let serve = serve.clone();
+                retrain_joins.push(std::thread::spawn(move || serve.retrain()));
+            }
+            truth.publish(oracle, serve.generation());
         }
-        // Sharded replicas: paced fan-out applies; retrains fan across
-        // every shard on a background thread, so a multi-second retrain
-        // neither stalls this updater loop nor overshoots the requested
-        // duration — the serve path keeps pinning coherent epochs.
-        ServeHandle::Sharded(sharded) => {
-            serve_wire(sharded.clone(), &scfg, &trace, readers, batch, |oracle| {
-                let mut truth = OracleTruth::new(validate, &set);
-                truth.publish(oracle, sharded.generation());
-                let interval = (update_rate > 0.0).then(|| {
-                    std::time::Duration::from_secs_f64(ops_per_batch as f64 / update_rate)
-                });
-                let mut next_fire = std::time::Instant::now();
-                let mut last_retrain = std::time::Instant::now();
-                let mut retrain_joins = Vec::new();
-                let mut applied = 0u64;
-                while start.elapsed().as_secs_f64() < seconds {
-                    match interval {
-                        Some(dt) if std::time::Instant::now() >= next_fire => {
-                            let batch = drift_batch(&set, &mut rng, ops_per_batch);
-                            applied += batch.len() as u64;
-                            truth.absorb(&batch);
-                            sharded.apply(&batch);
-                            next_fire += dt;
-                        }
-                        _ => std::thread::sleep(std::time::Duration::from_micros(200)),
-                    }
-                    let idle =
-                        retrain_joins.last().map_or(true, std::thread::JoinHandle::is_finished);
-                    if retrain_every > 0.0
-                        && idle
-                        && last_retrain.elapsed().as_secs_f64() >= retrain_every
-                    {
-                        last_retrain = std::time::Instant::now();
-                        let sharded = sharded.clone();
-                        retrain_joins.push(std::thread::spawn(move || sharded.retrain()));
-                    }
-                    truth.publish(oracle, sharded.generation());
-                }
-                // Wait out every spawned retrain so the stats below are
-                // settled and no trainer is killed by process exit.
-                let retrains = retrain_joins
-                    .into_iter()
-                    .filter_map(|j| j.join().ok())
-                    .filter(Result::is_ok)
-                    .count() as u64;
-                truth.publish(oracle, sharded.generation());
-                (applied, retrains)
-            })?
-        }
-    };
+        // Wait out every spawned retrain so the stats below are settled and
+        // no trainer is killed by process exit; a retrain bumps the
+        // generation with the same rule truth.
+        let retrains =
+            retrain_joins.into_iter().filter_map(|j| j.join().ok()).filter(Result::is_ok).count()
+                as u64;
+        truth.publish(oracle, serve.generation());
+        (applied, retrains)
+    })?;
     let elapsed = start.elapsed().as_secs_f64();
     let stats = &wire.stats;
     let lat = stats.latency.summary_us();
@@ -811,130 +739,6 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
         stats.mismatches,
         stats.oracle_skipped,
     ))
-}
-
-fn cmd_update_bench(a: &Args) -> Result<String, String> {
-    let set = load_rules(a)?;
-    if set.is_empty() {
-        return Err("update-bench: the rule file holds no rules (nothing to drift)".into());
-    }
-    let seconds: f64 = a.num_or("seconds", 4.0)?;
-    let update_rate: f64 = a.num_or("update-rate", 1_000.0)?;
-    let retrain_every: f64 = a.num_or("retrain-every", 1.5)?;
-    let batch: usize = a.num_or("batch", 128)?;
-    let packets: usize = a.num_or("packets", 50_000)?;
-    let seed: u64 = a.num_or("seed", 1)?;
-    let json: bool = a.num_or("json", false)?;
-    let bench_json = a.get_or("bench-json", "");
-
-    let trace = uniform_trace(&set, packets, seed);
-    let handle = ClassifierHandle::new(&set, &NuevoMatchConfig::default(), TupleMerge::build)
-        .map_err(|e| e.to_string())?;
-    let cfg = UpdateBenchConfig {
-        duration_s: seconds,
-        sample_every_s: (seconds / 20.0).max(0.05),
-        updates_per_s: update_rate,
-        ops_per_batch: 16,
-        retrain_period_s: retrain_every,
-        batch,
-    };
-    let mut rng = nm_common::SplitMix64::new(seed ^ 0x5eed);
-    let curve = measure_update_curve(&handle, &trace, &cfg, |_| drift_batch(&set, &mut rng, 16));
-    if !bench_json.is_empty() {
-        // Perf-trajectory artifact (CI update-soak job): partial vs full
-        // retrain latency (shared methodology:
-        // `nuevomatch::measure_retrain_latencies`, same helper the
-        // update_bench binary uses), the configured update rate, and the
-        // analytic drift floor each publish period enables at tau=2T. The
-        // floor is parameterised by the *measured* remainder/fresh
-        // throughput ratio, like the bench binary's artifact.
-        let lat =
-            nuevomatch::measure_retrain_latencies(&handle, &set).map_err(|e| e.to_string())?;
-        let tm_pps = run_batched(&TupleMerge::build(&set), &trace, batch.max(1)).pps;
-        let fresh_pps = run_batched(&handle, &trace, batch.max(1)).pps;
-        let remainder_ratio = (tm_pps / fresh_pps.max(1e-9)).min(1.0);
-        let floor = |train_time: f64| {
-            nm_analysis::drift_floor(&nm_analysis::UpdateModel {
-                rules: set.len() as f64,
-                update_rate,
-                retrain_period: 2.0 * train_time,
-                train_time,
-                fresh_throughput: 1.0,
-                remainder_throughput: remainder_ratio,
-            })
-        };
-        let artifact = format!(
-            "{{\"rules\":{},\"update_rate\":{update_rate:.1},\
-             \"retrain_period_s\":{retrain_every:.2},\"train_full_s\":{:.5},\
-             \"train_partial_s\":{:.5},\"partial_speedup\":{:.2},\
-             \"drift_ops\":{},\"dirty_leaf_fraction\":{:.4},\"drift_floor_full\":{:.4},\
-             \"drift_floor_partial\":{:.4},\"curve_points\":{},\
-             \"remainder_ratio\":{remainder_ratio:.4},\
-             \"partial_retrains\":{},\"retrains\":{},\
-             \"batch_p50_us\":{:.3},\"batch_p99_us\":{:.3},\"batch_p999_us\":{:.3}}}\n",
-            set.len(),
-            lat.full_s,
-            lat.partial_s,
-            lat.speedup(),
-            lat.drift_ops,
-            lat.dirty_leaf_fraction,
-            floor(lat.full_s),
-            floor(lat.partial_s),
-            curve.points.len(),
-            handle.partial_retrains_completed(),
-            handle.retrains_completed(),
-            curve.batch_latency.percentile(0.50) / 1e3,
-            curve.batch_latency.percentile(0.99) / 1e3,
-            curve.batch_latency.percentile(0.999) / 1e3,
-        );
-        std::fs::write(bench_json, &artifact).map_err(|e| format!("writing {bench_json}: {e}"))?;
-    }
-    let mut out = String::new();
-    if json {
-        for p in &curve.points {
-            out.push_str(&format!(
-                "{{\"t_s\":{:.3},\"pps\":{:.1},\"generation\":{},\"update_rate\":{:.1},\
-                 \"remainder_fraction\":{:.4},\"retrains\":{}}}\n",
-                p.t_s, p.pps, p.generation, update_rate, p.remainder_fraction, p.retrains
-            ));
-        }
-        let lat = curve.batch_latency.summary_us();
-        out.push_str(&format!(
-            "{{\"batch_latency_samples\":{},\"batch_p50_us\":{:.3},\"batch_p99_us\":{:.3},\
-             \"batch_p999_us\":{:.3},\"batch_mean_us\":{:.3}}}\n",
-            lat.count, lat.p50_us, lat.p99_us, lat.p999_us, lat.mean_us
-        ));
-        return Ok(out);
-    }
-    out.push_str(&format!(
-        "measured Figure 7 curve: {} rules, {:.0} updates/s, retrain every {:.1}s\n\n",
-        set.len(),
-        update_rate,
-        retrain_every
-    ));
-    out.push_str(&format!(
-        "{:>7}  {:>12}  {:>6}  {:>10}  {:>9}  {:>8}\n",
-        "t (s)", "pps", "rel", "generation", "rem-frac", "retrains"
-    ));
-    let peak = curve.points.iter().map(|p| p.pps).fold(0.0f64, f64::max).max(1e-9);
-    for p in &curve.points {
-        out.push_str(&format!(
-            "{:>7.2}  {:>12.3e}  {:>6.2}  {:>10}  {:>9.3}  {:>8}\n",
-            p.t_s,
-            p.pps,
-            p.pps / peak,
-            p.generation,
-            p.remainder_fraction,
-            p.retrains
-        ));
-    }
-    let lat = curve.batch_latency.summary_us();
-    out.push_str(&format!(
-        "\nper-batch classify latency ({} samples): \
-         p50 {:.1}us  p99 {:.1}us  p99.9 {:.1}us  mean {:.1}us\n",
-        lat.count, lat.p50_us, lat.p99_us, lat.p999_us, lat.mean_us
-    ));
-    Ok(out)
 }
 
 /// Parses `a.b.c.d,a.b.c.d,sport,dport,proto` into a 5-tuple key.
@@ -1066,7 +870,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_update_bench_smoke() {
+    fn serve_smoke() {
         let dir = std::env::temp_dir().join(format!("nmctl-serve-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let rules = dir.join("rules.cb");
@@ -1105,28 +909,6 @@ mod tests {
         assert!(out.contains(", 0 mismatches"), "oracle mismatches: {out}");
 
         let out = run(parse_command(&v(&[
-            "update-bench",
-            rp,
-            "--seconds",
-            "0.4",
-            "--update-rate",
-            "500",
-            "--retrain-every",
-            "0",
-            "--packets",
-            "3000",
-            "--json",
-            "true",
-        ]))
-        .unwrap())
-        .unwrap();
-        // JSON samples with the generation/update-rate fields downstream
-        // tooling consumes.
-        assert!(out.lines().count() >= 2, "{out}");
-        assert!(out.contains("\"generation\":"), "{out}");
-        assert!(out.contains("\"update_rate\":500.0"), "{out}");
-
-        let out = run(parse_command(&v(&[
             "bench",
             rp,
             "--engine",
@@ -1141,36 +923,6 @@ mod tests {
         assert!(out.contains("\"generation\":0"), "{out}");
         assert!(out.contains("\"update_rate\":0.0"), "{out}");
 
-        // --bench-json measures partial vs full retrain latency and writes
-        // the perf-trajectory artifact the CI soak job uploads.
-        let artifact = dir.join("BENCH_update.json");
-        run(parse_command(&v(&[
-            "update-bench",
-            rp,
-            "--seconds",
-            "0.3",
-            "--update-rate",
-            "200",
-            "--retrain-every",
-            "0",
-            "--packets",
-            "3000",
-            "--bench-json",
-            artifact.to_str().unwrap(),
-        ]))
-        .unwrap())
-        .unwrap();
-        let blob = std::fs::read_to_string(&artifact).unwrap();
-        for key in [
-            "\"train_full_s\":",
-            "\"train_partial_s\":",
-            "\"partial_speedup\":",
-            "\"update_rate\":",
-            "\"drift_floor_full\":",
-            "\"drift_floor_partial\":",
-        ] {
-            assert!(blob.contains(key), "artifact missing {key}: {blob}");
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

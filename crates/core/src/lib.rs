@@ -52,8 +52,9 @@
 //! and never block, a writer applies `UpdateBatch` transactions, and
 //! `retrain()` republishes fresh models RCU-style (see [`system::handle`]).
 //!
-//! See `DESIGN.md` at the workspace root for the full system inventory and
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! See the architecture snapshot in `ROADMAP.md` at the workspace root for
+//! the full system inventory and `benchmark/README.md` for the measured
+//! record.
 
 #![warn(missing_docs)]
 
@@ -67,10 +68,6 @@ pub use config::{NuevoMatchConfig, PartialRetrainPolicy, RqRmiParams, TrainerKin
 pub use iset::{partition_isets, ISet, PartitionResult};
 pub use persist::{load_rqrmi, load_snapshot, save_rqrmi, save_snapshot};
 pub use rqrmi::{train_rqrmi, CompiledRqRmi, Isa, RqRmi};
-pub use system::handle::{
-    concentrated_drift, measure_retrain_latencies, measure_update_curve, RetrainLatencies,
-    UpdateBenchConfig, UpdateCurve, UpdateCurvePoint, UpdatePacer,
-};
 pub use system::runtime::{
     PinPolicy, RunStats, Runtime, RuntimeConfig, ShardedClassifier, ShardedHandle, Topology,
 };

@@ -23,9 +23,10 @@
 //!   verdict-equivalent, so readers cannot tell which one published.
 //!
 //! The handle implements this with epoch-style snapshot publication: the
-//! live classifier is an immutable [`NmSnapshot`] behind an
-//! [`arc_swap::ArcSwap`]. Readers [`ClassifierHandle::snapshot`] (two atomic
-//! ops, never a lock) and classify against the pinned generation; the writer
+//! live classifier is an immutable [`NmSnapshot`] in a [`Published`] cell
+//! ([`super::publish`]) whose writer lock also guards the control state.
+//! Readers [`ClassifierHandle::snapshot`] (two atomic ops, never a lock)
+//! and classify against the pinned generation; the writer
 //! clones the current `NuevoMatch` — cheap, because the trained models and
 //! packed arrays sit behind `Arc`s and only tombstones + remainder are
 //! copied — applies the batch to the clone, and publishes it under the next
@@ -42,11 +43,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use arc_swap::ArcSwap;
-use parking_lot::Mutex;
-
 use nm_common::classifier::{Classifier, MatchResult};
-use nm_common::packet::TraceBuf;
 use nm_common::rule::{Priority, Rule, RuleId};
 use nm_common::ruleset::RuleSet;
 use nm_common::update::{
@@ -55,6 +52,7 @@ use nm_common::update::{
 use nm_common::Error;
 
 use crate::config::NuevoMatchConfig;
+use crate::system::publish::Published;
 use crate::system::NuevoMatch;
 
 /// A generation-stamped immutable NuevoMatch — what the handle publishes and
@@ -81,8 +79,7 @@ struct Control<R> {
 }
 
 struct Shared<R: Classifier> {
-    live: ArcSwap<NmSnapshot<R>>,
-    ctl: Mutex<Control<R>>,
+    cell: Published<NuevoMatch<R>, Control<R>>,
     retraining: AtomicBool,
     retrains: AtomicU64,
     /// How many completed retrains took the partial (leaf-level) path.
@@ -186,8 +183,11 @@ impl<R: Classifier> ClassifierHandle<R> {
         );
         Self {
             shared: Arc::new(Shared {
-                live: ArcSwap::new(Arc::new(Snapshot::new(nm, generation))),
-                ctl: Mutex::new(Control { recipe, rules, pending: Vec::new() }),
+                cell: Published::new(
+                    nm,
+                    generation,
+                    Control { recipe, rules, pending: Vec::new() },
+                ),
                 retraining: AtomicBool::new(false),
                 retrains: AtomicU64::new(0),
                 partial_retrains: AtomicU64::new(0),
@@ -198,23 +198,17 @@ impl<R: Classifier> ClassifierHandle<R> {
     /// Pins the current snapshot. Never blocks (two atomic ops); the
     /// returned `Arc` keeps that generation's models alive for as long as
     /// the reader holds it, regardless of concurrent updates and retrains.
+    #[inline]
     pub fn snapshot(&self) -> Arc<NmSnapshot<R>> {
-        self.shared.live.load_full()
+        self.shared.cell.pin()
     }
 
     /// The published generation (bumps on every effective applied batch and
-    /// every retrain publish).
-    ///
-    /// Derived from the live snapshot itself, so it can never disagree with
-    /// what a subsequently pinned snapshot reports: pin first, and
-    /// `generation() >= snapshot.generation()` holds at every instant. (A
-    /// separate atomic mirror — the previous design — was updated after the
-    /// snapshot store and could briefly *under-report* the live snapshot's
-    /// stamp; and the reverse store order would let a cache observe the new
-    /// generation, compute a verdict against the still-published old
-    /// snapshot, and keep serving it under the new tag.)
+    /// every retrain publish), read off the live snapshot itself: pin
+    /// first, and `generation() >= snapshot.generation()` holds at every
+    /// instant.
     pub fn generation(&self) -> Generation {
-        self.shared.live.load().generation()
+        self.shared.cell.generation()
     }
 
     /// True while a retrain is between pin and publish.
@@ -230,16 +224,6 @@ impl<R: Classifier> ClassifierHandle<R> {
     /// Completed retrains that took the partial (leaf-level) path.
     pub fn partial_retrains_completed(&self) -> u64 {
         self.shared.partial_retrains.load(SeqCst)
-    }
-
-    /// Publishes `snap` as the next generation. Caller must hold the ctl
-    /// lock (single-writer discipline). The stamp lives inside the snapshot
-    /// — one atomic store makes both visible together, which is what keeps
-    /// [`ClassifierHandle::generation`] and the published view consistent.
-    fn publish(&self, nm: NuevoMatch<R>) -> Generation {
-        let generation = self.shared.live.load().generation() + 1;
-        self.shared.live.store(Arc::new(Snapshot::new(nm, generation)));
-        generation
     }
 }
 
@@ -279,7 +263,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
             // changes").
             return UpdateReport::default();
         }
-        let mut ctl = self.shared.ctl.lock();
+        let mut ctl = self.shared.cell.write();
         Self::fold_truth(&mut ctl.rules, batch);
         if self.shared.retraining.load(SeqCst) {
             ctl.pending.extend(batch.ops().iter().cloned());
@@ -289,7 +273,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
         let mut next = self.snapshot().engine().clone();
         let report = next.apply(batch);
         if report.changed() {
-            self.publish(next);
+            ctl.publish(next);
         }
         // A batch of pure misses changed nothing: drop the clone and keep
         // the published snapshot (and its generation) as they are.
@@ -313,7 +297,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// retrain is already in flight, or if training fails.
     pub fn retrain(&self) -> Result<Generation, Error> {
         let partial_enabled = {
-            let ctl = self.shared.ctl.lock();
+            let ctl = self.shared.cell.write();
             match ctl.recipe.as_ref() {
                 Some(recipe) => recipe.cfg.partial_retrain.enabled,
                 None => false, // retrain_full reports the read-only error
@@ -345,7 +329,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
         // Pin: snapshot + config under the lock, so no batch lands between
         // the pending-queue reset and the pin.
         let (cfg, pinned) = {
-            let mut ctl = self.shared.ctl.lock();
+            let mut ctl = self.shared.cell.write();
             let cfg = ctl.recipe.as_ref().map(|recipe| recipe.cfg.clone()).ok_or_else(|| {
                 Error::Build {
                     msg: "ClassifierHandle::retrain_partial: read-only handle (no config retained)"
@@ -364,7 +348,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
         // Patch: leaf-level work, no locks held.
         let result = pinned.engine().partial_retrain(&cfg);
         // Publish: replay what arrived during the patch, swap, unmark.
-        let mut ctl = self.shared.ctl.lock();
+        let mut ctl = self.shared.cell.write();
         let (mut fresh, _report) = match result {
             Ok(patched) => patched,
             Err(e) => {
@@ -376,7 +360,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
             let replay: UpdateBatch = ctl.pending.drain(..).collect();
             fresh.apply(&replay);
         }
-        let generation = self.publish(fresh);
+        let generation = ctl.publish(fresh);
         self.shared.retraining.store(false, SeqCst);
         self.shared.retrains.fetch_add(1, SeqCst);
         self.shared.partial_retrains.fetch_add(1, SeqCst);
@@ -395,7 +379,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     pub fn retrain_full(&self) -> Result<Generation, Error> {
         // Pin: capture the truth and the recipe under the lock.
         let (set, cfg, builder) = {
-            let mut ctl = self.shared.ctl.lock();
+            let mut ctl = self.shared.cell.write();
             let recipe = ctl.recipe.as_ref().ok_or_else(|| Error::Build {
                 msg: "ClassifierHandle::retrain: read-only handle (no EngineBuilder retained)"
                     .to_string(),
@@ -440,13 +424,13 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
             }
         };
         // Publish: replay what arrived during training, swap, unmark.
-        let mut ctl = self.shared.ctl.lock();
+        let mut ctl = self.shared.cell.write();
         let mut fresh = fresh;
         if !ctl.pending.is_empty() {
             let replay: UpdateBatch = ctl.pending.drain(..).collect();
             fresh.apply(&replay);
         }
-        let generation = self.publish(fresh);
+        let generation = ctl.publish(fresh);
         self.shared.retraining.store(false, SeqCst);
         self.shared.retrains.fetch_add(1, SeqCst);
         Ok(generation)
@@ -516,323 +500,6 @@ impl<R: Classifier> Classifier for ClassifierHandle<R> {
     fn generation(&self) -> Generation {
         ClassifierHandle::generation(self)
     }
-}
-
-/// Parameters for [`measure_update_curve`] — the measured analogue of the
-/// paper's Figure 7 experiment.
-#[derive(Clone, Copy, Debug)]
-pub struct UpdateBenchConfig {
-    /// Total measurement horizon (seconds).
-    pub duration_s: f64,
-    /// Sampling period for throughput points (seconds).
-    pub sample_every_s: f64,
-    /// Target update rate (rule updates per second).
-    pub updates_per_s: f64,
-    /// Updates grouped per [`UpdateBatch`] transaction.
-    pub ops_per_batch: usize,
-    /// Retrain trigger period (seconds); `0.0` disables retraining.
-    pub retrain_period_s: f64,
-    /// Classification batch size for the reader (paper: 128).
-    pub batch: usize,
-}
-
-impl Default for UpdateBenchConfig {
-    fn default() -> Self {
-        Self {
-            duration_s: 10.0,
-            sample_every_s: 0.25,
-            updates_per_s: 1_000.0,
-            ops_per_batch: 32,
-            retrain_period_s: 4.0,
-            batch: 128,
-        }
-    }
-}
-
-/// One sample of the measured Figure 7 curve.
-#[derive(Clone, Copy, Debug)]
-pub struct UpdateCurvePoint {
-    /// Sample time since measurement start (seconds).
-    pub t_s: f64,
-    /// Reader throughput over the sample window (packets per second).
-    pub pps: f64,
-    /// Published generation at the sample instant.
-    pub generation: Generation,
-    /// Fraction of rules served by the remainder at the sample instant.
-    pub remainder_fraction: f64,
-    /// Retrains completed so far.
-    pub retrains: u64,
-}
-
-/// Paces a live-serving control plane: applies update transactions at a
-/// target ops/second (grouped into batches) and spawns background retrains
-/// on a fixed period, tracking their join handles so [`UpdatePacer::drain`]
-/// can wait out every retrain it started.
-///
-/// This is the writer-side loop body shared by [`measure_update_curve`] and
-/// `nmctl serve`: call [`UpdatePacer::tick`] repeatedly from the writer
-/// thread; it either applies one due batch or sleeps a beat.
-pub struct UpdatePacer {
-    interval: Option<std::time::Duration>,
-    next_fire: std::time::Instant,
-    retrain_period_s: f64,
-    last_retrain: std::time::Instant,
-    seq: u64,
-    ops_applied: u64,
-}
-
-impl UpdatePacer {
-    /// A pacer firing `ops_per_batch`-op transactions so that roughly
-    /// `updates_per_s` ops land per second (`<= 0.0` disables updates), and
-    /// triggering a background retrain every `retrain_period_s` seconds
-    /// (`<= 0.0` disables retrains).
-    pub fn new(updates_per_s: f64, ops_per_batch: usize, retrain_period_s: f64) -> Self {
-        let interval = (updates_per_s > 0.0).then(|| {
-            std::time::Duration::from_secs_f64(ops_per_batch.max(1) as f64 / updates_per_s)
-        });
-        let now = std::time::Instant::now();
-        Self {
-            interval,
-            next_fire: now,
-            retrain_period_s,
-            last_retrain: now,
-            seq: 0,
-            ops_applied: 0,
-        }
-    }
-
-    /// One pacing step against `handle`: applies `make_batch(seq)` if a
-    /// transaction is due (otherwise sleeps ~200µs), and spawns a retrain if
-    /// the period elapsed and none is in flight. Returns the ops applied by
-    /// this tick. `joins` collects the handles of spawned retrains — pass
-    /// the same vector to every tick and hand it to [`UpdatePacer::drain`]
-    /// when the serving loop stops.
-    pub fn tick<R, F>(
-        &mut self,
-        handle: &ClassifierHandle<R>,
-        joins: &mut Vec<std::thread::JoinHandle<Result<Generation, Error>>>,
-        make_batch: F,
-    ) -> usize
-    where
-        R: BatchUpdatable + Clone + Send + Sync + 'static,
-        F: FnOnce(u64) -> UpdateBatch,
-    {
-        let mut applied = 0;
-        match self.interval {
-            Some(interval) if std::time::Instant::now() >= self.next_fire => {
-                let batch = make_batch(self.seq);
-                self.seq += 1;
-                applied = batch.len();
-                self.ops_applied += applied as u64;
-                handle.apply(&batch);
-                self.next_fire += interval;
-            }
-            _ => std::thread::sleep(std::time::Duration::from_micros(200)),
-        }
-        if self.retrain_period_s > 0.0
-            && self.last_retrain.elapsed().as_secs_f64() >= self.retrain_period_s
-            && !handle.retrain_in_progress()
-        {
-            self.last_retrain = std::time::Instant::now();
-            joins.push(handle.spawn_retrain());
-        }
-        applied
-    }
-
-    /// Total update ops applied across all ticks.
-    pub fn ops_applied(&self) -> u64 {
-        self.ops_applied
-    }
-
-    /// Joins every retrain this pacer spawned (results discarded — an
-    /// "already in flight" loss is benign). Without this, a retrain spawned
-    /// on the final tick could still be warming up when the caller reads its
-    /// "settled" stats, or be killed mid-train by process exit.
-    pub fn drain(joins: Vec<std::thread::JoinHandle<Result<Generation, Error>>>) {
-        for join in joins {
-            let _ = join.join();
-        }
-    }
-}
-
-/// Builds the §3.9 *concentrated* (single-leaf) drift batch: `ops` modifies
-/// that re-insert — boxes unchanged — the rules at the lowest positions of
-/// the classifier's largest iSet. Positions are sorted by the iSet field's
-/// lower bound, so the drift lands in one or two neighbouring leaf
-/// submodels: the cheap case for a partial retrain, and the workload the
-/// retrain-latency comparison is defined over.
-pub fn concentrated_drift<R: Classifier>(
-    nm: &NuevoMatch<R>,
-    set: &RuleSet,
-    ops: usize,
-) -> Result<UpdateBatch, Error> {
-    let iset = nm.isets().first().ok_or_else(|| Error::Build {
-        msg: "concentrated_drift: no iSet formed (nothing to drift from)".to_string(),
-    })?;
-    let mut batch = UpdateBatch::new();
-    for pos in 0..ops.min(iset.len()) {
-        batch = batch.modify(set.rule(iset.rule_id_at(pos)).clone());
-    }
-    Ok(batch)
-}
-
-/// Latencies of the two retrain flavours under the same reproducible
-/// concentrated drift (see [`measure_retrain_latencies`]).
-#[derive(Clone, Copy, Debug)]
-pub struct RetrainLatencies {
-    /// Seconds to republish via the partial (leaf-level) path.
-    pub partial_s: f64,
-    /// Seconds to republish via the full rebuild.
-    pub full_s: f64,
-    /// Update ops in the concentrated drift batch.
-    pub drift_ops: usize,
-    /// Fraction of the drifted iSet's leaf submodels holding tombstones
-    /// just before the partial retrain (the drift-concentration profile
-    /// from [`crate::TrainedISet::leaf_tombstone_counts`]).
-    pub dirty_leaf_fraction: f64,
-}
-
-impl RetrainLatencies {
-    /// How many times faster the partial path republished.
-    pub fn speedup(&self) -> f64 {
-        self.full_s / self.partial_s.max(1e-9)
-    }
-}
-
-/// Measures partial vs full retrain latency on `handle` (built over `set`)
-/// under a [`concentrated_drift`] workload — the §3.9 refinement's
-/// headline number, shared by `nm-bench --bin update_bench` and
-/// `nmctl update-bench --bench-json` so the two artifacts can never drift
-/// apart in methodology.
-///
-/// Protocol: full retrain to reach a drift-free baseline, apply the
-/// concentrated drift and time [`ClassifierHandle::retrain_partial`], then
-/// apply the same drift again and time [`ClassifierHandle::retrain_full`].
-/// The handle ends drift-free. The drifted rules are re-inserted with
-/// unchanged boxes, so they are always fully re-admittable and the default
-/// partial-retrain gates pass.
-pub fn measure_retrain_latencies<R>(
-    handle: &ClassifierHandle<R>,
-    set: &RuleSet,
-) -> Result<RetrainLatencies, Error>
-where
-    R: BatchUpdatable + Clone,
-{
-    use std::time::Instant;
-    handle.retrain_full()?;
-    let drift_ops = (set.len() / 100).clamp(4, 512);
-    let drift = concentrated_drift(handle.snapshot().engine(), set, drift_ops)?;
-    handle.apply(&drift);
-    let dirty_leaf_fraction = {
-        let snap = handle.snapshot();
-        let counts = snap.engine().isets()[0].leaf_tombstone_counts();
-        counts.iter().filter(|&&c| c > 0).count() as f64 / counts.len().max(1) as f64
-    };
-    let t0 = Instant::now();
-    handle.retrain_partial()?;
-    let partial_s = t0.elapsed().as_secs_f64();
-    handle.apply(&drift);
-    let t0 = Instant::now();
-    handle.retrain_full()?;
-    let full_s = t0.elapsed().as_secs_f64();
-    Ok(RetrainLatencies { partial_s, full_s, drift_ops, dirty_leaf_fraction })
-}
-
-/// What [`measure_update_curve`] measured: the sampled throughput curve
-/// plus the per-batch service-latency histogram (one sample per
-/// `classify_batch` call, nanoseconds), replacing the ad-hoc derived
-/// latency numbers older callers computed from `pps`.
-#[derive(Clone, Debug, Default)]
-pub struct UpdateCurve {
-    /// Windowed throughput samples over the run.
-    pub points: Vec<UpdateCurvePoint>,
-    /// Reader-side per-batch classification latency.
-    pub batch_latency: nm_common::LatencyHistogram,
-}
-
-/// Measures throughput-under-updates (Figure 7, §3.9) against a live
-/// [`ClassifierHandle`]: one reader thread classifies the trace in batches
-/// continuously, an updater thread applies `make_batch(i)` transactions at
-/// the configured rate, and retrains fire on their period in the background.
-/// Readers never block on any of it — that is the property under test.
-///
-/// Returns the sampled curve plus the per-batch latency histogram;
-/// validate the curve against `nm_analysis::throughput_at` to close the
-/// loop with the analytic model.
-pub fn measure_update_curve<R, F>(
-    handle: &ClassifierHandle<R>,
-    trace: &TraceBuf,
-    cfg: &UpdateBenchConfig,
-    make_batch: F,
-) -> UpdateCurve
-where
-    R: BatchUpdatable + Clone + Send + Sync + 'static,
-    F: FnMut(u64) -> UpdateBatch + Send,
-{
-    use std::time::Instant;
-    let n = trace.len();
-    if n == 0 || cfg.duration_s <= 0.0 {
-        return UpdateCurve::default();
-    }
-    let stride = trace.stride();
-    let raw = trace.raw();
-    let batch = cfg.batch.max(1);
-    let stop = AtomicBool::new(false);
-    let start = Instant::now();
-    let mut curve = Vec::new();
-    let mut batch_latency = nm_common::LatencyHistogram::new();
-    let mut make_batch = make_batch;
-
-    crossbeam::thread::scope(|scope| {
-        // Updater: paced transactions + periodic background retrains, all
-        // through the shared pacer. The spawned-retrain joins are drained
-        // before the thread exits so the caller reads settled stats.
-        scope.spawn(|_| {
-            let mut pacer =
-                UpdatePacer::new(cfg.updates_per_s, cfg.ops_per_batch, cfg.retrain_period_s);
-            let mut joins = Vec::new();
-            while !stop.load(SeqCst) {
-                pacer.tick(handle, &mut joins, &mut make_batch);
-            }
-            UpdatePacer::drain(joins);
-        });
-
-        // Reader: the measured data plane. One snapshot pin per batch.
-        let mut out: Vec<Option<MatchResult>> = vec![None; batch];
-        let mut lo = 0usize;
-        let mut window_packets = 0u64;
-        let mut window_start = start;
-        loop {
-            let elapsed = start.elapsed().as_secs_f64();
-            if elapsed >= cfg.duration_s {
-                break;
-            }
-            let hi = (lo + batch).min(n);
-            let t0 = Instant::now();
-            handle.classify_batch(&raw[lo * stride..hi * stride], stride, &mut out[..hi - lo]);
-            batch_latency.record_duration(t0.elapsed());
-            window_packets += (hi - lo) as u64;
-            lo = if hi == n { 0 } else { hi };
-            let window_s = window_start.elapsed().as_secs_f64();
-            if window_s >= cfg.sample_every_s {
-                let snap = handle.snapshot();
-                curve.push(UpdateCurvePoint {
-                    t_s: start.elapsed().as_secs_f64(),
-                    pps: window_packets as f64 / window_s,
-                    generation: snap.generation(),
-                    remainder_fraction: snap.engine().remainder_fraction(),
-                    retrains: handle.retrains_completed(),
-                });
-                window_packets = 0;
-                window_start = Instant::now();
-            }
-        }
-        stop.store(true, SeqCst);
-    })
-    .expect("update-bench worker panicked");
-    // Every retrain the pacer spawned was joined inside the scope, so the
-    // stats are settled the moment this returns.
-    UpdateCurve { points: curve, batch_latency }
 }
 
 #[cfg(test)]
@@ -1107,44 +774,5 @@ mod tests {
         assert!(ra.is_ok() || rb.is_ok());
         assert!(h.retrains_completed() >= 1);
         assert!(!h.retrain_in_progress());
-    }
-
-    #[test]
-    fn measure_update_curve_samples_under_load() {
-        let h = handle(200);
-        let mut trace = TraceBuf::new(5);
-        let mut s = nm_common::SplitMix64::new(7);
-        for _ in 0..4_000 {
-            trace.push(&[0, 0, 0, s.below(20_000), 0]);
-        }
-        let cfg = UpdateBenchConfig {
-            duration_s: 0.6,
-            sample_every_s: 0.1,
-            updates_per_s: 2_000.0,
-            ops_per_batch: 16,
-            retrain_period_s: 0.2,
-            batch: 128,
-        };
-        let mut next_port = 30_000u16;
-        let curve = measure_update_curve(&h, &trace, &cfg, |seq| {
-            let mut b = UpdateBatch::new();
-            for k in 0..16u64 {
-                next_port = next_port.wrapping_add(1).max(30_000);
-                let id = (seq * 16 + k) as u32 % 200;
-                b = b.modify(FiveTuple::new().dst_port_exact(next_port).into_rule(id, id));
-            }
-            b
-        });
-        let points = &curve.points;
-        assert!(points.len() >= 3, "expected several samples, got {}", points.len());
-        assert!(points.iter().all(|p| p.pps > 0.0));
-        let last = points.last().unwrap();
-        assert!(last.generation > 1, "updates must have published generations");
-        // The set drifts under modify load...
-        assert!(points.iter().any(|p| p.remainder_fraction > 0.0));
-        assert!(!h.retrain_in_progress(), "no retrain left dangling");
-        // One latency sample per classify_batch call, with sane tails.
-        assert!(curve.batch_latency.count() > 0);
-        assert!(curve.batch_latency.percentile(0.99) >= curve.batch_latency.percentile(0.50));
     }
 }

@@ -10,9 +10,8 @@
 pub mod breakdown;
 pub mod flow_cache;
 pub mod handle;
-#[cfg(nm_model)]
-pub mod model_port;
 pub mod parallel;
+pub mod publish;
 pub mod retrain;
 pub mod runtime;
 pub mod serve;
@@ -21,7 +20,7 @@ pub mod update;
 pub use breakdown::{measure_breakdown, LookupBreakdown};
 pub use flow_cache::{CacheStats, FlowCache};
 pub use handle::{ClassifierHandle, NmSnapshot};
-pub use parallel::{run_batched, ParallelStats};
+pub use parallel::run_batched;
 pub use retrain::PartialRetrainReport;
 pub use runtime::{
     PinPolicy, RunStats, Runtime, RuntimeConfig, ShardedClassifier, ShardedHandle, Topology,

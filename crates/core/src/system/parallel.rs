@@ -1,32 +1,9 @@
-//! Batched execution reference loops and the legacy multi-worker entry
-//! points (paper §4 "Parallelization" and §5.1).
-//!
-//! The multi-worker machinery lives in [`crate::system::runtime`] since the
-//! sharded-runtime refactor: a [`Runtime`] executes *plans* —
-//! [`SplitPlan`](crate::system::runtime::SplitPlan) (NuevoMatch's
-//! iSet/remainder two-worker split),
-//! [`Replicated`](crate::system::runtime::Replicated) (N whole-set shards,
-//! the baselines' mode), and the sharded data planes
-//! ([`ShardedHandle`](crate::system::runtime::ShardedHandle) /
-//! [`ShardedClassifier`](crate::system::runtime::ShardedClassifier)) — with
-//! NUMA-aware worker pinning, a configurable pipeline depth, per-worker
-//! flow caches and propagated worker errors. The old `run_two_workers` /
-//! `run_replicated` free functions are gone — call
-//! [`Runtime::run_split`] / [`Runtime::run_replicated`] directly.
-//!
-//! This module keeps the two single-threaded reference loops —
-//! [`run_sequential`] (the §5.2 per-key methodology) and [`run_batched`]
-//! (the `classify_batch` path) — which every parallel checksum is validated
-//! against, plus the [`ParallelStats`] shape the wrappers and benches
-//! consume.
-//!
-//! **Single-core CI fallback.** This repository's CI machine has a single
-//! physical core. The runtime's [`Topology`](crate::system::runtime::Topology)
-//! reports that shape and schedules every worker unpinned (pinning a
-//! pipeline onto one core would only serialise it behind the dispatcher),
-//! so the measured *numbers* time-share; the harness structure is identical
-//! to the paper's and scales on real multi-core hardware. EXPERIMENTS.md
-//! discusses the caveat.
+//! The two single-threaded reference loops (paper §5.2 methodology):
+//! [`run_sequential`] (per-key `classify`) and [`run_batched`] (the
+//! `classify_batch` path). Every parallel checksum — each plan
+//! [`Runtime::run`](crate::system::runtime::Runtime::run) executes — is
+//! validated against them, and they report the same
+//! [`RunStats`] the runtime does (one shard, no worker threads).
 
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::packet::TraceBuf;
@@ -36,28 +13,16 @@ use super::runtime::{fold_checksum, RunStats};
 /// Default batch size from the paper.
 pub const BATCH: usize = 128;
 
-/// Result of a parallel run (the legacy stats shape; the runtime's richer
-/// [`RunStats`] converts into it).
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelStats {
-    /// Wall-clock seconds for the whole trace.
-    pub seconds: f64,
-    /// Packets per second.
-    pub pps: f64,
-    /// Mean per-batch latency in nanoseconds (dispatch → merged).
-    pub mean_batch_latency_ns: f64,
-    /// Fold of matched rule ids (sequential-equivalence checks).
-    pub checksum: u64,
-}
-
-impl From<RunStats> for ParallelStats {
-    fn from(s: RunStats) -> Self {
-        Self {
-            seconds: s.seconds,
-            pps: s.pps,
-            mean_batch_latency_ns: s.mean_batch_latency_ns,
-            checksum: s.checksum,
-        }
+/// The reference loops' result: one shard on the caller's thread.
+fn stats(n: usize, seconds: f64, batches: usize, checksum: u64) -> RunStats {
+    RunStats {
+        seconds,
+        pps: n as f64 / seconds.max(1e-12),
+        mean_batch_latency_ns: seconds * 1e9 / batches.max(1) as f64,
+        checksum,
+        batches,
+        steered: vec![n as u64],
+        ..RunStats::empty(1, 0)
     }
 }
 
@@ -66,17 +31,16 @@ impl From<RunStats> for ParallelStats {
 /// caller's thread. The checksum folds per-packet results in trace order, so
 /// it must equal [`run_sequential`]'s — the batch-size sweep in
 /// `nm-bench --bin batch` measures exactly this path against `batch = 1`.
-pub fn run_batched(c: &dyn Classifier, trace: &TraceBuf, batch: usize) -> ParallelStats {
+pub fn run_batched(c: &dyn Classifier, trace: &TraceBuf, batch: usize) -> RunStats {
     let n = trace.len();
     if n == 0 {
-        return ParallelStats { seconds: 0.0, pps: 0.0, mean_batch_latency_ns: 0.0, checksum: 0 };
+        return RunStats::empty(1, 0);
     }
     let batch = batch.max(1);
     let stride = trace.stride();
     let raw = trace.raw();
     let mut out: Vec<Option<MatchResult>> = vec![None; batch];
     let mut checksum = 0u64;
-    let n_batches = n.div_ceil(batch);
     let start = std::time::Instant::now();
     let mut lo = 0usize;
     while lo < n {
@@ -87,32 +51,20 @@ pub fn run_batched(c: &dyn Classifier, trace: &TraceBuf, batch: usize) -> Parall
         }
         lo = hi;
     }
-    let seconds = start.elapsed().as_secs_f64();
-    ParallelStats {
-        seconds,
-        pps: n as f64 / seconds.max(1e-12),
-        mean_batch_latency_ns: seconds * 1e9 / n_batches as f64,
-        checksum,
-    }
+    stats(n, start.elapsed().as_secs_f64(), n.div_ceil(batch), checksum)
 }
 
 /// Sequential reference run (single core, early termination as configured) —
 /// the §5.2 single-core methodology, also used to validate the parallel
 /// paths' checksums.
-pub fn run_sequential(c: &dyn Classifier, trace: &TraceBuf) -> ParallelStats {
+pub fn run_sequential(c: &dyn Classifier, trace: &TraceBuf) -> RunStats {
     let n = trace.len();
     let start = std::time::Instant::now();
     let mut checksum = 0u64;
     for key in trace.iter() {
         fold_checksum(&mut checksum, c.classify(key));
     }
-    let seconds = start.elapsed().as_secs_f64();
-    ParallelStats {
-        seconds,
-        pps: n as f64 / seconds.max(1e-12),
-        mean_batch_latency_ns: seconds * 1e9 / n.max(1) as f64,
-        checksum,
-    }
+    stats(n, start.elapsed().as_secs_f64(), n, checksum)
 }
 
 #[cfg(test)]
@@ -120,7 +72,7 @@ mod tests {
     use super::*;
     use crate::config::{NuevoMatchConfig, RqRmiParams};
     use crate::system::handle::ClassifierHandle;
-    use crate::system::runtime::{Runtime, RuntimeConfig};
+    use crate::system::runtime::{Replicated, Runtime, RuntimeConfig, SplitPlan};
     use nm_common::{FieldsSpec, FiveTuple, LinearSearch, RuleSet};
 
     fn setup() -> (ClassifierHandle<LinearSearch>, TraceBuf) {
@@ -162,7 +114,7 @@ mod tests {
     fn split_runtime_matches_sequential() {
         let (nm, trace) = setup();
         let seq = run_sequential(&nm, &trace);
-        let par: ParallelStats = rt(128).run_split(&nm, &trace).unwrap().into();
+        let par = rt(128).run(&SplitPlan::new(&nm), &trace).unwrap();
         assert_eq!(seq.checksum, par.checksum);
         assert!(par.pps > 0.0);
         assert!(par.mean_batch_latency_ns > 0.0);
@@ -175,7 +127,7 @@ mod tests {
         // The plan-based runtime merges in trace order: the checksum is
         // comparable at every thread count, not only at one.
         for threads in [1usize, 2] {
-            let rep = rt(128).run_replicated(&nm, threads, &trace).unwrap();
+            let rep = rt(128).run(&Replicated::new(&nm, threads), &trace).unwrap();
             assert_eq!(rep.checksum, seq.checksum, "threads {threads}");
             assert!(rep.pps > 0.0);
         }
@@ -185,9 +137,9 @@ mod tests {
     fn empty_trace() {
         let (nm, _) = setup();
         let empty = TraceBuf::new(5);
-        let s = rt(128).run_split(&nm, &empty).unwrap();
+        let s = rt(128).run(&SplitPlan::new(&nm), &empty).unwrap();
         assert_eq!(s.checksum, 0);
-        assert_eq!(rt(128).run_replicated(&nm, 2, &empty).unwrap().checksum, 0);
+        assert_eq!(rt(128).run(&Replicated::new(&nm, 2), &empty).unwrap().checksum, 0);
     }
 
     #[test]
@@ -219,7 +171,7 @@ mod tests {
                 }
             });
             for _ in 0..5 {
-                let s = rt(128).run_split(&handle, &trace).unwrap();
+                let s = rt(128).run(&SplitPlan::new(&handle), &trace).unwrap();
                 assert!(s.pps > 0.0);
             }
             done.store(true, std::sync::atomic::Ordering::SeqCst);

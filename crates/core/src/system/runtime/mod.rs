@@ -1,9 +1,7 @@
 //! The NUMA-aware worker runtime (paper §4 "Parallelization" and §5.1,
 //! grown past one socket).
 //!
-//! The ad-hoc runners this subsumes (`run_two_workers`, `run_replicated`)
-//! pinned nothing, shared one flow cache and could not shard the rule-set.
-//! The runtime splits the same work along explicit axes:
+//! The runtime splits parallel execution along explicit axes:
 //!
 //! * **A plan** decides what each worker group serves. Every execution mode
 //!   is a [`ShardedDataPlane`]: [`ShardedHandle`]/[`ShardedClassifier`]
@@ -13,7 +11,8 @@
 //!   and [`SplitPlan`] is NuevoMatch's iSet/remainder split (the paper's
 //!   two-worker mode) expressed as two mirrored stages.
 //! * **A dispatcher** (the calling thread) pins one coherent generation per
-//!   batch, steers the batch, keeps [`RuntimeConfig::pipeline_depth`]
+//!   batch (a [`PinnedPlane`] — the same pin the serve front-end flushes
+//!   into), steers the batch, keeps [`RuntimeConfig::pipeline_depth`]
 //!   batches in flight — tracked in a small in-flight ring, not a
 //!   trace-length array — and merges per-shard verdicts by priority in
 //!   trace order, so the checksum equals [`run_sequential`] by
@@ -30,16 +29,16 @@
 //!
 //! **Single-core fallback.** This repository's CI box has one physical
 //! core: [`Topology::assign`] returns no pin assignments there, so every
-//! worker stays unpinned and the measured numbers time-share exactly like
-//! the legacy harness — the structure is identical to the paper's and
-//! scales on real multi-socket hardware (see EXPERIMENTS.md).
+//! worker stays unpinned and the measured numbers time-share — the
+//! structure is identical to the paper's; every number so far carries the
+//! 1-core caveat recorded in `benchmark/README.md`.
 //!
 //! [`run_sequential`]: crate::system::parallel::run_sequential
 
 pub mod sharded;
 pub mod topology;
 
-pub use sharded::{EpochPin, ShardEpoch, ShardedClassifier, ShardedHandle, StaticPin};
+pub use sharded::{EpochSnapshot, ShardEpoch, ShardedClassifier, ShardedHandle, StaticPin};
 pub use topology::{pin_current_thread, NumaNode, Topology};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,6 +56,7 @@ use nm_common::Error;
 
 use super::flow_cache::{CacheStats, FlowCache};
 use super::handle::{ClassifierHandle, NmSnapshot};
+use super::serve::plane::PinnedPlane;
 
 /// Default classification batch (the paper's §5.1 batch of 128).
 pub const DEFAULT_BATCH: usize = 128;
@@ -139,7 +139,10 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    fn empty(shards: usize, workers: usize) -> Self {
+    /// All-zero stats for a plan of `shards` shards run by `workers` worker
+    /// threads (the reference loops in [`super::parallel`] run on the
+    /// caller's thread: one shard, no workers).
+    pub(crate) fn empty(shards: usize, workers: usize) -> Self {
         Self {
             seconds: 0.0,
             pps: 0.0,
@@ -165,31 +168,14 @@ pub(crate) fn fold_checksum(checksum: &mut u64, m: Option<MatchResult>) {
     *checksum = checksum.wrapping_mul(0x100_0000_01b3).wrapping_add(v);
 }
 
-/// A coherent per-batch pin of a sharded data plane: every shard the pin
-/// exposes serves the same logical generation for as long as the pin is
-/// held. Cloned into worker jobs; cloning must be cheap (a reference or an
-/// `Arc` bump).
-pub trait ShardPin: Clone + Send + Sync {
-    /// The pinned logical generation.
-    fn generation(&self) -> Generation;
-
-    /// Classifies a gathered sub-batch as shard `shard` sees it — including
-    /// any broadcast-shard merge, so the dispatcher's priority merge over
-    /// shards yields final verdicts.
-    fn classify_shard(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    );
-}
-
 /// An execution plan the runtime can drive: how many worker groups exist,
 /// how packets map onto them, and how to pin a coherent generation.
 pub trait ShardedDataPlane: Sync {
-    /// The per-batch pin type.
-    type Pin<'p>: ShardPin
+    /// The per-batch pin: every shard it exposes (through
+    /// [`PinnedPlane::classify_shard`]) serves the same logical generation
+    /// for as long as it is held. Cloned into worker jobs, so cloning must
+    /// be cheap (a reference or an `Arc` bump).
+    type Pin<'p>: PinnedPlane + Clone
     where
         Self: 'p;
 
@@ -243,18 +229,12 @@ impl Clone for RefPin<'_> {
     }
 }
 
-impl ShardPin for RefPin<'_> {
+impl PinnedPlane for RefPin<'_> {
     fn generation(&self) -> Generation {
         self.0.generation()
     }
 
-    fn classify_shard(
-        &self,
-        _shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
+    fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
         self.0.classify_batch(keys, stride, out);
     }
 }
@@ -303,9 +283,13 @@ impl<R: Classifier> Clone for SplitPin<R> {
     }
 }
 
-impl<R: Classifier> ShardPin for SplitPin<R> {
+impl<R: Classifier> PinnedPlane for SplitPin<R> {
     fn generation(&self) -> Generation {
         self.0.generation()
+    }
+
+    fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
+        self.0.engine().classify_batch(keys, stride, out);
     }
 
     fn classify_shard(
@@ -349,12 +333,12 @@ impl<R: Classifier> ShardedDataPlane for SplitPlan<'_, R> {
 /// worker swaps the current pin in before each batch, and the cache's
 /// generation probe sees the pinned logical generation — so an epoch swap
 /// invalidates the cache exactly like any other update.
-struct PinView<P: ShardPin> {
+struct PinView<P> {
     shard: usize,
     pin: Mutex<Option<P>>,
 }
 
-impl<P: ShardPin> PinView<P> {
+impl<P> PinView<P> {
     fn new(shard: usize) -> Self {
         Self { shard, pin: Mutex::new(None) }
     }
@@ -364,7 +348,7 @@ impl<P: ShardPin> PinView<P> {
     }
 }
 
-impl<P: ShardPin> Classifier for PinView<P> {
+impl<P: PinnedPlane> Classifier for PinView<P> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
         let guard = self.pin.lock();
         // A pin is always set before workers run; a missing one means the
@@ -394,7 +378,7 @@ impl<P: ShardPin> Classifier for PinView<P> {
     }
 
     fn generation(&self) -> Generation {
-        self.pin.lock().as_ref().map_or(0, ShardPin::generation)
+        self.pin.lock().as_ref().map_or(0, PinnedPlane::generation)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -461,29 +445,6 @@ impl Runtime {
     /// The machine shape workers schedule over.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Runs the two-worker iSet/remainder split (legacy `run_two_workers`)
-    /// as a [`SplitPlan`].
-    pub fn run_split<R: Classifier>(
-        &self,
-        handle: &ClassifierHandle<R>,
-        trace: &TraceBuf,
-    ) -> Result<RunStats, Error> {
-        self.run(&SplitPlan::new(handle), trace)
-    }
-
-    /// Runs `workers` whole-set replicas (legacy `run_replicated`) as a
-    /// [`Replicated`] plan. Unlike the legacy runner, the merge happens in
-    /// trace order, so the checksum equals the sequential reference at any
-    /// worker count.
-    pub fn run_replicated(
-        &self,
-        engine: &dyn Classifier,
-        workers: usize,
-        trace: &TraceBuf,
-    ) -> Result<RunStats, Error> {
-        self.run(&Replicated::new(engine, workers), trace)
     }
 
     /// Executes `src` over the trace: steer → per-shard workers → in-order
@@ -681,7 +642,7 @@ impl Runtime {
 /// One worker thread: optionally pin, then serve jobs until the dispatcher
 /// hangs up. Panics inside a job are caught and reported as an error chunk
 /// so the dispatcher can fail the run instead of blocking forever.
-fn worker_loop<P: ShardPin>(
+fn worker_loop<P: PinnedPlane + Clone>(
     shard: usize,
     cpu: Option<usize>,
     rx: channel::Receiver<Job<P>>,
@@ -808,7 +769,7 @@ mod tests {
         let handle = ClassifierHandle::new(&set, &fast_cfg(), LinearSearch::build).unwrap();
         let t = trace(3_000);
         let seq = run_sequential(&handle, &t);
-        let stats = runtime(128).run_split(&handle, &t).unwrap();
+        let stats = runtime(128).run(&SplitPlan::new(&handle), &t).unwrap();
         assert_eq!(stats.checksum, seq.checksum);
         assert_eq!(stats.shards, 2);
         // Mirrored: both stages see every packet.
@@ -823,7 +784,7 @@ mod tests {
         let t = trace(2_500);
         let seq = run_sequential(&engine, &t);
         for workers in [1usize, 2, 4] {
-            let stats = runtime(64).run_replicated(&engine, workers, &t).unwrap();
+            let stats = runtime(64).run(&Replicated::new(&engine, workers), &t).unwrap();
             assert_eq!(stats.checksum, seq.checksum, "workers {workers}");
         }
     }
@@ -860,17 +821,11 @@ mod tests {
         struct Bomb;
         #[derive(Clone)]
         struct BombPin;
-        impl ShardPin for BombPin {
+        impl PinnedPlane for BombPin {
             fn generation(&self) -> Generation {
                 0
             }
-            fn classify_shard(
-                &self,
-                _s: usize,
-                _k: &[u64],
-                _stride: usize,
-                _o: &mut [Option<MatchResult>],
-            ) {
+            fn classify_batch(&self, _k: &[u64], _stride: usize, _o: &mut [Option<MatchResult>]) {
                 panic!("boom");
             }
         }
@@ -896,7 +851,7 @@ mod tests {
         let set = port_set(50);
         let engine = LinearSearch::build(&set);
         let t = TraceBuf::new(5);
-        let stats = runtime(128).run_replicated(&engine, 2, &t).unwrap();
+        let stats = runtime(128).run(&Replicated::new(&engine, 2), &t).unwrap();
         assert_eq!((stats.checksum, stats.batches), (0, 0));
     }
 
@@ -914,7 +869,7 @@ mod tests {
                 pipeline_depth: depth,
                 ..Default::default()
             });
-            let stats = rt.run_replicated(&engine, 2, &t).unwrap();
+            let stats = rt.run(&Replicated::new(&engine, 2), &t).unwrap();
             assert_eq!(stats.checksum, seq.checksum, "depth {depth}");
         }
     }

@@ -11,8 +11,9 @@
 //!   op routes to the shard the plan steers its rule to (moving shards when
 //!   a modify changes the steering field), and the post-apply snapshots of
 //!   every shard publish together as one [`ShardEpoch`] under one logical
-//!   generation. Readers pin the epoch with two atomic ops; a pinned epoch
-//!   is immutable, so **no batch can ever mix generations across shards** —
+//!   generation, through the same [`Published`] cell a plain handle uses.
+//!   Readers pin the epoch with two atomic ops; a pinned epoch is
+//!   immutable, so **no batch can ever mix generations across shards** —
 //!   the coherence the runtime's checksum equivalence rests on. Retrains
 //!   fan the same way: every shard retrains (concurrently), then one epoch
 //!   publishes the fresh models together.
@@ -20,26 +21,26 @@
 //! Both implement [`Classifier`] (steer → per-shard lookup → priority
 //! merge), so they drop into every existing harness, and both implement
 //! [`ShardedDataPlane`] so [`Runtime::run`](super::Runtime::run) can spread
-//! their shards across pinned workers.
+//! their shards across pinned workers. One `Arc` of a stamped epoch is the
+//! handle's pin for the runtime and for the serve front-end alike.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-
-use arc_swap::ArcSwap;
-use parking_lot::Mutex;
 
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::rule::{Priority, RuleId};
 use nm_common::ruleset::RuleSet;
 use nm_common::shard::{ShardPlan, ShardPlanConfig, ShardRoute, ShardStrategy};
 use nm_common::update::{
-    BatchUpdatable, EngineBuilder, Generation, UpdateBatch, UpdateOp, UpdateReport,
+    BatchUpdatable, EngineBuilder, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
 };
 use nm_common::Error;
 
-use super::{ShardPin, ShardedDataPlane};
+use super::ShardedDataPlane;
 use crate::config::NuevoMatchConfig;
 use crate::system::handle::{ClassifierHandle, NmSnapshot};
+use crate::system::publish::Published;
+use crate::system::serve::plane::{PinnedPlane, ServePlane};
 
 /// Scatters `sub`'s verdicts (computed for the gathered keys at `idx`) back
 /// into `out`, merging by priority.
@@ -105,27 +106,27 @@ fn steered_batch_lookup(
     classify_broadcast: Option<BroadcastSweep<'_>>,
 ) {
     out.fill(None);
-    if plan.strategy() == ShardStrategy::RoundRobin {
-        // Whole-set replicas: no steering needed inside one call.
+    if plan.strategy() == ShardStrategy::RoundRobin || plan.shards() == 1 {
+        // Whole-set replicas, or a single home shard: every key of one call
+        // goes to shard 0, so there is nothing to steer or gather.
         classify_home(0, keys, out);
-        apply_floors(floors, out);
-        return;
-    }
-    let mut idx: Vec<Vec<u32>> = vec![Vec::new(); plan.shards()];
-    for (i, key) in keys.chunks_exact(stride).enumerate() {
-        idx[plan.steer(key, 0)].push(i as u32);
-    }
-    let mut buf = Vec::new();
-    let mut sub = Vec::new();
-    for (shard, ids) in idx.iter().enumerate() {
-        if ids.is_empty() {
-            continue;
+    } else {
+        let mut idx: Vec<Vec<u32>> = vec![Vec::new(); plan.shards()];
+        for (i, key) in keys.chunks_exact(stride).enumerate() {
+            idx[plan.steer(key, 0)].push(i as u32);
         }
-        gather_keys(keys, stride, ids, &mut buf);
-        sub.clear();
-        sub.resize(ids.len(), None);
-        classify_home(shard, &buf, &mut sub);
-        scatter_merge(ids, &sub, out);
+        let mut buf = Vec::new();
+        let mut sub = Vec::new();
+        for (shard, ids) in idx.iter().enumerate() {
+            if ids.is_empty() {
+                continue;
+            }
+            gather_keys(keys, stride, ids, &mut buf);
+            sub.clear();
+            sub.resize(ids.len(), None);
+            classify_home(shard, &buf, &mut sub);
+            scatter_merge(ids, &sub, out);
+        }
     }
     if let Some(broadcast) = classify_broadcast {
         broadcast(keys, out);
@@ -282,9 +283,13 @@ impl<C> Clone for StaticPin<'_, C> {
     }
 }
 
-impl<C: Classifier> ShardPin for StaticPin<'_, C> {
+impl<C: Classifier> PinnedPlane for StaticPin<'_, C> {
     fn generation(&self) -> Generation {
         Classifier::generation(self.0)
+    }
+
+    fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
+        self.0.classify_batch(keys, stride, out);
     }
 
     fn classify_shard(
@@ -321,22 +326,20 @@ impl<C: Classifier> ShardedDataPlane for ShardedClassifier<C> {
 // Handle-backed shards (live control plane)
 // ---------------------------------------------------------------------------
 
-/// One coherent cross-shard publication: every shard's snapshot pinned
-/// together under a single logical generation. Immutable once published —
-/// a reader holding an epoch can never observe two shards from different
-/// generations, whatever the control plane does meanwhile.
+/// One coherent cross-shard publication: the steering plan plus every
+/// shard's snapshot, pinned together. Published as the payload of one
+/// stamped [`Snapshot`] — the logical generation lives there — and immutable
+/// from then on: a reader holding an epoch can never observe two shards from
+/// different generations, whatever the control plane does meanwhile. It is a
+/// [`Classifier`] in its own right (steer → per-shard lookup → priority
+/// merge), which is all [`ShardedHandle`]'s lookups are.
 pub struct ShardEpoch<R: Classifier> {
-    generation: Generation,
+    plan: Arc<ShardPlan>,
     home: Vec<Arc<NmSnapshot<R>>>,
     broadcast: Arc<NmSnapshot<R>>,
 }
 
 impl<R: Classifier> ShardEpoch<R> {
-    /// The logical generation (bumps once per fan-out apply or retrain).
-    pub fn generation(&self) -> Generation {
-        self.generation
-    }
-
     /// Number of home shards.
     pub fn shards(&self) -> usize {
         self.home.len()
@@ -363,27 +366,118 @@ impl<R: Classifier> ShardEpoch<R> {
     }
 }
 
-struct ShardedCtl {
+impl<R: Classifier> Classifier for ShardEpoch<R> {
+    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
+        let mut out = [None];
+        self.classify_sub(self.plan.steer(key, 0), key, key.len(), &mut out);
+        out[0]
+    }
+
+    fn batch_lookup(
+        &self,
+        keys: &[u64],
+        stride: usize,
+        floors: Option<&[Priority]>,
+        out: &mut [Option<MatchResult>],
+    ) {
+        let mut broadcast = (self.broadcast.num_rules() > 0).then_some(
+            |keys: &[u64], out: &mut [Option<MatchResult>]| {
+                merge_broadcast(&*self.broadcast, keys, stride, out)
+            },
+        );
+        steered_batch_lookup(
+            &self.plan,
+            keys,
+            stride,
+            floors,
+            out,
+            &mut |shard, sub_keys, sub_out| {
+                self.home[shard].classify_batch(sub_keys, stride, sub_out)
+            },
+            broadcast.as_mut().map(|f| f as BroadcastSweep<'_>),
+        );
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.home.iter().map(|s| s.memory_bytes()).sum::<usize>() + self.broadcast.memory_bytes()
+    }
+
+    fn name(&self) -> &'static str {
+        "sharded-nm"
+    }
+
+    fn num_rules(&self) -> usize {
+        match self.plan.strategy() {
+            ShardStrategy::RoundRobin => self.home[0].num_rules(),
+            _ => {
+                self.home.iter().map(|s| s.num_rules()).sum::<usize>() + self.broadcast.num_rules()
+            }
+        }
+    }
+}
+
+/// What a reader of a [`ShardedHandle`] pins: one [`ShardEpoch`] under one
+/// logical generation. The same `Arc` is the pin of the serve path
+/// ([`ServePlane`]) and of the worker runtime ([`ShardedDataPlane`]).
+pub type EpochSnapshot<R> = Snapshot<ShardEpoch<R>>;
+
+impl<R: Classifier> PinnedPlane for Arc<EpochSnapshot<R>> {
+    fn generation(&self) -> Generation {
+        EpochSnapshot::generation(self)
+    }
+
+    fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
+        Classifier::classify_batch(&**self, keys, stride, out);
+    }
+
+    fn classify_shard(
+        &self,
+        shard: usize,
+        keys: &[u64],
+        stride: usize,
+        out: &mut [Option<MatchResult>],
+    ) {
+        self.engine().classify_sub(shard, keys, stride, out);
+    }
+}
+
+/// Writer-side state of a [`ShardedHandle`]: the per-shard handles and the
+/// routing truth, reachable only through the publication cell's write guard.
+struct ShardedCtl<R: Classifier> {
+    home: Vec<ClassifierHandle<R>>,
+    broadcast: ClassifierHandle<R>,
     /// id → slot (home shard index, or `home.len()` for broadcast). The
     /// routing truth for update fan-out; empty for replicated plans, where
     /// every op fans to every shard.
     routes: HashMap<RuleId, usize>,
 }
 
+impl<R: Classifier> ShardedCtl<R> {
+    /// The shards' current snapshots as one epoch.
+    fn epoch(&self, plan: &Arc<ShardPlan>) -> ShardEpoch<R> {
+        ShardEpoch {
+            plan: plan.clone(),
+            home: self.home.iter().map(ClassifierHandle::snapshot).collect(),
+            broadcast: self.broadcast.snapshot(),
+        }
+    }
+
+    fn handle_at(&self, slot: usize) -> &ClassifierHandle<R> {
+        self.home.get(slot).unwrap_or(&self.broadcast)
+    }
+}
+
 struct SharedSharded<R: Classifier> {
-    plan: ShardPlan,
-    home: Vec<ClassifierHandle<R>>,
-    broadcast: ClassifierHandle<R>,
-    epoch: ArcSwap<ShardEpoch<R>>,
-    ctl: Mutex<ShardedCtl>,
+    plan: Arc<ShardPlan>,
+    cell: Published<ShardEpoch<R>, ShardedCtl<R>>,
 }
 
 /// Per-shard [`ClassifierHandle`] replicas under one logical generation —
 /// the sharded runtime's live control plane. Clone freely; clones address
 /// the same shards.
 ///
-/// Writers (apply / retrain) serialise on an internal lock and publish a
-/// fresh [`ShardEpoch`] per effective change; readers pin epochs lock-free
+/// Writers (apply / retrain) serialise on the cell's writer lock and publish
+/// a fresh [`ShardEpoch`] per effective change; readers pin epochs lock-free
 /// and are never blocked by either.
 pub struct ShardedHandle<R: Classifier> {
     shared: Arc<SharedSharded<R>>,
@@ -409,7 +503,7 @@ impl<R: Classifier> ShardedHandle<R> {
         B: EngineBuilder<Engine = R> + 'static,
         R: 'static,
     {
-        let plan = ShardPlan::build(set, plan_cfg)?;
+        let plan = Arc::new(ShardPlan::build(set, plan_cfg)?);
         let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
         let (home_sets, broadcast_set) = plan.subsets(set);
         let home: Vec<ClassifierHandle<R>> = home_sets
@@ -430,20 +524,9 @@ impl<R: Classifier> ShardedHandle<R> {
                 routes.insert(rule.id, slot);
             }
         }
-        let epoch = ShardEpoch {
-            generation: 1,
-            home: home.iter().map(ClassifierHandle::snapshot).collect(),
-            broadcast: broadcast.snapshot(),
-        };
-        Ok(Self {
-            shared: Arc::new(SharedSharded {
-                plan,
-                home,
-                broadcast,
-                epoch: ArcSwap::new(Arc::new(epoch)),
-                ctl: Mutex::new(ShardedCtl { routes }),
-            }),
-        })
+        let ctl = ShardedCtl { home, broadcast, routes };
+        let cell = Published::new(ctl.epoch(&plan), 1, ctl);
+        Ok(Self { shared: Arc::new(SharedSharded { plan, cell }) })
     }
 
     /// The partition this handle steers by.
@@ -452,32 +535,23 @@ impl<R: Classifier> ShardedHandle<R> {
     }
 
     /// Pins the current epoch (two atomic ops, never blocks).
-    pub fn epoch(&self) -> Arc<ShardEpoch<R>> {
-        self.shared.epoch.load_full()
+    #[inline]
+    pub fn epoch(&self) -> Arc<EpochSnapshot<R>> {
+        self.shared.cell.pin()
     }
 
-    /// The published logical generation.
+    /// The published logical generation (bumps once per effective fan-out
+    /// apply and once per retrain).
     pub fn generation(&self) -> Generation {
-        self.shared.epoch.load().generation()
-    }
-
-    /// Publishes the current per-shard snapshots as the next logical
-    /// generation. Callers must hold the ctl lock (single-writer).
-    fn publish_epoch(&self) -> Generation {
-        let generation = self.shared.epoch.load().generation() + 1;
-        self.shared.epoch.store(Arc::new(ShardEpoch {
-            generation,
-            home: self.shared.home.iter().map(ClassifierHandle::snapshot).collect(),
-            broadcast: self.shared.broadcast.snapshot(),
-        }));
-        generation
+        self.shared.cell.generation()
     }
 
     /// Rule-weighted §3.9 remainder fraction across the shards — the drift
     /// the whole sharded data plane currently serves (replicated plans
     /// report the identical per-replica value).
     pub fn remainder_fraction(&self) -> f64 {
-        let epoch = self.epoch();
+        let pin = self.epoch();
+        let epoch = pin.engine();
         let mut rules = 0usize;
         let mut weighted = 0.0f64;
         for snap in epoch.home.iter().chain(std::iter::once(&epoch.broadcast)) {
@@ -490,44 +564,6 @@ impl<R: Classifier> ShardedHandle<R> {
         } else {
             weighted / rules as f64
         }
-    }
-
-    fn handle_at(&self, slot: usize) -> &ClassifierHandle<R> {
-        if slot == self.shared.home.len() {
-            &self.shared.broadcast
-        } else {
-            &self.shared.home[slot]
-        }
-    }
-
-    /// Classifies a whole batch against a caller-pinned [`ShardEpoch`] —
-    /// the serve path's "one generation per flushed batch" contract. Same
-    /// steering and broadcast merge as the `Classifier::batch_lookup` impl,
-    /// but the epoch is chosen by the caller instead of re-pinned per call,
-    /// so a batch assembled before a publish still classifies coherently.
-    pub fn classify_batch_at(
-        &self,
-        epoch: &ShardEpoch<R>,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        let mut broadcast = (epoch.broadcast.num_rules() > 0).then_some(
-            |keys: &[u64], out: &mut [Option<MatchResult>]| {
-                merge_broadcast(&*epoch.broadcast, keys, stride, out)
-            },
-        );
-        steered_batch_lookup(
-            &self.shared.plan,
-            keys,
-            stride,
-            None,
-            out,
-            &mut |shard, sub_keys, sub_out| {
-                epoch.home[shard].classify_batch(sub_keys, stride, sub_out)
-            },
-            broadcast.as_mut().map(|f| f as BroadcastSweep<'_>),
-        );
     }
 }
 
@@ -544,34 +580,34 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
         if batch.is_empty() {
             return UpdateReport::default();
         }
-        let sh = &*self.shared;
-        let mut ctl = sh.ctl.lock();
-        if sh.plan.strategy() == ShardStrategy::RoundRobin {
+        let plan = &self.shared.plan;
+        let mut ctl = self.shared.cell.write();
+        if plan.strategy() == ShardStrategy::RoundRobin {
             // Whole-set replicas: every shard applies the whole batch; the
             // reports are identical, so the first stands for all.
             let mut report = UpdateReport::default();
-            for (i, h) in sh.home.iter().enumerate() {
+            for (i, h) in ctl.home.iter().enumerate() {
                 let r = h.apply(batch);
                 if i == 0 {
                     report = r;
                 }
             }
             if report.changed() {
-                self.publish_epoch();
+                ctl.publish(ctl.epoch(plan));
             }
             return report;
         }
-        let slots = sh.home.len() + 1; // broadcast last
-        let mut per: Vec<UpdateBatch> = (0..slots).map(|_| UpdateBatch::new()).collect();
+        let broadcast_slot = ctl.home.len();
+        let mut per: Vec<UpdateBatch> = (0..=broadcast_slot).map(|_| UpdateBatch::new()).collect();
         let mut report = UpdateReport::default();
         for op in batch.ops() {
             match op {
                 UpdateOp::Insert(r) | UpdateOp::Modify(r) => {
-                    let target = match sh.plan.route_rule(r) {
+                    let target = match plan.route_rule(r) {
                         ShardRoute::Home(s) => s,
                         // As in `new`: an unexpected `All` routes to the
                         // broadcast slot, which every shard consults.
-                        ShardRoute::Broadcast | ShardRoute::All => sh.home.len(),
+                        ShardRoute::Broadcast | ShardRoute::All => broadcast_slot,
                     };
                     let old = ctl.routes.insert(r.id, target);
                     match old {
@@ -607,10 +643,10 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
         if report.changed() {
             for (slot, sub) in per.iter().enumerate() {
                 if !sub.is_empty() {
-                    self.handle_at(slot).apply(sub);
+                    ctl.handle_at(slot).apply(sub);
                 }
             }
-            self.publish_epoch();
+            ctl.publish(ctl.epoch(plan));
         }
         report
     }
@@ -619,13 +655,15 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
     /// independent) and publishes the fresh models together as one epoch.
     /// Control-plane ops serialise behind this; readers never block.
     pub fn retrain(&self) -> Result<Generation, Error> {
-        let sh = &*self.shared;
-        let _ctl = sh.ctl.lock();
-        let handles: Vec<&ClassifierHandle<R>> =
-            sh.home.iter().chain(std::iter::once(&sh.broadcast)).collect();
+        let mut ctl = self.shared.cell.write();
         let mut first_err = None;
         std::thread::scope(|scope| {
-            let joins: Vec<_> = handles.iter().map(|h| scope.spawn(move || h.retrain())).collect();
+            let joins: Vec<_> = ctl
+                .home
+                .iter()
+                .chain(std::iter::once(&ctl.broadcast))
+                .map(|h| scope.spawn(move || h.retrain()))
+                .collect();
             for join in joins {
                 match join.join() {
                     Ok(Ok(_)) => {}
@@ -643,20 +681,17 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
         if let Some(e) = first_err {
             return Err(e);
         }
-        Ok(self.publish_epoch())
+        Ok(ctl.publish(ctl.epoch(&self.shared.plan)))
     }
 }
 
+/// One epoch pin per call: every packet of a batch classifies against the
+/// same logical generation on every shard.
 impl<R: Classifier> Classifier for ShardedHandle<R> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        let epoch = self.epoch();
-        let mut out = [None];
-        epoch.classify_sub(self.shared.plan.steer(key, 0), key, key.len(), &mut out);
-        out[0]
+        self.epoch().classify(key)
     }
 
-    /// One epoch pin per batch: every packet classifies against the same
-    /// logical generation on every shard.
     fn batch_lookup(
         &self,
         keys: &[u64],
@@ -664,28 +699,11 @@ impl<R: Classifier> Classifier for ShardedHandle<R> {
         floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
     ) {
-        let epoch = self.epoch();
-        let mut broadcast = (epoch.broadcast.num_rules() > 0).then_some(
-            |keys: &[u64], out: &mut [Option<MatchResult>]| {
-                merge_broadcast(&*epoch.broadcast, keys, stride, out)
-            },
-        );
-        steered_batch_lookup(
-            &self.shared.plan,
-            keys,
-            stride,
-            floors,
-            out,
-            &mut |shard, sub_keys, sub_out| {
-                epoch.home[shard].classify_batch(sub_keys, stride, sub_out)
-            },
-            broadcast.as_mut().map(|f| f as BroadcastSweep<'_>),
-        );
+        self.epoch().batch_lookup(keys, stride, floors, out);
     }
 
     fn memory_bytes(&self) -> usize {
-        let epoch = self.epoch();
-        epoch.home.iter().map(|s| s.memory_bytes()).sum::<usize>() + epoch.broadcast.memory_bytes()
+        self.epoch().memory_bytes()
     }
 
     fn name(&self) -> &'static str {
@@ -693,14 +711,7 @@ impl<R: Classifier> Classifier for ShardedHandle<R> {
     }
 
     fn num_rules(&self) -> usize {
-        let epoch = self.epoch();
-        match self.shared.plan.strategy() {
-            ShardStrategy::RoundRobin => epoch.home[0].num_rules(),
-            _ => {
-                epoch.home.iter().map(|s| s.num_rules()).sum::<usize>()
-                    + epoch.broadcast.num_rules()
-            }
-        }
+        self.epoch().num_rules()
     }
 
     fn generation(&self) -> Generation {
@@ -708,35 +719,17 @@ impl<R: Classifier> Classifier for ShardedHandle<R> {
     }
 }
 
-/// Owning pin over a [`ShardedHandle`]: one epoch Arc, cheap to clone into
-/// worker jobs, immutable for as long as any worker holds it.
-pub struct EpochPin<R: Classifier>(Arc<ShardEpoch<R>>);
+impl<R: Classifier + 'static> ServePlane for ShardedHandle<R> {
+    type Pin = Arc<EpochSnapshot<R>>;
 
-impl<R: Classifier> Clone for EpochPin<R> {
-    fn clone(&self) -> Self {
-        EpochPin(self.0.clone())
-    }
-}
-
-impl<R: Classifier> ShardPin for EpochPin<R> {
-    fn generation(&self) -> Generation {
-        self.0.generation()
-    }
-
-    fn classify_shard(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.0.classify_sub(shard, keys, stride, out);
+    fn pin(&self) -> Self::Pin {
+        self.epoch()
     }
 }
 
 impl<R: Classifier> ShardedDataPlane for ShardedHandle<R> {
     type Pin<'p>
-        = EpochPin<R>
+        = Arc<EpochSnapshot<R>>
     where
         Self: 'p;
 
@@ -749,7 +742,7 @@ impl<R: Classifier> ShardedDataPlane for ShardedHandle<R> {
     }
 
     fn pin(&self) -> Self::Pin<'_> {
-        EpochPin(self.epoch())
+        self.epoch()
     }
 }
 
@@ -858,21 +851,14 @@ mod tests {
         let sharded =
             ShardedHandle::new(&set, &fast_cfg(), &plan_cfg(2), LinearSearch::build).unwrap();
         let pinned = sharded.epoch();
-        let gens = pinned.home_generations();
+        let gens = pinned.engine().home_generations();
         sharded.apply(
             &UpdateBatch::new().insert(FiveTuple::new().dst_port_exact(61_111).into_rule(700, 0)),
         );
-        assert_eq!(pinned.home_generations(), gens, "a pinned epoch must never move");
+        assert_eq!(pinned.engine().home_generations(), gens, "a pinned epoch must never move");
         assert!(sharded.generation() > pinned.generation());
         // The pinned epoch still serves the old content.
-        let mut out = [None];
-        pinned.classify_sub(
-            sharded.plan().steer(&[0, 0, 0, 61_111, 0], 0),
-            &[0, 0, 0, 61_111, 0],
-            5,
-            &mut out,
-        );
-        assert_eq!(out[0], None);
+        assert_eq!(pinned.classify(&[0, 0, 0, 61_111, 0]), None);
         assert_eq!(sharded.classify(&[0, 0, 0, 61_111, 0]).unwrap().rule, 700);
     }
 
@@ -888,7 +874,7 @@ mod tests {
         let epoch = sharded.epoch();
         for s in 0..3 {
             let mut out = [None];
-            epoch.home[s].classify_batch(&[0, 0, 0, 550, 0], 5, &mut out);
+            epoch.engine().home[s].classify_batch(&[0, 0, 0, 550, 0], 5, &mut out);
             assert_eq!(out[0], None, "replica {s} still serves the removed rule");
         }
     }

@@ -38,7 +38,7 @@ pub mod validator;
 
 pub use assembler::{Assembler, ReplyTo};
 pub use client::ServeClient;
-pub use plane::{PinnedPlane, ServePlane, ShardedPin};
+pub use plane::{PinnedPlane, ServePlane};
 pub use stats::{FlushCause, ReaderKind, ServeStats};
 pub use validator::{OracleTable, Validator};
 

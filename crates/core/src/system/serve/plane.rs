@@ -1,10 +1,15 @@
-//! The data-plane abstraction the serve front-end batches into.
+//! The data-plane abstraction the serve front-end batches into — and the
+//! worker runtime dispatches shard jobs against.
 //!
 //! A flushed batch must classify against **one** pinned generation — that
 //! is the coherence contract the response `generation` field advertises
 //! and the oracle validator checks. [`ServePlane::pin`] captures whatever
 //! "one generation" means for the engine: a snapshot `Arc` for a plain
-//! [`ClassifierHandle`], a [`ShardEpoch`] for the PR 5 sharded handle.
+//! [`ClassifierHandle`], an `Arc` of one stamped
+//! [`ShardEpoch`](crate::system::runtime::ShardEpoch) for the sharded
+//! handle (the impls live beside the epoch in `runtime::sharded`). The same
+//! pin serves [`Runtime::run`](crate::system::runtime::Runtime::run)
+//! through [`PinnedPlane::classify_shard`].
 
 use std::sync::Arc;
 
@@ -12,7 +17,6 @@ use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::update::Generation;
 
 use crate::system::handle::{ClassifierHandle, NmSnapshot};
-use crate::system::runtime::sharded::{ShardEpoch, ShardedHandle};
 
 /// A batched data plane the serve front-end can flush into.
 pub trait ServePlane: Send + Sync + 'static {
@@ -23,13 +27,29 @@ pub trait ServePlane: Send + Sync + 'static {
     fn pin(&self) -> Self::Pin;
 }
 
-/// One pinned generation of a [`ServePlane`].
+/// One pinned generation of a data plane: every verdict it produces comes
+/// from the same published state for as long as the pin is held.
 pub trait PinnedPlane: Send {
     /// The generation every verdict from this pin is stamped with.
     fn generation(&self) -> Generation;
 
     /// Classifies `keys` (flat, `stride` words per key) into `out`.
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]);
+
+    /// Classifies a gathered sub-batch as shard `shard` of a
+    /// [`ShardedDataPlane`](crate::system::runtime::ShardedDataPlane) sees
+    /// it — including any broadcast-shard merge, so the runtime's priority
+    /// merge over shards yields final verdicts. Planes whose every shard
+    /// serves the whole set keep the default.
+    fn classify_shard(
+        &self,
+        _shard: usize,
+        keys: &[u64],
+        stride: usize,
+        out: &mut [Option<MatchResult>],
+    ) {
+        self.classify_batch(keys, stride, out);
+    }
 }
 
 impl<R> ServePlane for ClassifierHandle<R>
@@ -53,36 +73,5 @@ where
 
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
         Classifier::classify_batch(&**self, keys, stride, out);
-    }
-}
-
-/// Pin over a [`ShardedHandle`]: the epoch fixes every shard's snapshot,
-/// the handle clone carries the (immutable) steering plan.
-pub struct ShardedPin<R: Classifier> {
-    handle: ShardedHandle<R>,
-    epoch: Arc<ShardEpoch<R>>,
-}
-
-impl<R> PinnedPlane for ShardedPin<R>
-where
-    R: Classifier + Send + Sync + 'static,
-{
-    fn generation(&self) -> Generation {
-        self.epoch.generation()
-    }
-
-    fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
-        self.handle.classify_batch_at(&self.epoch, keys, stride, out);
-    }
-}
-
-impl<R> ServePlane for ShardedHandle<R>
-where
-    R: Classifier + Send + Sync + 'static,
-{
-    type Pin = ShardedPin<R>;
-
-    fn pin(&self) -> Self::Pin {
-        ShardedPin { handle: self.clone(), epoch: self.epoch() }
     }
 }

@@ -697,7 +697,7 @@ pub fn lint_source(
 /// Required API names per shim: the std/crates.io surface each offline
 /// stand-in mirrors. A missing name means the shim drifted and swapping the
 /// real crate back in would break.
-const SHIM_SURFACES: [(&str, &[&str]); 6] = [
+const SHIM_SURFACES: [(&str, &[&str]); 5] = [
     ("arc-swap", &["ArcSwap", "new", "from_pointee", "load", "load_full", "store", "swap"]),
     (
         "crossbeam",
@@ -708,19 +708,6 @@ const SHIM_SURFACES: [(&str, &[&str]); 6] = [
     ),
     ("parking_lot", &["Mutex", "MutexGuard", "lock"]),
     ("bytes", &["Buf", "BufMut"]),
-    (
-        "criterion",
-        &[
-            "Criterion",
-            "Bencher",
-            "BenchmarkId",
-            "benchmark_group",
-            "bench_function",
-            "black_box",
-            "criterion_group",
-            "criterion_main",
-        ],
-    ),
     (
         "proptest",
         &[

@@ -7,7 +7,7 @@
 //! baseline and remainder engine; its evaluation consumes only the *built
 //! tree* (its footprint and traversal cost), never the learning process.
 //!
-//! **Substitution (documented in DESIGN.md §2):** this crate keeps the
+//! **Substitution:** this crate keeps the
 //! NeuroCuts decision space and reward but replaces the RL agent with a
 //! derivative-free policy search (random restarts + hill climbing over a
 //! parameterised policy). The search evaluates candidate policies by

@@ -16,8 +16,7 @@
 //!   locality profile. CAIDA is not redistributable, so [`caida_like_trace`]
 //!   synthesises the locality profile directly: Zipf flow popularity plus
 //!   geometric packet trains (bursts of consecutive packets from the active
-//!   flow), which reproduces the temporal locality the experiment consumes
-//!   (DESIGN.md §2 records the substitution).
+//!   flow), which reproduces the temporal locality the experiment consumes.
 //!
 //! One *flow* = one generated header per rule, fixed per trace, exactly like
 //! the paper's rule→five-tuple mapping.

@@ -22,6 +22,7 @@ use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
 use nm_trace::{uniform_trace, zipf_trace};
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::parallel::run_sequential;
+use nuevomatch::system::runtime::{Replicated, SplitPlan};
 use nuevomatch::{
     ClassifierHandle, NuevoMatchConfig, RqRmiParams, Runtime, RuntimeConfig, ShardedClassifier,
     ShardedHandle,
@@ -53,7 +54,7 @@ fn two_workers_equal_sequential_across_batch_sizes() {
     let trace = uniform_trace(&set, 6_000, 32);
     let seq = run_sequential(&nm, &trace);
     for batch in [1usize, 7, 128, 1_024, 10_000] {
-        let par = runtime(batch).run_split(&nm, &trace).unwrap();
+        let par = runtime(batch).run(&SplitPlan::new(&nm), &trace).unwrap();
         assert_eq!(par.checksum, seq.checksum, "batch {batch}");
     }
 }
@@ -63,7 +64,7 @@ fn two_workers_on_skewed_traffic() {
     let (nm, set) = build(1_000, 33);
     let trace = zipf_trace(&set, 6_000, 1.25, 34);
     let seq = run_sequential(&nm, &trace);
-    let par = runtime(128).run_split(&nm, &trace).unwrap();
+    let par = runtime(128).run(&SplitPlan::new(&nm), &trace).unwrap();
     assert_eq!(par.checksum, seq.checksum);
 }
 
@@ -75,7 +76,7 @@ fn replicated_equals_sequential_at_every_width() {
     let trace = uniform_trace(&set, 4_000, 36);
     let seq = run_sequential(&nm, &trace);
     for threads in [1usize, 2, 4] {
-        let rep = runtime(64).run_replicated(&nm, threads, &trace).unwrap();
+        let rep = runtime(64).run(&Replicated::new(&nm, threads), &trace).unwrap();
         assert_eq!(rep.checksum, seq.checksum, "threads {threads}");
         assert!(rep.pps > 0.0);
         assert!(rep.seconds > 0.0);
@@ -87,7 +88,7 @@ fn trace_shorter_than_batch() {
     let (nm, set) = build(300, 39);
     let trace = uniform_trace(&set, 50, 40);
     let seq = run_sequential(&nm, &trace);
-    let par = runtime(128).run_split(&nm, &trace).unwrap();
+    let par = runtime(128).run(&SplitPlan::new(&nm), &trace).unwrap();
     assert_eq!(par.checksum, seq.checksum);
 }
 
@@ -190,7 +191,7 @@ fn epoch_pins_never_mix_generations_across_shards() {
             // Capture the pinned per-shard stamps *before* the writer gets
             // a chance to race, probe, then re-read: a pinned epoch is
             // frozen, so the stamps must still be the captured ones.
-            let pinned_gens = epoch.home_generations();
+            let pinned_gens = epoch.engine().home_generations();
             // Coherence across shards: one *epoch-pinned* read covers both
             // shards — the Classifier impl pins once per batch, so both
             // probes land in one batch_lookup call.
@@ -201,13 +202,61 @@ fn epoch_pins_never_mix_generations_across_shards() {
             let b_state = out[1].map(|m| m.rule) == Some(100); // rule 100 at 50_100 = state A
             assert_eq!(a_state, b_state, "one transaction split across shard generations: {out:?}");
             assert_eq!(
-                epoch.home_generations(),
+                epoch.engine().home_generations(),
                 pinned_gens,
                 "a pinned epoch's per-shard stamps moved under the writer"
             );
         }
         stop.store(true, std::sync::atomic::Ordering::SeqCst);
     });
+}
+
+/// What licenses `nmctl serve` driving a `ShardedHandle` at every shard
+/// count: a 1-shard sharded handle is the same control plane as a plain
+/// `ClassifierHandle`. Fed one seeded stream of update batches (inserts,
+/// removes, modifies, misses) and retrains, both report the same accounting
+/// and the same generation after every step, and the same verdicts over a
+/// trace through the per-key, batched and serve-pin paths.
+#[test]
+fn one_shard_sharded_handle_equals_classifier_handle_step_by_step() {
+    use nuevomatch::{PinnedPlane, ServePlane};
+    let (plain, set) = build(500, 51);
+    let sharded = ShardedHandle::new(&set, &fast_cfg(), &plan(1), TupleMerge::build).unwrap();
+    let trace = uniform_trace(&set, 2_000, 52);
+    let verdicts_agree = |step: &str| {
+        assert_eq!(sharded.generation(), plain.generation(), "generation after {step}");
+        let seq = run_sequential(&plain, &trace);
+        assert_eq!(run_sequential(&sharded, &trace).checksum, seq.checksum, "per-key, {step}");
+        let (pin, mut out) = (ServePlane::pin(&sharded), vec![None; trace.len()]);
+        assert_eq!(pin.generation(), plain.generation(), "pinned generation after {step}");
+        pin.classify_batch(trace.raw(), trace.stride(), &mut out);
+        let per_key: Vec<_> = trace.iter().map(|key| plain.classify(key)).collect();
+        assert_eq!(out, per_key, "serve pin, {step}");
+    };
+    verdicts_agree("build");
+    let mut rng = nm_common::SplitMix64::new(53);
+    for step in 0..24u32 {
+        let mut batch = UpdateBatch::new();
+        for _ in 0..1 + rng.below(6) {
+            let id = rng.below(560) as u32; // ids >= 500 miss until inserted
+            let port = rng.below(60_000) as u16;
+            batch = match rng.below(4) {
+                0 => batch.insert(FiveTuple::new().dst_port_exact(port).into_rule(id, id)),
+                1 => batch.remove(id),
+                _ => batch.modify(
+                    FiveTuple::new()
+                        .dst_port_range(port, port.saturating_add(200))
+                        .into_rule(id, id),
+                ),
+            };
+        }
+        assert_eq!(sharded.apply(&batch), plain.apply(&batch), "accounting, step {step}");
+        verdicts_agree(&format!("apply {step}"));
+        if step % 6 == 5 {
+            assert_eq!(sharded.retrain().unwrap(), plain.retrain().unwrap(), "retrain stamp");
+            verdicts_agree(&format!("retrain after step {step}"));
+        }
+    }
 }
 
 /// Mid-run control traffic: runtime executions complete while fanned
