@@ -11,7 +11,8 @@
 //! * [`thrash`] — a cache-polluting background thread standing in for
 //!   Intel CAT in the L3-contention experiments (§5.2.1, CAIDA* in
 //!   Figure 12).
-//! * [`report`] — small table/geomean helpers shared by the bench binaries.
+//! * [`report`] — table/geomean helpers and the JSON serializer shared by the
+//!   experiment driver and `nmctl`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +23,7 @@ pub mod thrash;
 pub mod updates;
 
 pub use metrics::{centrality_1d, centrality_sampled, diversity};
-pub use report::{geomean, Table};
+pub use report::{geomean, Json, Table};
 pub use thrash::CacheThrasher;
 pub use updates::{
     drift_floor, sustained_update_rate, throughput_at, throughput_over_time, UpdateModel,

@@ -1,5 +1,8 @@
-//! Report helpers for the bench binaries: aligned text tables and the
-//! geometric means the paper aggregates with.
+//! Report helpers for the experiment driver and `nmctl`: aligned text
+//! tables, the geometric means the paper aggregates with, and the one JSON
+//! serializer every machine-readable report goes through.
+
+use std::fmt;
 
 /// Geometric mean of positive values (the paper's "GM" columns). Returns 0
 /// for an empty slice; non-positive entries are skipped.
@@ -11,8 +14,8 @@ pub fn geomean(values: &[f64]) -> f64 {
     (logs.iter().sum::<f64>() / logs.len() as f64).exp()
 }
 
-/// A minimal aligned text table (the bench binaries print paper-style rows;
-/// no external table crates per the dependency policy).
+/// A minimal aligned text table (the experiments print paper-style rows; no
+/// external table crates per the dependency policy).
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -56,6 +59,118 @@ impl Table {
     }
 }
 
+/// A JSON document. Numbers carry their text, so a report fixes each
+/// field's decimals where it builds the value and emission is verbatim.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null` — also what a non-finite [`Json::num`] becomes.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number, already rendered.
+    Num(String),
+    /// A string (escaped on emission).
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object; keys keep insertion order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// `v` with `decimals` fractional digits; NaN and ±∞ have no JSON
+    /// spelling and become `null`.
+    pub fn num(v: f64, decimals: usize) -> Self {
+        if v.is_finite() {
+            Json::Num(format!("{v:.decimals$}"))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Self {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Self {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Self {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Self {
+        Json::Str(v)
+    }
+}
+
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Self {
+                Json::Num(v.to_string())
+            }
+        }
+    )*};
+}
+json_from_int!(u32, u64, u128, usize, i64);
+
+/// Rows keyed by column header, cells as the strings the table prints.
+impl From<&Table> for Json {
+    fn from(t: &Table) -> Self {
+        let row = |cells: &Vec<String>| {
+            Json::obj(t.header.iter().cloned().zip(cells.iter().cloned().map(Json::Str)))
+        };
+        Json::Arr(t.rows.iter().map(row).collect())
+    }
+}
+
+/// `s` as a JSON string literal.
+fn quote(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out + "\""
+}
+
+/// Compact emission: no whitespace, one line.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) => f.write_str(n),
+            Json::Str(s) => f.write_str(&quote(s)),
+            Json::Arr(items) => {
+                let items: Vec<String> = items.iter().map(Json::to_string).collect();
+                write!(f, "[{}]", items.join(","))
+            }
+            Json::Obj(fields) => {
+                let fields: Vec<String> =
+                    fields.iter().map(|(k, v)| format!("{}:{v}", quote(k))).collect();
+                write!(f, "{{{}}}", fields.join(","))
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,5 +206,35 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
+    }
+
+    #[test]
+    fn json_escapes_strings_and_nulls_non_finite_numbers() {
+        assert_eq!(Json::from("a\"b\\c\n\t\u{1}é").to_string(), r#""a\"b\\c\n\t\u0001é""#);
+        assert_eq!(Json::num(1.25, 1).to_string(), "1.2");
+        assert_eq!(Json::num(0.0, 4).to_string(), "0.0000");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::num(v, 3), Json::Null);
+        }
+        assert_eq!(Json::Null.to_string(), "null");
+        assert_eq!(Json::from(u64::MAX).to_string(), "18446744073709551615");
+        assert_eq!(Json::from(-3i64).to_string(), "-3");
+    }
+
+    #[test]
+    fn json_tables_are_rows_keyed_by_header_and_documents_nest() {
+        let mut t = Table::new(&["set", "thr/\"tm\""]);
+        t.row(vec!["acl1".into(), "2.40x".into()]);
+        t.row(vec!["GM".into(), String::new()]);
+        let doc = Json::obj([
+            ("ok", Json::from(true)),
+            ("tables", Json::obj([("sweep", Json::from(&t))])),
+            ("failures", Json::Arr(vec![])),
+            ("empty", Json::obj::<&str>([])),
+        ]);
+        assert_eq!(
+            doc.to_string(),
+            r#"{"ok":true,"tables":{"sweep":[{"set":"acl1","thr/\"tm\"":"2.40x"},{"set":"GM","thr/\"tm\"":""}]},"failures":[],"empty":{}}"#
+        );
     }
 }

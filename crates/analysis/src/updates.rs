@@ -17,7 +17,7 @@
 //! of a steady-state cycle is `u·(τ+T)/r`, so [`drift_floor`] rises as `T`
 //! shrinks; model a partial-retrain deployment with
 //! [`UpdateModel::with_train_time`] carrying the measured partial latency.
-//! `nm-bench --bin update_bench` measures both latencies and reports both
+//! `nm-bench update` measures both latencies and reports both
 //! predicted floors next to the measured curve.
 
 /// Model parameters.

@@ -12,8 +12,9 @@
 //! 5. **iSet count for a TupleMerge remainder** (§5.3.2: tm benefits from
 //!    more iSets than cs).
 
+use crate::{largest_iset_ranges, measure_seq, nm_config, nm_tm, nm_tm_config, suite};
+use crate::{Ctx, Outcome};
 use nm_analysis::Table;
-use nm_bench::{measure_seq, rqrmi_params, scale, suite};
 use nm_classbench::{generate, AppKind};
 use nm_trace::{uniform_trace, zipf_trace};
 use nm_tuplemerge::TupleMerge;
@@ -22,54 +23,39 @@ use nuevomatch::system::FlowCache;
 use nuevomatch::{NuevoMatch, NuevoMatchConfig, RqRmiParams, TrainerKind};
 use std::time::Instant;
 
-fn main() {
-    let s = scale();
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
     let n = *s.sizes.last().unwrap();
-    let (name, set) = suite(n, &s).into_iter().next().expect("set");
+    let (name, set) = suite(n, s).into_iter().next().expect("set");
     let trace = uniform_trace(&set, s.trace_len, 0xab1a);
 
     // 1. Early termination.
-    println!("Ablation 1 — early termination ({name}-{n}, nm w/ tm, uniform):\n");
+    out.say(format!("Ablation 1 — early termination ({name}-{n}, nm w/ tm, uniform):\n"));
     {
-        let mut cfg = NuevoMatchConfig {
-            max_isets: 4,
-            min_iset_coverage: 0.05,
-            rqrmi: rqrmi_params(),
-            early_termination: true,
-            partial_retrain: Default::default(),
-        };
-        let with_et = NuevoMatch::build(&set, &cfg, TupleMerge::build).unwrap();
-        cfg.early_termination = false;
+        let with_et = nm_tm(&set);
+        let cfg = NuevoMatchConfig { early_termination: false, ..nm_tm_config() };
         let without = NuevoMatch::build(&set, &cfg, TupleMerge::build).unwrap();
         let (a, _, ca) = measure_seq(&with_et, &trace, s.warmups);
         let (b, _, cb) = measure_seq(&without, &trace, s.warmups);
-        assert_eq!(ca, cb, "early termination changed results");
-        println!("  with early termination:    {a:.3e} pps");
-        println!("  without:                   {b:.3e} pps");
-        println!("  early-termination speedup: {:.2}x\n", a / b);
+        out.check(ca == cb, || "early termination changed results".into());
+        out.say(format!("  with early termination:    {a:.3e} pps"));
+        out.say(format!("  without:                   {b:.3e} pps"));
+        out.say(format!("  early-termination speedup: {:.2}x\n", a / b));
     }
 
     // 2. Flow cache front under skew.
-    println!("Ablation 2 — exact-match flow cache in front of nm w/ tm:\n");
+    out.say("Ablation 2 — exact-match flow cache in front of nm w/ tm:\n");
     {
-        let cfg = NuevoMatchConfig {
-            max_isets: 4,
-            min_iset_coverage: 0.05,
-            rqrmi: rqrmi_params(),
-            early_termination: true,
-            partial_retrain: Default::default(),
-        };
         let mut table = Table::new(&["trace", "bare pps", "cached pps", "cache hit rate"]);
         for (label, t) in [
             ("uniform", uniform_trace(&set, s.trace_len, 1)),
             ("zipf a=1.25", zipf_trace(&set, s.trace_len, 1.25, 1)),
         ] {
-            let nm = NuevoMatch::build(&set, &cfg, TupleMerge::build).unwrap();
-            let (bare, _, c1) = measure_seq(&nm, &t, s.warmups);
-            let cached =
-                FlowCache::new(NuevoMatch::build(&set, &cfg, TupleMerge::build).unwrap(), 1 << 16);
+            let (bare, _, c1) = measure_seq(&nm_tm(&set), &t, s.warmups);
+            let cached = FlowCache::new(nm_tm(&set), 1 << 16);
             let (fast, _, c2) = measure_seq(&cached, &t, s.warmups);
-            assert_eq!(c1, c2, "cache changed results");
+            out.check(c1 == c2, || format!("flow cache changed results on the {label} trace"));
             table.row(vec![
                 label.into(),
                 format!("{bare:.3e}"),
@@ -77,19 +63,14 @@ fn main() {
                 format!("{:.1}%", cached.stats().hit_rate() * 100.0),
             ]);
         }
-        print!("{}", table.render());
-        println!();
+        out.table("flow_cache", table);
+        out.say("");
     }
 
     // 3 + 4. Sampling mode and trainer: achieved bounds on one iSet.
-    println!("Ablation 3/4 — leaf error bounds by sampling mode and trainer:\n");
+    out.say("Ablation 3/4 — leaf error bounds by sampling mode and trainer:\n");
     {
-        let acl = generate(AppKind::Acl, n.min(50_000), 0xab34);
-        let part = nuevomatch::iset::partition_isets(&acl, 1, 0.0);
-        let iset = &part.isets[0];
-        let ranges: Vec<nm_common::FieldRange> =
-            iset.rule_ids.iter().map(|&id| acl.rule(id).fields[iset.dim]).collect();
-        let bits = acl.spec().bits(iset.dim);
+        let (ranges, bits) = largest_iset_ranges(&generate(AppKind::Acl, n.min(50_000), 0xab34));
         let mut table = Table::new(&["configuration", "achieved bound", "train time (s)"]);
         let configs: Vec<(&str, RqRmiParams, SampleMode)> = vec![
             ("hinge + rank labels (default)", RqRmiParams::default(), SampleMode::Rank),
@@ -116,23 +97,16 @@ fn main() {
                 format!("{:.2}", t0.elapsed().as_secs_f64()),
             ]);
         }
-        print!("{}", table.render());
-        println!();
+        out.table("leaf_bounds", table);
+        out.say("");
     }
 
     // 5. iSet count with a TupleMerge remainder.
-    println!("Ablation 5 — iSet count, tm remainder ({name}-{n}, uniform):\n");
+    out.say(format!("Ablation 5 — iSet count, tm remainder ({name}-{n}, uniform):\n"));
     {
         let mut table = Table::new(&["max iSets", "coverage", "pps"]);
         for k in [1usize, 2, 4, 6] {
-            let cfg = NuevoMatchConfig {
-                max_isets: k,
-                min_iset_coverage: 0.0,
-                rqrmi: rqrmi_params(),
-                early_termination: true,
-                partial_retrain: Default::default(),
-            };
-            let nm = NuevoMatch::build(&set, &cfg, TupleMerge::build).unwrap();
+            let nm = NuevoMatch::build(&set, &nm_config(k, 0.0), TupleMerge::build).unwrap();
             let (pps, _, _) = measure_seq(&nm, &trace, s.warmups);
             table.row(vec![
                 format!("{k}"),
@@ -140,7 +114,8 @@ fn main() {
                 format!("{pps:.3e}"),
             ]);
         }
-        print!("{}", table.render());
-        println!("\nPaper §5.3.2: tm remainders keep improving up to ~4 iSets (cs peaks at 1-2).");
+        out.table("iset_count", table);
+        out.say("\nPaper §5.3.2: tm remainders keep improving up to ~4 iSets (cs peaks at 1-2).");
     }
+    out
 }

@@ -5,16 +5,17 @@
 //! private caches. Intel CAT is substituted by a cache-thrasher antagonist
 //! thread (`nm_analysis::thrash`).
 
+use crate::{measure_seq, nm_cs, suite, Ctx, Outcome};
 use nm_analysis::{CacheThrasher, Table};
-use nm_bench::{assert_same_results, measure_seq, nm_cs, scale, suite};
 use nm_cutsplit::CutSplit;
 use nm_trace::uniform_trace;
 
-fn main() {
-    let s = scale();
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
     let n = *s.sizes.last().unwrap();
-    let (name, set) = suite(n, &s).into_iter().next().expect("one set");
-    println!("Section 5.2.1 — L3 contention on {name}-{n}, cs vs nm w/ cs\n");
+    let (name, set) = suite(n, s).into_iter().next().expect("one set");
+    out.say(format!("Section 5.2.1 — L3 contention on {name}-{n}, cs vs nm w/ cs\n"));
 
     let cs = CutSplit::build(&set);
     let nm = nm_cs(&set);
@@ -22,7 +23,7 @@ fn main() {
 
     let (cs_free, _, a) = measure_seq(&cs, &trace, s.warmups);
     let (nm_free, _, b) = measure_seq(&nm, &trace, s.warmups);
-    assert_same_results("cs", a, "nm", b);
+    out.same_results("cs", a, "nm", b);
 
     let thrasher = CacheThrasher::start(12); // sweep ~12MB to evict L3
     let (cs_thr, _, _) = measure_seq(&cs, &trace, s.warmups);
@@ -44,10 +45,11 @@ fn main() {
         format!("{:.0}%", 100.0 * nm_thr / nm_free),
         "~70%".into(),
     ]);
-    print!("{}", table.render());
-    println!(
+    out.table("contention", table);
+    out.say(format!(
         "\nSpeedup free: {:.2}x, contended: {:.2}x (paper: contention increases the speedup).",
         nm_free / cs_free,
         nm_thr / cs_thr
-    );
+    ));
+    out
 }

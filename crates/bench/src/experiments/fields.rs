@@ -5,6 +5,7 @@
 //! uniform n-field schemas, trains a single-iSet NuevoMatch, and times the
 //! validation phase in isolation.
 
+use crate::{Ctx, Outcome};
 use nm_analysis::Table;
 use nm_common::{FieldRange, FieldsSpec, LinearSearch, RuleSet, SplitMix64};
 use nuevomatch::{NuevoMatch, NuevoMatchConfig, RqRmiParams};
@@ -29,8 +30,9 @@ fn build_set(nfields: usize, rules: usize) -> RuleSet {
     RuleSet::from_ranges(spec, rows).unwrap()
 }
 
-fn main() {
-    println!("Section 5.3.5 — validation time vs number of fields\n");
+pub fn run(_: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    out.say("Section 5.3.5 — validation time vs number of fields\n");
     let mut table = Table::new(&["fields", "validation ns/pkt", "total lookup ns/pkt"]);
     let rules = 2_000usize;
 
@@ -40,8 +42,7 @@ fn main() {
             max_isets: 1,
             min_iset_coverage: 0.0,
             rqrmi: RqRmiParams { samples_init: 512, ..Default::default() },
-            early_termination: true,
-            partial_retrain: Default::default(),
+            ..Default::default()
         };
         let nm = NuevoMatch::build(&set, &cfg, LinearSearch::build).expect("build");
         let iset = &nm.isets()[0];
@@ -84,6 +85,7 @@ fn main() {
 
         table.row(vec![format!("{nf}"), format!("{val_ns:.0}"), format!("{tot_ns:.0}")]);
     }
-    print!("{}", table.render());
-    println!("\nPaper: ~25 ns at 1 field growing almost linearly to ~180 ns at 40 fields.");
+    out.table("validation", table);
+    out.say("\nPaper: ~25 ns at 1 field growing almost linearly to ~180 ns at 40 fields.");
+    out
 }

@@ -6,19 +6,20 @@
 //! structure is the interesting part: fewer partitioning opportunities, yet
 //! 2–3 iSets reach 90 %+ coverage (Table 2's last row).
 
+use crate::{measure_seq, nm_tm, Ctx, Outcome};
 use nm_analysis::Table;
-use nm_bench::{assert_same_results, measure_seq, nm_tm, scale};
 use nm_classbench::stanford_fib;
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 
-fn main() {
-    let s = scale();
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
     // The effect needs tm's tables to outgrow the fast caches; below ~50K
     // single-field rules everything fits and nm has nothing to compress
     // (same regime as the paper's small-set Figure 17).
     let n = if s.full { 183_376 } else { 60_000 };
-    println!("Figure 10 — Stanford-like FIBs ({n} single-field rules), nm w/ tm vs tm\n");
+    out.say(format!("Figure 10 — Stanford-like FIBs ({n} single-field rules), nm w/ tm vs tm\n"));
     let mut table =
         Table::new(&["set", "tm pps", "nm pps", "thr speedup", "lat speedup", "coverage"]);
 
@@ -29,7 +30,7 @@ fn main() {
         let nm = nm_tm(&set);
         let (tm_pps, tm_ns, tm_sum) = measure_seq(&tm, &trace, s.warmups);
         let (nm_pps, nm_ns, nm_sum) = measure_seq(&nm, &trace, s.warmups);
-        assert_same_results("tm", tm_sum, "nm", nm_sum);
+        out.same_results("tm", tm_sum, "nm", nm_sum);
         table.row(vec![
             format!("{}", i + 1),
             format!("{:.2e}", tm_pps),
@@ -39,6 +40,7 @@ fn main() {
             format!("{:.0}%", nm.coverage() * 100.0),
         ]);
     }
-    print!("{}", table.render());
-    println!("\nPaper: ~3.5x throughput, ~7.5x latency on all four sets (two cores).");
+    out.table("fibs", table);
+    out.say("\nPaper: ~3.5x throughput, ~7.5x latency on all four sets (two cores).");
+    out
 }

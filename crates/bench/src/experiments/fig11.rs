@@ -6,17 +6,18 @@
 //! RQ-RMI) back into fast cache and holds throughput. Annotations are
 //! `coverage%` and `remainder-size : total-size`.
 
+use crate::{measure_seq, nm_tm, Ctx, Outcome};
 use nm_analysis::Table;
-use nm_bench::{assert_same_results, measure_seq, nm_tm, scale};
 use nm_classbench::{generate, AppKind};
 use nm_common::memsize::human_bytes;
 use nm_common::Classifier;
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 
-fn main() {
-    let s = scale();
-    println!("Figure 11 — throughput vs rules (ACL profile), tm vs nm w/ tm\n");
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
+    out.say("Figure 11 — throughput vs rules (ACL profile), tm vs nm w/ tm\n");
     let mut table = Table::new(&[
         "rules",
         "tm pps",
@@ -34,7 +35,7 @@ fn main() {
         let nm = nm_tm(&set);
         let (tm_pps, _, tm_sum) = measure_seq(&tm, &trace, s.warmups);
         let (nm_pps, _, nm_sum) = measure_seq(&nm, &trace, s.warmups);
-        assert_same_results("tm", tm_sum, "nm", nm_sum);
+        out.same_results("tm", tm_sum, "nm", nm_sum);
         let rem = nm.remainder().memory_bytes();
         let total = nm.memory_bytes();
         table.row(vec![
@@ -47,9 +48,10 @@ fn main() {
             format!("{} : {}", human_bytes(rem), human_bytes(total)),
         ]);
     }
-    print!("{}", table.render());
-    println!(
+    out.table("throughput", table);
+    out.say(
         "\nPaper annotations (500K ACL): tm 10MB vs nm 7.9:46.1 KB at 99% coverage; \
-         speedup appears once tm spills out of L2."
+         speedup appears once tm spills out of L2.",
     );
+    out
 }

@@ -7,24 +7,17 @@
 //! 1.16× CAIDA*. Shape: skew shrinks the gains (caches absorb hot flows);
 //! restricting L3 restores them.
 
+use crate::{nm_cs, nm_tm, seq_speedup, suite, Ctx, Outcome};
 use nm_analysis::{geomean, CacheThrasher, Table};
-use nm_bench::{assert_same_results, measure_seq, nm_cs, nm_tm, scale, suite};
-use nm_common::{Classifier, TraceBuf};
 use nm_cutsplit::CutSplit;
 use nm_trace::{caida_like_trace, zipf_trace, CaidaLikeConfig, FIG12_SKEWS};
 use nm_tuplemerge::TupleMerge;
 
-fn speedup(base: &dyn Classifier, ours: &dyn Classifier, trace: &TraceBuf, warmups: usize) -> f64 {
-    let (b, _, bs) = measure_seq(base, trace, warmups);
-    let (o, _, os) = measure_seq(ours, trace, warmups);
-    assert_same_results(base.name(), bs, ours.name(), os);
-    o / b
-}
-
-fn main() {
-    let s = scale();
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
     let n = *s.sizes.last().unwrap();
-    println!("Figure 12 — skewed traffic, {n}-rule sets, geomean over {} apps\n", s.apps);
+    out.say(format!("Figure 12 — skewed traffic, {n}-rule sets, geomean over {} apps\n", s.apps));
     let mut table = Table::new(&["workload", "nm w/ cs", "nm w/ tm", "paper cs", "paper tm"]);
     let paper: &[(&str, &str, &str)] = &[
         ("Zipf 80% (a=1.05)", "2.06x", "1.14x"),
@@ -36,19 +29,10 @@ fn main() {
     ];
 
     // Pre-build engines once per set; traces vary per workload row.
-    let sets = suite(n, &s);
+    let sets = suite(n, s);
     let engines: Vec<_> = sets
         .iter()
-        .map(|(name, set)| {
-            (
-                name.clone(),
-                set,
-                CutSplit::build(set),
-                nm_cs(set),
-                TupleMerge::build(set),
-                nm_tm(set),
-            )
-        })
+        .map(|(_, set)| (set, CutSplit::build(set), nm_cs(set), TupleMerge::build(set), nm_tm(set)))
         .collect();
 
     for (row, &(label, p_cs, p_tm)) in paper.iter().enumerate() {
@@ -56,13 +40,13 @@ fn main() {
         let mut sp_tm = Vec::new();
         // CAIDA* restricts effective L3 with a thrasher.
         let thrasher = (row == 5).then(|| CacheThrasher::start(12));
-        for (_, set, cs, nmcs, tm, nmtm) in &engines {
+        for (set, cs, nmcs, tm, nmtm) in &engines {
             let trace = match row {
                 0..=3 => zipf_trace(set, s.trace_len, FIG12_SKEWS[row].1, 0xf12 + row as u64),
                 _ => caida_like_trace(set, s.trace_len, CaidaLikeConfig::default(), 0xf12ca),
             };
-            sp_cs.push(speedup(cs, nmcs, &trace, s.warmups));
-            sp_tm.push(speedup(tm, nmtm, &trace, s.warmups));
+            sp_cs.push(seq_speedup(&mut out, cs, nmcs, &trace, s.warmups));
+            sp_tm.push(seq_speedup(&mut out, tm, nmtm, &trace, s.warmups));
         }
         drop(thrasher);
         table.row(vec![
@@ -73,6 +57,7 @@ fn main() {
             p_tm.into(),
         ]);
     }
-    print!("{}", table.render());
-    println!("\nShape check: speedups shrink as skew grows; the thrashed row recovers them.");
+    out.table("skew", table);
+    out.say("\nShape check: speedups shrink as skew grows; the thrashed row recovers them.");
+    out
 }

@@ -6,17 +6,18 @@
 //! stand-alone indexes spill to L3. Footprints count index structures only
 //! (rules excluded) — §5.2.1.
 
+use crate::{nc_config, nm_cs, nm_nc, nm_tm, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Table};
-use nm_bench::{nc_config, nm_cs, nm_nc, nm_tm, scale, suite};
 use nm_common::memsize::human_bytes;
 use nm_common::Classifier;
 use nm_cutsplit::CutSplit;
 use nm_neurocuts::NeuroCuts;
 use nm_tuplemerge::TupleMerge;
 
-fn main() {
-    let s = scale();
-    println!("Figure 13 — index memory, geomean over {} apps per size\n", s.apps);
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
+    out.say(format!("Figure 13 — index memory, geomean over {} apps per size\n", s.apps));
     let mut table = Table::new(&[
         "rules",
         "cs",
@@ -32,7 +33,7 @@ fn main() {
 
     for &n in &s.sizes {
         let mut bytes: Vec<Vec<f64>> = vec![Vec::new(); 6];
-        for (_, set) in suite(n, &s) {
+        for (_, set) in suite(n, s) {
             let cs = CutSplit::build(&set);
             let nmcs = nm_cs(&set);
             let nc = NeuroCuts::with_config(&set, nc_config(!s.full));
@@ -54,19 +55,12 @@ fn main() {
             }
         }
         let gm: Vec<f64> = bytes.iter().map(|v| geomean(v)).collect();
-        table.row(vec![
-            format!("{n}"),
-            human_bytes(gm[0] as usize),
-            human_bytes(gm[1] as usize),
-            human_bytes(gm[2] as usize),
-            human_bytes(gm[3] as usize),
-            human_bytes(gm[4] as usize),
-            human_bytes(gm[5] as usize),
-            format!("{:.1}x", gm[0] / gm[1]),
-            format!("{:.1}x", gm[2] / gm[3]),
-            format!("{:.1}x", gm[4] / gm[5]),
-        ]);
+        let mut row = vec![format!("{n}")];
+        row.extend(gm.iter().map(|&b| human_bytes(b as usize)));
+        row.extend(gm.chunks(2).map(|pair| format!("{:.1}x", pair[0] / pair[1])));
+        table.row(row);
     }
-    print!("{}", table.render());
-    println!("\nPaper 500K compression: 4.9x (cs), 8x (nc), 82x (tm). L1 = 32KB, L2 = 1MB.");
+    out.table("memory", table);
+    out.say("\nPaper 500K compression: 4.9x (cs), 8x (nc), 82x (tm). L1 = 32KB, L2 = 1MB.");
+    out
 }

@@ -6,17 +6,18 @@
 //! iSets are the sweet spot. The bars split lookup time into remainder /
 //! secondary search / validation / inference.
 
+use crate::{nm_config, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Table};
-use nm_bench::{rqrmi_params, scale, suite};
 use nm_cutsplit::CutSplit;
 use nm_trace::uniform_trace;
 use nuevomatch::system::measure_breakdown;
-use nuevomatch::{NuevoMatch, NuevoMatchConfig};
+use nuevomatch::NuevoMatch;
 
-fn main() {
-    let s = scale();
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
     let n = *s.sizes.last().unwrap();
-    println!("Figure 14 — breakdown vs #iSets, {n} rules, remainder = cs\n");
+    out.say(format!("Figure 14 — breakdown vs #iSets, {n} rules, remainder = cs\n"));
     let mut table = Table::new(&[
         "#iSets",
         "coverage",
@@ -30,15 +31,8 @@ fn main() {
     for k in 0..=6usize {
         let mut cov = Vec::new();
         let mut parts = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-        for (_, set) in suite(n, &s) {
-            let cfg = NuevoMatchConfig {
-                max_isets: k,
-                min_iset_coverage: 0.0,
-                rqrmi: rqrmi_params(),
-                early_termination: true,
-                partial_retrain: Default::default(),
-            };
-            let nm = NuevoMatch::build(&set, &cfg, CutSplit::build).expect("build");
+        for (_, set) in suite(n, s) {
+            let nm = NuevoMatch::build(&set, &nm_config(k, 0.0), CutSplit::build).expect("build");
             let trace = uniform_trace(&set, (s.trace_len / 4).max(10_000), 0xf14);
             let b = measure_breakdown(&nm, &trace);
             cov.push(nm.coverage().max(1e-9));
@@ -59,9 +53,10 @@ fn main() {
             format!("{total:.0}"),
         ]);
     }
-    print!("{}", table.render());
-    println!(
+    out.table("breakdown", table);
+    out.say(
         "\nShape check: remainder time falls steeply to ~2 iSets, then compute overhead \
-         (inference + validation) grows with diminishing coverage returns."
+         (inference + validation) grows with diminishing coverage returns.",
     );
+    out
 }

@@ -7,36 +7,29 @@
 //! hurt lookups, because the *actual* search distance is usually far below
 //! the worst-case bound (80% of lookups within 64 when trained at 128).
 
+use crate::{largest_iset_ranges, percent_within, search_distances, Ctx, Outcome};
 use nm_analysis::Table;
-use nm_bench::scale;
 use nm_classbench::{generate, AppKind};
-use nuevomatch::iset::partition_isets;
 use nuevomatch::rqrmi::train_rqrmi;
 use nuevomatch::RqRmiParams;
 use std::time::Instant;
 
-fn main() {
-    let s = scale();
-    println!("Figure 15 — training time (s) vs error-bound target\n");
-    let bounds = [64u32, 128, 256, 512, 1024];
+const BOUNDS: [u32; 5] = [64, 128, 256, 512, 1024];
+
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
+    out.say("Figure 15 — training time (s) vs error-bound target\n");
     let mut table =
         Table::new(&["rules", "b=64", "b=128", "b=256", "b=512", "b=1024", "achieved(64)"]);
 
-    for &n in &s.sizes {
-        if n < 10_000 {
-            continue;
-        }
+    for &n in s.sizes.iter().filter(|&&n| n >= 10_000) {
         let set = generate(AppKind::Acl, n, 0xf15 + n as u64);
         // Train on the largest iSet's projection, like the real build.
-        let part = partition_isets(&set, 1, 0.0);
-        let iset = &part.isets[0];
-        let ranges: Vec<nm_common::FieldRange> =
-            iset.rule_ids.iter().map(|&id| set.rule(id).fields[iset.dim]).collect();
-        let bits = set.spec().bits(iset.dim);
-
+        let (ranges, bits) = largest_iset_ranges(&set);
         let mut cells = vec![format!("{n}")];
         let mut achieved64 = 0u32;
-        for &b in &bounds {
+        for &b in &BOUNDS {
             let params = RqRmiParams { error_target: b, ..Default::default() };
             let t0 = Instant::now();
             let model = train_rqrmi(&ranges, bits, &params).expect("train");
@@ -49,26 +42,21 @@ fn main() {
         cells.push(format!("{achieved64}"));
         table.row(cells);
     }
-    print!("{}", table.render());
-    println!(
+    out.table("hinge", table);
+    out.say(
         "\nWith the closed-form hinge trainer the first attempt already beats bound 64,\n\
          so the paper's time-vs-bound trade-off does not bind (an improvement over the\n\
          paper's TensorFlow pipeline). The iterative trainer below reproduces the\n\
-         paper's shape: tighter bounds trigger the Figure 5 retrain loop.\n"
+         paper's shape: tighter bounds trigger the Figure 5 retrain loop.\n",
     );
 
     // Paper-faithful mode: iterative (Adam) training, where the sample-
     // doubling retrain loop engages and cost rises toward tight bounds.
     let n_adam = s.sizes.iter().copied().find(|&n| n >= 10_000).unwrap_or(10_000);
-    let set = generate(AppKind::Acl, n_adam, 0xf15a);
-    let part = partition_isets(&set, 1, 0.0);
-    let iset = &part.isets[0];
-    let ranges: Vec<nm_common::FieldRange> =
-        iset.rule_ids.iter().map(|&id| set.rule(id).fields[iset.dim]).collect();
-    let bits = set.spec().bits(iset.dim);
+    let (ranges, bits) = largest_iset_ranges(&generate(AppKind::Acl, n_adam, 0xf15a));
     let mut table2 = Table::new(&["adam, rules", "b=64", "b=128", "b=256", "b=512", "b=1024"]);
     let mut cells = vec![format!("{n_adam}")];
-    for &b in &bounds {
+    for &b in &BOUNDS {
         let params = RqRmiParams {
             error_target: b,
             samples_init: 256,
@@ -84,45 +72,20 @@ fn main() {
         cells.push(format!("{:.2}", t0.elapsed().as_secs_f64()));
     }
     table2.row(cells);
-    print!("{}", table2.render());
-    println!();
+    out.table("adam", table2);
+    out.say("");
 
     // §5.3.4: actual search distance distribution when trained at 128.
     let n = *s.sizes.last().unwrap();
-    let set = generate(AppKind::Acl, n, 0x5d15);
-    let part = partition_isets(&set, 1, 0.0);
-    let iset = &part.isets[0];
-    let ranges: Vec<nm_common::FieldRange> =
-        iset.rule_ids.iter().map(|&id| set.rule(id).fields[iset.dim]).collect();
-    let model = train_rqrmi(
-        &ranges,
-        set.spec().bits(iset.dim),
-        &RqRmiParams { error_target: 128, ..Default::default() },
-    )
-    .expect("train");
-    let mut within = [0usize; 3]; // <=32, <=64, <=128
-    let mut total = 0usize;
-    for (idx, r) in ranges.iter().enumerate() {
-        for key in [r.lo, (r.lo + r.hi) / 2, r.hi] {
-            let (pred, _) = model.predict(key);
-            let d = (pred as i64 - idx as i64).unsigned_abs();
-            total += 1;
-            if d <= 32 {
-                within[0] += 1;
-            }
-            if d <= 64 {
-                within[1] += 1;
-            }
-            if d <= 128 {
-                within[2] += 1;
-            }
-        }
-    }
-    println!(
+    let (ranges, bits) = largest_iset_ranges(&generate(AppKind::Acl, n, 0x5d15));
+    let params = RqRmiParams { error_target: 128, ..Default::default() };
+    let dists = search_distances(&train_rqrmi(&ranges, bits, &params).expect("train"), &ranges);
+    out.say(format!(
         "Search-distance distribution (trained at 128, {n}-rule ACL): \
          <=32: {:.0}%  <=64: {:.0}%  <=128: {:.0}%  (paper: 60% <=32, 80% <=64)",
-        100.0 * within[0] as f64 / total as f64,
-        100.0 * within[1] as f64 / total as f64,
-        100.0 * within[2] as f64 / total as f64,
-    );
+        percent_within(&dists, 32),
+        percent_within(&dists, 64),
+        percent_within(&dists, 128),
+    ));
+    out
 }

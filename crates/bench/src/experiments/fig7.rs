@@ -6,9 +6,11 @@
 //! sustains ≈4K updates/s on 500K rules at about half the update-free
 //! speedup with minute-long training.
 
-use nm_analysis::{sustained_update_rate, throughput_over_time, UpdateModel};
+use crate::{Ctx, Outcome};
+use nm_analysis::{sustained_update_rate, throughput_over_time, Json, UpdateModel};
 
-fn main() {
+pub fn run(_: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
     let base = UpdateModel {
         rules: 500_000.0,
         update_rate: 4_000.0,
@@ -17,13 +19,13 @@ fn main() {
         fresh_throughput: 1.0,
         remainder_throughput: 1.0 / 2.6, // tm-scale update-free speedup
     };
-    println!(
-        "Figure 7: normalized throughput over time (u = 4K updates/s, 500K rules, tau = 120s)\n"
+    out.say(
+        "Figure 7: normalized throughput over time (u = 4K updates/s, 500K rules, tau = 120s)\n",
     );
-    println!(
+    out.say(format!(
         "{:>8}  {:>14}  {:>14}  {:>14}",
         "t (s)", "fast (T=10s)", "paper-ish (60s)", "slow (T=110s)"
-    );
+    ));
     let fast = UpdateModel { train_time: 10.0, ..base };
     let slow = UpdateModel { train_time: 110.0, ..base };
     let horizon = 600.0;
@@ -32,12 +34,14 @@ fn main() {
     let b = throughput_over_time(&base, horizon, pts);
     let c = throughput_over_time(&slow, horizon, pts);
     for i in 0..pts {
-        println!("{:>8.0}  {:>14.3}  {:>14.3}  {:>14.3}", a[i].0, a[i].1, b[i].1, c[i].1);
+        out.say(format!("{:>8.0}  {:>14.3}  {:>14.3}  {:>14.3}", a[i].0, a[i].1, b[i].1, c[i].1));
     }
 
     let rate = sustained_update_rate(500_000.0, 120.0, 60.0, 1.0, 1.0 / 2.6, 0.75);
-    println!(
+    out.say(format!(
         "\nSustained update rate at ~half the update-free speedup: {rate:.0} updates/s \
          (paper estimate: ~4,000/s)"
-    );
+    ));
+    out.scalar("sustained_updates_per_s", Json::num(rate, 0));
+    out
 }

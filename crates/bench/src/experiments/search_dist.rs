@@ -7,27 +7,21 @@
 //! training with looser bounds barely hurts lookups while cutting training
 //! cost (the Figure 15 trade-off).
 
+use crate::{largest_iset_ranges, percent_within, search_distances, Ctx, Outcome};
 use nm_analysis::Table;
-use nm_bench::scale;
 use nm_classbench::{generate, AppKind};
-use nm_common::FieldRange;
-use nuevomatch::iset::partition_isets;
 use nuevomatch::rqrmi::train_rqrmi;
 use nuevomatch::RqRmiParams;
 
-fn main() {
-    let s = scale();
-    let n = *s.sizes.last().unwrap();
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let n = *ctx.scale.sizes.last().unwrap();
     let set = generate(AppKind::Acl, n, 0x5d04);
-    let part = partition_isets(&set, 1, 0.0);
-    let iset = &part.isets[0];
-    let bits = set.spec().bits(iset.dim);
-    let ranges: Vec<FieldRange> =
-        iset.rule_ids.iter().map(|&id| set.rule(id).fields[iset.dim]).collect();
-    println!(
+    let (ranges, bits) = largest_iset_ranges(&set);
+    out.say(format!(
         "Section 5.3.4 — search distances, {}-range iSet from a {n}-rule ACL set\n",
         ranges.len()
-    );
+    ));
 
     let mut table = Table::new(&[
         "trained bound",
@@ -41,30 +35,23 @@ fn main() {
     for &bound in &[64u32, 128, 256, 512] {
         let params = RqRmiParams { error_target: bound, ..Default::default() };
         let model = train_rqrmi(&ranges, bits, &params).expect("train");
-        let mut dists: Vec<u64> = Vec::with_capacity(ranges.len() * 3);
-        for (idx, r) in ranges.iter().enumerate() {
-            for key in [r.lo, (r.lo + r.hi) / 2, r.hi] {
-                let (pred, _) = model.predict(key);
-                dists.push((pred as i64 - idx as i64).unsigned_abs());
-            }
-        }
+        let mut dists = search_distances(&model, &ranges);
         dists.sort_unstable();
         let pct = |p: f64| dists[((dists.len() - 1) as f64 * p) as usize];
-        let frac_within =
-            |d: u64| 100.0 * dists.iter().filter(|&&x| x <= d).count() as f64 / dists.len() as f64;
         table.row(vec![
             format!("{bound}"),
             format!("{}", model.max_error_bound()),
             format!("{}", pct(0.5)),
             format!("{}", pct(0.8)),
             format!("{}", pct(0.99)),
-            format!("{:.0}%", frac_within(32)),
-            format!("{:.0}%", frac_within(64)),
+            format!("{:.0}%", percent_within(&dists, 32)),
+            format!("{:.0}%", percent_within(&dists, 64)),
         ]);
     }
-    print!("{}", table.render());
-    println!(
+    out.table("distances", table);
+    out.say(
         "\nPaper: trained at 128, 80% of lookups search within 64 and 60% within 32 — \
-         actual distances sit far below the worst-case bound."
+         actual distances sit far below the worst-case bound.",
     );
+    out
 }

@@ -16,11 +16,10 @@
 //!   (one in flight; includes the assembly deadline by design, since a
 //!   batch of one only flushes on deadline) against its own dedicated
 //!   server, keeping the swept servers' syscall counters clean.
-//! * **Reader sweep** (`--readers 1,2,4` after `--`, or `NM_READERS`): the
-//!   whole measurement repeats per reader count on a fresh server. Load is
-//!   offered from several client sockets — `SO_REUSEPORT` steers flows by
-//!   4-tuple hash, so a single source port would land every packet on one
-//!   reader.
+//! * **Reader sweep** (`--readers 1,2,4`): the whole measurement repeats
+//!   per reader count on a fresh server. Load is offered from several
+//!   client sockets — `SO_REUSEPORT` steers flows by 4-tuple hash, so a
+//!   single source port would land every packet on one reader.
 //! * **Capacity estimate**: a short open-loop burst offered well past
 //!   saturation; what actually comes back per second is the service
 //!   ceiling, and the sweep's offered loads are fractions of it.
@@ -33,40 +32,30 @@
 //!   its sweep (or loses > 1% of requests) is the latency knee. If the
 //!   fraction sweep tops out under capacity, extra points keep pushing
 //!   past the capacity estimate until the knee fires; a sweep that still
-//!   ends knee-less records an explicit `"knee": "beyond-sweep"` instead
-//!   of a silent null.
-//! * **Gates** (`NM_STRICT=1`): the best p99 across all sweeps must stay
-//!   under 50x the closed-loop p50, and the best probe-phase
+//!   ends knee-less reports `beyond-sweep` instead of a silent blank.
+//! * **Checks** (a miss fails the run): the best p99 across all sweeps
+//!   must stay under 50x the closed-loop p50, and the best probe-phase
 //!   syscalls-per-packet must stay under 0.1 at the default batch of 128.
-//!
-//! ```sh
-//! cargo run -p nm-bench --release --bin serve_bench            # quick scale
-//! NM_SCALE=full cargo run -p nm-bench --release --bin serve_bench -- --readers 1,2,4
-//! ```
 
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nm_bench::{nm_tm_config, scale};
+use crate::{nm_tm_handle, Ctx, Outcome};
+use nm_analysis::{Json, Table};
 use nm_classbench::{generate, AppKind};
 use nm_common::frame::{decode_response, encode_request};
-use nm_common::{LatencyHistogram, SplitMix64};
+use nm_common::{LatencyHistogram, LatencySummary, SplitMix64};
 use nm_trace::uniform_trace;
-use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::serve::ReaderKind;
-use nuevomatch::{ClassifierHandle, ServeClient, ServeConfig, ServeStats, Server, Transport};
+use nuevomatch::{ServeClient, ServeConfig, ServeStats, Server, Transport};
 
 /// One measured offered-load point.
 struct Point {
     offered_pps: f64,
-    sent: u64,
-    received: u64,
-    hist: LatencyHistogram,
-    /// Server-side kernel crossings per request during this point
-    /// (productive recv + send syscall deltas over request deltas).
-    syscalls_per_packet: f64,
+    loss: f64,
+    latency: LatencySummary,
 }
 
 /// Kernel crossings per request between two server stats snapshots.
@@ -196,52 +185,15 @@ fn open_loop_point(
     Ok((n as u64, received, hist))
 }
 
-/// Everything one reader-count's measurement produced.
-struct Sweep {
-    readers: usize,
-    capacity: f64,
-    probe_syscalls_per_packet: f64,
-    points: Vec<Point>,
-    knee: Option<f64>,
-    stats: ServeStats,
-    reader_requests_min: u64,
-    reader_requests_max: u64,
-    reader_p99_min_us: f64,
-    reader_p99_max_us: f64,
-}
-
-/// `--readers a,b,c` (after `--` when run via cargo) or `NM_READERS`.
-fn readers_arg() -> Option<Vec<usize>> {
-    let mut from = None;
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--readers" {
-            from = args.get(i + 1).cloned();
-        }
-    }
-    if from.is_none() {
-        from = std::env::var("NM_READERS").ok();
-    }
-    let list: Vec<usize> = from?
-        .split(',')
-        .filter_map(|x| x.trim().parse().ok())
-        .filter(|&x| (1..=64).contains(&x))
-        .collect();
-    if list.is_empty() {
-        None
-    } else {
-        Some(list)
-    }
-}
-
-fn main() {
-    let s = scale();
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
     let n = if s.full { 100_000 } else { 10_000 };
     let point_secs = if s.full { 3.0 } else { 1.0 };
     let fractions: &[f64] =
         if s.full { &[0.1, 0.3, 0.5, 0.7, 0.9, 1.1] } else { &[0.25, 0.5, 0.9] };
     let readers_list =
-        readers_arg().unwrap_or_else(|| if s.full { vec![1, 2, 4] } else { vec![1, 2] });
+        ctx.readers.clone().unwrap_or_else(|| if s.full { vec![1, 2, 4] } else { vec![1, 2] });
     // Past the fraction sweep, keep pushing the offered load up by 30% a
     // point until the knee criterion fires (bounded — a sender-bound box
     // eventually *is* the knee, which the criterion registers as latency
@@ -251,17 +203,16 @@ fn main() {
     let set = generate(AppKind::Acl, n, 0x5e12);
     let trace = uniform_trace(&set, s.trace_len.min(100_000), 0x5e13);
     let t_build = Instant::now();
-    let handle: ClassifierHandle<TupleMerge> =
-        ClassifierHandle::new(&set, &nm_tm_config(), TupleMerge::build).expect("nm/tm build");
+    let handle = nm_tm_handle(&set);
     let build_s = t_build.elapsed().as_secs_f64();
 
     let cfg = ServeConfig { transport: Transport::Udp, ..ServeConfig::default() };
-    println!(
-        "=== serve_bench — open-loop tail latency ({n} rules, udp, batch {} / {}us deadline, \
+    out.say(format!(
+        "=== serve — open-loop tail latency ({n} rules, udp, batch {} / {}us deadline, \
          readers {readers_list:?}) ===\n",
         cfg.max_batch,
         cfg.deadline.as_micros()
-    );
+    ));
 
     // Closed-loop baseline against a dedicated single-reader server: one
     // request in flight, wire round-trip. Its per-request rhythm would
@@ -285,13 +236,34 @@ fn main() {
         server.shutdown();
         closed.summary_us()
     };
-    println!(
+    out.say(format!(
         "closed-loop wire RTT (1 in flight, deadline-bound): p50 {:.1}us  p99 {:.1}us",
         closed_us.p50_us, closed_us.p99_us
-    );
+    ));
 
     let probe_rate = if s.full { 1_000_000.0 } else { 400_000.0 };
-    let mut sweeps: Vec<Sweep> = Vec::new();
+    let mut best_p99 = f64::INFINITY;
+    let mut best_probe_ratio = f64::INFINITY;
+    // Per sweep: capacity estimate, probe syscalls/packet, knee, then the
+    // server's own counters over the whole sweep and the per-reader spread.
+    let mut summary = Table::new(&[
+        "readers",
+        "capacity pps",
+        "probe sc/pkt",
+        "knee pps",
+        "server p50 us",
+        "server p99 us",
+        "batches",
+        "full",
+        "deadline",
+        "recv",
+        "empty recv",
+        "send",
+        "requests",
+        "sc/pkt",
+        "reader requests",
+        "reader p99 us",
+    ]);
     for (sweep_idx, &readers) in readers_list.iter().enumerate() {
         let scfg = ServeConfig { udp_readers: readers, ..cfg.clone() };
         let server = Server::start(handle.clone(), &scfg).expect("bind loopback");
@@ -313,16 +285,24 @@ fn main() {
             open_loop_point(addr, &trace, probe_rate, 0.4, seed0 ^ 0x0f, socks_n)
                 .expect("capacity probe");
         let probe_ratio = syscall_ratio(&before, &server.stats());
+        best_probe_ratio = best_probe_ratio.min(probe_ratio);
         let capacity = probe_received as f64 / 0.4;
-        println!(
+        out.say(format!(
             "\n--- readers {readers}: capacity estimate {capacity:.3e} pps \
              (probe at {probe_rate:.0e} pps, {probe_ratio:.4} syscalls/pkt) ---"
-        );
+        ));
 
-        println!(
-            "{:>12}  {:>10}  {:>8}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}",
-            "offered pps", "received", "loss", "p50 us", "p99 us", "p99.9 us", "mean us", "sc/pkt"
-        );
+        let mut table = Table::new(&[
+            "offered pps",
+            "sent",
+            "received",
+            "loss",
+            "p50 us",
+            "p99 us",
+            "p99.9 us",
+            "mean us",
+            "sc/pkt",
+        ]);
         let mut points: Vec<Point> = Vec::new();
         let mut knee: Option<f64> = None;
         // The planned fractions, then up to `max_extension_points` pushes
@@ -337,52 +317,30 @@ fn main() {
                 open_loop_point(addr, &trace, rate, point_secs, seed0 + i as u64, socks_n)
                     .expect("open-loop point");
             let ratio = syscall_ratio(&before, &server.stats());
-            let p = Point { offered_pps: rate, sent, received, hist, syscalls_per_packet: ratio };
-            let u = p.hist.summary_us();
-            let loss = 1.0 - p.received as f64 / p.sent.max(1) as f64;
-            println!(
-                "{:>12.3e}  {:>10}  {:>7.2}%  {:>9.1}  {:>9.1}  {:>9.1}  {:>9.1}  {:>9.4}",
-                p.offered_pps,
-                p.received,
-                loss * 100.0,
-                u.p50_us,
-                u.p99_us,
-                u.p999_us,
-                u.mean_us,
-                p.syscalls_per_packet
-            );
-            println!(
-                "SERVE_BENCH {{\"readers\":{readers},\"offered_pps\":{:.1},\"sent\":{},\
-                 \"received\":{},\"loss_fraction\":{:.5},\"p50_us\":{:.1},\"p99_us\":{:.1},\
-                 \"p999_us\":{:.1},\"mean_us\":{:.1},\"syscalls_per_packet\":{:.4}}}",
-                p.offered_pps,
-                p.sent,
-                p.received,
-                loss,
-                u.p50_us,
-                u.p99_us,
-                u.p999_us,
-                u.mean_us,
-                p.syscalls_per_packet
-            );
-            points.push(p);
+            let u = hist.summary_us();
+            let loss = 1.0 - received as f64 / sent.max(1) as f64;
+            table.row(vec![
+                format!("{rate:.3e}"),
+                format!("{sent}"),
+                format!("{received}"),
+                format!("{:.2}%", loss * 100.0),
+                format!("{:.1}", u.p50_us),
+                format!("{:.1}", u.p99_us),
+                format!("{:.1}", u.p999_us),
+                format!("{:.1}", u.mean_us),
+                format!("{ratio:.4}"),
+            ]);
+            points.push(Point { offered_pps: rate, loss, latency: u });
 
             // Knee: where the tail diverges from the best tail seen so
             // far in this sweep (the best point, not the lowest-load one:
             // a sparse-arrival point pays full deadline + wakeup jitter
             // per request and is the noisiest row on a shared box).
-            let base_p99 = points
-                .iter()
-                .map(|p| p.hist.summary_us().p99_us)
-                .fold(f64::INFINITY, f64::min)
-                .max(1.0);
+            let base_p99 =
+                points.iter().map(|p| p.latency.p99_us).fold(f64::INFINITY, f64::min).max(1.0);
             knee = points
                 .iter()
-                .find(|p| {
-                    let u = p.hist.summary_us();
-                    let loss = 1.0 - p.received as f64 / p.sent.max(1) as f64;
-                    u.p99_us > 5.0 * base_p99 || loss > 0.01
-                })
+                .find(|p| p.latency.p99_us > 5.0 * base_p99 || p.loss > 0.01)
                 .map(|p| p.offered_pps);
             i += 1;
             // Fraction sweep exhausted without a knee: keep offering more.
@@ -392,16 +350,16 @@ fn main() {
                 extensions += 1;
             }
         }
-        match knee {
-            Some(k) => {
-                println!("p99 knee: offered load {k:.3e} pps (>5x best p99 or >1% loss)");
-            }
-            None => println!(
+        out.table(&format!("readers_{readers}"), table);
+        out.say(match knee {
+            Some(k) => format!("p99 knee: offered load {k:.3e} pps (>5x best p99 or >1% loss)"),
+            None => format!(
                 "p99 knee: beyond-sweep (not reached within {} points, {} past capacity)",
                 points.len(),
                 extensions
             ),
-        }
+        });
+        best_p99 = points.iter().map(|p| p.latency.p99_us).fold(best_p99, f64::min);
 
         // Per-reader spread before shutdown folds the slots: a heavily
         // skewed UDP reader means flow steering (or the client's source
@@ -412,157 +370,62 @@ fn main() {
             .filter(|(kind, _)| *kind == ReaderKind::Udp)
             .map(|(_, st)| st)
             .collect();
-        let reader_requests_min = udp_readers.iter().map(|r| r.requests).min().unwrap_or(0);
-        let reader_requests_max = udp_readers.iter().map(|r| r.requests).max().unwrap_or(0);
-        let reader_p99_min_us = udp_readers
-            .iter()
-            .map(|r| r.latency.summary_us().p99_us)
-            .fold(f64::INFINITY, f64::min)
-            .min(1e12);
-        let reader_p99_max_us =
-            udp_readers.iter().map(|r| r.latency.summary_us().p99_us).fold(0.0, f64::max);
+        let requests = udp_readers.iter().map(|r| r.requests);
+        let p99s = udp_readers.iter().map(|r| r.latency.summary_us().p99_us);
         let stats = server.shutdown();
         let server_us = stats.latency.summary_us();
-        println!(
-            "server-side over the whole sweep: p50 {:.1}us  p99 {:.1}us  ({} batches: {} full / \
-             {} deadline; {} recv + {} send syscalls for {} requests = {:.4}/pkt; reader \
-             requests {}..{})",
-            server_us.p50_us,
-            server_us.p99_us,
-            stats.batches,
-            stats.full_flushes,
-            stats.deadline_flushes,
-            stats.recv_calls,
-            stats.send_calls,
-            stats.requests,
-            stats.syscalls_per_packet(),
-            reader_requests_min,
-            reader_requests_max,
-        );
-        sweeps.push(Sweep {
-            readers,
-            capacity,
-            probe_syscalls_per_packet: probe_ratio,
-            points,
-            knee,
-            stats,
-            reader_requests_min,
-            reader_requests_max,
-            reader_p99_min_us,
-            reader_p99_max_us,
-        });
+        summary.row(vec![
+            format!("{readers}"),
+            format!("{capacity:.3e}"),
+            format!("{probe_ratio:.4}"),
+            knee.map_or("beyond-sweep".into(), |k| format!("{k:.3e}")),
+            format!("{:.1}", server_us.p50_us),
+            format!("{:.1}", server_us.p99_us),
+            format!("{}", stats.batches),
+            format!("{}", stats.full_flushes),
+            format!("{}", stats.deadline_flushes),
+            format!("{}", stats.recv_calls),
+            format!("{}", stats.empty_recv_calls),
+            format!("{}", stats.send_calls),
+            format!("{}", stats.requests),
+            format!("{:.4}", stats.syscalls_per_packet()),
+            format!("{}..{}", requests.clone().min().unwrap_or(0), requests.max().unwrap_or(0)),
+            format!(
+                "{:.1}..{:.1}",
+                p99s.clone().fold(f64::INFINITY, f64::min).min(1e12),
+                p99s.fold(0.0, f64::max)
+            ),
+        ]);
     }
+    out.say("\nserver-side over each whole sweep:\n");
+    out.table("sweeps", summary);
 
-    // Gates. Tail gate: the best p99 across every sweep against the
-    // closed-loop baseline — a systematic tail blowup (busted deadline
-    // loop, reader busy-spin regression) inflates every point, while one
-    // noisy row (CI neighbours) shouldn't fail the build. Syscall gate:
-    // the best saturated-probe ratio must show the recvmmsg/sendmmsg
-    // amortization (< 0.1 crossings per packet at the default batch 128).
-    let best_p99 = sweeps
-        .iter()
-        .flat_map(|sw| sw.points.iter())
-        .map(|p| p.hist.summary_us().p99_us)
-        .fold(f64::INFINITY, f64::min)
-        .max(1.0);
+    // Tail check: the best p99 across every sweep against the closed-loop
+    // baseline — a systematic tail blowup (busted deadline loop, reader
+    // busy-spin regression) inflates every point, while one noisy row (CI
+    // neighbours) shouldn't fail the build. Syscall check: the best
+    // saturated-probe ratio must show the recvmmsg/sendmmsg amortization
+    // (< 0.1 crossings per packet at the default batch 128).
+    let best_p99 = best_p99.max(1.0);
     let gate = 50.0 * closed_us.p50_us;
-    let tail_pass = best_p99 <= gate;
-    println!(
-        "\n{}",
-        if tail_pass {
-            format!("PASS: best p99 {best_p99:.1}us <= 50x closed-loop p50 ({gate:.1}us)")
-        } else {
-            format!("WARN: best p99 {best_p99:.1}us exceeds 50x closed-loop p50 ({gate:.1}us)")
+    let tail = format!("best p99 {best_p99:.1}us vs 50x closed-loop p50 ({gate:.1}us)");
+    let amortized = format!("saturated syscalls-per-packet {best_probe_ratio:.4} vs 0.1");
+    out.say("");
+    for (ok, what) in [(best_p99 <= gate, tail), (best_probe_ratio < 0.1, amortized)] {
+        if ok {
+            out.say(format!("PASS: {what}"));
         }
-    );
-    let best_probe_ratio =
-        sweeps.iter().map(|sw| sw.probe_syscalls_per_packet).fold(f64::INFINITY, f64::min);
-    let syscall_pass = best_probe_ratio < 0.1;
-    println!(
-        "{}",
-        if syscall_pass {
-            format!("PASS: saturated syscalls-per-packet {best_probe_ratio:.4} < 0.1")
-        } else {
-            format!("WARN: saturated syscalls-per-packet {best_probe_ratio:.4} >= 0.1")
-        }
-    );
-
-    // Machine-readable artifact for CI (NM_BENCH_JSON overrides the path).
-    let json_path =
-        std::env::var("NM_BENCH_JSON").unwrap_or_else(|_| "BENCH_serve.json".to_string());
-    let mut sweeps_json = String::new();
-    for (si, sw) in sweeps.iter().enumerate() {
-        let mut pts = String::new();
-        for (i, p) in sw.points.iter().enumerate() {
-            let u = p.hist.summary_us();
-            let loss = 1.0 - p.received as f64 / p.sent.max(1) as f64;
-            if i > 0 {
-                pts.push(',');
-            }
-            pts.push_str(&format!(
-                "{{\"offered_pps\":{:.1},\"sent\":{},\"received\":{},\"loss_fraction\":{:.5},\
-                 \"p50_us\":{:.1},\"p99_us\":{:.1},\"p999_us\":{:.1},\"mean_us\":{:.1},\
-                 \"syscalls_per_packet\":{:.4}}}",
-                p.offered_pps,
-                p.sent,
-                p.received,
-                loss,
-                u.p50_us,
-                u.p99_us,
-                u.p999_us,
-                u.mean_us,
-                p.syscalls_per_packet
-            ));
-        }
-        let server_us = sw.stats.latency.summary_us();
-        if si > 0 {
-            sweeps_json.push(',');
-        }
-        sweeps_json.push_str(&format!(
-            "{{\"readers\":{},\"capacity_est_pps\":{:.1},\
-             \"probe_syscalls_per_packet\":{:.4},\"points\":[{}],\
-             \"knee_offered_pps\":{},\"knee\":\"{}\",\
-             \"server_p50_us\":{:.1},\"server_p99_us\":{:.1},\"server_batches\":{},\
-             \"recv_calls\":{},\"empty_recv_calls\":{},\"send_calls\":{},\
-             \"syscalls_per_packet\":{:.4},\
-             \"reader_requests_min\":{},\"reader_requests_max\":{},\
-             \"reader_p99_min_us\":{:.1},\"reader_p99_max_us\":{:.1}}}",
-            sw.readers,
-            sw.capacity,
-            sw.probe_syscalls_per_packet,
-            pts,
-            sw.knee.map_or("null".to_string(), |k| format!("{k:.1}")),
-            if sw.knee.is_some() { "at-offered" } else { "beyond-sweep" },
-            server_us.p50_us,
-            server_us.p99_us,
-            sw.stats.batches,
-            sw.stats.recv_calls,
-            sw.stats.empty_recv_calls,
-            sw.stats.send_calls,
-            sw.stats.syscalls_per_packet(),
-            sw.reader_requests_min,
-            sw.reader_requests_max,
-            sw.reader_p99_min_us,
-            sw.reader_p99_max_us,
-        ));
-    }
-    let artifact = format!(
-        "{{\"rules\":{n},\"build_s\":{build_s:.3},\"transport\":\"udp\",\"max_batch\":{},\
-         \"deadline_us\":{},\"closed_loop_p50_us\":{:.1},\"closed_loop_p99_us\":{:.1},\
-         \"sweeps\":[{sweeps_json}],\"best_syscalls_per_packet\":{best_probe_ratio:.4},\
-         \"gate_p99_us_max\":{gate:.1},\"gate_pass\":{tail_pass},\
-         \"syscall_gate_pass\":{syscall_pass}}}\n",
-        cfg.max_batch,
-        cfg.deadline.as_micros(),
-        closed_us.p50_us,
-        closed_us.p99_us,
-    );
-    match std::fs::write(&json_path, &artifact) {
-        Ok(()) => println!("\nwrote {json_path}"),
-        Err(e) => println!("\nWARN: could not write {json_path}: {e}"),
+        out.check(ok, || what);
     }
 
-    if !(tail_pass && syscall_pass) && std::env::var("NM_STRICT").as_deref() == Ok("1") {
-        std::process::exit(1);
-    }
+    out.scalar("rules", n);
+    out.scalar("build_s", Json::num(build_s, 3));
+    out.scalar("transport", "udp");
+    out.scalar("max_batch", cfg.max_batch);
+    out.scalar("deadline_us", cfg.deadline.as_micros());
+    out.scalar("closed_loop_p50_us", Json::num(closed_us.p50_us, 1));
+    out.scalar("closed_loop_p99_us", Json::num(closed_us.p99_us, 1));
+    out.scalar("best_syscalls_per_packet", Json::num(best_probe_ratio, 4));
+    out.scalar("gate_p99_us_max", Json::num(gate, 1));
+    out
 }

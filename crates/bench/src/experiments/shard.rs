@@ -1,0 +1,136 @@
+//! Sharded-runtime sweep — throughput and correctness of the NUMA-aware
+//! worker runtime over shard × worker grids.
+//!
+//! For each application rule-set this sweeps the [`Runtime`] over
+//! `shards ∈ {1, 2, 4} × workers-per-shard ∈ {1, 2}` with NuevoMatch/tm
+//! replicas behind a `ShardedHandle` (range steering on an auto-picked
+//! field, wildcard-heavy rules in the broadcast shard), plus a replicated
+//! plan at 2 workers for the §5.1 baseline shape. **Every row's checksum is
+//! checked against the sequential whole-set reference**, so the sweep is
+//! also the end-to-end proof that steering + per-shard replicas + priority
+//! merge are verdict-equivalent to one engine — including after a fanned
+//! `UpdateBatch`, which is applied to both the sharded and the whole-set
+//! handle and re-verified. A divergence fails the run.
+//!
+//! On this repository's single-core CI box the workers time-share and the
+//! topology degrades to unpinned scheduling (see
+//! `nuevomatch::system::runtime::topology`), so the pps columns measure
+//! overhead, not scaling; the structure is what CI guards.
+
+use crate::{nm_tm_config, nm_tm_handle, suite, Ctx, Outcome};
+use nm_analysis::Table;
+use nm_common::{FiveTuple, ShardPlanConfig, ShardStrategy, UpdateBatch};
+use nm_tuplemerge::TupleMerge;
+use nm_trace::uniform_trace;
+use nuevomatch::system::parallel::run_sequential;
+use nuevomatch::system::runtime::Replicated;
+use nuevomatch::{RunStats, Runtime, RuntimeConfig, ShardedHandle};
+
+const SHARDS: &[usize] = &[1, 2, 4];
+const WORKERS: &[usize] = &[1, 2];
+
+/// Largest shard's packet share over the ideal equal share (1.0 = perfect
+/// balance; replicated and 1-shard rows are 1.0 by definition).
+fn imbalance(steered: &[u64]) -> f64 {
+    let total: u64 = steered.iter().sum();
+    let max = steered.iter().copied().max().unwrap_or(0);
+    if total == 0 || steered.is_empty() {
+        return 1.0;
+    }
+    max as f64 / (total as f64 / steered.len() as f64)
+}
+
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
+    // The sweep builds (1 + 2 + 4) handle grids per app; the mid-size set
+    // keeps that affordable on the CI box while staying representative.
+    let n = s.sizes[s.sizes.len() / 2];
+    let topo = nuevomatch::Topology::discover();
+    out.say(format!(
+        "=== Sharded-runtime sweep — {n} rules, uniform traffic, {} NUMA node(s) / {} CPU(s) ===",
+        topo.nodes().len(),
+        topo.num_cpus()
+    ));
+    out.say("(columns in Mpps; every row checksum-checked against run_sequential)\n");
+
+    let mut table = Table::new(&[
+        "set", "mode", "shards", "workers", "Mpps", "vs seq", "bcast%", "imbal", "pinned",
+    ]);
+    // One grid row; `broadcast` is the plan's broadcast fraction (sharded
+    // rows only).
+    let mut row = |out: &mut Outcome,
+                   app: &str,
+                   mode: &str,
+                   stats: &RunStats,
+                   seq: &RunStats,
+                   broadcast: Option<f64>| {
+        out.check(stats.checksum == seq.checksum, || {
+            format!(
+                "{app}: {mode} {} shard(s) x {} worker(s) diverged from sequential",
+                stats.shards, stats.workers
+            )
+        });
+        table.row(vec![
+            app.to_string(),
+            mode.to_string(),
+            format!("{}", stats.shards),
+            format!("{}", stats.workers),
+            format!("{:.2}", stats.pps / 1e6),
+            format!("{:.2}x", stats.pps / seq.pps.max(1e-9)),
+            broadcast.map_or("-".into(), |b| format!("{:.1}", b * 100.0)),
+            format!("{:.2}", imbalance(&stats.steered)),
+            format!("{}", stats.pinned_workers),
+        ]);
+    };
+    for (app, set) in suite(n, s) {
+        if !ctx.wants_app(&app) {
+            continue;
+        }
+        let trace = uniform_trace(&set, s.trace_len, 0x5a4d + n as u64);
+
+        for &shards in SHARDS {
+            // Fresh whole-set reference per grid column: both control
+            // planes receive the same update stream from the same state.
+            let reference = nm_tm_handle(&set);
+            let plan = ShardPlanConfig { shards, dim: None, strategy: ShardStrategy::Range };
+            let sharded = ShardedHandle::new(&set, &nm_tm_config(), &plan, TupleMerge::build)
+                .expect("sharded nm/tm build");
+            // Fan a concrete update through both control planes before
+            // measuring: the sweep then also proves the fan-out path keeps
+            // the shards verdict-equivalent to the whole-set handle.
+            let drift = UpdateBatch::new()
+                .modify(FiveTuple::new().dst_port_range(40_000, 40_200).into_rule(3, 3))
+                .insert(FiveTuple::new().dst_port_exact(61_234).into_rule(900_001, 900_001))
+                .remove(11);
+            let (ra, rb) = (reference.apply(&drift), sharded.apply(&drift));
+            out.check(ra == rb, || format!("{app}/{shards}: fan-out accounting diverged"));
+            let seq = run_sequential(&reference, &trace);
+            for &workers in WORKERS {
+                let rt = Runtime::new(RuntimeConfig {
+                    workers_per_shard: workers,
+                    ..Default::default()
+                });
+                let stats = rt.run(&sharded, &trace).expect("sharded run");
+                let broadcast = sharded.plan().broadcast_fraction();
+                row(&mut out, &app, "sharded", &stats, &seq, Some(broadcast));
+            }
+        }
+        // Baseline shape: the replicated plan (2 whole-set workers).
+        let engine = nm_tm_handle(&set);
+        let rt = Runtime::new(RuntimeConfig::default());
+        let stats = rt.run(&Replicated::new(&engine, 2), &trace).expect("replicated run");
+        row(&mut out, &app, "replicated", &stats, &run_sequential(&engine, &trace), None);
+    }
+    out.table("grid", table);
+    if out.failures().is_empty() {
+        out.say(
+            "\nPASS: every shard x worker grid point is checksum-equivalent to the sequential \
+             whole-set reference (including after a fanned update batch)",
+        );
+    }
+    out.scalar("rules", n);
+    out.scalar("numa_nodes", topo.nodes().len());
+    out.scalar("cpus", topo.num_cpus());
+    out
+}

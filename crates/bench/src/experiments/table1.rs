@@ -7,34 +7,27 @@
 //! "serial" 8-neuron loop (it if-converts the ReLU branch and emits SIMD),
 //! so the 2016-era 2.6× serial→AVX gap largely collapses — the interesting
 //! comparison left is SSE vs AVX and the absolute tens-of-ns cost per
-//! inference, which this binary measures with a dependent chain (latency,
+//! inference, which this experiment measures with a dependent chain (latency,
 //! like a staged RQ-RMI walk, not pipelined throughput).
 
+use crate::{Ctx, Outcome};
 use nm_analysis::Table;
 use nm_nn::Mlp;
 use nuevomatch::rqrmi::{detect, Isa, Kernel};
 use std::hint::black_box;
 use std::time::Instant;
 
-fn time_isa(kernel: &Kernel, isa: Isa) -> f64 {
-    const ITERS: usize = 2_000_000;
-    // Warm up.
-    black_box(kernel.latency_chain(0.37, 10_000, isa));
+/// ns per inference of `chain(iterations)`, a dependent chain advancing
+/// `lanes` packets per iteration, after a short warm-up.
+fn time_chain(iters: usize, lanes: usize, chain: impl Fn(usize) -> f32) -> f64 {
+    black_box(chain(10_000));
     let t0 = Instant::now();
-    black_box(kernel.latency_chain(0.37, ITERS, isa));
-    t0.elapsed().as_nanos() as f64 / ITERS as f64
+    black_box(chain(iters));
+    t0.elapsed().as_nanos() as f64 / (lanes * iters) as f64
 }
 
-fn time_isa_batch8(kernel: &Kernel, isa: Isa) -> f64 {
-    const ITERS: usize = 1_000_000;
-    black_box(kernel.latency_chain_batch8(0.37, 10_000, isa));
-    let t0 = Instant::now();
-    black_box(kernel.latency_chain_batch8(0.37, ITERS, isa));
-    // Per-packet cost: 8 packets per chained group.
-    t0.elapsed().as_nanos() as f64 / (8 * ITERS) as f64
-}
-
-fn main() {
+pub fn run(_: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
     let net = Mlp::random(8, 42);
     let kernel = Kernel::from_mlp(&net);
 
@@ -54,19 +47,21 @@ fn main() {
         ("AVX2+FMA(8)", Isa::AvxFma, "-"),
     ];
     let best = detect();
-    println!("Table 1: submodel inference vs vectorization (detected best: {best:?})\n");
+    out.say(format!("Table 1: submodel inference vs vectorization (detected best: {best:?})\n"));
     for &(name, isa, paper) in rows {
         if !isa.available() {
             table.row(vec![name.into(), format!("n/a (no {isa:?})"), "-".into(), paper.into()]);
             continue;
         }
-        let ns = time_isa(&kernel, isa);
-        let ns8 = time_isa_batch8(&kernel, isa);
+        let ns = time_chain(2_000_000, 1, |n| kernel.latency_chain(0.37, n, isa));
+        // Per-packet cost: 8 packets per chained group.
+        let ns8 = time_chain(1_000_000, 8, |n| kernel.latency_chain_batch8(0.37, n, isa));
         table.row(vec![name.into(), format!("{ns:.1}"), format!("{ns8:.1}"), paper.into()]);
     }
-    print!("{}", table.render());
-    println!(
+    out.table("inference", table);
+    out.say(
         "\nNote: LLVM auto-vectorises the 'serial' loop on modern rustc, so the paper's\n\
-         serial/SIMD gap narrows; see the module docs."
+         serial/SIMD gap narrows; see the module docs.",
     );
+    out
 }

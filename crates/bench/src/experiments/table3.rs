@@ -6,17 +6,18 @@
 //! The shape: the partitioner segregates low-diversity rules into the
 //! remainder (coverage ≈ 1 − fraction), and speedup grows with coverage.
 
+use crate::{nm_tm, seq_speedup, Ctx, Outcome};
 use nm_analysis::Table;
-use nm_bench::{measure_seq, nm_tm, scale};
 use nm_classbench::{blend_low_diversity, generate, AppKind};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 
-fn main() {
-    let s = scale();
+pub fn run(ctx: &Ctx) -> Outcome {
+    let mut out = Outcome::default();
+    let s = &ctx.scale;
     let n = *s.sizes.last().unwrap();
     let base = generate(AppKind::Acl, n, 0x7ab1e3);
-    println!("Table 3: low-diversity blends over a {n}-rule ACL set, remainder = tm\n");
+    out.say(format!("Table 3: low-diversity blends over a {n}-rule ACL set, remainder = tm\n"));
     let mut table =
         Table::new(&["% low-diversity", "% coverage (1 iSet)", "speedup (throughput)", "paper"]);
 
@@ -26,15 +27,13 @@ fn main() {
         let tm = TupleMerge::build(&blended);
         let nm = nm_tm(&blended);
         let cov = nuevomatch::iset::coverage_curve(&blended, 1)[0];
-        let (tm_pps, _, tm_sum) = measure_seq(&tm, &trace, s.warmups);
-        let (nm_pps, _, nm_sum) = measure_seq(&nm, &trace, s.warmups);
-        nm_bench::assert_same_results("tm", tm_sum, "nm", nm_sum);
         table.row(vec![
             format!("{:.0}%", frac * 100.0),
             format!("{:.0}%", cov * 100.0),
-            format!("{:.2}x", nm_pps / tm_pps),
+            format!("{:.2}x", seq_speedup(&mut out, &tm, &nm, &trace, s.warmups)),
             paper.into(),
         ]);
     }
-    print!("{}", table.render());
+    out.table("blends", table);
+    out
 }

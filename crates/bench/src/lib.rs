@@ -1,60 +1,53 @@
 //! # nm-bench — the experiment harness
 //!
-//! One binary per paper table/figure:
+//! One library, one binary, one experiment per paper table/figure plus the
+//! batch, shard, serve and update sweeps:
 //!
 //! ```text
-//! cargo run -p nm-bench --release --bin table1       # … table2, table3
-//! cargo run -p nm-bench --release --bin fig7         # … fig8 … fig17
-//! cargo run -p nm-bench --release --bin fields contention search_dist
-//! cargo run -p nm-bench --release --bin update_bench # measured Figure 7
+//! cargo run -p nm-bench --release -- --list             # the 21 names
+//! cargo run -p nm-bench --release -- table1 fig9        # run some
+//! cargo run -p nm-bench --release -- --json out.json all
+//! cargo run -p nm-bench --release -- serve --readers 1,2,4
 //! ```
 //!
-//! `update_bench` is the live counterpart to `fig7`: it drives a
-//! `ClassifierHandle` with a paced update stream plus background retrains,
-//! measures the throughput-vs-time curve a lock-free reader actually sees,
-//! and validates it against the analytic §3.9 model.
+//! Each experiment is a module under `experiments` exposing
+//! `fn run(&Ctx) -> Outcome`: it reads its settings from the [`Ctx`], and
+//! returns the rows/series the paper reports as [`nm_analysis::Table`]s and
+//! prose, named scalars, and the checks that failed (checksum mismatches
+//! between engines, fan-out accounting, verdict divergence, `serve`'s tail
+//! and syscall bounds). The [`drive`]r prints the reports, writes the one
+//! `--json` document, and exits nonzero when any check failed. Timing
+//! *targets* (`batch`'s tree speedup, `update`'s model tracking) print
+//! PASS/WARN and never fail a run — timing regressions are judged by
+//! `benchmark/`, whose bounds were measured.
 //!
-//! Every binary prints the same rows/series the paper reports. The `NM_SCALE`
-//! environment variable selects the workload scale:
+//! `NM_SCALE` selects the workload scale:
 //!
 //! * `quick` (default) — sizes up to 100K rules, 3 applications, 100K-packet
 //!   traces; minutes on a laptop core.
 //! * `full` — the paper's 500K rule-sets, 12 applications, 700K-packet
 //!   traces; budget hours on one core.
 //!
-//! This module holds the pieces every binary shares: scale selection,
+//! `NM_APPS` / `NM_ENGINES` (comma-separated) focus a `batch` or `shard`
+//! rerun on a subset.
+//!
+//! This module holds the pieces every experiment shares: scale selection,
 //! classifier constructors with the paper's §5.1 configurations, and timing
 //! wrappers.
-//!
-//! ## The batch sweep (`--bin batch`)
-//!
-//! `cargo run -p nm-bench --release --bin batch` sweeps the batched lookup
-//! pipeline over batch sizes 1/8/32/128/512 (single core, uniform traffic)
-//! for **every batched engine** — NuevoMatch, TupleMerge, CutSplit and
-//! NeuroCuts — and prints both a table and machine-readable `BENCH {...}`
-//! json lines, plus a divergent-leaf microbench (gather kernel vs
-//! per-packet broadcast vs the shared kernel). The whole run is written to
-//! a `BENCH_batch.json` artifact (`NM_BENCH_JSON` overrides the path;
-//! uploaded by CI) so the batched data plane's perf trajectory is tracked
-//! over time. It honours `NM_SCALE` like every other binary: `quick`
-//! (default) runs the three-application suite at the largest quick size;
-//! `NM_SCALE=full` runs the 12-application 500K-rule suite — budget
-//! accordingly. `NM_APPS`/`NM_ENGINES` (comma-separated) focus a rerun on
-//! a subset; `NM_STRICT=1` turns the perf targets into hard failures.
-//! Columns report Mpps through `run_batched` (the `classify_batch` path);
-//! the `seq` column is the per-key `classify` loop for reference, and
-//! every batched row's checksum is asserted equal to it, so the sweep
-//! doubles as a batch/scalar equivalence check on real traffic.
 
 #![warn(missing_docs)]
 
-pub mod update;
+mod driver;
+mod experiments;
 
-use nm_common::{Classifier, RuleSet, ShardPlanConfig, ShardStrategy, TraceBuf};
+pub use driver::{drive, Ctx, Outcome};
+pub use experiments::{Experiment, EXPERIMENTS};
+
+use nm_common::{Classifier, FieldRange, RuleSet, TraceBuf};
 use nm_cutsplit::CutSplit;
 use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::{ClassifierHandle, NuevoMatch, NuevoMatchConfig, RqRmiParams, ShardedHandle};
+use nuevomatch::{ClassifierHandle, NuevoMatch, NuevoMatchConfig, RqRmiParams};
 
 /// Workload scale for the harness.
 #[derive(Clone, Debug)]
@@ -71,23 +64,30 @@ pub struct Scale {
     pub full: bool,
 }
 
-/// Reads `NM_SCALE` (`quick` | `full`).
-pub fn scale() -> Scale {
-    match std::env::var("NM_SCALE").as_deref() {
-        Ok("full") => Scale {
-            sizes: vec![1_000, 10_000, 100_000, 500_000],
-            apps: 12,
-            trace_len: 700_000,
-            warmups: 2,
-            full: true,
-        },
-        _ => Scale {
-            sizes: vec![1_000, 10_000, 100_000],
-            apps: 3,
-            trace_len: 100_000,
-            warmups: 1,
-            full: false,
-        },
+impl Scale {
+    /// The scale `NM_SCALE` names: `full`, or `quick` for anything else.
+    pub fn named(name: &str) -> Self {
+        let full = name == "full";
+        let mut sizes = vec![1_000, 10_000, 100_000];
+        sizes.extend(full.then_some(500_000));
+        Scale {
+            sizes,
+            apps: if full { 12 } else { 3 },
+            trace_len: if full { 700_000 } else { 100_000 },
+            warmups: if full { 2 } else { 1 },
+            full,
+        }
+    }
+
+    /// The sizes the end-to-end figures run at: 100K rules and up (else the
+    /// scale's largest).
+    pub fn large_sizes(&self) -> Vec<usize> {
+        let large: Vec<usize> = self.sizes.iter().copied().filter(|&n| n >= 100_000).collect();
+        if large.is_empty() {
+            self.sizes.last().copied().into_iter().collect()
+        } else {
+            large
+        }
     }
 }
 
@@ -104,24 +104,24 @@ pub fn suite(n: usize, s: &Scale) -> Vec<(String, RuleSet)> {
     }
 }
 
-/// RQ-RMI parameters used by every harness build (paper §5.1: error
-/// threshold 64).
-pub fn rqrmi_params() -> RqRmiParams {
-    RqRmiParams { error_target: 64, ..Default::default() }
+/// The harness configuration with `max_isets` iSets of at least
+/// `min_iset_coverage` each: RQ-RMI error threshold 64 (paper §5.1), early
+/// termination on, default partial-retrain policy.
+pub fn nm_config(max_isets: usize, min_iset_coverage: f64) -> NuevoMatchConfig {
+    NuevoMatchConfig {
+        max_isets,
+        min_iset_coverage,
+        rqrmi: RqRmiParams { error_target: 64, ..Default::default() },
+        ..Default::default()
+    }
 }
 
 /// The §5.1 configuration for a TupleMerge remainder: iSets below 5%
 /// coverage discarded, 4 iSets best for tm. One definition serves both the
-/// static build and the handle, so the measured-update baselines can never
-/// drift from the table/figure benches.
+/// static build and the handles, so the measured-update baselines can never
+/// drift from the table/figure experiments.
 pub fn nm_tm_config() -> NuevoMatchConfig {
-    NuevoMatchConfig {
-        max_isets: 4,
-        min_iset_coverage: 0.05,
-        rqrmi: rqrmi_params(),
-        early_termination: true,
-        partial_retrain: Default::default(),
-    }
+    nm_config(4, 0.05)
 }
 
 /// NuevoMatch paired with a TupleMerge remainder ([`nm_tm_config`]).
@@ -131,44 +131,20 @@ pub fn nm_tm(set: &RuleSet) -> NuevoMatch<TupleMerge> {
 
 /// The [`nm_tm`] configuration served through a live [`ClassifierHandle`]:
 /// lock-free snapshot readers, transactional updates, background retrains.
-/// `--bin update_bench` and the update-soak jobs go through this.
 pub fn nm_tm_handle(set: &RuleSet) -> ClassifierHandle<TupleMerge> {
     ClassifierHandle::new(set, &nm_tm_config(), TupleMerge::build).expect("nm/tm handle build")
-}
-
-/// The [`nm_tm`] configuration sharded `shards` ways (range steering on an
-/// auto-picked field, wildcard-heavy rules in the broadcast shard) behind
-/// per-shard handle replicas — what `--bin shard` sweeps and the CI
-/// sharded-runtime smoke drives.
-pub fn nm_tm_sharded(set: &RuleSet, shards: usize) -> ShardedHandle<TupleMerge> {
-    let plan = ShardPlanConfig { shards, dim: None, strategy: ShardStrategy::Range };
-    ShardedHandle::new(set, &nm_tm_config(), &plan, TupleMerge::build).expect("sharded nm/tm build")
 }
 
 /// NuevoMatch paired with a CutSplit remainder (§5.1: 25% minimum coverage,
 /// 1–2 iSets are the sweet spot).
 pub fn nm_cs(set: &RuleSet) -> NuevoMatch<CutSplit> {
-    let cfg = NuevoMatchConfig {
-        max_isets: 2,
-        min_iset_coverage: 0.25,
-        rqrmi: rqrmi_params(),
-        early_termination: true,
-        partial_retrain: Default::default(),
-    };
-    NuevoMatch::build(set, &cfg, CutSplit::build).expect("nm/cs build")
+    NuevoMatch::build(set, &nm_config(2, 0.25), CutSplit::build).expect("nm/cs build")
 }
 
 /// NuevoMatch paired with a NeuroCuts remainder.
 pub fn nm_nc(set: &RuleSet, quick: bool) -> NuevoMatch<NeuroCuts> {
-    let cfg = NuevoMatchConfig {
-        max_isets: 2,
-        min_iset_coverage: 0.25,
-        rqrmi: rqrmi_params(),
-        early_termination: true,
-        partial_retrain: Default::default(),
-    };
     let nc_cfg = nc_config(quick);
-    NuevoMatch::build(set, &cfg, |rem: &RuleSet| NeuroCuts::with_config(rem, nc_cfg))
+    NuevoMatch::build(set, &nm_config(2, 0.25), |rem: &RuleSet| NeuroCuts::with_config(rem, nc_cfg))
         .expect("nm/nc build")
 }
 
@@ -182,6 +158,34 @@ pub fn nc_config(quick: bool) -> NeuroCutsConfig {
     }
 }
 
+/// The largest iSet's projection of `set` — its rules' ranges in the iSet's
+/// field, in index order, plus that field's width in bits: what one RQ-RMI
+/// of the real build trains on.
+pub fn largest_iset_ranges(set: &RuleSet) -> (Vec<FieldRange>, u8) {
+    let part = nuevomatch::iset::partition_isets(set, 1, 0.0);
+    let iset = &part.isets[0];
+    let ranges = iset.rule_ids.iter().map(|&id| set.rule(id).fields[iset.dim]).collect();
+    (ranges, set.spec().bits(iset.dim))
+}
+
+/// §5.3.4: how far each lookup's prediction lands from the true index, over
+/// both ends and the middle of every range `model` was trained on.
+pub fn search_distances(model: &nuevomatch::RqRmi, ranges: &[FieldRange]) -> Vec<u64> {
+    let mut dists = Vec::with_capacity(ranges.len() * 3);
+    for (idx, r) in ranges.iter().enumerate() {
+        for key in [r.lo, (r.lo + r.hi) / 2, r.hi] {
+            let (pred, _) = model.predict(key);
+            dists.push((pred as i64 - idx as i64).unsigned_abs());
+        }
+    }
+    dists
+}
+
+/// The percentage of `dists` that are at most `d`.
+pub fn percent_within(dists: &[u64], d: u64) -> f64 {
+    100.0 * dists.iter().filter(|&&x| x <= d).count() as f64 / dists.len() as f64
+}
+
 /// Measured sequential throughput: `warmups` passes then one timed pass.
 /// Returns (packets/s, ns/packet, checksum).
 pub fn measure_seq(c: &dyn Classifier, trace: &TraceBuf, warmups: usize) -> (f64, f64, u64) {
@@ -192,8 +196,17 @@ pub fn measure_seq(c: &dyn Classifier, trace: &TraceBuf, warmups: usize) -> (f64
     (stats.pps, 1e9 / stats.pps.max(1e-9), stats.checksum)
 }
 
-/// Sanity assertion used by every end-to-end binary: two engines must have
-/// produced identical per-packet results on the measured trace.
-pub fn assert_same_results(name_a: &str, a: u64, name_b: &str, b: u64) {
-    assert_eq!(a, b, "{name_a} and {name_b} disagree on the trace — correctness bug");
+/// Sequential-throughput speedup of `ours` over `base` on `trace`; the two
+/// must have produced identical per-packet results, or `out` records it.
+pub fn seq_speedup(
+    out: &mut Outcome,
+    base: &dyn Classifier,
+    ours: &dyn Classifier,
+    trace: &TraceBuf,
+    warmups: usize,
+) -> f64 {
+    let (b, _, base_sum) = measure_seq(base, trace, warmups);
+    let (o, _, ours_sum) = measure_seq(ours, trace, warmups);
+    out.same_results(base.name(), base_sum, ours.name(), ours_sum);
+    o / b
 }

@@ -1,7 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::{Args, ParsedCommand};
-use nm_analysis::{centrality_1d, diversity, Table};
+use nm_analysis::{centrality_1d, diversity, Json, Table};
 use nm_classbench::{generate, parse_classbench, AppKind};
 use nm_common::memsize::human_bytes;
 use nm_common::{fivetuple, Classifier, FiveTuple, LinearSearch, Rule, RuleSet};
@@ -12,7 +12,7 @@ use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
 use nm_trace::{caida_like_trace, uniform_trace, zipf_trace, CaidaLikeConfig};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
 use nuevomatch::system::parallel::{run_batched, run_sequential};
-use nuevomatch::system::runtime::{PinPolicy, Runtime, RuntimeConfig, ShardedClassifier};
+use nuevomatch::system::runtime::{PinPolicy, RunStats, Runtime, RuntimeConfig, ShardedClassifier};
 use nuevomatch::{NuevoMatch, NuevoMatchConfig, ShardedHandle, Topology};
 use nuevomatch::{OracleTable, ServeClient, ServeConfig, ServePlane, Server, Transport};
 
@@ -222,24 +222,17 @@ fn cmd_bench(a: &Args) -> Result<String, String> {
         });
         let stats = rt.run(&sharded, &trace).map_err(|e| e.to_string())?;
         if json {
-            return Ok(format!(
-                "{{\"engine\":\"{}\",\"rules\":{},\"build_s\":{:.3},\"memory_bytes\":{},\
-                 \"packets\":{},\"batch\":{},\"pps\":{:.1},\"ns_per_packet\":{:.1},\
-                 \"generation\":{},\"update_rate\":0.0,\"shards\":{},\"workers\":{},\
-                 \"pinned_workers\":{},\"broadcast_fraction\":{:.4}}}\n",
-                engine_name,
-                set.len(),
+            let broadcast = Some(sharded.plan().broadcast_fraction());
+            let batch = batch.max(1);
+            return Ok(bench_json(
+                &engine_name,
+                &set,
                 build_s,
-                sharded.memory_bytes(),
-                trace.len(),
-                batch.max(1),
-                stats.pps,
-                1e9 / stats.pps.max(1e-9),
-                Classifier::generation(&sharded),
-                stats.shards,
-                stats.workers,
-                stats.pinned_workers,
-                sharded.plan().broadcast_fraction(),
+                &sharded,
+                &trace,
+                batch,
+                &stats,
+                broadcast,
             ));
         }
         return Ok(format!(
@@ -272,23 +265,8 @@ fn cmd_bench(a: &Args) -> Result<String, String> {
         run_batched(engine.as_ref(), &trace, batch)
     };
     if json {
-        // Machine-readable form, shape-compatible with `serve --json`:
-        // static benches report generation 0 and update_rate 0.
-        return Ok(format!(
-            "{{\"engine\":\"{}\",\"rules\":{},\"build_s\":{:.3},\"memory_bytes\":{},\
-             \"packets\":{},\"batch\":{},\"pps\":{:.1},\"ns_per_packet\":{:.1},\
-             \"generation\":{},\"update_rate\":0.0,\"shards\":1,\"workers\":1,\
-             \"pinned_workers\":0,\"broadcast_fraction\":0.0}}\n",
-            engine_name,
-            set.len(),
-            build_s,
-            engine.memory_bytes(),
-            trace.len(),
-            batch,
-            stats.pps,
-            1e9 / stats.pps.max(1e-9),
-            engine.generation(),
-        ));
+        let engine = engine.as_ref();
+        return Ok(bench_json(&engine_name, &set, build_s, engine, &trace, batch, &stats, None));
     }
     Ok(format!(
         "engine: {}\nrules: {}\nbuild time: {:.2}s\nindex memory: {}\npackets: {}\nbatch: {}\nthroughput: {:.3e} pps ({:.0} ns/packet)\ngeneration: {}\n",
@@ -302,6 +280,45 @@ fn cmd_bench(a: &Args) -> Result<String, String> {
         1e9 / stats.pps.max(1e-9),
         engine.generation(),
     ))
+}
+
+/// `bench --json`: one object, shape-compatible with `serve --json` (static
+/// benches report generation 0 and update_rate 0). `broadcast_fraction` is
+/// the shard plan's when the run went through the sharded worker runtime;
+/// the plain loops run on the caller's thread — one shard, one worker,
+/// nothing pinned.
+#[allow(clippy::too_many_arguments)]
+fn bench_json(
+    engine_name: &str,
+    set: &RuleSet,
+    build_s: f64,
+    engine: &dyn Classifier,
+    trace: &nm_common::TraceBuf,
+    batch: usize,
+    stats: &RunStats,
+    broadcast_fraction: Option<f64>,
+) -> String {
+    let (shards, workers, pinned_workers, broadcast_fraction) = match broadcast_fraction {
+        Some(f) => (stats.shards, stats.workers, stats.pinned_workers, Json::num(f, 4)),
+        None => (1, 1, 0, Json::num(0.0, 1)),
+    };
+    let doc = Json::obj([
+        ("engine", engine_name.into()),
+        ("rules", set.len().into()),
+        ("build_s", Json::num(build_s, 3)),
+        ("memory_bytes", engine.memory_bytes().into()),
+        ("packets", trace.len().into()),
+        ("batch", batch.into()),
+        ("pps", Json::num(stats.pps, 1)),
+        ("ns_per_packet", Json::num(1e9 / stats.pps.max(1e-9), 1)),
+        ("generation", engine.generation().into()),
+        ("update_rate", Json::num(0.0, 1)),
+        ("shards", shards.into()),
+        ("workers", workers.into()),
+        ("pinned_workers", pinned_workers.into()),
+        ("broadcast_fraction", broadcast_fraction),
+    ]);
+    format!("{doc}\n")
 }
 
 fn cmd_classify(a: &Args) -> Result<String, String> {
@@ -641,57 +658,47 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
     let reader_requests_min = wire.udp_reader_stats.iter().map(|r| r.requests).min().unwrap_or(0);
     let reader_requests_max = wire.udp_reader_stats.iter().map(|r| r.requests).max().unwrap_or(0);
     if json {
-        return Ok(format!(
-            "{{\"engine\":\"nm-tm\",\"rules\":{},\"build_s\":{:.3},\"readers\":{},\"seconds\":{:.3},\
-             \"packets\":{},\"pps\":{:.1},\"update_rate\":{:.1},\"updates_applied\":{},\
-             \"generation\":{},\"retrains\":{},\"remainder_fraction\":{:.4},\
-             \"shards\":{},\"pinned_readers\":{},\"udp_readers\":{},\
-             \"transport\":\"{}\",\"max_batch\":{},\"deadline_us\":{},\
-             \"served\":{},\"driver_timeouts\":{},\"batches\":{},\"full_flushes\":{},\
-             \"deadline_flushes\":{},\"drain_flushes\":{},\"decode_errors\":{},\
-             \"recv_calls\":{},\"empty_recv_calls\":{},\"send_calls\":{},\
-             \"syscalls_per_packet\":{:.4},\
-             \"reader_requests_min\":{},\"reader_requests_max\":{},\
-             \"validated\":{},\"oracle_skipped\":{},\"mismatches\":{},\
-             \"p50_us\":{:.1},\"p99_us\":{:.1},\"p999_us\":{:.1},\"mean_us\":{:.1}}}\n",
-            set.len(),
-            build_s,
-            readers.max(1),
-            elapsed,
-            stats.responses,
-            stats.responses as f64 / elapsed,
-            update_rate,
-            wire.updates_applied,
-            serve.generation(),
-            wire.retrains,
-            serve.remainder_fraction(),
-            shards,
-            pinned_readers,
-            scfg.udp_readers,
-            scfg.transport,
-            scfg.max_batch,
-            scfg.deadline.as_micros(),
-            wire.driver_served,
-            wire.driver_timeouts,
-            stats.batches,
-            stats.full_flushes,
-            stats.deadline_flushes,
-            stats.drain_flushes,
-            stats.decode_errors,
-            stats.recv_calls,
-            stats.empty_recv_calls,
-            stats.send_calls,
-            stats.syscalls_per_packet(),
-            reader_requests_min,
-            reader_requests_max,
-            stats.validated,
-            stats.oracle_skipped,
-            stats.mismatches,
-            lat.p50_us,
-            lat.p99_us,
-            lat.p999_us,
-            lat.mean_us,
-        ));
+        let doc = Json::obj([
+            ("engine", "nm-tm".into()),
+            ("rules", set.len().into()),
+            ("build_s", Json::num(build_s, 3)),
+            ("readers", readers.max(1).into()),
+            ("seconds", Json::num(elapsed, 3)),
+            ("packets", stats.responses.into()),
+            ("pps", Json::num(stats.responses as f64 / elapsed, 1)),
+            ("update_rate", Json::num(update_rate, 1)),
+            ("updates_applied", wire.updates_applied.into()),
+            ("generation", serve.generation().into()),
+            ("retrains", wire.retrains.into()),
+            ("remainder_fraction", Json::num(serve.remainder_fraction(), 4)),
+            ("shards", shards.into()),
+            ("pinned_readers", pinned_readers.into()),
+            ("udp_readers", scfg.udp_readers.into()),
+            ("transport", scfg.transport.to_string().into()),
+            ("max_batch", scfg.max_batch.into()),
+            ("deadline_us", scfg.deadline.as_micros().into()),
+            ("served", wire.driver_served.into()),
+            ("driver_timeouts", wire.driver_timeouts.into()),
+            ("batches", stats.batches.into()),
+            ("full_flushes", stats.full_flushes.into()),
+            ("deadline_flushes", stats.deadline_flushes.into()),
+            ("drain_flushes", stats.drain_flushes.into()),
+            ("decode_errors", stats.decode_errors.into()),
+            ("recv_calls", stats.recv_calls.into()),
+            ("empty_recv_calls", stats.empty_recv_calls.into()),
+            ("send_calls", stats.send_calls.into()),
+            ("syscalls_per_packet", Json::num(stats.syscalls_per_packet(), 4)),
+            ("reader_requests_min", reader_requests_min.into()),
+            ("reader_requests_max", reader_requests_max.into()),
+            ("validated", stats.validated.into()),
+            ("oracle_skipped", stats.oracle_skipped.into()),
+            ("mismatches", stats.mismatches.into()),
+            ("p50_us", Json::num(lat.p50_us, 1)),
+            ("p99_us", Json::num(lat.p99_us, 1)),
+            ("p999_us", Json::num(lat.p999_us, 1)),
+            ("mean_us", Json::num(lat.mean_us, 1)),
+        ]);
+        return Ok(format!("{doc}\n"));
     }
     let addr =
         |a: Option<std::net::SocketAddr>| a.map_or_else(|| "-".to_string(), |sa| sa.to_string());
@@ -1037,6 +1044,37 @@ mod tests {
         .unwrap())
         .is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bench_json_is_byte_identical_to_the_hand_formatted_report_it_replaced() {
+        let rules = (0..3u16).map(|i| FiveTuple::new().dst_port_exact(i).into_rule(i as u32, 0));
+        let set = RuleSet::new(nm_common::FieldsSpec::five_tuple(), rules.collect()).unwrap();
+        let engine = LinearSearch::build(&set);
+        let trace = uniform_trace(&set, 2_000, 1);
+        let at = |pps: f64| RunStats {
+            pps,
+            shards: 2,
+            workers: 4,
+            pinned_workers: 3,
+            ..run_sequential(&engine, &trace)
+        };
+        assert_eq!(
+            bench_json("tm", &set, 0.01249, &engine, &trace, 1, &at(4e6), None),
+            format!(
+                r#"{{"engine":"tm","rules":3,"build_s":0.012,"memory_bytes":{},"packets":2000,"batch":1,"pps":4000000.0,"ns_per_packet":250.0,"generation":0,"update_rate":0.0,"shards":1,"workers":1,"pinned_workers":0,"broadcast_fraction":0.0}}
+"#,
+                engine.memory_bytes()
+            )
+        );
+        let sharded = bench_json("nm-tm", &set, 1.0, &engine, &trace, 64, &at(3e6), Some(0.25));
+        assert!(
+            sharded.ends_with(
+                r#""pps":3000000.0,"ns_per_packet":333.3,"generation":0,"update_rate":0.0,"shards":2,"workers":4,"pinned_workers":3,"broadcast_fraction":0.2500}
+"#
+            ),
+            "{sharded}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Log-bucketed latency histogram (HDR-style) for tail accounting.
 //!
-//! The serve path (`nmctl serve`, `serve_bench`) and `update_bench` need
+//! The serve path (`nmctl serve`, `nm-bench serve`) and `nm-bench update` need
 //! p50/p99/p999 over millions of samples without keeping the samples. An
 //! exact array is too big and a fixed linear histogram cannot span the
 //! nanosecond-to-second range, so this uses the classic trick: one octave

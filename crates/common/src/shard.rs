@@ -19,9 +19,9 @@
 //! sets consulted. Priority/id tie-breaking ([`MatchResult::better`]) is
 //! order-independent, so the merge cannot depend on shard count.
 //!
-//! [`ShardStrategy::RoundRobin`] degenerates to the paper's replicated
-//! mode: every home shard holds the whole set, steering balances whole
-//! batches round-robin, and the broadcast shard is empty.
+//! The paper's replicated mode (every worker holds the whole set, whole
+//! batches dealt round-robin) is not a plan: it shares one engine instead
+//! of building N copies — `nuevomatch`'s `runtime::Replicated`.
 //!
 //! [`MatchResult::better`]: crate::classifier::MatchResult::better
 
@@ -42,10 +42,6 @@ pub enum ShardStrategy {
     /// steering field get a home shard; every range rule broadcasts. Best
     /// for exact-match-heavy fields with skewed value distributions.
     Hash,
-    /// No content steering: every home shard replicates the whole set and
-    /// batches are dealt round-robin (the §5.1 replicated baseline as a
-    /// plan). The broadcast shard is empty.
-    RoundRobin,
 }
 
 impl std::str::FromStr for ShardStrategy {
@@ -55,8 +51,7 @@ impl std::str::FromStr for ShardStrategy {
         match s {
             "range" => Ok(Self::Range),
             "hash" => Ok(Self::Hash),
-            "rr" | "round-robin" | "replicated" => Ok(Self::RoundRobin),
-            other => Err(format!("unknown shard strategy '{other}' (range|hash|rr)")),
+            other => Err(format!("unknown shard strategy '{other}' (range|hash)")),
         }
     }
 }
@@ -90,8 +85,6 @@ pub enum ShardRoute {
     Home(usize),
     /// The rule is consulted for every packet (wildcard/spanning rules).
     Broadcast,
-    /// Every home shard holds the rule ([`ShardStrategy::RoundRobin`]).
-    All,
 }
 
 /// A partition of a rule-set into per-shard subsets plus a broadcast
@@ -137,16 +130,15 @@ impl ShardPlan {
                 });
             }
         }
-        if cfg.strategy == ShardStrategy::RoundRobin || cfg.shards == 1 {
-            // Whole-set shards (or a single shard): no content steering, so
-            // the dimension is irrelevant; keep broadcast empty.
-            let all: Vec<RuleId> = set.rules().iter().map(|r| r.id).collect();
+        if cfg.shards == 1 {
+            // A single shard: no content steering, so the dimension is
+            // irrelevant; keep broadcast empty.
             return Ok(Self {
                 strategy: cfg.strategy,
                 dim: cfg.dim.unwrap_or(0),
-                shards: cfg.shards,
+                shards: 1,
                 cuts: Vec::new(),
-                home: vec![all; cfg.shards],
+                home: vec![set.rules().iter().map(|r| r.id).collect()],
                 broadcast: Vec::new(),
             });
         }
@@ -193,7 +185,6 @@ impl ShardPlan {
                 cuts
             }
             ShardStrategy::Hash => Vec::new(),
-            ShardStrategy::RoundRobin => unreachable!("handled by build"),
         };
         let mut plan = Self {
             strategy: cfg.strategy,
@@ -210,7 +201,6 @@ impl ShardPlan {
             match plan.route_rule(rule) {
                 ShardRoute::Home(s) => plan.home[s].push(rule.id),
                 ShardRoute::Broadcast => plan.broadcast.push(rule.id),
-                ShardRoute::All => unreachable!("keyed strategies never route All"),
             }
         }
         plan
@@ -244,12 +234,7 @@ impl ShardPlan {
     /// Fraction of rules in the broadcast shard — the plan's quality metric
     /// (broadcast work is paid by every packet).
     pub fn broadcast_fraction(&self) -> f64 {
-        let homed: usize = self.home.iter().map(Vec::len).sum();
-        let total = match self.strategy {
-            // Whole-set shards replicate; count each rule once.
-            ShardStrategy::RoundRobin => self.home.first().map_or(0, Vec::len),
-            _ => homed + self.broadcast.len(),
-        };
+        let total = self.home.iter().map(Vec::len).sum::<usize>() + self.broadcast.len();
         if total == 0 {
             0.0
         } else {
@@ -263,21 +248,15 @@ impl ShardPlan {
         match self.strategy {
             ShardStrategy::Range => self.cuts.partition_point(|&c| c <= v),
             ShardStrategy::Hash => (mix(v) % self.shards as u64) as usize,
-            ShardStrategy::RoundRobin => 0,
         }
     }
 
-    /// Steers one packet to its home shard. `batch` is the batch index —
-    /// only [`ShardStrategy::RoundRobin`] uses it (whole batches deal
-    /// round-robin, like the legacy replicated mode); keyed strategies
-    /// steer purely on the packet's steering-field value, so a packet's
-    /// shard never depends on its position in the trace.
+    /// Steers one packet to its home shard, purely on the packet's
+    /// steering-field value — a packet's shard never depends on its
+    /// position in the trace.
     #[inline]
-    pub fn steer(&self, key: &[u64], batch: usize) -> usize {
-        match self.strategy {
-            ShardStrategy::RoundRobin => batch % self.shards,
-            _ => self.shard_of_value(key[self.dim]),
-        }
+    pub fn steer(&self, key: &[u64]) -> usize {
+        self.shard_of_value(key[self.dim])
     }
 
     /// Where a rule must live for steering to find it: a home shard when
@@ -286,7 +265,6 @@ impl ShardPlan {
     /// invariant survives rule churn.
     pub fn route_rule(&self, rule: &Rule) -> ShardRoute {
         match self.strategy {
-            ShardStrategy::RoundRobin => ShardRoute::All,
             ShardStrategy::Range => {
                 let f = rule.fields[self.dim];
                 let s = self.shard_of_value(f.lo);
@@ -370,13 +348,12 @@ mod tests {
                         rule.fields[3].hi,
                     ] {
                         let key = [0u64, 0, 0, v, 0];
-                        let s = plan.steer(&key, 7);
+                        let s = plan.steer(&key);
                         match route {
                             ShardRoute::Home(h) => {
                                 assert_eq!(s, h, "rule {} v {v} strategy {strategy:?}", rule.id)
                             }
                             ShardRoute::Broadcast => {}
-                            ShardRoute::All => unreachable!(),
                         }
                     }
                 }
@@ -395,23 +372,6 @@ mod tests {
         let plan = ShardPlan::build(&set, &cfg).unwrap();
         assert_eq!(plan.broadcast(), &[0], "only the range rule broadcasts");
         assert!((plan.broadcast_fraction() - 1.0 / 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn round_robin_replicates_whole_set() {
-        let set = port_set(50);
-        let cfg = ShardPlanConfig { shards: 3, dim: None, strategy: ShardStrategy::RoundRobin };
-        let plan = ShardPlan::build(&set, &cfg).unwrap();
-        assert_eq!(plan.shards(), 3);
-        for s in 0..3 {
-            assert_eq!(plan.home(s).len(), 50);
-        }
-        assert!(plan.broadcast().is_empty());
-        assert_eq!(plan.broadcast_fraction(), 0.0);
-        // Whole batches deal round-robin, content-blind.
-        assert_eq!(plan.steer(&[0, 0, 0, 9_999, 0], 0), 0);
-        assert_eq!(plan.steer(&[0, 0, 0, 9_999, 0], 4), 1);
-        assert_eq!(plan.route_rule(set.rule(0)), ShardRoute::All);
     }
 
     #[test]
@@ -435,7 +395,7 @@ mod tests {
         assert_eq!(plan.shards(), 1);
         assert_eq!(plan.home(0).len(), 10);
         assert!(plan.broadcast().is_empty());
-        assert_eq!(plan.steer(&[0, 0, 0, 123, 0], 5), 0);
+        assert_eq!(plan.steer(&[0, 0, 0, 123, 0]), 0);
     }
 
     #[test]
@@ -470,7 +430,6 @@ mod tests {
     fn strategy_parses() {
         assert_eq!("range".parse::<ShardStrategy>().unwrap(), ShardStrategy::Range);
         assert_eq!("hash".parse::<ShardStrategy>().unwrap(), ShardStrategy::Hash);
-        assert_eq!("rr".parse::<ShardStrategy>().unwrap(), ShardStrategy::RoundRobin);
         assert!("bogus".parse::<ShardStrategy>().is_err());
     }
 }

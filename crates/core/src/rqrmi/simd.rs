@@ -583,7 +583,7 @@ impl Kernel {
 /// (8 separate forward passes + horizontal sums) it trades 8 horizontal
 /// reductions for 25 gathers. Gathers cost a few cycles each even from L1,
 /// so the win grows with divergence: at 8 distinct leaves it is clearly
-/// ahead, at ≥ 4 it still wins (measured by `nm-bench --bin batch`'s
+/// ahead, at ≥ 4 it still wins (measured by `nm-bench batch`'s
 /// divergent-leaf microbench), and when all 8 lanes agree the shared
 /// [`Kernel::forward_batch8`] kernel beats both — which is why
 /// [`CompiledRqRmi`]'s staged walk auto-selects: shared kernel when the

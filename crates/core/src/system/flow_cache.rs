@@ -6,7 +6,7 @@
 //! *unskewed* numbers to be the representative ones for an OVS integration:
 //! the cache absorbs the skew, the classifier sees the miss stream. This
 //! module implements that front so the claim can be measured
-//! (`cargo run -p nm-bench --release --bin ablation`).
+//! (`cargo run -p nm-bench --release -- ablation`).
 //!
 //! The cache is a fixed-size, open-addressed, 2-way set-associative table
 //! keyed by the full field vector. Eviction is touch-ordered within the

@@ -86,6 +86,36 @@ struct Shared<R: Classifier> {
     partial_retrains: AtomicU64,
 }
 
+/// A retrain between its pin and its publish. Dropping it — on publish, on
+/// an error return, or while a panicking builder or trainer unwinds —
+/// unmarks the handle and drops the replay queue, so a retrain that dies
+/// cannot leave every later one failing "already in flight" and every
+/// `apply` queueing ops nobody will replay. Hold it from before the first
+/// write-lock until after the last: its drop takes that lock.
+struct InFlight<'a, R: Classifier>(&'a Shared<R>);
+
+impl<'a, R: Classifier> InFlight<'a, R> {
+    /// Marks a retrain in flight; errors when one already is.
+    fn begin(shared: &'a Shared<R>, what: &str) -> Result<Self, Error> {
+        if shared.retraining.swap(true, SeqCst) {
+            return Err(Error::Build {
+                msg: format!("ClassifierHandle::{what}: a retrain is already in flight"),
+            });
+        }
+        Ok(Self(shared))
+    }
+}
+
+impl<R: Classifier> Drop for InFlight<'_, R> {
+    fn drop(&mut self) {
+        // Both under the lock: a successor's pin cannot slip in between and
+        // have the ops queued for it cleared.
+        let mut ctl = self.0.cell.write();
+        ctl.pending = Vec::new();
+        self.0.retraining.store(false, SeqCst);
+    }
+}
+
 /// Shared handle to a live NuevoMatch classifier: lock-free reads against an
 /// atomically swapped immutable snapshot, transactional writes, background
 /// retrains. Clone it freely — clones address the same classifier.
@@ -326,6 +356,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// (use [`ClassifierHandle::retrain`] for automatic fallback), when the
     /// handle is read-only, or when a retrain is already in flight.
     pub fn retrain_partial(&self) -> Result<Generation, Error> {
+        let _in_flight = InFlight::begin(&self.shared, "retrain_partial")?;
         // Pin: snapshot + config under the lock, so no batch lands between
         // the pending-queue reset and the pin.
         let (cfg, pinned) = {
@@ -336,32 +367,18 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
                         .to_string(),
                 }
             })?;
-            if self.shared.retraining.swap(true, SeqCst) {
-                return Err(Error::Build {
-                    msg: "ClassifierHandle::retrain_partial: a retrain is already in flight"
-                        .to_string(),
-                });
-            }
             ctl.pending.clear();
             (cfg, self.snapshot())
         };
         // Patch: leaf-level work, no locks held.
-        let result = pinned.engine().partial_retrain(&cfg);
-        // Publish: replay what arrived during the patch, swap, unmark.
+        let (mut fresh, _report) = pinned.engine().partial_retrain(&cfg)?;
+        // Publish: replay what arrived during the patch, swap.
         let mut ctl = self.shared.cell.write();
-        let (mut fresh, _report) = match result {
-            Ok(patched) => patched,
-            Err(e) => {
-                self.shared.retraining.store(false, SeqCst);
-                return Err(e);
-            }
-        };
         if !ctl.pending.is_empty() {
             let replay: UpdateBatch = ctl.pending.drain(..).collect();
             fresh.apply(&replay);
         }
         let generation = ctl.publish(fresh);
-        self.shared.retraining.store(false, SeqCst);
         self.shared.retrains.fetch_add(1, SeqCst);
         self.shared.partial_retrains.fetch_add(1, SeqCst);
         Ok(generation)
@@ -377,6 +394,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// Errors if the handle was built [`ClassifierHandle::read_only`], if a
     /// retrain is already in flight, or if training fails.
     pub fn retrain_full(&self) -> Result<Generation, Error> {
+        let _in_flight = InFlight::begin(&self.shared, "retrain")?;
         // Pin: capture the truth and the recipe under the lock.
         let (set, cfg, builder) = {
             let mut ctl = self.shared.cell.write();
@@ -384,11 +402,6 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
                 msg: "ClassifierHandle::retrain: read-only handle (no EngineBuilder retained)"
                     .to_string(),
             })?;
-            if self.shared.retraining.swap(true, SeqCst) {
-                return Err(Error::Build {
-                    msg: "ClassifierHandle::retrain: a retrain is already in flight".to_string(),
-                });
-            }
             let (cfg, builder) = (recipe.cfg.clone(), recipe.builder.clone());
             let snapshot = self.snapshot();
             // Invariant (held by every constructor): a handle with a
@@ -407,31 +420,17 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
             rules.sort_by_key(|r| (r.priority, r.id));
             ctl.pending.clear();
             let spec = snapshot.engine().spec().clone();
-            match RuleSet::new(spec, rules) {
-                Ok(set) => (set, cfg, builder),
-                Err(e) => {
-                    self.shared.retraining.store(false, SeqCst);
-                    return Err(e);
-                }
-            }
+            (RuleSet::new(spec, rules)?, cfg, builder)
         };
         // Train: the long pole, executed with no locks held.
-        let fresh = match NuevoMatch::build(&set, &cfg, builder) {
-            Ok(nm) => nm,
-            Err(e) => {
-                self.shared.retraining.store(false, SeqCst);
-                return Err(e);
-            }
-        };
-        // Publish: replay what arrived during training, swap, unmark.
+        let mut fresh = NuevoMatch::build(&set, &cfg, builder)?;
+        // Publish: replay what arrived during training, swap.
         let mut ctl = self.shared.cell.write();
-        let mut fresh = fresh;
         if !ctl.pending.is_empty() {
             let replay: UpdateBatch = ctl.pending.drain(..).collect();
             fresh.apply(&replay);
         }
         let generation = ctl.publish(fresh);
-        self.shared.retraining.store(false, SeqCst);
         self.shared.retrains.fetch_add(1, SeqCst);
         Ok(generation)
     }

@@ -343,7 +343,7 @@ impl TrainedISet {
     /// Tombstone count per leaf submodel of this iSet's RQ-RMI — the drift
     /// *concentration* profile. A partial retrain refits only the leaves
     /// whose key region changed, so a profile with most tombstones in a few
-    /// leaves is the cheap case; `nm-bench --bin update_bench` reports the
+    /// leaves is the cheap case; `nm-bench update` reports the
     /// dirty fraction from this.
     pub fn leaf_tombstone_counts(&self) -> Vec<u32> {
         let leaves = self.core.reference.leaf_error_bounds().len();

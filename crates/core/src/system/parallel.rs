@@ -30,7 +30,7 @@ fn stats(n: usize, seconds: f64, batches: usize, checksum: u64) -> RunStats {
 /// [`Classifier::classify_batch`] in batches of `batch` packets on the
 /// caller's thread. The checksum folds per-packet results in trace order, so
 /// it must equal [`run_sequential`]'s — the batch-size sweep in
-/// `nm-bench --bin batch` measures exactly this path against `batch = 1`.
+/// `nm-bench batch` measures exactly this path against `batch = 1`.
 pub fn run_batched(c: &dyn Classifier, trace: &TraceBuf, batch: usize) -> RunStats {
     let n = trace.len();
     if n == 0 {

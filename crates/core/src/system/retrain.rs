@@ -20,7 +20,7 @@
 //!    zero work.
 //! 3. **Shrink the remainder** — admitted ids are removed from a
 //!    copy-on-write clone of the remainder engine through the ordinary
-//!    [`BatchUpdatable`] path; no [`EngineBuilder`] is needed.
+//!    [`BatchUpdatable`] path; no [`EngineBuilder`](nm_common::EngineBuilder) is needed.
 //!
 //! The result serves exactly [`NuevoMatch::live_rules`] — verdicts are
 //! bit-identical to a from-scratch rebuild (both resolve the same rule

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::rule::{Priority, RuleId};
 use nm_common::ruleset::RuleSet;
-use nm_common::shard::{ShardPlan, ShardPlanConfig, ShardRoute, ShardStrategy};
+use nm_common::shard::{ShardPlan, ShardPlanConfig, ShardRoute};
 use nm_common::update::{
     BatchUpdatable, EngineBuilder, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
 };
@@ -106,14 +106,13 @@ fn steered_batch_lookup(
     classify_broadcast: Option<BroadcastSweep<'_>>,
 ) {
     out.fill(None);
-    if plan.strategy() == ShardStrategy::RoundRobin || plan.shards() == 1 {
-        // Whole-set replicas, or a single home shard: every key of one call
-        // goes to shard 0, so there is nothing to steer or gather.
+    if plan.shards() == 1 {
+        // A single home shard: nothing to steer or gather.
         classify_home(0, keys, out);
     } else {
         let mut idx: Vec<Vec<u32>> = vec![Vec::new(); plan.shards()];
         for (i, key) in keys.chunks_exact(stride).enumerate() {
-            idx[plan.steer(key, 0)].push(i as u32);
+            idx[plan.steer(key)].push(i as u32);
         }
         let mut buf = Vec::new();
         let mut sub = Vec::new();
@@ -214,11 +213,8 @@ impl<C: Classifier> ShardedClassifier<C> {
 
 impl<C: Classifier> Classifier for ShardedClassifier<C> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        // Replicated plans hold the whole set in every home shard, so any
-        // shard answers; keyed plans steer by content.
-        let shard = self.plan.steer(key, 0);
         let mut out = [None];
-        self.classify_sub(shard, key, key.len(), &mut out);
+        self.classify_sub(self.plan.steer(key), key, key.len(), &mut out);
         out[0]
     }
 
@@ -257,13 +253,8 @@ impl<C: Classifier> Classifier for ShardedClassifier<C> {
     }
 
     fn num_rules(&self) -> usize {
-        match self.plan.strategy() {
-            ShardStrategy::RoundRobin => self.home[0].num_rules(),
-            _ => {
-                self.home.iter().map(Classifier::num_rules).sum::<usize>()
-                    + self.broadcast.as_ref().map_or(0, Classifier::num_rules)
-            }
-        }
+        self.home.iter().map(Classifier::num_rules).sum::<usize>()
+            + self.broadcast.as_ref().map_or(0, Classifier::num_rules)
     }
 
     fn generation(&self) -> Generation {
@@ -313,8 +304,8 @@ impl<C: Classifier> ShardedDataPlane for ShardedClassifier<C> {
         self.plan.shards()
     }
 
-    fn steer(&self, key: &[u64], batch: usize) -> usize {
-        self.plan.steer(key, batch)
+    fn steer(&self, key: &[u64], _batch: usize) -> usize {
+        self.plan.steer(key)
     }
 
     fn pin(&self) -> Self::Pin<'_> {
@@ -369,7 +360,7 @@ impl<R: Classifier> ShardEpoch<R> {
 impl<R: Classifier> Classifier for ShardEpoch<R> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
         let mut out = [None];
-        self.classify_sub(self.plan.steer(key, 0), key, key.len(), &mut out);
+        self.classify_sub(self.plan.steer(key), key, key.len(), &mut out);
         out[0]
     }
 
@@ -407,12 +398,7 @@ impl<R: Classifier> Classifier for ShardEpoch<R> {
     }
 
     fn num_rules(&self) -> usize {
-        match self.plan.strategy() {
-            ShardStrategy::RoundRobin => self.home[0].num_rules(),
-            _ => {
-                self.home.iter().map(|s| s.num_rules()).sum::<usize>() + self.broadcast.num_rules()
-            }
-        }
+        self.home.iter().map(|s| s.num_rules()).sum::<usize>() + self.broadcast.num_rules()
     }
 }
 
@@ -447,8 +433,7 @@ struct ShardedCtl<R: Classifier> {
     home: Vec<ClassifierHandle<R>>,
     broadcast: ClassifierHandle<R>,
     /// id → slot (home shard index, or `home.len()` for broadcast). The
-    /// routing truth for update fan-out; empty for replicated plans, where
-    /// every op fans to every shard.
+    /// routing truth for update fan-out.
     routes: HashMap<RuleId, usize>,
 }
 
@@ -476,9 +461,10 @@ struct SharedSharded<R: Classifier> {
 /// the sharded runtime's live control plane. Clone freely; clones address
 /// the same shards.
 ///
-/// Writers (apply / retrain) serialise on the cell's writer lock and publish
-/// a fresh [`ShardEpoch`] per effective change; readers pin epochs lock-free
-/// and are never blocked by either.
+/// Writers serialise on the cell's writer lock — an apply for its whole
+/// fan-out, a retrain only to collect the shard handles and to publish —
+/// and publish a fresh [`ShardEpoch`] per effective change; readers pin
+/// epochs lock-free and are never blocked by either.
 pub struct ShardedHandle<R: Classifier> {
     shared: Arc<SharedSharded<R>>,
 }
@@ -511,19 +497,11 @@ impl<R: Classifier> ShardedHandle<R> {
             .map(|s| ClassifierHandle::new(s, cfg, builder.clone()))
             .collect::<Result<_, _>>()?;
         let broadcast = ClassifierHandle::new(&broadcast_set, cfg, builder.clone())?;
-        let mut routes = HashMap::new();
-        if plan.strategy() != ShardStrategy::RoundRobin {
-            for rule in set.rules() {
-                let slot = match plan.route_rule(rule) {
-                    ShardRoute::Home(s) => s,
-                    // Keyed plans never route `All`; if one ever does, the
-                    // broadcast slot is the safe home — every shard consults
-                    // it, so the rule still matches everywhere.
-                    ShardRoute::Broadcast | ShardRoute::All => home.len(),
-                };
-                routes.insert(rule.id, slot);
-            }
-        }
+        let slot_of = |rule| match plan.route_rule(rule) {
+            ShardRoute::Home(s) => s,
+            ShardRoute::Broadcast => home.len(),
+        };
+        let routes = set.rules().iter().map(|rule| (rule.id, slot_of(rule))).collect();
         let ctl = ShardedCtl { home, broadcast, routes };
         let cell = Published::new(ctl.epoch(&plan), 1, ctl);
         Ok(Self { shared: Arc::new(SharedSharded { plan, cell }) })
@@ -547,8 +525,7 @@ impl<R: Classifier> ShardedHandle<R> {
     }
 
     /// Rule-weighted §3.9 remainder fraction across the shards — the drift
-    /// the whole sharded data plane currently serves (replicated plans
-    /// report the identical per-replica value).
+    /// the whole sharded data plane currently serves.
     pub fn remainder_fraction(&self) -> f64 {
         let pin = self.epoch();
         let epoch = pin.engine();
@@ -582,21 +559,6 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
         }
         let plan = &self.shared.plan;
         let mut ctl = self.shared.cell.write();
-        if plan.strategy() == ShardStrategy::RoundRobin {
-            // Whole-set replicas: every shard applies the whole batch; the
-            // reports are identical, so the first stands for all.
-            let mut report = UpdateReport::default();
-            for (i, h) in ctl.home.iter().enumerate() {
-                let r = h.apply(batch);
-                if i == 0 {
-                    report = r;
-                }
-            }
-            if report.changed() {
-                ctl.publish(ctl.epoch(plan));
-            }
-            return report;
-        }
         let broadcast_slot = ctl.home.len();
         let mut per: Vec<UpdateBatch> = (0..=broadcast_slot).map(|_| UpdateBatch::new()).collect();
         let mut report = UpdateReport::default();
@@ -605,9 +567,7 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
                 UpdateOp::Insert(r) | UpdateOp::Modify(r) => {
                     let target = match plan.route_rule(r) {
                         ShardRoute::Home(s) => s,
-                        // As in `new`: an unexpected `All` routes to the
-                        // broadcast slot, which every shard consults.
-                        ShardRoute::Broadcast | ShardRoute::All => broadcast_slot,
+                        ShardRoute::Broadcast => broadcast_slot,
                     };
                     let old = ctl.routes.insert(r.id, target);
                     match old {
@@ -653,17 +613,18 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
 
     /// Retrains every shard (concurrently — each shard's train is
     /// independent) and publishes the fresh models together as one epoch.
-    /// Control-plane ops serialise behind this; readers never block.
+    /// Training runs with the writer lock released: an [`apply`](Self::apply)
+    /// issued meanwhile fans out and publishes at once, and each shard
+    /// handle queues and replays what reached it mid-train. Readers never
+    /// block. Errors if another retrain is already in flight.
     pub fn retrain(&self) -> Result<Generation, Error> {
-        let mut ctl = self.shared.cell.write();
+        let shards: Vec<ClassifierHandle<R>> = {
+            let ctl = self.shared.cell.write();
+            ctl.home.iter().chain(std::iter::once(&ctl.broadcast)).cloned().collect()
+        };
         let mut first_err = None;
         std::thread::scope(|scope| {
-            let joins: Vec<_> = ctl
-                .home
-                .iter()
-                .chain(std::iter::once(&ctl.broadcast))
-                .map(|h| scope.spawn(move || h.retrain()))
-                .collect();
+            let joins: Vec<_> = shards.iter().map(|h| scope.spawn(move || h.retrain())).collect();
             for join in joins {
                 match join.join() {
                     Ok(Ok(_)) => {}
@@ -681,6 +642,7 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
         if let Some(e) = first_err {
             return Err(e);
         }
+        let mut ctl = self.shared.cell.write();
         Ok(ctl.publish(ctl.epoch(&self.shared.plan)))
     }
 }
@@ -737,8 +699,8 @@ impl<R: Classifier> ShardedDataPlane for ShardedHandle<R> {
         self.shared.plan.shards()
     }
 
-    fn steer(&self, key: &[u64], batch: usize) -> usize {
-        self.shared.plan.steer(key, batch)
+    fn steer(&self, key: &[u64], _batch: usize) -> usize {
+        self.shared.plan.steer(key)
     }
 
     fn pin(&self) -> Self::Pin<'_> {
@@ -750,7 +712,7 @@ impl<R: Classifier> ShardedDataPlane for ShardedHandle<R> {
 mod tests {
     use super::*;
     use crate::config::RqRmiParams;
-    use nm_common::{FieldsSpec, FiveTuple, LinearSearch};
+    use nm_common::{FieldsSpec, FiveTuple, LinearSearch, ShardStrategy};
 
     fn port_set(n: u16) -> RuleSet {
         let rules: Vec<_> = (0..n)
@@ -860,22 +822,5 @@ mod tests {
         // The pinned epoch still serves the old content.
         assert_eq!(pinned.classify(&[0, 0, 0, 61_111, 0]), None);
         assert_eq!(sharded.classify(&[0, 0, 0, 61_111, 0]).unwrap().rule, 700);
-    }
-
-    #[test]
-    fn replicated_plan_fans_updates_to_every_replica() {
-        let set = port_set(80);
-        let cfg = ShardPlanConfig { shards: 3, dim: None, strategy: ShardStrategy::RoundRobin };
-        let sharded = ShardedHandle::new(&set, &fast_cfg(), &cfg, LinearSearch::build).unwrap();
-        sharded.apply(&UpdateBatch::new().remove(5));
-        // Every replica must have dropped the rule: probe both the batch
-        // path (replica 0) and per-replica epochs.
-        assert_eq!(sharded.classify(&[0, 0, 0, 550, 0]), None);
-        let epoch = sharded.epoch();
-        for s in 0..3 {
-            let mut out = [None];
-            epoch.engine().home[s].classify_batch(&[0, 0, 0, 550, 0], 5, &mut out);
-            assert_eq!(out[0], None, "replica {s} still serves the removed rule");
-        }
     }
 }

@@ -1,5 +1,5 @@
 //! A small blocking client for the serve protocol — shared by the
-//! integration tests, the CLI's loopback load drivers and `serve_bench`.
+//! integration tests, the CLI's loopback load drivers and `nm-bench serve`.
 //!
 //! One client owns one socket. UDP responses arrive as datagrams carrying
 //! one or more frames; TCP responses are a byte stream the client

@@ -14,7 +14,7 @@
 //! Updates therefore grow the remainder over time;
 //! [`NuevoMatch::remainder_fraction`] tracks the drift and a retrain resets
 //! it — exactly the Figure 7 model, which `nm-analysis` reproduces
-//! analytically and `nm-bench --bin update_bench` measures. Two retrain
+//! analytically and `nm-bench update` measures. Two retrain
 //! flavours exist: a full rebuild (`NuevoMatch::build` over
 //! [`NuevoMatch::live_rules`]) and the cheaper **partial retrain**
 //! ([`NuevoMatch::partial_retrain`], see [`super::retrain`]) that re-fits
@@ -22,7 +22,7 @@
 //! into their iSets.
 //!
 //! The entry point is [`NuevoMatch::apply`] with an
-//! [`UpdateBatch`](nm_common::UpdateBatch) transaction; `remove` / `insert` /
+//! [`UpdateBatch`] transaction; `remove` / `insert` /
 //! `modify` remain as single-op conveniences. All of these require exclusive
 //! access (`&mut self`) and thus a quiesced data plane — concurrent readers
 //! belong to [`super::ClassifierHandle`], which applies the same batches

@@ -36,8 +36,8 @@
 //!   than the bound at scan time, so floors need no final filter pass.
 //!
 //! `tests/it_batch.rs` property-checks the equivalence across engines,
-//! batch sizes and floor patterns; the sweep binary
-//! (`nm-bench --bin batch`) asserts it on every measured trace.
+//! batch sizes and floor patterns; the batch sweep (`nm-bench batch`)
+//! checks it on every measured trace.
 
 use crate::tree::{DTree, FrontierScratch};
 use nm_common::classifier::MatchResult;

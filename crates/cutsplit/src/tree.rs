@@ -484,7 +484,7 @@ impl DTree {
     ///    captured. By the end of the pass, the *whole frontier's* children
     ///    and scan heads have prefetches in flight and none has been
     ///    dereferenced.
-    /// 2. **Scan** — the queued slices run through [`DTree::scan_refs`]
+    /// 2. **Scan** — the queued slices run through `DTree::scan_refs`
     ///    with their captured bounds. Their head lines (priority array +
     ///    first box) were issued a whole pass earlier, so the short
     ///    `binth`-sized leaf scans — too brief for the hardware stream
@@ -503,7 +503,7 @@ impl DTree {
     /// exactly [`DTree::classify_floor`]'s with
     /// `floor = min(best[k].priority, floors[k])`: a key has at most one
     /// scan per level and a scan's bound is fixed at its node's entry (as
-    /// in [`DTree::scan_refs`]), so deferring scans to the second pass
+    /// in `DTree::scan_refs`), so deferring scans to the second pass
     /// cannot change any scan's outcome, and results merged into `best[k]`
     /// are bit-identical to the per-key walk (asserted across engines in
     /// `tests/it_batch.rs`).

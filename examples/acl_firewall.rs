@@ -5,7 +5,7 @@
 //! and coverage side by side — the Figure 9/13 story at example scale.
 //!
 //! ```sh
-//! cargo run -p nm-examples --release --bin acl_firewall [-- <rules> <packets>]
+//! cargo run -p nm-bench --release --example acl_firewall [-- <rules> <packets>]
 //! ```
 
 use nm_analysis::Table;

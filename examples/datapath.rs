@@ -7,7 +7,7 @@
 //! cache has realistic locality to exploit.
 //!
 //! ```sh
-//! cargo run -p nm-examples --release --bin datapath
+//! cargo run -p nm-bench --release --example datapath
 //! ```
 
 use nm_classbench::{generate, AppKind};

@@ -7,7 +7,7 @@
 //! shows the same structure and the resulting speedup.
 //!
 //! ```sh
-//! cargo run -p nm-examples --release --bin forwarding_fib [-- <rules> <packets>]
+//! cargo run -p nm-bench --release --example forwarding_fib [-- <rules> <packets>]
 //! ```
 
 use nm_analysis::{centrality_1d, diversity, Table};

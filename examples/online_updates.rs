@@ -107,7 +107,7 @@ fn main() {
     println!(
         "after retrain: {:.2e} pps ({:.0}% of fresh — the random port-range modifies \
          genuinely degrade the rule-set's iSet structure; pure-drift recovery is \
-         measured in update_bench)",
+         measured by `nm-bench update`)",
         retrained_pps,
         100.0 * retrained_pps / fresh_pps
     );
@@ -128,7 +128,7 @@ fn main() {
     }
     println!(
         "\nThe *measured* curve (concurrent readers, paced updates, background \
-         retrains) lives in `cargo run -p nm-bench --release --bin update_bench`; \
-         the analytic sweep stays in `--bin fig7`."
+         retrains) lives in `cargo run -p nm-bench --release -- update`; \
+         the analytic sweep is `-- fig7`."
     );
 }

@@ -2,7 +2,7 @@
 //! rule-set and classify a few packets.
 //!
 //! ```sh
-//! cargo run -p nm-examples --release --bin quickstart
+//! cargo run -p nm-bench --release --example quickstart
 //! ```
 
 use nm_common::{fivetuple, Classifier, FieldsSpec, FiveTuple, RuleSet};

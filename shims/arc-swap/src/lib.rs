@@ -35,7 +35,7 @@
 //! the bounded model checker (`cargo test` then exercises the `model_*`
 //! tests). Adding `--cfg nm_model_mutate` weakens the writer's `current`
 //! flip to `Relaxed` — a seeded bug that the model tests must detect; see
-//! [`flip_ordering`].
+//! `flip_ordering`.
 
 #![warn(missing_docs)]
 

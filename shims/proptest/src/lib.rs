@@ -148,7 +148,7 @@ tuple_strategy! {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: an exact size or a half-open range.
+    /// Length specification for [`vec()`]: an exact size or a half-open range.
     pub struct SizeRange {
         lo: usize,
         hi: usize, // exclusive
@@ -173,7 +173,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -242,3 +242,41 @@ fn readers_progress_while_retrain_runs() {
     assert!(during.load(SeqCst) > 0, "reader made no progress during retrain");
     assert_eq!(handle.retrains_completed(), 1);
 }
+
+/// A retrain whose builder panics must not wedge the handle: the panic
+/// reaches the joiner, the in-flight mark clears (so `apply` stops queueing
+/// ops nobody will replay), updates keep being served, and the next retrain
+/// succeeds.
+#[test]
+fn a_panicking_retrain_leaves_the_handle_usable() {
+    let set = base_set();
+    let armed = Arc::new(AtomicBool::new(false));
+    let fuse = armed.clone();
+    let builder = move |rem: &RuleSet| {
+        assert!(!fuse.swap(false, SeqCst), "injected builder fault");
+        TupleMerge::build(rem)
+    };
+    let full_only =
+        NuevoMatchConfig { partial_retrain: nuevomatch::PartialRetrainPolicy::never(), ..cfg() };
+    let handle = ClassifierHandle::new(&set, &full_only, builder).unwrap();
+    let g0 = handle.generation();
+
+    armed.store(true, SeqCst);
+    assert!(handle.spawn_retrain().join().is_err(), "the join must report the panic");
+    assert!(!handle.retrain_in_progress(), "a dead retrain left the in-flight mark set");
+    assert_eq!((handle.retrains_completed(), handle.generation()), (0, g0));
+
+    // An update made after the failure is served, and survives the retrain.
+    let key = [0u64, 0, 0, 64_900, 0];
+    assert_eq!(handle.classify(&key), None);
+    handle.apply(
+        &UpdateBatch::new()
+            .insert(FiveTuple::new().dst_port_range(64_800, 64_999).into_rule(9_000, 0)),
+    );
+    assert_eq!(handle.classify(&key).map(|m| m.rule), Some(9_000));
+    handle.retrain().expect("the retrain after the failed one must succeed");
+    assert_eq!(handle.retrains_completed(), 1);
+    assert!(handle.generation() > g0 + 1);
+    assert_eq!(handle.classify(&key).map(|m| m.rule), Some(9_000));
+    assert_eq!(handle.classify(&[0, 0, 0, 1_550, 0]).map(|m| m.rule), Some(10));
+}

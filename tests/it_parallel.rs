@@ -164,8 +164,8 @@ fn epoch_pins_never_mix_generations_across_shards() {
         ShardedHandle::new(&set, &fast_cfg(), &cfg, nm_common::LinearSearch::build).unwrap();
     // Rule 2 lives in shard 0's range, rule 100 in shard 1's.
     assert_ne!(
-        sharded.plan().steer(&[0, 0, 0, 1_100, 0], 0),
-        sharded.plan().steer(&[0, 0, 0, 50_100, 0], 0),
+        sharded.plan().steer(&[0, 0, 0, 1_100, 0]),
+        sharded.plan().steer(&[0, 0, 0, 50_100, 0]),
         "test needs the probes on different shards"
     );
     let stop = std::sync::atomic::AtomicBool::new(false);
@@ -372,4 +372,81 @@ proptest! {
             prop_assert_eq!(run.generations.0, run.generations.1);
         }
     }
+}
+
+/// `ShardedHandle::retrain` trains with the control lock released: an
+/// `apply` issued while every shard's trainer is parked inside its builder
+/// returns (and is visible) before training may finish, survives the
+/// retrain's epoch, and leaves pinned epochs and generation order intact.
+#[test]
+fn sharded_apply_is_not_blocked_by_a_retrain_in_flight() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    use std::sync::{Arc, Condvar, Mutex};
+
+    let rules: Vec<_> = (0..120u16)
+        .map(|i| {
+            FiveTuple::new().dst_port_range(i * 500, i * 500 + 450).into_rule(i as u32, i as u32)
+        })
+        .collect();
+    let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+    // The gate: once armed, every builder call counts itself in and parks
+    // until the test opens it.
+    let armed = Arc::new(AtomicBool::new(false));
+    let parked = Arc::new(AtomicUsize::new(0));
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let builder = {
+        let (armed, parked, gate) = (armed.clone(), parked.clone(), gate.clone());
+        move |rem: &RuleSet| {
+            if armed.load(SeqCst) {
+                parked.fetch_add(1, SeqCst);
+                let mut open = gate.0.lock().unwrap();
+                while !*open {
+                    open = gate.1.wait(open).unwrap();
+                }
+            }
+            nm_common::LinearSearch::build(rem)
+        }
+    };
+    let full_only = NuevoMatchConfig {
+        partial_retrain: nuevomatch::PartialRetrainPolicy::never(),
+        ..fast_cfg()
+    };
+    let cfg = ShardPlanConfig { shards: 2, dim: Some(3), strategy: ShardStrategy::Range };
+    let sharded = ShardedHandle::new(&set, &full_only, &cfg, builder).unwrap();
+    let key = [0u64, 0, 0, 61_234, 0];
+    assert_eq!(sharded.classify(&key), None);
+
+    armed.store(true, SeqCst);
+    let before = sharded.epoch();
+    let frozen = before.engine().home_generations();
+    let retrainer = {
+        let sharded = sharded.clone();
+        std::thread::spawn(move || sharded.retrain())
+    };
+    // Two home shards + the broadcast shard, each inside its builder.
+    while parked.load(SeqCst) < 3 {
+        std::thread::yield_now();
+    }
+
+    // Mid-retrain, gate still shut: this must return, not wait for it.
+    let report = sharded.apply(
+        &UpdateBatch::new().insert(FiveTuple::new().dst_port_exact(61_234).into_rule(900, 0)),
+    );
+    assert_eq!(report.inserted, 1);
+    assert!(!retrainer.is_finished(), "the gate is shut: the retrain cannot have published");
+    let g_apply = sharded.generation();
+    assert_eq!(g_apply, before.generation() + 1);
+    assert_eq!(sharded.classify(&key).map(|m| m.rule), Some(900), "visible before the epoch");
+
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+    let g_retrain = retrainer.join().unwrap().expect("sharded retrain");
+    assert_eq!(g_retrain, g_apply + 1, "one epoch per publish, in order");
+    assert_eq!(sharded.generation(), g_retrain);
+    assert_eq!(sharded.classify(&key).map(|m| m.rule), Some(900), "replayed into the fresh models");
+    assert_eq!(sharded.classify(&[0, 0, 0, 1_100, 0]).map(|m| m.rule), Some(2));
+
+    // The epoch pinned before all of it never moved.
+    assert_eq!(before.engine().home_generations(), frozen);
+    assert_eq!(before.classify(&key), None);
 }
