@@ -53,15 +53,18 @@ impl MatchResult {
 ///
 /// ## Tie semantics
 ///
-/// When several rules match, the one with the smallest priority value wins.
-/// If multiple matching rules share that priority, engines agree on the
-/// *winning priority* but may report different rule ids: early-termination
-/// floors compare priorities strictly, so id-level tie-breaking cannot be
-/// preserved across engine boundaries. Give rules unique priorities (the
-/// ClassBench position convention, and effectively what OpenFlow requires)
-/// when the exact rule identity matters. [`crate::LinearSearch`] breaks ties
-/// toward the smaller id and serves as the reference for single-engine
-/// behaviour.
+/// When several rules match, the one with the smallest priority value wins;
+/// among matching rules that share that priority, the smallest id.
+/// [`crate::LinearSearch`] is the reference, and `nm_tuplemerge`'s engines
+/// and `nuevomatch::NuevoMatch` over them reproduce it exactly: candidates
+/// are compared as `(priority, id)`, and because a floor
+/// ([`Self::classify_with_floor`]) is strict on priority, a caller that
+/// holds a candidate and wants ties settled by id passes its priority
+/// **plus one** and merges with [`MatchResult::better`]. The tree engines
+/// (`nm_cutsplit`, `nm_neurocuts`) agree on the winning *priority* only;
+/// give rules unique priorities (the ClassBench position convention, and
+/// effectively what OpenFlow requires) when the exact rule identity matters
+/// there.
 pub trait Classifier: Send + Sync {
     /// Returns the highest-priority rule matching `key`, or `None`.
     ///

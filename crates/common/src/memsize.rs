@@ -17,15 +17,6 @@ pub fn boxed_slice_bytes<T>(s: &[T]) -> usize {
     std::mem::size_of_val(s)
 }
 
-/// Approximate bytes of a `HashMap`'s table: hashbrown allocates buckets for
-/// ~8/7 of the capacity plus one control byte per bucket.
-pub fn hashmap_bytes<K, V>(len: usize) -> usize {
-    let slot = std::mem::size_of::<(K, V)>() + 1;
-    // Round up to the next power of two of 8/7 * len, hashbrown-style.
-    let buckets = ((len * 8) / 7).next_power_of_two().max(8);
-    buckets * slot
-}
-
 /// Pretty-prints a byte count the way the paper annotates Figure 11
 /// ("19.5 KB", "2 MB").
 pub fn human_bytes(bytes: usize) -> String {
@@ -58,10 +49,5 @@ mod tests {
         assert_eq!(human_bytes(512), "512 B");
         assert_eq!(human_bytes(2048), "2.0 KB");
         assert_eq!(human_bytes(3 * 1024 * 1024), "3.0 MB");
-    }
-
-    #[test]
-    fn hashmap_estimate_grows() {
-        assert!(hashmap_bytes::<u64, u64>(1000) > hashmap_bytes::<u64, u64>(10));
     }
 }

@@ -667,16 +667,15 @@ impl<R: Classifier> NuevoMatch<R> {
 impl<R: Classifier> Classifier for NuevoMatch<R> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
         let best = self.classify_isets(key);
-        if self.early_termination {
-            match best {
-                Some(b) => {
-                    MatchResult::better(best, self.remainder.classify_with_floor(key, b.priority))
-                }
-                None => self.remainder.classify(key),
+        let rem = match best {
+            // The remainder may prune what cannot even *tie* the iSets'
+            // candidate; a tie is kept, for `better` to settle by id.
+            Some(b) if self.early_termination && b.priority < Priority::MAX => {
+                self.remainder.classify_with_floor(key, b.priority + 1)
             }
-        } else {
-            MatchResult::better(best, self.remainder.classify(key))
-        }
+            _ => self.remainder.classify(key),
+        };
+        MatchResult::better(best, rem)
     }
 
     fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
@@ -709,13 +708,16 @@ impl<R: Classifier> Classifier for NuevoMatch<R> {
             let m = CHUNK.min(out.len() - base);
             let chunk_keys = &keys[base * stride..(base + m) * stride];
             if self.early_termination {
-                // Batch-wide early termination: each key's iSet candidate
-                // becomes its remainder floor (MAX = no candidate), folded
+                // Batch-wide early termination: each key's remainder floor
+                // is one past its iSet candidate's priority (what cannot
+                // even tie it is pruned; MAX = no candidate, and a candidate
+                // at MAX saturates into the same "prune nothing"), folded
                 // with the caller's floor — any remainder result at or
                 // above the caller floor would be discarded by the final
                 // filter anyway, so the remainder may prune against it.
                 for i in 0..m {
-                    let cand = out[base + i].map_or(Priority::MAX, |b| b.priority);
+                    let cand =
+                        out[base + i].map_or(Priority::MAX, |b| b.priority.saturating_add(1));
                     floors[i] = cand.min(caller_floors.map_or(Priority::MAX, |f| f[base + i]));
                 }
                 self.remainder.classify_batch_with_floors(
@@ -724,19 +726,6 @@ impl<R: Classifier> Classifier for NuevoMatch<R> {
                     &floors[..m],
                     &mut rem[..m],
                 );
-                // A real candidate whose priority *is* `Priority::MAX`
-                // collides with the no-candidate sentinel above (the batch
-                // call ran plain `classify` for it); redo those rare keys
-                // with the explicit floor the per-key path would use. Only
-                // a floor that was *sent* as MAX can collide.
-                for i in 0..m {
-                    if floors[i] == Priority::MAX
-                        && matches!(out[base + i], Some(b) if b.priority == Priority::MAX)
-                    {
-                        let key = &chunk_keys[i * stride..(i + 1) * stride];
-                        rem[i] = self.remainder.classify_with_floor(key, Priority::MAX);
-                    }
-                }
             } else {
                 self.remainder.classify_batch(chunk_keys, stride, &mut rem[..m]);
             }

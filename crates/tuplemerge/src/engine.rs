@@ -1,10 +1,27 @@
 //! The TupleMerge / Tuple Space Search engines.
+//!
+//! One flat representation (crate docs: "Layout") is both what
+//! [`BatchUpdatable::apply`] mutates and what lookups read; nothing is
+//! allocated per rule, so `Clone` — one per copy-on-write apply in the
+//! layers above — copies a few arrays per table.
+//!
+//! **Lookup.** Tables are probed in ascending `best_priority` order. Per
+//! table a key hashes its non-wildcard fields and tests its slot with one
+//! load — empty test, early-exit test and *per-slot* floor test at once; only
+//! a slot that passes has its sorted run walked, and the walk stops at the
+//! first entry the key's bound rules out, before any rule is touched. A key
+//! leaves the probe at the first table whose `best_priority` — conservative,
+//! where slot bests are exact — cannot beat or tie its bound.
+//!
+//! **Ties.** Candidates compare as `(priority, id)`, so among equal
+//! priorities the smaller id wins whichever table holds it — the verdict of
+//! [`nm_common::LinearSearch`] and of `MatchResult::better`.
 
-use crate::table::Table;
+use crate::rules::Rules;
+use crate::table::{Table, EMPTY};
 use crate::tuple::Tuple;
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::memsize;
-use nm_common::prefetch::prefetch_index;
 use nm_common::rule::{Priority, Rule, RuleId};
 use nm_common::ruleset::{FieldsSpec, RuleSet};
 use nm_common::update::{BatchUpdatable, Generation, UpdateBatch, UpdateReport};
@@ -34,15 +51,53 @@ pub struct TupleMerge {
     cfg: TupleMergeConfig,
     tables: Vec<Table>,
     /// Table indices sorted by `best_priority` — the probe order that makes
-    /// early exit effective.
+    /// early exit effective. Re-sorted once per batch, when `order_stale`.
     order: Vec<u32>,
-    /// Rule storage; `None` marks a removed slot.
-    slab: Vec<Option<Rule>>,
+    order_stale: bool,
+    rules: Rules,
     by_id: HashMap<RuleId, u32>,
     /// Update stamp (see [`Classifier::generation`]); build-time inserts do
     /// not count.
     generation: Generation,
     name: &'static str,
+}
+
+/// What a candidate must beat for one key: its `(priority, id)`, packed as
+/// `priority << 32 | id`, may be at most `bound`; `lim` is the same limit as
+/// an exclusive priority, for slot and table bests (`0`: nothing qualifies).
+#[derive(Clone, Copy)]
+struct Cut {
+    bound: u64,
+    lim: Priority,
+}
+
+impl Cut {
+    /// No floor and no candidate yet: everything qualifies.
+    const OPEN: Cut = Cut { bound: u64::MAX, lim: EMPTY };
+
+    /// Only priorities strictly below `floor` qualify.
+    fn below(floor: Priority) -> Cut {
+        match floor.checked_sub(1) {
+            Some(p) => Cut { bound: (p as u64) << 32 | u32::MAX as u64, lim: floor },
+            None => Cut { bound: 0, lim: 0 },
+        }
+    }
+
+    /// The batch floor convention: `Priority::MAX` means no floor.
+    fn for_floor(floor: Priority) -> Cut {
+        if floor == Priority::MAX {
+            Cut::OPEN
+        } else {
+            Cut::below(floor)
+        }
+    }
+
+    /// Only candidates strictly better than `m` qualify — an equal priority
+    /// with a smaller id included, so `lim` admits `m`'s priority.
+    fn beating(m: MatchResult) -> Cut {
+        let bound = ((m.priority as u64) << 32 | m.rule as u64).saturating_sub(1);
+        Cut { bound, lim: ((bound >> 32) as Priority).saturating_add(1) }
+    }
 }
 
 impl TupleMerge {
@@ -53,20 +108,21 @@ impl TupleMerge {
 
     /// Builds with explicit parameters.
     pub fn with_config(set: &RuleSet, cfg: TupleMergeConfig) -> Self {
-        let name = if cfg.relax { "tm" } else { "tss" };
         let mut tm = Self {
             spec: set.spec().clone(),
             cfg,
             tables: Vec::new(),
             order: Vec::new(),
-            slab: Vec::with_capacity(set.len()),
+            order_stale: false,
+            rules: Rules::new(set.spec().len(), set.len()),
             by_id: HashMap::with_capacity(set.len()),
             generation: 0,
-            name,
+            name: if cfg.relax { "tm" } else { "tss" },
         };
         for rule in set.rules() {
-            tm.insert_rule(rule.clone());
+            tm.insert_rule(rule);
         }
+        tm.resort_order();
         tm
     }
 
@@ -81,64 +137,49 @@ impl TupleMerge {
         self.tables.iter().map(Table::max_bucket).max().unwrap_or(0)
     }
 
-    fn table_tuple_for(&self, natural: &Tuple) -> Tuple {
-        if self.cfg.relax {
-            natural.relaxed(&self.spec)
-        } else {
-            natural.clone()
-        }
-    }
-
-    /// Picks the finest existing table the rule fits in, if any.
+    /// Picks the finest existing table the rule fits in (the earliest of
+    /// equally fine ones), if any.
     fn find_table(&self, natural: &Tuple) -> Option<usize> {
-        let mut best: Option<(usize, u32)> = None;
-        for (i, t) in self.tables.iter().enumerate() {
-            if natural.fits_in(&t.lens) {
-                let fineness: u32 = t.lens.0.iter().map(|&l| l as u32).sum();
-                if best.map_or(true, |(_, bf)| fineness > bf) {
-                    best = Some((i, fineness));
-                }
-            }
-        }
-        best.map(|(i, _)| i)
+        let fits = self.tables.iter().enumerate().filter(|(_, t)| natural.fits_in(&t.lens));
+        fits.rev().max_by_key(|(_, t)| t.fineness).map(|(i, _)| i)
     }
 
+    /// Brings `order` back in line with the tables' `best_priority`s; runs
+    /// once per build or batch, and only if one of them moved.
     fn resort_order(&mut self) {
-        self.order = (0..self.tables.len() as u32).collect();
-        let tables = &self.tables;
-        self.order.sort_by_key(|&i| tables[i as usize].best_priority);
-    }
-
-    fn insert_slab(&mut self, rule: Rule) -> u32 {
-        let idx = self.slab.len() as u32;
-        self.by_id.insert(rule.id, idx);
-        self.slab.push(Some(rule));
-        idx
-    }
-
-    fn insert_into_tables(&mut self, slab_idx: u32) {
-        let rule = self.slab[slab_idx as usize].clone().expect("live rule");
-        let natural = Tuple::natural(&rule.fields, &self.spec);
-        let table_idx = match self.find_table(&natural) {
-            Some(i) => i,
-            None => {
-                self.tables.push(Table::new(self.table_tuple_for(&natural)));
-                self.tables.len() - 1
-            }
-        };
-        let h = self.tables[table_idx].hash_rule(&rule, &self.spec);
-        let bucket_len = self.tables[table_idx].insert(h, slab_idx, rule.priority);
-        if bucket_len > self.cfg.collision_limit {
-            self.split(table_idx);
+        if std::mem::take(&mut self.order_stale) {
+            self.order = (0..self.tables.len() as u32).collect();
+            let tables = &self.tables;
+            self.order.sort_by_key(|&i| tables[i as usize].best_priority);
         }
-        self.resort_order();
+    }
+
+    /// Files a stored rule in the finest table it fits (a fresh one under
+    /// its own relaxed tuple if none does), splitting the table if
+    /// `may_split` and its bucket overflows.
+    fn file(&mut self, idx: u32, may_split: bool) {
+        let natural = Tuple::natural_of_bounds(self.rules.bounds(idx), &self.spec);
+        let ti = self.find_table(&natural).unwrap_or_else(|| {
+            let lens = if self.cfg.relax { natural.relaxed(&self.spec) } else { natural };
+            self.tables.push(Table::new(lens, &self.spec));
+            self.order_stale = true;
+            self.tables.len() - 1
+        });
+        self.rules.set_home(idx, ti as u32);
+        let table = &mut self.tables[ti];
+        let before = table.best_priority;
+        let bucket_len = table.insert(idx, &self.rules);
+        self.order_stale |= table.best_priority != before;
+        if may_split && bucket_len > self.cfg.collision_limit {
+            self.split(ti);
+        }
     }
 
     /// Splits an overflowing table: refine the field where the most members
     /// have headroom (their natural lengths allow a longer mask) and re-file
-    /// every rule. Rules are re-inserted through the normal path, so they
-    /// land in the refined table when they fit and in coarser tables (or a
-    /// fresh one matching their own relaxed tuple) otherwise.
+    /// every rule. Rules are re-filed through the normal path, so they land
+    /// in the refined table when they fit and in coarser tables (or a fresh
+    /// one matching their own relaxed tuple) otherwise.
     ///
     /// The refinement step is the smallest *positive* headroom among the
     /// members that can refine at all — a single mask-exact rule in a mixed
@@ -149,16 +190,15 @@ impl TupleMerge {
     /// what control-plane retrains (which re-file the whole rule list) kept
     /// hitting.
     fn split(&mut self, table_idx: usize) {
-        let lens = self.tables[table_idx].lens.clone();
-        let members = self.tables[table_idx].drain_all();
+        let mut lens = self.tables[table_idx].lens.clone();
+        let members = self.tables[table_idx].members();
         // Per-field: how many members could accept a longer mask, and the
         // smallest positive headroom among them.
         let nf = lens.0.len();
         let mut refinable = vec![0usize; nf];
         let mut step = vec![u8::MAX; nf];
         for &m in &members {
-            let rule = self.slab[m as usize].as_ref().expect("live rule");
-            let nat = Tuple::natural(&rule.fields, &self.spec);
+            let nat = Tuple::natural_of_bounds(self.rules.bounds(m), &self.spec);
             for d in 0..nf {
                 let hr = nat.0[d].saturating_sub(lens.0[d]);
                 if hr > 0 {
@@ -171,55 +211,68 @@ impl TupleMerge {
         if refinable[best_dim] == 0 {
             // Nothing to refine (identical natural tuples): accept the long
             // bucket — correctness is unaffected, the scan just costs more.
-            let mut t = Table::new(lens);
-            for m in &members {
-                let rule = self.slab[*m as usize].as_ref().expect("live rule");
-                let h = t.hash_rule(rule, &self.spec);
-                t.insert(h, *m, rule.priority);
-            }
-            self.tables[table_idx] = t;
             return;
         }
-        let step = step[best_dim].clamp(1, 4);
-        let mut new_lens = lens.clone();
-        new_lens.0[best_dim] += step;
-        self.tables[table_idx] = Table::new(new_lens);
+        lens.0[best_dim] += step[best_dim].clamp(1, 4);
+        self.tables[table_idx] = Table::new(lens, &self.spec);
+        self.order_stale = true;
         for m in members {
-            self.insert_into_tables_no_split(m);
+            // One refinement round per overflow keeps splits terminating; if
+            // a bucket still exceeds the limit the next insert refines again.
+            self.file(m, false);
         }
-        // One refinement round per overflow keeps splits terminating; if a
-        // bucket still exceeds the limit the next insert refines again.
     }
 
-    fn insert_into_tables_no_split(&mut self, slab_idx: u32) {
-        let rule = self.slab[slab_idx as usize].clone().expect("live rule");
-        let natural = Tuple::natural(&rule.fields, &self.spec);
-        let table_idx = match self.find_table(&natural) {
-            Some(i) => i,
-            None => {
-                self.tables.push(Table::new(self.table_tuple_for(&natural)));
-                self.tables.len() - 1
+    /// The best rule in slot `s`'s run that matches `key` and is within
+    /// `bound`. Runs are sorted, so that is the first match, and the walk
+    /// ends at the first entry `bound` rules out.
+    #[inline]
+    fn scan(&self, table: &Table, s: usize, key: &[u64], bound: u64) -> Option<MatchResult> {
+        let (max_priority, max_id) = ((bound >> 32) as Priority, bound as RuleId);
+        for e in table.run(s) {
+            if e.priority > max_priority {
+                break;
             }
-        };
-        let h = self.tables[table_idx].hash_rule(&rule, &self.spec);
-        self.tables[table_idx].insert(h, slab_idx, rule.priority);
+            if self.rules.matches(e.rule, key) {
+                let id = self.rules.id(e.rule);
+                // Same priority as the bound: only a smaller id qualifies,
+                // and later entries only have larger ones.
+                return (e.priority < max_priority || id <= max_id)
+                    .then_some(MatchResult::new(id, e.priority));
+            }
+        }
+        None
     }
 
-    /// Table-major batched probe — the batch form of [`TupleMerge::probe`].
+    /// Per-key probe: every table that can still beat or tie `cut`.
+    #[inline]
+    fn probe(&self, key: &[u64], mut cut: Cut) -> Option<MatchResult> {
+        let mut best = None;
+        for &ti in &self.order {
+            let table = &self.tables[ti as usize];
+            if table.best_priority >= cut.lim {
+                break; // sorted order: no remaining table can qualify either
+            }
+            let (s, key_bit) = table.place(table.hash(|d| key[d]));
+            if table.may_hold(s, key_bit, cut.lim) {
+                if let Some(m) = self.scan(table, s, key, cut.bound) {
+                    best = Some(m);
+                    cut = Cut::beating(m);
+                }
+            }
+        }
+        best
+    }
+
+    /// Table-major batched probe — the batch form of [`TupleMerge::probe`],
+    /// with per-key results identical to it: the loop interchange never
+    /// reorders work *within* a key, and each key keeps its own [`Cut`].
     ///
-    /// The per-key probe walks every table for one packet before touching
-    /// the next packet, reloading each table's tuple masks and hash state
-    /// per packet. This walks every *packet* for one table before moving to
-    /// the next table: the table metadata stays in registers, the hash loop
-    /// runs tight, and the independent bucket lookups give the out-of-order
-    /// core memory-level parallelism. Per-key results are bit-identical to
-    /// [`TupleMerge::probe`] — the loop interchange never reorders work
-    /// *within* a key, and each key keeps its own early-exit bound
-    /// (`min(best.priority, floor)`, checked against the same
-    /// priority-sorted table order).
-    ///
-    /// `floors[i] == Priority::MAX` means no floor for key `i` (see
-    /// [`Classifier::classify_batch_with_floors`]).
+    /// Per table, the keys still alive are hashed field-major, then one
+    /// branch-free sweep tests each key's slot and appends the survivors (a
+    /// few percent of the probes) to a hit list; only those walk runs and
+    /// touch rules. A key whose limit a table's `best_priority` cannot beat
+    /// leaves the live list for good (tables come sorted).
     fn probe_batch(
         &self,
         keys: &[u64],
@@ -227,119 +280,59 @@ impl TupleMerge {
         floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
     ) {
-        const CHUNK: usize = 64;
-        let n = out.len();
-        assert!(stride > 0, "probe_batch: stride must be positive");
-        assert_eq!(keys.len(), stride * n, "probe_batch: key buffer length mismatch");
-        let mut hashes = [0u64; CHUNK];
-        let mut base = 0usize;
-        while base < n {
-            let m = CHUNK.min(n - base);
-            let mut best: [Option<MatchResult>; CHUNK] = [None; CHUNK];
-            // bound[i] = min(best[i].priority, floor[i]): a rule must beat it.
-            let mut bound = [Priority::MAX; CHUNK];
-            if let Some(f) = floors {
-                bound[..m].copy_from_slice(&f[base..base + m]);
+        const CHUNK: usize = 128;
+        // nm-lint: hotpath
+        for (c, out) in out.chunks_mut(CHUNK).enumerate() {
+            let keys = &keys[c * CHUNK * stride..][..out.len() * stride];
+            let mut lim = [0 as Priority; CHUNK];
+            let mut bound = [0u64; CHUNK];
+            let mut live = [0u8; CHUNK];
+            let mut hashes = [0u64; CHUNK];
+            let mut hits = [(0u8, 0u32); CHUNK];
+            for i in 0..out.len() {
+                let cut = floors.map_or(Cut::OPEN, |f| Cut::for_floor(f[c * CHUNK + i]));
+                (lim[i], bound[i], live[i], out[i]) = (cut.lim, cut.bound, i as u8, None);
             }
+            let mut nlive = out.len();
             for &ti in &self.order {
                 let table = &self.tables[ti as usize];
-                // A key is live while some rule in this (or a later) table
-                // could still beat its bound; tables are sorted by
-                // best_priority, so a key dead here stays dead.
-                let mut any_live = false;
-                if !table.is_empty() {
-                    // Phase 1: hash every live key against this table.
-                    for i in 0..m {
-                        if bound[i] > table.best_priority {
-                            let key = &keys[(base + i) * stride..(base + i + 1) * stride];
-                            hashes[i] = table.hash_key(key, &self.spec);
-                            any_live = true;
-                        }
-                    }
-                } else {
-                    any_live = (0..m).any(|i| bound[i] > table.best_priority);
+                table.hash_batch(keys, stride, &live[..nlive], &mut hashes);
+                let (mut kept, mut nhits) = (0, 0);
+                for j in 0..nlive {
+                    let (i, (s, key_bit)) = (live[j], table.place(hashes[j]));
+                    let key_lim = lim[i as usize];
+                    // A slot's best is never below its table's, so a key
+                    // dropped here is not a hit either.
+                    live[kept] = i;
+                    kept += (table.best_priority < key_lim) as usize;
+                    hits[nhits] = (i, s as u32);
+                    nhits += table.may_hold(s, key_bit, key_lim) as usize;
                 }
-                if !any_live {
+                nlive = kept;
+                if nlive == 0 {
                     break;
                 }
-                if table.is_empty() {
-                    continue;
-                }
-                // Phase 2a: bucket lookups for all live keys, prefetching the
-                // head of each bucket's slab rules so phase 2b's (pointer-
-                // chasing) scans start with warm lines.
-                let mut buckets: [&[u32]; CHUNK] = [&[]; CHUNK];
-                for i in 0..m {
-                    if bound[i] <= table.best_priority {
-                        continue;
-                    }
-                    if let Some(bucket) = table.bucket(hashes[i]) {
-                        buckets[i] = bucket;
-                        for &si in bucket.iter().take(8) {
-                            prefetch_index(&self.slab, si as usize);
-                        }
-                    }
-                }
-                // Phase 2b: bucket scans (independent across keys).
-                for i in 0..m {
-                    if bound[i] <= table.best_priority {
-                        continue;
-                    }
-                    let key = &keys[(base + i) * stride..(base + i + 1) * stride];
-                    for &si in buckets[i] {
-                        if let Some(rule) = &self.slab[si as usize] {
-                            if rule.priority < bound[i] && rule.matches(key) {
-                                best[i] = Some(MatchResult::new(rule.id, rule.priority));
-                                bound[i] = rule.priority;
-                            }
-                        }
-                    }
-                }
-            }
-            out[base..base + m].copy_from_slice(&best[..m]);
-            base += m;
-        }
-    }
-
-    #[inline]
-    fn probe(
-        &self,
-        key: &[u64],
-        mut best: Option<MatchResult>,
-        floor: Priority,
-    ) -> Option<MatchResult> {
-        for &ti in &self.order {
-            let table = &self.tables[ti as usize];
-            let bound = best.map_or(floor, |b| b.priority.min(floor));
-            if bound <= table.best_priority {
-                break; // no remaining table can beat the bound
-            }
-            if table.is_empty() {
-                continue;
-            }
-            let h = table.hash_key(key, &self.spec);
-            if let Some(bucket) = table.bucket(h) {
-                for &si in bucket {
-                    if let Some(rule) = &self.slab[si as usize] {
-                        let cur = best.map_or(floor, |b| b.priority.min(floor));
-                        if rule.priority < cur && rule.matches(key) {
-                            best = Some(MatchResult::new(rule.id, rule.priority));
-                        }
+                for &(i, s) in &hits[..nhits] {
+                    let i = i as usize;
+                    let key = &keys[i * stride..][..stride];
+                    if let Some(m) = self.scan(table, s as usize, key, bound[i]) {
+                        let cut = Cut::beating(m);
+                        (lim[i], bound[i], out[i]) = (cut.lim, cut.bound, Some(m));
                     }
                 }
             }
         }
-        best.filter(|m| m.priority < floor)
+        // nm-lint: end-hotpath
     }
 }
 
 impl Classifier for TupleMerge {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        self.probe(key, None, Priority::MAX)
+        self.probe(key, Cut::OPEN)
     }
 
     fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
-        self.probe(key, None, floor)
+        self.probe(key, Cut::below(floor))
     }
 
     fn batch_lookup(
@@ -349,15 +342,25 @@ impl Classifier for TupleMerge {
         floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
     ) {
-        self.probe_batch(keys, stride, floors, out);
+        // Below this the sweep's per-chunk scratch costs more than it saves
+        // (the serving path flushes 1–2 keys at low load).
+        const SMALL_BATCH: usize = 3;
+        if out.len() < SMALL_BATCH {
+            for (i, key) in keys.chunks_exact(stride).enumerate() {
+                out[i] = self.probe(key, floors.map_or(Cut::OPEN, |f| Cut::for_floor(f[i])));
+            }
+        } else {
+            self.probe_batch(keys, stride, floors, out);
+        }
     }
 
+    /// The lookup-path index — everything a probe walks: per table the slot
+    /// arrays, the entry arena (with its inlined priorities) and the hash
+    /// recipe, plus the probe order. Not the rule arena (boxes, ids,
+    /// priorities): that is rule storage, as `ISetCore::boxes` is for an
+    /// iSet; nor `by_id`, which is update bookkeeping.
     fn memory_bytes(&self) -> usize {
-        // Lookup-path index: tables (+ their buckets of slab indices) and the
-        // probe order. The slab is rule storage; by_id is update bookkeeping.
-        self.tables.iter().map(Table::memory_bytes).sum::<usize>()
-            + memsize::vec_bytes(&self.order)
-            + self.tables.len() * std::mem::size_of::<Table>()
+        self.tables.iter().map(Table::memory_bytes).sum::<usize>() + memsize::vec_bytes(&self.order)
     }
 
     fn name(&self) -> &'static str {
@@ -375,8 +378,13 @@ impl Classifier for TupleMerge {
 
 impl BatchUpdatable for TupleMerge {
     fn apply(&mut self, batch: &UpdateBatch) -> UpdateReport {
-        let report =
-            nm_common::update::apply_ops(self, batch, Self::insert_rule, |s, id| s.remove_rule(id));
+        let report = nm_common::update::apply_ops(
+            self,
+            batch,
+            |s, rule| s.insert_rule(&rule),
+            |s, id| s.remove_rule(id),
+        );
+        self.resort_order();
         // Bump only when content changed: a batch of pure misses serves the
         // same rules, and a spurious bump stampedes caches layered above.
         if report.changed() {
@@ -386,42 +394,51 @@ impl BatchUpdatable for TupleMerge {
     }
 
     fn export_rules(&self) -> Vec<Rule> {
-        self.slab.iter().filter_map(|slot| slot.clone()).collect()
+        self.rules.export()
     }
 }
 
 impl TupleMerge {
     /// Single-rule insert primitive shared by construction (which must not
-    /// bump the generation) and the batch path (which does).
-    fn insert_rule(&mut self, rule: Rule) {
-        if let Some(&old) = self.by_id.get(&rule.id) {
-            // Same id re-inserted: drop the stale version first.
-            self.remove_slab(old);
-        }
-        let idx = self.insert_slab(rule);
-        self.insert_into_tables(idx);
+    /// bump the generation) and the batch path (which does). The id must not
+    /// be live: a `RuleSet`'s ids are unique and `apply_ops` removes first.
+    fn insert_rule(&mut self, rule: &Rule) {
+        let idx = self.rules.store(rule);
+        let stale = self.by_id.insert(rule.id, idx);
+        debug_assert!(stale.is_none(), "rule {} inserted over a live version", rule.id);
+        self.file(idx, true);
     }
 
     fn remove_rule(&mut self, id: RuleId) -> bool {
-        match self.by_id.remove(&id) {
-            Some(idx) => {
-                self.remove_slab(idx);
-                true
-            }
-            None => false,
-        }
+        let Some(idx) = self.by_id.remove(&id) else { return false };
+        let table = &mut self.tables[self.rules.home(idx) as usize];
+        let before = table.best_priority;
+        table.remove(idx, &self.rules);
+        self.order_stale |= table.best_priority != before;
+        self.rules.release(idx);
+        true
     }
+}
 
-    fn remove_slab(&mut self, idx: u32) {
-        if let Some(rule) = self.slab[idx as usize].take() {
-            for t in &mut self.tables {
-                let h = t.hash_rule(&rule, &self.spec);
-                if t.remove(h, idx) {
-                    break;
-                }
-            }
-            self.by_id.remove(&rule.id);
+#[cfg(test)]
+impl TupleMerge {
+    /// Checks every table's update-in-place invariants, the probe order and
+    /// the rule ↔ table bookkeeping.
+    pub(crate) fn assert_invariants(&self) {
+        assert!(!self.order_stale);
+        let bests: Vec<Priority> =
+            self.order.iter().map(|&t| self.tables[t as usize].best_priority).collect();
+        assert!(bests.windows(2).all(|w| w[0] <= w[1]), "probe order is not sorted: {bests:?}");
+        let mut order = self.order.clone();
+        order.sort_unstable();
+        assert_eq!(order, (0..self.tables.len() as u32).collect::<Vec<_>>());
+        for (t, table) in self.tables.iter().enumerate() {
+            table.assert_invariants(&self.rules);
+            assert!(table.members().iter().all(|&m| self.rules.home(m) == t as u32));
         }
+        let filed: usize = self.tables.iter().map(|t| t.members().len()).sum();
+        assert_eq!(filed, self.by_id.len());
+        assert!(self.by_id.iter().all(|(&id, &idx)| self.rules.id(idx) == id));
     }
 }
 
@@ -664,5 +681,73 @@ mod tests {
         assert_eq!(tm.classify(&[0, 0, 0, 35_000, 0]).unwrap().rule, 0);
         assert_eq!(tm.classify(&[0, 0, 0, 50_000, 0]).unwrap().rule, 1);
         assert_eq!(tm.classify(&[0, 0, 0, 99, 0]), None);
+    }
+
+    /// Per-key and batched verdicts of one key, which must agree.
+    fn verdicts(tm: &TupleMerge, key: &[u64; 5]) -> Option<MatchResult> {
+        let scalar = tm.classify(key);
+        // Four copies reach the table-major sweep, not the small-batch path.
+        let mut out = [None; 4];
+        tm.classify_batch(&key.repeat(4), 5, &mut out);
+        assert_eq!(out, [scalar; 4], "batch diverged from per-key on {key:?}");
+        scalar
+    }
+
+    #[test]
+    fn equal_priorities_resolve_by_id_not_table_order() {
+        // Two tables, one priority: the smaller id must win whichever table
+        // is probed first (it used to be the earlier table's rule, 5).
+        let rules = vec![
+            FiveTuple::new().src_prefix([10, 10, 0, 0], 16).into_rule(5, 1),
+            FiveTuple::new().dst_prefix([11, 11, 0, 0], 16).into_rule(2, 1),
+        ];
+        let key = [0x0a0a_0101, 0x0b0b_0101, 7, 7, 6];
+        let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+        let want = LinearSearch::build(&set).classify(&key);
+        assert_eq!(want, Some(MatchResult::new(2, 1)));
+        for engine in [TupleMerge::build(&set), TupleSpaceSearch::build(&set)] {
+            assert_eq!(verdicts(&engine, &key), want, "{}", engine.name());
+            // A floor one past the tie keeps it; a floor at it prunes it.
+            assert_eq!(engine.classify_with_floor(&key, 2), want);
+            assert_eq!(engine.classify_with_floor(&key, 1), None);
+        }
+    }
+
+    #[test]
+    fn priority_max_rules_are_served() {
+        // `Priority::MAX` doubles as the slots' "empty" marker and the batch
+        // "no floor" sentinel; a rule that really has it must still match.
+        let rules = vec![
+            FiveTuple::new().dst_port_exact(80).into_rule(9, Priority::MAX),
+            FiveTuple::new().src_prefix([10, 0, 0, 0], 8).into_rule(4, Priority::MAX),
+        ];
+        let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+        let tm = TupleMerge::build(&set);
+        assert_eq!(verdicts(&tm, &[1, 2, 3, 80, 6]), Some(MatchResult::new(9, Priority::MAX)));
+        assert_eq!(
+            verdicts(&tm, &[0x0a00_0001, 2, 3, 80, 6]),
+            Some(MatchResult::new(4, Priority::MAX))
+        );
+        // An explicit floor is strict, so MAX admits everything but MAX.
+        assert_eq!(tm.classify_with_floor(&[1, 2, 3, 80, 6], Priority::MAX), None);
+    }
+
+    #[test]
+    fn bookkeeping_survives_churn() {
+        let set = random_set(17, 400);
+        let mut tm = TupleMerge::build(&set);
+        tm.assert_invariants();
+        let mut batch = UpdateBatch::new();
+        for id in (0..400u32).step_by(2) {
+            batch = batch.remove(id);
+        }
+        for rule in random_set(18, 300).rules() {
+            batch = batch.insert(rule.clone()); // ids 0..300: half upserts
+        }
+        tm.apply(&batch);
+        tm.assert_invariants();
+        assert_eq!(tm.num_rules(), 350);
+        // Vacated rule indices were reused, not leaked.
+        assert!(tm.export_rules().len() == 350 && tm.rules.export().len() == 350);
     }
 }

@@ -1,92 +1,31 @@
 //! Fast non-cryptographic hashing for tuple tables.
 //!
-//! SipHash (std's default) costs more than the probe it guards at these
-//! key sizes. This is the FxHash mix (Firefox / rustc): one rotate, one
-//! xor, one multiply per word — plenty of diffusion for masked header
-//! fields, fully deterministic across runs and platforms.
+//! This is the FxHash mix (Firefox / rustc): one rotate, one xor, one
+//! multiply per word — plenty of diffusion for masked header fields, fully
+//! deterministic across runs and platforms. The multiply comes last, so the
+//! *top* bits of a hash are its best; tables index with those.
 
 /// Multiplicative constant from FxHash (64-bit).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Non-zero initial state so a stream of zero words still advances the hash
 /// (with a zero start, `(0 ^ 0) * SEED == 0` absorbs any number of zeros).
-const INIT: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const INIT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Streaming FxHash over `u64` words.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FxMix {
-    state: u64,
-}
-
-impl FxMix {
-    /// Fresh state.
-    #[inline]
-    pub fn new() -> Self {
-        Self { state: INIT }
-    }
-
-    /// Mixes one word in.
-    #[inline]
-    pub fn write(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(SEED);
-    }
-
-    /// Final hash value.
-    #[inline]
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-/// Hashes a slice of masked field values.
+/// Mixes one word into a hash state (start from [`INIT`]).
 #[inline]
-pub fn hash_fields(vals: &[u64]) -> u64 {
-    let mut h = FxMix::new();
-    for &v in vals {
-        h.write(v);
-    }
-    h.finish()
-}
-
-/// `std::hash::BuildHasher` adapter so `HashMap` can use FxMix directly
-/// (keys are already-mixed u64 hashes; this finishes them cheaply).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FxBuild;
-
-impl std::hash::BuildHasher for FxBuild {
-    type Hasher = FxState;
-    #[inline]
-    fn build_hasher(&self) -> FxState {
-        FxState(0)
-    }
-}
-
-/// Hasher state for [`FxBuild`].
-#[derive(Clone, Copy, Debug)]
-pub struct FxState(u64);
-
-impl std::hash::Hasher for FxState {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(buf)).wrapping_mul(SEED);
-        }
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(SEED);
-    }
+pub(crate) fn mix(state: u64, v: u64) -> u64 {
+    (state.rotate_left(5) ^ v).wrapping_mul(SEED)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hashes a slice of masked field values.
+    fn hash_fields(vals: &[u64]) -> u64 {
+        vals.iter().fold(INIT, |h, &v| mix(h, v))
+    }
 
     #[test]
     fn deterministic_and_sensitive() {
@@ -94,17 +33,6 @@ mod tests {
         assert_ne!(hash_fields(&[1, 2, 3]), hash_fields(&[1, 2, 4]));
         assert_ne!(hash_fields(&[1, 2, 3]), hash_fields(&[3, 2, 1]));
         assert_ne!(hash_fields(&[0]), hash_fields(&[0, 0]));
-    }
-
-    #[test]
-    fn hashmap_adapter_works() {
-        let mut m: std::collections::HashMap<u64, u32, FxBuild> =
-            std::collections::HashMap::with_hasher(FxBuild);
-        for i in 0..1000u64 {
-            m.insert(i, i as u32);
-        }
-        assert_eq!(m.len(), 1000);
-        assert_eq!(m[&77], 77);
     }
 
     #[test]

@@ -16,18 +16,44 @@
 //! splits a rule's matches across buckets. Matching is still exact: every
 //! bucket candidate is validated against the full rule box.
 //!
-//! Both engines keep a per-table best-priority bound, probe tables in
-//! priority order, and stop as soon as no remaining table can beat the
-//! current best — the "early termination" contract NuevoMatch relies on
-//! (`classify_with_floor`).
+//! ## Layout
+//!
+//! One flat, update-in-place representation serves lookups and updates
+//! alike. Rules live in two flat arrays (boxes, `lo, hi` per field; ids
+//! with priorities). Each table is a power-of-two slot array at load ≤ ½,
+//! indexed by the top bits of a hash of the table's *non-wildcard* fields
+//! (precomputed `(field, shift)` pairs); a slot holds the best priority
+//! filed under it (`Priority::MAX` when empty) and a 32-bit key filter, and
+//! names a contiguous, `(priority, id)`-sorted run of `(priority, rule
+//! index)` entries in the table's entry arena. A probe that finds nothing
+//! usable in a table — the common case by far — costs one load: the slot's
+//! best priority is at once the empty test, the early-exit test and a
+//! per-slot floor test.
+//!
+//! Tables are probed in ascending best-priority order and a key stops at
+//! the first table that cannot beat, or tie, what it already holds — the
+//! "early termination" contract NuevoMatch relies on
+//! (`classify_with_floor`). Equal priorities resolve toward the smaller
+//! rule id, whichever tables the contenders sit in, as in
+//! `nm_common::LinearSearch`.
+//!
+//! Updates keep runs sorted in place (a run that outgrows its cells moves
+//! to the arena tail), re-derive a slot's best and filter exactly after a
+//! removal, and compact the arena or double the slot array when a table
+//! gets wasteful or crowded; a table's own best priority is only a
+//! conservative bound between those rebuilds. `Clone` copies a handful of
+//! arrays per table, which is what makes copy-on-write applies cheap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hasher;
-pub mod table;
 pub mod tuple;
 
 mod engine;
+mod hasher;
+#[cfg(test)]
+mod proptests;
+mod rules;
+mod table;
 
 pub use engine::{TupleMerge, TupleMergeConfig, TupleSpaceSearch};

@@ -18,6 +18,13 @@ impl Tuple {
         Tuple(fields.iter().enumerate().map(|(d, r)| r.covering_prefix(spec.bits(d)).1).collect())
     }
 
+    /// [`Tuple::natural`] of a box stored flat, `lo, hi` per field.
+    pub(crate) fn natural_of_bounds(bounds: &[u64], spec: &FieldsSpec) -> Tuple {
+        let field =
+            |(d, b): (usize, &[u64])| FieldRange::new(b[0], b[1]).covering_prefix(spec.bits(d)).1;
+        Tuple(bounds.chunks_exact(2).enumerate().map(field).collect())
+    }
+
     /// TupleMerge relaxation: IP-like fields (> 16 bits) are rounded down to
     /// a multiple of 4, port-like fields (9–16 bits) collapse to
     /// exact-or-wildcard, small fields (≤ 8 bits) keep their natural length.

@@ -132,6 +132,42 @@ fn batch_with_floors_matches_per_key_dispatch() {
     }
 }
 
+/// Regression: an iSet candidate and a remainder rule of the *same*
+/// priority. The remainder used to be handed the candidate's priority as a
+/// strict floor, so the tie was pruned and the iSet's rule won whatever its
+/// id; `LinearSearch` and `MatchResult::better` break ties toward the
+/// smaller id. The floor now admits ties, scalar and batched.
+#[test]
+fn nuevomatch_equal_priority_tie_resolves_by_id() {
+    use nm_common::FiveTuple;
+    // 40 disjoint src /16s form the (single) iSet; rule 2 overlaps them all
+    // on src, so it has to live in the TupleMerge remainder.
+    let mut rules: Vec<_> = (0..40u32)
+        .map(|i| FiveTuple::new().src_prefix([10, 10 + i as u8, 0, 0], 16).into_rule(100 + i, 1))
+        .collect();
+    rules.push(FiveTuple::new().dst_prefix([11, 11, 0, 0], 16).into_rule(2, 1));
+    let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+    let nm = NuevoMatch::build(
+        &set,
+        &NuevoMatchConfig { max_isets: 1, ..fast_cfg(true) },
+        TupleMerge::build,
+    )
+    .unwrap();
+    assert_eq!(nm.remainder().num_rules(), 1, "rule 2 must be the remainder");
+    let oracle = LinearSearch::build(&set);
+    // Keys inside both an iSet rule and rule 2, one iSet rule per key.
+    let keys: Vec<u64> =
+        (0..40u64).flat_map(|i| [0x0a0a_0001 + (i << 16), 0x0b0b_0101, 7, 7, 6]).collect();
+    let mut out = vec![None; 40];
+    nm.classify_batch(&keys, 5, &mut out);
+    for (i, key) in keys.chunks_exact(5).enumerate() {
+        let want = oracle.classify(key);
+        assert_eq!(want.map(|m| m.rule), Some(2));
+        assert_eq!(nm.classify(key), want, "per-key, key {i}");
+        assert_eq!(out[i], want, "batched, key {i}");
+    }
+}
+
 #[test]
 fn flow_cache_batch_matches_per_key() {
     let set = generate(AppKind::Ipc, 250, 3);
@@ -336,6 +372,72 @@ proptest! {
             for (i, &(a, b)) in probes.iter().enumerate() {
                 prop_assert_eq!(out[i], nm.classify(&[a, b]), "batch vs per-key, et={}", et);
                 prop_assert_eq!(out[i], oracle.classify(&[a, b]), "batch vs oracle, et={}", et);
+            }
+        }
+    }
+
+    /// Property: nm/tm under update batches that keep re-using ids and
+    /// priorities (so iSet candidates and remainder rules tie constantly)
+    /// stays equal to linear search over the live rules, per key and batched
+    /// — the remainder being TupleMerge's update-in-place layout.
+    #[test]
+    fn nuevomatch_tm_updates_with_tied_priorities_match_oracle(
+        ops in proptest::collection::vec((0u64..3, 0u32..90, 0u64..4_000, 0u32..4), 40..160),
+        batch_len in 1usize..12,
+    ) {
+        use nm_common::{FiveTuple, UpdateBatch};
+        // 60 disjoint dst-port rules at priorities 0..4 make the iSet.
+        let base: Vec<_> = (0..60u32)
+            .map(|i| {
+                let lo = i as u16 * 1_000;
+                FiveTuple::new().dst_port_range(lo, lo + 999).into_rule(i, i % 4)
+            })
+            .collect();
+        let set = RuleSet::new(FieldsSpec::five_tuple(), base.clone()).unwrap();
+        let mut nm = NuevoMatch::build(&set, &fast_cfg(true), TupleMerge::build).unwrap();
+        let mut live: std::collections::BTreeMap<u32, _> =
+            base.into_iter().map(|r| (r.id, r)).collect();
+        for chunk in ops.chunks(batch_len) {
+            let mut batch = UpdateBatch::new();
+            for &(kind, id, x, priority) in chunk {
+                // Overlaps the iSet's port ranges, in another tuple each time.
+                let ft = match x % 3 {
+                    0 => FiveTuple::new().dst_port_exact((x * 15) as u16),
+                    1 => FiveTuple::new().src_prefix_raw((x as u32) << 20, 12),
+                    _ => FiveTuple::new().dst_port_range(x as u16, (x * 16) as u16),
+                };
+                let rule = ft.into_rule(id, priority);
+                batch = match kind {
+                    0 => {
+                        live.remove(&id);
+                        batch.remove(id)
+                    }
+                    1 => {
+                        live.insert(id, rule.clone());
+                        batch.modify(rule)
+                    }
+                    _ => {
+                        live.insert(id, rule.clone());
+                        batch.insert(rule)
+                    }
+                };
+            }
+            nm.apply(&batch);
+            let oracle = LinearSearch::from_rules(live.values().cloned().collect());
+            let keys: Vec<u64> = (0..130u64)
+                .flat_map(|i| [(i * 7) << 20, i, i, i * 500 % 65_536, 6])
+                .collect();
+            let want: Vec<_> = keys.chunks_exact(5).map(|k| oracle.classify(k)).collect();
+            for (key, &want) in keys.chunks_exact(5).zip(&want) {
+                prop_assert_eq!(nm.classify(key), want, "per-key {:?}", key);
+            }
+            for batch in [1usize, 2, 64, 128] {
+                let mut out = vec![None; want.len()];
+                for lo in (0..want.len()).step_by(batch) {
+                    let hi = (lo + batch).min(want.len());
+                    nm.classify_batch(&keys[lo * 5..hi * 5], 5, &mut out[lo..hi]);
+                }
+                prop_assert_eq!(&out, &want, "batch {}", batch);
             }
         }
     }
