@@ -9,8 +9,10 @@
 //! 1/8/32/128/512 through
 //! [`nuevomatch::system::parallel::run_batched`] over the scale's
 //! application suite at its largest size (`NM_APPS`/`NM_ENGINES` focus a
-//! rerun on a subset). Columns report Mpps; the `seq` column is the per-key
-//! `classify` loop for reference.
+//! rerun on a subset), plus a `fib` row pair — `stanford_fib` at the same
+//! size in 8 iSets against bare TupleMerge, the paper's own comparison on
+//! the rule-set where the iSets are the whole lookup. Columns report Mpps;
+//! the `seq` column is the per-key `classify` loop for reference.
 //!
 //! Every row's checksum is checked against the sequential per-key
 //! reference, so the sweep double-checks batch/scalar equivalence on the
@@ -18,11 +20,11 @@
 //! compares the transposed gather kernel against the per-packet broadcast
 //! pass it replaced, at 1, 2, 4 and 8 distinct leaves per 8-packet group
 //! (plus the shared-submodel kernel at 1, the auto-selection fast path).
-//! The three perf targets (tree engines ≥ 1.5x at batch 128 on fw; tm and
-//! nm/tm at batch 128 ≥ the per-key loop on acl; gather ≥ broadcast at ≥ 4
-//! distinct leaves) print PASS/WARN.
+//! The four perf targets (tree engines ≥ 1.5x at batch 128 on fw; tm and
+//! nm/tm at batch 128 ≥ the per-key loop on acl; nm/tm ≥ tm at batch 128 on
+//! fib; gather ≥ broadcast at ≥ 4 distinct leaves) print PASS/WARN.
 
-use crate::{measure_seq, nc_config, nm_tm, suite, Ctx, Outcome};
+use crate::{measure_seq, nc_config, nm_config, nm_tm, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Json, Table};
 use nm_common::Classifier;
 use nm_cutsplit::CutSplit;
@@ -30,6 +32,7 @@ use nm_neurocuts::NeuroCuts;
 use nm_nn::Mlp;
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
+use nuevomatch::NuevoMatch;
 use nuevomatch::rqrmi::{detect, leaf_chain_broadcast8, leaf_chain_gather8, Isa, Kernel, LeafSoa};
 use nuevomatch::system::parallel::run_batched;
 
@@ -44,7 +47,8 @@ const PASSES: usize = 3;
 type Build<'a> = &'a dyn Fn() -> Box<dyn Classifier + 'a>;
 
 /// Sweeps one engine over one rule-set, adds its row to `table`, and
-/// returns the batch-128 speedup over the per-key classify loop.
+/// returns the batch-128 speedup over the per-key classify loop and the
+/// batch-128 throughput itself (packets/s).
 fn sweep(
     out: &mut Outcome,
     engine: &str,
@@ -53,7 +57,7 @@ fn sweep(
     trace: &nm_common::TraceBuf,
     warmups: usize,
     table: &mut Table,
-) -> f64 {
+) -> (f64, f64) {
     // Sequential per-key reference: the honest "before" point. All points
     // (seq + every batch size) are measured round-robin PASSES times so
     // machine drift between measurements lands on both sides of every
@@ -77,12 +81,13 @@ fn sweep(
             pps[i] = pps[i].max(stats.pps);
         }
     }
-    let speedup = pps[BATCHES.iter().position(|&b| b == 128).expect("128 is swept")] / seq_pps;
+    let pps_128 = pps[BATCHES.iter().position(|&b| b == 128).expect("128 is swept")];
+    let speedup = pps_128 / seq_pps;
     let mut row = vec![app.to_string(), engine.to_string(), format!("{:.2}", seq_pps / 1e6)];
     row.extend(pps.iter().map(|p| format!("{:.2}", p / 1e6)));
     row.push(format!("{speedup:.2}x"));
     table.row(row);
-    speedup
+    (speedup, pps_128)
 }
 
 /// One divergent-leaf microbench point.
@@ -155,9 +160,29 @@ pub fn run(ctx: &Ctx) -> Outcome {
         ];
         for (engine, build) in engines {
             if ctx.wants_engine(engine) {
-                let speedup =
+                let (speedup, _) =
                     sweep(&mut out, engine, &app, &*build(), &trace, s.warmups, &mut table);
                 rows.push((engine, app.clone(), speedup));
+            }
+        }
+    }
+    // The paper's comparison where the iSets are the whole lookup: a FIB in
+    // 8 iSets (remainder near empty) against the whole set in TupleMerge.
+    let mut fib_pps = [f64::NAN; 2];
+    if ctx.wants_app("fib") {
+        let set = nm_classbench::stanford_fib(n, 0xf1b + n as u64);
+        let trace = uniform_trace(&set, s.trace_len, 0xba7c4 + n as u64);
+        let engines: [(&str, Build<'_>); 2] = [
+            ("nm/tm", &|| {
+                let built = NuevoMatch::build(&set, &nm_config(8, 0.0), TupleMerge::build);
+                Box::new(built.expect("nm/tm build"))
+            }),
+            ("tm", &|| Box::new(TupleMerge::build(&set))),
+        ];
+        for ((engine, build), pps_128) in engines.into_iter().zip(&mut fib_pps) {
+            if ctx.wants_engine(engine) {
+                (_, *pps_128) =
+                    sweep(&mut out, engine, "fib", &*build(), &trace, s.warmups, &mut table);
             }
         }
     }
@@ -189,6 +214,13 @@ pub fn run(ctx: &Ctx) -> Outcome {
     };
     let tree_pass = target_pass(["cs", "nc"], "fw", 1.5);
     let tm_pass = target_pass(["tm", "nm/tm"], "acl", 1.0);
+    // NuevoMatch over the engine it is meant to beat, on the rule-set built
+    // to show it. NaN (and WARN) when either engine was filtered out.
+    let nm_vs_tm_fib = fib_pps[0] / fib_pps[1];
+    out.say(format!(
+        "{}: nm/tm vs tm on fib at batch 128 {nm_vs_tm_fib:.2}x (target 1x)",
+        if nm_vs_tm_fib >= 1.0 { "PASS" } else { "WARN" },
+    ));
 
     out.say(format!("\n=== Divergent-leaf microbench — gather vs broadcast, {:?} ===", detect()));
     out.say("(ns per packet; shared = the uniform-group fast path, 1 distinct leaf only)\n");
@@ -233,6 +265,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.scalar("nm_tm_geomean_128_vs_seq", Json::num(gm, 3));
     out.scalar("tree_target_pass", tree_pass);
     out.scalar("tm_target_pass", tm_pass);
+    out.scalar("nm_vs_tm_fib_128", Json::num(nm_vs_tm_fib, 3));
     out.scalar("gather_target_pass", gather_pass);
     out
 }

@@ -28,32 +28,35 @@
 //! Snapshot layout:
 //!
 //! ```text
-//! magic  "NMSNAP01"                      8 bytes
+//! magic  "NMSNAP02"                      8 bytes
 //! generation u64, flags u8 (bit 0 = early termination)
 //! total_rules u64, moved_updates u64
 //! spec: nfields u32, per field (name_len u32 + utf8, bits u8)
-//! isets: count u32, per iset:
+//! isets: count u32, per iset, as laid out in memory (`system::Packed`;
+//!        words are u32 when every field of the spec is ≤ 32 bits, else u64):
 //!   dim u32, n u64
-//!   los/his  n × u64 each, rule_ids/priorities  n × u32 each
-//!   boxes    n × nfields × 2 × u64
-//!   tombstone bitmap  ceil(n/8) bytes
+//!   records           n × stride words ([lo, hi] per field, id, priority, padding;
+//!                     the search array is word 2·dim+1 of each, so it is not stored)
+//!   tombstone bitmap  ceil(n/64) × u64
 //!   embedded RQ-RMI blob (u32 length prefix, save_rqrmi format)
 //! remainder: count u64, per rule (id u32, priority u32, nfields × lo/hi u64)
 //! fnv64 checksum over everything above   8 bytes
 //! ```
 //!
 //! The checksum catches truncation and bit rot; the magic catches format
-//! confusion. Forward compatibility is handled by bumping the magic suffix.
+//! confusion. The format version is the magic's suffix: an image of format
+//! 1 (`NMSNAP01`, separate `los`/`his`/`boxes` arrays) is refused by name,
+//! never parsed.
 
 use crate::rqrmi::RqRmi;
-use crate::system::{NuevoMatch, TrainedISet};
+use crate::system::{slot_bytes, wide, with_table, NuevoMatch, Table, TrainedISet, Word};
 use bytes::{Buf, BufMut};
 use nm_common::update::{BatchUpdatable, EngineBuilder, Generation};
 use nm_common::{Classifier, Error, FieldSpec, FieldsSpec, Rule, RuleSet};
 use nm_nn::Mlp;
 
 const MAGIC: &[u8; 8] = b"NMRQRMI1";
-const SNAP_MAGIC: &[u8; 8] = b"NMSNAP01";
+const SNAP_MAGIC: &[u8; 8] = b"NMSNAP02";
 
 fn fnv64(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -195,30 +198,12 @@ pub fn save_snapshot<R: BatchUpdatable>(nm: &NuevoMatch<R>, generation: Generati
     }
     out.put_u32_le(nm.isets().len() as u32);
     for iset in nm.isets() {
-        let (dim, model, los, his, rule_ids, priorities, boxes, deleted) = iset.parts();
-        out.put_u32_le(dim as u32);
-        out.put_u64_le(los.len() as u64);
-        for &v in los {
-            out.put_u64_le(v);
-        }
-        for &v in his {
-            out.put_u64_le(v);
-        }
-        for &v in rule_ids {
-            out.put_u32_le(v);
-        }
-        for &v in priorities {
-            out.put_u32_le(v);
-        }
-        for &v in boxes {
-            out.put_u64_le(v);
-        }
-        for chunk in deleted.chunks(8) {
-            let mut byte = 0u8;
-            for (bit, &dead) in chunk.iter().enumerate() {
-                byte |= (dead as u8) << bit;
-            }
-            out.put_u8(byte);
+        let (model, table, deleted) = iset.parts();
+        out.put_u32_le(iset.dim() as u32);
+        out.put_u64_le(iset.len() as u64);
+        with_table!(table, t => put_words(&mut out, t.records()));
+        for &w in deleted {
+            out.put_u64_le(w);
         }
         let blob = save_rqrmi(model);
         out.put_u32_le(blob.len() as u32);
@@ -237,6 +222,19 @@ pub fn save_snapshot<R: BatchUpdatable>(nm: &NuevoMatch<R>, generation: Generati
     let sum = fnv64(&out);
     out.put_u64_le(sum);
     out
+}
+
+fn put_words<W: Word>(out: &mut Vec<u8>, words: &[W]) {
+    for &w in words {
+        out.put_slice(&wide(w).to_le_bytes()[..std::mem::size_of::<W>()]);
+    }
+}
+
+/// One little-endian word off `buf`; the caller has checked it is there.
+fn get_word<W: Word>(buf: &mut &[u8]) -> W {
+    let mut le = [0u8; 8];
+    buf.copy_to_slice(&mut le[..std::mem::size_of::<W>()]);
+    W::try_from(u64::from_le_bytes(le)).unwrap_or_else(|_| unreachable!("a word's bytes fit it"))
 }
 
 /// Deserialises a [`save_snapshot`] image, rebuilding the remainder engine
@@ -259,6 +257,9 @@ pub fn load_snapshot<R: Classifier>(
     let mut buf = body;
     let mut magic = [0u8; 8];
     buf.copy_to_slice(&mut magic);
+    if &magic == b"NMSNAP01" {
+        return Err(fail("snapshot format 1, rebuild"));
+    }
     if &magic != SNAP_MAGIC {
         return Err(fail("bad magic"));
     }
@@ -306,34 +307,23 @@ pub fn load_snapshot<R: Classifier>(
             return Err(fail("iset dim outside schema"));
         }
         let n = buf.get_u64_le() as usize;
-        let words = n
-            .checked_mul(2 + nfields * 2)
-            .and_then(|w| w.checked_mul(8))
+        let bytes = n
+            .checked_mul(slot_bytes(nfields, Table::word_bytes(&spec)))
+            .and_then(|b| b.checked_add(n.div_ceil(64) * 8))
             .ok_or_else(|| fail("iset size overflow"))?;
-        need(&buf, words + n * 8 + n.div_ceil(8), "iset arrays")?;
-        let read_u64s = |buf: &mut &[u8], count: usize| -> Vec<u64> {
-            (0..count).map(|_| buf.get_u64_le()).collect()
-        };
-        let los = read_u64s(&mut buf, n);
-        let his = read_u64s(&mut buf, n);
-        let rule_ids: Vec<u32> = (0..n).map(|_| buf.get_u32_le()).collect();
-        let priorities: Vec<u32> = (0..n).map(|_| buf.get_u32_le()).collect();
-        let boxes = read_u64s(&mut buf, n * nfields * 2);
-        let mut deleted = Vec::with_capacity(n);
-        for chunk_base in (0..n).step_by(8) {
-            let byte = buf.get_u8();
-            for bit in 0..8.min(n - chunk_base) {
-                deleted.push(byte & (1 << bit) != 0);
-            }
+        need(&buf, bytes, "iset arrays")?;
+        let mut table = Table::new(&spec, dim, n);
+        with_table!(&mut table, t => t.read_records(n, || get_word(&mut buf)));
+        let deleted: Vec<u64> = (0..n.div_ceil(64)).map(|_| buf.get_u64_le()).collect();
+        if n % 64 != 0 && deleted[n / 64] >> (n % 64) != 0 {
+            return Err(fail("tombstone bits past the last rule"));
         }
         need(&buf, 4, "model blob length")?;
         let blob_len = buf.get_u32_le() as usize;
         need(&buf, blob_len, "model blob")?;
         let model = load_rqrmi(&buf[..blob_len])?;
         buf.advance(blob_len);
-        isets.push(TrainedISet::from_parts(
-            dim, model, los, his, rule_ids, priorities, boxes, deleted,
-        ));
+        isets.push(TrainedISet::from_parts(model, table, deleted));
     }
     need(&buf, 8, "remainder count")?;
     let n_remainder = buf.get_u64_le() as usize;
@@ -496,6 +486,19 @@ mod tests {
             // An RQ-RMI blob is not a snapshot.
             let m = super::model();
             assert!(load_snapshot(&save_rqrmi(&m), &LinearSearch::build).is_err());
+        }
+
+        #[test]
+        fn format_1_image_is_refused_by_name() {
+            // A well-formed image of the previous format (valid checksum,
+            // old magic) must be turned away before any field is parsed.
+            let mut bytes = save_snapshot(&updated_nm(), 1);
+            bytes[..8].copy_from_slice(b"NMSNAP01");
+            let body = bytes.len() - 8;
+            let sum = super::super::fnv64(&bytes[..body]);
+            bytes[body..].copy_from_slice(&sum.to_le_bytes());
+            let err = load_snapshot(&bytes, &LinearSearch::build).err().expect("format 1 accepted");
+            assert!(err.to_string().contains("snapshot format 1, rebuild"), "{err}");
         }
 
         #[test]

@@ -23,15 +23,18 @@
 //!   kernel spends ~half its instructions summing lanes). Deeper shared
 //!   stages use it opportunistically whenever all 8 lanes agree on the
 //!   submodel index.
-//! * **Across packets, divergent leaves** ([`LeafSoa::forward_leaf_gather8`]):
-//!   when the 8 packets of a group route to *different* leaf submodels, a
-//!   lane-per-packet pass is still possible if each lane can fetch its own
-//!   leaf's parameters. [`LeafSoa`] keeps a transposed (structure-of-arrays)
-//!   copy of the leaf stage — all leaves' `w1[j]` contiguous per neuron `j`,
-//!   all `b2` contiguous — so `_mm256_i32gather_ps` (AVX2) pulls 8 divergent
-//!   leaves' parameters into registers, one gather per coefficient, and the
-//!   stage finishes in the same FMA pass as the shared kernel. See the
-//!   `LeafSoa` docs for the selection policy and when gather wins.
+//! * **Across packets, divergent stages** ([`LeafSoa::forward_leaf_gather8`]):
+//!   when the 8 packets of a group route to *different* submodels of a
+//!   stage, a lane-per-packet pass is still possible if each lane can fetch
+//!   its own submodel's parameters. [`LeafSoa`] keeps a transposed
+//!   (structure-of-arrays) copy of a stage — all submodels' `w1[j]`
+//!   contiguous per neuron `j`, all `b2` contiguous — so
+//!   `_mm256_i32gather_ps` (AVX2) pulls 8 divergent submodels' parameters
+//!   into registers, one gather per coefficient, and the stage finishes in
+//!   the same FMA pass as the shared kernel. The AVX2+FMA walk carries one
+//!   copy per stage and gathers on *any* divergent stage, internal or leaf
+//!   (uniform traffic over a 500K-rule model diverges at both). See the
+//!   `LeafSoa` docs for when gather wins.
 //!
 //! ## Dispatch
 //!
@@ -42,6 +45,16 @@
 //! the per-stage `match isa` branch the scalar path used to take, and each
 //! monomorphized body carries its ISA's `#[target_feature]`, so the kernels
 //! inline into their own staged loop.
+//!
+//! The AVX2+FMA 8-packet walk (`predict8_mono_fma`) stays **in registers**
+//! from the 8 inputs to the stored predictions: the routing index is an
+//! `epi32` vector (`cvttps_epi32` + `min_epi32`, lane for lane the scalar
+//! `((y * w) as usize).min(w - 1)`), uniformity is one compare + movemask,
+//! the stage is the shared kernel or the gather kernel, the final index is
+//! computed in `f64` (`cvtps_pd`, `mul_pd`, `cvttpd_epi32`) exactly like
+//! `RqRmi::predict_x`, and the error bounds are one `i32gather_epi32`. The
+//! other ISAs share one macro-generated walk over scalar index arrays whose
+//! divergent stages fall back to per-lane broadcast passes.
 //!
 //! Correctness note: the SIMD summation order differs from the scalar loop,
 //! so results can differ in the last ULPs; FMA additionally skips the
@@ -362,25 +375,36 @@ impl Kernel {
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn batch8_fma(&self, xs: &[f32; 8]) -> [f32; 8] {
-        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; every pointer load/store below stays within the bounds of the fixed-size parameter arrays.
+        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; the load and the store cover exactly the two 8-float arrays.
         unsafe {
             use std::arch::x86_64::*;
-            let xv = _mm256_loadu_ps(xs.as_ptr());
-            let zero = _mm256_setzero_ps();
-            let mut acc = _mm256_set1_ps(self.b2);
-            for j in 0..8 {
-                let w1 = _mm256_set1_ps(self.w1[j]);
-                let b1 = _mm256_set1_ps(self.b1[j]);
-                let w2 = _mm256_set1_ps(self.w2[j]);
-                let pre = _mm256_fmadd_ps(w1, xv, b1);
-                let hid = _mm256_max_ps(pre, zero);
-                acc = _mm256_fmadd_ps(hid, w2, acc);
-            }
-            let y = _mm256_min_ps(_mm256_max_ps(acc, zero), _mm256_set1_ps(ONE_MINUS_EPS));
             let mut out = [0.0f32; 8];
-            _mm256_storeu_ps(out.as_mut_ptr(), y);
+            _mm256_storeu_ps(out.as_mut_ptr(), self.batch8_fma_v(_mm256_loadu_ps(xs.as_ptr())));
             out
         }
+    }
+
+    /// [`Kernel::batch8_fma`] register to register (the staged walk never
+    /// leaves registers between stages).
+    ///
+    /// # Safety
+    /// Requires AVX2 + FMA; dispatch through [`detect`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn batch8_fma_v(&self, xv: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::*;
+        let zero = _mm256_setzero_ps();
+        let mut acc = _mm256_set1_ps(self.b2);
+        for j in 0..8 {
+            let w1 = _mm256_set1_ps(self.w1[j]);
+            let b1 = _mm256_set1_ps(self.b1[j]);
+            let w2 = _mm256_set1_ps(self.w2[j]);
+            let pre = _mm256_fmadd_ps(w1, xv, b1);
+            let hid = _mm256_max_ps(pre, zero);
+            acc = _mm256_fmadd_ps(hid, w2, acc);
+        }
+        _mm256_min_ps(_mm256_max_ps(acc, zero), _mm256_set1_ps(ONE_MINUS_EPS))
     }
 
     /// Kernel weight bytes (same as the source submodel plus padding).
@@ -563,8 +587,8 @@ impl Kernel {
     }
 }
 
-/// Transposed (structure-of-arrays) copy of a leaf stage for the
-/// divergent-leaf gather kernel.
+/// Transposed (structure-of-arrays) copy of one stage (historically the
+/// leaf stage, hence the name) for the divergent-stage gather kernel.
 ///
 /// ## Layout
 ///
@@ -586,15 +610,16 @@ impl Kernel {
 /// ahead, at ≥ 4 it still wins (measured by `nm-bench batch`'s
 /// divergent-leaf microbench), and when all 8 lanes agree the shared
 /// [`Kernel::forward_batch8`] kernel beats both — which is why
-/// [`CompiledRqRmi`]'s staged walk auto-selects: shared kernel when the
-/// group routes uniformly, gather only on divergence. On AVX2+FMA the
+/// [`CompiledRqRmi`]'s AVX2+FMA walk auto-selects at every stage: shared
+/// kernel when the group routes uniformly, gather only on divergence. The
 /// gather kernel and the shared kernel execute the identical per-lane
 /// op sequence (`acc = b2; acc = fma(relu(fma(w1,x,b1)), w2, acc)`), so
 /// auto-selection cannot change even the last ULP of a prediction.
 ///
-/// Pre-AVX2 ISAs fall back to [`LeafSoa::forward_leaf_gather8`]'s scalar
-/// path (bit-identical to `Kernel::forward_scalar` per lane); their
-/// broadcast kernels remain in use for divergent *internal* stages.
+/// Pre-AVX2 ISAs never gather in the staged walk (divergent stages take
+/// their per-lane broadcast kernels); for them
+/// [`LeafSoa::forward_leaf_gather8`] is the scalar reference, bit-identical
+/// to `Kernel::forward_scalar` per lane.
 #[derive(Clone, Debug, Default)]
 pub struct LeafSoa {
     /// `w1[j * n + i]` = leaf `i`'s hidden weight `j` (neuron-major).
@@ -686,21 +711,36 @@ impl LeafSoa {
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn gather8_fma(&self, xs: &[f32; 8], idx: &[usize; 8]) -> [f32; 8] {
-        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; every pointer load/store below stays within the bounds of the fixed-size parameter arrays.
+        // SAFETY: the function's `# Safety` contract guarantees the enabled target features and that every lane index is in range; the two loads and the store cover exactly the three 8-element arrays.
         unsafe {
             use std::arch::x86_64::*;
             debug_assert!(idx.iter().all(|&i| i < self.n), "leaf index out of range");
-            let iv = _mm256_setr_epi32(
-                idx[0] as i32,
-                idx[1] as i32,
-                idx[2] as i32,
-                idx[3] as i32,
-                idx[4] as i32,
-                idx[5] as i32,
-                idx[6] as i32,
-                idx[7] as i32,
+            let iv = idx.map(|i| i as i32);
+            let iv = _mm256_loadu_si256(iv.as_ptr() as *const __m256i);
+            let mut out = [0.0f32; 8];
+            _mm256_storeu_ps(
+                out.as_mut_ptr(),
+                self.gather8_fma_v(_mm256_loadu_ps(xs.as_ptr()), iv),
             );
-            let xv = _mm256_loadu_ps(xs.as_ptr());
+            out
+        }
+    }
+
+    /// [`LeafSoa::gather8_fma`] register to register.
+    ///
+    /// # Safety
+    /// Requires AVX2 + FMA, and every lane of `iv` in `0..self.len()`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn gather8_fma_v(
+        &self,
+        xv: std::arch::x86_64::__m256,
+        iv: std::arch::x86_64::__m256i,
+    ) -> std::arch::x86_64::__m256 {
+        // SAFETY: the function's `# Safety` contract bounds every lane of `iv` by `n`, and each gather's base is `j * n` words into an `8 * n`-word array (`b2`: word 0 of an `n`-word array), so every gathered word is in bounds.
+        unsafe {
+            use std::arch::x86_64::*;
             let zero = _mm256_setzero_ps();
             let mut acc = _mm256_i32gather_ps::<4>(self.b2.as_ptr(), iv);
             for j in 0..8 {
@@ -712,10 +752,7 @@ impl LeafSoa {
                 let hid = _mm256_max_ps(pre, zero);
                 acc = _mm256_fmadd_ps(hid, w2, acc);
             }
-            let y = _mm256_min_ps(_mm256_max_ps(acc, zero), _mm256_set1_ps(ONE_MINUS_EPS));
-            let mut out = [0.0f32; 8];
-            _mm256_storeu_ps(out.as_mut_ptr(), y);
-            out
+            _mm256_min_ps(_mm256_max_ps(acc, zero), _mm256_set1_ps(ONE_MINUS_EPS))
         }
     }
 
@@ -825,11 +862,11 @@ unsafe fn chain_broadcast_fma(
 /// carrying its `#[target_feature]` so the kernels inline into the loop and
 /// the per-stage ISA `match` disappears from the hot path.
 ///
-/// Two public arms: the plain arm keeps the pre-gather behaviour (divergent
-/// stages fall back to per-lane broadcast passes), the `gather` arm routes a
-/// *divergent leaf stage* through the [`LeafSoa`] gather kernel instead —
-/// divergent internal stages still take the per-lane fallback (they are
-/// narrow, rarely divergent, and not transposed).
+/// The 8-packet walk generated here serves the ISAs without a gather
+/// instruction: a stage whose lanes agree takes the shared lane-per-packet
+/// kernel, a divergent one falls back to per-lane broadcast passes.
+/// AVX2+FMA takes only the single-key walk from this macro; its 8-packet
+/// walk is [`predict8_mono_fma`].
 macro_rules! mono_staged {
     (@predict $( #[$attr:meta] )* ($predict:ident, $fwd:ident)) => {
         $( #[$attr] )*
@@ -852,15 +889,8 @@ macro_rules! mono_staged {
             (pred, m.leaf_err[idx])
         }
     };
-    (@finish $m:ident, $ys:ident, $idx:ident, $preds:ident, $errs:ident) => {
-        for l in 0..8 {
-            // Final multiply in f64, matching `RqRmi::predict_x`.
-            let y = $ys[l] as f64;
-            $preds[l] = ((y * $m.n_values as f64) as usize).min($m.n_values - 1);
-            $errs[l] = $m.leaf_err[$idx[l]];
-        }
-    };
-    (@predict8 $( #[$attr:meta] )* ($predict8:ident, $fwd:ident, $fwd8:ident $(, $lgather:ident)?)) => {
+    ($( #[$attr:meta] )* ($predict:ident, $predict8:ident, $fwd:ident, $fwd8:ident)) => {
+        mono_staged!(@predict $( #[$attr] )* ($predict, $fwd));
         $( #[$attr] )*
         // As in @predict: the scalar instantiation's kernels are safe fns.
         #[allow(unused_unsafe)]
@@ -875,26 +905,12 @@ macro_rules! mono_staged {
             let mut ys = [0.0f32; 8];
             for s in 0..nstages {
                 // Stage 0 always shares the root submodel; deeper stages
-                // share whenever the batch routes uniformly — take the
-                // lane-per-packet kernel in both cases (auto-selection: the
-                // shared kernel needs no gathers, so it stays the fast
-                // path; on FMA it computes bit-identically to the gather
-                // kernel).
+                // share whenever the batch routes uniformly.
                 if idx.iter().all(|&i| i == idx[0]) {
                     // SAFETY: $fwd8 shares this fn's target-feature
                     // contract; the caller upheld it to call $predict8.
                     ys = unsafe { m.stages[s][idx[0]].$fwd8(xs) };
-                }
-                $(
-                    // Divergent leaf stage (gather-capable ISAs only): one
-                    // transposed gather pass instead of 8 broadcast passes.
-                    else if s + 1 == nstages {
-                        // SAFETY: $lgather likewise shares the feature
-                        // contract, and `idx` was clamped to the leaf width.
-                        ys = unsafe { m.leaf_soa.$lgather(xs, &idx) };
-                    }
-                )?
-                else {
+                } else {
                     for l in 0..8 {
                         // SAFETY: as above — $fwd shares the contract.
                         let y = unsafe { m.stages[s][idx[l]].$fwd(xs[l]) };
@@ -908,16 +924,13 @@ macro_rules! mono_staged {
                     }
                 }
             }
-            mono_staged!(@finish m, ys, idx, preds, errs);
+            for l in 0..8 {
+                // Final multiply in f64, matching `RqRmi::predict_x`.
+                let y = ys[l] as f64;
+                preds[l] = ((y * m.n_values as f64) as usize).min(m.n_values - 1);
+                errs[l] = m.leaf_err[idx[l]];
+            }
         }
-    };
-    (gather $( #[$attr:meta] )* ($predict:ident, $predict8:ident, $fwd:ident, $fwd8:ident, $lgather:ident)) => {
-        mono_staged!(@predict $( #[$attr] )* ($predict, $fwd));
-        mono_staged!(@predict8 $( #[$attr] )* ($predict8, $fwd, $fwd8, $lgather));
-    };
-    ($( #[$attr:meta] )* ($predict:ident, $predict8:ident, $fwd:ident, $fwd8:ident)) => {
-        mono_staged!(@predict $( #[$attr] )* ($predict, $fwd));
-        mono_staged!(@predict8 $( #[$attr] )* ($predict8, $fwd, $fwd8));
     };
 }
 
@@ -936,10 +949,63 @@ mono_staged!(
 );
 
 #[cfg(target_arch = "x86_64")]
-mono_staged!(gather
+mono_staged!(@predict
     #[target_feature(enable = "avx2,fma")]
-    (predict_mono_fma, predict8_mono_fma, forward_fma, batch8_fma, gather8_fma)
+    (predict_mono_fma, forward_fma)
 );
+
+/// The AVX2+FMA 8-packet staged walk, in registers from the inputs to the
+/// stored predictions: route with `cvttps_epi32` + `min_epi32` (lane for
+/// lane the scalar `((y * w) as usize).min(w - 1)`), test uniformity with
+/// one compare + movemask, take the shared kernel when the lanes agree and
+/// the transposed gather kernel on *any* divergent stage (the two are
+/// bit-identical per lane), finish in `f64` like `RqRmi::predict_x`
+/// (`cvtps_pd`, `mul_pd`, `cvttpd_epi32`) and gather the error bounds.
+///
+/// # Safety
+/// Requires AVX2 + FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn predict8_mono_fma(
+    m: &CompiledRqRmi,
+    xs: &[f32; 8],
+    preds: &mut [usize; 8],
+    errs: &mut [u32; 8],
+) {
+    use std::arch::x86_64::*;
+    // The predictions are stored as two vectors of four 64-bit lanes.
+    const _: () = assert!(std::mem::size_of::<usize>() == 8);
+    // SAFETY: the function's `# Safety` contract guarantees the target features. Every lane of `idx` addresses its stage: it starts at 0, and each routing step clamps it into `0..widths[s + 1]` (`ys` is clamped to `[0, 1)`, so the product is non-negative and far below `i32::MAX`), while `with_isa` asserted that stage `s` holds `widths[s]` kernels, transposed into `soa[s]`, and that `leaf_err` has one entry per leaf. The loads and stores cover exactly the three 8-element arrays.
+    unsafe {
+        let xv = _mm256_loadu_ps(xs.as_ptr());
+        let mut idx = _mm256_setzero_si256();
+        let mut ys = _mm256_setzero_ps();
+        for (s, (stage, soa)) in m.stages.iter().zip(&m.soa).enumerate() {
+            let first = _mm256_castsi256_si128(idx);
+            let same = _mm256_cmpeq_epi32(idx, _mm256_broadcastd_epi32(first));
+            ys = if _mm256_movemask_epi8(same) == -1 {
+                stage[_mm_cvtsi128_si32(first) as usize].batch8_fma_v(xv)
+            } else {
+                soa.gather8_fma_v(xv, idx)
+            };
+            if let Some(&w_next) = m.widths.get(s + 1) {
+                let routed = _mm256_cvttps_epi32(_mm256_mul_ps(ys, _mm256_set1_ps(w_next as f32)));
+                idx = _mm256_min_epi32(routed, _mm256_set1_epi32(w_next as i32 - 1));
+            }
+        }
+        let (n, last) = (_mm256_set1_pd(m.n_values as f64), _mm_set1_epi32(m.n_values as i32 - 1));
+        for (half, ys) in
+            [_mm256_castps256_ps128(ys), _mm256_extractf128_ps::<1>(ys)].into_iter().enumerate()
+        {
+            let pred =
+                _mm_min_epi32(_mm256_cvttpd_epi32(_mm256_mul_pd(_mm256_cvtps_pd(ys), n)), last);
+            let at = preds.as_mut_ptr().add(4 * half) as *mut __m256i;
+            _mm256_storeu_si256(at, _mm256_cvtepu32_epi64(pred));
+        }
+        let err = _mm256_i32gather_epi32::<4>(m.leaf_err.as_ptr() as *const i32, idx);
+        _mm256_storeu_si256(errs.as_mut_ptr() as *mut __m256i, err);
+    }
+}
 
 /// Signature of a monomorphized single-key staged walk.
 type PredictFn = unsafe fn(&CompiledRqRmi, f32) -> (usize, u32);
@@ -951,9 +1017,10 @@ type Predict8Fn = unsafe fn(&CompiledRqRmi, &[f32; 8], &mut [usize; 8], &mut [u3
 #[derive(Clone, Debug)]
 pub struct CompiledRqRmi {
     stages: Vec<Vec<Kernel>>,
-    /// Transposed copy of the *leaf* stage for the divergent-leaf gather
-    /// kernel (see [`LeafSoa`]); redundant with `stages.last()` by design.
-    leaf_soa: LeafSoa,
+    /// Transposed copy of every stage for the gather kernel (see
+    /// [`LeafSoa`]); redundant with `stages` by design. Empty unless
+    /// compiled for [`Isa::AvxFma`], the only walk that gathers.
+    soa: Vec<LeafSoa>,
     widths: Vec<usize>,
     leaf_err: Vec<u32>,
     n_values: usize,
@@ -975,13 +1042,23 @@ impl CompiledRqRmi {
     pub fn with_isa(model: &super::RqRmi, isa: Isa) -> Self {
         let stages: Vec<Vec<Kernel>> =
             model.nets.iter().map(|st| st.iter().map(Kernel::from_mlp).collect()).collect();
-        // The transposed leaf copy feeds the gather kernel, which only the
-        // AVX2+FMA staged walk dispatches — don't carry (or count) it for
-        // ISAs whose divergent-leaf path is the per-lane broadcast.
-        let leaf_soa = if isa == Isa::AvxFma {
-            LeafSoa::from_kernels(stages.last().map_or(&[][..], Vec::as_slice))
+        // What `predict8_mono_fma`'s gathers rely on: each stage as wide
+        // as `widths` says, one error bound per leaf, and every index and
+        // prediction representable in an `i32` lane.
+        assert!(
+            stages.iter().map(Vec::len).eq(model.widths.iter().copied())
+                && model.widths.last() == Some(&model.leaf_err.len())
+                && model.widths.iter().all(|&w| (1..1 << 24).contains(&w))
+                && i32::try_from(model.n_values).is_ok(),
+            "CompiledRqRmi: inconsistent model shape"
+        );
+        // The transposed copies feed the gather kernel, which only the
+        // AVX2+FMA staged walk dispatches — don't carry (or count) them for
+        // ISAs whose divergent path is the per-lane broadcast.
+        let soa = if isa == Isa::AvxFma {
+            stages.iter().map(|st| LeafSoa::from_kernels(st)).collect()
         } else {
-            LeafSoa::default()
+            Vec::new()
         };
         let km = model.key_map();
         #[cfg(target_arch = "x86_64")]
@@ -996,7 +1073,7 @@ impl CompiledRqRmi {
             (predict_mono_scalar, predict8_mono_scalar);
         Self {
             stages,
-            leaf_soa,
+            soa,
             widths: model.widths.clone(),
             leaf_err: model.leaf_err.clone(),
             n_values: model.n_values,
@@ -1076,19 +1153,11 @@ impl CompiledRqRmi {
     }
 
     /// Kernel memory (Figure 13 accounting mirrors [`super::RqRmi::memory_bytes`]),
-    /// including the transposed leaf copy the gather kernel reads.
+    /// including the transposed copies the gather kernel reads.
     pub fn memory_bytes(&self) -> usize {
         self.stages.iter().flatten().map(Kernel::memory_bytes).sum::<usize>()
-            + self.leaf_soa.memory_bytes()
+            + self.soa.iter().map(LeafSoa::memory_bytes).sum::<usize>()
             + self.leaf_err.len() * 4
-    }
-
-    /// The transposed leaf stage the gather kernel reads (microbenches and
-    /// diagnostics; lookups go through [`CompiledRqRmi::predict_batch`]).
-    /// Empty unless this model was compiled for [`Isa::AvxFma`] — the only
-    /// staged walk that dispatches the gather kernel.
-    pub fn leaf_soa(&self) -> &LeafSoa {
-        &self.leaf_soa
     }
 }
 
@@ -1274,29 +1343,64 @@ mod tests {
         use crate::config::RqRmiParams;
         use crate::rqrmi::train::train_rqrmi;
         use nm_common::FieldRange;
+        // A 3-stage model, so a group can diverge at the internal stage as
+        // well as at the leaf.
         let ranges: Vec<FieldRange> =
-            (0..300).map(|i| FieldRange::new(i * 200, i * 200 + 99)).collect();
-        let m = train_rqrmi(&ranges, 16, &RqRmiParams::default()).unwrap();
-        assert!(m.leaf_error_bounds().len() > 1, "divergence test needs a multi-leaf model");
-        // Stride keys across the whole domain so every 8-group routes to
-        // widely separated (divergent) leaves — the gather path, not the
-        // shared fast path.
-        let order: Vec<usize> = (0..ranges.len()).map(|i| (i * 37) % ranges.len()).collect();
-        let keys: Vec<u64> = order.iter().map(|&i| ranges[i].lo + 13).collect();
+            (0..3_000).map(|i| FieldRange::new(i * 300, i * 300 + 199)).collect();
+        let params = RqRmiParams { stage_widths: Some(vec![1, 4, 16]), ..Default::default() };
+        let m = train_rqrmi(&ranges, 20, &params).unwrap();
+        assert_eq!(m.widths(), [1, 4, 16]);
+        // Every range boundary, strided across the whole domain so the 8
+        // lanes of a group land in widely separated submodels.
+        let order: Vec<usize> =
+            (0..2 * ranges.len()).map(|i| (i * 751) % (2 * ranges.len())).collect();
+        let keys: Vec<u64> = order
+            .iter()
+            .map(|&b| if b % 2 == 0 { ranges[b / 2].lo } else { ranges[b / 2].hi })
+            .collect();
+        // The groups do diverge at the internal stage (routing as the
+        // scalar walk computes it), not only at the leaf.
+        let reference = CompiledRqRmi::with_isa(&m, Isa::Scalar);
+        let internal = |key: u64| {
+            let y = reference.stages[0][0]
+                .forward_clamped((key as f64 * reference.scale) as f32, Isa::Scalar);
+            ((y * 4.0) as usize).min(3)
+        };
+        assert!(keys.chunks_exact(8).all(|g| g.iter().any(|&k| internal(k) != internal(g[0]))));
+        assert!(keys.chunks_exact(8).all(|g| g.iter().any(|&k| m.route(k) != m.route(g[0]))));
         for isa in testable_isas() {
             let compiled = CompiledRqRmi::with_isa(&m, isa);
             let mut preds = vec![0usize; keys.len()];
             let mut errs = vec![0u32; keys.len()];
             compiled.predict_batch(&keys, &mut preds, &mut errs);
-            for (k, &true_idx) in order.iter().enumerate() {
-                let dist = (preds[k] as i64 - true_idx as i64).unsigned_abs();
+            for (k, &b) in order.iter().enumerate() {
                 assert!(
-                    dist <= errs[k] as u64,
-                    "{isa:?} key {}: pred {} true {true_idx} err {}",
+                    preds[k].abs_diff(b / 2) <= errs[k] as usize,
+                    "{isa:?} key {}: pred {} true {} err {}",
                     keys[k],
                     preds[k],
+                    b / 2,
                     errs[k]
                 );
+            }
+        }
+        // Auto-selection safety at every stage, internal ones included: on
+        // AVX2+FMA the transposed gather kernel and the shared kernel agree
+        // in every bit, so which of the two a group takes cannot matter.
+        if Isa::AvxFma.available() {
+            let compiled = CompiledRqRmi::with_isa(&m, Isa::AvxFma);
+            assert_eq!(compiled.soa.len(), compiled.stages.len());
+            for (stage, soa) in compiled.stages.iter().zip(&compiled.soa) {
+                for (i, kernel) in stage.iter().enumerate() {
+                    let xs: [f32; 8] =
+                        std::array::from_fn(|l| (i as f32 * 0.07 + l as f32 * 0.11).fract());
+                    assert_eq!(
+                        soa.forward_leaf_gather8(&xs, &[i; 8], Isa::AvxFma),
+                        kernel.forward_batch8(&xs, Isa::AvxFma),
+                        "submodel {i} of a {}-wide stage",
+                        stage.len()
+                    );
+                }
             }
         }
     }

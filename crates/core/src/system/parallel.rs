@@ -150,14 +150,23 @@ mod tests {
         // the update stream, so we assert structural health, not a fixed
         // checksum.
         use nm_common::{FiveTuple, UpdateBatch};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        /// Stops the writer however the scope's main closure leaves —
+        /// a failed assertion there must fail the test, not hang it on a
+        /// writer that never hears `done`.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
         let (handle, trace) = setup();
-        let writer = handle.clone();
-        let done = std::sync::atomic::AtomicBool::new(false);
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
                 let mut i = 0u32;
-                while !done.load(std::sync::atomic::Ordering::SeqCst) {
-                    writer.apply(
+                while !done.load(Ordering::SeqCst) {
+                    handle.apply(
                         &UpdateBatch::new().modify(
                             FiveTuple::new()
                                 .dst_port_exact(50_000 + (i % 1_000) as u16)
@@ -166,17 +175,16 @@ mod tests {
                     );
                     i += 1;
                     if i % 64 == 0 {
-                        let _ = writer.retrain();
+                        let _ = handle.retrain();
                     }
                 }
             });
+            let _stop = StopOnDrop(&done);
             for _ in 0..5 {
                 let s = rt(128).run(&SplitPlan::new(&handle), &trace).unwrap();
                 assert!(s.pps > 0.0);
             }
-            done.store(true, std::sync::atomic::Ordering::SeqCst);
-        })
-        .expect("scope");
+        });
         assert!(handle.generation() > 1, "updates must have published");
     }
 }

@@ -195,7 +195,7 @@ fn gather_and_broadcast_leaf_stage_agree_on_search_outcome() {
         .collect();
     let model = train_rqrmi(&ranges, 16, &RqRmiParams::default()).unwrap();
     assert!(model.leaf_error_bounds().len() > 1, "need a multi-leaf model for divergence");
-    // Emulates `TrainedISet::search_value` over the sorted ranges.
+    // Emulates `TrainedISet::search` over the sorted ranges.
     let search = |pred: usize, err: u32, v: u64| -> Option<usize> {
         let lo = pred.saturating_sub(err as usize);
         let hi = (pred + err as usize).min(ranges.len() - 1);
@@ -373,6 +373,80 @@ proptest! {
                 prop_assert_eq!(out[i], nm.classify(&[a, b]), "batch vs per-key, et={}", et);
                 prop_assert_eq!(out[i], oracle.classify(&[a, b]), "batch vs oracle, et={}", et);
             }
+        }
+    }
+
+    /// Property: nm/tm over random 5-tuple boxes whose priorities repeat
+    /// across iSets, with random tombstones, equals linear search over the
+    /// live rules per key and at batch sizes around the 8-lane group, the
+    /// 64-key pass and the 128-key chunk — as built, after a partial
+    /// retrain, and after a snapshot round trip of either.
+    #[test]
+    fn nuevomatch_tm_packed_layout_matches_oracle_at_ragged_batches(
+        boxes in proptest::collection::vec(
+            (0u64..4_000_000_000, 0u64..50_000_000, 0u64..65_000, 0u64..3_000), 30..120),
+        dead in proptest::collection::vec(0usize..120, 0..30),
+        probes in proptest::collection::vec((0usize..120, 0u64..3), 200),
+    ) {
+        use nm_common::{FiveTuple, UpdateBatch};
+        let rules: Vec<_> = boxes
+            .iter()
+            .enumerate()
+            .map(|(i, &(src, sw, port, pw))| {
+                let mut rule = FiveTuple::new()
+                    .dst_port_range(port as u16, (port + pw).min(65_535) as u16)
+                    .into_rule(7 * i as u32, (src % 4) as u32);
+                rule.fields[0] = FieldRange::new(src, (src + sw).min(u32::MAX as u64));
+                rule
+            })
+            .collect();
+        let set = RuleSet::new(FieldsSpec::five_tuple(), rules.clone()).unwrap();
+        let cfg = NuevoMatchConfig {
+            partial_retrain: nuevomatch::PartialRetrainPolicy::always(),
+            ..fast_cfg(true)
+        };
+        let mut nm = NuevoMatch::build(&set, &cfg, TupleMerge::build).unwrap();
+        let mut live: std::collections::BTreeMap<u32, _> =
+            rules.into_iter().map(|r| (r.id, r)).collect();
+        let mut batch = UpdateBatch::new();
+        for d in dead {
+            let id = 7 * (d % boxes.len()) as u32;
+            live.remove(&id);
+            batch = batch.remove(id);
+        }
+        nm.apply(&batch);
+        // Probe the boxes' corners and interiors, live or not.
+        let keys: Vec<u64> = probes
+            .iter()
+            .flat_map(|&(r, k)| {
+                let (src, sw, port, pw) = boxes[r % boxes.len()];
+                [src + sw * k / 2, 9, 9, (port + pw * k / 2).min(65_535), 6]
+            })
+            .collect();
+        let oracle = LinearSearch::from_rules(live.values().cloned().collect());
+        let want: Vec<_> = keys.chunks_exact(5).map(|k| oracle.classify(k)).collect();
+        let check = |nm: &NuevoMatch<TupleMerge>, what: &str| {
+            for (key, &want) in keys.chunks_exact(5).zip(&want) {
+                assert_eq!(nm.classify(key), want, "{what} per-key {key:?}");
+            }
+            for batch in [1usize, 2, 7, 8, 9, 63, 64, 65, 128, 129] {
+                let mut out = vec![None; want.len()];
+                for lo in (0..want.len()).step_by(batch) {
+                    let hi = (lo + batch).min(want.len());
+                    nm.classify_batch(&keys[lo * 5..hi * 5], 5, &mut out[lo..hi]);
+                }
+                assert_eq!(out, want, "{what} batch {batch}");
+            }
+        };
+        let builder: fn(&RuleSet) -> TupleMerge = TupleMerge::build;
+        let reload = |nm: &NuevoMatch<TupleMerge>| {
+            nuevomatch::load_snapshot(&nuevomatch::save_snapshot(nm, 1), &builder).unwrap().0
+        };
+        check(&nm, "built");
+        check(&reload(&nm), "reloaded");
+        if let Ok((patched, _)) = nm.partial_retrain(&cfg) {
+            check(&patched, "patched");
+            check(&reload(&patched), "patched + reloaded");
         }
     }
 
