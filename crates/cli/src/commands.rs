@@ -48,8 +48,9 @@ sharding: --shards S > 1 partitions the rule-set (range steering on an
         case of the same control plane).
 serving: serve binds real loopback sockets (--listen, port 0 = ephemeral):
         length-prefixed key frames in, (rule, priority, generation) verdicts
-        out. Requests micro-batch per reader — flush at --max-batch or after
-        --deadline-us, whichever first — and every batch classifies against
+        out. Requests micro-batch per reader — flush at --max-batch, after
+        --deadline-us, or once the socket is empty and nobody else is
+        expected inside the deadline — and every batch classifies against
         one pinned generation. --udp-readers N serves UDP from N reader
         threads, each on a private SO_REUSEPORT socket with batched
         recvmmsg/sendmmsg I/O (the kernel hashes flows across them; falls
@@ -682,6 +683,7 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
             ("batches", stats.batches.into()),
             ("full_flushes", stats.full_flushes.into()),
             ("deadline_flushes", stats.deadline_flushes.into()),
+            ("idle_flushes", stats.idle_flushes.into()),
             ("drain_flushes", stats.drain_flushes.into()),
             ("decode_errors", stats.decode_errors.into()),
             ("recv_calls", stats.recv_calls.into()),
@@ -704,7 +706,7 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
         |a: Option<std::net::SocketAddr>| a.map_or_else(|| "-".to_string(), |sa| sa.to_string());
     Ok(format!(
         "served {} verdicts over {:.2}s on the wire (udp {} / tcp {}, {} shard(s)): {:.3e} pps\n\
-         {} loopback drivers, window {}; {} batches ({} full / {} deadline / {} drain), \
+         {} loopback drivers, window {}; {} batches ({} full / {} deadline / {} idle / {} drain), \
          {} decode errors\n\
          syscalls: {} recv + {} send for {} requests = {:.4}/pkt \
          ({} udp reader(s), requests {}..{})\n\
@@ -724,6 +726,7 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
         stats.batches,
         stats.full_flushes,
         stats.deadline_flushes,
+        stats.idle_flushes,
         stats.drain_flushes,
         stats.decode_errors,
         stats.recv_calls,

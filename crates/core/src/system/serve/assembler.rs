@@ -1,6 +1,7 @@
-//! Deadline micro-batching: coalesce in-flight requests into data-plane
-//! batches, flushing at `max_batch` or when the *oldest* pending request
-//! hits the deadline — whichever comes first.
+//! Arrival-aware micro-batching: coalesce in-flight requests into
+//! data-plane batches, flushing at `max_batch`, when the *oldest* pending
+//! request hits the deadline, or — earlier — when the socket has run dry
+//! and nobody is expected inside what is left ([`Assembler::due`]).
 //!
 //! Each transport reader thread owns one assembler, so pushes are
 //! lock-free; the only shared state is the stats slot (locked once per
@@ -52,6 +53,37 @@ struct Pending {
     reply: ReplyTo,
 }
 
+/// Inter-arrival samples are clamped to this many deadlines: any gap above
+/// the deadline means the same to [`Assembler::due`], and an unclamped 1 s
+/// silence would take ~65 arrivals to forget instead of a dozen.
+const GAP_CLAMP_DEADLINES: u64 = 4;
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// What the owning reader counts between flushes; the next flush folds it
+/// into the stats slot, so the slot is locked once per flush.
+#[derive(Default)]
+pub(super) struct Carried {
+    pub(super) decode_errors: u64,
+    pub(super) recv_calls: u64,
+    pub(super) empty_recv_calls: u64,
+    pub(super) recv_errors: u64,
+    requests: u64,
+}
+
+impl Carried {
+    fn fold_into(&mut self, stats: &mut ServeStats) {
+        let c = std::mem::take(self);
+        stats.requests += c.requests;
+        stats.decode_errors += c.decode_errors;
+        stats.recv_calls += c.recv_calls;
+        stats.empty_recv_calls += c.empty_recv_calls;
+        stats.recv_errors += c.recv_errors;
+    }
+}
+
 /// The per-reader batch assembler.
 pub struct Assembler<P: ServePlane> {
     plane: Arc<P>,
@@ -76,15 +108,11 @@ pub struct Assembler<P: ServePlane> {
     send_ring: SendRing,
     validator: Validator,
     stats_slot: Arc<Mutex<ServeStats>>,
-    /// Counters accumulated outside flushes (decode errors), folded into
-    /// the slot on the next flush.
-    pub decode_errors: u64,
-    /// Productive receive syscalls, bumped by the owning reader and folded
-    /// into the slot on the next flush.
-    pub recv_calls: u64,
-    /// Empty receive syscalls (busy-poll probes / idle ticks), likewise.
-    pub empty_recv_calls: u64,
-    requests: u64,
+    pub(super) carried: Carried,
+    /// Stamp of the latest push, and the integer EWMA (α = 1/8) of the gaps
+    /// between pushes in ns. Starts at the clamp: nothing seen, no wait.
+    last_arrival: Option<Instant>,
+    gap_ns: u64,
 }
 
 impl<P: ServePlane> Assembler<P> {
@@ -115,21 +143,28 @@ impl<P: ServePlane> Assembler<P> {
             send_ring: SendRing::new(max_batch),
             validator,
             stats_slot,
-            decode_errors: 0,
-            recv_calls: 0,
-            empty_recv_calls: 0,
-            requests: 0,
+            carried: Carried::default(),
+            last_arrival: None,
+            gap_ns: nanos(deadline).saturating_mul(GAP_CLAMP_DEADLINES),
         }
     }
 
     /// Queues one request. `key` must be `stride` words (the transport
     /// validates widths). Returns `true` when the batch is now full and
     /// must be flushed before anything else is pushed.
+    /// `arrived` feeds the inter-arrival estimate (one receive call, one
+    /// stamp: a burst reads as gap 0) — arithmetic only, this is hot.
     pub fn push(&mut self, id: u64, key: &[u64], reply: ReplyTo, arrived: Instant) -> bool {
         debug_assert_eq!(key.len(), self.stride);
         self.keys.extend_from_slice(key);
         self.pending.push(Pending { id, arrived, reply });
-        self.requests += 1;
+        self.carried.requests += 1;
+        let clamp = nanos(self.deadline).saturating_mul(GAP_CLAMP_DEADLINES);
+        let gap = self
+            .last_arrival
+            .map_or(clamp, |last| nanos(arrived.saturating_duration_since(last)).min(clamp));
+        self.gap_ns = self.gap_ns - (self.gap_ns >> 3) + (gap >> 3);
+        self.last_arrival = Some(arrived);
         self.pending.len() >= self.max_batch
     }
 
@@ -150,6 +185,25 @@ impl<P: ServePlane> Assembler<P> {
         Some(self.deadline.saturating_sub(now.duration_since(oldest)))
     }
 
+    /// The flush policy, asked by every reader at its loop head: the cause
+    /// to flush with now, or `None` to keep receiving. The deadline is the
+    /// cap; under it, a `socket_empty` reader (its last receive came back
+    /// empty or short of its buffer) flushes once the gap estimate is at
+    /// least the time left — [`FlushCause::Idle`] with half the deadline or
+    /// more left, a trimmed `Deadline` after. (A client that waits for each
+    /// reply reads as gap = hold + round trip: far under the deadline, its
+    /// hold settles at half the deadline.)
+    pub fn due(&self, now: Instant, socket_empty: bool) -> Option<FlushCause> {
+        let left = self.time_left(now)?;
+        if left.is_zero() {
+            Some(FlushCause::Deadline)
+        } else if socket_empty && self.gap_ns >= nanos(left) {
+            Some(if left * 2 >= self.deadline { FlushCause::Idle } else { FlushCause::Deadline })
+        } else {
+            None
+        }
+    }
+
     /// Classifies and answers everything queued (no-op when empty): pin
     /// one generation, classify the whole batch against it, write the
     /// responses back, account latency per request.
@@ -158,21 +212,8 @@ impl<P: ServePlane> Assembler<P> {
         if n == 0 {
             // Still fold carried counters (decoded-but-not-flushed
             // requests never exist; decode errors and syscalls can).
-            if self.decode_errors > 0
-                || self.requests > 0
-                || self.recv_calls > 0
-                || self.empty_recv_calls > 0
-            {
-                let mut stats = self.stats_slot.lock().unwrap_or_else(PoisonError::into_inner);
-                stats.requests += self.requests;
-                stats.decode_errors += self.decode_errors;
-                stats.recv_calls += self.recv_calls;
-                stats.empty_recv_calls += self.empty_recv_calls;
-                self.requests = 0;
-                self.decode_errors = 0;
-                self.recv_calls = 0;
-                self.empty_recv_calls = 0;
-            }
+            let mut stats = self.stats_slot.lock().unwrap_or_else(PoisonError::into_inner);
+            self.carried.fold_into(&mut stats);
             return;
         }
         let pin = self.plane.pin();
@@ -206,16 +247,9 @@ impl<P: ServePlane> Assembler<P> {
         let done = Instant::now();
         {
             let mut stats = self.stats_slot.lock().unwrap_or_else(PoisonError::into_inner);
-            stats.requests += self.requests;
-            stats.decode_errors += self.decode_errors;
-            stats.recv_calls += self.recv_calls;
-            stats.empty_recv_calls += self.empty_recv_calls;
+            self.carried.fold_into(&mut stats);
             stats.send_calls += send_calls;
             stats.send_errors += send_errors;
-            self.requests = 0;
-            self.decode_errors = 0;
-            self.recv_calls = 0;
-            self.empty_recv_calls = 0;
             stats.count_flush(cause, n.saturating_sub(send_errors as usize));
             for (i, p) in self.pending.iter().enumerate() {
                 stats.latency.record_duration(done.duration_since(p.arrived));
@@ -298,5 +332,296 @@ impl<P: ServePlane> Assembler<P> {
             }
         }
         (send_calls, send_errors)
+    }
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    //! The flush policy on a virtual clock: every stamp is injected, so no
+    //! test sleeps or asserts on wall time.
+
+    use super::*;
+    use crate::system::serve::validator::OracleTable;
+    use nm_common::update::Generation;
+    use proptest::prelude::*;
+
+    const DEADLINE: Duration = Duration::from_micros(20);
+    /// How often the simulated reader polls while assembling.
+    const POLL: Duration = Duration::from_nanos(500);
+
+    pub struct StubPlane;
+    pub struct StubPin;
+
+    impl ServePlane for StubPlane {
+        type Pin = StubPin;
+        fn pin(&self) -> StubPin {
+            StubPin
+        }
+    }
+
+    impl PinnedPlane for StubPin {
+        fn generation(&self) -> Generation {
+            1
+        }
+        fn classify_batch(&self, _keys: &[u64], _stride: usize, out: &mut [Option<MatchResult>]) {
+            out.fill(None);
+        }
+    }
+
+    struct Flushed {
+        cause: FlushCause,
+        size: usize,
+        /// From the oldest request's stamp to the flush.
+        hold: Duration,
+        /// The estimate and the time left when the flush was decided.
+        gap_ns: u64,
+        left: Duration,
+    }
+
+    /// One reader loop around an assembler, as `udp_reader` runs it, with
+    /// the clock and the socket replaced by a list of arrival offsets.
+    struct Reader {
+        asm: Assembler<StubPlane>,
+        reply: ReplyTo,
+        t0: Instant,
+        stats: Arc<Mutex<ServeStats>>,
+        /// Offset of the virtual clock from `t0`.
+        now: Duration,
+        /// When the oldest pending request was received.
+        oldest: Option<Duration>,
+        flushed: Vec<Flushed>,
+    }
+
+    impl Reader {
+        fn new(max_batch: usize) -> Self {
+            // Replies go to the socket's own address and are never read.
+            let sock = UdpSocket::bind(("127.0.0.1", 0)).expect("loopback socket");
+            let peer = sock.local_addr().expect("bound address");
+            let stats = Arc::new(Mutex::new(ServeStats::new()));
+            let validator = Validator::new(Arc::new(OracleTable::new(1)), 0);
+            Self {
+                asm: Assembler::new(
+                    Arc::new(StubPlane),
+                    max_batch,
+                    DEADLINE,
+                    1,
+                    validator,
+                    stats.clone(),
+                ),
+                reply: ReplyTo::Udp(Arc::new(sock), peer),
+                t0: Instant::now(),
+                stats,
+                now: Duration::ZERO,
+                oldest: None,
+                flushed: Vec::new(),
+            }
+        }
+
+        fn flush(&mut self, cause: FlushCause) {
+            let now = self.t0 + self.now;
+            self.flushed.push(Flushed {
+                cause,
+                size: self.asm.len(),
+                hold: self.now - self.oldest.take().expect("a flush has an oldest request"),
+                gap_ns: self.asm.gap_ns,
+                left: self.asm.time_left(now).expect("a flush has pending requests"),
+            });
+            self.asm.flush(cause);
+        }
+
+        /// One receive call at the current instant: `count` requests under
+        /// one stamp, flushing at `max_batch` as `feed` does.
+        fn receive(&mut self, count: usize) {
+            for _ in 0..count {
+                self.oldest.get_or_insert(self.now);
+                if self.asm.push(0, &[0], self.reply.clone(), self.t0 + self.now) {
+                    self.flush(FlushCause::Full);
+                }
+            }
+        }
+
+        /// The reader's loop head: flush if the policy says so. The ring is
+        /// never filled in these tests, so every receive leaves the socket
+        /// known empty.
+        fn decide(&mut self) -> Option<FlushCause> {
+            let cause = self.asm.due(self.t0 + self.now, true);
+            if let Some(cause) = cause {
+                self.flush(cause);
+            }
+            cause
+        }
+
+        /// Runs the loop over requests arriving at `arrivals` (sorted
+        /// offsets) until all are answered: block for the next arrival while
+        /// idle, poll every [`POLL`] while assembling.
+        fn play(&mut self, arrivals: &[Duration]) {
+            let mut next = 0;
+            loop {
+                self.decide();
+                if !self.asm.is_empty() {
+                    self.now += POLL;
+                } else if let Some(&at) = arrivals.get(next) {
+                    self.now = self.now.max(at);
+                } else {
+                    return;
+                }
+                let queued = arrivals[next..].iter().take_while(|&&at| at <= self.now).count();
+                self.receive(queued);
+                next += queued;
+            }
+        }
+
+        /// A client that sends its next request `rtt` after each reply.
+        fn play_reply_gated(&mut self, requests: usize, rtt: Duration) {
+            for _ in 0..requests {
+                self.now += rtt;
+                self.receive(1);
+                while self.decide().is_none() {
+                    self.now += POLL;
+                }
+            }
+        }
+    }
+
+    fn every(gap: Duration, n: u32) -> Vec<Duration> {
+        (0..n).map(|i| gap * i).collect()
+    }
+
+    #[test]
+    fn sparse_arrivals_flush_idle_at_the_first_known_empty_decision() {
+        for gap in [DEADLINE * 2, DEADLINE * 5, Duration::from_millis(3)] {
+            let mut r = Reader::new(128);
+            r.play(&every(gap, 100));
+            assert_eq!(r.flushed.len(), 100);
+            for f in &r.flushed {
+                assert_eq!((f.cause, f.size, f.hold), (FlushCause::Idle, 1, Duration::ZERO));
+            }
+            let stats = r.stats.lock().unwrap();
+            assert_eq!((stats.idle_flushes, stats.batches, stats.responses), (100, 100, 100));
+        }
+    }
+
+    #[test]
+    fn dense_arrivals_keep_assembling_until_deadline_or_full() {
+        let gap = DEADLINE / 20;
+        let arrivals = every(gap, 2000);
+        // The estimate starts at the clamp; skip until it has settled, and
+        // leave out the last batch, which the end of the stream cut short.
+        fn warm(r: &Reader) -> impl Iterator<Item = &Flushed> {
+            let whole = &r.flushed[..r.flushed.len() - 1];
+            whole.iter().skip_while(|f| f.gap_ns > 2 * nanos(DEADLINE / 20))
+        }
+
+        let mut r = Reader::new(128);
+        r.play(&arrivals);
+        assert!(warm(&r).count() > 50);
+        for f in warm(&r) {
+            assert_eq!(f.cause, FlushCause::Deadline, "dense stream flushed idle");
+            assert!(f.hold >= DEADLINE * 9 / 10, "held only {:?}", f.hold);
+            assert!(f.size >= 16, "batch of {}", f.size);
+        }
+        // Whatever the cause, an early flush never leaves more than the
+        // estimate on the table.
+        for f in &r.flushed {
+            assert!(f.gap_ns >= nanos(f.left), "flushed with {:?} left", f.left);
+        }
+
+        let mut r = Reader::new(8);
+        r.play(&arrivals);
+        assert!(warm(&r).count() > 50);
+        assert!(warm(&r).all(|f| f.cause == FlushCause::Full && f.size == 8));
+    }
+
+    #[test]
+    fn one_long_silence_is_forgotten_within_sixteen_arrivals() {
+        let mut r = Reader::new(128);
+        let mut arrivals = vec![Duration::ZERO];
+        arrivals.extend(every(DEADLINE / 20, 400).iter().map(|&at| Duration::from_secs(1) + at));
+        r.play(&arrivals);
+        // The request before and the request after the silence are sparse…
+        assert_eq!(r.flushed[0].cause, FlushCause::Idle);
+        assert_eq!(r.flushed[1].cause, FlushCause::Idle);
+        // …and the burst is assembling before its sixteenth request.
+        let until_assembling: usize =
+            r.flushed.iter().take_while(|f| f.cause == FlushCause::Idle).map(|f| f.size).sum();
+        assert!(until_assembling <= 16, "{until_assembling} requests answered one by one");
+        assert!(r.flushed.iter().any(|f| f.cause == FlushCause::Deadline && f.size >= 16));
+    }
+
+    #[test]
+    fn a_burst_under_one_stamp_reads_as_dense() {
+        let mut r = Reader::new(128);
+        r.receive(1);
+        assert_eq!(r.decide(), Some(FlushCause::Idle), "a first lone request is not held");
+        r.now += Duration::from_secs(1);
+        r.receive(32);
+        assert_eq!(r.decide(), None, "32 requests in one receive were answered as if sparse");
+        r.now += DEADLINE;
+        assert_eq!(r.decide(), Some(FlushCause::Deadline));
+        assert_eq!(r.flushed.last().map(|f| f.size), Some(32));
+    }
+
+    /// What the policy cannot see: a client that waits for each reply looks
+    /// like a stream whose gap is hold + round trip. With the round trip
+    /// above the deadline (the default 20µs on loopback) that is sparse and
+    /// costs nothing; with it far below, the hold settles at half the
+    /// deadline — half of what the fixed wait charged, not zero.
+    #[test]
+    fn reply_gated_client_settles_at_half_the_deadline() {
+        let mut r = Reader::new(128);
+        r.play_reply_gated(200, DEADLINE * 2);
+        assert!(r.flushed.iter().all(|f| f.cause == FlushCause::Idle && f.hold.is_zero()));
+
+        let rtt = DEADLINE / 100;
+        let mut r = Reader::new(128);
+        r.play_reply_gated(300, rtt);
+        for f in &r.flushed[200..] {
+            assert!(f.hold <= DEADLINE / 2 + POLL * 2, "held {:?}", f.hold);
+            assert!(f.hold >= DEADLINE / 2 - POLL * 2, "held {:?}", f.hold);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Whatever the arrival pattern, every request is answered, and
+        /// none later than the deadline after it was received (plus the one
+        /// poll interval the simulated reader needs to notice).
+        #[test]
+        fn no_request_waits_past_the_deadline(
+            gaps in proptest::collection::vec(0u64..60_000, 1..300),
+            max_batch in 1usize..40,
+        ) {
+            let mut at = Duration::ZERO;
+            let arrivals: Vec<Duration> = gaps
+                .iter()
+                .map(|&g| {
+                    // A third of the gaps are zero: bursts.
+                    at += Duration::from_nanos(if g % 3 == 0 { 0 } else { g });
+                    at
+                })
+                .collect();
+            let mut r = Reader::new(max_batch);
+            r.play(&arrivals);
+            prop_assert_eq!(r.flushed.iter().map(|f| f.size).sum::<usize>(), arrivals.len());
+            for f in &r.flushed {
+                prop_assert!(f.hold <= DEADLINE + POLL, "held {:?}", f.hold);
+                prop_assert!(f.size <= max_batch);
+                match f.cause {
+                    FlushCause::Full => prop_assert_eq!(f.size, max_batch),
+                    FlushCause::Deadline => prop_assert!(f.left < DEADLINE / 2),
+                    FlushCause::Idle => prop_assert!(
+                        f.left >= DEADLINE / 2 && f.gap_ns >= nanos(f.left)
+                    ),
+                    FlushCause::Drain => prop_assert!(false, "nothing drains here"),
+                }
+            }
+            let stats = r.stats.lock().unwrap();
+            prop_assert_eq!(stats.requests, arrivals.len() as u64);
+            prop_assert_eq!(
+                stats.full_flushes + stats.deadline_flushes + stats.idle_flushes,
+                stats.batches
+            );
+        }
     }
 }

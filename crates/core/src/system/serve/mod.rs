@@ -3,13 +3,14 @@
 //! Turns a live data plane (a [`ClassifierHandle`] or the PR 5 sharded
 //! [`ShardedHandle`]) into a network service: length-prefixed key frames
 //! arrive over UDP and/or TCP (`nm_common::frame`), per-core reader
-//! threads coalesce them with **deadline micro-batching** (flush at
-//! `max_batch` or after `deadline`, whichever first), every flushed batch
-//! classifies against **one pinned generation**, and `(rule, priority,
-//! generation)` verdicts go back on the wire. Service latency — request
-//! decoded to response written, micro-batching wait included — lands in a
-//! log-bucketed [`nm_common::LatencyHistogram`] for p50/p99/p999 tail
-//! accounting.
+//! threads coalesce them with **arrival-aware micro-batching** (flush at
+//! `max_batch`, after `deadline`, or once the socket runs dry and the
+//! reader's inter-arrival estimate expects nobody inside the deadline),
+//! every flushed batch classifies against **one pinned generation**, and
+//! `(rule, priority, generation)` verdicts go back on the wire. Service
+//! latency — request decoded to response written, any micro-batching wait
+//! included — lands in a log-bucketed [`nm_common::LatencyHistogram`] for
+//! p50/p99/p999 tail accounting.
 //!
 //! In debug builds an in-loop oracle validator (the Chameleon-style
 //! validating controller named in ROADMAP) replays a sample of served
@@ -112,7 +113,9 @@ pub struct ServeConfig {
     pub transport: Transport,
     /// Flush a batch at this many requests…
     pub max_batch: usize,
-    /// …or when the oldest pending request has waited this long.
+    /// …or when the oldest pending request has waited this long: the upper
+    /// bound on the assembly wait. A batch is flushed earlier when no
+    /// further request is expected inside it (see [`Assembler::due`]).
     pub deadline: Duration,
     /// Key words per request frame (requests with any other width are
     /// decode errors).

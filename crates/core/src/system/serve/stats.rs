@@ -19,8 +19,12 @@ pub enum ReaderKind {
 pub enum FlushCause {
     /// The batch reached `max_batch`.
     Full,
-    /// The oldest pending request hit the micro-batching deadline.
+    /// The oldest pending request hit the micro-batching deadline (or came
+    /// within the arrival estimate of it, in the deadline's second half).
     Deadline,
+    /// The socket ran dry with at least half the deadline left and no
+    /// further request expected inside it: the sparse-traffic flush.
+    Idle,
     /// Shutdown / connection close drained the remainder.
     Drain,
 }
@@ -40,6 +44,9 @@ pub struct ServeStats {
     pub full_flushes: u64,
     /// Flushes triggered by the deadline.
     pub deadline_flushes: u64,
+    /// Flushes taken with half the deadline or more left: socket empty,
+    /// nobody expected inside it (see [`FlushCause::Idle`]).
+    pub idle_flushes: u64,
     /// Flushes triggered by drain (shutdown / connection close).
     pub drain_flushes: u64,
     /// Malformed frames (bad length, wrong key width) dropped without a
@@ -54,6 +61,8 @@ pub struct ServeStats {
     /// cost is bounded by the deadline and the idle tick, not the packet
     /// rate, so they do not belong in the per-packet ratio.
     pub empty_recv_calls: u64,
+    /// Receive syscalls that failed with anything but a timeout.
+    pub recv_errors: u64,
     /// Send syscalls — `sendmmsg`/`writev` (or fallback `sendto`/`write`)
     /// calls that pushed response runs to the wire.
     pub send_calls: u64,
@@ -84,6 +93,7 @@ impl ServeStats {
         match cause {
             FlushCause::Full => self.full_flushes += 1,
             FlushCause::Deadline => self.deadline_flushes += 1,
+            FlushCause::Idle => self.idle_flushes += 1,
             FlushCause::Drain => self.drain_flushes += 1,
         }
     }
@@ -95,10 +105,12 @@ impl ServeStats {
         self.batches += other.batches;
         self.full_flushes += other.full_flushes;
         self.deadline_flushes += other.deadline_flushes;
+        self.idle_flushes += other.idle_flushes;
         self.drain_flushes += other.drain_flushes;
         self.decode_errors += other.decode_errors;
         self.recv_calls += other.recv_calls;
         self.empty_recv_calls += other.empty_recv_calls;
+        self.recv_errors += other.recv_errors;
         self.send_calls += other.send_calls;
         self.send_errors += other.send_errors;
         self.validated += other.validated;

@@ -278,7 +278,8 @@ pub struct RecvRing {
 impl RecvRing {
     /// A ring with `slots` receive buffers of [`RECV_SLOT_LEN`] bytes.
     pub fn new(slots: usize) -> Self {
-        let slots = slots.max(1);
+        // The portable fallback receives one datagram per call.
+        let slots = if cfg!(target_os = "linux") { slots.max(1) } else { 1 };
         Self {
             slots,
             bufs: vec![0u8; slots * RECV_SLOT_LEN],
@@ -291,6 +292,11 @@ impl RecvRing {
             #[cfg(target_os = "linux")]
             hdrs: vec![raw::MMsgHdr::zeroed(); slots],
         }
+    }
+
+    /// Datagrams one `recv` can return; fewer means the queue was drained.
+    pub fn slots(&self) -> usize {
+        self.slots
     }
 
     /// Receives up to `slots` datagrams in one syscall.

@@ -2,15 +2,17 @@
 //! per-connection readers. Loopback-testable with nothing beyond
 //! `std::net` (plus the raw batched syscalls in [`super::sysio`]).
 //!
-//! Every reader thread owns one [`Assembler`] and enforces the
-//! micro-batching deadline with a two-mode read loop: **idle** (no pending
-//! requests) blocks for the first datagram with a short timeout so
-//! shutdown is always noticed, while **assembling** (a partial batch
-//! waiting) busy-polls nonblocking and flushes the instant the deadline
-//! passes. The poll is mandatory for a microsecond deadline —
-//! `SO_RCVTIMEO` rounds up to kernel scheduler ticks (milliseconds),
-//! which would stretch a 20µs deadline by 100x — and its cost is bounded
-//! by the deadline itself.
+//! Every reader thread owns one [`Assembler`] and asks it at each loop head
+//! whether to flush ([`Assembler::due`]), around a two-mode read loop:
+//! **idle** (no pending requests) blocks for the first datagram with a
+//! short timeout so shutdown is always noticed, while **assembling** (a
+//! partial batch waiting) busy-polls nonblocking until the batch is full,
+//! the deadline passes, or the socket is known empty — a receive came back
+//! empty or short of its buffer — with nobody expected inside what is
+//! left. Sparse traffic never polls: the blocking receive that delivered
+//! the request was itself short. Where the poll runs it is mandatory —
+//! `SO_RCVTIMEO` rounds up to kernel scheduler ticks (milliseconds), which
+//! would stretch a 20µs deadline by 100x — and the deadline caps it.
 //!
 //! UDP readers each own a *private* `SO_REUSEPORT` fd (the kernel hashes
 //! flows across them) and drain up to a whole batch per `recvmmsg(2)`
@@ -59,7 +61,7 @@ fn feed<P: ServePlane>(
             Ok(Some((head, used))) => {
                 off += used;
                 if head.fields != shared.cfg.stride {
-                    asm.decode_errors += 1;
+                    asm.carried.decode_errors += 1;
                     continue;
                 }
                 if asm.push(head.id, scratch, reply.clone(), arrived) {
@@ -68,7 +70,7 @@ fn feed<P: ServePlane>(
             }
             Ok(None) => break,
             Err(_) => {
-                asm.decode_errors += 1;
+                asm.carried.decode_errors += 1;
                 return Err(());
             }
         }
@@ -95,46 +97,48 @@ pub(super) fn udp_reader<P: ServePlane>(shared: Arc<Shared<P>>, sock: Arc<UdpSoc
     if sock.set_read_timeout(Some(IDLE_TICK)).is_err() {
         return;
     }
+    // What the last receive said: socket known empty / failed outright.
+    let (mut socket_empty, mut failing) = (false, false);
     loop {
         if shared.shutdown.load(Relaxed) {
             asm.flush(FlushCause::Drain);
             return;
         }
-        let block = match asm.time_left(Instant::now()) {
-            Some(left) if left.is_zero() => {
-                asm.flush(FlushCause::Deadline);
-                continue;
-            }
-            // Assembling: nonblocking drains only; the deadline above
-            // bounds how long this busy-poll can run.
-            Some(_) => false,
-            // Idle: block for the first datagram (SO_RCVTIMEO keeps the
-            // shutdown checks live), then grab whatever else is queued.
-            None => true,
-        };
+        if let Some(cause) = asm.due(Instant::now(), socket_empty) {
+            asm.flush(cause);
+        }
+        // Idle: block for the first datagram (SO_RCVTIMEO keeps the
+        // shutdown checks live), then grab whatever else is queued.
+        // Assembling: nonblocking drains only; `due` bounds the busy-poll.
+        let block = asm.is_empty();
         match ring.recv(&sock, block) {
             Ok(count) => {
                 let arrived = Instant::now();
-                asm.recv_calls += 1;
+                // A drain that left slots unused took everything queued.
+                socket_empty = count < ring.slots();
+                failing = false;
+                asm.carried.recv_calls += 1;
                 // nm-lint: hotpath
                 for d in 0..count {
                     let (bytes, peer) = ring.datagram(d);
                     let Some(peer) = peer else {
-                        asm.decode_errors += 1;
+                        asm.carried.decode_errors += 1;
                         continue;
                     };
                     let reply = ReplyTo::Udp(sock.clone(), peer);
                     match feed(&mut asm, &shared, bytes, &reply, arrived, &mut scratch) {
                         // A truncated tail cannot complete in a later
                         // datagram — datagrams are self-contained.
-                        Ok(used) if used < bytes.len() => asm.decode_errors += 1,
+                        Ok(used) if used < bytes.len() => asm.carried.decode_errors += 1,
                         _ => {}
                     }
                 }
                 // nm-lint: end-hotpath
             }
             Err(ref e) if is_timeout(e) => {
-                asm.empty_recv_calls += 1;
+                socket_empty = true;
+                failing = false;
+                asm.carried.empty_recv_calls += 1;
                 if !block {
                     // Yield rather than spin: on a loaded (or single-CPU)
                     // box the sender needs this core to produce the very
@@ -142,7 +146,13 @@ pub(super) fn udp_reader<P: ServePlane>(shared: Arc<Shared<P>>, sock: Arc<UdpSoc
                     std::thread::yield_now();
                 }
             }
-            Err(_) => {}
+            Err(_) => {
+                // `EINTR`, `ENOBUFS`, a dead fd: a second in a row idles.
+                asm.carried.recv_errors += 1;
+                if std::mem::replace(&mut failing, true) {
+                    std::thread::sleep(IDLE_TICK);
+                }
+            }
         }
     }
 }
@@ -183,35 +193,27 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
     if stream.set_read_timeout(Some(IDLE_TICK)).is_err() {
         return;
     }
-    let mut polling = false;
+    let (mut polling, mut socket_empty) = (false, false);
     loop {
         if shared.shutdown.load(Relaxed) {
             break;
         }
-        match asm.time_left(Instant::now()) {
-            Some(left) if left.is_zero() => {
-                asm.flush(FlushCause::Deadline);
-                continue;
-            }
-            Some(_) => {
-                // Mode-toggle failures degrade to timeout-blocking reads
-                // (see `udp_reader`).
-                if !polling && stream.set_nonblocking(true).is_ok() {
-                    polling = true;
-                }
-            }
-            None => {
-                if polling && stream.set_nonblocking(false).is_ok() {
-                    stream.set_read_timeout(Some(IDLE_TICK)).ok();
-                    polling = false;
-                }
-            }
+        if let Some(cause) = asm.due(Instant::now(), socket_empty) {
+            asm.flush(cause);
+        }
+        // Poll while assembling, block (on the read timeout) when idle. A
+        // failed mode toggle degrades to timeout-blocking reads.
+        let assembling = !asm.is_empty();
+        if polling != assembling && stream.set_nonblocking(assembling).is_ok() {
+            polling = assembling;
         }
         match (&*stream).read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
                 let arrived = Instant::now();
-                asm.recv_calls += 1;
+                // A short read took everything the stream had buffered.
+                socket_empty = n < buf.len();
+                asm.carried.recv_calls += 1;
                 carry.extend_from_slice(&buf[..n]);
                 match feed(&mut asm, &shared, &carry, &reply, arrived, &mut scratch) {
                     Ok(used) => {
@@ -222,7 +224,8 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
                 }
             }
             Err(ref e) if is_timeout(e) => {
-                asm.empty_recv_calls += 1;
+                socket_empty = true;
+                asm.carried.empty_recv_calls += 1;
                 if polling {
                     // See the UDP reader: yield so the peer can run.
                     std::thread::yield_now();
@@ -232,4 +235,51 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
         }
     }
     asm.flush(FlushCause::Drain);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::system::serve::assembler::tests::StubPlane;
+    use crate::system::serve::{OracleTable, ServeConfig};
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::Mutex;
+
+    /// A receive that fails with something other than a timeout is counted,
+    /// neither ends nor wedges the reader, and shutdown still joins it.
+    #[test]
+    fn receive_errors_are_counted_and_the_reader_survives() {
+        // A connected UDP socket whose peer port is closed: every datagram
+        // sent comes back as an ICMP error, which the reader's next receive
+        // reports as `ECONNREFUSED`.
+        let closed = UdpSocket::bind(("127.0.0.1", 0)).and_then(|s| s.local_addr()).unwrap();
+        let sock = Arc::new(UdpSocket::bind(("127.0.0.1", 0)).unwrap());
+        sock.connect(closed).unwrap();
+        let cfg = ServeConfig::default();
+        let shared = Arc::new(Shared {
+            plane: Arc::new(StubPlane),
+            oracle: Arc::new(OracleTable::new(cfg.oracle_keep)),
+            cfg,
+            shutdown: AtomicBool::new(false),
+            slots: Mutex::new(Vec::new()),
+            conn_joins: Mutex::new(Vec::new()),
+            cpus: Vec::new(),
+            next_cpu: AtomicUsize::new(0),
+        });
+        let reader = {
+            let (shared, sock) = (shared.clone(), sock.clone());
+            std::thread::spawn(move || udp_reader(shared, sock))
+        };
+        for _ in 0..50 {
+            // The send may itself report the previous datagram's error.
+            let _ = sock.send(&[0]);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        shared.shutdown.store(true, Relaxed);
+        reader.join().expect("reader panicked");
+        let slots = shared.slots.lock().unwrap();
+        let stats = slots[0].1.lock().unwrap();
+        assert!(stats.recv_errors > 0, "no receive error counted: {stats:?}");
+        assert_eq!(stats.requests, 0);
+    }
 }

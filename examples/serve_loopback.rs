@@ -83,12 +83,13 @@ fn main() {
     let stats = server.shutdown();
     let lat = stats.latency.summary_us();
     println!(
-        "drained: {} responses in {} batches ({} full / {} deadline / {} drain), \
+        "drained: {} responses in {} batches ({} full / {} deadline / {} idle / {} drain), \
          p50 {:.1}us p99 {:.1}us",
         stats.responses,
         stats.batches,
         stats.full_flushes,
         stats.deadline_flushes,
+        stats.idle_flushes,
         stats.drain_flushes,
         lat.p50_us,
         lat.p99_us,

@@ -75,6 +75,16 @@ fn drift(truth: &mut [Rule], rng: &mut SplitMix64, ops: usize) -> UpdateBatch {
     batch
 }
 
+/// The dst-port sweep every client in this file classifies.
+fn sweep_key(i: u64) -> [u64; 5] {
+    [0, 0, 0, (i * 37) % 65_536, 0]
+}
+
+/// A lost loopback datagram surfaces as a receive timeout, not a failure.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+}
+
 /// One checking client: closed-loop requests with a sweeping dst-port key,
 /// each response replayed against the truth at its reported generation.
 /// Returns (responses, generation-checked responses).
@@ -89,7 +99,7 @@ fn checking_client(
     let (mut served, mut checked) = (0u64, 0u64);
     let mut i = 0u64;
     while !stop.load(SeqCst) {
-        let key = [0u64, 0, 0, (i * 37) % 65_536, 0];
+        let key = sweep_key(i);
         match client.call(i, &key, Duration::from_millis(500)) {
             Ok(frame) => {
                 served += 1;
@@ -106,8 +116,7 @@ fn checking_client(
             }
             // Loopback UDP may still drop under memory pressure; a lost
             // datagram is a timeout here, not a correctness failure.
-            Err(ref e) if udp && e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Err(ref e) if udp && e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(ref e) if udp && timed_out(e) => {}
             Err(e) => panic!("client i/o: {e}"),
         }
         i += 1;
@@ -349,17 +358,13 @@ fn malformed_datagrams_are_counted_and_service_survives() {
     let truth = LinearSearch::from_rules(set.rules().to_vec());
     let mut answered = 0u64;
     for i in 0..64u64 {
-        let key = [0u64, 0, 0, (i * 37) % 65_536, 0];
+        let key = sweep_key(i);
         match client.call(i, &key, Duration::from_millis(500)) {
             Ok(frame) => {
                 assert_eq!(frame.verdict, truth.classify(&key), "verdict for {key:?}");
                 answered += 1;
             }
-            Err(ref e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
+            Err(ref e) if timed_out(e) => {}
             Err(e) => panic!("client i/o: {e}"),
         }
     }
@@ -371,6 +376,117 @@ fn malformed_datagrams_are_counted_and_service_survives() {
     assert!(stats.decode_errors >= 1, "junk not counted: {stats:?}");
     assert!(stats.decode_errors <= 4, "over-counted: {stats:?}");
     assert_eq!(stats.mismatches, 0, "{stats:?}");
+}
+
+/// The deadline of the two arrival-aware flush tests: long enough that a
+/// noisy box cannot blur "answered when the socket ran dry" into "answered
+/// at the deadline".
+const LONG_DEADLINE: Duration = Duration::from_millis(5);
+
+/// A server on [`LONG_DEADLINE`] whose in-loop validator replays every
+/// served request against the published truth, plus that truth for the
+/// client-side check.
+fn long_deadline_server(
+    max_batch: usize,
+) -> (Server<ClassifierHandle<TupleMerge>>, LinearSearch, u64) {
+    let set = base_set();
+    let handle = ClassifierHandle::new(&set, &cfg(), TupleMerge::build).expect("build");
+    let scfg = ServeConfig {
+        transport: Transport::Both,
+        max_batch,
+        deadline: LONG_DEADLINE,
+        validate_every: 1,
+        ..ServeConfig::default()
+    };
+    let generation = handle.generation();
+    let server = Server::start(handle, &scfg).expect("bind");
+    server.oracle().publish(generation, LinearSearch::from_rules(set.rules().to_vec()));
+    (server, LinearSearch::from_rules(set.rules().to_vec()), generation)
+}
+
+/// Sparse requests — one in flight, the client thinking for two deadlines
+/// between calls — are answered when the reader finds its socket empty, not
+/// a deadline later: the median round trip is far under the 5 ms deadline
+/// and the flushes are idle flushes, over UDP and over TCP. (A client that
+/// fires its next request the moment the reply lands is a *dense* stream to
+/// the reader, gap = round trip; the assembler's
+/// `reply_gated_client_settles_at_half_the_deadline` pins that case.)
+#[test]
+fn sparse_requests_are_answered_when_the_socket_runs_dry() {
+    for udp in [true, false] {
+        let (server, truth, generation) = long_deadline_server(128);
+        let addr = if udp { server.udp_addr() } else { server.tcp_addr() }.expect("bound");
+        let mut client =
+            if udp { ServeClient::udp(addr) } else { ServeClient::tcp(addr) }.expect("client");
+        let mut rtts = Vec::new();
+        for i in 0..100u64 {
+            let key = sweep_key(i);
+            let sent = std::time::Instant::now();
+            match client.call(i, &key, Duration::from_millis(500)) {
+                Ok(frame) => {
+                    rtts.push(sent.elapsed());
+                    assert_eq!(frame.verdict, truth.classify(&key), "verdict for {key:?}");
+                    assert_eq!(frame.generation, generation);
+                }
+                Err(ref e) if udp && timed_out(e) => {}
+                Err(e) => panic!("client i/o: {e}"),
+            }
+            std::thread::sleep(LONG_DEADLINE * 2);
+        }
+        drop(client);
+        let stats = server.shutdown();
+        rtts.sort();
+        assert!(rtts.len() > 80, "udp={udp}: only {} of 100 answered", rtts.len());
+        let p50 = rtts[rtts.len() / 2];
+        assert!(p50 < Duration::from_millis(1), "udp={udp}: p50 round trip {p50:?}");
+        assert!(
+            stats.idle_flushes * 10 >= stats.batches * 9,
+            "udp={udp}: lone requests waited out the deadline: {stats:?}"
+        );
+        assert_eq!(stats.mismatches, 0, "udp={udp}: {stats:?}");
+        assert!(stats.validated > 0, "udp={udp}: validator never sampled");
+    }
+}
+
+/// Dense traffic still batches: with 128 requests outstanding against a
+/// 64-request batch the readers assemble full batches instead of answering
+/// one by one, over UDP (one datagram per request) and over TCP.
+#[test]
+fn dense_traffic_still_assembles_full_batches() {
+    const OUTSTANDING: u64 = 128;
+    for udp in [true, false] {
+        let (server, truth, generation) = long_deadline_server(64);
+        let addr = if udp { server.udp_addr() } else { server.tcp_addr() }.expect("bound");
+        let mut client =
+            if udp { ServeClient::udp(addr) } else { ServeClient::tcp(addr) }.expect("client");
+        let mut answered = 0u64;
+        for round in 0..40u64 {
+            for i in round * OUTSTANDING..(round + 1) * OUTSTANDING {
+                client.send(i, &sweep_key(i)).expect("send");
+            }
+            let mut got = 0;
+            while got < OUTSTANDING {
+                // A round that lost a datagram ends on the timeout.
+                let Ok(frames) = client.recv(Some(Duration::from_millis(200))) else { break };
+                for frame in &frames {
+                    assert_eq!(frame.verdict, truth.classify(&sweep_key(frame.id)));
+                    assert_eq!(frame.generation, generation);
+                }
+                got += frames.len() as u64;
+            }
+            answered += got;
+        }
+        drop(client);
+        let stats = server.shutdown();
+        assert!(answered > 30 * OUTSTANDING, "udp={udp}: only {answered} answered");
+        assert!(stats.full_flushes > 0, "udp={udp}: never filled a batch: {stats:?}");
+        assert!(
+            stats.batches < stats.requests / 8,
+            "udp={udp}: dense traffic answered in dribbles: {stats:?}"
+        );
+        assert_eq!(stats.mismatches, 0, "udp={udp}: {stats:?}");
+        assert!(stats.validated > 0, "udp={udp}: validator never sampled");
+    }
 }
 
 /// Property fuzz for the wire decoders the batched data path leans on:
