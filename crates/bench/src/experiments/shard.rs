@@ -19,7 +19,7 @@
 
 use crate::{nm_tm_config, nm_tm_handle, suite, Ctx, Outcome};
 use nm_analysis::Table;
-use nm_common::{FiveTuple, ShardPlanConfig, ShardStrategy, UpdateBatch};
+use nm_common::{FiveTuple, ShardPlanConfig, UpdateBatch};
 use nm_tuplemerge::TupleMerge;
 use nm_trace::uniform_trace;
 use nuevomatch::system::parallel::run_sequential;
@@ -93,7 +93,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
             // Fresh whole-set reference per grid column: both control
             // planes receive the same update stream from the same state.
             let reference = nm_tm_handle(&set);
-            let plan = ShardPlanConfig { shards, dim: None, strategy: ShardStrategy::Range };
+            let plan = ShardPlanConfig { shards, dim: None };
             let sharded = ShardedHandle::new(&set, &nm_tm_config(), &plan, TupleMerge::build)
                 .expect("sharded nm/tm build");
             // Fan a concrete update through both control planes before

@@ -4,8 +4,8 @@ use crate::args::{Args, ParsedCommand};
 use nm_analysis::{centrality_1d, diversity, Json, Table};
 use nm_classbench::{generate, parse_classbench, AppKind};
 use nm_common::memsize::human_bytes;
+use nm_common::ShardPlanConfig;
 use nm_common::{fivetuple, Classifier, FiveTuple, LinearSearch, Rule, RuleSet};
-use nm_common::{ShardPlanConfig, ShardStrategy};
 use nm_common::{UpdateBatch, UpdateOp};
 use nm_cutsplit::CutSplit;
 use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
@@ -42,10 +42,13 @@ sharding: --shards S > 1 partitions the rule-set (range steering on an
         auto-picked field, wildcard-heavy rules broadcast) with one engine
         replica per shard; --workers W threads per shard; --pin pins each
         shard's workers to one NUMA node's CPUs (no-op on 1-CPU machines —
-        the runtime degrades to unpinned there). bench runs static shards;
-        serve fans its update stream across per-shard handle replicas under
-        one logical generation (--shards 1, the default, is the one-replica
-        case of the same control plane).
+        the runtime degrades to unpinned there). bench and serve run the
+        same sharded plane: bench over engines built once, serve over the
+        snapshots of per-shard handle replicas, fanning its update stream
+        across them and publishing one epoch per logical generation — the
+        broadcast shard included, so a wildcard inserted later is served
+        (--shards 1, the default, is the one-replica case of the same
+        control plane).
 serving: serve binds real loopback sockets (--listen, port 0 = ephemeral):
         length-prefixed key frames in, (rule, priority, generation) verdicts
         out. Requests micro-batch per reader — flush at --max-batch, after
@@ -200,7 +203,7 @@ fn cmd_bench(a: &Args) -> Result<String, String> {
     // build) surfaces as an error, not a panic inside a builder closure.
     if shards > 1 || workers > 1 {
         let t0 = std::time::Instant::now();
-        let plan_cfg = ShardPlanConfig { shards, dim: None, strategy: ShardStrategy::Range };
+        let plan_cfg = ShardPlanConfig { shards, dim: None };
         let plan = nm_common::ShardPlan::build(&set, &plan_cfg).map_err(|e| e.to_string())?;
         let (home_sets, broadcast_set) = plan.subsets(&set);
         let home = home_sets
@@ -593,7 +596,7 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
     let t0 = std::time::Instant::now();
     // One control plane whatever the shard count: per-shard handle replicas
     // under one logical generation (one replica when `--shards 1`).
-    let plan = ShardPlanConfig { shards, dim: None, strategy: ShardStrategy::Range };
+    let plan = ShardPlanConfig { shards, dim: None };
     let serve = ShardedHandle::new(&set, &NuevoMatchConfig::default(), &plan, TupleMerge::build)
         .map_err(|e| e.to_string())?;
     let build_s = t0.elapsed().as_secs_f64();

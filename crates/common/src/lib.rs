@@ -63,7 +63,7 @@ pub use range::FieldRange;
 pub use rng::SplitMix64;
 pub use rule::{Priority, Rule, RuleId};
 pub use ruleset::{FieldSpec, FieldsSpec, RuleSet};
-pub use shard::{ShardPlan, ShardPlanConfig, ShardRoute, ShardStrategy};
+pub use shard::{ShardPlan, ShardPlanConfig, ShardRoute};
 pub use update::{
     BatchUpdatable, EngineBuilder, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
 };

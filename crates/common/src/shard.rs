@@ -8,12 +8,11 @@
 //! shard owning their key, and per-shard verdicts merge by priority.
 //!
 //! Correctness is by construction, not by test: a rule is placed in a home
-//! shard only when **every** key it can match steers to that shard
-//! (range rules must fit inside one shard's steering interval; hash-steered
-//! rules must be exact in the steering field). Any rule that cannot make
-//! that guarantee — wildcards, ranges spanning a cut — goes to the
-//! **broadcast shard**, which is consulted for every packet. The best
-//! verdict for a packet is therefore
+//! shard only when **every** key it can match steers to that shard (its
+//! range in the steering field must fit inside one shard's interval). Any
+//! rule that cannot make that guarantee — wildcards, ranges spanning a cut
+//! — goes to the **broadcast shard**, which is consulted for every packet.
+//! The best verdict for a packet is therefore
 //! `better(home_shard(packet), broadcast(packet))`, which equals the best
 //! verdict over all rules: every matching rule is in exactly one of the two
 //! sets consulted. Priority/id tie-breaking ([`MatchResult::better`]) is
@@ -25,38 +24,14 @@
 //!
 //! [`MatchResult::better`]: crate::classifier::MatchResult::better
 
-use crate::classifier::MatchResult;
 use crate::error::Error;
 use crate::rule::{Rule, RuleId};
 use crate::ruleset::RuleSet;
 
-/// How packets (and rules) map to shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardStrategy {
-    /// Contiguous cuts of the steering field's domain, placed at quantiles
-    /// of the rule distribution. Rules whose range in the steering field
-    /// fits inside one interval live there; the rest broadcast. The right
-    /// default for range-heavy fields (ports, prefixes).
-    Range,
-    /// Hash of the steering field's value. Only rules *exact* in the
-    /// steering field get a home shard; every range rule broadcasts. Best
-    /// for exact-match-heavy fields with skewed value distributions.
-    Hash,
-}
-
-impl std::str::FromStr for ShardStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "range" => Ok(Self::Range),
-            "hash" => Ok(Self::Hash),
-            other => Err(format!("unknown shard strategy '{other}' (range|hash)")),
-        }
-    }
-}
-
-/// Parameters for [`ShardPlan::build`].
+/// Parameters for [`ShardPlan::build`]. Steering is by range: contiguous
+/// cuts of the steering field's domain, placed at quantiles of the rule
+/// distribution; rules whose range in that field fits inside one interval
+/// live there, the rest broadcast.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPlanConfig {
     /// Number of home shards (≥ 1). `1` means "no sharding": one home shard
@@ -68,13 +43,11 @@ pub struct ShardPlanConfig {
     /// which would pick degenerate one-shard plans on wildcard-heavy
     /// fields. Ties break toward the lower dimension.
     pub dim: Option<usize>,
-    /// Steering strategy.
-    pub strategy: ShardStrategy,
 }
 
 impl Default for ShardPlanConfig {
     fn default() -> Self {
-        Self { shards: 1, dim: None, strategy: ShardStrategy::Range }
+        Self { shards: 1, dim: None }
     }
 }
 
@@ -95,22 +68,13 @@ pub enum ShardRoute {
 /// (or move) where steering will find them.
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
-    strategy: ShardStrategy,
     dim: usize,
     shards: usize,
-    /// Range strategy: shard `s` covers `[cuts[s-1], cuts[s])` with
-    /// implicit 0 and +inf ends — `cuts.len() == shards - 1`, ascending.
+    /// Shard `s` covers `[cuts[s-1], cuts[s])` with implicit 0 and +inf
+    /// ends — `cuts.len() == shards - 1`, ascending.
     cuts: Vec<u64>,
     home: Vec<Vec<RuleId>>,
     broadcast: Vec<RuleId>,
-}
-
-/// SplitMix64 finaliser — the hash behind [`ShardStrategy::Hash`] steering.
-#[inline]
-fn mix(mut v: u64) -> u64 {
-    v = (v ^ (v >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    v = (v ^ (v >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    v ^ (v >> 31)
 }
 
 impl ShardPlan {
@@ -134,7 +98,6 @@ impl ShardPlan {
             // A single shard: no content steering, so the dimension is
             // irrelevant; keep broadcast empty.
             return Ok(Self {
-                strategy: cfg.strategy,
                 dim: cfg.dim.unwrap_or(0),
                 shards: 1,
                 cuts: Vec::new(),
@@ -158,7 +121,7 @@ impl ShardPlan {
         };
         let mut best: Option<ShardPlan> = None;
         for dim in dims {
-            let plan = Self::build_in_dim(set, cfg, dim);
+            let plan = Self::build_in_dim(set, cfg.shards, dim);
             if best.as_ref().map_or(true, |b| score(&plan) < score(b)) {
                 best = Some(plan);
             }
@@ -166,37 +129,24 @@ impl ShardPlan {
         Ok(best.expect("at least one candidate dimension"))
     }
 
-    fn build_in_dim(set: &RuleSet, cfg: &ShardPlanConfig, dim: usize) -> Self {
-        let n = cfg.shards;
-        let cuts = match cfg.strategy {
-            ShardStrategy::Range => {
-                // Quantile cuts over the rules' lower bounds: balances rule
-                // count per shard when ranges are narrow relative to the
-                // domain (the common ClassBench shape).
-                let mut los: Vec<u64> = set.rules().iter().map(|r| r.fields[dim].lo).collect();
-                los.sort_unstable();
-                let mut cuts: Vec<u64> = (1..n)
-                    .map(|s| {
-                        let idx = (s * los.len()) / n;
-                        los.get(idx).copied().unwrap_or(u64::MAX)
-                    })
-                    .collect();
-                cuts.dedup();
-                cuts
-            }
-            ShardStrategy::Hash => Vec::new(),
-        };
-        let mut plan = Self {
-            strategy: cfg.strategy,
-            dim,
-            // Dedup can merge range cuts when the lo distribution is
-            // heavily repeated; the effective shard count follows the cuts.
-            shards: if cfg.strategy == ShardStrategy::Range { cuts.len() + 1 } else { n },
-            cuts,
-            home: Vec::new(),
-            broadcast: Vec::new(),
-        };
-        plan.home = vec![Vec::new(); plan.shards];
+    fn build_in_dim(set: &RuleSet, n: usize, dim: usize) -> Self {
+        // Quantile cuts over the rules' lower bounds: balances rule count
+        // per shard when ranges are narrow relative to the domain (the
+        // common ClassBench shape).
+        let mut los: Vec<u64> = set.rules().iter().map(|r| r.fields[dim].lo).collect();
+        los.sort_unstable();
+        let mut cuts: Vec<u64> = (1..n)
+            .map(|s| {
+                let idx = (s * los.len()) / n;
+                los.get(idx).copied().unwrap_or(u64::MAX)
+            })
+            .collect();
+        // Dedup can merge cuts when the lo distribution is heavily
+        // repeated; the effective shard count follows the cuts.
+        cuts.dedup();
+        let shards = cuts.len() + 1;
+        let mut plan =
+            Self { dim, shards, cuts, home: vec![Vec::new(); shards], broadcast: Vec::new() };
         for rule in set.rules() {
             match plan.route_rule(rule) {
                 ShardRoute::Home(s) => plan.home[s].push(rule.id),
@@ -204,11 +154,6 @@ impl ShardPlan {
             }
         }
         plan
-    }
-
-    /// Steering strategy.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
     }
 
     /// The steering field.
@@ -245,10 +190,7 @@ impl ShardPlan {
     /// Home shard for a steering-field value.
     #[inline]
     fn shard_of_value(&self, v: u64) -> usize {
-        match self.strategy {
-            ShardStrategy::Range => self.cuts.partition_point(|&c| c <= v),
-            ShardStrategy::Hash => (mix(v) % self.shards as u64) as usize,
-        }
+        self.cuts.partition_point(|&c| c <= v)
     }
 
     /// Steers one packet to its home shard, purely on the packet's
@@ -264,24 +206,12 @@ impl ShardPlan {
     /// Update paths route inserts/modifies through this so the placement
     /// invariant survives rule churn.
     pub fn route_rule(&self, rule: &Rule) -> ShardRoute {
-        match self.strategy {
-            ShardStrategy::Range => {
-                let f = rule.fields[self.dim];
-                let s = self.shard_of_value(f.lo);
-                if self.shard_of_value(f.hi) == s {
-                    ShardRoute::Home(s)
-                } else {
-                    ShardRoute::Broadcast
-                }
-            }
-            ShardStrategy::Hash => {
-                let f = rule.fields[self.dim];
-                if f.lo == f.hi {
-                    ShardRoute::Home(self.shard_of_value(f.lo))
-                } else {
-                    ShardRoute::Broadcast
-                }
-            }
+        let f = rule.fields[self.dim];
+        let s = self.shard_of_value(f.lo);
+        if self.shard_of_value(f.hi) == s {
+            ShardRoute::Home(s)
+        } else {
+            ShardRoute::Broadcast
         }
     }
 
@@ -290,13 +220,6 @@ impl ShardPlan {
     pub fn subsets(&self, set: &RuleSet) -> (Vec<RuleSet>, RuleSet) {
         let home = self.home.iter().map(|ids| set.subset(ids)).collect();
         (home, set.subset(&self.broadcast))
-    }
-
-    /// Merges a packet's home-shard and broadcast verdicts — the steering
-    /// stage's reduction, spelled out so call sites share one definition.
-    #[inline]
-    pub fn merge(home: Option<MatchResult>, broadcast: Option<MatchResult>) -> Option<MatchResult> {
-        MatchResult::better(home, broadcast)
     }
 }
 
@@ -318,7 +241,7 @@ mod tests {
     #[test]
     fn range_plan_homes_fitting_rules_and_balances() {
         let set = port_set(400);
-        let cfg = ShardPlanConfig { shards: 4, dim: Some(3), strategy: ShardStrategy::Range };
+        let cfg = ShardPlanConfig { shards: 4, dim: Some(3) };
         let plan = ShardPlan::build(&set, &cfg).unwrap();
         assert_eq!(plan.shards(), 4);
         let homed: usize = (0..4).map(|s| plan.home(s).len()).sum();
@@ -336,42 +259,25 @@ mod tests {
         // and every key in its steering range, the key steers to the rule's
         // home shard (or the rule broadcasts).
         let set = port_set(120);
-        for strategy in [ShardStrategy::Range, ShardStrategy::Hash] {
-            for shards in [1usize, 2, 3, 8] {
-                let cfg = ShardPlanConfig { shards, dim: Some(3), strategy };
-                let plan = ShardPlan::build(&set, &cfg).unwrap();
-                for rule in set.rules() {
-                    let route = plan.route_rule(rule);
-                    for v in [
-                        rule.fields[3].lo,
-                        (rule.fields[3].lo + rule.fields[3].hi) / 2,
-                        rule.fields[3].hi,
-                    ] {
-                        let key = [0u64, 0, 0, v, 0];
-                        let s = plan.steer(&key);
-                        match route {
-                            ShardRoute::Home(h) => {
-                                assert_eq!(s, h, "rule {} v {v} strategy {strategy:?}", rule.id)
-                            }
-                            ShardRoute::Broadcast => {}
-                        }
+        for shards in [1usize, 2, 3, 8] {
+            let cfg = ShardPlanConfig { shards, dim: Some(3) };
+            let plan = ShardPlan::build(&set, &cfg).unwrap();
+            for rule in set.rules() {
+                let route = plan.route_rule(rule);
+                for v in [
+                    rule.fields[3].lo,
+                    (rule.fields[3].lo + rule.fields[3].hi) / 2,
+                    rule.fields[3].hi,
+                ] {
+                    let key = [0u64, 0, 0, v, 0];
+                    let s = plan.steer(&key);
+                    match route {
+                        ShardRoute::Home(h) => assert_eq!(s, h, "rule {} v {v}", rule.id),
+                        ShardRoute::Broadcast => {}
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn hash_plan_broadcasts_ranges_and_homes_exacts() {
-        let mut rules = vec![FiveTuple::new().dst_port_range(10, 500).into_rule(0, 0)];
-        for i in 1..40u16 {
-            rules.push(FiveTuple::new().dst_port_exact(1000 + i).into_rule(i as u32, i as u32));
-        }
-        let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-        let cfg = ShardPlanConfig { shards: 4, dim: Some(3), strategy: ShardStrategy::Hash };
-        let plan = ShardPlan::build(&set, &cfg).unwrap();
-        assert_eq!(plan.broadcast(), &[0], "only the range rule broadcasts");
-        assert!((plan.broadcast_fraction() - 1.0 / 40.0).abs() < 1e-9);
     }
 
     #[test]
@@ -382,7 +288,7 @@ mod tests {
             .map(|i| FiveTuple::new().dst_port_exact(i * 7).into_rule(i as u32, i as u32))
             .collect();
         let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-        let cfg = ShardPlanConfig { shards: 2, dim: None, strategy: ShardStrategy::Range };
+        let cfg = ShardPlanConfig { shards: 2, dim: None };
         let plan = ShardPlan::build(&set, &cfg).unwrap();
         assert_eq!(plan.dim(), 3, "auto-pick must choose the diverse field");
         assert!(plan.broadcast().is_empty());
@@ -401,7 +307,7 @@ mod tests {
     #[test]
     fn subsets_preserve_ids_and_cover_everything() {
         let set = port_set(90);
-        let cfg = ShardPlanConfig { shards: 3, dim: Some(3), strategy: ShardStrategy::Range };
+        let cfg = ShardPlanConfig { shards: 3, dim: Some(3) };
         let plan = ShardPlan::build(&set, &cfg).unwrap();
         let (home, broadcast) = plan.subsets(&set);
         let covered: usize = home.iter().map(RuleSet::len).sum::<usize>() + broadcast.len();
@@ -419,17 +325,6 @@ mod tests {
         assert!(
             ShardPlan::build(&set, &ShardPlanConfig { shards: 0, ..Default::default() }).is_err()
         );
-        assert!(ShardPlan::build(
-            &set,
-            &ShardPlanConfig { shards: 2, dim: Some(9), strategy: ShardStrategy::Range }
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn strategy_parses() {
-        assert_eq!("range".parse::<ShardStrategy>().unwrap(), ShardStrategy::Range);
-        assert_eq!("hash".parse::<ShardStrategy>().unwrap(), ShardStrategy::Hash);
-        assert!("bogus".parse::<ShardStrategy>().is_err());
+        assert!(ShardPlan::build(&set, &ShardPlanConfig { shards: 2, dim: Some(9) }).is_err());
     }
 }

@@ -30,7 +30,9 @@
 //! ```text
 //! magic  "NMSNAP02"                      8 bytes
 //! generation u64, flags u8 (bit 0 = early termination)
-//! total_rules u64, moved_updates u64
+//! total_rules u64 (the live count at save; load recounts it from the
+//!   tables, so images written when it was the build-time count load right),
+//! moved_updates u64
 //! spec: nfields u32, per field (name_len u32 + utf8, bits u8)
 //! isets: count u32, per iset, as laid out in memory (`system::Packed`;
 //!        words are u32 when every field of the spec is ≤ 32 bits, else u64):
@@ -273,7 +275,9 @@ pub fn load_snapshot<R: Classifier>(
     need(&buf, 8 + 1 + 8 + 8 + 4, "header")?;
     let generation = buf.get_u64_le();
     let early_termination = buf.get_u8() != 0;
-    let total_rules = buf.get_u64_le() as usize;
+    // Recounted by `assemble`: an image written before the count was live
+    // carries the build-time figure here.
+    let _stored_rule_count = buf.get_u64_le();
     let moved_updates = buf.get_u64_le() as usize;
     let nfields = buf.get_u32_le() as usize;
     if nfields == 0 || nfields > 256 {
@@ -346,7 +350,7 @@ pub fn load_snapshot<R: Classifier>(
     }
     let remainder_set = RuleSet::new(spec.clone(), remainder_rules)?;
     let remainder = builder.build_engine(&remainder_set);
-    let mut nm = NuevoMatch::assemble(isets, remainder, early_termination, total_rules, spec);
+    let mut nm = NuevoMatch::assemble(isets, remainder, early_termination, spec);
     nm.moved_updates = moved_updates;
     Ok((nm, generation))
 }

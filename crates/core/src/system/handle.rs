@@ -33,18 +33,19 @@
 //! generation. A batch is therefore **atomic**: readers observe all of it or
 //! none of it.
 //!
-//! Retraining pins the rule truth under the control lock, trains *without*
-//! the lock (readers and the writer proceed untouched), then replays the
-//! updates that arrived during training and publishes. The swap itself is
+//! Retraining pins a snapshot under the control lock — the rule truth is
+//! whatever that snapshot serves ([`NuevoMatch::live_rules`]); the handle
+//! keeps no second copy of the rules — trains *without* the lock (readers
+//! and the writer proceed untouched), then replays the updates that arrived
+//! during training and publishes. The swap itself is
 //! one atomic pointer store; readers pinned to the old generation finish
 //! their batches on it and drop it.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use nm_common::classifier::{Classifier, MatchResult};
-use nm_common::rule::{Priority, Rule, RuleId};
+use nm_common::rule::Priority;
 use nm_common::ruleset::RuleSet;
 use nm_common::update::{
     BatchUpdatable, EngineBuilder, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
@@ -61,6 +62,7 @@ pub type NmSnapshot<R> = Snapshot<NuevoMatch<R>>;
 
 /// How to rebuild the classifier from scratch: the build parameters plus the
 /// remainder [`EngineBuilder`], held by the control plane for every retrain.
+#[derive(Clone)]
 struct RetrainRecipe<R> {
     cfg: NuevoMatchConfig,
     builder: Arc<dyn EngineBuilder<Engine = R>>,
@@ -69,10 +71,6 @@ struct RetrainRecipe<R> {
 /// Control-plane state, touched only by writers (apply / retrain).
 struct Control<R> {
     recipe: Option<RetrainRecipe<R>>,
-    /// Current rule truth (id → live version). `None` on handles constructed
-    /// from a bare classifier — those never maintain a map; a retrain
-    /// re-derives the truth from the live snapshot at its pin instead.
-    rules: Option<HashMap<RuleId, Rule>>,
     /// Ops applied while a retrain is in flight; replayed onto the fresh
     /// classifier before it is published.
     pending: Vec<UpdateOp>,
@@ -160,64 +158,32 @@ impl<R: Classifier> Clone for ClassifierHandle<R> {
 impl<R: Classifier> ClassifierHandle<R> {
     /// Builds the classifier from `set` and wraps it in a handle that can
     /// update and retrain. The builder is retained: every retrain re-invokes
-    /// it on the then-current rule truth.
+    /// it on the rules the then-live snapshot serves.
     pub fn new<B>(set: &RuleSet, cfg: &NuevoMatchConfig, builder: B) -> Result<Self, Error>
     where
         B: EngineBuilder<Engine = R> + 'static,
     {
         let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
         let nm = NuevoMatch::build(set, cfg, builder.clone())?;
-        let rules = set.rules().iter().map(|r| (r.id, r.clone())).collect();
-        Ok(Self::assemble(nm, 1, Some(RetrainRecipe { cfg: cfg.clone(), builder }), Some(rules)))
+        Ok(Self::assemble(nm, 1, Some(RetrainRecipe { cfg: cfg.clone(), builder })))
     }
 
     /// Wraps an already-built classifier in a read/serve-only handle:
     /// snapshots, generation tracking, updates and the parallel runtime all
-    /// work, but no rule truth is tracked and no builder retained, so
-    /// [`ClassifierHandle::retrain`] reports an error.
+    /// work, but no builder is retained, so [`ClassifierHandle::retrain`]
+    /// reports an error.
     pub fn read_only(nm: NuevoMatch<R>) -> Self {
-        Self::assemble(nm, 1, None, None)
-    }
-
-    /// Restores a handle around a classifier that already carries history
-    /// (snapshot warm-start): `generation` seeds the published stamp and the
-    /// rule truth comes from `rules`.
-    pub(crate) fn restore<B>(
-        nm: NuevoMatch<R>,
-        generation: Generation,
-        cfg: &NuevoMatchConfig,
-        builder: B,
-        rules: Vec<Rule>,
-    ) -> Self
-    where
-        B: EngineBuilder<Engine = R> + 'static,
-    {
-        let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
-        Self::assemble(
-            nm,
-            generation.max(1),
-            Some(RetrainRecipe { cfg: cfg.clone(), builder }),
-            Some(rules.into_iter().map(|r| (r.id, r)).collect()),
-        )
+        Self::assemble(nm, 1, None)
     }
 
     fn assemble(
         nm: NuevoMatch<R>,
         generation: Generation,
         recipe: Option<RetrainRecipe<R>>,
-        rules: Option<HashMap<RuleId, Rule>>,
     ) -> Self {
-        debug_assert!(
-            recipe.is_none() || rules.is_some(),
-            "a handle that can retrain must track the rule truth"
-        );
         Self {
             shared: Arc::new(Shared {
-                cell: Published::new(
-                    nm,
-                    generation,
-                    Control { recipe, rules, pending: Vec::new() },
-                ),
+                cell: Published::new(nm, generation, Control { recipe, pending: Vec::new() }),
                 retraining: AtomicBool::new(false),
                 retrains: AtomicU64::new(0),
                 partial_retrains: AtomicU64::new(0),
@@ -267,8 +233,8 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
         B: EngineBuilder<Engine = R> + 'static,
     {
         let (nm, generation) = crate::persist::load_snapshot(data, &builder)?;
-        let rules = nm.live_rules();
-        Ok(Self::restore(nm, generation, cfg, builder, rules))
+        let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
+        Ok(Self::assemble(nm, generation.max(1), Some(RetrainRecipe { cfg: cfg.clone(), builder })))
     }
 
     /// Serialises the live snapshot (see [`crate::persist::save_snapshot`]);
@@ -294,7 +260,6 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
             return UpdateReport::default();
         }
         let mut ctl = self.shared.cell.write();
-        Self::fold_truth(&mut ctl.rules, batch);
         if self.shared.retraining.load(SeqCst) {
             ctl.pending.extend(batch.ops().iter().cloned());
         }
@@ -357,35 +322,16 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// handle is read-only, or when a retrain is already in flight.
     pub fn retrain_partial(&self) -> Result<Generation, Error> {
         let _in_flight = InFlight::begin(&self.shared, "retrain_partial")?;
-        // Pin: snapshot + config under the lock, so no batch lands between
-        // the pending-queue reset and the pin.
-        let (cfg, pinned) = {
-            let mut ctl = self.shared.cell.write();
-            let cfg = ctl.recipe.as_ref().map(|recipe| recipe.cfg.clone()).ok_or_else(|| {
-                Error::Build {
-                    msg: "ClassifierHandle::retrain_partial: read-only handle (no config retained)"
-                        .to_string(),
-                }
-            })?;
-            ctl.pending.clear();
-            (cfg, self.snapshot())
-        };
+        let (pinned, recipe) = self.pin_for_retrain("retrain_partial")?;
         // Patch: leaf-level work, no locks held.
-        let (mut fresh, _report) = pinned.engine().partial_retrain(&cfg)?;
-        // Publish: replay what arrived during the patch, swap.
-        let mut ctl = self.shared.cell.write();
-        if !ctl.pending.is_empty() {
-            let replay: UpdateBatch = ctl.pending.drain(..).collect();
-            fresh.apply(&replay);
-        }
-        let generation = ctl.publish(fresh);
-        self.shared.retrains.fetch_add(1, SeqCst);
+        let (fresh, _report) = pinned.engine().partial_retrain(&recipe.cfg)?;
+        let generation = self.publish_retrained(fresh);
         self.shared.partial_retrains.fetch_add(1, SeqCst);
         Ok(generation)
     }
 
-    /// Rebuilds the classifier from scratch over the current rule truth and
-    /// atomically swaps it in, resetting the §3.9 remainder drift
+    /// Rebuilds the classifier from scratch over the rules the live snapshot
+    /// serves and atomically swaps it in, resetting the §3.9 remainder drift
     /// completely (including the iSet partition). Training runs *without*
     /// the control lock, so the writer keeps applying batches (they are
     /// replayed onto the fresh classifier before it publishes) and readers
@@ -395,36 +341,35 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// retrain is already in flight, or if training fails.
     pub fn retrain_full(&self) -> Result<Generation, Error> {
         let _in_flight = InFlight::begin(&self.shared, "retrain")?;
-        // Pin: capture the truth and the recipe under the lock.
-        let (set, cfg, builder) = {
-            let mut ctl = self.shared.cell.write();
-            let recipe = ctl.recipe.as_ref().ok_or_else(|| Error::Build {
-                msg: "ClassifierHandle::retrain: read-only handle (no EngineBuilder retained)"
-                    .to_string(),
-            })?;
-            let (cfg, builder) = (recipe.cfg.clone(), recipe.builder.clone());
-            let snapshot = self.snapshot();
-            // Invariant (held by every constructor): a handle with a
-            // retrain recipe also tracks the rule truth.
-            let mut rules: Vec<Rule> = ctl
-                .rules
-                .as_ref()
-                .expect("recipe-bearing handles always track rule truth")
-                .values()
-                .cloned()
-                .collect();
-            // Rebuild in priority order, not map order: engines whose build
-            // is insertion-order-sensitive (TupleMerge's table formation)
-            // degrade badly on a randomised rule order, and determinism
-            // makes retrains reproducible.
-            rules.sort_by_key(|r| (r.priority, r.id));
-            ctl.pending.clear();
-            let spec = snapshot.engine().spec().clone();
-            (RuleSet::new(spec, rules)?, cfg, builder)
-        };
-        // Train: the long pole, executed with no locks held.
-        let mut fresh = NuevoMatch::build(&set, &cfg, builder)?;
-        // Publish: replay what arrived during training, swap.
+        let (pinned, recipe) = self.pin_for_retrain("retrain")?;
+        // Train: the long pole, executed with no locks held. Rebuild in
+        // priority order, not export order: engines whose build is
+        // insertion-order-sensitive (TupleMerge's table formation) degrade
+        // badly on a shuffled rule order, and determinism makes retrains
+        // reproducible.
+        let mut rules = pinned.engine().live_rules();
+        rules.sort_by_key(|r| (r.priority, r.id));
+        let set = RuleSet::new(pinned.engine().spec().clone(), rules)?;
+        drop(pinned);
+        let fresh = NuevoMatch::build(&set, &recipe.cfg, recipe.builder)?;
+        Ok(self.publish_retrained(fresh))
+    }
+
+    /// What either retrain path works from — the live snapshot and the
+    /// recipe — taken under the lock, so no batch lands between the
+    /// pending-queue reset and the pin.
+    fn pin_for_retrain(&self, what: &str) -> Result<(Arc<NmSnapshot<R>>, RetrainRecipe<R>), Error> {
+        let mut ctl = self.shared.cell.write();
+        let recipe = ctl.recipe.clone().ok_or_else(|| Error::Build {
+            msg: format!("ClassifierHandle::{what}: read-only handle (no retrain recipe retained)"),
+        })?;
+        ctl.pending.clear();
+        Ok((self.snapshot(), recipe))
+    }
+
+    /// Replays what arrived while `fresh` was in the making, then swaps it
+    /// in.
+    fn publish_retrained(&self, mut fresh: NuevoMatch<R>) -> Generation {
         let mut ctl = self.shared.cell.write();
         if !ctl.pending.is_empty() {
             let replay: UpdateBatch = ctl.pending.drain(..).collect();
@@ -432,24 +377,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
         }
         let generation = ctl.publish(fresh);
         self.shared.retrains.fetch_add(1, SeqCst);
-        Ok(generation)
-    }
-
-    /// Folds a batch into the truth map. Handles without a map (started from
-    /// a bare classifier) skip this — their retrains re-derive the truth
-    /// from the live snapshot instead of maintaining it incrementally.
-    fn fold_truth(rules: &mut Option<HashMap<RuleId, Rule>>, batch: &UpdateBatch) {
-        let Some(map) = rules.as_mut() else { return };
-        for op in batch.ops() {
-            match op {
-                UpdateOp::Insert(r) | UpdateOp::Modify(r) => {
-                    map.insert(r.id, r.clone());
-                }
-                UpdateOp::Remove(id) => {
-                    map.remove(id);
-                }
-            }
-        }
+        generation
     }
 }
 
@@ -752,13 +680,114 @@ mod tests {
     }
 
     #[test]
+    fn num_rules_tracks_inserts_removes_and_upserts() {
+        let cfg = NuevoMatchConfig {
+            partial_retrain: crate::config::PartialRetrainPolicy::always(),
+            ..fast_cfg()
+        };
+        let h = ClassifierHandle::new(&port_set(200), &cfg, LinearSearch::build).unwrap();
+        let same_box = |i: u32| {
+            FiveTuple::new().dst_port_range(i as u16 * 100, i as u16 * 100 + 99).into_rule(i, i)
+        };
+        let fresh = |i: u32| FiveTuple::new().dst_port_exact(30_000 + i as u16).into_rule(i, i);
+        // +5 fresh inserts, −3 removes (one id twice: the second is a miss),
+        // upserts and modifies of live ids (±0), a modify of an absent id
+        // (+1) whose box overlaps live rule 10, so no iSet can take it back.
+        let mut batch = UpdateBatch::new();
+        for i in 1_000..1_005 {
+            batch = batch.insert(fresh(i));
+        }
+        batch = batch.remove(3).remove(4).remove(5).remove(5);
+        for i in 40..48 {
+            batch = batch.modify(same_box(i));
+        }
+        let overlapping = FiveTuple::new().dst_port_range(1_000, 1_050).into_rule(2_000, 2_000);
+        batch = batch.insert(same_box(60)).insert(fresh(1_000)).modify(overlapping);
+        let report = h.apply(&batch);
+        assert_eq!((report.inserted, report.replaced, report.removed), (16, 10, 3));
+        let live = 200 + 5 - 3 + 1;
+        let in_remainder = (5 + 8 + 1 + 1) as f64;
+        let check = |h: &ClassifierHandle<LinearSearch>, drifted: f64, step: &str| {
+            let snap = h.snapshot();
+            assert_eq!(snap.num_rules(), live, "{step}");
+            assert_eq!(snap.engine().live_rules().len(), live, "{step}");
+            assert_eq!(snap.engine().remainder_fraction(), drifted / live as f64, "{step}");
+            assert_eq!(snap.engine().coverage(), 1.0 - drifted / live as f64, "{step}");
+        };
+        check(&h, in_remainder, "apply");
+        let warm = ClassifierHandle::from_snapshot(&h.save(), &cfg, LinearSearch::build).unwrap();
+        check(&warm, in_remainder, "save -> from_snapshot");
+        // The partial retrain re-admits everything but the overlapping rule.
+        h.retrain_partial().unwrap();
+        check(&h, 1.0, "retrain_partial");
+        // So does a full rebuild: no iSet holds two overlapping rules.
+        h.retrain_full().unwrap();
+        check(&h, 1.0, "retrain_full");
+        warm.retrain_full().unwrap();
+        check(&warm, 1.0, "retrain_full of the warm-started handle");
+    }
+
+    #[test]
+    fn retrain_full_rebuilds_exactly_the_folded_update_stream() {
+        // The handle keeps no copy of the rules: a full retrain rebuilds
+        // from what the pinned snapshot serves. Fold the same stream into an
+        // independent truth and demand the two agree, rule for rule.
+        let set = port_set(250);
+        let h = ClassifierHandle::new(&set, &fast_cfg(), LinearSearch::build).unwrap();
+        let mut truth: std::collections::HashMap<_, _> =
+            set.rules().iter().map(|r| (r.id, r.clone())).collect();
+        let mut rng = nm_common::SplitMix64::new(77);
+        for step in 0..40 {
+            let mut batch = UpdateBatch::new();
+            for _ in 0..1 + rng.below(5) {
+                let id = rng.below(300) as u32; // ids >= 250 miss until inserted
+                let port = rng.below(60_000) as u16;
+                let rule = FiveTuple::new()
+                    .dst_port_range(port, port.saturating_add(rng.below(300) as u16))
+                    .into_rule(id, rng.below(400) as u32);
+                batch = match rng.below(3) {
+                    0 => {
+                        truth.insert(id, rule.clone());
+                        batch.insert(rule)
+                    }
+                    1 => {
+                        truth.remove(&id);
+                        batch.remove(id)
+                    }
+                    _ => {
+                        truth.insert(id, rule.clone());
+                        batch.modify(rule)
+                    }
+                };
+            }
+            h.apply(&batch);
+            if step == 19 {
+                h.retrain_full().unwrap();
+            }
+        }
+        h.retrain_full().unwrap();
+        let mut want: Vec<_> = truth.into_values().collect();
+        want.sort_by_key(|r| r.id);
+        let snap = h.snapshot();
+        let mut served = snap.engine().live_rules();
+        served.sort_by_key(|r| r.id);
+        assert_eq!(served, want);
+        assert_eq!(snap.num_rules(), want.len());
+        let oracle = LinearSearch::from_rules(want);
+        for port in (0u64..61_000).step_by(7) {
+            let key = [0, 0, 0, port, 0];
+            assert_eq!(h.classify(&key), oracle.classify(&key), "port {port}");
+        }
+    }
+
+    #[test]
     fn read_only_handle_serves_but_refuses_retrain() {
         let set = port_set(100);
         let nm = NuevoMatch::build(&set, &fast_cfg(), LinearSearch::build).unwrap();
         let h = ClassifierHandle::read_only(nm);
         assert_eq!(h.classify(&[0, 0, 0, 550, 0]).unwrap().rule, 5);
         assert!(h.retrain().is_err());
-        // Updates still work (truth is simply not tracked for retrains).
+        // Updates still work; only retrains need the builder.
         h.apply(&UpdateBatch::new().remove(5));
         assert_eq!(h.classify(&[0, 0, 0, 550, 0]), None);
     }

@@ -650,6 +650,8 @@ pub struct NuevoMatch<R> {
     isets: Vec<TrainedISet>,
     remainder: R,
     early_termination: bool,
+    /// Rules currently served — live iSet rules plus the remainder's. Every
+    /// applied batch moves it ([`Classifier::num_rules`]).
     total_rules: usize,
     /// Schema of the rule-set this classifier was built over.
     spec: FieldsSpec,
@@ -687,18 +689,20 @@ impl<R: Classifier> NuevoMatch<R> {
         }
         let remainder_set = set.subset(&partition.remainder);
         let remainder = remainder_builder.build_engine(&remainder_set);
-        Ok(Self::assemble(isets, remainder, cfg.early_termination, set.len(), set.spec().clone()))
+        Ok(Self::assemble(isets, remainder, cfg.early_termination, set.spec().clone()))
     }
 
-    /// Final assembly shared by [`NuevoMatch::build`] and snapshot restore:
-    /// derives the routing map from the iSets.
+    /// Final assembly shared by [`NuevoMatch::build`], the partial retrain
+    /// and snapshot restore: derives the routing map and the live rule count
+    /// from the parts.
     pub(crate) fn assemble(
         isets: Vec<TrainedISet>,
         remainder: R,
         early_termination: bool,
-        total_rules: usize,
         spec: FieldsSpec,
     ) -> Self {
+        let total_rules =
+            isets.iter().map(TrainedISet::live_len).sum::<usize>() + remainder.num_rules();
         let mut loc = std::collections::HashMap::new();
         for (i, iset) in isets.iter().enumerate() {
             for pos in 0..iset.len() {
@@ -750,20 +754,22 @@ impl<R: Classifier> NuevoMatch<R> {
         &self.remainder
     }
 
-    /// Mutable remainder engine (update path). Callers that mutate rules
-    /// through this must rely on the engine's own generation bump for cache
-    /// invalidation (see [`Classifier::generation`]).
-    pub fn remainder_mut(&mut self) -> &mut R {
+    /// Mutable remainder engine (update path; crate-private because
+    /// [`NuevoMatch::apply`] must see every rule change to keep the live
+    /// count right).
+    pub(crate) fn remainder_mut(&mut self) -> &mut R {
         &mut self.remainder
     }
 
-    /// Fraction of rules indexed by iSets at build time.
+    /// Fraction of the live rules ([`Classifier::num_rules`]) the iSets
+    /// serve — the complement of [`NuevoMatch::remainder_fraction`]. On a
+    /// fresh build this is the partition's coverage; it falls as updates
+    /// drift rules to the remainder and a retrain restores it.
     pub fn coverage(&self) -> f64 {
         if self.total_rules == 0 {
             return 0.0;
         }
-        let covered: usize = self.isets.iter().map(TrainedISet::len).sum();
-        covered as f64 / self.total_rules as f64
+        (self.total_rules - self.remainder.num_rules()) as f64 / self.total_rules as f64
     }
 
     /// Best candidate across the iSets only (phase API for Figure 14).
@@ -912,10 +918,8 @@ impl<R: Classifier> Classifier for NuevoMatch<R> {
     }
 
     fn generation(&self) -> Generation {
-        // Sum with the remainder's own stamp so rule changes applied
-        // straight through `remainder_mut` (bypassing this type's update
-        // path) still invalidate caches layered above. Both terms are
-        // monotone, so the sum is.
+        // The remainder's own stamp (it bumps with every batch that reaches
+        // it) is folded in; both terms are monotone, so the sum is.
         self.generation + self.remainder.generation()
     }
 }

@@ -37,7 +37,7 @@ use nm_common::Error;
 
 use crate::config::NuevoMatchConfig;
 use crate::rqrmi::LeafRetrainStats;
-use crate::system::{NuevoMatch, TrainedISet};
+use crate::system::NuevoMatch;
 
 /// What a [`NuevoMatch::partial_retrain`] pass did (observability: the
 /// update bench and `nmctl` report these).
@@ -166,15 +166,8 @@ impl<R: BatchUpdatable + Clone> NuevoMatch<R> {
             remainder.apply(&removals);
         }
 
-        let total_rules =
-            isets.iter().map(TrainedISet::live_len).sum::<usize>() + remainder.num_rules();
-        let mut fresh = NuevoMatch::assemble(
-            isets,
-            remainder,
-            self.early_termination(),
-            total_rules,
-            self.spec().clone(),
-        );
+        let mut fresh =
+            NuevoMatch::assemble(isets, remainder, self.early_termination(), self.spec().clone());
         // Keep the inner stamp monotone across the swap, like an update
         // would (a full rebuild restarts at 0; partial publishes in place of
         // the original, so callers comparing generations must not see it

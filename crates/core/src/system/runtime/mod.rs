@@ -4,15 +4,18 @@
 //! The runtime splits parallel execution along explicit axes:
 //!
 //! * **A plan** decides what each worker group serves. Every execution mode
-//!   is a [`ShardedDataPlane`]: [`ShardedHandle`]/[`ShardedClassifier`]
-//!   steer packets to per-shard rule subsets (hash/range on a steering
+//!   is a [`ShardedDataPlane`]: [`ShardedClassifier`] — and
+//!   [`ShardedHandle`], which publishes the same plane over live snapshots —
+//!   steers packets to per-shard rule subsets (range cuts on a steering
 //!   field, wildcard-heavy rules in a broadcast shard), [`Replicated`] is N
 //!   whole-set shards dealt batches round-robin (the §5.1 baseline mode),
 //!   and [`SplitPlan`] is NuevoMatch's iSet/remainder split (the paper's
 //!   two-worker mode) expressed as two mirrored stages.
 //! * **A dispatcher** (the calling thread) pins one coherent generation per
 //!   batch (a [`PinnedPlane`] — the same pin the serve front-end flushes
-//!   into), steers the batch, keeps [`RuntimeConfig::pipeline_depth`]
+//!   into: an `Arc` of a published snapshot for the live planes, a plain
+//!   reference for the immutable ones), steers the batch, keeps
+//!   [`RuntimeConfig::pipeline_depth`]
 //!   batches in flight — tracked in a small in-flight ring, not a
 //!   trace-length array — and merges per-shard verdicts by priority in
 //!   trace order, so the checksum equals [`run_sequential`] by
@@ -38,7 +41,7 @@
 pub mod sharded;
 pub mod topology;
 
-pub use sharded::{EpochSnapshot, ShardEpoch, ShardedClassifier, ShardedHandle, StaticPin};
+pub use sharded::{EpochSnapshot, ShardEpoch, ShardedClassifier, ShardedHandle};
 pub use topology::{pin_current_thread, NumaNode, Topology};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -219,29 +222,21 @@ impl<'c> Replicated<'c> {
     }
 }
 
-/// Pin over a [`Replicated`] plan — a bare reference; the engine is shared,
-/// its generation is whatever it reports.
-pub struct RefPin<'a>(&'a dyn Classifier);
-
-impl Clone for RefPin<'_> {
-    fn clone(&self) -> Self {
-        RefPin(self.0)
-    }
-}
-
-impl PinnedPlane for RefPin<'_> {
+/// A shared engine pins as the reference itself; its generation is whatever
+/// it reports.
+impl PinnedPlane for &dyn Classifier {
     fn generation(&self) -> Generation {
-        self.0.generation()
+        (**self).generation()
     }
 
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
-        self.0.classify_batch(keys, stride, out);
+        (**self).classify_batch(keys, stride, out);
     }
 }
 
 impl ShardedDataPlane for Replicated<'_> {
     type Pin<'p>
-        = RefPin<'p>
+        = &'p dyn Classifier
     where
         Self: 'p;
 
@@ -254,7 +249,7 @@ impl ShardedDataPlane for Replicated<'_> {
     }
 
     fn pin(&self) -> Self::Pin<'_> {
-        RefPin(self.engine)
+        self.engine
     }
 }
 
@@ -429,12 +424,7 @@ pub struct Runtime {
 impl Runtime {
     /// A runtime over the discovered machine topology.
     pub fn new(cfg: RuntimeConfig) -> Self {
-        Self::with_topology(cfg, Topology::discover())
-    }
-
-    /// A runtime over an explicit topology (tests, simulations).
-    pub fn with_topology(cfg: RuntimeConfig, topo: Topology) -> Self {
-        Self { cfg, topo }
+        Self { cfg, topo: Topology::discover() }
     }
 
     /// The configuration in force.
@@ -666,11 +656,7 @@ fn worker_loop<P: PinnedPlane + Clone>(
             let keys: &[u64] = if contiguous {
                 &raw[first * stride..(first + job.idx.len()) * stride]
             } else {
-                buf.clear();
-                for &i in &job.idx {
-                    let i = i as usize;
-                    buf.extend_from_slice(&raw[i * stride..(i + 1) * stride]);
-                }
+                sharded::gather_keys(raw, stride, &job.idx, &mut buf);
                 &buf
             };
             let mut verdicts = vec![None; job.idx.len()];
@@ -707,7 +693,7 @@ mod tests {
     use super::*;
     use crate::config::{NuevoMatchConfig, RqRmiParams};
     use crate::system::parallel::run_sequential;
-    use nm_common::shard::{ShardPlanConfig, ShardStrategy};
+    use nm_common::shard::ShardPlanConfig;
     use nm_common::{FieldsSpec, FiveTuple, LinearSearch, RuleSet};
 
     fn port_set(n: u16) -> RuleSet {
@@ -745,7 +731,7 @@ mod tests {
         let sharded = ShardedHandle::new(
             &set,
             &fast_cfg(),
-            &ShardPlanConfig { shards: 2, dim: Some(3), strategy: ShardStrategy::Range },
+            &ShardPlanConfig { shards: 2, dim: Some(3) },
             LinearSearch::build,
         )
         .unwrap();
@@ -795,7 +781,7 @@ mod tests {
         let sharded = ShardedHandle::new(
             &set,
             &fast_cfg(),
-            &ShardPlanConfig { shards: 2, dim: Some(3), strategy: ShardStrategy::Range },
+            &ShardPlanConfig { shards: 2, dim: Some(3) },
             LinearSearch::build,
         )
         .unwrap();

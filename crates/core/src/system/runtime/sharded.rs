@@ -1,28 +1,33 @@
-//! Sharded data planes: per-shard engine replicas behind one steering stage.
+//! The sharded data plane: per-shard engine replicas behind one steering
+//! stage.
 //!
-//! Two flavours share the [`ShardPlan`] model:
+//! There is one plane, [`ShardedClassifier`]: a [`ShardPlan`], one engine
+//! per home shard and the broadcast engine, steer → per-shard lookup →
+//! priority merge. It is used two ways:
 //!
-//! * [`ShardedClassifier`] — static per-shard engines built once from the
-//!   plan's subsets. Any [`Classifier`] works (TupleMerge, CutSplit,
-//!   NeuroCuts, NuevoMatch, boxed engines); this is the form `nmctl bench
-//!   --shards` and the checksum-equivalence tests use.
-//! * [`ShardedHandle`] — per-shard [`ClassifierHandle`] replicas for the
-//!   full control-plane lifecycle. `UpdateBatch` applies **fan out**: each
-//!   op routes to the shard the plan steers its rule to (moving shards when
-//!   a modify changes the steering field), and the post-apply snapshots of
-//!   every shard publish together as one [`ShardEpoch`] under one logical
-//!   generation, through the same [`Published`] cell a plain handle uses.
-//!   Readers pin the epoch with two atomic ops; a pinned epoch is
+//! * **Static** — engines built once from the plan's subsets. Any
+//!   [`Classifier`] works (TupleMerge, CutSplit, NeuroCuts, NuevoMatch,
+//!   boxed engines); this is the form `nmctl bench --shards` and the
+//!   checksum-equivalence tests use.
+//! * **Live** — [`ShardedHandle`] keeps one [`ClassifierHandle`] per shard
+//!   for the full control-plane lifecycle and publishes, per logical
+//!   generation, one [`ShardEpoch`]: the same plane over the shards' pinned
+//!   snapshots. `UpdateBatch` applies **fan out**: each op routes to the
+//!   shard the plan steers its rule to (moving shards when a modify changes
+//!   the steering field), and the post-apply snapshots of every shard
+//!   publish together, through the same [`Published`] cell a plain handle
+//!   uses. Readers pin the epoch with two atomic ops; a pinned epoch is
 //!   immutable, so **no batch can ever mix generations across shards** —
 //!   the coherence the runtime's checksum equivalence rests on. Retrains
 //!   fan the same way: every shard retrains (concurrently), then one epoch
 //!   publishes the fresh models together.
 //!
-//! Both implement [`Classifier`] (steer → per-shard lookup → priority
-//! merge), so they drop into every existing harness, and both implement
-//! [`ShardedDataPlane`] so [`Runtime::run`](super::Runtime::run) can spread
-//! their shards across pinned workers. One `Arc` of a stamped epoch is the
-//! handle's pin for the runtime and for the serve front-end alike.
+//! The plane is a [`Classifier`], so it drops into every existing harness,
+//! and both it and the handle are [`ShardedDataPlane`]s, so
+//! [`Runtime::run`](super::Runtime::run) can spread their shards across
+//! pinned workers. One `Arc` of a stamped epoch is the handle's pin for the
+//! runtime and for the serve front-end alike; the static plane's pin is a
+//! plain reference.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,14 +47,6 @@ use crate::system::handle::{ClassifierHandle, NmSnapshot};
 use crate::system::publish::Published;
 use crate::system::serve::plane::{PinnedPlane, ServePlane};
 
-/// Scatters `sub`'s verdicts (computed for the gathered keys at `idx`) back
-/// into `out`, merging by priority.
-fn scatter_merge(idx: &[u32], sub: &[Option<MatchResult>], out: &mut [Option<MatchResult>]) {
-    for (j, &i) in idx.iter().enumerate() {
-        out[i as usize] = MatchResult::better(out[i as usize], sub[j]);
-    }
-}
-
 /// Applies caller floors as the final filter (the `classify_with_floor ≡
 /// classify().filter(p < floor)` contract, batch-wide).
 pub(super) fn apply_floors(floors: Option<&[Priority]>, out: &mut [Option<MatchResult>]) {
@@ -62,8 +59,8 @@ pub(super) fn apply_floors(floors: Option<&[Priority]>, out: &mut [Option<MatchR
     }
 }
 
-/// Gathers the keys steered to one shard into a flat buffer.
-fn gather_keys(keys: &[u64], stride: usize, idx: &[u32], buf: &mut Vec<u64>) {
+/// Gathers the keys at `idx` into a flat buffer.
+pub(super) fn gather_keys(keys: &[u64], stride: usize, idx: &[u32], buf: &mut Vec<u64>) {
     buf.clear();
     for &i in idx {
         let i = i as usize;
@@ -71,86 +68,31 @@ fn gather_keys(keys: &[u64], stride: usize, idx: &[u32], buf: &mut Vec<u64>) {
     }
 }
 
-/// Sweeps the broadcast engine over the whole batch and merges its verdicts
-/// into `out` by priority.
-fn merge_broadcast<B: Classifier + ?Sized>(
-    broadcast: &B,
-    keys: &[u64],
-    stride: usize,
-    out: &mut [Option<MatchResult>],
-) {
-    let mut tmp = vec![None; out.len()];
-    broadcast.classify_batch(keys, stride, &mut tmp);
-    for (o, t) in out.iter_mut().zip(tmp) {
-        *o = MatchResult::better(*o, t);
-    }
-}
-
-/// A gathered sub-batch sweep over one home shard: `(shard, keys, out)`.
-type HomeSweep<'a> = &'a mut dyn FnMut(usize, &[u64], &mut [Option<MatchResult>]);
-/// A whole-batch broadcast merge: `(keys, out)`, verdicts folded by priority.
-type BroadcastSweep<'a> = &'a mut dyn FnMut(&[u64], &mut [Option<MatchResult>]);
-
-/// The steering stage every sharded batch path shares — steer per key,
-/// gather per home shard, sweep each sub-batch through `classify_home`,
-/// merge the broadcast engine (when present) over the whole batch, apply
-/// caller floors last. One definition, so the static and handle-backed data
-/// planes cannot drift apart.
-fn steered_batch_lookup(
-    plan: &ShardPlan,
-    keys: &[u64],
-    stride: usize,
-    floors: Option<&[Priority]>,
-    out: &mut [Option<MatchResult>],
-    classify_home: HomeSweep<'_>,
-    classify_broadcast: Option<BroadcastSweep<'_>>,
-) {
-    out.fill(None);
-    if plan.shards() == 1 {
-        // A single home shard: nothing to steer or gather.
-        classify_home(0, keys, out);
-    } else {
-        let mut idx: Vec<Vec<u32>> = vec![Vec::new(); plan.shards()];
-        for (i, key) in keys.chunks_exact(stride).enumerate() {
-            idx[plan.steer(key)].push(i as u32);
-        }
-        let mut buf = Vec::new();
-        let mut sub = Vec::new();
-        for (shard, ids) in idx.iter().enumerate() {
-            if ids.is_empty() {
-                continue;
-            }
-            gather_keys(keys, stride, ids, &mut buf);
-            sub.clear();
-            sub.resize(ids.len(), None);
-            classify_home(shard, &buf, &mut sub);
-            scatter_merge(ids, &sub, out);
-        }
-    }
-    if let Some(broadcast) = classify_broadcast {
-        broadcast(keys, out);
-    }
-    apply_floors(floors, out);
-}
-
-// ---------------------------------------------------------------------------
-// Static shards
-// ---------------------------------------------------------------------------
-
-/// Per-shard engine replicas built once from a [`ShardPlan`] — the static
-/// (no-update) sharded data plane.
+/// Per-shard engine replicas behind a [`ShardPlan`]'s steering stage.
 ///
-/// The steering stage lives in [`Classifier::batch_lookup`]: packets gather
-/// per home shard, each shard's engine sweeps its sub-batch through its own
-/// batched pipeline, the broadcast engine sweeps the whole batch, and
-/// verdicts merge by priority — verdict-equivalent to one whole-set engine
-/// by the plan's construction invariant.
+/// Packets gather per home shard, each shard's engine sweeps its sub-batch
+/// through its own batched pipeline, the broadcast engine sweeps the whole
+/// batch, and verdicts merge by priority — verdict-equivalent to one
+/// whole-set engine by the plan's construction invariant.
+///
+/// The engines sit behind `Arc`s so that the live instantiation
+/// ([`ShardEpoch`]) shares the snapshots its shard handles published
+/// instead of copying them; a pinned plane is immutable either way.
 pub struct ShardedClassifier<C> {
-    plan: ShardPlan,
-    home: Vec<C>,
-    /// Engine over the broadcast subset; `None` when no rule broadcasts.
-    broadcast: Option<C>,
+    plan: Arc<ShardPlan>,
+    home: Vec<Arc<C>>,
+    /// Engine over the broadcast subset. `None` only on a static plane
+    /// whose plan broadcasts nothing; a live epoch always carries its
+    /// broadcast shard, because an update may route a rule there later.
+    broadcast: Option<Arc<C>>,
 }
+
+/// One coherent cross-shard publication of a [`ShardedHandle`]: the plane
+/// over every shard's pinned snapshot. Published as the payload of one
+/// stamped [`Snapshot`] — the logical generation lives there — and immutable
+/// from then on: a reader holding an epoch can never observe two shards from
+/// different generations, whatever the control plane does meanwhile.
+pub type ShardEpoch<R> = ShardedClassifier<NmSnapshot<R>>;
 
 impl<C: Classifier> ShardedClassifier<C> {
     /// Builds the plan over `set` and one engine per subset.
@@ -163,7 +105,7 @@ impl<C: Classifier> ShardedClassifier<C> {
         let (home_sets, broadcast_set) = plan.subsets(set);
         let home = home_sets.iter().map(|s| builder.build_engine(s)).collect();
         let broadcast = (!broadcast_set.is_empty()).then(|| builder.build_engine(&broadcast_set));
-        Ok(Self { plan, home, broadcast })
+        Self::from_parts(plan, home, broadcast)
     }
 
     /// Assembles a sharded classifier from pre-built engines — one per home
@@ -187,12 +129,39 @@ impl<C: Classifier> ShardedClassifier<C> {
                     .to_string(),
             });
         }
-        Ok(Self { plan, home, broadcast })
+        Ok(Self {
+            plan: Arc::new(plan),
+            home: home.into_iter().map(Arc::new).collect(),
+            broadcast: broadcast.map(Arc::new),
+        })
     }
 
     /// The partition this data plane steers by.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
+    }
+
+    /// The home-shard engines' own generations (instrumentation: coherence
+    /// tests assert one pinned epoch always reports the same vector).
+    pub fn home_generations(&self) -> Vec<Generation> {
+        self.home.iter().map(|e| e.generation()).collect()
+    }
+
+    /// Every engine: the home shards', then the broadcast engine.
+    fn engines(&self) -> impl Iterator<Item = &C> {
+        self.home.iter().chain(&self.broadcast).map(|e| &**e)
+    }
+
+    /// Sweeps the broadcast engine over `keys` and merges its verdicts into
+    /// `out` by priority.
+    fn merge_broadcast(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
+        if let Some(broadcast) = &self.broadcast {
+            let mut tmp = vec![None; out.len()];
+            broadcast.classify_batch(keys, stride, &mut tmp);
+            for (o, t) in out.iter_mut().zip(tmp) {
+                *o = MatchResult::better(*o, t);
+            }
+        }
     }
 
     /// Classifies one shard's gathered sub-batch: home engine plus the
@@ -205,19 +174,19 @@ impl<C: Classifier> ShardedClassifier<C> {
         out: &mut [Option<MatchResult>],
     ) {
         self.home[shard].classify_batch(keys, stride, out);
-        if let Some(b) = &self.broadcast {
-            merge_broadcast(b, keys, stride, out);
-        }
+        self.merge_broadcast(keys, stride, out);
     }
 }
 
 impl<C: Classifier> Classifier for ShardedClassifier<C> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        let mut out = [None];
-        self.classify_sub(self.plan.steer(key), key, key.len(), &mut out);
-        out[0]
+        let home = self.home[self.plan.steer(key)].classify(key);
+        MatchResult::better(home, self.broadcast.as_ref().and_then(|b| b.classify(key)))
     }
 
+    /// The steering stage: steer per key, gather per home shard, sweep each
+    /// sub-batch through its shard's engine, merge the broadcast engine over
+    /// the whole batch, apply caller floors last.
     fn batch_lookup(
         &self,
         keys: &[u64],
@@ -225,27 +194,36 @@ impl<C: Classifier> Classifier for ShardedClassifier<C> {
         floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
     ) {
-        let mut broadcast = self.broadcast.as_ref().map(|b| {
-            move |keys: &[u64], out: &mut [Option<MatchResult>]| {
-                merge_broadcast(b, keys, stride, out)
+        if self.home.len() == 1 {
+            // A single home shard: nothing to steer or gather.
+            self.home[0].classify_batch(keys, stride, out);
+        } else {
+            out.fill(None);
+            let mut idx: Vec<Vec<u32>> = vec![Vec::new(); self.home.len()];
+            for (i, key) in keys.chunks_exact(stride).enumerate() {
+                idx[self.plan.steer(key)].push(i as u32);
             }
-        });
-        steered_batch_lookup(
-            &self.plan,
-            keys,
-            stride,
-            floors,
-            out,
-            &mut |shard, sub_keys, sub_out| {
-                self.home[shard].classify_batch(sub_keys, stride, sub_out)
-            },
-            broadcast.as_mut().map(|f| f as BroadcastSweep<'_>),
-        );
+            let mut buf = Vec::new();
+            let mut sub = Vec::new();
+            for (engine, ids) in self.home.iter().zip(&idx) {
+                if ids.is_empty() {
+                    continue;
+                }
+                gather_keys(keys, stride, ids, &mut buf);
+                sub.clear();
+                sub.resize(ids.len(), None);
+                engine.classify_batch(&buf, stride, &mut sub);
+                for (&i, &verdict) in ids.iter().zip(&sub) {
+                    out[i as usize] = verdict;
+                }
+            }
+        }
+        self.merge_broadcast(keys, stride, out);
+        apply_floors(floors, out);
     }
 
     fn memory_bytes(&self) -> usize {
-        self.home.iter().map(Classifier::memory_bytes).sum::<usize>()
-            + self.broadcast.as_ref().map_or(0, Classifier::memory_bytes)
+        self.engines().map(Classifier::memory_bytes).sum()
     }
 
     fn name(&self) -> &'static str {
@@ -253,34 +231,24 @@ impl<C: Classifier> Classifier for ShardedClassifier<C> {
     }
 
     fn num_rules(&self) -> usize {
-        self.home.iter().map(Classifier::num_rules).sum::<usize>()
-            + self.broadcast.as_ref().map_or(0, Classifier::num_rules)
+        self.engines().map(Classifier::num_rules).sum()
     }
 
     fn generation(&self) -> Generation {
         // Monotone sum over the replicas, like NuevoMatch over its parts.
-        self.home.iter().map(Classifier::generation).sum::<Generation>()
-            + self.broadcast.as_ref().map_or(0, Classifier::generation)
+        self.engines().map(Classifier::generation).sum()
     }
 }
 
-/// Borrowing pin over a [`ShardedClassifier`] — the engines are immutable,
-/// so the "pin" is just a reference.
-pub struct StaticPin<'a, C>(&'a ShardedClassifier<C>);
-
-impl<C> Clone for StaticPin<'_, C> {
-    fn clone(&self) -> Self {
-        StaticPin(self.0)
-    }
-}
-
-impl<C: Classifier> PinnedPlane for StaticPin<'_, C> {
+/// The engines of a pinned plane are immutable, so its pin is the reference
+/// itself.
+impl<C: Classifier> PinnedPlane for &ShardedClassifier<C> {
     fn generation(&self) -> Generation {
-        Classifier::generation(self.0)
+        Classifier::generation(*self)
     }
 
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
-        self.0.classify_batch(keys, stride, out);
+        Classifier::classify_batch(*self, keys, stride, out);
     }
 
     fn classify_shard(
@@ -290,18 +258,18 @@ impl<C: Classifier> PinnedPlane for StaticPin<'_, C> {
         stride: usize,
         out: &mut [Option<MatchResult>],
     ) {
-        self.0.classify_sub(shard, keys, stride, out);
+        self.classify_sub(shard, keys, stride, out);
     }
 }
 
 impl<C: Classifier> ShardedDataPlane for ShardedClassifier<C> {
     type Pin<'p>
-        = StaticPin<'p, C>
+        = &'p Self
     where
         Self: 'p;
 
     fn shards(&self) -> usize {
-        self.plan.shards()
+        self.home.len()
     }
 
     fn steer(&self, key: &[u64], _batch: usize) -> usize {
@@ -309,98 +277,13 @@ impl<C: Classifier> ShardedDataPlane for ShardedClassifier<C> {
     }
 
     fn pin(&self) -> Self::Pin<'_> {
-        StaticPin(self)
+        self
     }
 }
 
 // ---------------------------------------------------------------------------
-// Handle-backed shards (live control plane)
+// The live control plane
 // ---------------------------------------------------------------------------
-
-/// One coherent cross-shard publication: the steering plan plus every
-/// shard's snapshot, pinned together. Published as the payload of one
-/// stamped [`Snapshot`] — the logical generation lives there — and immutable
-/// from then on: a reader holding an epoch can never observe two shards from
-/// different generations, whatever the control plane does meanwhile. It is a
-/// [`Classifier`] in its own right (steer → per-shard lookup → priority
-/// merge), which is all [`ShardedHandle`]'s lookups are.
-pub struct ShardEpoch<R: Classifier> {
-    plan: Arc<ShardPlan>,
-    home: Vec<Arc<NmSnapshot<R>>>,
-    broadcast: Arc<NmSnapshot<R>>,
-}
-
-impl<R: Classifier> ShardEpoch<R> {
-    /// Number of home shards.
-    pub fn shards(&self) -> usize {
-        self.home.len()
-    }
-
-    /// The pinned home-shard snapshots' own generations (instrumentation:
-    /// coherence tests assert one epoch always reports the same vector).
-    pub fn home_generations(&self) -> Vec<Generation> {
-        self.home.iter().map(|s| s.generation()).collect()
-    }
-
-    /// Classifies one shard's gathered sub-batch against this epoch.
-    fn classify_sub(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.home[shard].classify_batch(keys, stride, out);
-        if self.broadcast.num_rules() > 0 {
-            merge_broadcast(&*self.broadcast, keys, stride, out);
-        }
-    }
-}
-
-impl<R: Classifier> Classifier for ShardEpoch<R> {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        let mut out = [None];
-        self.classify_sub(self.plan.steer(key), key, key.len(), &mut out);
-        out[0]
-    }
-
-    fn batch_lookup(
-        &self,
-        keys: &[u64],
-        stride: usize,
-        floors: Option<&[Priority]>,
-        out: &mut [Option<MatchResult>],
-    ) {
-        let mut broadcast = (self.broadcast.num_rules() > 0).then_some(
-            |keys: &[u64], out: &mut [Option<MatchResult>]| {
-                merge_broadcast(&*self.broadcast, keys, stride, out)
-            },
-        );
-        steered_batch_lookup(
-            &self.plan,
-            keys,
-            stride,
-            floors,
-            out,
-            &mut |shard, sub_keys, sub_out| {
-                self.home[shard].classify_batch(sub_keys, stride, sub_out)
-            },
-            broadcast.as_mut().map(|f| f as BroadcastSweep<'_>),
-        );
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.home.iter().map(|s| s.memory_bytes()).sum::<usize>() + self.broadcast.memory_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "sharded-nm"
-    }
-
-    fn num_rules(&self) -> usize {
-        self.home.iter().map(|s| s.num_rules()).sum::<usize>() + self.broadcast.num_rules()
-    }
-}
 
 /// What a reader of a [`ShardedHandle`] pins: one [`ShardEpoch`] under one
 /// logical generation. The same `Arc` is the pin of the serve path
@@ -440,10 +323,10 @@ struct ShardedCtl<R: Classifier> {
 impl<R: Classifier> ShardedCtl<R> {
     /// The shards' current snapshots as one epoch.
     fn epoch(&self, plan: &Arc<ShardPlan>) -> ShardEpoch<R> {
-        ShardEpoch {
+        ShardedClassifier {
             plan: plan.clone(),
             home: self.home.iter().map(ClassifierHandle::snapshot).collect(),
-            broadcast: self.broadcast.snapshot(),
+            broadcast: Some(self.broadcast.snapshot()),
         }
     }
 
@@ -528,18 +411,15 @@ impl<R: Classifier> ShardedHandle<R> {
     /// the whole sharded data plane currently serves.
     pub fn remainder_fraction(&self) -> f64 {
         let pin = self.epoch();
-        let epoch = pin.engine();
-        let mut rules = 0usize;
-        let mut weighted = 0.0f64;
-        for snap in epoch.home.iter().chain(std::iter::once(&epoch.broadcast)) {
-            let n = snap.num_rules();
-            rules += n;
-            weighted += snap.engine().remainder_fraction() * n as f64;
+        let (mut rules, mut drifted) = (0usize, 0usize);
+        for snap in pin.engine().engines() {
+            rules += snap.num_rules();
+            drifted += snap.engine().remainder().num_rules();
         }
         if rules == 0 {
             0.0
         } else {
-            weighted / rules as f64
+            drifted as f64 / rules as f64
         }
     }
 }
@@ -712,7 +592,7 @@ impl<R: Classifier> ShardedDataPlane for ShardedHandle<R> {
 mod tests {
     use super::*;
     use crate::config::RqRmiParams;
-    use nm_common::{FieldsSpec, FiveTuple, LinearSearch, ShardStrategy};
+    use nm_common::{FieldsSpec, FiveTuple, LinearSearch};
 
     fn port_set(n: u16) -> RuleSet {
         let rules: Vec<_> = (0..n)
@@ -731,28 +611,78 @@ mod tests {
     }
 
     fn plan_cfg(shards: usize) -> ShardPlanConfig {
-        ShardPlanConfig { shards, dim: Some(3), strategy: ShardStrategy::Range }
+        ShardPlanConfig { shards, dim: Some(3) }
+    }
+
+    /// The steering/broadcast contract, for either instantiation of the
+    /// plane: per key, batched (with and without floors) and shard by shard
+    /// through the runtime's pin, `plane` answers like the whole-set engine.
+    fn assert_plane_equals_whole_set<P: ShardedDataPlane + Classifier>(
+        plane: &P,
+        whole: &LinearSearch,
+        what: &str,
+    ) {
+        assert_eq!(plane.num_rules(), whole.num_rules(), "{what}");
+        let keys: Vec<u64> = (0..512u64).flat_map(|i| [1, 2, 3, (i * 157) % 40_000, 6]).collect();
+        let want: Vec<_> = keys.chunks_exact(5).map(|key| whole.classify(key)).collect();
+        let per_key: Vec<_> = keys.chunks_exact(5).map(|key| plane.classify(key)).collect();
+        assert_eq!(per_key, want, "{what}: per key");
+        let mut out = vec![None; want.len()];
+        plane.classify_batch(&keys, 5, &mut out);
+        assert_eq!(out, want, "{what}: batched");
+        let floors: Vec<Priority> =
+            (0..want.len() as u32).map(|i| if i % 3 == 0 { Priority::MAX } else { 150 }).collect();
+        plane.classify_batch_with_floors(&keys, 5, &floors, &mut out);
+        for (i, key) in keys.chunks_exact(5).enumerate() {
+            let floored = match floors[i] {
+                Priority::MAX => whole.classify(key),
+                floor => whole.classify_with_floor(key, floor),
+            };
+            assert_eq!(out[i], floored, "{what}: floor {} on packet {i}", floors[i]);
+        }
+        // What a runtime worker of shard `s` computes for the keys steered
+        // to it is already the final verdict (home merged with broadcast).
+        let pin = plane.pin();
+        for (i, key) in keys.chunks_exact(5).enumerate() {
+            let mut one = [None];
+            pin.classify_shard(plane.steer(key, 0), key, 5, &mut one);
+            assert_eq!(one[0], want[i], "{what}: shard pin, packet {i}");
+        }
+    }
+
+    /// Port rules without and with rules only the broadcast shard can hold:
+    /// a wildcard that loses to most of the set, and a straddling range that
+    /// beats all of it.
+    fn narrow_and_wide_sets() -> [RuleSet; 2] {
+        let narrow = port_set(300);
+        let mut rules = narrow.rules().to_vec();
+        rules.push(FiveTuple::new().into_rule(900, 200));
+        rules.push(FiveTuple::new().dst_port_range(5_000, 25_000).into_rule(901, 0));
+        [narrow, RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap()]
     }
 
     #[test]
     fn static_sharded_equals_whole_set_engine() {
-        let set = port_set(300);
-        let whole = LinearSearch::build(&set);
-        for shards in [1usize, 2, 5] {
-            let sc =
-                ShardedClassifier::build(&set, &plan_cfg(shards), LinearSearch::build).unwrap();
-            assert_eq!(sc.num_rules(), 300);
-            for port in (0u64..40_000).step_by(37) {
-                let key = [1, 2, 3, port, 6];
-                assert_eq!(sc.classify(&key), whole.classify(&key), "shards {shards} port {port}");
+        for (set, broadcasts) in narrow_and_wide_sets().iter().zip([false, true]) {
+            let whole = LinearSearch::build(set);
+            for shards in [1usize, 2, 5] {
+                let sc =
+                    ShardedClassifier::build(set, &plan_cfg(shards), LinearSearch::build).unwrap();
+                assert_eq!(sc.plan().broadcast().is_empty(), !broadcasts || shards == 1);
+                assert_plane_equals_whole_set(&sc, &whole, &format!("static, {shards} shard(s)"));
             }
-            // Batched path agrees too, with and without floors.
-            let keys: Vec<u64> =
-                (0..256u64).flat_map(|i| [1, 2, 3, (i * 157) % 40_000, 6]).collect();
-            let mut out = vec![None; 256];
-            sc.classify_batch(&keys, 5, &mut out);
-            for i in 0..256 {
-                assert_eq!(out[i], whole.classify(&keys[i * 5..(i + 1) * 5]), "packet {i}");
+        }
+    }
+
+    #[test]
+    fn live_sharded_equals_whole_set_engine() {
+        for set in &narrow_and_wide_sets() {
+            let whole = LinearSearch::build(set);
+            for shards in [1usize, 2, 5] {
+                let live =
+                    ShardedHandle::new(set, &fast_cfg(), &plan_cfg(shards), LinearSearch::build)
+                        .unwrap();
+                assert_plane_equals_whole_set(&live, &whole, &format!("live, {shards} shard(s)"));
             }
         }
     }

@@ -36,7 +36,7 @@ impl Topology {
     }
 
     /// [`Topology::discover`] against an alternate sysfs root (tests).
-    pub fn from_sysfs(root: &str) -> Self {
+    fn from_sysfs(root: &str) -> Self {
         let mut nodes = Vec::new();
         if let Ok(entries) = std::fs::read_dir(format!("{root}/node")) {
             for entry in entries.flatten() {
@@ -69,7 +69,7 @@ impl Topology {
     }
 
     /// A synthetic one-node topology with CPUs `0..cpus` (fallback, tests).
-    pub fn single_node(cpus: usize) -> Self {
+    fn single_node(cpus: usize) -> Self {
         Self { nodes: vec![NumaNode { id: 0, cpus: (0..cpus.max(1)).collect() }] }
     }
 
@@ -119,7 +119,7 @@ fn available() -> usize {
 
 /// Parses a sysfs cpulist (`"0-3,8,10-11"`) into CPU ids. Malformed pieces
 /// are skipped — sysfs is trusted but a fallback must never panic.
-pub fn parse_cpulist(s: &str) -> Vec<usize> {
+fn parse_cpulist(s: &str) -> Vec<usize> {
     let mut cpus = Vec::new();
     for part in s.trim().split(',') {
         let part = part.trim();

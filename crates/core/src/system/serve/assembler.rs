@@ -180,7 +180,7 @@ impl<P: ServePlane> Assembler<P> {
 
     /// Time until the oldest pending request's deadline, `None` when empty.
     /// `Some(ZERO)` means the deadline already passed — flush now.
-    pub fn time_left(&self, now: Instant) -> Option<Duration> {
+    fn time_left(&self, now: Instant) -> Option<Duration> {
         let oldest = self.pending.first()?.arrived;
         Some(self.deadline.saturating_sub(now.duration_since(oldest)))
     }

@@ -7,9 +7,13 @@
 //! "one generation" means for the engine: a snapshot `Arc` for a plain
 //! [`ClassifierHandle`], an `Arc` of one stamped
 //! [`ShardEpoch`](crate::system::runtime::ShardEpoch) for the sharded
-//! handle (the impls live beside the epoch in `runtime::sharded`). The same
-//! pin serves [`Runtime::run`](crate::system::runtime::Runtime::run)
-//! through [`PinnedPlane::classify_shard`].
+//! handle (the impls live beside the epoch in `runtime::sharded`) — both
+//! statically dispatched; they are the wire hot path. The same pin serves
+//! [`Runtime::run`](crate::system::runtime::Runtime::run) through
+//! [`PinnedPlane::classify_shard`], where planes that cannot change — a
+//! static [`ShardedClassifier`](crate::system::runtime::ShardedClassifier),
+//! a shared `&dyn Classifier` — pin as the plain reference: [`PinnedPlane`]
+//! is implemented for the reference itself, there is no wrapper type.
 
 use std::sync::Arc;
 

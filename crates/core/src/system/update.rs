@@ -85,6 +85,8 @@ impl<R: BatchUpdatable> NuevoMatch<R> {
             }
         }
         report.absorb(self.remainder_mut().apply(&remainder_ops));
+        // Every insert adds a live rule unless it replaced one.
+        self.total_rules = self.total_rules + report.inserted - report.replaced - report.removed;
         // Bump only on effective change. A batch whose every op missed (e.g.
         // removes of absent ids) serves the same content; bumping for it
         // would force a needless invalidation of every FlowCache above us.
@@ -148,14 +150,13 @@ impl<R: Classifier> NuevoMatch<R> {
         self.moved_updates
     }
 
-    /// Current fraction of rules served by the remainder engine — the
-    /// quantity whose growth drives the Figure 7 throughput decay.
+    /// Current fraction of the live rules served by the remainder engine —
+    /// the quantity whose growth drives the Figure 7 throughput decay.
     pub fn remainder_fraction(&self) -> f64 {
-        let total = nm_common::Classifier::num_rules(self);
-        if total == 0 {
+        if self.total_rules == 0 {
             return 0.0;
         }
-        self.remainder().num_rules() as f64 / total as f64
+        self.remainder().num_rules() as f64 / self.total_rules as f64
     }
 }
 

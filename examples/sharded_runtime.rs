@@ -14,7 +14,7 @@
 //! ```
 
 use nm_classbench::{generate, AppKind};
-use nm_common::{FiveTuple, ShardPlanConfig, ShardStrategy, UpdateBatch};
+use nm_common::{FiveTuple, ShardPlanConfig, UpdateBatch};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::parallel::run_sequential;
@@ -26,7 +26,7 @@ fn main() {
 
     // Partition: 2 home shards, steering field auto-picked to minimise the
     // broadcast shard (wildcard-heavy rules every packet must consult).
-    let plan = ShardPlanConfig { shards: 2, dim: None, strategy: ShardStrategy::Range };
+    let plan = ShardPlanConfig { shards: 2, dim: None };
     let sharded = ShardedHandle::new(&set, &NuevoMatchConfig::default(), &plan, TupleMerge::build)
         .expect("sharded build");
     println!(

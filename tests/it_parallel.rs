@@ -14,9 +14,7 @@
 use proptest::prelude::*;
 
 use nm_classbench::{generate, AppKind};
-use nm_common::{
-    Classifier, FieldsSpec, FiveTuple, RuleSet, ShardPlanConfig, ShardStrategy, UpdateBatch,
-};
+use nm_common::{Classifier, FieldsSpec, FiveTuple, RuleSet, ShardPlanConfig, UpdateBatch};
 use nm_cutsplit::CutSplit;
 use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
 use nm_trace::{uniform_trace, zipf_trace};
@@ -45,7 +43,7 @@ fn runtime(batch: usize) -> Runtime {
 }
 
 fn plan(shards: usize) -> ShardPlanConfig {
-    ShardPlanConfig { shards, dim: None, strategy: ShardStrategy::Range }
+    ShardPlanConfig { shards, dim: None }
 }
 
 #[test]
@@ -159,7 +157,7 @@ fn epoch_pins_never_mix_generations_across_shards() {
         })
         .collect();
     let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-    let cfg = ShardPlanConfig { shards: 2, dim: Some(3), strategy: ShardStrategy::Range };
+    let cfg = ShardPlanConfig { shards: 2, dim: Some(3) };
     let sharded =
         ShardedHandle::new(&set, &fast_cfg(), &cfg, nm_common::LinearSearch::build).unwrap();
     // Rule 2 lives in shard 0's range, rule 100 in shard 1's.
@@ -209,6 +207,49 @@ fn epoch_pins_never_mix_generations_across_shards() {
         }
         stop.store(true, std::sync::atomic::Ordering::SeqCst);
     });
+}
+
+/// Regression: a `ShardedHandle` built over a set with nothing to broadcast
+/// used to skip its broadcast shard for good (the epoch re-derived "is there
+/// a broadcast engine" from a rule count that never moved), so a wildcard
+/// inserted later was accounted for and never served.
+#[test]
+fn insert_into_an_initially_empty_broadcast_shard_is_served() {
+    use nuevomatch::{PinnedPlane, ServePlane};
+    let rules: Vec<_> = (0..200u16)
+        .map(|i| {
+            FiveTuple::new().dst_port_range(i * 300, i * 300 + 20).into_rule(i as u32, i as u32)
+        })
+        .collect();
+    let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+    let cfg = ShardPlanConfig { shards: 2, dim: Some(3) };
+    let whole = ClassifierHandle::new(&set, &fast_cfg(), nm_common::LinearSearch::build).unwrap();
+    let sharded =
+        ShardedHandle::new(&set, &fast_cfg(), &cfg, nm_common::LinearSearch::build).unwrap();
+    assert_eq!(sharded.plan().shards(), 2);
+    assert_eq!(sharded.plan().broadcast_fraction(), 0.0, "the set must start broadcast-free");
+
+    // Beats every base rule but 0 and (on the id tie-break) 1.
+    let batch = UpdateBatch::new().insert(FiveTuple::new().into_rule(900, 1));
+    assert_eq!(sharded.apply(&batch), whole.apply(&batch));
+
+    let mut trace = nm_common::TraceBuf::new(5);
+    for port in (0u64..65_536).step_by(37) {
+        trace.push(&[7, 7, 7, port, 6]);
+    }
+    let want: Vec<_> = trace.iter().map(|key| whole.classify(key)).collect();
+    assert!(want.iter().any(|m| m.map(|m| m.rule) == Some(900)), "the wildcard must win somewhere");
+    let scalar: Vec<_> = trace.iter().map(|key| sharded.classify(key)).collect();
+    assert_eq!(scalar, want, "per-key");
+    let mut out = vec![None; trace.len()];
+    sharded.classify_batch(trace.raw(), trace.stride(), &mut out);
+    assert_eq!(out, want, "batched");
+    out.fill(None);
+    ServePlane::pin(&sharded).classify_batch(trace.raw(), trace.stride(), &mut out);
+    assert_eq!(out, want, "serve pin");
+    let run = runtime(64).run(&sharded, &trace).unwrap();
+    assert_eq!(run.checksum, run_sequential(&whole, &trace).checksum, "Runtime::run");
+    assert_eq!((sharded.num_rules(), whole.num_rules()), (201, 201));
 }
 
 /// What licenses `nmctl serve` driving a `ShardedHandle` at every shard
@@ -307,34 +348,38 @@ fn sharded_runtime_survives_mid_run_updates_and_retrains() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Property: after every fanned update batch — inserts, removes, and
-    /// modifies that move rules across shards — the sharded runtime's
-    /// checksum equals `run_sequential` over a whole-set handle fed the
-    /// same transactions, for random shard counts, strategies and batches.
+    /// Property: after every fanned update batch — inserts, removes,
+    /// modifies that move rules across shards, and wide rules that land in
+    /// the broadcast shard — the sharded runtime's checksum equals
+    /// `run_sequential` over a whole-set handle fed the same transactions,
+    /// for random shard counts and batches, whether or not the set starts
+    /// with anything to broadcast.
     #[test]
     fn prop_sharded_equals_whole_set_under_update_batches(
         seed in 0u64..1_000,
         shards in 2usize..5,
-        hash_steer in proptest::collection::vec(0u8..2, 1),
-        ops in proptest::collection::vec((0u8..3, 0u16..60_000, 0u32..160), 4..40),
+        seed_wildcards in 0u32..3,
+        ops in proptest::collection::vec((0u8..4, 0u16..60_000, 0u32..160), 4..40),
         batch_size in 1usize..4,
     ) {
-        // 120 base rules with unique priorities (= ids), non-overlapping.
-        let rules: Vec<_> = (0..120u16)
+        // 120 base rules with unique priorities (= ids), non-overlapping;
+        // every range cut falls on a rule's lower bound, so none of them
+        // straddles one and only the seeded wildcards broadcast.
+        let mut rules: Vec<_> = (0..120u16)
             .map(|i| {
                 FiveTuple::new()
                     .dst_port_range(i * 500, i * 500 + 450)
                     .into_rule(i as u32, i as u32)
             })
             .collect();
+        rules.extend((0..seed_wildcards).map(|i| FiveTuple::new().into_rule(3_000 + i, 60 + i)));
         let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-        let strategy =
-            if hash_steer[0] == 0 { ShardStrategy::Range } else { ShardStrategy::Hash };
-        let cfg = ShardPlanConfig { shards, dim: Some(3), strategy };
+        let cfg = ShardPlanConfig { shards, dim: Some(3) };
         let reference =
             ClassifierHandle::new(&set, &fast_cfg(), nm_common::LinearSearch::build).unwrap();
         let sharded =
             ShardedHandle::new(&set, &fast_cfg(), &cfg, nm_common::LinearSearch::build).unwrap();
+        prop_assert_eq!(sharded.plan().broadcast().len(), seed_wildcards as usize);
         let trace = uniform_trace(&set, 1_500, seed ^ 0xfeed);
         let rt = runtime(64);
 
@@ -349,10 +394,21 @@ proptest! {
                         FiveTuple::new().dst_port_exact(port).into_rule(1_000 + id, 1_000 + id),
                     ),
                     1 => batch.remove(id),
-                    _ => batch.modify(
+                    2 => batch.modify(
                         FiveTuple::new()
                             .dst_port_range(port, port.saturating_add(90))
                             .into_rule(id, id),
+                    ),
+                    // A rule no home shard can own — a wildcard, or a range
+                    // wide enough to straddle a cut — at a priority that
+                    // beats part of the base set.
+                    _ => batch.insert(
+                        if port % 2 == 0 {
+                            FiveTuple::new()
+                        } else {
+                            FiveTuple::new().dst_port_range(port, port.saturating_add(30_000))
+                        }
+                        .into_rule(2_000 + id % 8, id),
                     ),
                 };
             }
@@ -411,7 +467,7 @@ fn sharded_apply_is_not_blocked_by_a_retrain_in_flight() {
         partial_retrain: nuevomatch::PartialRetrainPolicy::never(),
         ..fast_cfg()
     };
-    let cfg = ShardPlanConfig { shards: 2, dim: Some(3), strategy: ShardStrategy::Range };
+    let cfg = ShardPlanConfig { shards: 2, dim: Some(3) };
     let sharded = ShardedHandle::new(&set, &full_only, &cfg, builder).unwrap();
     let key = [0u64, 0, 0, 61_234, 0];
     assert_eq!(sharded.classify(&key), None);
