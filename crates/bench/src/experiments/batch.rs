@@ -2,9 +2,9 @@
 //!
 //! The paper batches 128 packets for parallelization (§5.1); this experiment
 //! quantifies what batching buys on a single core, for **every batched
-//! engine**: NuevoMatch's phase pipeline (cross-packet AVX inference with
-//! the divergent-leaf gather kernel, prefetched secondary-search windows,
-//! batch-wide early termination), TupleMerge's table-major probe, and the
+//! engine**: NuevoMatch's phase pipeline (stage-synchronous cross-packet
+//! inference, prefetched secondary-search windows, batch-wide early
+//! termination), TupleMerge's table-major probe, and the
 //! CutSplit/NeuroCuts level-synchronous tree descent. Sweeps batch sizes
 //! 1/8/32/128/512 through
 //! [`nuevomatch::system::parallel::run_batched`] over the scale's
@@ -16,25 +16,25 @@
 //!
 //! Every row's checksum is checked against the sequential per-key
 //! reference, so the sweep double-checks batch/scalar equivalence on the
-//! measured trace — a mismatch fails the run. A divergent-leaf microbench
-//! compares the transposed gather kernel against the per-packet broadcast
-//! pass it replaced, at 1, 2, 4 and 8 distinct leaves per 8-packet group
-//! (plus the shared-submodel kernel at 1, the auto-selection fast path).
-//! The four perf targets (tree engines ≥ 1.5x at batch 128 on fw; tm and
-//! nm/tm at batch 128 ≥ the per-key loop on acl; nm/tm ≥ tm at batch 128 on
-//! fib; gather ≥ broadcast at ≥ 4 distinct leaves) print PASS/WARN.
+//! measured trace — a mismatch fails the run. An inference table times
+//! `CompiledRqRmi::predict_batch` on its own: ns/key over independent
+//! 64-key chunks of uniform keys, one model per Table 4 width shape — a
+//! *throughput*, what the pipeline's predict phase pays per key, where a
+//! dependent chain through one kernel would report a latency the pipeline
+//! never waits for. The four perf targets (tree engines ≥ 1.5x at batch 128
+//! on fw; tm and nm/tm at batch 128 ≥ the per-key loop on acl; nm/tm ≥ tm
+//! at batch 128 on fib; inference ≤ 6 ns/key on AVX2+FMA) print PASS/WARN.
 
 use crate::{measure_seq, nc_config, nm_config, nm_tm, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Json, Table};
-use nm_common::Classifier;
+use nm_common::{Classifier, FieldRange, SplitMix64};
 use nm_cutsplit::CutSplit;
 use nm_neurocuts::NeuroCuts;
-use nm_nn::Mlp;
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::NuevoMatch;
-use nuevomatch::rqrmi::{detect, leaf_chain_broadcast8, leaf_chain_gather8, Isa, Kernel, LeafSoa};
+use nuevomatch::rqrmi::{detect, train_rqrmi, CompiledRqRmi, Isa};
 use nuevomatch::system::parallel::run_batched;
+use nuevomatch::{NuevoMatch, RqRmiParams};
 
 const BATCHES: &[usize] = &[1, 8, 32, 128, 512];
 
@@ -90,50 +90,46 @@ fn sweep(
     (speedup, pps_128)
 }
 
-/// One divergent-leaf microbench point.
-struct GatherPoint {
-    distinct: usize,
-    gather_ns: f64,
-    broadcast_ns: f64,
-    /// Shared-submodel kernel ns/packet; only meaningful at `distinct == 1`
-    /// (the auto-selection fast path), `NaN` elsewhere.
-    shared_ns: f64,
-}
-
-/// Times the divergent-leaf strategies against each other on a dependent
-/// chain (the Table 1 methodology): `distinct` ∈ {1, 2, 4, 8} leaves per
-/// 8-packet group, gather vs per-packet broadcast, plus the shared kernel
-/// at 1 distinct leaf.
-fn gather_microbench() -> Vec<GatherPoint> {
-    const LEAVES: usize = 64;
-    const ITERS: usize = 1_000_000;
-    let isa = detect();
-    let leaves: Vec<Kernel> =
-        (0..LEAVES as u64).map(|s| Kernel::from_mlp(&Mlp::random(8, s ^ 0x9a7e))).collect();
-    let soa = LeafSoa::from_kernels(&leaves);
-    let mut points = Vec::new();
-    for &distinct in &[1usize, 2, 4, 8] {
-        // Spread the distinct leaves across the table so gathers hit
-        // different cache lines, as divergent leaves do in a real model.
-        let idx: [usize; 8] = std::array::from_fn(|l| (l % distinct) * (LEAVES / distinct));
-        let time = |f: &dyn Fn(usize) -> f32| {
-            let _ = f(ITERS / 10); // warm
+/// `predict_batch` ns/key (the best pass) over independent 64-key chunks
+/// of uniform keys, with the model's widths, for one model per Table 4
+/// width shape — each trained on a range count that selects it. Checks on
+/// the way that every covered key's window holds its range, and on AVX2+FMA
+/// that the batched walk equals the single-key walk.
+fn inference_throughput(out: &mut Outcome) -> Vec<(Vec<usize>, f64)> {
+    const KEYS: usize = 1 << 16;
+    const BITS: u8 = 32;
+    let mut rng = SplitMix64::new(0x1fe2);
+    let keys: Vec<u64> = (0..KEYS).map(|_| rng.below(1 << BITS)).collect();
+    let mut rows = Vec::new();
+    for n in [500u64, 5_000, 50_000, 200_000, 500_000] {
+        let step = (1 << BITS) / n;
+        let ranges: Vec<FieldRange> =
+            (0..n).map(|i| FieldRange::new(i * step, i * step + step / 2)).collect();
+        let model = train_rqrmi(&ranges, BITS, &RqRmiParams::default()).expect("training");
+        let compiled = CompiledRqRmi::new(&model);
+        let (mut preds, mut errs) = (vec![0usize; KEYS], vec![0u32; KEYS]);
+        let mut best = f64::MAX;
+        // A pass is a third of a millisecond: many of them, so that one
+        // lands outside a neighbour's burst.
+        for _ in 0..16 * PASSES {
             let t0 = std::time::Instant::now();
-            let sink = f(ITERS);
-            let dt = t0.elapsed().as_secs_f64();
-            assert!(sink.is_finite());
-            dt * 1e9 / (ITERS as f64 * 8.0) // ns per packet
-        };
-        let gather_ns = time(&|n| leaf_chain_gather8(&soa, &idx, 0.37, n, isa));
-        let broadcast_ns = time(&|n| leaf_chain_broadcast8(&leaves, &idx, 0.37, n, isa));
-        let shared_ns = if distinct == 1 {
-            time(&|n| leaves[idx[0]].latency_chain_batch8(0.37, n, isa))
-        } else {
-            f64::NAN
-        };
-        points.push(GatherPoint { distinct, gather_ns, broadcast_ns, shared_ns });
+            let chunks = keys.chunks(64).zip(preds.chunks_mut(64)).zip(errs.chunks_mut(64));
+            for ((keys, preds), errs) in chunks {
+                compiled.predict_batch(keys, preds, errs);
+            }
+            best = best.min(t0.elapsed().as_nanos() as f64 / KEYS as f64);
+        }
+        let exact = compiled.isa() == Isa::AvxFma;
+        let agrees = keys.iter().zip(preds.iter().zip(&errs)).all(|(&key, (&pred, &err))| {
+            // `n * step` stops short of the domain's end: no range there.
+            let covered = key / step < n && key % step <= step / 2;
+            (!exact || (pred, err) == compiled.predict(key))
+                && (!covered || pred.abs_diff((key / step) as usize) <= err as usize)
+        });
+        out.check(agrees, || format!("predict_batch went wrong on the {:?} model", model.widths()));
+        rows.push((model.widths().to_vec(), best));
     }
-    points
+    rows
 }
 
 pub fn run(ctx: &Ctx) -> Outcome {
@@ -222,43 +218,27 @@ pub fn run(ctx: &Ctx) -> Outcome {
         if nm_vs_tm_fib >= 1.0 { "PASS" } else { "WARN" },
     ));
 
-    out.say(format!("\n=== Divergent-leaf microbench — gather vs broadcast, {:?} ===", detect()));
-    out.say("(ns per packet; shared = the uniform-group fast path, 1 distinct leaf only)\n");
-    let mut gtable =
-        Table::new(&["distinct leaves", "gather", "broadcast", "shared", "bcast/gather"]);
-    let points = gather_microbench();
-    // The gather-beats-broadcast target only applies where the real gather
-    // kernel runs; on pre-AVX2 hosts the gather side is the scalar fallback
-    // and losing to the vector broadcast kernels is expected.
-    let gather_applicable = detect() == Isa::AvxFma;
-    let mut gather_pass = true;
-    for p in &points {
-        gtable.row(vec![
-            format!("{}", p.distinct),
-            format!("{:.2}", p.gather_ns),
-            format!("{:.2}", p.broadcast_ns),
-            if p.shared_ns.is_nan() { "-".into() } else { format!("{:.2}", p.shared_ns) },
-            format!("{:.2}x", p.broadcast_ns / p.gather_ns),
-        ]);
-        if gather_applicable && p.distinct >= 4 && p.gather_ns > p.broadcast_ns {
-            gather_pass = false;
-        }
+    out.say(format!("\n=== Inference throughput — predict_batch, 64-key chunks, {:?} ===", detect()));
+    out.say("(ns per key, uniform keys; one model per Table 4 width shape)\n");
+    let mut itable = Table::new(&["widths", "ns/key"]);
+    let points = inference_throughput(&mut out);
+    for (widths, ns) in &points {
+        itable.row(vec![format!("{widths:?}"), format!("{ns:.2}")]);
     }
-    out.table("leaf_gather", gtable);
-    out.say(if !gather_applicable {
-        "SKIP: no AVX2+FMA on this host — gather column is the scalar fallback"
-    } else if gather_pass {
-        "PASS: gather beats per-packet broadcast at >= 4 distinct leaves"
+    out.table("inference", itable);
+    // The target is the stage-synchronous AVX2+FMA walk's; the older ISAs
+    // walk group by group and are not held to it.
+    const TARGET_NS: f64 = 6.0;
+    let worst = points.iter().map(|p| p.1).fold(0.0, f64::max);
+    let inference_pass = detect() != Isa::AvxFma || worst <= TARGET_NS;
+    out.say(if detect() != Isa::AvxFma {
+        format!("SKIP: no AVX2+FMA on this host — worst shape {worst:.2} ns/key, no target")
     } else {
-        "WARN: gather did not beat broadcast at >= 4 distinct leaves"
+        format!(
+            "{}: worst shape {worst:.2} ns/key (target <= {TARGET_NS} ns/key)",
+            if inference_pass { "PASS" } else { "WARN" },
+        )
     });
-    if let Some(p1) = points.iter().find(|p| p.distinct == 1) {
-        out.say(format!(
-            "shared-leaf fast path: shared {:.2} ns vs gather {:.2} ns — auto-selection \
-             keeps the shared kernel for uniform groups",
-            p1.shared_ns, p1.gather_ns
-        ));
-    }
 
     out.scalar("rules", n);
     out.scalar("isa", format!("{:?}", detect()));
@@ -266,6 +246,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.scalar("tree_target_pass", tree_pass);
     out.scalar("tm_target_pass", tm_pass);
     out.scalar("nm_vs_tm_fib_128", Json::num(nm_vs_tm_fib, 3));
-    out.scalar("gather_target_pass", gather_pass);
+    out.scalar("inference_ns_per_key_worst", Json::num(worst, 3));
+    out.scalar("inference_target_pass", inference_pass);
     out
 }

@@ -38,8 +38,10 @@ pub fn run(_: &Ctx) -> Outcome {
         "paper (ns)",
     ]);
     // The FMA row is this repo's addition: the paper's 2016-era Xeon had no
-    // AVX2/FMA, so Table 1 stops at AVX(8). The batch8 column is the
-    // cross-packet kernel (one lane per packet; see rqrmi::simd module docs).
+    // AVX2/FMA, so Table 1 stops at AVX(8). The batch8 column is the 8-key
+    // kernel each ISA's batched walk ships: one lane per packet up to AVX,
+    // lane-per-neuron plus a transposed sum on AVX2+FMA (see rqrmi::simd
+    // module docs).
     let rows: &[(&str, Isa, &str)] = &[
         ("Serial(1)", Isa::Scalar, "126"),
         ("SSE(4)", Isa::Sse, "62"),

@@ -20,9 +20,7 @@ pub mod train;
 
 pub use analyze::KeyMap;
 pub use model::RqRmi;
-pub use simd::{
-    detect, leaf_chain_broadcast8, leaf_chain_gather8, CompiledRqRmi, Isa, Kernel, LeafSoa,
-};
+pub use simd::{detect, CompiledRqRmi, Isa, Kernel};
 pub use train::{
     retrain_leaves, train_rqrmi, train_rqrmi_mode, verify_exhaustive, LeafRetrainStats, SampleMode,
 };

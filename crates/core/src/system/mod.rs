@@ -453,9 +453,10 @@ impl TrainedISet {
 
     /// Batched iSet lookup over a flat key buffer: §4's three lookup phases
     /// run batch-wide instead of packet-wide, 64 keys at a time — predict
-    /// (8 packets per register, [`CompiledRqRmi::predict_batch`]), prefetch
-    /// every search window, search (prefetching the record each search
-    /// lands on), then validate + merge from the record without a branch.
+    /// ([`CompiledRqRmi::predict_batch`], all 64 keys one model stage at a
+    /// time), prefetch every search window, search (prefetching the record
+    /// each search lands on), then validate + merge from the record without
+    /// a branch.
     ///
     /// `best[i]` holds key `i`'s best candidate so far as
     /// `priority << 32 | id` (`u64::MAX` before any) and is merged with
@@ -594,7 +595,9 @@ impl TrainedISet {
         )?;
         // Belt and braces on top of the analytic bounds: the patched model
         // must place every surviving range boundary within its search
-        // window, or the partial path refuses and the caller rebuilds.
+        // window, or the partial path refuses and the caller rebuilds. On
+        // AVX2+FMA `predict_batch` equals `predict` bit for bit, so this
+        // covers the batched data plane's walk too.
         let compiled = CompiledRqRmi::new(&model);
         for (idx, r) in new_ranges.iter().enumerate() {
             for key in [r.lo, r.hi] {

@@ -1,9 +1,9 @@
 //! Batch/scalar equivalence: `classify_batch` must be **bit-identical** to
 //! per-key `classify` for every engine in the workspace — the contract the
 //! batched pipeline (`nuevomatch::system`) is built on. See
-//! `crates/core/src/rqrmi/simd.rs` module docs for why the cross-packet AVX
-//! kernels (including the divergent-leaf gather kernel) cannot change
-//! classification results, and `nm_cutsplit::batched` for the
+//! `crates/core/src/rqrmi/simd.rs` module docs for why the cross-packet
+//! kernels cannot change classification results, and `nm_cutsplit::batched`
+//! for the
 //! level-synchronous tree-descent invariants checked here.
 
 use nm_classbench::{generate, AppKind};
@@ -11,10 +11,9 @@ use nm_common::rule::Priority;
 use nm_common::{Classifier, FieldRange, FieldsSpec, LinearSearch, RuleSet};
 use nm_cutsplit::CutSplit;
 use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
-use nm_nn::Mlp;
 use nm_trace::{uniform_trace, zipf_trace};
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::rqrmi::{train_rqrmi, CompiledRqRmi, Isa, Kernel, LeafSoa};
+use nuevomatch::rqrmi::{train_rqrmi, CompiledRqRmi, Isa, RqRmi};
 use nuevomatch::system::FlowCache;
 use nuevomatch::{NuevoMatch, NuevoMatchConfig, RqRmiParams};
 use proptest::prelude::*;
@@ -180,16 +179,14 @@ fn flow_cache_batch_matches_per_key() {
     assert!(cached.stats().hits > 0, "warm pass should hit the cache");
 }
 
-/// The leaf stage's two evaluation strategies — per-packet broadcast
-/// (scalar `predict`) and the divergent-leaf gather kernel (`predict_batch`
-/// on groups whose lanes route to different leaves) — must produce the same
+/// The single-key walk (`predict`) and the batched walk (`predict_batch`,
+/// on groups whose keys route to different leaves) must produce the same
 /// *search outcome* for every key on every reachable ISA: same containing
-/// range for covered keys, no range for uncovered keys. This is the
-/// verdict-level form of "gather ≡ broadcast": predictions may differ in
-/// the last ULPs, but both windows contain the truth, so the secondary
-/// search cannot diverge.
+/// range for covered keys, no range for uncovered keys. On the pre-AVX2
+/// ISAs the two predictions may differ in the last ULPs, but both windows
+/// contain the truth, so the secondary search cannot diverge.
 #[test]
-fn gather_and_broadcast_leaf_stage_agree_on_search_outcome() {
+fn batched_and_single_key_walks_agree_on_search_outcome() {
     let ranges: Vec<FieldRange> = (0..400u64)
         .map(|i| FieldRange::new(i * 150, i * 150 + 99)) // gaps: uncovered keys exist
         .collect();
@@ -203,8 +200,8 @@ fn gather_and_broadcast_leaf_stage_agree_on_search_outcome() {
         let pos = lo + off;
         (pos <= hi && ranges[pos].lo <= v).then_some(pos)
     };
-    // Shuffled covered keys (each 8-group spans distant leaves → gather
-    // path) interleaved with uncovered gap keys.
+    // Shuffled covered keys (each 8-group spans distant leaves)
+    // interleaved with uncovered gap keys.
     let keys: Vec<u64> = (0..800usize)
         .map(|i| {
             let r = &ranges[(i * 131) % ranges.len()];
@@ -221,48 +218,124 @@ fn gather_and_broadcast_leaf_stage_agree_on_search_outcome() {
         let mut errs = vec![0u32; keys.len()];
         compiled.predict_batch(&keys, &mut preds, &mut errs);
         for (i, &key) in keys.iter().enumerate() {
-            let (sp, se) = compiled.predict(key); // broadcast leaf stage
+            let (sp, se) = compiled.predict(key);
             let batch_outcome = search(preds[i], errs[i], key);
             let scalar_outcome = search(sp, se, key);
             assert_eq!(
                 batch_outcome, scalar_outcome,
-                "{isa:?} key {key}: gather path found {batch_outcome:?}, \
-                 broadcast path found {scalar_outcome:?}"
+                "{isa:?} key {key}: batched walk found {batch_outcome:?}, \
+                 single-key walk found {scalar_outcome:?}"
             );
+        }
+    }
+}
+
+/// Batch lengths around every edge of the batched walk: empty, under one
+/// group, one group ± 1, one 64-key chunk ± 1, a ragged second chunk, two
+/// chunks, two chunks plus a tail.
+const BATCH_LENGTHS: [usize; 11] = [0, 1, 7, 8, 9, 63, 64, 65, 72, 128, 130];
+
+/// A probe key and the index of the range that covers it, if one does.
+type Probe = (u64, Option<usize>);
+
+/// One trained model per Table 4 width shape over a 24-bit field, each with
+/// its probe pool: every range boundary and its outside neighbour (the
+/// ranges leave gaps, so those are uncovered), 0, the domain maximum and
+/// two keys beyond the domain.
+fn shaped_models() -> &'static [(Vec<Probe>, RqRmi)] {
+    static MODELS: std::sync::OnceLock<Vec<(Vec<Probe>, RqRmi)>> = std::sync::OnceLock::new();
+    MODELS.get_or_init(|| {
+        const BITS: u8 = 24;
+        let shapes: [(&[usize], u64); 4] =
+            [(&[1, 4], 400), (&[1, 4, 16], 2_000), (&[1, 4, 128], 4_000), (&[1, 8, 256], 6_000)];
+        shapes
+            .into_iter()
+            .map(|(widths, n)| {
+                let step = (1u64 << BITS) / n;
+                let ranges: Vec<FieldRange> =
+                    (0..n).map(|i| FieldRange::new(i * step + 2, i * step + step / 2)).collect();
+                let params = RqRmiParams {
+                    stage_widths: Some(widths.to_vec()),
+                    samples_init: 256,
+                    max_attempts: 2,
+                    ..Default::default()
+                };
+                let model = train_rqrmi(&ranges, BITS, &params).unwrap();
+                assert_eq!(model.widths(), widths);
+                let mut pool: Vec<Probe> = vec![
+                    (0, None),
+                    ((1 << BITS) - 1, None),
+                    (1 << BITS, None),
+                    (u64::MAX >> 12, None),
+                ];
+                for (i, r) in ranges.iter().enumerate() {
+                    pool.extend([
+                        (r.lo - 1, None),
+                        (r.lo, Some(i)),
+                        (r.hi, Some(i)),
+                        (r.hi + 1, None),
+                    ]);
+                }
+                (pool, model)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 160, ..ProptestConfig::default() })]
+
+    /// Property: `predict_batch` equals per-key `predict` exactly on
+    /// AVX2+FMA — through whole chunks, the ragged last chunk and the
+    /// `n % 8` tail alike — and on every reachable ISA puts each covered
+    /// key's true index inside its window; over the four Table 4 width
+    /// shapes, with keys drawn from every range boundary ± 1, 0, the domain
+    /// maximum and beyond the domain, one group of 8 equal keys and one
+    /// whose keys spread over the whole model.
+    #[test]
+    fn predict_batch_equals_predict_over_shapes_lengths_and_boundaries(
+        shape in 0usize..4,
+        len_sel in 0usize..BATCH_LENGTHS.len(),
+        picks in proptest::collection::vec(any::<u32>(), 130),
+        equal_group in any::<bool>(),
+    ) {
+        let (pool, model) = &shaped_models()[shape];
+        let mut keys: Vec<(u64, Option<usize>)> = picks[..BATCH_LENGTHS[len_sel]]
+            .iter()
+            .map(|&p| pool[p as usize % pool.len()])
+            .collect();
+        let mut groups = keys.chunks_exact_mut(8);
+        if let (true, Some(group)) = (equal_group, groups.next()) {
+            group.fill(group[0]);
+        }
+        if let Some(group) = groups.next() {
+            for (l, key) in group.iter_mut().enumerate() {
+                *key = pool[(picks[l] as usize + l * pool.len() / 8) % pool.len()];
+            }
+        }
+        let vals: Vec<u64> = keys.iter().map(|k| k.0).collect();
+        for isa in reachable_isas() {
+            let compiled = CompiledRqRmi::with_isa(model, isa);
+            let (mut preds, mut errs) = (vec![0usize; vals.len()], vec![0u32; vals.len()]);
+            compiled.predict_batch(&vals, &mut preds, &mut errs);
+            for (i, &(key, truth)) in keys.iter().enumerate() {
+                if isa == Isa::AvxFma {
+                    prop_assert_eq!((preds[i], errs[i]), compiled.predict(key), "key {} at {}", key, i);
+                }
+                if let Some(truth) = truth {
+                    prop_assert!(
+                        preds[i].abs_diff(truth) <= errs[i] as usize,
+                        "{:?} widths {:?} key {}: pred {} true {} err {}",
+                        isa, model.widths(), key, preds[i], truth, errs[i]
+                    );
+                }
+            }
         }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// Property: the divergent-leaf gather kernel agrees with the
-    /// per-packet broadcast pass lane by lane, for arbitrary leaf weights,
-    /// arbitrary lane→leaf routings and inputs, on every ISA reachable on
-    /// this host (the AVX2 gather against its scalar reference included).
-    #[test]
-    fn gather_kernel_matches_broadcast_per_lane(
-        seeds in proptest::collection::vec(0u64..10_000, 2..48),
-        lanes in proptest::array::uniform8(0usize..1_000),
-        xs_raw in proptest::array::uniform8(0u32..1_000_000),
-    ) {
-        let leaves: Vec<Kernel> =
-            seeds.iter().map(|&s| Kernel::from_mlp(&Mlp::random(8, s))).collect();
-        let soa = LeafSoa::from_kernels(&leaves);
-        let idx: [usize; 8] = lanes.map(|l| l % leaves.len());
-        let xs: [f32; 8] = xs_raw.map(|v| v as f32 / 1_000_000.0);
-        for isa in reachable_isas() {
-            let gathered = soa.forward_leaf_gather8(&xs, &idx, isa);
-            for l in 0..8 {
-                let broadcast = leaves[idx[l]].forward_clamped(xs[l], isa);
-                prop_assert!(
-                    (gathered[l] - broadcast).abs() <= 1e-5,
-                    "{:?} lane {} leaf {}: gather {} vs broadcast {}",
-                    isa, l, idx[l], gathered[l], broadcast
-                );
-            }
-        }
-    }
 
     /// Property: the level-synchronous batched descent is bit-identical to
     /// the per-key walk for CutSplit and NeuroCuts — arbitrary 2-field rule
