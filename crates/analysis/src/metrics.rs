@@ -11,7 +11,7 @@
 //!   required for full coverage" — all those rules pairwise overlap in every
 //!   field, so no two of them fit in the same iSet.
 
-use nm_common::{Rule, RuleSet, SplitMix64};
+use nm_common::{RuleSet, SplitMix64};
 use std::collections::HashSet;
 
 /// Diversity of field `dim`: distinct ranges divided by rule count.
@@ -69,11 +69,6 @@ pub fn centrality_sampled(set: &RuleSet, samples: usize, seed: u64) -> usize {
         }
     }
     best
-}
-
-/// Centrality restricted to a rule subset (used by tests on hand-built sets).
-pub fn stab_at(rules: &[Rule], point: &[u64]) -> usize {
-    rules.iter().filter(|r| r.matches(point)).count()
 }
 
 #[cfg(test)]

@@ -114,11 +114,6 @@ impl FiveTuple {
     pub fn into_rule(self, id: RuleId, priority: Priority) -> Rule {
         Rule::new(id, priority, self.fields.to_vec())
     }
-
-    /// Returns the field ranges without wrapping in a `Rule`.
-    pub fn into_fields(self) -> Vec<FieldRange> {
-        self.fields.to_vec()
-    }
 }
 
 /// Packs dotted-quad octets into the `u64` key value.

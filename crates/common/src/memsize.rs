@@ -11,12 +11,6 @@ pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
 }
 
-/// Bytes held by a boxed slice.
-#[inline]
-pub fn boxed_slice_bytes<T>(s: &[T]) -> usize {
-    std::mem::size_of_val(s)
-}
-
 /// Pretty-prints a byte count the way the paper annotates Figure 11
 /// ("19.5 KB", "2 MB").
 pub fn human_bytes(bytes: usize) -> String {

@@ -51,13 +51,6 @@ impl Rule {
         self.fields.iter().zip(&other.fields).all(|(a, b)| a.overlaps(b))
     }
 
-    /// The geometric "size" of the rule in dimension `dim` (number of values
-    /// matched). Used by size-based partitioning in CutSplit.
-    #[inline]
-    pub fn dim_width(&self, dim: usize) -> u64 {
-        self.fields[dim].width()
-    }
-
     /// A key guaranteed to match this rule: the low corner of its box.
     pub fn witness_key(&self) -> Vec<u64> {
         self.fields.iter().map(|r| r.lo).collect()

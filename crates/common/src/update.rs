@@ -324,11 +324,6 @@ impl<C> Snapshot<C> {
     pub fn engine(&self) -> &C {
         &self.engine
     }
-
-    /// Unwraps the engine (control-plane use: copy-on-write update paths).
-    pub fn into_engine(self) -> C {
-        self.engine
-    }
 }
 
 impl<C: Classifier> Classifier for Snapshot<C> {

@@ -22,8 +22,6 @@ pub struct RqRmiParams {
     /// Stage widths, first must be 1. `None` selects the paper's Table 4
     /// configuration from the number of indexed ranges.
     pub stage_widths: Option<Vec<usize>>,
-    /// Hidden neurons per submodel (paper: 8 — one AVX register).
-    pub hidden: usize,
     /// Target worst-case index prediction error for leaf submodels. The
     /// Figure 5 loop retrains leaves (doubling samples) until they meet it
     /// or `max_attempts` is exhausted (§3.5.6).
@@ -43,7 +41,6 @@ impl Default for RqRmiParams {
     fn default() -> Self {
         Self {
             stage_widths: None,
-            hidden: 8,
             error_target: 64,
             samples_init: 1 << 10,
             max_attempts: 6,

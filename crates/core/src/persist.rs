@@ -132,9 +132,15 @@ pub fn load_rqrmi(data: &[u8]) -> Result<RqRmi, Error> {
     if !(1..=52).contains(&bits) {
         return Err(fail("bits out of range"));
     }
+    // The bounds below are what compiling the model asserts
+    // (`CompiledRqRmi::with_isa`, `Kernel::from_mlp`): a checksummed image
+    // that breaks them is refused here, not by a panic in the caller.
     let n_values = buf.get_u64_le() as usize;
     if n_values == 0 {
         return Err(fail("empty model"));
+    }
+    if i32::try_from(n_values).is_err() {
+        return Err(fail("range count out of range"));
     }
     let stages = buf.get_u8() as usize;
     if stages == 0 || stages > 8 {
@@ -151,7 +157,7 @@ pub fn load_rqrmi(data: &[u8]) -> Result<RqRmi, Error> {
         for _ in 0..w {
             need(&buf, 1, "submodel header")?;
             let hidden = buf.get_u8() as usize;
-            if hidden > 64 {
+            if hidden > Mlp::PAPER_HIDDEN {
                 return Err(fail("hidden width out of range"));
             }
             need(&buf, (3 * hidden + 1) * 4, "weights")?;
@@ -404,6 +410,25 @@ mod tests {
         let mut bytes = save_rqrmi(&model());
         bytes[0] = b'X';
         assert!(load_rqrmi(&bytes).is_err());
+    }
+
+    /// Well-formed, checksummed images of models the inference kernels
+    /// cannot compile (`CompiledRqRmi::with_isa` would panic on them) are
+    /// refused by the loader.
+    #[test]
+    fn uncompilable_models_are_refused_with_an_error() {
+        let wide = RqRmi {
+            widths: vec![1],
+            nets: vec![vec![Mlp::zeros(16)]],
+            leaf_err: vec![0],
+            n_values: 10,
+            bits: 16,
+        };
+        let huge = RqRmi { nets: vec![vec![Mlp::zeros(8)]], n_values: 1 << 31, ..wide.clone() };
+        for (model, what) in [(wide, "hidden width"), (huge, "range count")] {
+            let err = load_rqrmi(&save_rqrmi(&model)).expect_err(what);
+            assert!(err.to_string().contains(what), "{err}");
+        }
     }
 
     #[test]

@@ -13,19 +13,19 @@
 //! * **Within a key** ([`Kernel::forward_clamped`]): the 8 hidden neurons
 //!   of one submodel fill one 256-bit register; the key's input is broadcast
 //!   across lanes and the 8 products are summed horizontally. This is the
-//!   paper's Table 1 kernel.
-//! * **Across keys** ([`CompiledRqRmi::predict_batch`]): keys are walked in
-//!   groups of 8. The AVX2+FMA arm keeps the lane-per-neuron layout — per
-//!   key three aligned loads from *that key's own* submodel, whichever
-//!   submodel the previous stage routed it to — and sums the eight keys'
-//!   products with one transposed `hadd` tree that leaves one lane per key,
-//!   so a group costs the same whether its keys share a submodel or spread
-//!   over eight. It walks a whole chunk of ≤ 64 keys **stage by stage**:
-//!   every group finishes stage `s` before any starts `s + 1`, which keeps
-//!   eight independent dependency chains in flight where a group-at-a-time
-//!   walk has one. The older ISAs walk group by group, one *lane per key*
-//!   ([`Kernel::forward_batch8`], no horizontal sum) while a group shares
-//!   its submodel and per key once it diverges.
+//!   paper's Table 1 kernel, and the only kernel shape there is: lane =
+//!   hidden neuron, on every ISA.
+//! * **Across keys** ([`CompiledRqRmi::predict_batch`]): a chunk of ≤ 64
+//!   keys is walked **stage by stage** — every key finishes stage `s`, on
+//!   *its own* submodel, whichever one the previous stage routed it to,
+//!   before any key starts `s + 1`. A key's walk is a dependency chain of
+//!   one kernel per stage; walking the chunk stage-synchronously keeps up
+//!   to 64 independent chains in flight where a key-at-a-time walk has one,
+//!   and costs the same whether the keys share a submodel or spread over
+//!   the whole stage. `Scalar`/`Sse`/`Avx` run the single-key kernel once
+//!   per key; AVX2+FMA runs eight keys' kernels side by side and sums their
+//!   products with one transposed `hadd` tree that leaves one lane per key
+//!   (`forward8_fma`) — per key the same additions in the same order.
 //!
 //! ## Dispatch
 //!
@@ -37,25 +37,32 @@
 //! `#[target_feature]`, so the kernels inline into their own staged loop.
 //!
 //! The AVX2+FMA chunk walk keeps the routing index an `epi32` vector
-//! (`cvttps_epi32` + `min_epi32`, lane for lane the scalar
-//! `((y * w) as usize).min(w - 1)`), computes the final index in `f64`
-//! (`cvtps_pd`, `mul_pd`, `cvttpd_epi32`) exactly like `RqRmi::predict_x`,
-//! and fetches the error bounds with one `i32gather_epi32` per group.
+//! (`cvttps_epi32` + `min_epi32`, lane for lane the other walks' `route`),
+//! computes the final index in `f64` (`cvtps_pd`, `mul_pd`, `cvttpd_epi32`)
+//! exactly like `RqRmi::predict_x`, and fetches the error bounds with one
+//! `i32gather_epi32` per group.
 //!
-//! Correctness note: the SIMD summation order differs from the scalar loop,
-//! so results can differ in the last ULPs between ISAs; FMA additionally
-//! skips the intermediate rounding of `w1·x` and `w2·h` (one rounding per
-//! fused op instead of two, i.e. *smaller* deviation from the `f64`
-//! reference). The RQ-RMI error bounds are computed over a `±delta` band
-//! that covers any summation order and any per-flop rounding at most one ULP
-//! of the running magnitude (see `analyze::eval_delta`), which includes
-//! every fused variant, so every kernel here is safe to use for lookups: two
-//! ISAs may route a boundary key to neighbouring leaves, but both leaves'
-//! error bounds cover such keys (the trainer assigns boundary-band keys to
-//! both children), so the secondary search still finds the same range and
-//! classification results stay bit-identical. Within AVX2+FMA the batched
-//! and the single-key walk execute the same operations in the same order,
-//! so there `predict_batch` and `predict` agree exactly.
+//! ## Correctness note
+//!
+//! *Between* ISAs the summation order differs, so results can differ in the
+//! last bits; FMA additionally skips the intermediate rounding of `w1·x`
+//! and `w2·h` (one rounding per fused op instead of two, i.e. *smaller*
+//! deviation from the `f64` reference). The RQ-RMI error bounds are computed
+//! over a `±delta` band that covers any summation order and any per-flop
+//! rounding at most one ULP of the running magnitude (see
+//! `analyze::eval_delta`), which includes every fused variant, so every
+//! kernel here is safe to use for lookups: two ISAs may route a boundary
+//! key to neighbouring leaves, but both leaves' error bounds cover such
+//! keys (the trainer assigns boundary-band keys to both children), so the
+//! secondary search still finds the same range and classification results
+//! stay bit-identical.
+//!
+//! *Within* an ISA there is one walk: the chunk walk performs, per key,
+//! exactly the single-key walk's operations in the same order, so
+//! `predict_batch(keys)[i] == predict(keys[i])` for every key, and whatever
+//! is validated through [`CompiledRqRmi::predict`] (the boundary check of
+//! `TrainedISet::partial_retrain`) is validated for the batched data plane
+//! too.
 
 use nm_nn::{Mlp, ONE_MINUS_EPS};
 
@@ -158,49 +165,19 @@ impl Kernel {
         y.clamp(0.0, ONE_MINUS_EPS)
     }
 
-    /// Clamped cross-packet forward pass: evaluates **8 packets** against
-    /// this one submodel, with the kernel that `isa`'s batched walk runs on
-    /// a group sharing a submodel (see the module docs). Outputs are clamped
-    /// into `[0, 1)` like [`Kernel::forward_clamped`].
-    #[inline]
-    pub fn forward_batch8(&self, xs: &[f32; 8], isa: Isa) -> [f32; 8] {
-        assert!(isa.available(), "{isa:?} not supported by this CPU");
-        match isa {
-            Isa::Scalar => self.batch8_scalar(xs),
-            // SAFETY: SSE2 is part of the x86_64 baseline target, so the
-            // target-feature requirement of `batch8_sse` always holds.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse => unsafe { self.batch8_sse(xs) },
-            // SAFETY: `isa.available()` was asserted above, so AVX is
-            // supported.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx => unsafe { self.batch8_avx(xs) },
-            // SAFETY: as above — `AvxFma` is available only when the CPU
-            // reports both AVX2 and FMA.
-            #[cfg(target_arch = "x86_64")]
-            Isa::AvxFma => unsafe { self.batch8_fma(xs) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => self.batch8_scalar(xs),
-        }
-    }
-
-    /// Scalar reference over the padded lanes.
+    /// Scalar reference over the padded lanes. The ReLU selects a value
+    /// instead of branching around the accumulate: for finite weights the
+    /// two differ only in the sign of a zero term, which neither the clamp
+    /// nor the routing cast can see, and in a walk over many submodels the
+    /// branch mispredicts on every other neuron.
     #[inline]
     pub fn forward_scalar(&self, x: f32) -> f32 {
         let mut acc = 0.0f32;
         for j in 0..8 {
             let pre = self.w1[j] * x + self.b1[j];
-            if pre > 0.0 {
-                acc += self.w2[j] * pre;
-            }
+            acc += self.w2[j] * if pre > 0.0 { pre } else { 0.0 };
         }
         acc + self.b2
-    }
-
-    /// Scalar reference for the cross-packet pass (clamped).
-    #[inline]
-    fn batch8_scalar(&self, xs: &[f32; 8]) -> [f32; 8] {
-        std::array::from_fn(|l| self.forward_scalar(xs[l]).clamp(0.0, ONE_MINUS_EPS))
     }
 
     /// SSE path: two 4-lane halves.
@@ -226,8 +203,9 @@ impl Kernel {
                 let hid = _mm_max_ps(pre, zero);
                 acc = _mm_add_ps(acc, _mm_mul_ps(hid, w2));
             }
-            // Horizontal sum of 4 lanes.
-            let shuf = _mm_movehdup_ps(acc);
+            // Horizontal sum of 4 lanes. The odd-lane duplicate is a plain
+            // SSE shuffle: `movehdup` is SSE3, outside this fn's features.
+            let shuf = _mm_shuffle_ps::<0b11_11_01_01>(acc, acc);
             let sums = _mm_add_ps(acc, shuf);
             let shuf2 = _mm_movehl_ps(shuf, sums);
             let total = _mm_add_ss(sums, shuf2);
@@ -307,87 +285,6 @@ impl Kernel {
         _mm_cvtss_f32(_mm_add_ss(lo, hi))
     }
 
-    /// SSE cross-packet pass: 8 packets as two 4-lane halves, clamped.
-    ///
-    /// # Safety
-    /// Requires SSE (always present on x86_64).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    unsafe fn batch8_sse(&self, xs: &[f32; 8]) -> [f32; 8] {
-        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; every pointer load/store below stays within the bounds of the fixed-size parameter arrays.
-        unsafe {
-            use std::arch::x86_64::*;
-            let zero = _mm_setzero_ps();
-            let one_minus = _mm_set1_ps(ONE_MINUS_EPS);
-            let mut out = [0.0f32; 8];
-            for half in 0..2 {
-                let xv = _mm_loadu_ps(xs.as_ptr().add(half * 4));
-                let mut acc = _mm_set1_ps(self.b2);
-                for j in 0..8 {
-                    let w1 = _mm_set1_ps(self.w1[j]);
-                    let b1 = _mm_set1_ps(self.b1[j]);
-                    let w2 = _mm_set1_ps(self.w2[j]);
-                    let pre = _mm_add_ps(_mm_mul_ps(w1, xv), b1);
-                    let hid = _mm_max_ps(pre, zero);
-                    acc = _mm_add_ps(acc, _mm_mul_ps(hid, w2));
-                }
-                let y = _mm_min_ps(_mm_max_ps(acc, zero), one_minus);
-                _mm_storeu_ps(out.as_mut_ptr().add(half * 4), y);
-            }
-            out
-        }
-    }
-
-    /// AVX cross-packet pass: 8 packets, one lane each, clamped. No
-    /// horizontal reduction — the neuron loop accumulates vertically.
-    ///
-    /// # Safety
-    /// Requires AVX; dispatch through [`detect`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    #[inline]
-    unsafe fn batch8_avx(&self, xs: &[f32; 8]) -> [f32; 8] {
-        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; every pointer load/store below stays within the bounds of the fixed-size parameter arrays.
-        unsafe {
-            use std::arch::x86_64::*;
-            let xv = _mm256_loadu_ps(xs.as_ptr());
-            let zero = _mm256_setzero_ps();
-            let mut acc = _mm256_set1_ps(self.b2);
-            for j in 0..8 {
-                let w1 = _mm256_set1_ps(self.w1[j]);
-                let b1 = _mm256_set1_ps(self.b1[j]);
-                let w2 = _mm256_set1_ps(self.w2[j]);
-                let pre = _mm256_add_ps(_mm256_mul_ps(w1, xv), b1);
-                let hid = _mm256_max_ps(pre, zero);
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(hid, w2));
-            }
-            let y = _mm256_min_ps(_mm256_max_ps(acc, zero), _mm256_set1_ps(ONE_MINUS_EPS));
-            let mut out = [0.0f32; 8];
-            _mm256_storeu_ps(out.as_mut_ptr(), y);
-            out
-        }
-    }
-
-    /// FMA cross-packet pass: [`forward8_fma`] with all eight keys on this
-    /// submodel.
-    ///
-    /// # Safety
-    /// Requires AVX2 + FMA; dispatch through [`detect`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    unsafe fn batch8_fma(&self, xs: &[f32; 8]) -> [f32; 8] {
-        // SAFETY: the function's `# Safety` contract guarantees the target features; index 0 addresses the one-kernel stage; the store covers exactly the 8-float array.
-        unsafe {
-            use std::arch::x86_64::*;
-            let mut out = [0.0f32; 8];
-            let ys = forward8_fma(std::slice::from_ref(self), &[0; 8], xs);
-            _mm256_storeu_ps(out.as_mut_ptr(), ys);
-            out
-        }
-    }
-
     /// Kernel weight bytes (same as the source submodel plus padding).
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -418,35 +315,6 @@ impl Kernel {
             Isa::AvxFma => unsafe { self.chain_fma(x0, iters) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => self.chain_scalar(x0, iters),
-        }
-    }
-
-    /// Like [`Kernel::latency_chain`] but for [`Kernel::forward_batch8`],
-    /// the 8-key kernel of `isa`'s batched walk: a dependent chain of
-    /// 8-packet groups (each group's inputs derived from the previous
-    /// outputs). Returns ns-comparable work for Table 1's batched column;
-    /// divide the measured time by `8 · iters` for the per-packet cost.
-    pub fn latency_chain_batch8(&self, x0: f32, iters: usize, isa: Isa) -> f32 {
-        let mut xs = [0.0f32; 8];
-        for (l, x) in xs.iter_mut().enumerate() {
-            *x = (x0 + l as f32 * 0.11).fract();
-        }
-        assert!(isa.available(), "{isa:?} not supported by this CPU");
-        match isa {
-            Isa::Scalar => self.chain8_scalar(xs, iters),
-            // SAFETY: SSE2 is part of the x86_64 baseline target.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse => unsafe { self.chain8_sse(xs, iters) },
-            // SAFETY: `isa.available()` was asserted above, so AVX is
-            // supported.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx => unsafe { self.chain8_avx(xs, iters) },
-            // SAFETY: as above — `AvxFma` is available only when the CPU
-            // reports both AVX2 and FMA.
-            #[cfg(target_arch = "x86_64")]
-            Isa::AvxFma => unsafe { self.chain8_fma(xs, iters) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => self.chain8_scalar(xs, iters),
         }
     }
 
@@ -505,67 +373,6 @@ impl Kernel {
             x
         }
     }
-
-    fn chain8_scalar(&self, mut xs: [f32; 8], iters: usize) -> f32 {
-        for _ in 0..iters {
-            let ys = self.batch8_scalar(&xs);
-            for l in 0..8 {
-                xs[l] = (ys[l] + 0.618_034).fract();
-            }
-        }
-        xs[0]
-    }
-
-    /// # Safety
-    /// Requires SSE2 (x86_64 baseline).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "sse2")]
-    unsafe fn chain8_sse(&self, mut xs: [f32; 8], iters: usize) -> f32 {
-        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; every pointer load/store below stays within the bounds of the fixed-size parameter arrays.
-        unsafe {
-            for _ in 0..iters {
-                let ys = self.batch8_sse(&xs);
-                for l in 0..8 {
-                    xs[l] = (ys[l] + 0.618_034).fract();
-                }
-            }
-            xs[0]
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX; dispatch through [`detect`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    unsafe fn chain8_avx(&self, mut xs: [f32; 8], iters: usize) -> f32 {
-        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; every pointer load/store below stays within the bounds of the fixed-size parameter arrays.
-        unsafe {
-            for _ in 0..iters {
-                let ys = self.batch8_avx(&xs);
-                for l in 0..8 {
-                    xs[l] = (ys[l] + 0.618_034).fract();
-                }
-            }
-            xs[0]
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2 + FMA; dispatch through [`detect`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn chain8_fma(&self, mut xs: [f32; 8], iters: usize) -> f32 {
-        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; every pointer load/store below stays within the bounds of the fixed-size parameter arrays.
-        unsafe {
-            for _ in 0..iters {
-                let ys = self.batch8_fma(&xs);
-                for l in 0..8 {
-                    xs[l] = (ys[l] + 0.618_034).fract();
-                }
-            }
-            xs[0]
-        }
-    }
 }
 
 /// The 8-key kernel of the AVX2+FMA walk: key `l` runs against its own
@@ -602,14 +409,26 @@ unsafe fn forward8_fma(
     _mm256_min_ps(y, _mm256_set1_ps(ONE_MINUS_EPS))
 }
 
+/// The routing step of every walk: the submodel of a `w`-wide stage that a
+/// clamped output `y` selects. `y · w` lies in `[0, 2²⁴)` (`with_isa` bounds
+/// the widths) or is NaN, which the cast sends to 0, so the narrow cast
+/// loses nothing — and spares the two-conversion sequence a saturating
+/// `f32 → usize` cast compiles to.
+#[inline(always)]
+fn route(y: f32, w: usize) -> usize {
+    ((y * w as f32) as i32 as usize).min(w - 1)
+}
+
 /// Monomorphized staged walks: one `(predict, chunk)` pair per ISA, each
 /// carrying its `#[target_feature]` so the kernels inline into the loop and
 /// the per-stage ISA `match` disappears from the hot path.
 ///
-/// The chunk walk generated here serves the pre-AVX2 ISAs and goes group by
-/// group: a stage whose 8 keys agree takes the shared lane-per-key kernel,
-/// a divergent one falls back to per-key passes. AVX2+FMA takes only the
-/// single-key walk from this macro; its chunk walk is [`predict_chunk_fma`].
+/// The chunk walk generated here is the single-key walk run
+/// **stage-synchronously** over the chunk: keys converted once, every key
+/// through stage `s` with the same `$fwd` before any key starts `s + 1`
+/// (the keys' chains are independent, so they overlap), then the `f64`
+/// finish. AVX2+FMA takes only the single-key walk from this macro; its
+/// chunk walk, [`predict_chunk_fma`], has the same shape eight keys a step.
 macro_rules! mono_staged {
     (@predict $( #[$attr:meta] )* ($predict:ident, $fwd:ident)) => {
         $( #[$attr] )*
@@ -623,8 +442,7 @@ macro_rules! mono_staged {
                 // SAFETY: $fwd carries the same target-feature contract as
                 // this fn; the caller upheld it to call $predict at all.
                 let y = unsafe { m.stages[s][idx].$fwd(x) }.clamp(0.0, ONE_MINUS_EPS);
-                let w_next = m.widths[s + 1];
-                idx = ((y * w_next as f32) as usize).min(w_next - 1);
+                idx = route(y, m.widths[s + 1]);
             }
             // SAFETY: as above — $fwd shares this fn's feature contract.
             let y = unsafe { m.stages[nstages - 1][idx].$fwd(x) }.clamp(0.0, ONE_MINUS_EPS) as f64;
@@ -632,62 +450,52 @@ macro_rules! mono_staged {
             (pred, m.leaf_err[idx])
         }
     };
-    ($( #[$attr:meta] )* ($predict:ident, $chunk:ident, $fwd:ident, $fwd8:ident)) => {
+    ($( #[$attr:meta] )* ($predict:ident, $chunk:ident, $fwd:ident)) => {
         mono_staged!(@predict $( #[$attr] )* ($predict, $fwd));
         $( #[$attr] )*
-        // As in @predict: the scalar instantiation's kernels are safe fns.
+        // As in @predict: the scalar instantiation's kernel is a safe fn.
         #[allow(unused_unsafe)]
         unsafe fn $chunk(m: &CompiledRqRmi, keys: &[u64], preds: &mut [usize], errs: &mut [u32]) {
-            let nstages = m.stages.len();
-            let groups = keys.chunks_exact(8).zip(preds.chunks_exact_mut(8).zip(errs.chunks_exact_mut(8)));
-            for (keys, (preds, errs)) in groups {
-                let xs: [f32; 8] = std::array::from_fn(|l| (keys[l] as f64 * m.scale) as f32);
-                let mut idx = [0usize; 8];
-                let mut ys = [0.0f32; 8];
-                for s in 0..nstages {
-                    // Stage 0 always shares the root submodel; deeper stages
-                    // share whenever the group routes uniformly.
-                    if idx.iter().all(|&i| i == idx[0]) {
-                        // SAFETY: $fwd8 shares this fn's target-feature
-                        // contract; the caller upheld it to call $chunk.
-                        ys = unsafe { m.stages[s][idx[0]].$fwd8(&xs) };
-                    } else {
-                        for l in 0..8 {
-                            // SAFETY: as above — $fwd shares the contract.
-                            let y = unsafe { m.stages[s][idx[l]].$fwd(xs[l]) };
-                            ys[l] = y.clamp(0.0, ONE_MINUS_EPS);
-                        }
-                    }
-                    if s + 1 < nstages {
-                        let w_next = m.widths[s + 1];
-                        for l in 0..8 {
-                            idx[l] = ((ys[l] * w_next as f32) as usize).min(w_next - 1);
-                        }
+            let n = keys.len();
+            let mut xs = [0.0f32; CHUNK];
+            for (x, &key) in xs.iter_mut().zip(keys) {
+                *x = (key as f64 * m.scale) as f32;
+            }
+            let mut idx = [0usize; CHUNK];
+            let mut ys = [0.0f32; CHUNK];
+            for (s, stage) in m.stages.iter().enumerate() {
+                let w_next = m.widths.get(s + 1).copied();
+                for l in 0..n {
+                    // SAFETY: $fwd shares this fn's target-feature
+                    // contract; the caller upheld it to call $chunk.
+                    ys[l] = unsafe { stage[idx[l]].$fwd(xs[l]) }.clamp(0.0, ONE_MINUS_EPS);
+                    if let Some(w) = w_next {
+                        idx[l] = route(ys[l], w);
                     }
                 }
-                for l in 0..8 {
-                    // Final multiply in f64, matching `RqRmi::predict_x`.
-                    let y = ys[l] as f64;
-                    preds[l] = ((y * m.n_values as f64) as usize).min(m.n_values - 1);
-                    errs[l] = m.leaf_err[idx[l]];
-                }
+            }
+            for l in 0..n {
+                // Final multiply in f64, matching `RqRmi::predict_x`.
+                let y = ys[l] as f64;
+                preds[l] = ((y * m.n_values as f64) as usize).min(m.n_values - 1);
+                errs[l] = m.leaf_err[idx[l]];
             }
         }
     };
 }
 
-mono_staged!((predict_mono_scalar, predict_chunk_scalar, forward_scalar, batch8_scalar));
+mono_staged!((predict_mono_scalar, predict_chunk_scalar, forward_scalar));
 
 #[cfg(target_arch = "x86_64")]
 mono_staged!(
     #[target_feature(enable = "sse2")]
-    (predict_mono_sse, predict_chunk_sse, forward_sse, batch8_sse)
+    (predict_mono_sse, predict_chunk_sse, forward_sse)
 );
 
 #[cfg(target_arch = "x86_64")]
 mono_staged!(
     #[target_feature(enable = "avx")]
-    (predict_mono_avx, predict_chunk_avx, forward_avx, batch8_avx)
+    (predict_mono_avx, predict_chunk_avx, forward_avx)
 );
 
 #[cfg(target_arch = "x86_64")]
@@ -697,18 +505,17 @@ mono_staged!(@predict
 );
 
 /// Keys per chunk walk: what [`CompiledRqRmi::predict_batch`] hands a
-/// [`PredictChunkFn`] at most, and the size of the AVX2+FMA walk's
-/// on-stack state.
+/// [`PredictChunkFn`] at most, and the size of a walk's on-stack state.
 const CHUNK: usize = 64;
 
 /// The AVX2+FMA chunk walk, **stage-synchronous**: the chunk's keys are
 /// converted once, then every 8-key group runs stage `s` through
 /// [`forward8_fma`] before any group starts stage `s + 1`, so up to eight
 /// independent chains are in flight instead of one group's chain through
-/// all stages. Routing is `cvttps_epi32` + `min_epi32` (lane for lane the
-/// scalar `((y * w) as usize).min(w - 1)`), the final index is computed in
-/// `f64` like `RqRmi::predict_x` (`cvtps_pd`, `mul_pd`, `cvttpd_epi32`) and
-/// the error bounds are gathered by leaf index.
+/// all stages. Routing is `cvttps_epi32` + `min_epi32` (lane for lane
+/// [`route`]), the final index is computed in `f64` like
+/// `RqRmi::predict_x` (`cvtps_pd`, `mul_pd`, `cvttpd_epi32`) and the error
+/// bounds are gathered by leaf index.
 ///
 /// # Safety
 /// Requires AVX2 + FMA, and `m` built by [`CompiledRqRmi::with_isa`].
@@ -869,11 +676,8 @@ impl CompiledRqRmi {
     ///
     /// Whole groups of 8 keys go through the ISA's chunk walk, at most 64
     /// keys a call (see the module docs); the tail shorter than 8 goes
-    /// through the single-key walk. Every `(pred, err)` obeys the same
-    /// containment contract as [`CompiledRqRmi::predict`], and on AVX2+FMA
-    /// equals `predict(keys[i])` exactly; on the older ISAs the two may
-    /// differ in the last ULPs near leaf boundaries, but both windows are
-    /// guaranteed to contain the true index.
+    /// through the single-key walk. Every `(pred, err)` equals
+    /// `predict(keys[i])` exactly, on every ISA.
     ///
     /// Panics unless `keys.len() == preds.len() == errs.len()`.
     pub fn predict_batch(&self, keys: &[u64], preds: &mut [usize], errs: &mut [u32]) {
@@ -951,27 +755,23 @@ mod tests {
     }
 
     #[test]
-    fn batch8_matches_scalar_reference_within_delta() {
+    fn kernels_stay_within_delta_of_the_f64_evaluation() {
         // The band the correctness argument relies on (see the module
-        // docs): every ISA's 8-key kernel within `analyze::eval_delta` of
-        // the `f64` evaluation, for random weights.
+        // docs): every ISA's kernel within `analyze::eval_delta` of the
+        // `f64` evaluation, for random weights of every hidden width.
         use crate::rqrmi::analyze::eval_delta;
         for seed in 0..40u64 {
             let net = Mlp::random(1 + (seed as usize % 8), seed);
             let (k, delta) = (Kernel::from_mlp(&net), eval_delta(&net));
-            for base in 0..25 {
-                let xs: [f32; 8] = std::array::from_fn(|l| (base * 8 + l) as f32 / 200.0);
+            for i in 0..200 {
+                let x = i as f32 / 200.0;
+                let reference = net.forward_clamped_f64(x as f64);
                 for isa in testable_isas() {
-                    let ys = k.forward_batch8(&xs, isa);
-                    for l in 0..8 {
-                        let reference = net.forward_clamped_f64(xs[l] as f64);
-                        assert!(
-                            (reference - ys[l] as f64).abs() <= delta,
-                            "{isa:?} lane {l} left the ±{delta} band at x={}: {reference} vs {}",
-                            xs[l],
-                            ys[l]
-                        );
-                    }
+                    let y = k.forward_clamped(x, isa);
+                    assert!(
+                        (reference - y as f64).abs() <= delta,
+                        "{isa:?} left the ±{delta} band at x={x}: {reference} vs {y}"
+                    );
                 }
             }
         }
@@ -1016,8 +816,6 @@ mod tests {
         for i in 0..50 {
             let x = i as f32 / 50.0;
             assert!((net.forward_clamped(x) - k.forward_clamped(x, Isa::Scalar)).abs() < 1e-6);
-            let ys = k.forward_batch8(&[x; 8], Isa::Scalar);
-            assert!((net.forward_clamped(x) - ys[7]).abs() < 1e-6);
         }
     }
 

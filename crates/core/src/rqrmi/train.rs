@@ -89,11 +89,11 @@ pub fn train_rqrmi_mode(
         let mut stage_nets = Vec::with_capacity(w);
         for r in resp.iter() {
             if responsibility_size(r) == 0 {
-                stage_nets.push(Mlp::zeros(params.hidden));
+                stage_nets.push(Mlp::zeros(Mlp::PAPER_HIDDEN));
                 continue;
             }
             let data = sample_dataset(r, samples, &mut rng, &km, &los, &his, n, mode);
-            stage_nets.push(fit(&params.trainer, params.hidden, &data, rng.next_u64()));
+            stage_nets.push(fit(&params.trainer, &data, rng.next_u64()));
         }
         if s + 1 < stages {
             let mut next: Vec<Responsibility> = vec![Vec::new(); widths[s + 1]];
@@ -159,7 +159,7 @@ fn refine_leaf(
         samples *= 2;
         attempt += 1;
         let data = sample_dataset(resp, samples, rng, km, los, his, n, mode);
-        let net = fit(&params.trainer, params.hidden, &data, rng.next_u64());
+        let net = fit(&params.trainer, &data, rng.next_u64());
         bound = leaf_error_bound(&net, resp, km, los, his, n);
         if bound < best.0 {
             best = (bound, net);
@@ -376,7 +376,7 @@ pub fn retrain_leaves(
                     n_new,
                     mode,
                 );
-                let initial = fit(&params.trainer, params.hidden, &data, rng.next_u64());
+                let initial = fit(&params.trainer, &data, rng.next_u64());
                 let (net, bound) = refine_leaf(
                     initial, &resp[j], &mut rng, &km, &new_los, &new_his, n_new, params, mode,
                 );
@@ -392,8 +392,10 @@ pub fn retrain_leaves(
     ))
 }
 
-/// Trains one submodel with the configured optimiser.
-fn fit(trainer: &TrainerKind, hidden: usize, data: &[(f32, f32)], seed: u64) -> Mlp {
+/// Trains one submodel — [`Mlp::PAPER_HIDDEN`] neurons, the width the
+/// inference kernels are built for — with the configured optimiser.
+fn fit(trainer: &TrainerKind, data: &[(f32, f32)], seed: u64) -> Mlp {
+    let hidden = Mlp::PAPER_HIDDEN;
     match trainer {
         TrainerKind::Hinge => fit_hinge(hidden, data),
         TrainerKind::Adam(cfg) => {

@@ -595,9 +595,9 @@ impl TrainedISet {
         )?;
         // Belt and braces on top of the analytic bounds: the patched model
         // must place every surviving range boundary within its search
-        // window, or the partial path refuses and the caller rebuilds. On
-        // AVX2+FMA `predict_batch` equals `predict` bit for bit, so this
-        // covers the batched data plane's walk too.
+        // window, or the partial path refuses and the caller rebuilds.
+        // `predict_batch` equals `predict` bit for bit, so this covers the
+        // batched data plane's walk too.
         let compiled = CompiledRqRmi::new(&model);
         for (idx, r) in new_ranges.iter().enumerate() {
             for key in [r.lo, r.hi] {
@@ -863,13 +863,14 @@ impl<R: Classifier> Classifier for NuevoMatch<R> {
         caller_floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
     ) {
-        const CHUNK: usize = 128;
+        // Keys per remainder-engine call (the size of its scratch here).
+        const REMAINDER_BATCH: usize = 128;
         self.classify_isets_batch(keys, stride, out);
-        let mut rem = [None; CHUNK];
-        let mut floors = [Priority::MAX; CHUNK];
+        let mut rem = [None; REMAINDER_BATCH];
+        let mut floors = [Priority::MAX; REMAINDER_BATCH];
         let mut base = 0;
         while base < out.len() {
-            let m = CHUNK.min(out.len() - base);
+            let m = REMAINDER_BATCH.min(out.len() - base);
             let chunk_keys = &keys[base * stride..(base + m) * stride];
             if self.early_termination {
                 // Batch-wide early termination: each key's remainder floor

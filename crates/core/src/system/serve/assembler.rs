@@ -5,52 +5,43 @@
 //!
 //! Each transport reader thread owns one assembler, so pushes are
 //! lock-free; the only shared state is the stats slot (locked once per
-//! flush) and the reply sockets. A flush pins exactly one generation from
+//! flush) and the reply socket. A flush pins exactly one generation from
 //! the [`ServePlane`], classifies the whole batch against it, and writes
-//! `(rule, priority, generation)` responses back, coalescing consecutive
-//! frames to the same destination into runs and pushing all runs with
-//! batched syscalls — one `sendmmsg(2)` per UDP socket, one gathered
-//! `writev(2)` per TCP stream (see [`super::sysio`]).
+//! `(rule, priority, generation)` responses back on the assembler's one
+//! [`ReplySink`], coalescing consecutive frames to the same peer into runs
+//! and pushing all runs with batched syscalls — one `sendmmsg(2)` on the
+//! UDP socket, one gathered `writev(2)` on the TCP stream (see
+//! [`super::sysio`]).
 
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use nm_common::classifier::MatchResult;
-use nm_common::frame::encode_response;
+use nm_common::frame::{encode_response, RESPONSE_FRAME};
 
 use super::plane::{PinnedPlane, ServePlane};
 use super::stats::{FlushCause, ServeStats};
 use super::sysio::{self, SendRing};
 use super::validator::Validator;
 
-/// Where a response frame goes. UDP replies go out on the reader's own
-/// socket (private under `SO_REUSEPORT`, shared on the fallback path);
-/// TCP replies write to the connection's stream. Each connection is owned
-/// by exactly one reader thread, so writes never interleave.
-#[derive(Clone)]
-pub enum ReplyTo {
-    /// Reply on the reader's serving socket to the recorded peer.
-    Udp(Arc<UdpSocket>, SocketAddr),
+/// Where an assembler's responses go, for its whole life: the serving
+/// socket of the UDP reader that owns it (private under `SO_REUSEPORT`,
+/// shared on the fallback path) or its TCP connection's stream. Each
+/// connection is owned by exactly one reader thread, so writes never
+/// interleave.
+pub enum ReplySink {
+    /// Reply on the reader's serving socket, to each request's peer.
+    Udp(Arc<UdpSocket>),
     /// Reply on the connection's own stream.
     Tcp(Arc<TcpStream>),
-}
-
-impl ReplyTo {
-    /// True when both route to the same destination (coalescable).
-    fn same_dest(&self, other: &ReplyTo) -> bool {
-        match (self, other) {
-            (ReplyTo::Udp(_, a), ReplyTo::Udp(_, b)) => a == b,
-            (ReplyTo::Tcp(a), ReplyTo::Tcp(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
 }
 
 struct Pending {
     id: u64,
     arrived: Instant,
-    reply: ReplyTo,
+    /// Who asked: a datagram's source, the stream's one peer.
+    peer: SocketAddr,
 }
 
 /// Inter-arrival samples are clamped to this many deadlines: any gap above
@@ -87,6 +78,7 @@ impl Carried {
 /// The per-reader batch assembler.
 pub struct Assembler<P: ServePlane> {
     plane: Arc<P>,
+    sink: ReplySink,
     max_batch: usize,
     deadline: Duration,
     stride: usize,
@@ -94,17 +86,10 @@ pub struct Assembler<P: ServePlane> {
     pending: Vec<Pending>,
     out: Vec<Option<MatchResult>>,
     wire: Vec<u8>,
-    /// Coalesced response runs of the current flush:
-    /// `(req_start, req_end, byte_start, byte_end)` — requests
-    /// `req_start..req_end` share one destination and their frames occupy
-    /// `wire[byte_start..byte_end]`.
-    runs: Vec<(usize, usize, usize, usize)>,
-    /// Scratch for one `sendmmsg` group: `(byte_start, byte_end, dest)`.
-    udp_out: Vec<(usize, usize, SocketAddr)>,
-    /// Request count per entry of `udp_out` (send-error accounting).
-    udp_counts: Vec<u64>,
-    /// Scratch for one `writev` group: byte ranges on one stream.
-    tcp_out: Vec<(usize, usize)>,
+    /// Coalesced response runs of the current flush, one datagram each
+    /// on UDP: `(byte_start, byte_end, peer)` — consecutive requests of one
+    /// peer, whose frames occupy `wire[byte_start..byte_end]`.
+    runs: Vec<(usize, usize, SocketAddr)>,
     send_ring: SendRing,
     validator: Validator,
     stats_slot: Arc<Mutex<ServeStats>>,
@@ -116,10 +101,11 @@ pub struct Assembler<P: ServePlane> {
 }
 
 impl<P: ServePlane> Assembler<P> {
-    /// A fresh assembler flushing into `plane` and reporting into
-    /// `stats_slot`.
+    /// A fresh assembler flushing into `plane`, answering on `sink` and
+    /// reporting into `stats_slot`.
     pub fn new(
         plane: Arc<P>,
+        sink: ReplySink,
         max_batch: usize,
         deadline: Duration,
         stride: usize,
@@ -129,6 +115,7 @@ impl<P: ServePlane> Assembler<P> {
         let max_batch = max_batch.max(1);
         Self {
             plane,
+            sink,
             max_batch,
             deadline,
             stride: stride.max(1),
@@ -137,9 +124,6 @@ impl<P: ServePlane> Assembler<P> {
             out: vec![None; max_batch],
             wire: Vec::with_capacity(4096),
             runs: Vec::with_capacity(max_batch),
-            udp_out: Vec::with_capacity(max_batch),
-            udp_counts: Vec::with_capacity(max_batch),
-            tcp_out: Vec::with_capacity(max_batch),
             send_ring: SendRing::new(max_batch),
             validator,
             stats_slot,
@@ -149,15 +133,15 @@ impl<P: ServePlane> Assembler<P> {
         }
     }
 
-    /// Queues one request. `key` must be `stride` words (the transport
-    /// validates widths). Returns `true` when the batch is now full and
-    /// must be flushed before anything else is pushed.
+    /// Queues one request from `peer`. `key` must be `stride` words (the
+    /// transport validates widths). Returns `true` when the batch is now
+    /// full and must be flushed before anything else is pushed.
     /// `arrived` feeds the inter-arrival estimate (one receive call, one
     /// stamp: a burst reads as gap 0) — arithmetic only, this is hot.
-    pub fn push(&mut self, id: u64, key: &[u64], reply: ReplyTo, arrived: Instant) -> bool {
+    pub fn push(&mut self, id: u64, key: &[u64], peer: SocketAddr, arrived: Instant) -> bool {
         debug_assert_eq!(key.len(), self.stride);
         self.keys.extend_from_slice(key);
-        self.pending.push(Pending { id, arrived, reply });
+        self.pending.push(Pending { id, arrived, peer });
         self.carried.requests += 1;
         let clamp = nanos(self.deadline).saturating_mul(GAP_CLAMP_DEADLINES);
         let gap = self
@@ -223,21 +207,22 @@ impl<P: ServePlane> Assembler<P> {
         pin.classify_batch(&self.keys, self.stride, out);
 
         // Encode the whole flush into one wire buffer, coalescing
-        // consecutive same-destination frames into runs (one datagram /
-        // one gathered stream range per run).
+        // consecutive frames of one peer into runs (one datagram / one
+        // gathered stream range per run).
         self.wire.clear();
         self.runs.clear();
         let mut start = 0usize;
         while start < n {
+            let peer = self.pending[start].peer;
             let mut end = start + 1;
-            while end < n && self.pending[end].reply.same_dest(&self.pending[start].reply) {
+            while end < n && self.pending[end].peer == peer {
                 end += 1;
             }
             let byte_start = self.wire.len();
             for i in start..end {
                 encode_response(&mut self.wire, self.pending[i].id, self.out[i], generation);
             }
-            self.runs.push((start, end, byte_start, self.wire.len()));
+            self.runs.push((byte_start, self.wire.len(), peer));
             start = end;
         }
         let (send_calls, send_errors) = self.dispatch_runs();
@@ -265,73 +250,30 @@ impl<P: ServePlane> Assembler<P> {
         self.pending.clear();
     }
 
-    /// Pushes the encoded runs to the wire with batched syscalls:
-    /// consecutive UDP runs on the same socket go out in one
-    /// `sendmmsg(2)` (one datagram per run), consecutive TCP runs on the
-    /// same stream in one gathered `writev(2)`. Returns
-    /// `(send_calls, send_errors)` — syscalls used and requests whose
-    /// response could not be delivered.
+    /// Pushes the encoded runs to the sink with batched syscalls: one
+    /// datagram per run through `sendmmsg(2)`, or the whole buffer in one
+    /// gathered `writev(2)`. Returns `(send_calls, send_errors)` — syscalls
+    /// used and requests whose response could not be delivered.
     fn dispatch_runs(&mut self) -> (u64, u64) {
-        let mut send_calls = 0u64;
-        let mut send_errors = 0u64;
-        let mut r = 0usize;
-        while r < self.runs.len() {
-            let (req_start, ..) = self.runs[r];
-            match &self.pending[req_start].reply {
-                ReplyTo::Udp(sock, _) => {
-                    let sock = sock.clone();
-                    self.udp_out.clear();
-                    self.udp_counts.clear();
-                    while r < self.runs.len() {
-                        let (rs, re, bs, be) = self.runs[r];
-                        match &self.pending[rs].reply {
-                            ReplyTo::Udp(s2, peer) if Arc::ptr_eq(&sock, s2) => {
-                                self.udp_out.push((bs, be, *peer));
-                                self.udp_counts.push((re - rs) as u64);
-                                r += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    let counts = &self.udp_counts;
-                    let mut failed = 0u64;
-                    send_calls += sysio::send_udp_runs(
-                        &sock,
-                        &self.wire,
-                        &self.udp_out,
-                        &mut self.send_ring,
-                        &mut |i| failed += counts.get(i).copied().unwrap_or(0),
-                    );
-                    send_errors += failed;
-                }
-                ReplyTo::Tcp(stream) => {
-                    let stream = stream.clone();
-                    self.tcp_out.clear();
-                    let mut group_reqs = 0u64;
-                    while r < self.runs.len() {
-                        let (rs, re, bs, be) = self.runs[r];
-                        match &self.pending[rs].reply {
-                            ReplyTo::Tcp(s2) if Arc::ptr_eq(&stream, s2) => {
-                                self.tcp_out.push((bs, be));
-                                group_reqs += (re - rs) as u64;
-                                r += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    match sysio::write_gathered(
-                        &stream,
-                        &self.wire,
-                        &self.tcp_out,
-                        &mut self.send_ring,
-                    ) {
-                        Ok(calls) => send_calls += calls,
-                        Err(_) => send_errors += group_reqs,
-                    }
+        match &self.sink {
+            ReplySink::Udp(sock) => {
+                // A refused run costs the requests whose frames it carried.
+                let runs = &self.runs;
+                let mut failed = 0usize;
+                let calls =
+                    sysio::send_udp_runs(sock, &self.wire, runs, &mut self.send_ring, &mut |i| {
+                        failed += runs.get(i).map_or(0, |r| (r.1 - r.0) / RESPONSE_FRAME)
+                    });
+                (calls, failed as u64)
+            }
+            ReplySink::Tcp(stream) => {
+                let all = [(0, self.wire.len())];
+                match sysio::write_gathered(stream, &self.wire, &all, &mut self.send_ring) {
+                    Ok(calls) => (calls, 0),
+                    Err(_) => (0, self.pending.len() as u64),
                 }
             }
         }
-        (send_calls, send_errors)
     }
 }
 
@@ -382,7 +324,7 @@ pub(super) mod tests {
     /// the clock and the socket replaced by a list of arrival offsets.
     struct Reader {
         asm: Assembler<StubPlane>,
-        reply: ReplyTo,
+        peer: SocketAddr,
         t0: Instant,
         stats: Arc<Mutex<ServeStats>>,
         /// Offset of the virtual clock from `t0`.
@@ -402,13 +344,14 @@ pub(super) mod tests {
             Self {
                 asm: Assembler::new(
                     Arc::new(StubPlane),
+                    ReplySink::Udp(Arc::new(sock)),
                     max_batch,
                     DEADLINE,
                     1,
                     validator,
                     stats.clone(),
                 ),
-                reply: ReplyTo::Udp(Arc::new(sock), peer),
+                peer,
                 t0: Instant::now(),
                 stats,
                 now: Duration::ZERO,
@@ -434,7 +377,7 @@ pub(super) mod tests {
         fn receive(&mut self, count: usize) {
             for _ in 0..count {
                 self.oldest.get_or_insert(self.now);
-                if self.asm.push(0, &[0], self.reply.clone(), self.t0 + self.now) {
+                if self.asm.push(0, &[0], self.peer, self.t0 + self.now) {
                     self.flush(FlushCause::Full);
                 }
             }
@@ -579,6 +522,55 @@ pub(super) mod tests {
             assert!(f.hold <= DEADLINE / 2 + POLL * 2, "held {:?}", f.hold);
             assert!(f.hold >= DEADLINE / 2 - POLL * 2, "held {:?}", f.hold);
         }
+    }
+
+    /// Three peers through one UDP sink: consecutive requests of a peer go
+    /// out as one datagram, a peer that comes back later gets another, and
+    /// a run the kernel rejects costs exactly its own requests.
+    #[test]
+    fn udp_sink_coalesces_runs_by_peer_and_counts_send_errors_per_request() {
+        use nm_common::frame::decode_response;
+        let bind = || UdpSocket::bind(("127.0.0.1", 0)).expect("loopback socket");
+        let (a, b) = (bind(), bind());
+        for sock in [&a, &b] {
+            sock.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        }
+        let (to_a, to_b) = (a.local_addr().unwrap(), b.local_addr().unwrap());
+        // Port 0 is no destination: the kernel refuses the datagram.
+        let nowhere = SocketAddr::from(([127, 0, 0, 1], 0));
+        let stats = Arc::new(Mutex::new(ServeStats::new()));
+        let mut asm = Assembler::new(
+            Arc::new(StubPlane),
+            ReplySink::Udp(Arc::new(bind())),
+            128,
+            DEADLINE,
+            1,
+            Validator::new(Arc::new(OracleTable::new(1)), 0),
+            stats.clone(),
+        );
+        let now = Instant::now();
+        let peers = [to_a, to_a, to_b, nowhere, nowhere, nowhere, to_a, to_b, to_b];
+        for (id, peer) in peers.into_iter().enumerate() {
+            assert!(!asm.push(id as u64, &[0], peer, now));
+        }
+        asm.flush(FlushCause::Drain);
+
+        // Loopback keeps one sender's datagrams to one receiver in order.
+        let mut buf = [0u8; 16 * RESPONSE_FRAME];
+        let mut ids_of_next_datagram = |sock: &UdpSocket| -> Vec<u64> {
+            let n = sock.recv(&mut buf).expect("a datagram per run");
+            assert_eq!(n % RESPONSE_FRAME, 0, "whole frames only");
+            buf[..n]
+                .chunks(RESPONSE_FRAME)
+                .map(|frame| decode_response(frame).unwrap().expect("a whole frame").0.id)
+                .collect()
+        };
+        assert_eq!(ids_of_next_datagram(&a), [0, 1]);
+        assert_eq!(ids_of_next_datagram(&a), [6]);
+        assert_eq!(ids_of_next_datagram(&b), [2]);
+        assert_eq!(ids_of_next_datagram(&b), [7, 8]);
+        let stats = stats.lock().unwrap();
+        assert_eq!((stats.requests, stats.send_errors, stats.responses), (9, 3, 6));
     }
 
     proptest! {

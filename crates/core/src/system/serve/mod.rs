@@ -37,11 +37,11 @@ pub mod sysio;
 pub mod transport;
 pub mod validator;
 
-pub use assembler::{Assembler, ReplyTo};
+pub use assembler::{Assembler, ReplySink};
 pub use client::ServeClient;
 pub use plane::{PinnedPlane, ServePlane};
 pub use stats::{FlushCause, ReaderKind, ServeStats};
-pub use validator::{OracleTable, Validator};
+pub use validator::{OracleTable, Validator, ORACLE_KEEP};
 
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
@@ -133,8 +133,6 @@ pub struct ServeConfig {
     /// disables sampling. Defaults to 16 in debug builds, 0 in release —
     /// the in-loop validator is a debugging control, not a serving cost.
     pub validate_every: u64,
-    /// Oracle generations retained for validation.
-    pub oracle_keep: usize,
 }
 
 impl Default for ServeConfig {
@@ -148,7 +146,6 @@ impl Default for ServeConfig {
             udp_readers: 1,
             pin: true,
             validate_every: if cfg!(debug_assertions) { 16 } else { 0 },
-            oracle_keep: 8,
         }
     }
 }
@@ -166,13 +163,18 @@ pub(crate) struct Shared<P: ServePlane> {
 }
 
 impl<P: ServePlane> Shared<P> {
-    /// Builds one assembler wired to a fresh registered stats slot tagged
-    /// with the owning reader's kind.
-    pub(crate) fn new_assembler(self: &Arc<Self>, kind: stats::ReaderKind) -> Assembler<P> {
+    /// Builds one assembler answering on `sink`, wired to a fresh
+    /// registered stats slot tagged with the owning reader's kind.
+    pub(crate) fn new_assembler(self: &Arc<Self>, sink: ReplySink) -> Assembler<P> {
+        let kind = match sink {
+            ReplySink::Udp(_) => ReaderKind::Udp,
+            ReplySink::Tcp(_) => ReaderKind::Tcp,
+        };
         let slot = Arc::new(Mutex::new(ServeStats::new()));
         self.slots.lock().unwrap_or_else(PoisonError::into_inner).push((kind, slot.clone()));
         Assembler::new(
             self.plane.clone(),
+            sink,
             self.cfg.max_batch,
             self.cfg.deadline,
             self.cfg.stride,
@@ -217,7 +219,7 @@ impl<P: ServePlane> Server<P> {
         let shared = Arc::new(Shared {
             plane: Arc::new(plane),
             cfg: cfg.clone(),
-            oracle: Arc::new(OracleTable::new(cfg.oracle_keep)),
+            oracle: Arc::new(OracleTable::new(ORACLE_KEEP)),
             shutdown: AtomicBool::new(false),
             slots: Mutex::new(Vec::new()),
             conn_joins: Mutex::new(Vec::new()),

@@ -23,16 +23,16 @@
 //! *is* the queue.
 
 use std::io::Read;
-use std::net::{TcpListener, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
 use nm_common::frame::decode_request;
 
-use super::assembler::{Assembler, ReplyTo};
+use super::assembler::{Assembler, ReplySink};
 use super::plane::ServePlane;
-use super::stats::{FlushCause, ReaderKind};
+use super::stats::FlushCause;
 use super::sysio::RecvRing;
 use super::Shared;
 
@@ -43,14 +43,14 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
-/// Decodes every frame in `bytes` into the assembler. Returns consumed
-/// byte count; a malformed frame poisons the rest of the buffer (UDP) —
-/// the caller decides what a partial tail means.
+/// Decodes every frame in `bytes`, received from `peer`, into the
+/// assembler. Returns consumed byte count; a malformed frame poisons the
+/// rest of the buffer (UDP) — the caller decides what a partial tail means.
 fn feed<P: ServePlane>(
     asm: &mut Assembler<P>,
     shared: &Shared<P>,
     bytes: &[u8],
-    reply: &ReplyTo,
+    peer: SocketAddr,
     arrived: Instant,
     scratch: &mut Vec<u64>,
 ) -> Result<usize, ()> {
@@ -64,7 +64,7 @@ fn feed<P: ServePlane>(
                     asm.carried.decode_errors += 1;
                     continue;
                 }
-                if asm.push(head.id, scratch, reply.clone(), arrived) {
+                if asm.push(head.id, scratch, peer, arrived) {
                     asm.flush(FlushCause::Full);
                 }
             }
@@ -88,7 +88,7 @@ fn feed<P: ServePlane>(
 /// the assembler and the scratch buffer — no allocation per drain.
 pub(super) fn udp_reader<P: ServePlane>(shared: Arc<Shared<P>>, sock: Arc<UdpSocket>) {
     shared.pin_next_cpu();
-    let mut asm = shared.new_assembler(ReaderKind::Udp);
+    let mut asm = shared.new_assembler(ReplySink::Udp(sock.clone()));
     let mut ring = RecvRing::new(shared.cfg.max_batch.clamp(1, 128));
     let mut scratch = Vec::new();
     // A socket that cannot take a read timeout cannot be served without
@@ -125,8 +125,7 @@ pub(super) fn udp_reader<P: ServePlane>(shared: Arc<Shared<P>>, sock: Arc<UdpSoc
                         asm.carried.decode_errors += 1;
                         continue;
                     };
-                    let reply = ReplyTo::Udp(sock.clone(), peer);
-                    match feed(&mut asm, &shared, bytes, &reply, arrived, &mut scratch) {
+                    match feed(&mut asm, &shared, bytes, peer, arrived, &mut scratch) {
                         // A truncated tail cannot complete in a later
                         // datagram — datagrams are self-contained.
                         Ok(used) if used < bytes.len() => asm.carried.decode_errors += 1,
@@ -183,16 +182,16 @@ pub(super) fn tcp_acceptor<P: ServePlane>(shared: Arc<Shared<P>>, listener: TcpL
 /// complete frames to its assembler, drains on EOF / error / shutdown.
 fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
     shared.pin_next_cpu();
-    let mut asm = shared.new_assembler(ReaderKind::Tcp);
+    // As in `udp_reader`: without a timeout the shutdown flag is never
+    // rechecked — drop the connection instead of panicking. A stream with
+    // no peer address is already dead.
+    let (Ok(peer), Ok(())) = (stream.peer_addr(), stream.set_read_timeout(Some(IDLE_TICK))) else {
+        return;
+    };
+    let mut asm = shared.new_assembler(ReplySink::Tcp(stream.clone()));
     let mut carry: Vec<u8> = Vec::new();
     let mut buf = [0u8; 16 * 1024];
-    let reply = ReplyTo::Tcp(stream.clone());
     let mut scratch = Vec::new();
-    // As in `udp_reader`: without a timeout the shutdown flag is never
-    // rechecked — drop the connection instead of panicking.
-    if stream.set_read_timeout(Some(IDLE_TICK)).is_err() {
-        return;
-    }
     let (mut polling, mut socket_empty) = (false, false);
     loop {
         if shared.shutdown.load(Relaxed) {
@@ -215,7 +214,7 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
                 socket_empty = n < buf.len();
                 asm.carried.recv_calls += 1;
                 carry.extend_from_slice(&buf[..n]);
-                match feed(&mut asm, &shared, &carry, &reply, arrived, &mut scratch) {
+                match feed(&mut asm, &shared, &carry, peer, arrived, &mut scratch) {
                     Ok(used) => {
                         carry.drain(..used);
                     }
@@ -241,7 +240,7 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
 mod tests {
     use super::*;
     use crate::system::serve::assembler::tests::StubPlane;
-    use crate::system::serve::{OracleTable, ServeConfig};
+    use crate::system::serve::{OracleTable, ServeConfig, ORACLE_KEEP};
     use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Mutex;
 
@@ -258,7 +257,7 @@ mod tests {
         let cfg = ServeConfig::default();
         let shared = Arc::new(Shared {
             plane: Arc::new(StubPlane),
-            oracle: Arc::new(OracleTable::new(cfg.oracle_keep)),
+            oracle: Arc::new(OracleTable::new(ORACLE_KEEP)),
             cfg,
             shutdown: AtomicBool::new(false),
             slots: Mutex::new(Vec::new()),

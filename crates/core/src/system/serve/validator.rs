@@ -22,6 +22,9 @@ use nm_common::LinearSearch;
 
 use super::stats::ServeStats;
 
+/// Oracle generations a [`super::Server`] retains for validation.
+pub const ORACLE_KEEP: usize = 8;
+
 /// Generation-indexed [`LinearSearch`] oracles, bounded to the most recent
 /// window so a long-running service does not accumulate truth forever.
 pub struct OracleTable {

@@ -26,9 +26,6 @@
 
 use nm_common::{RuleSet, SplitMix64, TraceBuf};
 
-/// Paper trace length (§5.1.1).
-pub const PAPER_TRACE_LEN: usize = 700_000;
-
 /// The Zipf skew settings of Figure 12: (top-3% traffic share, α).
 pub const FIG12_SKEWS: &[(f64, f64)] = &[(0.80, 1.05), (0.85, 1.10), (0.90, 1.15), (0.95, 1.25)];
 

@@ -182,9 +182,7 @@ fn flow_cache_batch_matches_per_key() {
 /// The single-key walk (`predict`) and the batched walk (`predict_batch`,
 /// on groups whose keys route to different leaves) must produce the same
 /// *search outcome* for every key on every reachable ISA: same containing
-/// range for covered keys, no range for uncovered keys. On the pre-AVX2
-/// ISAs the two predictions may differ in the last ULPs, but both windows
-/// contain the truth, so the secondary search cannot diverge.
+/// range for covered keys, no range for uncovered keys.
 #[test]
 fn batched_and_single_key_walks_agree_on_search_outcome() {
     let ranges: Vec<FieldRange> = (0..400u64)
@@ -238,16 +236,23 @@ const BATCH_LENGTHS: [usize; 11] = [0, 1, 7, 8, 9, 63, 64, 65, 72, 128, 130];
 /// A probe key and the index of the range that covers it, if one does.
 type Probe = (u64, Option<usize>);
 
-/// One trained model per Table 4 width shape over a 24-bit field, each with
-/// its probe pool: every range boundary and its outside neighbour (the
-/// ranges leave gaps, so those are uncovered), 0, the domain maximum and
-/// two keys beyond the domain.
+/// One trained model per Table 4 width shape over a 24-bit field — and a
+/// 50K-range one, where neighbouring boundaries share their submodels at
+/// every stage — each with its probe pool: 0, the domain maximum and two
+/// keys beyond the domain, then in key order every range boundary with
+/// both its neighbours (the ranges leave gaps, so the outside ones are
+/// uncovered).
 fn shaped_models() -> &'static [(Vec<Probe>, RqRmi)] {
     static MODELS: std::sync::OnceLock<Vec<(Vec<Probe>, RqRmi)>> = std::sync::OnceLock::new();
     MODELS.get_or_init(|| {
         const BITS: u8 = 24;
-        let shapes: [(&[usize], u64); 4] =
-            [(&[1, 4], 400), (&[1, 4, 16], 2_000), (&[1, 4, 128], 4_000), (&[1, 8, 256], 6_000)];
+        let shapes: [(&[usize], u64); 5] = [
+            (&[1, 4], 400),
+            (&[1, 4, 16], 2_000),
+            (&[1, 4, 128], 4_000),
+            (&[1, 8, 256], 6_000),
+            (&[1, 4, 128], 50_000),
+        ];
         shapes
             .into_iter()
             .map(|(widths, n)| {
@@ -272,6 +277,8 @@ fn shaped_models() -> &'static [(Vec<Probe>, RqRmi)] {
                     pool.extend([
                         (r.lo - 1, None),
                         (r.lo, Some(i)),
+                        (r.lo + 1, Some(i)),
+                        (r.hi - 1, Some(i)),
                         (r.hi, Some(i)),
                         (r.hi + 1, None),
                     ]);
@@ -285,32 +292,37 @@ fn shaped_models() -> &'static [(Vec<Probe>, RqRmi)] {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 160, ..ProptestConfig::default() })]
 
-    /// Property: `predict_batch` equals per-key `predict` exactly on
-    /// AVX2+FMA — through whole chunks, the ragged last chunk and the
-    /// `n % 8` tail alike — and on every reachable ISA puts each covered
-    /// key's true index inside its window; over the four Table 4 width
-    /// shapes, with keys drawn from every range boundary ± 1, 0, the domain
-    /// maximum and beyond the domain, one group of 8 equal keys and one
-    /// whose keys spread over the whole model.
+    /// Property: on every reachable ISA `predict_batch` equals per-key
+    /// `predict` exactly — through whole chunks, the ragged last chunk and
+    /// the `n % 8` tail alike — and puts each covered key's true index
+    /// inside its window; over the four Table 4 width
+    /// shapes and the 50K-range model, with keys drawn from every range
+    /// boundary ± 1, 0, the domain maximum and beyond the domain — either a
+    /// run of neighbours in key order, whose groups share their submodels,
+    /// or scattered picks with one group of 8 equal keys and one whose keys
+    /// spread over the whole model.
     #[test]
     fn predict_batch_equals_predict_over_shapes_lengths_and_boundaries(
-        shape in 0usize..4,
+        shape in 0usize..5,
         len_sel in 0usize..BATCH_LENGTHS.len(),
         picks in proptest::collection::vec(any::<u32>(), 130),
+        neighbours in any::<bool>(),
         equal_group in any::<bool>(),
     ) {
         let (pool, model) = &shaped_models()[shape];
-        let mut keys: Vec<(u64, Option<usize>)> = picks[..BATCH_LENGTHS[len_sel]]
-            .iter()
-            .map(|&p| pool[p as usize % pool.len()])
+        let at = |i: usize| pool[i % pool.len()];
+        let mut keys: Vec<Probe> = (0..BATCH_LENGTHS[len_sel])
+            .map(|i| at(if neighbours { picks[0] as usize + i } else { picks[i] as usize }))
             .collect();
-        let mut groups = keys.chunks_exact_mut(8);
-        if let (true, Some(group)) = (equal_group, groups.next()) {
-            group.fill(group[0]);
-        }
-        if let Some(group) = groups.next() {
-            for (l, key) in group.iter_mut().enumerate() {
-                *key = pool[(picks[l] as usize + l * pool.len() / 8) % pool.len()];
+        if !neighbours {
+            let mut groups = keys.chunks_exact_mut(8);
+            if let (true, Some(group)) = (equal_group, groups.next()) {
+                group.fill(group[0]);
+            }
+            if let Some(group) = groups.next() {
+                for (l, key) in group.iter_mut().enumerate() {
+                    *key = at(picks[l] as usize + l * pool.len() / 8);
+                }
             }
         }
         let vals: Vec<u64> = keys.iter().map(|k| k.0).collect();
@@ -319,9 +331,9 @@ proptest! {
             let (mut preds, mut errs) = (vec![0usize; vals.len()], vec![0u32; vals.len()]);
             compiled.predict_batch(&vals, &mut preds, &mut errs);
             for (i, &(key, truth)) in keys.iter().enumerate() {
-                if isa == Isa::AvxFma {
-                    prop_assert_eq!((preds[i], errs[i]), compiled.predict(key), "key {} at {}", key, i);
-                }
+                prop_assert_eq!(
+                    (preds[i], errs[i]), compiled.predict(key), "{:?} key {} at {}", isa, key, i
+                );
                 if let Some(truth) = truth {
                     prop_assert!(
                         preds[i].abs_diff(truth) <= errs[i] as usize,
