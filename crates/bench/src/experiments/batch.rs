@@ -22,20 +22,31 @@
 //! runs, one model per Table 4 width shape — a *throughput*, what the
 //! pipeline's predict phase pays per key, where a dependent chain through
 //! one kernel would report a latency the pipeline never waits for. The
-//! four perf targets (tree engines ≥ 1.5x at batch 128 on fw; tm and nm/tm
-//! at batch 128 ≥ the per-key loop on acl; nm/tm ≥ tm at batch 128 on fib;
-//! inference ≤ 6 ns/key on AVX2+FMA) print PASS/WARN.
+//! five perf targets (tree engines ≥ 1.5x at batch 128 on fw; tm and nm/tm
+//! at batch 128 ≥ the per-key loop on acl; nm/tm ≥ 1.5x tm at batch 128 on
+//! acl; nm/tm ≥ tm at batch 128 on fib; inference ≤ 6 ns/key on AVX2+FMA)
+//! print PASS/WARN.
+//!
+//! A probe ledger breaks a TupleMerge lookup on the acl trace into counts
+//! per packet ([`TupleMerge::probe_tally`]) — tables reached, tables the
+//! table filter lets through (each a hash and a slot load), slot hits, run
+//! entries walked, rules box-checked, wins and where the winner sat — for
+//! NuevoMatch's remainder under the iSets' floors and for bare TupleMerge.
+//! A filter that lets every table through still returns every verdict, so
+//! only this table can see it rot: a remainder of 16 tables or more whose
+//! filter pruned nothing fails the run.
 
 use crate::{measure_seq, nc_config, nm_config, nm_tm, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Json, Table};
-use nm_common::{Classifier, FieldRange, SplitMix64};
+use nm_common::{Classifier, FieldRange, Priority, SplitMix64, TraceBuf};
 use nm_cutsplit::CutSplit;
 use nm_neurocuts::NeuroCuts;
 use nm_trace::uniform_trace;
-use nm_tuplemerge::TupleMerge;
+use nm_tuplemerge::{ProbeTally, TupleMerge};
 use nuevomatch::rqrmi::{detect, train_rqrmi, CompiledRqRmi, Isa};
 use nuevomatch::system::parallel::run_batched;
 use nuevomatch::{NuevoMatch, RqRmiParams};
+use std::cell::RefCell;
 
 const BATCHES: &[usize] = &[1, 8, 32, 128, 512];
 
@@ -55,7 +66,7 @@ fn sweep(
     engine: &str,
     app: &str,
     c: &dyn Classifier,
-    trace: &nm_common::TraceBuf,
+    trace: &TraceBuf,
     warmups: usize,
     table: &mut Table,
 ) -> (f64, f64) {
@@ -89,6 +100,41 @@ fn sweep(
     row.push(format!("{speedup:.2}x"));
     table.row(row);
     (speedup, pps_128)
+}
+
+/// What the remainder's per-key probe does on `trace` under the floors the
+/// batched lookup hands it: one past each key's iSet candidate.
+fn remainder_tally(nm: &NuevoMatch<TupleMerge>, trace: &TraceBuf) -> ProbeTally {
+    let mut isets = vec![None; trace.len()];
+    nm.classify_isets_batch(trace.raw(), trace.stride(), &mut isets);
+    let floor = |m: &Option<nm_common::MatchResult>| {
+        m.map_or(Priority::MAX, |m| m.priority.saturating_add(1))
+    };
+    let floors: Vec<Priority> = isets.iter().map(floor).collect();
+    nm.remainder().probe_tally(trace.raw(), trace.stride(), Some(&floors))
+}
+
+/// One probe-ledger row: `tally` per packet of a `packets`-key trace.
+fn ledger_row(app: &str, engine: &str, tally: &ProbeTally, packets: usize) -> Vec<String> {
+    let per_pkt = |n: u64| format!("{:.2}", n as f64 / packets as f64);
+    let won = (tally.won_in_first + tally.won_in_second + tally.won_in_later).max(1) as f64;
+    vec![
+        app.to_string(),
+        engine.to_string(),
+        tally.tables.to_string(),
+        per_pkt(tally.passed_floor),
+        per_pkt(tally.admitted),
+        per_pkt(tally.slot_hits),
+        per_pkt(tally.entries_walked),
+        per_pkt(tally.box_checks),
+        per_pkt(tally.wins),
+        format!(
+            "{:.2}/{:.2}/{:.2}",
+            tally.won_in_first as f64 / won,
+            tally.won_in_second as f64 / won,
+            tally.won_in_later as f64 / won
+        ),
+    ]
 }
 
 /// The inference table: `predict_batch` ns/key (the best pass) over
@@ -158,26 +204,67 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.say("(columns in Mpps; seq = per-key classify loop; speedup = batch 128 vs seq)\n");
     let mut table =
         Table::new(&["set", "engine", "seq", "b=1", "b=8", "b=32", "b=128", "b=512", "128/seq"]);
-    // (engine, app, batch-128 speedup over the per-key loop) per swept row.
-    let mut rows: Vec<(&str, String, f64)> = Vec::new();
+    let mut ledger = Table::new(&[
+        "set", "engine", "tables", "reached", "hashed", "slot hits", "walked", "box checks",
+        "wins", "won 1st/2nd/later",
+    ]);
+    let mut filter_targets = Vec::new();
+    // (engine, app, batch-128 speedup over the per-key loop, batch-128
+    // packets/s) per swept row.
+    let mut rows: Vec<(&str, String, f64, f64)> = Vec::new();
     for (app, set) in suite(n, s) {
         if !ctx.wants_app(&app) {
             continue;
         }
         let trace = uniform_trace(&set, s.trace_len, 0xba7c4 + n as u64);
-        // Built only when wanted, one engine alive at a time.
+        // Built only when wanted, one engine alive at a time; the two
+        // TupleMerge users leave their probe tally behind on acl.
+        let acl = app.starts_with("acl");
+        let tallies = RefCell::new(Vec::new());
         let engines: [(&str, Build<'_>); 4] = [
-            ("nm/tm", &|| Box::new(nm_tm(&set))),
-            ("tm", &|| Box::new(TupleMerge::build(&set))),
+            ("nm/tm", &|| {
+                let nm = nm_tm(&set);
+                if acl {
+                    tallies.borrow_mut().push(("nm/tm remainder", remainder_tally(&nm, &trace)));
+                }
+                Box::new(nm)
+            }),
+            ("tm", &|| {
+                let tm = TupleMerge::build(&set);
+                if acl {
+                    let tally = tm.probe_tally(trace.raw(), trace.stride(), None);
+                    tallies.borrow_mut().push(("tm", tally));
+                }
+                Box::new(tm)
+            }),
             ("cs", &|| Box::new(CutSplit::build(&set))),
             ("nc", &|| Box::new(NeuroCuts::with_config(&set, nc_config(!s.full)))),
         ];
         for (engine, build) in engines {
             if ctx.wants_engine(engine) {
-                let (speedup, _) =
+                let (speedup, pps_128) =
                     sweep(&mut out, engine, &app, &*build(), &trace, s.warmups, &mut table);
-                rows.push((engine, app.clone(), speedup));
+                rows.push((engine, app.clone(), speedup, pps_128));
             }
+        }
+        for (engine, tally) in tallies.into_inner() {
+            ledger.row(ledger_row(&app, engine, &tally, trace.len()));
+            if engine == "tm" {
+                continue; // reported, not judged: most of its tables are wide
+            }
+            // Each table the filter turns away saves a hash and a slot load.
+            let (reached, hashed) = (tally.passed_floor, tally.admitted);
+            filter_targets.push(format!(
+                "{}: {app} remainder hashes {:.2} of the tables a packet reaches (target 0.5)",
+                if hashed * 2 <= reached { "PASS" } else { "WARN" },
+                hashed as f64 / reached.max(1) as f64,
+            ));
+            out.check(tally.tables < 16 || hashed < reached, || {
+                format!("{app}: the table filter pruned nothing over {} tables", tally.tables)
+            });
+            out.scalar(&format!("{app}_remainder_tables"), tally.tables);
+            let hashed_per_pkt = Json::num(hashed as f64 / trace.len() as f64, 3);
+            out.scalar(&format!("{app}_remainder_hashed_per_pkt"), hashed_per_pkt);
         }
     }
     // The paper's comparison where the iSets are the whole lookup: a FIB in
@@ -201,6 +288,11 @@ pub fn run(ctx: &Ctx) -> Outcome {
         }
     }
     out.table("sweep", table);
+    out.say("\n=== Probe ledger — TupleMerge's per-key probe on the acl trace ===");
+    out.say("(per packet; reached = tables before the packet's bound ends the probe, hashed = \
+             those the table filter lets through)\n");
+    out.table("probe_ledger", ledger);
+    filter_targets.into_iter().for_each(|line| out.say(line));
 
     let nm_speedups: Vec<f64> = rows.iter().filter(|r| r.0 == "nm/tm").map(|r| r.2).collect();
     let gm = if nm_speedups.is_empty() { f64::NAN } else { geomean(&nm_speedups) };
@@ -214,7 +306,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     // must at least not lose to the per-key probe on acl.
     let mut target_pass = |engines: [&str; 2], app_prefix: &str, target: f64| {
         let mut pass = true;
-        for (engine, app, sp) in
+        for (engine, app, sp, _) in
             rows.iter().filter(|r| engines.contains(&r.0) && r.1.starts_with(app_prefix))
         {
             let ok = *sp >= target;
@@ -228,8 +320,20 @@ pub fn run(ctx: &Ctx) -> Outcome {
     };
     let tree_pass = target_pass(["cs", "nc"], "fw", 1.5);
     let tm_pass = target_pass(["tm", "nm/tm"], "acl", 1.0);
+    // NuevoMatch over bare TupleMerge where the remainder is most of the
+    // lookup, both behind the same table filter. NaN (and WARN) when either
+    // engine was filtered out.
+    let pps_128 = |engine: &str| {
+        let row = rows.iter().find(|r| r.0 == engine && r.1.starts_with("acl"));
+        row.map_or(f64::NAN, |r| r.3)
+    };
+    let nm_vs_tm_acl = pps_128("nm/tm") / pps_128("tm");
+    out.say(format!(
+        "{}: nm/tm vs tm on acl at batch 128 {nm_vs_tm_acl:.2}x (target 1.5x)",
+        if nm_vs_tm_acl >= 1.5 { "PASS" } else { "WARN" },
+    ));
     // NuevoMatch over the engine it is meant to beat, on the rule-set built
-    // to show it. NaN (and WARN) when either engine was filtered out.
+    // to show it.
     let nm_vs_tm_fib = fib_pps[0] / fib_pps[1];
     out.say(format!(
         "{}: nm/tm vs tm on fib at batch 128 {nm_vs_tm_fib:.2}x (target 1x)",
@@ -257,6 +361,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.scalar("nm_tm_geomean_128_vs_seq", Json::num(gm, 3));
     out.scalar("tree_target_pass", tree_pass);
     out.scalar("tm_target_pass", tm_pass);
+    out.scalar("nm_vs_tm_acl_128", Json::num(nm_vs_tm_acl, 3));
     out.scalar("nm_vs_tm_fib_128", Json::num(nm_vs_tm_fib, 3));
     out.scalar("inference_ns_per_key_worst", Json::num(worst, 3));
     out.scalar("inference_target_pass", inference_pass);

@@ -5,18 +5,34 @@
 //! allocated per rule, so `Clone` — one per copy-on-write apply in the
 //! layers above — copies a few arrays per table.
 //!
-//! **Lookup.** Tables are probed in ascending `best_priority` order. Per
-//! table a key hashes its non-wildcard fields and tests its slot with one
-//! load — empty test, early-exit test and *per-slot* floor test at once; only
-//! a slot that passes has its sorted run walked, and the walk stops at the
+//! **Lookup.** A key first reads the table filter ([`crate::filter`]): one
+//! row per address field, indexed by the field's top byte and ANDed, names
+//! the tables that can hold a rule for it; the rest are skipped unhashed.
+//! The named tables are probed in ascending `best_priority` order. Per table
+//! the key hashes its non-wildcard fields and tests its slot with one load —
+//! empty test, early-exit test and *per-slot* floor test at once; only a
+//! slot that passes has its sorted run walked, and the walk stops at the
 //! first entry the key's bound rules out, before any rule is touched. A key
 //! leaves the probe at the first table whose `best_priority` — conservative,
-//! where slot bests are exact — cannot beat or tie its bound.
+//! where slot bests are exact — cannot beat or tie its bound. A batch turns
+//! this table-major: each key's candidate tables are scattered into
+//! per-table key lists once per 128 keys, and each table hashes, slot-tests
+//! and scans only its own list.
+//!
+//! **Filter upkeep.** A table lays its column when it files its first rule
+//! (so does a table `split` re-lays), an insert sets one bit per address
+//! field and a removal leaves its bit: a superset stays exact. Once removals
+//! since the last recompute exceed a quarter of the live rules, the batch
+//! that crossed the line rebuilds the filter from the filed rules and makes
+//! every table's `best_priority` exact — an emptied table then has an empty
+//! column and is never hashed again. Only the first 64 tables have bits; a
+//! table past them is probed by every key.
 //!
 //! **Ties.** Candidates compare as `(priority, id)`, so among equal
 //! priorities the smaller id wins whichever table holds it — the verdict of
 //! [`nm_common::LinearSearch`] and of `MatchResult::better`.
 
+use crate::filter::{Filter, FILTERED};
 use crate::rules::Rules;
 use crate::table::{Table, EMPTY};
 use crate::tuple::Tuple;
@@ -54,6 +70,9 @@ pub struct TupleMerge {
     /// early exit effective. Re-sorted once per batch, when `order_stale`.
     order: Vec<u32>,
     order_stale: bool,
+    filter: Filter,
+    /// Removals since the filter was last recomputed (their bits are stale).
+    removed: usize,
     rules: Rules,
     by_id: HashMap<RuleId, u32>,
     /// Update stamp (see [`Classifier::generation`]); build-time inserts do
@@ -114,6 +133,8 @@ impl TupleMerge {
             tables: Vec::new(),
             order: Vec::new(),
             order_stale: false,
+            filter: Filter::new(set.spec()),
+            removed: 0,
             rules: Rules::new(set.spec().len(), set.len()),
             by_id: HashMap::with_capacity(set.len()),
             generation: 0,
@@ -154,6 +175,29 @@ impl TupleMerge {
         }
     }
 
+    /// Rebuilds the filter from the filed rules, dropping the bits removals
+    /// left behind, and makes every `best_priority` exact — once removals
+    /// since the last time exceed a quarter of the live rules, so a rule
+    /// pays for a constant share of a pass.
+    fn refilter_if_stale(&mut self) {
+        if self.removed * 4 <= self.by_id.len() {
+            return;
+        }
+        self.removed = 0;
+        self.filter.clear();
+        for (t, table) in self.tables.iter_mut().enumerate() {
+            let before = table.best_priority;
+            table.tighten();
+            self.order_stale |= table.best_priority != before;
+            if !table.is_empty() {
+                self.filter.lay_column(t, &table.lens);
+            }
+            for m in table.members() {
+                self.filter.add(t, self.rules.bounds(m));
+            }
+        }
+    }
+
     /// Files a stored rule in the finest table it fits (a fresh one under
     /// its own relaxed tuple if none does), splitting the table if
     /// `may_split` and its bucket overflows.
@@ -167,6 +211,10 @@ impl TupleMerge {
         });
         self.rules.set_home(idx, ti as u32);
         let table = &mut self.tables[ti];
+        if table.is_empty() {
+            self.filter.lay_column(ti, &table.lens);
+        }
+        self.filter.add(ti, self.rules.bounds(idx));
         let before = table.best_priority;
         let bucket_len = table.insert(idx, &self.rules);
         self.order_stale |= table.best_priority != before;
@@ -187,8 +235,8 @@ impl TupleMerge {
     /// table). Min-over-everyone here made table formation brutally
     /// insertion-order-sensitive: one early coarse rule could pin thousands
     /// of later, finer rules into an unsplittable bucket, which is exactly
-    /// what control-plane retrains (which re-file the whole rule list) kept
-    /// hitting.
+    /// what control-plane retrains (which re-file the whole rule list) ran
+    /// into.
     fn split(&mut self, table_idx: usize) {
         let mut lens = self.tables[table_idx].lens.clone();
         let members = self.tables[table_idx].members();
@@ -227,12 +275,21 @@ impl TupleMerge {
     /// `bound`. Runs are sorted, so that is the first match, and the walk
     /// ends at the first entry `bound` rules out.
     #[inline]
-    fn scan(&self, table: &Table, s: usize, key: &[u64], bound: u64) -> Option<MatchResult> {
+    fn scan(
+        &self,
+        table: &Table,
+        s: usize,
+        key: &[u64],
+        bound: u64,
+        tally: &mut impl Tally,
+    ) -> Option<MatchResult> {
         let (max_priority, max_id) = ((bound >> 32) as Priority, bound as RuleId);
         for e in table.run(s) {
+            tally.add(|t| &mut t.entries_walked);
             if e.priority > max_priority {
                 break;
             }
+            tally.add(|t| &mut t.box_checks);
             if self.rules.matches(e.rule, key) {
                 let id = self.rules.id(e.rule);
                 // Same priority as the bound: only a smaller id qualifies,
@@ -244,35 +301,75 @@ impl TupleMerge {
         None
     }
 
-    /// Per-key probe: every table that can still beat or tie `cut`.
+    /// Per-key probe: every table the filter names that can still beat or
+    /// tie `cut`. Lookups pass `()` for `tally`, which compiles away.
     #[inline]
-    fn probe(&self, key: &[u64], mut cut: Cut) -> Option<MatchResult> {
+    fn probe(&self, key: &[u64], mut cut: Cut, tally: &mut impl Tally) -> Option<MatchResult> {
+        let cand = self.filter.candidates(key);
         let mut best = None;
+        // Tables hashed so far, and how many had been when `best` was found.
+        let (mut hashed, mut won_at) = (0, 0);
         for &ti in &self.order {
             let table = &self.tables[ti as usize];
             if table.best_priority >= cut.lim {
                 break; // sorted order: no remaining table can qualify either
             }
+            tally.add(|t| &mut t.passed_floor);
+            if (ti as usize) < FILTERED && cand >> ti & 1 == 0 {
+                continue;
+            }
+            tally.add(|t| &mut t.admitted);
+            hashed += 1;
             let (s, key_bit) = table.place(table.hash(|d| key[d]));
             if table.may_hold(s, key_bit, cut.lim) {
-                if let Some(m) = self.scan(table, s, key, cut.bound) {
-                    best = Some(m);
+                tally.add(|t| &mut t.slot_hits);
+                if let Some(m) = self.scan(table, s, key, cut.bound, tally) {
+                    tally.add(|t| &mut t.wins);
+                    (best, won_at) = (Some(m), hashed);
                     cut = Cut::beating(m);
                 }
             }
         }
+        if best.is_some() {
+            tally.add(|t| match won_at {
+                1 => &mut t.won_in_first,
+                2 => &mut t.won_in_second,
+                _ => &mut t.won_in_later,
+            });
+        }
         best
+    }
+
+    /// What the per-key probe does on `keys` (flat, `stride` words each,
+    /// `floors[i]` as in [`Classifier::classify_batch_with_floors`]), summed
+    /// over the keys — the ledger rows of `nm-bench batch`, and the only way
+    /// to see a filter that has stopped pruning: one that admits every table
+    /// still returns every verdict.
+    pub fn probe_tally(
+        &self,
+        keys: &[u64],
+        stride: usize,
+        floors: Option<&[Priority]>,
+    ) -> ProbeTally {
+        let mut tally = ProbeTally { tables: self.tables.len() as u64, ..Default::default() };
+        for (i, key) in keys.chunks_exact(stride).enumerate() {
+            self.probe(key, floors.map_or(Cut::OPEN, |f| Cut::for_floor(f[i])), &mut tally);
+        }
+        tally
     }
 
     /// Table-major batched probe — the batch form of [`TupleMerge::probe`],
     /// with per-key results identical to it: the loop interchange never
     /// reorders work *within* a key, and each key keeps its own [`Cut`].
     ///
-    /// Per table, the keys still alive are hashed field-major, then one
-    /// branch-free sweep tests each key's slot and appends the survivors (a
-    /// few percent of the probes) to a hit list; only those walk runs and
-    /// touch rules. A key whose limit a table's `best_priority` cannot beat
-    /// leaves the live list for good (tables come sorted).
+    /// Per 128 keys, each key's candidate tables go into per-table key
+    /// lists. Then per table, in probe order, the listed keys are hashed
+    /// field-major, one branch-free sweep tests each key's slot (the slot
+    /// test subsumes the key's limit test: a slot's best is never below its
+    /// table's) and appends the survivors — a few percent of the probes — to
+    /// a hit list; only those walk runs and touch rules. The walk ends at
+    /// the first table whose `best_priority` no key of the chunk came in
+    /// able to use (tables come sorted).
     fn probe_batch(
         &self,
         keys: &[u64],
@@ -281,41 +378,55 @@ impl TupleMerge {
         out: &mut [Option<MatchResult>],
     ) {
         const CHUNK: usize = 128;
+        let filtered = self.tables.len().min(FILTERED);
         // nm-lint: hotpath
+        // Per filtered table, the keys of the chunk that name it: `fill[t]`
+        // of them in `lists[t]`. `every` lists them all, for a table past
+        // the filter.
+        let mut lists = [[0u8; CHUNK]; FILTERED];
+        let mut fill = [0u8; FILTERED];
+        let every: [u8; CHUNK] = std::array::from_fn(|i| i as u8);
         for (c, out) in out.chunks_mut(CHUNK).enumerate() {
             let keys = &keys[c * CHUNK * stride..][..out.len() * stride];
             let mut lim = [0 as Priority; CHUNK];
             let mut bound = [0u64; CHUNK];
-            let mut live = [0u8; CHUNK];
             let mut hashes = [0u64; CHUNK];
             let mut hits = [(0u8, 0u32); CHUNK];
-            for i in 0..out.len() {
+            let mut max_lim = 0;
+            fill[..filtered].fill(0);
+            for (i, key) in keys.chunks_exact(stride).enumerate() {
                 let cut = floors.map_or(Cut::OPEN, |f| Cut::for_floor(f[c * CHUNK + i]));
-                (lim[i], bound[i], live[i], out[i]) = (cut.lim, cut.bound, i as u8, None);
-            }
-            let mut nlive = out.len();
-            for &ti in &self.order {
-                let table = &self.tables[ti as usize];
-                table.hash_batch(keys, stride, &live[..nlive], &mut hashes);
-                let (mut kept, mut nhits) = (0, 0);
-                for j in 0..nlive {
-                    let (i, (s, key_bit)) = (live[j], table.place(hashes[j]));
-                    let key_lim = lim[i as usize];
-                    // A slot's best is never below its table's, so a key
-                    // dropped here is not a hit either.
-                    live[kept] = i;
-                    kept += (table.best_priority < key_lim) as usize;
-                    hits[nhits] = (i, s as u32);
-                    nhits += table.may_hold(s, key_bit, key_lim) as usize;
+                (lim[i], bound[i], out[i]) = (cut.lim, cut.bound, None);
+                max_lim = max_lim.max(cut.lim);
+                let mut cand = self.filter.candidates(key);
+                while cand != 0 {
+                    let t = cand.trailing_zeros() as usize;
+                    cand &= cand - 1;
+                    lists[t][fill[t] as usize] = i as u8;
+                    fill[t] += 1;
                 }
-                nlive = kept;
-                if nlive == 0 {
+            }
+            for &ti in &self.order {
+                let (ti, table) = (ti as usize, &self.tables[ti as usize]);
+                if table.best_priority >= max_lim {
                     break;
+                }
+                let list = if ti < FILTERED {
+                    &lists[ti][..fill[ti] as usize]
+                } else {
+                    &every[..out.len()]
+                };
+                table.hash_batch(keys, stride, list, &mut hashes);
+                let mut nhits = 0;
+                for (&i, &hash) in list.iter().zip(&hashes) {
+                    let (s, key_bit) = table.place(hash);
+                    hits[nhits] = (i, s as u32);
+                    nhits += table.may_hold(s, key_bit, lim[i as usize]) as usize;
                 }
                 for &(i, s) in &hits[..nhits] {
                     let i = i as usize;
                     let key = &keys[i * stride..][..stride];
-                    if let Some(m) = self.scan(table, s as usize, key, bound[i]) {
+                    if let Some(m) = self.scan(table, s as usize, key, bound[i], &mut ()) {
                         let cut = Cut::beating(m);
                         (lim[i], bound[i], out[i]) = (cut.lim, cut.bound, Some(m));
                     }
@@ -326,13 +437,54 @@ impl TupleMerge {
     }
 }
 
+/// What [`TupleMerge::probe_tally`] counts, summed over the keys it probed
+/// (divide by their number for per-packet figures).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProbeTally {
+    /// Tables in the engine, emptied ones included (not a sum).
+    pub tables: u64,
+    /// Tables a key reached before its bound ended the probe.
+    pub passed_floor: u64,
+    /// Of those, tables the filter let through: each costs a hash and a
+    /// slot load.
+    pub admitted: u64,
+    /// Slots that could hold the key (its key bit set, best within bound).
+    pub slot_hits: u64,
+    /// Run entries looked at, the one that ended a walk included.
+    pub entries_walked: u64,
+    /// Rules whose box was compared with the key.
+    pub box_checks: u64,
+    /// Walks that found a better match than the key held.
+    pub wins: u64,
+    /// Keys whose final match came from the first table they hashed.
+    pub won_in_first: u64,
+    /// … from the second.
+    pub won_in_second: u64,
+    /// … from a later one.
+    pub won_in_later: u64,
+}
+
+/// Where a probe reports what it does. Lookups report to `()`, which counts
+/// nothing, so the tallied walk and the served one are one function.
+trait Tally {
+    fn add(&mut self, _counter: impl FnOnce(&mut ProbeTally) -> &mut u64) {}
+}
+
+impl Tally for () {}
+
+impl Tally for ProbeTally {
+    fn add(&mut self, counter: impl FnOnce(&mut ProbeTally) -> &mut u64) {
+        *counter(self) += 1;
+    }
+}
+
 impl Classifier for TupleMerge {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        self.probe(key, Cut::OPEN)
+        self.probe(key, Cut::OPEN, &mut ())
     }
 
     fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
-        self.probe(key, Cut::below(floor))
+        self.probe(key, Cut::below(floor), &mut ())
     }
 
     fn batch_lookup(
@@ -347,20 +499,23 @@ impl Classifier for TupleMerge {
         const SMALL_BATCH: usize = 3;
         if out.len() < SMALL_BATCH {
             for (i, key) in keys.chunks_exact(stride).enumerate() {
-                out[i] = self.probe(key, floors.map_or(Cut::OPEN, |f| Cut::for_floor(f[i])));
+                let cut = floors.map_or(Cut::OPEN, |f| Cut::for_floor(f[i]));
+                out[i] = self.probe(key, cut, &mut ());
             }
         } else {
             self.probe_batch(keys, stride, floors, out);
         }
     }
 
-    /// The lookup-path index — everything a probe walks: per table the slot
-    /// arrays, the entry arena (with its inlined priorities) and the hash
-    /// recipe, plus the probe order. Not the rule arena (boxes, ids,
+    /// The lookup-path index — everything a probe walks: the table filter,
+    /// per table the slot arrays, the entry arena (with its inlined
+    /// priorities) and the hash recipe, plus the probe order. Not the rule arena (boxes, ids,
     /// priorities): that is rule storage, as `ISetCore::boxes` is for an
     /// iSet; nor `by_id`, which is update bookkeeping.
     fn memory_bytes(&self) -> usize {
-        self.tables.iter().map(Table::memory_bytes).sum::<usize>() + memsize::vec_bytes(&self.order)
+        self.tables.iter().map(Table::memory_bytes).sum::<usize>()
+            + memsize::vec_bytes(&self.order)
+            + self.filter.memory_bytes()
     }
 
     fn name(&self) -> &'static str {
@@ -384,6 +539,7 @@ impl BatchUpdatable for TupleMerge {
             |s, rule| s.insert_rule(&rule),
             |s, id| s.remove_rule(id),
         );
+        self.refilter_if_stale();
         self.resort_order();
         // Bump only when content changed: a batch of pure misses serves the
         // same rules, and a spurious bump stampedes caches layered above.
@@ -416,6 +572,7 @@ impl TupleMerge {
         table.remove(idx, &self.rules);
         self.order_stale |= table.best_priority != before;
         self.rules.release(idx);
+        self.removed += 1;
         true
     }
 }
@@ -434,7 +591,16 @@ impl TupleMerge {
         assert_eq!(order, (0..self.tables.len() as u32).collect::<Vec<_>>());
         for (t, table) in self.tables.iter().enumerate() {
             table.assert_invariants(&self.rules);
-            assert!(table.members().iter().all(|&m| self.rules.home(m) == t as u32));
+            for m in table.members() {
+                assert_eq!(self.rules.home(m), t as u32);
+                // The filter names the table at both corners of the rule.
+                for corner in 0..2 {
+                    let key: Vec<u64> =
+                        self.rules.bounds(m).chunks_exact(2).map(|b| b[corner]).collect();
+                    let named = t >= FILTERED || self.filter.candidates(&key) >> t & 1 == 1;
+                    assert!(named, "filter hides rule {m} of table {t}");
+                }
+            }
         }
         let filed: usize = self.tables.iter().map(|t| t.members().len()).sum();
         assert_eq!(filed, self.by_id.len());
@@ -456,7 +622,7 @@ impl TupleSpaceSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nm_common::{FiveTuple, LinearSearch, SplitMix64};
+    use nm_common::{FieldRange, FiveTuple, LinearSearch, SplitMix64};
 
     fn random_set(seed: u64, n: usize) -> RuleSet {
         let mut rng = SplitMix64::new(seed);
@@ -749,5 +915,169 @@ mod tests {
         assert_eq!(tm.num_rules(), 350);
         // Vacated rule indices were reused, not leaked.
         assert!(tm.export_rules().len() == 350 && tm.rules.export().len() == 350);
+    }
+
+    /// Checks per-key and batched verdicts on `keys` (flat) against the
+    /// oracle over `set`.
+    fn assert_serves(tm: &TupleMerge, set: &RuleSet, keys: &[u64]) {
+        let stride = set.spec().len();
+        let oracle = LinearSearch::build(set);
+        let want: Vec<_> = keys.chunks_exact(stride).map(|k| oracle.classify(k)).collect();
+        let got: Vec<_> = keys.chunks_exact(stride).map(|k| tm.classify(k)).collect();
+        assert_eq!(got, want, "per-key");
+        let mut out = vec![None; want.len()];
+        tm.classify_batch(keys, stride, &mut out);
+        assert_eq!(out, want, "batch");
+    }
+
+    /// A point inside every rule of `set` and as many arbitrary keys, flat.
+    fn keys_in_and_around(set: &RuleSet, seed: u64) -> Vec<u64> {
+        let mut rng = SplitMix64::new(seed);
+        let mut keys = Vec::new();
+        for rule in set.rules() {
+            keys.extend(rule.fields.iter().map(|f| rng.range_inclusive(f.lo, f.hi)));
+            keys.extend((0..set.spec().len()).map(|d| rng.below(set.spec().max_value(d)) + 1));
+        }
+        keys
+    }
+
+    #[test]
+    fn filter_survives_row_widening_and_tables_past_the_64th() {
+        // `span * span` natural (src length, dst length) tuples, finest
+        // first so that none fits an earlier one's table, three rules each
+        // with varying top bytes: Tuple Space Search opens a table per
+        // tuple, so the filter's rows widen at 8, 16, … tables while earlier
+        // columns are in use, and at 81 tables 17 lie past the last bit.
+        for span in [3u8, 5, 9] {
+            let mut rules = Vec::new();
+            let lens = (0..span).rev().flat_map(|a| (0..span).rev().map(move |b| (8 + a, 8 + b)));
+            for (src_len, dst_len) in lens {
+                for i in 0..3u32 {
+                    let id = rules.len() as u32;
+                    let (src, dst) =
+                        (id.wrapping_mul(0x9e37_79b9), (id + i).wrapping_mul(0x85eb_ca6b));
+                    let ft =
+                        FiveTuple::new().src_prefix_raw(src, src_len).dst_prefix_raw(dst, dst_len);
+                    rules.push(ft.into_rule(id, id % 7));
+                }
+            }
+            let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+            let tss = TupleSpaceSearch::build(&set);
+            assert_eq!(tss.num_tables(), (span as usize).pow(2));
+            tss.assert_invariants();
+            let keys = keys_in_and_around(&set, span as u64);
+            assert_serves(&tss, &set, &keys);
+            assert_serves(&TupleMerge::build(&set), &set, &keys);
+            // Varying top bytes: the filter turns most tables away, though
+            // past the 64th table it has no say.
+            let tally = tss.probe_tally(&keys, 5, None);
+            assert_eq!(tally.tables, (span as u64).pow(2));
+            assert!(tally.admitted * 2 < tally.passed_floor, "{tally:?}");
+        }
+    }
+
+    #[test]
+    fn one_field_and_address_free_schemas_are_served() {
+        // A FIB: one 32-bit field, prefixes of every length, longest first
+        // (a /0 filed first would take every later rule in).
+        let fib: Vec<Rule> = (0..=32u32)
+            .rev()
+            .flat_map(|len| (0..4u32).map(move |i| (len, (len * 4 + i).wrapping_mul(0x9e37_79b9))))
+            .enumerate()
+            .map(|(id, (len, v))| {
+                Rule::new(
+                    id as u32,
+                    32 - len,
+                    vec![FieldRange::from_prefix(v as u64, len as u8, 32)],
+                )
+            })
+            .collect();
+        let set = RuleSet::new(FieldsSpec::single("dst", 32), fib).unwrap();
+        let tm = TupleMerge::build(&set);
+        tm.assert_invariants();
+        let keys = keys_in_and_around(&set, 11);
+        assert_serves(&tm, &set, &keys);
+        let tally = tm.probe_tally(&keys, 1, None);
+        assert!(tally.admitted < tally.passed_floor, "one field is enough to prune: {tally:?}");
+
+        // No field wider than 16 bits: no rows, every table probed.
+        let ports: Vec<Rule> = (0..60u32)
+            .map(|i| {
+                let mut fields = vec![FieldRange::wildcard(16); 3];
+                fields[i as usize % 3] = FieldRange::exact(i as u64 * 1_000);
+                fields[(i as usize + 1) % 3] = FieldRange::new(i as u64, 40_000 + i as u64);
+                Rule::new(i, i % 5, fields)
+            })
+            .collect();
+        let set = RuleSet::new(FieldsSpec::uniform(3, 16), ports).unwrap();
+        let tm = TupleMerge::build(&set);
+        tm.assert_invariants();
+        assert!(tm.num_tables() >= 3);
+        let keys = keys_in_and_around(&set, 12);
+        assert_serves(&tm, &set, &keys);
+        let tally = tm.probe_tally(&keys, 3, None);
+        assert_eq!(tally.admitted, tally.passed_floor);
+    }
+
+    #[test]
+    fn emptied_tables_stop_being_probed() {
+        // 30 rules under one tuple (src /24) beside 200 port rules.
+        let mut rules: Vec<Rule> = (0..30u32)
+            .map(|i| FiveTuple::new().src_prefix_raw(0x0a00_0000 | i << 8, 24).into_rule(i, i))
+            .collect();
+        rules.extend(
+            (30..230u32).map(|i| FiveTuple::new().dst_port_exact(i as u16).into_rule(i, i)),
+        );
+        let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+        let mut tm = TupleMerge::build(&set);
+        assert_eq!(tm.num_tables(), 2);
+        // Keys under 10/8 that match nothing: every table they hash is waste.
+        let keys: Vec<u64> = (0..64u64).flat_map(|i| [0x0aff_0000 | i, 0, 0, 0, 6]).collect();
+        let remove = |tm: &mut TupleMerge, ids: std::ops::Range<u32>| {
+            tm.apply(&ids.fold(UpdateBatch::new(), |batch, id| batch.remove(id)));
+            tm.assert_invariants();
+        };
+        // Short of the threshold the emptied table keeps its bits and its
+        // bound, and goes on being hashed.
+        remove(&mut tm, 0..30);
+        assert_eq!((tm.num_tables(), tm.tables.len()), (1, 2));
+        assert_eq!(tm.probe_tally(&keys, 5, None).admitted, 2 * 64);
+        // 30 + 21 removals exceed a quarter of the 179 rules left: the
+        // filter is recomputed, the table's column and bound are empty.
+        remove(&mut tm, 30..51);
+        let tally = tm.probe_tally(&keys, 5, None);
+        assert_eq!((tally.tables, tally.passed_floor, tally.admitted), (2, 64, 64));
+        // It is found again by the next rule that fits it.
+        let rule = FiveTuple::new().src_prefix_raw(0x0aff_0000, 24).into_rule(900, 0);
+        tm.apply(&UpdateBatch::new().insert(rule));
+        tm.assert_invariants();
+        assert_eq!(tm.classify(&keys[..5]), Some(MatchResult::new(900, 0)));
+        assert_eq!(tm.probe_tally(&keys, 5, None).wins, 64);
+    }
+
+    #[test]
+    fn split_tables_lay_their_column_again() {
+        // A /4 opens a table that masks the source to a nibble — every
+        // filter row — and 50 /24s under one nibble overflow its bucket: the
+        // split re-lays it at /8, where a column holds one row per rule.
+        let mut rules = vec![FiveTuple::new().src_prefix_raw(0, 4).into_rule(0, 0)];
+        rules.extend((1..=50u32).map(|i| {
+            FiveTuple::new()
+                .src_prefix_raw(0x1000_0000 | (i % 16) << 24 | i << 16, 24)
+                .into_rule(i, i)
+        }));
+        let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+        let tm = TupleMerge::build(&set);
+        tm.assert_invariants();
+        assert_serves(&tm, &set, &keys_in_and_around(&set, 5));
+        let coarse = tm.tables.iter().filter(|t| t.lens.0[0] < 8).count() as u64;
+        assert!(coarse >= 1 && tm.num_tables() as u64 > coarse, "the bucket never split");
+        // No rule has a source under 0xf0/8: only the coarse tables are hashed.
+        let keys: Vec<u64> = (0..32u64).flat_map(|i| [0xf000_0000 | i, i, 1, 2, 6]).collect();
+        let tally = tm.probe_tally(&keys, 5, None);
+        assert_eq!(
+            (tally.passed_floor, tally.admitted),
+            (32 * tm.num_tables() as u64, 32 * coarse)
+        );
     }
 }

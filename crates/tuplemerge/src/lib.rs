@@ -4,7 +4,9 @@
 //!
 //! * [`TupleSpaceSearch`] — the classic algorithm (Srinivasan, Suri,
 //!   Varghese 1999): rules grouped by their per-field prefix-length tuple,
-//!   one hash table per distinct tuple, every table probed per lookup.
+//!   one hash table per distinct tuple, and — that paper's *pruned* tuple
+//!   space search — a per-field lookup that names the tables a key can
+//!   match in, so only their intersection is probed.
 //! * [`TupleMerge`] — Daly et al. 2019: tuples are *relaxed* (coarsened) so
 //!   many related tuples share one table, cutting the number of probes; a
 //!   collision limit splits tables that grow pathological buckets. This is
@@ -30,19 +32,34 @@
 //! best priority is at once the empty test, the early-exit test and a
 //! per-slot floor test.
 //!
-//! Tables are probed in ascending best-priority order and a key stops at
-//! the first table that cannot beat, or tie, what it already holds — the
-//! "early termination" contract NuevoMatch relies on
-//! (`classify_with_floor`). Equal priorities resolve toward the smaller
-//! rule id, whichever tables the contenders sit in, as in
+//! In front of the tables sits one **table filter**: per address field
+//! (wider than 16 bits) 256 rows indexed by a key's top byte, each a bitset
+//! over tables. A set bit promises only that the table *may* hold a rule
+//! for that byte; a clear bit proves it holds none. Rows are as many bytes
+//! wide as the table count needs, up to eight: the first 64 tables are
+//! filtered, a table past them is probed by every key.
+//!
+//! A lookup ANDs its key's rows, then probes the tables that remain in
+//! ascending best-priority order and stops at the first table that cannot
+//! beat, or tie, what it already holds — the "early termination" contract
+//! NuevoMatch relies on (`classify_with_floor`). A batch does the same
+//! table-major: per 128 keys each key's candidate tables are scattered into
+//! per-table key lists, and each table hashes, slot-tests and scans only
+//! its own list. Equal priorities resolve toward the smaller rule id,
+//! whichever tables the contenders sit in, as in
 //! `nm_common::LinearSearch`.
 //!
 //! Updates keep runs sorted in place (a run that outgrows its cells moves
-//! to the arena tail), re-derive a slot's best and filter exactly after a
+//! to the arena tail), re-derive a slot's best and key filter exactly after a
 //! removal, and compact the arena or double the slot array when a table
 //! gets wasteful or crowded; a table's own best priority is only a
-//! conservative bound between those rebuilds. `Clone` copies a handful of
-//! arrays per table, which is what makes copy-on-write applies cheap.
+//! conservative bound between those rebuilds. The table filter is as
+//! conservative: an insert sets one bit per address field, a removal leaves its bit
+//! (a superset stays exact), and once removals since the last recompute
+//! exceed a quarter of the live rules the filter is rebuilt from the filed
+//! rules and every table's bound made exact, so an emptied table is never
+//! hashed again. `Clone` copies a handful of arrays per table and the
+//! filter's rows, which is what makes copy-on-write applies cheap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,10 +67,11 @@
 pub mod tuple;
 
 mod engine;
+mod filter;
 mod hasher;
 #[cfg(test)]
 mod proptests;
 mod rules;
 mod table;
 
-pub use engine::{TupleMerge, TupleMergeConfig, TupleSpaceSearch};
+pub use engine::{ProbeTally, TupleMerge, TupleMergeConfig, TupleSpaceSearch};

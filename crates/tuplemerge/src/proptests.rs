@@ -2,7 +2,9 @@
 //! insert / modify / remove / re-insert-same-id, with priorities duplicated
 //! on purpose, checked after every batch against [`LinearSearch`] over the
 //! same live rules — on every lookup entry point — and against the layout's
-//! own invariants.
+//! own invariants. Address prefixes vary in top byte and straddle the /8
+//! line, so the comparison also covers the table filter: stale bits after
+//! removals, a split table's column reset, and the recompute.
 
 use crate::{TupleMerge, TupleMergeConfig};
 use nm_common::{
@@ -26,7 +28,18 @@ fn rule(id: RuleId, x: u64) -> Rule {
         // Many distinct ports: the same table's slot array has to grow.
         1 => FiveTuple::new().dst_port_exact(b as u16).proto_exact(6),
         // Nested prefixes: refinable, so an overflowing bucket can split.
-        2 => FiveTuple::new().src_prefix_raw(0x0a00_0000 | (b as u32) << 8, 16 + a as u8),
+        // Few top bytes, and lengths on both sides of a byte: tables that
+        // set every filter row, tables that set one per rule, and the line
+        // between them — on one address or on both.
+        2 => {
+            const LENS: [u8; 13] = [0, 4, 7, 8, 9, 12, 16, 18, 20, 24, 27, 28, 32];
+            let ip = |n: u64| ([0x0a, 0x0b, 0xc0, 0xc1][n as usize % 4] << 24 | n << 8) as u32;
+            let ft = FiveTuple::new().src_prefix_raw(ip(b), LENS[a as usize]);
+            match b % 3 {
+                0 => ft,
+                _ => ft.dst_prefix_raw(ip(b / 3), LENS[(a + b) as usize % 13]),
+            }
+        }
         // A range whose covering prefix is short: lives in a coarse table.
         _ => FiveTuple::new().dst_port_range(a as u16 * 900, a as u16 * 900 + b as u16),
     };
@@ -70,7 +83,7 @@ proptest! {
     fn in_place_updates_match_linear_search(
         ops in collection::vec((0u64..4, 0u32..160, 0u64..40_000), 300..700),
         batch_len in 1usize..24,
-        probes in collection::vec((0u64..1 << 32, 0u64..16_000, 0u64..256), 60),
+        probes in collection::vec((0u64..1 << 32, 0u64..16_000, 0u64..256), 65),
     ) {
         // A low collision limit makes buckets overflow (and tables split)
         // within a few hundred ops.
@@ -103,12 +116,14 @@ proptest! {
             let mut exported = tm.export_rules();
             exported.sort_by_key(|r| r.id);
             prop_assert_eq!(&exported, &live.values().cloned().collect::<Vec<_>>());
-            // Probe the low corner of every live rule (capped) and some
-            // arbitrary keys: 130 keys cover a full 128-sweep plus a tail.
-            let mut keys: Vec<[u64; 5]> = (live.values().take(70))
-                .map(|r| std::array::from_fn(|d| r.fields[d].lo))
-                .collect();
-            keys.extend(probes.iter().map(|&(ip, port, proto)| [ip, ip, port, port, proto]));
+            // Probe a point inside a live rule and an arbitrary key per
+            // probe: 130 keys cover a full 128-sweep plus a tail.
+            let inside = probes.iter().zip(live.values().cycle()).map(|(&(ip, port, proto), r)| {
+                let offset = [ip, ip >> 7, port, port + proto, proto];
+                std::array::from_fn(|d| r.fields[d].lo + offset[d] % (r.fields[d].hi - r.fields[d].lo + 1))
+            });
+            let mut keys: Vec<[u64; 5]> = inside.collect();
+            keys.extend(probes.iter().map(|&(ip, port, proto)| [ip, ip.rotate_left(9) & 0xffff_ffff, port, port, proto]));
             let oracle = LinearSearch::from_rules(exported);
             assert_lookups_agree(&tm, &oracle, &keys);
         }

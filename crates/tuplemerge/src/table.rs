@@ -79,8 +79,8 @@ pub(crate) struct Table {
     /// Arena cells no run owns.
     garbage: usize,
     occupied: usize,
-    /// Lower bound on every slot's `best`: lowered by inserts, made exact by
-    /// a rebuild, never raised by a removal (at worst one spurious probe).
+    /// Lower bound on every slot's `best`: lowered by inserts, never raised
+    /// by a removal, made exact by a rebuild or [`Table::tighten`].
     pub best_priority: Priority,
 }
 
@@ -235,6 +235,12 @@ impl Table {
         }
         self.garbage = 0;
         self.occupied = self.slots.iter().filter(|s| s.len > 0).count();
+        self.tighten();
+    }
+
+    /// Makes `best_priority` exact — [`EMPTY`] for an emptied table, which
+    /// no key then probes.
+    pub fn tighten(&mut self) {
         self.best_priority = self.slots.iter().map(|s| s.best).min().unwrap_or(EMPTY);
     }
 
