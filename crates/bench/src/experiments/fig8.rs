@@ -11,16 +11,16 @@
 //! core** — workers time-share, so expect muted parallel gains; the
 //! single-core Figure 9 is the apples-to-apples shape on this machine.
 
-use crate::{nc_config, nm_cs, nm_nc, nm_tm, suite, Ctx, Outcome};
+use crate::{nc_config, nm_config, nm_tm_handle, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Table};
-use nm_common::{Classifier, TraceBuf};
+use nm_common::{Classifier, RuleSet, TraceBuf};
 use nm_cutsplit::CutSplit;
 use nm_neurocuts::NeuroCuts;
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::parallel::BATCH;
 use nuevomatch::system::runtime::{Replicated, SplitPlan};
-use nuevomatch::{ClassifierHandle, NuevoMatch, Runtime, RuntimeConfig};
+use nuevomatch::{ClassifierHandle, Runtime, RuntimeConfig};
 
 /// (latency, throughput) speedups of NuevoMatch's iSet/remainder two-worker
 /// split over two replicated `base` instances (the §5.1 baseline mode),
@@ -28,13 +28,11 @@ use nuevomatch::{ClassifierHandle, NuevoMatch, Runtime, RuntimeConfig};
 fn versus<R: Classifier>(
     rt: &Runtime,
     base: &dyn Classifier,
-    nm: NuevoMatch<R>,
+    nm: &ClassifierHandle<R>,
     trace: &TraceBuf,
 ) -> (f64, f64) {
     let base = rt.run(&Replicated::new(base, 2), trace).expect("replicated runtime");
-    let ours = rt
-        .run(&SplitPlan::new(&ClassifierHandle::read_only(nm)), trace)
-        .expect("two-worker runtime");
+    let ours = rt.run(&SplitPlan::new(nm), trace).expect("two-worker runtime");
     (base.mean_batch_latency_ns / ours.mean_batch_latency_ns, ours.pps / base.pps)
 }
 
@@ -58,13 +56,17 @@ pub fn run(ctx: &Ctx) -> Outcome {
 
         for (name, set) in suite(n, s) {
             let trace = uniform_trace(&set, s.trace_len, 0xf18 + n as u64);
+            // The tree remainders share `nm_cs` / `nm_nc`'s §5.1
+            // configuration (25 % minimum coverage, at most 2 iSets).
+            let tree_cfg = nm_config(2, 0.25);
+            let nc_cfg = nc_config(!s.full);
+            let nc_builder = move |rem: &RuleSet| NeuroCuts::with_config(rem, nc_cfg);
+            let nm_cs = ClassifierHandle::new(&set, &tree_cfg, CutSplit::build).expect("nm/cs");
+            let nm_nc = ClassifierHandle::new(&set, &tree_cfg, nc_builder).expect("nm/nc");
             let pairs = [
-                versus(&rt, &CutSplit::build(&set), nm_cs(&set), &trace),
-                {
-                    let nc = NeuroCuts::with_config(&set, nc_config(!s.full));
-                    versus(&rt, &nc, nm_nc(&set, !s.full), &trace)
-                },
-                versus(&rt, &TupleMerge::build(&set), nm_tm(&set), &trace),
+                versus(&rt, &CutSplit::build(&set), &nm_cs, &trace),
+                versus(&rt, &NeuroCuts::with_config(&set, nc_cfg), &nm_nc, &trace),
+                versus(&rt, &TupleMerge::build(&set), &nm_tm_handle(&set), &trace),
             ];
             let row: Vec<f64> =
                 pairs.iter().map(|p| p.0).chain(pairs.iter().map(|p| p.1)).collect();

@@ -12,22 +12,33 @@
 //! `UpdateBatch`, which is applied to both the sharded and the whole-set
 //! handle and re-verified. A divergence fails the run.
 //!
+//! One more row per set prices the runtime itself: `Replicated × 1` through
+//! [`Runtime::run`] against `run_batched` on the same engine, as ns/pkt of
+//! overhead (fastest of [`OVERHEAD_PASSES`] alternating passes each; the
+//! dispatcher's one wake-up per batch is what it measures — see the runtime's
+//! module docs). It prints PASS/WARN at ≤ [`OVERHEAD_TARGET_NS`] and never
+//! fails the run: it is a timing.
+//!
 //! On this repository's single-core CI box the workers time-share and the
 //! topology degrades to unpinned scheduling (see
 //! `nuevomatch::system::runtime::topology`), so the pps columns measure
 //! overhead, not scaling; the structure is what CI guards.
 
 use crate::{nm_tm_config, nm_tm_handle, suite, Ctx, Outcome};
-use nm_analysis::Table;
+use nm_analysis::{Json, Table};
 use nm_common::{FiveTuple, ShardPlanConfig, UpdateBatch};
 use nm_tuplemerge::TupleMerge;
 use nm_trace::uniform_trace;
-use nuevomatch::system::parallel::run_sequential;
+use nuevomatch::system::parallel::{run_batched, run_sequential, BATCH};
 use nuevomatch::system::runtime::Replicated;
-use nuevomatch::{RunStats, Runtime, RuntimeConfig, ShardedHandle};
+use nuevomatch::{PinPolicy, RunStats, Runtime, RuntimeConfig, ShardedHandle};
 
 const SHARDS: &[usize] = &[1, 2, 4];
 const WORKERS: &[usize] = &[1, 2];
+/// Alternating passes per side of the overhead row.
+const OVERHEAD_PASSES: usize = 7;
+/// ns/pkt the runtime may add to the batched loop before the row warns.
+const OVERHEAD_TARGET_NS: f64 = 30.0;
 
 /// Largest shard's packet share over the ideal equal share (1.0 = perfect
 /// balance; replicated and 1-shard rows are 1.0 by definition).
@@ -83,6 +94,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
             format!("{}", stats.pinned_workers),
         ]);
     };
+    let mut overhead = Table::new(&["set", "run_batched ns/pkt", "Runtime::run ns/pkt", "overhead"]);
+    let mut overheads: Vec<f64> = Vec::new();
     for (app, set) in suite(n, s) {
         if !ctx.wants_app(&app) {
             continue;
@@ -121,8 +134,40 @@ pub fn run(ctx: &Ctx) -> Outcome {
         let rt = Runtime::new(RuntimeConfig::default());
         let stats = rt.run(&Replicated::new(&engine, 2), &trace).expect("replicated run");
         row(&mut out, &app, "replicated", &stats, &run_sequential(&engine, &trace), None);
+
+        // The runtime's own price: one unpinned replicated worker against
+        // the same engine's batched loop on this thread.
+        let rt = Runtime::new(RuntimeConfig { pin: PinPolicy::Never, ..Default::default() });
+        let (mut batched_ns, mut runtime_ns) = (f64::MAX, f64::MAX);
+        for _ in 0..OVERHEAD_PASSES {
+            let batched = run_batched(&engine, &trace, BATCH);
+            let through = rt.run(&Replicated::new(&engine, 1), &trace).expect("replicated run");
+            out.check(through.checksum == batched.checksum, || {
+                format!("{app}: Replicated x 1 diverged from run_batched")
+            });
+            batched_ns = batched_ns.min(1e9 / batched.pps);
+            runtime_ns = runtime_ns.min(1e9 / through.pps);
+        }
+        let over = runtime_ns - batched_ns;
+        overheads.push(over);
+        overhead.row(vec![
+            app,
+            format!("{batched_ns:.1}"),
+            format!("{runtime_ns:.1}"),
+            format!("{over:.1}"),
+        ]);
     }
     out.table("grid", table);
+    if let Some(worst) = overheads.into_iter().reduce(f64::max) {
+        out.say("\nRuntime overhead: Replicated x 1 through Runtime::run vs run_batched, ns/pkt");
+        out.table("overhead", overhead);
+        out.say(format!(
+            "{}: runtime overhead {worst:.1} ns/pkt on the worst set (target <= \
+             {OVERHEAD_TARGET_NS} with a CPU to spare for the dispatcher)",
+            if worst <= OVERHEAD_TARGET_NS { "PASS" } else { "WARN" }
+        ));
+        out.scalar("runtime_overhead_ns_per_pkt", Json::num(worst, 1));
+    }
     if out.failures().is_empty() {
         out.say(
             "\nPASS: every shard x worker grid point is checksum-equivalent to the sequential \

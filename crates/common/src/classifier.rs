@@ -201,6 +201,21 @@ pub trait Classifier: Send + Sync {
     fn num_rules(&self) -> usize;
 }
 
+/// Applies caller floors as the last step of a [`Classifier::batch_lookup`]
+/// override whose sweep computed unfloored verdicts — the
+/// `classify_with_floor ≡ classify().filter(p < floor)` contract, batch-wide
+/// (`Priority::MAX` is the "no floor" sentinel, not a `< MAX` filter).
+#[inline]
+pub fn apply_floors(floors: Option<&[Priority]>, out: &mut [Option<MatchResult>]) {
+    if let Some(f) = floors {
+        for (o, &floor) in out.iter_mut().zip(f) {
+            if floor != Priority::MAX {
+                *o = o.filter(|m| m.priority < floor);
+            }
+        }
+    }
+}
+
 // Boxed classifiers (the CLI's `Box<dyn Classifier>` engines) are
 // classifiers themselves, so generic wrappers — `FlowCache`, the sharded
 // runtime — can hold them without knowing the concrete engine. Every method

@@ -89,14 +89,6 @@ impl FieldRange {
         self.lo <= other.lo && other.hi <= self.hi
     }
 
-    /// Intersection, or `None` when disjoint.
-    #[inline]
-    pub fn intersect(&self, other: &FieldRange) -> Option<FieldRange> {
-        let lo = self.lo.max(other.lo);
-        let hi = self.hi.min(other.hi);
-        (lo <= hi).then_some(FieldRange { lo, hi })
-    }
-
     /// True iff the range is the whole `bits`-wide domain.
     #[inline]
     pub fn is_wildcard(&self, bits: u8) -> bool {
@@ -226,8 +218,6 @@ mod tests {
         let c = FieldRange::new(21, 30);
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
-        assert_eq!(a.intersect(&b), Some(FieldRange::new(20, 20)));
-        assert_eq!(a.intersect(&c), None);
         assert!(FieldRange::new(0, 100).covers(&a));
         assert!(!a.covers(&FieldRange::new(10, 21)));
     }

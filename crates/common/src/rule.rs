@@ -38,12 +38,6 @@ impl Rule {
         self.fields.iter().zip(key).all(|(r, &v)| r.contains(v))
     }
 
-    /// True iff the rule's range in dimension `dim` contains `v`.
-    #[inline]
-    pub fn matches_dim(&self, dim: usize, v: u64) -> bool {
-        self.fields[dim].contains(v)
-    }
-
     /// True iff the two rules' boxes share at least one point (overlap in
     /// every dimension).
     pub fn overlaps(&self, other: &Rule) -> bool {
@@ -82,8 +76,6 @@ mod tests {
         assert!(rule.matches(&[15, 5]));
         assert!(!rule.matches(&[15, 6]));
         assert!(!rule.matches(&[9, 5]));
-        assert!(rule.matches_dim(0, 10));
-        assert!(!rule.matches_dim(1, 4));
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Rule-set structure census.
 //!
 //! The ClassBench paper characterises rule-sets by per-field structure:
-//! prefix-length histograms, port-class mix, protocol census, wildcard
-//! fractions. This module computes the same census from any [`RuleSet`] —
-//! used by `nmctl inspect`, by tests that validate the generators against
-//! their target profiles, and handy when deciding whether NuevoMatch will
-//! accelerate a given rule-set (§3.7: look at diversity and overlap).
+//! port-class mix and protocol census among them. This module computes
+//! those two from any [`RuleSet`] — used by `nmctl inspect` and by tests
+//! that validate the generators against their target profiles.
 
 use crate::range::FieldRange;
 use crate::ruleset::RuleSet;
@@ -60,61 +58,6 @@ impl PortClassCensus {
     pub fn total(&self) -> usize {
         self.wildcard + self.high + self.low + self.exact + self.arbitrary
     }
-}
-
-/// Per-field structural summary.
-#[derive(Clone, Debug)]
-pub struct FieldStats {
-    /// Field name from the schema.
-    pub name: String,
-    /// Fraction of rules with a full wildcard in this field.
-    pub wildcard_fraction: f64,
-    /// Fraction with an exact value.
-    pub exact_fraction: f64,
-    /// Distinct ranges / rules (the §3.7 diversity metric).
-    pub diversity: f64,
-    /// Histogram of prefix lengths for prefix-shaped ranges (index =
-    /// length); non-prefix ranges are excluded.
-    pub prefix_hist: Vec<usize>,
-    /// Ranges that are not aligned prefix blocks.
-    pub non_prefix: usize,
-}
-
-/// Computes per-field statistics for the whole set.
-pub fn field_stats(set: &RuleSet) -> Vec<FieldStats> {
-    let n = set.len().max(1) as f64;
-    (0..set.num_fields())
-        .map(|d| {
-            let bits = set.spec().bits(d);
-            let mut wildcard = 0usize;
-            let mut exact = 0usize;
-            let mut prefix_hist = vec![0usize; bits as usize + 1];
-            let mut non_prefix = 0usize;
-            let mut distinct = std::collections::HashSet::new();
-            for rule in set.rules() {
-                let r = &rule.fields[d];
-                distinct.insert((r.lo, r.hi));
-                if r.is_wildcard(bits) {
-                    wildcard += 1;
-                }
-                if r.lo == r.hi {
-                    exact += 1;
-                }
-                match r.as_prefix(bits) {
-                    Some(len) => prefix_hist[len as usize] += 1,
-                    None => non_prefix += 1,
-                }
-            }
-            FieldStats {
-                name: set.spec().field(d).name.clone(),
-                wildcard_fraction: wildcard as f64 / n,
-                exact_fraction: exact as f64 / n,
-                diversity: distinct.len() as f64 / n,
-                prefix_hist,
-                non_prefix,
-            }
-        })
-        .collect()
 }
 
 /// Protocol census for a 5-tuple set (field 4): `(value, count)` sorted by
@@ -172,24 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn field_stats_histogram() {
-        let set = sample();
-        let stats = field_stats(&set);
-        assert_eq!(stats.len(), 5);
-        let src = &stats[0];
-        assert_eq!(src.name, "src-ip");
-        // One /8 prefix, four wildcards (= /0 prefixes).
-        assert_eq!(src.prefix_hist[8], 1);
-        assert_eq!(src.prefix_hist[0], 4);
-        assert!((src.wildcard_fraction - 0.8).abs() < 1e-9);
-        // Port field: 100-200 and 1024-65535 are not aligned prefix blocks
-        // (the latter has width 64512, not a power of two).
-        let dp = &stats[crate::fivetuple::DST_PORT];
-        assert_eq!(dp.non_prefix, 2);
-        assert!(dp.diversity > 0.9, "all port ranges distinct");
-    }
-
-    #[test]
     fn protocol_census_counts() {
         let set = sample();
         let census = protocol_census(&set, crate::fivetuple::PROTO);
@@ -202,7 +127,7 @@ mod tests {
     #[test]
     fn empty_set_is_fine() {
         let set = RuleSet::new(FieldsSpec::five_tuple(), vec![]).unwrap();
-        assert_eq!(field_stats(&set).len(), 5);
+        assert_eq!(PortClassCensus::of(&set, crate::fivetuple::DST_PORT).total(), 0);
         assert!(protocol_census(&set, 4).is_empty());
     }
 }

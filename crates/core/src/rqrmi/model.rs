@@ -99,11 +99,6 @@ impl RqRmi {
         idx
     }
 
-    /// Total number of submodels.
-    pub fn num_submodels(&self) -> usize {
-        self.nets.iter().map(Vec::len).sum()
-    }
-
     /// Bytes of model state: weights plus per-leaf error bounds — what the
     /// RQ-RMI contributes to the Figure 13 memory footprint.
     pub fn memory_bytes(&self) -> usize {
@@ -137,7 +132,6 @@ mod tests {
         assert!(m.memory_bytes() < 64 * 1024, "model is {} bytes", m.memory_bytes());
         assert_eq!(m.len(), 256);
         assert!(!m.is_empty());
-        assert!(m.num_submodels() >= 1);
     }
 
     #[test]

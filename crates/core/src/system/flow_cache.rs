@@ -8,24 +8,30 @@
 //! module implements that front so the claim can be measured
 //! (`cargo run -p nm-bench --release -- ablation`).
 //!
-//! The cache is a fixed-size, open-addressed, 2-way set-associative table
-//! keyed by the full field vector. Eviction is touch-ordered within the
-//! set (the older way is replaced). Updates invalidate by generation, two
-//! ways:
+//! Two pieces, split by who owns the state:
 //!
-//! * **automatically** — every probe compares the inner classifier's
-//!   [`Classifier::generation`] stamp against the one recorded at the last
-//!   probe; a bump (an applied `UpdateBatch`, a snapshot swap behind a
-//!   `ClassifierHandle`) invalidates the whole cache in O(1). This closes
-//!   the staleness hole where a cached verdict outlived a `remove()` of its
-//!   rule because the caller forgot the manual step;
-//! * **manually** — [`FlowCache::invalidate_all`] remains for rule changes
-//!   the generation stamp cannot see (e.g. an engine mutated through
-//!   interior paths that predate the stamp).
+//! * `FlowTable` — **the table**: a fixed-size, 2-way set-associative array
+//!   keyed by the full field vector, touch-ordered eviction within the set,
+//!   its hit/miss counters. A plain `&mut self` struct that classifies
+//!   nothing itself; its two halves are `probe` (resolve the hits of a
+//!   batch, list the misses) and `install` (file the misses' fresh
+//!   verdicts). A runtime worker owns one outright — one thread, no lock —
+//!   with the batch's pin as the source of truth
+//!   ([`crate::system::runtime`]).
+//! * [`FlowCache`] — **the wrapper**: a table behind the one `Mutex` that
+//!   lets it implement [`Classifier`] (`&self`) over any inner engine. It
+//!   locks once to probe and once to install, and classifies the misses
+//!   *between* the two, outside the lock.
 //!
-//! Stale entries die lazily on their next probe either way.
+//! Updates invalidate by generation: every probe is handed the source's
+//! [`Classifier::generation`] stamp and compares it against the one recorded
+//! at the last probe; a bump (an applied `UpdateBatch`, a snapshot swap
+//! behind a `ClassifierHandle`, a new epoch pinned by the runtime)
+//! invalidates the whole table in O(1), and stale entries die lazily on
+//! their next probe. Every `BatchUpdatable` engine in the workspace bumps
+//! its stamp, so there is no manual invalidation.
 
-use nm_common::classifier::{Classifier, MatchResult};
+use nm_common::classifier::{apply_floors, Classifier, MatchResult};
 use nm_common::rule::Priority;
 use nm_common::update::Generation;
 use parking_lot::Mutex;
@@ -55,7 +61,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Folds another cache's counters into this one — the runtime keeps one
-    /// private cache per worker (no shared cache line ping-pong) and
+    /// private table per worker (no shared cache line ping-pong) and
     /// aggregates their stats with this after a run.
     pub fn absorb(&mut self, other: CacheStats) {
         self.hits += other.hits;
@@ -73,64 +79,185 @@ impl CacheStats {
     }
 }
 
-/// An exact-match flow cache wrapping an inner classifier.
-///
-/// The wrapper itself implements [`Classifier`], so it can front NuevoMatch,
-/// TupleMerge, or anything else in the workspace. Interior mutability keeps
-/// `classify(&self)` signature intact; a `Mutex` per cache keeps this simple
-/// and correct. In a multi-worker datapath the cache shards per worker —
-/// exactly how OVS does it — which is what the worker runtime
-/// ([`crate::system::runtime`]) does: each worker owns a private
-/// `FlowCache` over its shard pin and the per-worker [`CacheStats`]
-/// aggregate through [`CacheStats::absorb`].
-pub struct FlowCache<C> {
-    inner: C,
-    sets: Mutex<CacheState>,
-    mask: usize,
-}
-
-struct CacheState {
+/// The cache's table: entries, generations, recency tick and counters.
+/// Owned by exactly one party at a time — a [`FlowCache`]'s mutex or a
+/// runtime worker — so every method takes `&mut self`.
+pub(crate) struct FlowTable {
     entries: Vec<Entry>,
+    mask: usize,
     generation: u64,
-    /// The inner classifier's [`Classifier::generation`] observed at the
-    /// last probe; a change invalidates every entry.
+    /// The source's [`Classifier::generation`] observed at the last probe;
+    /// a change invalidates every entry.
     source_generation: Generation,
     tick: u64,
     stats: CacheStats,
 }
 
-impl CacheState {
-    /// Folds the inner classifier's current stamp in, invalidating the
-    /// cache when the data plane moved underneath it. Strictly forward-only:
-    /// generations are monotone, so a smaller observed stamp is just a
-    /// reader that sampled before a concurrent bump — rolling back would
-    /// make two interleaved readers ping-pong whole-cache invalidations.
+impl FlowTable {
+    /// A table of at least `capacity` flows (rounded up to a power of two
+    /// of sets × 2 ways) over a source currently at `source_generation`.
+    pub(crate) fn new(capacity: usize, source_generation: Generation) -> Self {
+        let sets = (capacity.div_ceil(WAYS)).next_power_of_two().max(8);
+        let vacant = Entry { key: Vec::new(), verdict: None, generation: 0, stamp: 0 };
+        Self {
+            entries: vec![vacant; sets * WAYS],
+            mask: sets - 1,
+            generation: 1,
+            source_generation,
+            tick: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Hit/miss counters since construction.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let per =
+            std::mem::size_of::<Entry>() + self.entries.first().map_or(0, |e| e.key.capacity() * 8);
+        self.entries.len() * per
+    }
+
+    /// Index of the first way of `key`'s set.
+    fn base(&self, key: &[u64]) -> usize {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &v in key {
+            h ^= v;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        (h as usize & self.mask) * WAYS
+    }
+
+    /// Folds the source's current stamp in, invalidating the table when the
+    /// data plane moved underneath it. Strictly forward-only: generations
+    /// are monotone, so a smaller observed stamp is just a reader that
+    /// sampled before a concurrent bump — rolling back would make two
+    /// interleaved readers ping-pong whole-table invalidations.
     fn sync_source(&mut self, source: Generation) {
         if source > self.source_generation {
             self.source_generation = source;
             self.generation += 1;
         }
     }
+
+    /// First half of a cached lookup: resolves every key the table holds a
+    /// fresh verdict for into `out` and appends the indices of the rest to
+    /// `miss_idx`, for the caller to classify against the source it read
+    /// `source` from and hand to [`Self::install`].
+    pub(crate) fn probe(
+        &mut self,
+        source: Generation,
+        keys: &[u64],
+        stride: usize,
+        out: &mut [Option<MatchResult>],
+        miss_idx: &mut Vec<usize>,
+    ) {
+        self.sync_source(source);
+        let generation = self.generation;
+        for (i, verdict) in out.iter_mut().enumerate() {
+            let key = &keys[i * stride..(i + 1) * stride];
+            let base = self.base(key);
+            self.tick += 1;
+            let tick = self.tick;
+            let hit = self.entries[base..base + WAYS]
+                .iter_mut()
+                .find(|e| e.generation == generation && e.key == key);
+            match hit {
+                Some(e) => {
+                    e.stamp = tick;
+                    *verdict = e.verdict;
+                    self.stats.hits += 1;
+                }
+                None => {
+                    self.stats.misses += 1;
+                    miss_idx.push(i);
+                }
+            }
+        }
+    }
+
+    /// Second half: files `verdicts[j]` for key `miss_idx[j]`, evicting a
+    /// stale/vacant way or the least recently touched one — but only if the
+    /// source has not moved since the probe that read `source`: an update
+    /// in between could otherwise stamp these (possibly stale) verdicts into
+    /// the new generation. If a verdict is stale under the *old* generation
+    /// the next probe's sync invalidates it.
+    pub(crate) fn install(
+        &mut self,
+        source: Generation,
+        keys: &[u64],
+        stride: usize,
+        miss_idx: &[usize],
+        verdicts: &[Option<MatchResult>],
+    ) {
+        if self.source_generation != source {
+            return;
+        }
+        let (generation, tick) = (self.generation, self.tick);
+        for (&i, &verdict) in miss_idx.iter().zip(verdicts) {
+            let key = &keys[i * stride..(i + 1) * stride];
+            let base = self.base(key);
+            let victim = self.entries[base..base + WAYS]
+                .iter_mut()
+                .min_by_key(|e| {
+                    if e.generation != generation || e.key.is_empty() {
+                        (0, 0)
+                    } else {
+                        (1, e.stamp)
+                    }
+                })
+                .expect("ways > 0");
+            *victim = Entry { key: key.to_vec(), verdict, generation, stamp: tick };
+        }
+    }
+}
+
+/// The miss path between a [`FlowTable::probe`] and its
+/// [`FlowTable::install`]: gathers the keys at `miss_idx` into one
+/// contiguous buffer, runs `classify` over it once (the source's batched
+/// path), scatters the fresh verdicts into `out` and returns them.
+pub(crate) fn classify_misses(
+    keys: &[u64],
+    stride: usize,
+    miss_idx: &[usize],
+    out: &mut [Option<MatchResult>],
+    classify: impl FnOnce(&[u64], &mut [Option<MatchResult>]),
+) -> Vec<Option<MatchResult>> {
+    let mut miss_keys = Vec::with_capacity(miss_idx.len() * stride);
+    for &i in miss_idx {
+        miss_keys.extend_from_slice(&keys[i * stride..(i + 1) * stride]);
+    }
+    let mut verdicts = vec![None; miss_idx.len()];
+    classify(&miss_keys, &mut verdicts);
+    for (&i, &verdict) in miss_idx.iter().zip(&verdicts) {
+        out[i] = verdict;
+    }
+    verdicts
+}
+
+/// An exact-match flow cache wrapping an inner classifier.
+///
+/// The wrapper itself implements [`Classifier`], so it can front NuevoMatch,
+/// TupleMerge, or anything else in the workspace. Interior mutability keeps
+/// the `classify(&self)` signature intact: one `Mutex` around the table,
+/// never held while the inner engine classifies. In a multi-worker datapath
+/// the cache shards per worker — exactly how OVS does it — which the worker
+/// runtime ([`crate::system::runtime`]) does without this wrapper: each
+/// worker owns a table, and the per-worker [`CacheStats`] aggregate through
+/// [`CacheStats::absorb`].
+pub struct FlowCache<C> {
+    inner: C,
+    table: Mutex<FlowTable>,
 }
 
 impl<C: Classifier> FlowCache<C> {
     /// Wraps `inner` with a cache of at least `capacity` flows (rounded up
     /// to a power of two of sets × 2 ways).
     pub fn new(inner: C, capacity: usize) -> Self {
-        let sets = (capacity.div_ceil(WAYS)).next_power_of_two().max(8);
-        let vacant = Entry { key: Vec::new(), verdict: None, generation: 0, stamp: 0 };
-        let source_generation = inner.generation();
-        Self {
-            inner,
-            sets: Mutex::new(CacheState {
-                entries: vec![vacant; sets * WAYS],
-                generation: 1,
-                source_generation,
-                tick: 0,
-                stats: CacheStats::default(),
-            }),
-            mask: sets - 1,
-        }
+        let table = Mutex::new(FlowTable::new(capacity, inner.generation()));
+        Self { inner, table }
     }
 
     /// The wrapped classifier.
@@ -138,104 +265,42 @@ impl<C: Classifier> FlowCache<C> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped classifier.
-    ///
-    /// Rule changes applied through an engine that bumps
-    /// [`Classifier::generation`] (every `BatchUpdatable` in the workspace)
-    /// are picked up automatically on the next probe. Only mutations
-    /// invisible to the stamp still require a manual
-    /// [`FlowCache::invalidate_all`].
+    /// Mutable access to the wrapped classifier. Rule changes applied
+    /// through it bump [`Classifier::generation`] (every `BatchUpdatable`
+    /// in the workspace does) and are picked up on the next probe.
     pub fn inner_mut(&mut self) -> &mut C {
         &mut self.inner
     }
 
-    /// Drops every cached verdict in O(1) (generation bump).
-    pub fn invalidate_all(&self) {
-        self.sets.lock().generation += 1;
-    }
-
     /// Hit/miss counters since construction.
     pub fn stats(&self) -> CacheStats {
-        self.sets.lock().stats
-    }
-
-    fn hash_key(key: &[u64]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &v in key {
-            h ^= v;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
-
-    /// Installs `verdict` for `key` in the set at `base`, evicting a
-    /// stale/vacant way or the least recently touched one.
-    fn install(state: &mut CacheState, base: usize, key: &[u64], verdict: Option<MatchResult>) {
-        let tick = state.tick;
-        let generation = state.generation;
-        let victim = (0..WAYS)
-            .min_by_key(|&w| {
-                let e = &state.entries[base + w];
-                if e.generation != generation || e.key.is_empty() {
-                    (0, 0)
-                } else {
-                    (1, e.stamp)
-                }
-            })
-            .expect("ways > 0");
-        state.entries[base + victim] =
-            Entry { key: key.to_vec(), verdict, generation, stamp: tick };
+        self.table.lock().stats()
     }
 }
 
 impl<C: Classifier> Classifier for FlowCache<C> {
+    /// The batch of one, through the same probe and install; only the miss
+    /// goes to the inner engine's per-key path instead of its batched one.
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        let set = (Self::hash_key(key) as usize) & self.mask;
-        let base = set * WAYS;
         let source = self.inner.generation();
-        {
-            let mut state = self.sets.lock();
-            state.sync_source(source);
-            state.tick += 1;
-            let tick = state.tick;
-            let generation = state.generation;
-            for way in 0..WAYS {
-                let e = &mut state.entries[base + way];
-                if e.generation == generation && e.key == key {
-                    e.stamp = tick;
-                    let verdict = e.verdict;
-                    state.stats.hits += 1;
-                    return verdict;
-                }
-            }
-            state.stats.misses += 1;
+        let (mut out, mut miss_idx) = ([None], Vec::new());
+        self.table.lock().probe(source, key, key.len(), &mut out, &mut miss_idx);
+        if !miss_idx.is_empty() {
+            out[0] = self.inner.classify(key);
+            self.table.lock().install(source, key, key.len(), &miss_idx, &out);
         }
-        // Miss path: full lookup outside the lock (the classifier may be
-        // slow; holding the lock would serialise concurrent workers).
-        let verdict = self.inner.classify(key);
-        let mut state = self.sets.lock();
-        // Install only if the data plane has not moved since we probed: a
-        // concurrent update could otherwise stamp this (possibly stale)
-        // verdict into the new generation. If the verdict is stale under the
-        // *old* generation the next probe's sync invalidates it.
-        if state.source_generation == source {
-            Self::install(&mut state, base, key, verdict);
-        }
-        verdict
-    }
-
-    fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
-        self.classify(key).filter(|m| m.priority < floor)
+        out[0]
     }
 
     /// Batched probe: all hits resolve under one lock acquisition, the
     /// misses flow through the inner classifier's own `classify_batch` in a
-    /// single gathered call, and the fresh verdicts install under one more
-    /// lock acquisition. Verdicts are bit-identical to per-key `classify`
-    /// (a key duplicated inside one batch is classified once per duplicate
-    /// and both installs write the same entry). Caller floors filter the
-    /// cached (unfloored) verdicts at the end, exactly as the per-key
-    /// `classify(key).filter(p < floor)` dispatch does — the cache always
+    /// single gathered call outside the lock (the classifier may be slow;
+    /// holding it would serialise concurrent readers), and the fresh
+    /// verdicts install under one more acquisition. Verdicts are
+    /// bit-identical to the inner engine's (a key duplicated inside one
+    /// batch is classified once per duplicate and both installs write the
+    /// same entry). Caller floors filter at the end, exactly as the per-key
+    /// `classify(key).filter(p < floor)` dispatch does — the table always
     /// stores the unfloored verdict.
     fn batch_lookup(
         &self,
@@ -244,77 +309,20 @@ impl<C: Classifier> Classifier for FlowCache<C> {
         floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
     ) {
-        // Hash outside the lock, like the per-key path (holding it through
-        // the hash loop would serialise concurrent workers); the bases are
-        // reused by the install pass below.
-        let bases: Vec<usize> = keys
-            .chunks_exact(stride)
-            .map(|key| ((Self::hash_key(key) as usize) & self.mask) * WAYS)
-            .collect();
         let source = self.inner.generation();
-        let mut miss_idx: Vec<usize> = Vec::new();
-        {
-            let mut state = self.sets.lock();
-            state.sync_source(source);
-            for (i, key) in keys.chunks_exact(stride).enumerate() {
-                let base = bases[i];
-                state.tick += 1;
-                let tick = state.tick;
-                let generation = state.generation;
-                let mut hit = false;
-                for way in 0..WAYS {
-                    let e = &mut state.entries[base + way];
-                    if e.generation == generation && e.key == key {
-                        e.stamp = tick;
-                        out[i] = e.verdict;
-                        hit = true;
-                        break;
-                    }
-                }
-                if hit {
-                    state.stats.hits += 1;
-                } else {
-                    state.stats.misses += 1;
-                    miss_idx.push(i);
-                }
-            }
-        }
+        let mut miss_idx = Vec::new();
+        self.table.lock().probe(source, keys, stride, out, &mut miss_idx);
         if !miss_idx.is_empty() {
-            // Gather the missing keys into one contiguous buffer for the
-            // inner engine's batched path.
-            let mut miss_keys = Vec::with_capacity(miss_idx.len() * stride);
-            for &i in &miss_idx {
-                miss_keys.extend_from_slice(&keys[i * stride..(i + 1) * stride]);
-            }
-            let mut verdicts = vec![None; miss_idx.len()];
-            self.inner.classify_batch(&miss_keys, stride, &mut verdicts);
-            let mut state = self.sets.lock();
-            // Same install guard as the per-key path: never stamp verdicts
-            // from a superseded generation into a newer one.
-            let install = state.source_generation == source;
-            for (j, &i) in miss_idx.iter().enumerate() {
-                let key = &keys[i * stride..(i + 1) * stride];
-                out[i] = verdicts[j];
-                if install {
-                    Self::install(&mut state, bases[i], key, verdicts[j]);
-                }
-            }
+            let fresh = classify_misses(keys, stride, &miss_idx, out, |k, o| {
+                self.inner.classify_batch(k, stride, o)
+            });
+            self.table.lock().install(source, keys, stride, &miss_idx, &fresh);
         }
-        if let Some(f) = floors {
-            for i in 0..out.len() {
-                if f[i] != Priority::MAX {
-                    out[i] = out[i].filter(|m| m.priority < f[i]);
-                }
-            }
-        }
+        apply_floors(floors, out);
     }
 
     fn memory_bytes(&self) -> usize {
-        let state = self.sets.lock();
-        let entries = state.entries.len();
-        let per = std::mem::size_of::<Entry>()
-            + state.entries.first().map_or(0, |e| e.key.capacity() * 8);
-        self.inner.memory_bytes() + entries * per
+        self.inner.memory_bytes() + self.table.lock().memory_bytes()
     }
 
     fn name(&self) -> &'static str {
@@ -374,19 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_forces_misses() {
-        let c = engine();
-        let key = [1u64, 2, 3, 500, 6];
-        c.classify(&key);
-        c.classify(&key);
-        assert!(c.stats().hits >= 1);
-        c.invalidate_all();
-        let misses_before = c.stats().misses;
-        c.classify(&key);
-        assert_eq!(c.stats().misses, misses_before + 1);
-    }
-
-    #[test]
     fn hot_flow_hit_rate_is_high() {
         let c = engine();
         // 10 hot flows, 10K probes.
@@ -417,17 +412,45 @@ mod tests {
     }
 
     #[test]
+    fn per_key_batch_of_one_and_batch_of_many_agree() {
+        // One probe and one install serve all three shapes: the same key
+        // sequence must produce the inner engine's verdicts and the same
+        // counters whichever way it is fed.
+        let keys: Vec<u64> = (0..200u64).flat_map(|i| [1, 2, 3, (i % 70) * 151, 6]).collect();
+        let n = keys.len() / 5;
+        let want: Vec<_> = keys.chunks_exact(5).map(|k| engine().inner().classify(k)).collect();
+        let per_key = engine();
+        let got: Vec<_> = keys.chunks_exact(5).map(|k| per_key.classify(k)).collect();
+        assert_eq!(got, want, "per key");
+        let ones = engine();
+        for (i, k) in keys.chunks_exact(5).enumerate() {
+            let mut out = [None];
+            ones.classify_batch(k, 5, &mut out);
+            assert_eq!(out[0], want[i], "batch of one, packet {i}");
+        }
+        let many = engine();
+        let mut out = vec![None; n];
+        many.classify_batch(&keys, 5, &mut out);
+        assert_eq!(out, want, "batch of many");
+        let total = |c: &FlowCache<LinearSearch>| c.stats().hits + c.stats().misses;
+        assert_eq!((total(&per_key), total(&ones), total(&many)), (n as u64, n as u64, n as u64));
+        // Fed one at a time a repeat hits the entry its first sight filed;
+        // inside one batch every repeat is probed before anything installs.
+        assert_eq!((per_key.stats().misses, ones.stats().misses), (70, 70));
+        assert_eq!(many.stats().misses, n as u64);
+    }
+
+    #[test]
     fn remove_invalidates_cached_verdict() {
         // Regression: a cached verdict used to survive a `remove()` of its
-        // rule unless the caller remembered to call `invalidate_all`. The
-        // generation sync must now catch it on the next probe.
+        // rule. The generation sync is the only invalidation there is, so it
+        // must catch it on the next probe.
         use nm_common::{BatchUpdatable, UpdateBatch};
         let mut c = engine();
         let key = [1u64, 2, 3, 550, 6]; // rule 5
         assert_eq!(c.classify(&key).unwrap().rule, 5);
         assert_eq!(c.classify(&key).unwrap().rule, 5); // cached
         c.inner_mut().apply(&UpdateBatch::new().remove(5));
-        // No manual invalidate_all: the stale verdict must still die.
         assert_eq!(c.classify(&key), None, "cached verdict survived its rule's removal");
         // And the batched probe path must agree.
         c.inner_mut().apply(&UpdateBatch::new().remove(6));

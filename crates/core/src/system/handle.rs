@@ -33,6 +33,9 @@
 //! generation. A batch is therefore **atomic**: readers observe all of it or
 //! none of it.
 //!
+//! Every handle is built with its retrain recipe — the build parameters
+//! and the remainder [`EngineBuilder`] — so every handle can retrain; there
+//! is no serve-only state.
 //! Retraining pins a snapshot under the control lock — the rule truth is
 //! whatever that snapshot serves ([`NuevoMatch::live_rules`]); the handle
 //! keeps no second copy of the rules — trains *without* the lock (readers
@@ -70,7 +73,7 @@ struct RetrainRecipe<R> {
 
 /// Control-plane state, touched only by writers (apply / retrain).
 struct Control<R> {
-    recipe: Option<RetrainRecipe<R>>,
+    recipe: RetrainRecipe<R>,
     /// Ops applied while a retrain is in flight; replayed onto the fresh
     /// classifier before it is published.
     pending: Vec<UpdateOp>,
@@ -165,22 +168,10 @@ impl<R: Classifier> ClassifierHandle<R> {
     {
         let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
         let nm = NuevoMatch::build(set, cfg, builder.clone())?;
-        Ok(Self::assemble(nm, 1, Some(RetrainRecipe { cfg: cfg.clone(), builder })))
+        Ok(Self::assemble(nm, 1, RetrainRecipe { cfg: cfg.clone(), builder }))
     }
 
-    /// Wraps an already-built classifier in a read/serve-only handle:
-    /// snapshots, generation tracking, updates and the parallel runtime all
-    /// work, but no builder is retained, so [`ClassifierHandle::retrain`]
-    /// reports an error.
-    pub fn read_only(nm: NuevoMatch<R>) -> Self {
-        Self::assemble(nm, 1, None)
-    }
-
-    fn assemble(
-        nm: NuevoMatch<R>,
-        generation: Generation,
-        recipe: Option<RetrainRecipe<R>>,
-    ) -> Self {
+    fn assemble(nm: NuevoMatch<R>, generation: Generation, recipe: RetrainRecipe<R>) -> Self {
         Self {
             shared: Arc::new(Shared {
                 cell: Published::new(nm, generation, Control { recipe, pending: Vec::new() }),
@@ -234,7 +225,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     {
         let (nm, generation) = crate::persist::load_snapshot(data, &builder)?;
         let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
-        Ok(Self::assemble(nm, generation.max(1), Some(RetrainRecipe { cfg: cfg.clone(), builder })))
+        Ok(Self::assemble(nm, generation.max(1), RetrainRecipe { cfg: cfg.clone(), builder }))
     }
 
     /// Serialises the live snapshot (see [`crate::persist::save_snapshot`]);
@@ -288,16 +279,9 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// published snapshot serves exactly the current rule truth; the two
     /// paths are verdict-equivalent.
     ///
-    /// Errors if the handle was built [`ClassifierHandle::read_only`], if a
-    /// retrain is already in flight, or if training fails.
+    /// Errors if a retrain is already in flight or if training fails.
     pub fn retrain(&self) -> Result<Generation, Error> {
-        let partial_enabled = {
-            let ctl = self.shared.cell.write();
-            match ctl.recipe.as_ref() {
-                Some(recipe) => recipe.cfg.partial_retrain.enabled,
-                None => false, // retrain_full reports the read-only error
-            }
-        };
+        let partial_enabled = self.shared.cell.write().recipe.cfg.partial_retrain.enabled;
         if partial_enabled {
             // A gate error falls back to the full rebuild; an "in flight"
             // error resurfaces there unchanged (the flag is still set).
@@ -318,11 +302,11 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// by the measured partial/full latency ratio.
     ///
     /// Errors — **without** falling back — when the policy gates refuse
-    /// (use [`ClassifierHandle::retrain`] for automatic fallback), when the
-    /// handle is read-only, or when a retrain is already in flight.
+    /// (use [`ClassifierHandle::retrain`] for automatic fallback) or when a
+    /// retrain is already in flight.
     pub fn retrain_partial(&self) -> Result<Generation, Error> {
         let _in_flight = InFlight::begin(&self.shared, "retrain_partial")?;
-        let (pinned, recipe) = self.pin_for_retrain("retrain_partial")?;
+        let (pinned, recipe) = self.pin_for_retrain();
         // Patch: leaf-level work, no locks held.
         let (fresh, _report) = pinned.engine().partial_retrain(&recipe.cfg)?;
         let generation = self.publish_retrained(fresh);
@@ -337,11 +321,10 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// replayed onto the fresh classifier before it publishes) and readers
     /// never block. Returns the published generation.
     ///
-    /// Errors if the handle was built [`ClassifierHandle::read_only`], if a
-    /// retrain is already in flight, or if training fails.
+    /// Errors if a retrain is already in flight or if training fails.
     pub fn retrain_full(&self) -> Result<Generation, Error> {
         let _in_flight = InFlight::begin(&self.shared, "retrain")?;
-        let (pinned, recipe) = self.pin_for_retrain("retrain")?;
+        let (pinned, recipe) = self.pin_for_retrain();
         // Train: the long pole, executed with no locks held. Rebuild in
         // priority order, not export order: engines whose build is
         // insertion-order-sensitive (TupleMerge's table formation) degrade
@@ -358,13 +341,10 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// What either retrain path works from — the live snapshot and the
     /// recipe — taken under the lock, so no batch lands between the
     /// pending-queue reset and the pin.
-    fn pin_for_retrain(&self, what: &str) -> Result<(Arc<NmSnapshot<R>>, RetrainRecipe<R>), Error> {
+    fn pin_for_retrain(&self) -> (Arc<NmSnapshot<R>>, RetrainRecipe<R>) {
         let mut ctl = self.shared.cell.write();
-        let recipe = ctl.recipe.clone().ok_or_else(|| Error::Build {
-            msg: format!("ClassifierHandle::{what}: read-only handle (no retrain recipe retained)"),
-        })?;
         ctl.pending.clear();
-        Ok((self.snapshot(), recipe))
+        (self.snapshot(), ctl.recipe.clone())
     }
 
     /// Replays what arrived while `fresh` was in the making, then swaps it
@@ -778,18 +758,6 @@ mod tests {
             let key = [0, 0, 0, port, 0];
             assert_eq!(h.classify(&key), oracle.classify(&key), "port {port}");
         }
-    }
-
-    #[test]
-    fn read_only_handle_serves_but_refuses_retrain() {
-        let set = port_set(100);
-        let nm = NuevoMatch::build(&set, &fast_cfg(), LinearSearch::build).unwrap();
-        let h = ClassifierHandle::read_only(nm);
-        assert_eq!(h.classify(&[0, 0, 0, 550, 0]).unwrap().rule, 5);
-        assert!(h.retrain().is_err());
-        // Updates still work; only retrains need the builder.
-        h.apply(&UpdateBatch::new().remove(5));
-        assert_eq!(h.classify(&[0, 0, 0, 550, 0]), None);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use nm_common::prefetch::prefetch_index;
 
-use nm_common::classifier::{Classifier, MatchResult};
+use nm_common::classifier::{apply_floors, Classifier, MatchResult};
 use nm_common::rule::{Priority, Rule, RuleId};
 use nm_common::ruleset::{FieldsSpec, RuleSet};
 use nm_common::update::{EngineBuilder, Generation};
@@ -899,13 +899,7 @@ impl<R: Classifier> Classifier for NuevoMatch<R> {
             }
             base += m;
         }
-        if let Some(f) = caller_floors {
-            for i in 0..out.len() {
-                if f[i] != Priority::MAX {
-                    out[i] = out[i].filter(|m| m.priority < f[i]);
-                }
-            }
-        }
+        apply_floors(caller_floors, out);
     }
 
     fn memory_bytes(&self) -> usize {

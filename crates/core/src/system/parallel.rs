@@ -10,7 +10,8 @@ use nm_common::packet::TraceBuf;
 
 use super::runtime::{fold_checksum, RunStats};
 
-/// Default batch size from the paper.
+/// The paper's §5.1 classification batch of 128 — the reference loops'
+/// default and [`RuntimeConfig`](crate::system::runtime::RuntimeConfig)'s.
 pub const BATCH: usize = 128;
 
 /// The reference loops' result: one shard on the caller's thread.
@@ -72,7 +73,6 @@ mod tests {
     use super::*;
     use crate::config::{NuevoMatchConfig, RqRmiParams};
     use crate::system::handle::ClassifierHandle;
-    use crate::system::runtime::{Replicated, Runtime, RuntimeConfig, SplitPlan};
     use nm_common::{FieldsSpec, FiveTuple, LinearSearch, RuleSet};
 
     fn setup() -> (ClassifierHandle<LinearSearch>, TraceBuf) {
@@ -106,42 +106,6 @@ mod tests {
         }
     }
 
-    fn rt(batch: usize) -> Runtime {
-        Runtime::new(RuntimeConfig { batch, ..Default::default() })
-    }
-
-    #[test]
-    fn split_runtime_matches_sequential() {
-        let (nm, trace) = setup();
-        let seq = run_sequential(&nm, &trace);
-        let par = rt(128).run(&SplitPlan::new(&nm), &trace).unwrap();
-        assert_eq!(seq.checksum, par.checksum);
-        assert!(par.pps > 0.0);
-        assert!(par.mean_batch_latency_ns > 0.0);
-    }
-
-    #[test]
-    fn replicated_runtime_matches_sequential_at_any_width() {
-        let (nm, trace) = setup();
-        let seq = run_sequential(&nm, &trace);
-        // The plan-based runtime merges in trace order: the checksum is
-        // comparable at every thread count, not only at one.
-        for threads in [1usize, 2] {
-            let rep = rt(128).run(&Replicated::new(&nm, threads), &trace).unwrap();
-            assert_eq!(rep.checksum, seq.checksum, "threads {threads}");
-            assert!(rep.pps > 0.0);
-        }
-    }
-
-    #[test]
-    fn empty_trace() {
-        let (nm, _) = setup();
-        let empty = TraceBuf::new(5);
-        let s = rt(128).run(&SplitPlan::new(&nm), &empty).unwrap();
-        assert_eq!(s.checksum, 0);
-        assert_eq!(rt(128).run(&Replicated::new(&nm, 2), &empty).unwrap().checksum, 0);
-    }
-
     #[test]
     fn two_workers_survive_concurrent_updates_and_retrain() {
         // A run under live control-plane traffic must complete (readers
@@ -149,6 +113,7 @@ mod tests {
         // generation pinning means the run equals *some* interleaving of
         // the update stream, so we assert structural health, not a fixed
         // checksum.
+        use crate::system::runtime::{Runtime, RuntimeConfig, SplitPlan};
         use nm_common::{FiveTuple, UpdateBatch};
         use std::sync::atomic::{AtomicBool, Ordering};
         /// Stops the writer however the scope's main closure leaves —
@@ -161,6 +126,7 @@ mod tests {
             }
         }
         let (handle, trace) = setup();
+        let rt = Runtime::new(RuntimeConfig::default());
         let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -181,10 +147,19 @@ mod tests {
             });
             let _stop = StopOnDrop(&done);
             for _ in 0..5 {
-                let s = rt(128).run(&SplitPlan::new(&handle), &trace).unwrap();
+                let s = rt.run(&SplitPlan::new(&handle), &trace).unwrap();
                 assert!(s.pps > 0.0);
             }
         });
         assert!(handle.generation() > 1, "updates must have published");
+    }
+
+    #[test]
+    fn empty_trace() {
+        let (nm, _) = setup();
+        let empty = TraceBuf::new(5);
+        for stats in [run_sequential(&nm, &empty), run_batched(&nm, &empty, BATCH)] {
+            assert_eq!((stats.checksum, stats.batches, stats.pps), (0, 0, 0.0));
+        }
     }
 }

@@ -245,7 +245,7 @@ mod tests {
         // Rule 7 moves to a range overlapping live rule 10 — it cannot
         // rejoin the iSet and must stay in the remainder.
         let clash = FiveTuple::new().dst_port_range(1_000, 1_050).into_rule(7, 7);
-        assert!(nm.modify(clash));
+        assert_eq!(nm.apply(&UpdateBatch::new().modify(clash)).replaced, 1);
         let before: Vec<_> =
             (0u64..22_000).step_by(13).map(|p| nm.classify(&[0, 0, 0, p, 0])).collect();
         let (fresh, report) = nm.partial_retrain(&c).unwrap();
@@ -262,7 +262,7 @@ mod tests {
         let c = cfg(PartialRetrainPolicy::always());
         let mut nm = NuevoMatch::build(&set, &c, LinearSearch::build).unwrap();
         let clash = FiveTuple::new().dst_port_range(2_000, 2_050).into_rule(9, 9);
-        assert!(nm.modify(clash));
+        assert_eq!(nm.apply(&UpdateBatch::new().modify(clash)).replaced, 1);
         // With a yield floor, the same drift is refused (fallback to full).
         let strict = cfg(PartialRetrainPolicy {
             enabled: true,

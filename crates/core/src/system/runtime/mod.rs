@@ -3,28 +3,42 @@
 //!
 //! The runtime splits parallel execution along explicit axes:
 //!
-//! * **A plan** decides what each worker group serves. Every execution mode
-//!   is a [`ShardedDataPlane`]: [`ShardedClassifier`] — and
-//!   [`ShardedHandle`], which publishes the same plane over live snapshots —
-//!   steers packets to per-shard rule subsets (range cuts on a steering
-//!   field, wildcard-heavy rules in a broadcast shard), [`Replicated`] is N
-//!   whole-set shards dealt batches round-robin (the §5.1 baseline mode),
-//!   and [`SplitPlan`] is NuevoMatch's iSet/remainder split (the paper's
-//!   two-worker mode) expressed as two mirrored stages.
+//! * **A plan** decides what each worker group serves — how many shards,
+//!   where a packet steers, and what shard `s` computes from the batch's
+//!   pin ([`ShardedDataPlane::classify_shard`]). Every execution mode is a
+//!   [`ShardedDataPlane`]: [`ShardedClassifier`] — and [`ShardedHandle`],
+//!   which publishes the same plane over live snapshots — steers packets to
+//!   per-shard rule subsets (range cuts on a steering field, wildcard-heavy
+//!   rules in a broadcast shard), [`Replicated`] is N whole-set shards dealt
+//!   batches round-robin (the §5.1 baseline mode), and [`SplitPlan`] is
+//!   NuevoMatch's iSet/remainder split (the paper's two-worker mode)
+//!   expressed as two mirrored stages.
 //! * **A dispatcher** (the calling thread) pins one coherent generation per
-//!   batch (a [`PinnedPlane`] — the same pin the serve front-end flushes
-//!   into: an `Arc` of a published snapshot for the live planes, a plain
-//!   reference for the immutable ones), steers the batch, keeps
-//!   [`RuntimeConfig::pipeline_depth`]
+//!   batch, steers the batch, keeps [`RuntimeConfig::pipeline_depth`]
 //!   batches in flight — tracked in a small in-flight ring, not a
 //!   trace-length array — and merges per-shard verdicts by priority in
 //!   trace order, so the checksum equals [`run_sequential`] by
-//!   construction.
+//!   construction. The pin is a plain [`PinnedPlane`] — the very type the
+//!   serve front-end flushes into, with no per-shard knowledge of its own:
+//!   an `Arc` of a published snapshot for the live planes (the *same*
+//!   `Arc<NmSnapshot>` whether [`Replicated`] runs it whole or
+//!   [`SplitPlan`] runs its halves), a plain reference for the immutable
+//!   ones. No plan needs a pin type of its own.
 //! * **Workers** (`shards × workers_per_shard` threads) classify gathered
-//!   sub-batches against the pinned generation, each with its *own*
-//!   [`FlowCache`] (when enabled) — no shared cache line ping-pong — and
-//!   pinned to a CPU of their shard's NUMA node when the
-//!   [`Topology`] offers more than one CPU.
+//!   sub-batches against the pinned generation through the plan, each
+//!   owning — when enabled — a private flow-cache table it probes with the
+//!   pin's generation and fills from the plan's shard lookup: no lock, no
+//!   shared cache line ping-pong. Workers pin to a CPU of their shard's
+//!   NUMA node when the [`Topology`] offers more than one CPU.
+//!
+//! **What a batch costs beyond its lookups** is one wake-up: a dispatcher
+//! parked in the result channel's `recv` is woken through a futex once per
+//! batch (12–16 µs on a 2-vCPU VM, ≈ 90 ns/pkt at batch 128 — not the
+//! channel's queue, the merge or the allocations). When the machine has a
+//! CPU left over for the dispatcher it therefore polls the channel a
+//! bounded number of times before parking; when every CPU already carries a
+//! worker it parks at once, because polling would take a worker's time
+//! slice.
 //!
 //! Worker failures propagate: a panicking worker is caught, reported
 //! through the result channel, and surfaces as an `Err` from
@@ -49,20 +63,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel;
-use parking_lot::Mutex;
 
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::packet::TraceBuf;
-use nm_common::rule::Priority;
 use nm_common::update::Generation;
 use nm_common::Error;
 
-use super::flow_cache::{CacheStats, FlowCache};
+use super::flow_cache::{classify_misses, CacheStats, FlowTable};
 use super::handle::{ClassifierHandle, NmSnapshot};
+use super::parallel::BATCH;
 use super::serve::plane::PinnedPlane;
-
-/// Default classification batch (the paper's §5.1 batch of 128).
-pub const DEFAULT_BATCH: usize = 128;
 
 /// Default number of batches the dispatcher keeps in flight.
 pub const DEFAULT_PIPELINE_DEPTH: usize = 4;
@@ -92,7 +102,7 @@ pub struct RuntimeConfig {
     pub workers_per_shard: usize,
     /// CPU pinning policy.
     pub pin: PinPolicy,
-    /// Capacity of each worker's private [`FlowCache`]; `0` disables
+    /// Capacity of each worker's private flow-cache table; `0` disables
     /// caching (the right setting for uniform traces — caches only pay for
     /// themselves on skewed traffic).
     pub flow_cache: usize,
@@ -101,7 +111,7 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
-            batch: DEFAULT_BATCH,
+            batch: BATCH,
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             workers_per_shard: 1,
             pin: PinPolicy::Numa,
@@ -172,12 +182,13 @@ pub(crate) fn fold_checksum(checksum: &mut u64, m: Option<MatchResult>) {
 }
 
 /// An execution plan the runtime can drive: how many worker groups exist,
-/// how packets map onto them, and how to pin a coherent generation.
+/// how packets map onto them, how to pin a coherent generation, and what
+/// each shard computes from that pin.
 pub trait ShardedDataPlane: Sync {
-    /// The per-batch pin: every shard it exposes (through
-    /// [`PinnedPlane::classify_shard`]) serves the same logical generation
-    /// for as long as it is held. Cloned into worker jobs, so cloning must
-    /// be cheap (a reference or an `Arc` bump).
+    /// The per-batch pin: every shard served from it (through
+    /// [`Self::classify_shard`]) sees the same logical generation for as
+    /// long as it is held. Cloned into worker jobs, so cloning must be
+    /// cheap (a reference or an `Arc` bump).
     type Pin<'p>: PinnedPlane + Clone
     where
         Self: 'p;
@@ -202,10 +213,26 @@ pub trait ShardedDataPlane: Sync {
 
     /// Pins the current generation across all shards.
     fn pin(&self) -> Self::Pin<'_>;
+
+    /// Classifies a gathered sub-batch as shard `shard` of this plan sees
+    /// it — including any broadcast-shard merge, so the runtime's priority
+    /// merge over shards yields final verdicts. Plans whose every shard
+    /// serves the whole set keep the default.
+    fn classify_shard<'p>(
+        pin: &Self::Pin<'p>,
+        _shard: usize,
+        keys: &[u64],
+        stride: usize,
+        out: &mut [Option<MatchResult>],
+    ) where
+        Self: 'p,
+    {
+        pin.classify_batch(keys, stride, out);
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Legacy modes as plans
+// The paper's two §5.1 modes as plans
 // ---------------------------------------------------------------------------
 
 /// The §5.1 replicated baseline as a plan: `workers` whole-set shards
@@ -268,42 +295,11 @@ impl<'h, R: Classifier> SplitPlan<'h, R> {
     }
 }
 
-/// Pin over a [`SplitPlan`] — one NuevoMatch snapshot shared by both
-/// stages, so a batch's halves can never straddle an update.
-pub struct SplitPin<R: Classifier>(Arc<NmSnapshot<R>>);
-
-impl<R: Classifier> Clone for SplitPin<R> {
-    fn clone(&self) -> Self {
-        SplitPin(self.0.clone())
-    }
-}
-
-impl<R: Classifier> PinnedPlane for SplitPin<R> {
-    fn generation(&self) -> Generation {
-        self.0.generation()
-    }
-
-    fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
-        self.0.engine().classify_batch(keys, stride, out);
-    }
-
-    fn classify_shard(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        match shard {
-            0 => self.0.engine().classify_isets_batch(keys, stride, out),
-            _ => self.0.engine().remainder().classify_batch(keys, stride, out),
-        }
-    }
-}
-
 impl<R: Classifier> ShardedDataPlane for SplitPlan<'_, R> {
+    /// One NuevoMatch snapshot shared by both stages, so a batch's halves
+    /// can never straddle an update.
     type Pin<'p>
-        = SplitPin<R>
+        = Arc<NmSnapshot<R>>
     where
         Self: 'p;
 
@@ -316,76 +312,22 @@ impl<R: Classifier> ShardedDataPlane for SplitPlan<'_, R> {
     }
 
     fn pin(&self) -> Self::Pin<'_> {
-        SplitPin(self.handle.snapshot())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-worker flow-cache adapter
-// ---------------------------------------------------------------------------
-
-/// Adapter that lets a worker's private [`FlowCache`] front its shard: the
-/// worker swaps the current pin in before each batch, and the cache's
-/// generation probe sees the pinned logical generation — so an epoch swap
-/// invalidates the cache exactly like any other update.
-struct PinView<P> {
-    shard: usize,
-    pin: Mutex<Option<P>>,
-}
-
-impl<P> PinView<P> {
-    fn new(shard: usize) -> Self {
-        Self { shard, pin: Mutex::new(None) }
+        self.handle.snapshot()
     }
 
-    fn set(&self, pin: P) {
-        *self.pin.lock() = Some(pin);
-    }
-}
-
-impl<P: PinnedPlane> Classifier for PinView<P> {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        let guard = self.pin.lock();
-        // A pin is always set before workers run; a missing one means the
-        // view is still warming up, so report "no match" rather than panic.
-        let pin = guard.as_ref()?;
-        let mut out = [None];
-        pin.classify_shard(self.shard, key, key.len(), &mut out);
-        out[0]
-    }
-
-    fn batch_lookup(
-        &self,
+    fn classify_shard<'p>(
+        pin: &Self::Pin<'p>,
+        shard: usize,
         keys: &[u64],
         stride: usize,
-        floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
-    ) {
-        {
-            let guard = self.pin.lock();
-            match guard.as_ref() {
-                Some(pin) => pin.classify_shard(self.shard, keys, stride, out),
-                // As in `classify`: an unset pin yields no matches.
-                None => out.fill(None),
-            }
+    ) where
+        Self: 'p,
+    {
+        match shard {
+            0 => pin.engine().classify_isets_batch(keys, stride, out),
+            _ => pin.engine().remainder().classify_batch(keys, stride, out),
         }
-        sharded::apply_floors(floors, out);
-    }
-
-    fn generation(&self) -> Generation {
-        self.pin.lock().as_ref().map_or(0, PinnedPlane::generation)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        0
-    }
-
-    fn name(&self) -> &'static str {
-        "shard-pin"
-    }
-
-    fn num_rules(&self) -> usize {
-        0
     }
 }
 
@@ -427,16 +369,6 @@ impl Runtime {
         Self { cfg, topo: Topology::discover() }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.cfg
-    }
-
-    /// The machine shape workers schedule over.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Executes `src` over the trace: steer → per-shard workers → in-order
     /// priority merge. Returns an error if any worker fails (panics are
     /// caught and reported, not deadlocked on).
@@ -454,6 +386,9 @@ impl Runtime {
         let stride = trace.stride();
         let raw = trace.raw();
         let flow_cap = self.cfg.flow_cache;
+        // A CPU left over for the dispatcher: it may poll for results
+        // instead of paying a futex wake per batch (module docs).
+        let spare_cpu = self.topo.num_cpus() > shards * wps;
         let grid = match self.cfg.pin {
             PinPolicy::Never => Vec::new(),
             PinPolicy::Numa => self.topo.assign(shards, wps),
@@ -480,9 +415,8 @@ impl Runtime {
                     let rx = rx.clone();
                     let tx = res_tx.clone();
                     let cpu = grid.get(s).and_then(|row| row.get(w)).copied();
-                    joins.push(
-                        scope.spawn(move || worker_loop(s, cpu, rx, tx, raw, stride, flow_cap)),
-                    );
+                    let worker = move || worker_loop::<S>(s, cpu, rx, tx, raw, stride, flow_cap);
+                    joins.push(scope.spawn(worker));
                 }
             }
             drop(res_tx);
@@ -556,7 +490,7 @@ impl Runtime {
                     }
                     next += 1;
                 }
-                match res_rx.recv() {
+                match recv_chunk(&res_rx, spare_cpu) {
                     Err(_) => {
                         error = Some(Error::Build {
                             msg: "runtime: every worker exited before the run finished".into(),
@@ -629,21 +563,43 @@ impl Runtime {
     }
 }
 
+/// How often the dispatcher polls the result channel before parking in it.
+const RESULT_POLLS: usize = 256;
+
+/// The dispatcher's receive: with a CPU to spare, poll (yielding between
+/// tries) before falling back to the blocking `recv` whose wake-up costs
+/// more than a batch's lookups; without one, park at once.
+fn recv_chunk<T>(rx: &channel::Receiver<T>, spare_cpu: bool) -> Result<T, channel::RecvError> {
+    if spare_cpu {
+        for _ in 0..RESULT_POLLS {
+            match rx.try_recv() {
+                Ok(chunk) => return Ok(chunk),
+                Err(channel::TryRecvError::Disconnected) => break,
+                Err(channel::TryRecvError::Empty) => std::thread::yield_now(),
+            }
+        }
+    }
+    rx.recv()
+}
+
 /// One worker thread: optionally pin, then serve jobs until the dispatcher
 /// hangs up. Panics inside a job are caught and reported as an error chunk
 /// so the dispatcher can fail the run instead of blocking forever.
-fn worker_loop<P: PinnedPlane + Clone>(
+fn worker_loop<'p, S: ShardedDataPlane + 'p>(
     shard: usize,
     cpu: Option<usize>,
-    rx: channel::Receiver<Job<P>>,
+    rx: channel::Receiver<Job<S::Pin<'p>>>,
     tx: channel::Sender<Result<Chunk, String>>,
     raw: &[u64],
     stride: usize,
     flow_cap: usize,
 ) -> (CacheStats, bool) {
     let pinned = cpu.is_some_and(pin_current_thread);
-    let cache = (flow_cap > 0).then(|| FlowCache::new(PinView::<P>::new(shard), flow_cap));
+    // The worker's own table: the pin's generation is the source stamp, so
+    // an epoch swap invalidates it exactly like any other update.
+    let mut cache = (flow_cap > 0).then(|| FlowTable::new(flow_cap, 0));
     let mut buf: Vec<u64> = Vec::new();
+    let mut miss_idx: Vec<usize> = Vec::new();
     for job in rx.iter() {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // Mirrored and round-robin plans always steer a contiguous run
@@ -660,12 +616,20 @@ fn worker_loop<P: PinnedPlane + Clone>(
                 &buf
             };
             let mut verdicts = vec![None; job.idx.len()];
-            match &cache {
-                Some(c) => {
-                    c.inner().set(job.pin.clone());
-                    c.classify_batch(keys, stride, &mut verdicts);
+            match &mut cache {
+                Some(table) => {
+                    let source = job.pin.generation();
+                    miss_idx.clear();
+                    table.probe(source, keys, stride, &mut verdicts, &mut miss_idx);
+                    if !miss_idx.is_empty() {
+                        let fresh =
+                            classify_misses(keys, stride, &miss_idx, &mut verdicts, |k, o| {
+                                S::classify_shard(&job.pin, shard, k, stride, o)
+                            });
+                        table.install(source, keys, stride, &miss_idx, &fresh);
+                    }
                 }
-                None => job.pin.classify_shard(shard, keys, stride, &mut verdicts),
+                None => S::classify_shard(&job.pin, shard, keys, stride, &mut verdicts),
             }
             verdicts
         }));
@@ -685,7 +649,7 @@ fn worker_loop<P: PinnedPlane + Clone>(
             break;
         }
     }
-    (cache.map(|c| c.stats()).unwrap_or_default(), pinned)
+    (cache.map(|table| table.stats()).unwrap_or_default(), pinned)
 }
 
 #[cfg(test)]
@@ -694,7 +658,7 @@ mod tests {
     use crate::config::{NuevoMatchConfig, RqRmiParams};
     use crate::system::parallel::run_sequential;
     use nm_common::shard::ShardPlanConfig;
-    use nm_common::{FieldsSpec, FiveTuple, LinearSearch, RuleSet};
+    use nm_common::{FieldsSpec, FiveTuple, LinearSearch, RuleSet, UpdateBatch};
 
     fn port_set(n: u16) -> RuleSet {
         let rules: Vec<_> = (0..n)
@@ -778,28 +742,44 @@ mod tests {
     #[test]
     fn per_worker_flow_cache_is_transparent() {
         let set = port_set(120);
-        let sharded = ShardedHandle::new(
-            &set,
-            &fast_cfg(),
-            &ShardPlanConfig { shards: 2, dim: Some(3) },
-            LinearSearch::build,
-        )
-        .unwrap();
+        let plan_cfg = ShardPlanConfig { shards: 2, dim: Some(3) };
+        let sharded =
+            ShardedHandle::new(&set, &fast_cfg(), &plan_cfg, LinearSearch::build).unwrap();
+        let handle = ClassifierHandle::new(&set, &fast_cfg(), LinearSearch::build).unwrap();
         // A skewed trace: few distinct keys, many repeats.
         let mut t = TraceBuf::new(5);
         for i in 0..4_000u64 {
             let flow = i % 16;
             t.push(&[9, 9, 9, flow * 700, 17]);
         }
-        let seq = run_sequential(&sharded, &t);
         let rt = Runtime::new(RuntimeConfig { flow_cache: 1 << 10, ..Default::default() });
-        let stats = rt.run(&sharded, &t).unwrap();
-        assert_eq!(stats.checksum, seq.checksum, "caching must not change verdicts");
-        assert!(
-            stats.cache.hits > stats.cache.misses,
-            "hot flows must hit the per-worker caches: {:?}",
-            stats.cache
-        );
+        // Steered, mirrored (each stage caches its own half's verdicts) and
+        // round-robin plans behind per-worker tables.
+        let cached_runs = |want: u64, when: &str| {
+            let runs = [
+                ("sharded", rt.run(&sharded, &t)),
+                ("split", rt.run(&SplitPlan::new(&handle), &t)),
+                ("replicated x 2", rt.run(&Replicated::new(&handle, 2), &t)),
+            ];
+            for (plan, stats) in runs {
+                let stats = stats.unwrap();
+                assert_eq!(stats.checksum, want, "{plan}, {when}: caching changed verdicts");
+                assert!(
+                    stats.cache.hits > stats.cache.misses,
+                    "{plan}, {when}: hot flows must hit the per-worker tables: {:?}",
+                    stats.cache
+                );
+            }
+        };
+        let before = run_sequential(&handle, &t).checksum;
+        cached_runs(before, "as built");
+        // An apply between two runs: flow 1 (port 700) loses its rule, and
+        // no table may go on serving it.
+        let batch = UpdateBatch::new().remove(7);
+        assert_eq!((handle.apply(&batch).removed, sharded.apply(&batch).removed), (1, 1));
+        let after = run_sequential(&handle, &t).checksum;
+        assert_ne!(after, before);
+        cached_runs(after, "after an apply");
     }
 
     #[test]

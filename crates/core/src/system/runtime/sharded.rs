@@ -32,7 +32,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use nm_common::classifier::{Classifier, MatchResult};
+use nm_common::classifier::{apply_floors, Classifier, MatchResult};
 use nm_common::rule::{Priority, RuleId};
 use nm_common::ruleset::RuleSet;
 use nm_common::shard::{ShardPlan, ShardPlanConfig, ShardRoute};
@@ -46,18 +46,6 @@ use crate::config::NuevoMatchConfig;
 use crate::system::handle::{ClassifierHandle, NmSnapshot};
 use crate::system::publish::Published;
 use crate::system::serve::plane::{PinnedPlane, ServePlane};
-
-/// Applies caller floors as the final filter (the `classify_with_floor ≡
-/// classify().filter(p < floor)` contract, batch-wide).
-pub(super) fn apply_floors(floors: Option<&[Priority]>, out: &mut [Option<MatchResult>]) {
-    if let Some(f) = floors {
-        for i in 0..out.len() {
-            if f[i] != Priority::MAX {
-                out[i] = out[i].filter(|m| m.priority < f[i]);
-            }
-        }
-    }
-}
 
 /// Gathers the keys at `idx` into a flat buffer.
 pub(super) fn gather_keys(keys: &[u64], stride: usize, idx: &[u32], buf: &mut Vec<u64>) {
@@ -250,16 +238,6 @@ impl<C: Classifier> PinnedPlane for &ShardedClassifier<C> {
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
         Classifier::classify_batch(*self, keys, stride, out);
     }
-
-    fn classify_shard(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.classify_sub(shard, keys, stride, out);
-    }
 }
 
 impl<C: Classifier> ShardedDataPlane for ShardedClassifier<C> {
@@ -279,6 +257,18 @@ impl<C: Classifier> ShardedDataPlane for ShardedClassifier<C> {
     fn pin(&self) -> Self::Pin<'_> {
         self
     }
+
+    fn classify_shard<'p>(
+        pin: &Self::Pin<'p>,
+        shard: usize,
+        keys: &[u64],
+        stride: usize,
+        out: &mut [Option<MatchResult>],
+    ) where
+        Self: 'p,
+    {
+        pin.classify_sub(shard, keys, stride, out);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -297,16 +287,6 @@ impl<R: Classifier> PinnedPlane for Arc<EpochSnapshot<R>> {
 
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
         Classifier::classify_batch(&**self, keys, stride, out);
-    }
-
-    fn classify_shard(
-        &self,
-        shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.engine().classify_sub(shard, keys, stride, out);
     }
 }
 
@@ -586,6 +566,18 @@ impl<R: Classifier> ShardedDataPlane for ShardedHandle<R> {
     fn pin(&self) -> Self::Pin<'_> {
         self.epoch()
     }
+
+    fn classify_shard<'p>(
+        pin: &Self::Pin<'p>,
+        shard: usize,
+        keys: &[u64],
+        stride: usize,
+        out: &mut [Option<MatchResult>],
+    ) where
+        Self: 'p,
+    {
+        pin.engine().classify_sub(shard, keys, stride, out);
+    }
 }
 
 #[cfg(test)]
@@ -616,7 +608,8 @@ mod tests {
 
     /// The steering/broadcast contract, for either instantiation of the
     /// plane: per key, batched (with and without floors) and shard by shard
-    /// through the runtime's pin, `plane` answers like the whole-set engine.
+    /// as a runtime worker asks the plan, `plane` answers like the whole-set
+    /// engine.
     fn assert_plane_equals_whole_set<P: ShardedDataPlane + Classifier>(
         plane: &P,
         whole: &LinearSearch,
@@ -645,8 +638,8 @@ mod tests {
         let pin = plane.pin();
         for (i, key) in keys.chunks_exact(5).enumerate() {
             let mut one = [None];
-            pin.classify_shard(plane.steer(key, 0), key, 5, &mut one);
-            assert_eq!(one[0], want[i], "{what}: shard pin, packet {i}");
+            P::classify_shard(&pin, plane.steer(key, 0), key, 5, &mut one);
+            assert_eq!(one[0], want[i], "{what}: shard lookup, packet {i}");
         }
     }
 

@@ -1,19 +1,34 @@
-//! The data-plane abstraction the serve front-end batches into — and the
-//! worker runtime dispatches shard jobs against.
+//! The data-plane abstraction the serve front-end batches into.
 //!
-//! A flushed batch must classify against **one** pinned generation — that
-//! is the coherence contract the response `generation` field advertises
-//! and the oracle validator checks. [`ServePlane::pin`] captures whatever
-//! "one generation" means for the engine: a snapshot `Arc` for a plain
-//! [`ClassifierHandle`], an `Arc` of one stamped
-//! [`ShardEpoch`](crate::system::runtime::ShardEpoch) for the sharded
-//! handle (the impls live beside the epoch in `runtime::sharded`) — both
-//! statically dispatched; they are the wire hot path. The same pin serves
-//! [`Runtime::run`](crate::system::runtime::Runtime::run) through
-//! [`PinnedPlane::classify_shard`], where planes that cannot change — a
-//! static [`ShardedClassifier`](crate::system::runtime::ShardedClassifier),
-//! a shared `&dyn Classifier` — pin as the plain reference: [`PinnedPlane`]
-//! is implemented for the reference itself, there is no wrapper type.
+//! Three traits describe a plane, each for one question:
+//!
+//! * [`ServePlane`] — *how do I get one generation?* A flushed batch must
+//!   classify against **one** pinned generation — the coherence contract
+//!   the response `generation` field advertises and the oracle validator
+//!   checks. [`ServePlane::pin`] captures whatever "one generation" means
+//!   for the engine: a snapshot `Arc` for a plain [`ClassifierHandle`], an
+//!   `Arc` of one stamped
+//!   [`ShardEpoch`](crate::system::runtime::ShardEpoch) for the sharded
+//!   handle (the impls live beside the epoch in `runtime::sharded`) — both
+//!   statically dispatched; they are the wire hot path.
+//! * [`PinnedPlane`] — *what can I do with it?* Read its generation and
+//!   classify a batch whole: exactly what the serve readers call, nothing
+//!   else. Planes that cannot change — a static
+//!   [`ShardedClassifier`](crate::system::runtime::ShardedClassifier), a
+//!   shared `&dyn Classifier` — pin as the plain reference: the trait is
+//!   implemented for the reference itself, there is no wrapper type.
+//! * [`ShardedDataPlane`](crate::system::runtime::ShardedDataPlane) — *how
+//!   does [`Runtime::run`](crate::system::runtime::Runtime::run) spread it
+//!   over workers?* How many shards, where a packet steers, and what shard
+//!   `s` computes from a pin.
+//!
+//! Two do not suffice, because the last answer is not a property of the
+//! pin: the same pin type, `Arc<NmSnapshot<R>>`, is classified whole when a
+//! [`ClassifierHandle`] serves the wire and split into its iSet and
+//! remainder halves under
+//! [`SplitPlan`](crate::system::runtime::SplitPlan). Which shard computes
+//! what belongs to the plan, so per-shard dispatch lives on
+//! `ShardedDataPlane` and a pin stays the two methods below.
 
 use std::sync::Arc;
 
@@ -39,21 +54,6 @@ pub trait PinnedPlane: Send {
 
     /// Classifies `keys` (flat, `stride` words per key) into `out`.
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]);
-
-    /// Classifies a gathered sub-batch as shard `shard` of a
-    /// [`ShardedDataPlane`](crate::system::runtime::ShardedDataPlane) sees
-    /// it — including any broadcast-shard merge, so the runtime's priority
-    /// merge over shards yields final verdicts. Planes whose every shard
-    /// serves the whole set keep the default.
-    fn classify_shard(
-        &self,
-        _shard: usize,
-        keys: &[u64],
-        stride: usize,
-        out: &mut [Option<MatchResult>],
-    ) {
-        self.classify_batch(keys, stride, out);
-    }
 }
 
 impl<R> ServePlane for ClassifierHandle<R>

@@ -96,24 +96,6 @@ impl<R: BatchUpdatable> NuevoMatch<R> {
         report
     }
 
-    /// Removes a rule wherever it lives. Returns true if it was present.
-    pub fn remove(&mut self, id: RuleId) -> bool {
-        self.apply(&UpdateBatch::new().remove(id)).removed == 1
-    }
-
-    /// Inserts a new rule; it is indexed by the remainder engine until the
-    /// next rebuild.
-    pub fn insert(&mut self, rule: Rule) {
-        self.apply(&UpdateBatch::new().insert(rule));
-    }
-
-    /// Matching-set change: removes the old version and inserts the new one
-    /// into the remainder. Returns true if the old version existed (the
-    /// displacement is reported as `replaced`, not `removed`).
-    pub fn modify(&mut self, rule: Rule) -> bool {
-        self.apply(&UpdateBatch::new().modify(rule)).replaced == 1
-    }
-
     /// Tombstones `id` in its owning iSet, if it lives in one and is not
     /// already tombstoned (a modify may have moved the live version to the
     /// remainder, in which case the remainder owns the removal).
@@ -187,9 +169,9 @@ mod tests {
         let mut nm = build(100);
         let key = [0u64, 0, 0, 550, 0]; // rule 5
         assert_eq!(nm.classify(&key).unwrap().rule, 5);
-        assert!(nm.remove(5));
+        assert_eq!(nm.apply(&UpdateBatch::new().remove(5)).removed, 1);
         assert_eq!(nm.classify(&key), None);
-        assert!(!nm.remove(5), "double delete reports absence");
+        assert_eq!(nm.apply(&UpdateBatch::new().remove(5)).missing, 1, "double delete is a miss");
     }
 
     #[test]
@@ -198,7 +180,8 @@ mod tests {
         let key = [0u64, 0, 0, 60_000, 0];
         assert_eq!(nm.classify(&key), None);
         let g0 = nm.generation();
-        nm.insert(FiveTuple::new().dst_port_range(59_000, 61_000).into_rule(999, 0));
+        let wide = FiveTuple::new().dst_port_range(59_000, 61_000).into_rule(999, 0);
+        nm.apply(&UpdateBatch::new().insert(wide));
         assert_eq!(nm.classify(&key).unwrap().rule, 999);
         assert_eq!(nm.moved_to_remainder(), 1);
         assert!(nm.remainder_fraction() > 0.0);
@@ -210,12 +193,12 @@ mod tests {
         let mut nm = build(50);
         // Rule 7 matched ports 700-799; move it to 40_000-40_099.
         let newer = FiveTuple::new().dst_port_range(40_000, 40_099).into_rule(7, 7);
-        assert!(nm.modify(newer));
+        assert_eq!(nm.apply(&UpdateBatch::new().modify(newer)).replaced, 1);
         assert_eq!(nm.classify(&[0, 0, 0, 750, 0]), None);
         assert_eq!(nm.classify(&[0, 0, 0, 40_050, 0]).unwrap().rule, 7);
         // Modifying it again: the live version now lives in the remainder.
         let newest = FiveTuple::new().dst_port_range(50_000, 50_099).into_rule(7, 7);
-        assert!(nm.modify(newest));
+        assert_eq!(nm.apply(&UpdateBatch::new().modify(newest)).replaced, 1);
         assert_eq!(nm.classify(&[0, 0, 0, 40_050, 0]), None);
         assert_eq!(nm.classify(&[0, 0, 0, 50_050, 0]).unwrap().rule, 7);
     }

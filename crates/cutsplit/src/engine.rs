@@ -81,11 +81,6 @@ impl CutSplit {
     pub fn stats(&self) -> Vec<TreeStats> {
         self.trees.iter().map(DTree::stats).collect()
     }
-
-    /// Number of subset trees actually built.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl Classifier for CutSplit {
@@ -227,7 +222,7 @@ mod tests {
     fn builds_multiple_subset_trees() {
         let set = acl_like(9, 500);
         let cs = CutSplit::build(&set);
-        assert!(cs.num_trees() >= 2, "expected several smallness subsets");
+        assert!(cs.stats().len() >= 2, "expected several smallness subsets");
         assert!(cs.memory_bytes() > 0);
         assert_eq!(cs.num_rules(), 500);
     }
@@ -260,6 +255,6 @@ mod tests {
         let set = RuleSet::new(FieldsSpec::five_tuple(), vec![]).unwrap();
         let cs = CutSplit::build(&set);
         assert_eq!(cs.classify(&[0, 0, 0, 0, 0]), None);
-        assert_eq!(cs.num_trees(), 0);
+        assert!(cs.stats().is_empty());
     }
 }

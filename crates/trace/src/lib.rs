@@ -96,14 +96,6 @@ impl ZipfSampler {
         let target = u * *self.cumulative.last().expect("non-empty");
         self.cumulative.partition_point(|&c| c <= target).min(self.cumulative.len() - 1)
     }
-
-    /// Fraction of probability mass held by the top `frac` of ranks
-    /// (validates the paper's "top 3% of flows = X% of traffic" calibration).
-    pub fn top_share(&self, frac: f64) -> f64 {
-        let n = self.cumulative.len();
-        let k = ((n as f64 * frac).ceil() as usize).clamp(1, n);
-        self.cumulative[k - 1] / self.cumulative[n - 1]
-    }
 }
 
 /// Zipf-skewed trace: flow ranks map to rules through a seeded shuffle, so
@@ -198,11 +190,16 @@ mod tests {
     fn zipf_calibration_matches_paper_knobs() {
         // α = 1.25 should put ≈95% of traffic on the top 3% of 500K flows;
         // α = 1.05 ≈ 80% (paper Figure 12 calibration, large-n regime).
-        let z = ZipfSampler::new(500_000, 1.25);
-        let share = z.top_share(0.03);
+        // Share of evenly spaced draws that land on the top 3% of ranks.
+        let top_share = |alpha: f64| {
+            let z = ZipfSampler::new(500_000, alpha);
+            let draws = 100_000;
+            let top = (0..draws).filter(|&i| z.sample((i as f64 + 0.5) / draws as f64) < 15_000);
+            top.count() as f64 / draws as f64
+        };
+        let share = top_share(1.25);
         assert!((0.90..=0.99).contains(&share), "α=1.25 top-3% share {share:.3}");
-        let z = ZipfSampler::new(500_000, 1.05);
-        let share = z.top_share(0.03);
+        let share = top_share(1.05);
         assert!((0.70..=0.88).contains(&share), "α=1.05 top-3% share {share:.3}");
     }
 

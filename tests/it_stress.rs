@@ -158,9 +158,10 @@ fn wire_to_classifier_pipeline() {
     assert!(cached.stats().hits + cached.stats().misses == 3_000);
 }
 
-/// FlowCache + updates: stale verdicts must not survive invalidation.
+/// FlowCache + updates: the generation stamp alone must kill stale verdicts.
 #[test]
 fn flow_cache_invalidation_after_update() {
+    use nm_common::UpdateBatch;
     use nuevomatch::system::FlowCache;
     let rules: Vec<_> = (0..50u16)
         .map(|i| FiveTuple::new().dst_port_exact(i).into_rule(i as u32, i as u32))
@@ -170,9 +171,9 @@ fn flow_cache_invalidation_after_update() {
     let mut cached = FlowCache::new(nm, 128);
     let key = [0u64, 0, 0, 7, 0];
     assert_eq!(cached.classify(&key).unwrap().rule, 7);
-    // Remove rule 7 through the inner engine, then invalidate.
-    cached.inner_mut().remove(7);
-    cached.invalidate_all();
+    // Remove rule 7 through the inner engine; its generation bump is the
+    // whole invalidation.
+    assert_eq!(cached.inner_mut().apply(&UpdateBatch::new().remove(7)).removed, 1);
     assert_eq!(cached.classify(&key), None, "stale cached verdict survived");
 }
 

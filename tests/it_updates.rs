@@ -3,7 +3,7 @@
 //! with drift tracking and a rebuild at the end (the §3.9 lifecycle).
 
 use nm_classbench::{generate, AppKind};
-use nm_common::{Classifier, FiveTuple, LinearSearch, Rule, RuleSet, SplitMix64};
+use nm_common::{Classifier, FiveTuple, LinearSearch, Rule, RuleSet, SplitMix64, UpdateBatch};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::{NuevoMatch, NuevoMatchConfig, RqRmiParams};
@@ -48,7 +48,8 @@ fn long_update_stream_stays_correct() {
         match rng.below(3) {
             0 => {
                 let id = rng.below((n + step) as u64) as u32;
-                assert_eq!(nm.remove(id), mirror.remove(id), "remove({id}) presence mismatch");
+                let removed = nm.apply(&UpdateBatch::new().remove(id)).removed == 1;
+                assert_eq!(removed, mirror.remove(id), "remove({id}) presence mismatch");
             }
             1 => {
                 let lo = rng.below(60_000) as u16;
@@ -57,7 +58,7 @@ fn long_update_stream_stays_correct() {
                     .dst_port_range(lo, lo.saturating_add(500))
                     .src_prefix_raw(rng.next_u64() as u32, 16)
                     .into_rule(id, id);
-                nm.modify(rule.clone());
+                nm.apply(&UpdateBatch::new().modify(rule.clone()));
                 mirror.insert(rule);
             }
             _ => {
@@ -65,7 +66,7 @@ fn long_update_stream_stays_correct() {
                     .dst_port_exact(rng.below(65_536) as u16)
                     .into_rule(next_id, next_id);
                 next_id += 1;
-                nm.insert(rule.clone());
+                nm.apply(&UpdateBatch::new().insert(rule.clone()));
                 mirror.insert(rule);
             }
         }
@@ -108,8 +109,9 @@ fn action_change_requires_no_structure_change() {
     let before: Vec<_> = trace.iter().map(|k| nm.classify(k)).collect();
     // Delete a rule that the probe keys do not use, insert an unrelated one.
     let unused_id = 499u32;
-    nm.remove(unused_id);
-    nm.insert(FiveTuple::new().dst_port_exact(64_999).proto_exact(200).into_rule(9_999, 9_999));
+    let unrelated =
+        FiveTuple::new().dst_port_exact(64_999).proto_exact(200).into_rule(9_999, 9_999);
+    nm.apply(&UpdateBatch::new().remove(unused_id).insert(unrelated));
     for (key, want) in trace.iter().zip(&before) {
         let got = nm.classify(key);
         if want.map(|m| m.rule) != Some(unused_id) && got.map(|m| m.rule) != Some(9_999) {
