@@ -20,8 +20,8 @@
 //! `CompiledRqRmi::predict_batch` on its own: ns/key over independent
 //! 64-key chunks of uniform keys, one row per instruction set this CPU
 //! runs, one model per Table 4 width shape — a *throughput*, what the
-//! pipeline's predict phase pays per key, where a dependent chain through
-//! one kernel would report a latency the pipeline never waits for. The
+//! pipeline's predict phase pays per key, where a dependent chain of
+//! predicts (`table1`) reports a latency the pipeline never waits for. The
 //! five perf targets (tree engines ≥ 1.5x at batch 128 on fw; tm and nm/tm
 //! at batch 128 ≥ the per-key loop on acl; nm/tm ≥ 1.5x tm at batch 128 on
 //! acl; nm/tm ≥ tm at batch 128 on fib; inference ≤ 6 ns/key on AVX2+FMA)

@@ -10,7 +10,6 @@
 /// Invariant: `lo <= hi`. Constructors uphold it; [`FieldRange::new`] panics
 /// on violation so corrupted rules never propagate silently.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FieldRange {
     /// Inclusive lower bound.
     pub lo: u64,
@@ -112,32 +111,6 @@ impl FieldRange {
         (self.lo.trailing_zeros() as u8 >= host_bits || host_bits == 0).then_some(bits - host_bits)
     }
 
-    /// Decomposes an arbitrary range into the minimal set of aligned prefix
-    /// blocks `(value, prefix_len)` covering it (classic range-to-prefix
-    /// expansion; at most `2*bits - 2` blocks).
-    pub fn to_prefixes(&self, bits: u8) -> Vec<(u64, u8)> {
-        let mut out = Vec::new();
-        let mut lo = self.lo;
-        let end = self.hi;
-        loop {
-            // Largest aligned block starting at `lo` that does not overshoot `end`.
-            let max_align = if lo == 0 { bits } else { lo.trailing_zeros().min(bits as u32) as u8 };
-            let mut host = max_align;
-            loop {
-                let block_hi = if host >= 64 { u64::MAX } else { lo + (low_mask(host)) };
-                if block_hi <= end {
-                    out.push((lo, bits - host));
-                    if block_hi == end || block_hi == domain_max(bits) {
-                        return out;
-                    }
-                    lo = block_hi + 1;
-                    break;
-                }
-                host -= 1;
-            }
-        }
-    }
-
     /// The "longest covering prefix" of the range: the longest prefix length
     /// `p` such that one aligned `p`-block covers the whole range. Always
     /// exists (`p == 0` covers everything). Hash classifiers use this to file
@@ -229,22 +202,6 @@ mod tests {
         assert_eq!(FieldRange::new(4, 7).as_prefix(8), Some(6));
         assert_eq!(FieldRange::new(0, 255).as_prefix(8), Some(0));
         assert_eq!(FieldRange::exact(255).as_prefix(8), Some(8));
-    }
-
-    #[test]
-    fn to_prefixes_covers_exactly() {
-        for (lo, hi) in [(0u64, 0u64), (1, 14), (0, 255), (3, 200), (128, 129), (5, 5)] {
-            let r = FieldRange::new(lo, hi);
-            let blocks = r.to_prefixes(8);
-            // Blocks are disjoint, sorted, and cover exactly [lo, hi].
-            let mut expect = lo;
-            for &(v, p) in &blocks {
-                let host = 8 - p;
-                assert_eq!(v, expect, "block start mismatch for [{lo},{hi}]");
-                expect = v + low_mask(host) + 1;
-            }
-            assert_eq!(expect, hi + 1);
-        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ pub type Priority = u32;
 /// The number and order of fields must match the owning rule-set's
 /// [`crate::FieldsSpec`]; [`crate::RuleSet::new`] validates this.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rule {
     /// Stable identifier; equals the rule's index in the originating set.
     pub id: RuleId,

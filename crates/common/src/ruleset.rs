@@ -6,7 +6,6 @@ use crate::rule::{Priority, Rule, RuleId};
 
 /// Schema of a single field: its width in bits and a human-readable name.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FieldSpec {
     /// Field name used in reports ("src-ip", "dst-port", ...).
     pub name: String,
@@ -26,7 +25,6 @@ impl FieldSpec {
 /// Ordered collection of [`FieldSpec`]s; the schema every rule and key in a
 /// [`RuleSet`] must follow.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FieldsSpec {
     fields: Vec<FieldSpec>,
 }
@@ -134,7 +132,6 @@ impl FieldsSpec {
 /// ids must be unique but need not be dense — a set rebuilt after updates
 /// keeps its surviving rules' original ids.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RuleSet {
     spec: FieldsSpec,
     rules: Vec<Rule>,

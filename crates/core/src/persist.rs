@@ -301,6 +301,9 @@ pub fn load_snapshot<R: Classifier>(
         buf.copy_to_slice(&mut name);
         let name = String::from_utf8(name).map_err(|_| fail("field name not utf-8"))?;
         let bits = buf.get_u8();
+        if !(1..=64).contains(&bits) {
+            return Err(fail("field width out of range"));
+        }
         fields.push(FieldSpec::new(name, bits));
     }
     let spec = FieldsSpec::new(fields);
@@ -324,6 +327,14 @@ pub fn load_snapshot<R: Classifier>(
         need(&buf, bytes, "iset arrays")?;
         let mut table = Table::new(&spec, dim, n);
         with_table!(&mut table, t => t.read_records(n, || get_word(&mut buf)));
+        // Retrains and saves rebuild `FieldRange`s from the records.
+        let inverted = with_table!(&table, t => (0..n).any(|pos| {
+            let rec = t.record(pos);
+            (0..nfields).any(|d| wide(rec[2 * d]) > wide(rec[2 * d + 1]))
+        }));
+        if inverted {
+            return Err(fail("iset record range inverted"));
+        }
         let deleted: Vec<u64> = (0..n.div_ceil(64)).map(|_| buf.get_u64_le()).collect();
         if n % 64 != 0 && deleted[n / 64] >> (n % 64) != 0 {
             return Err(fail("tombstone bits past the last rule"));
@@ -333,6 +344,10 @@ pub fn load_snapshot<R: Classifier>(
         need(&buf, blob_len, "model blob")?;
         let model = load_rqrmi(&buf[..blob_len])?;
         buf.advance(blob_len);
+        // The search windows are cut from the model's predictions.
+        if model.len() != n {
+            return Err(fail("iset model indexes another rule count"));
+        }
         isets.push(TrainedISet::from_parts(model, table, deleted));
     }
     need(&buf, 8, "remainder count")?;
@@ -342,13 +357,14 @@ pub fn load_snapshot<R: Classifier>(
         need(&buf, 8 + nfields * 16, "remainder rule")?;
         let id = buf.get_u32_le();
         let priority = buf.get_u32_le();
-        let fields: Vec<nm_common::FieldRange> = (0..nfields)
-            .map(|_| {
-                let lo = buf.get_u64_le();
-                let hi = buf.get_u64_le();
-                nm_common::FieldRange::new(lo, hi)
-            })
-            .collect();
+        let mut fields = Vec::with_capacity(nfields);
+        for _ in 0..nfields {
+            let (lo, hi) = (buf.get_u64_le(), buf.get_u64_le());
+            if lo > hi {
+                return Err(fail("remainder rule range inverted"));
+            }
+            fields.push(nm_common::FieldRange::new(lo, hi));
+        }
         remainder_rules.push(Rule::new(id, priority, fields));
     }
     if buf.has_remaining() {
@@ -517,17 +533,86 @@ mod tests {
             assert!(load_snapshot(&save_rqrmi(&m), &LinearSearch::build).is_err());
         }
 
+        /// Recomputes the trailing checksum of an image (or of a model blob
+        /// inside one) after a test patched it.
+        fn reseal(image: &mut [u8]) {
+            let body = image.len() - 8;
+            let sum = super::super::fnv64(&image[..body]);
+            image[body..].copy_from_slice(&sum.to_le_bytes());
+        }
+
+        /// The error a patched, resealed image is refused with — by the
+        /// loader and by the handle's warm start alike.
+        fn refusal(image: &[u8]) -> String {
+            let err = load_snapshot(image, &LinearSearch::build).err().expect("image accepted");
+            assert!(ClassifierHandle::from_snapshot(image, &cfg(), LinearSearch::build).is_err());
+            err.to_string()
+        }
+
         #[test]
         fn format_1_image_is_refused_by_name() {
             // A well-formed image of the previous format (valid checksum,
             // old magic) must be turned away before any field is parsed.
             let mut bytes = save_snapshot(&updated_nm(), 1);
             bytes[..8].copy_from_slice(b"NMSNAP01");
-            let body = bytes.len() - 8;
-            let sum = super::super::fnv64(&bytes[..body]);
-            bytes[body..].copy_from_slice(&sum.to_le_bytes());
-            let err = load_snapshot(&bytes, &LinearSearch::build).err().expect("format 1 accepted");
-            assert!(err.to_string().contains("snapshot format 1, rebuild"), "{err}");
+            reseal(&mut bytes);
+            assert!(refusal(&bytes).contains("snapshot format 1, rebuild"));
+        }
+
+        // A checksum is not a signature: the images below are well formed
+        // and sealed, and each used to reach an assert — in the loader, in
+        // the next retrain, or in whichever reader first looked a key up.
+
+        #[test]
+        fn field_width_outside_1_to_64_is_refused() {
+            let good = save_snapshot(&updated_nm(), 1);
+            // Header (8 + 8 + 1 + 8 + 8), field count, first name's length.
+            let name_len = u32::from_le_bytes(good[37..41].try_into().unwrap()) as usize;
+            for bits in [0u8, 65] {
+                let mut bad = good.clone();
+                bad[41 + name_len] = bits;
+                reseal(&mut bad);
+                assert!(refusal(&bad).contains("field width out of range"), "bits {bits}");
+            }
+        }
+
+        #[test]
+        fn inverted_remainder_range_is_refused() {
+            let nm = updated_nm();
+            assert!(nm.remainder().num_rules() > 0);
+            let mut bad = save_snapshot(&nm, 1);
+            // The image ends: last rule's five [lo, hi] pairs, checksum.
+            let last_pair = bad.len() - 8 - 16;
+            bad[last_pair..last_pair + 8].copy_from_slice(&7u64.to_le_bytes());
+            bad[last_pair + 8..last_pair + 16].copy_from_slice(&6u64.to_le_bytes());
+            reseal(&mut bad);
+            assert!(refusal(&bad).contains("remainder rule range inverted"));
+        }
+
+        #[test]
+        fn inverted_iset_record_range_is_refused() {
+            let nm = updated_nm();
+            let mut bad = save_snapshot(&nm, 1);
+            // Header and field count, the field descriptors, the iSet count,
+            // the first iSet's dim and rule count: its first record.
+            let names: usize = nm.spec().iter().map(|f| 4 + f.name.len() + 1).sum();
+            let lo = 37 + names + 4 + 12 + 2 * nm.isets()[0].dim() * 4;
+            bad[lo..lo + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            reseal(&mut bad);
+            assert!(refusal(&bad).contains("iset record range inverted"));
+        }
+
+        #[test]
+        fn model_indexing_another_rule_count_is_refused() {
+            let mut bad = save_snapshot(&updated_nm(), 1);
+            let blob = bad.windows(8).position(|w| w == MAGIC).expect("an iSet model");
+            let len = u32::from_le_bytes(bad[blob - 4..blob].try_into().unwrap()) as usize;
+            // Magic, bits, then the range count: claim one range more.
+            let n_values = u64::from_le_bytes(bad[blob + 9..blob + 17].try_into().unwrap());
+            bad[blob + 9..blob + 17].copy_from_slice(&(n_values + 1).to_le_bytes());
+            reseal(&mut bad[blob..blob + len]);
+            reseal(&mut bad);
+            assert!(refusal(&bad).contains("iset model indexes another rule count"));
         }
 
         #[test]

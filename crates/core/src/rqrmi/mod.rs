@@ -20,7 +20,7 @@ pub mod train;
 
 pub use analyze::KeyMap;
 pub use model::RqRmi;
-pub use simd::{detect, CompiledRqRmi, Isa, Kernel};
+pub use simd::{detect, CompiledRqRmi, Isa};
 pub use train::{
     retrain_leaves, train_rqrmi, train_rqrmi_mode, verify_exhaustive, LeafRetrainStats, SampleMode,
 };

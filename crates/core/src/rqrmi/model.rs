@@ -11,7 +11,6 @@ use nm_nn::Mlp;
 /// guaranteed to lie within `predicted ± bound` (paper Theorem A.13 — see
 /// `train.rs` for how the bound is made robust to `f32` evaluation noise).
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RqRmi {
     /// Stage widths; `widths[0] == 1`.
     pub(crate) widths: Vec<usize>,

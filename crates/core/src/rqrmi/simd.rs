@@ -3,18 +3,20 @@
 //! A submodel forward pass is one fused multiply-add over the 8 hidden
 //! neurons, a ReLU, and a dot product — a handful of vector instructions.
 //! The paper reports 126 ns serial, 62 ns SSE (4 floats/op), 49 ns AVX
-//! (8 floats/op) per inference; the Table 1 bench regenerates that
-//! comparison with these kernels, plus an **FMA column** the paper's 2016-era
-//! Xeon lacked: `avx2+fma` fuses the `w1·x + b1` and `w2·h + b2` steps into
-//! single `vfmadd` instructions.
+//! (8 floats/op) per inference; `nm-bench table1` regenerates that
+//! comparison by timing the walk the data plane runs —
+//! [`CompiledRqRmi::predict`], compiled per instruction set — plus an **FMA
+//! row** the paper's 2016-era Xeon lacked: `avx2+fma` fuses the `w1·x + b1`
+//! and `w2·h + b2` steps into single `vfmadd` instructions. No kernel here
+//! is one that only a benchmark calls.
 //!
 //! ## Two axes of vectorization
 //!
-//! * **Within a key** ([`Kernel::forward_clamped`]): the 8 hidden neurons
-//!   of one submodel fill one 256-bit register; the key's input is broadcast
-//!   across lanes and the 8 products are summed horizontally. This is the
-//!   paper's Table 1 kernel, and the only kernel shape there is: lane =
-//!   hidden neuron, on every ISA.
+//! * **Within a key** (the kernel of [`CompiledRqRmi::predict`]): the 8
+//!   hidden neurons of one submodel fill one 256-bit register; the key's
+//!   input is broadcast across lanes and the 8 products are summed
+//!   horizontally. This is the paper's Table 1 kernel, and the only kernel
+//!   shape there is: lane = hidden neuron, on every ISA.
 //! * **Across keys** ([`CompiledRqRmi::predict_batch`]): a chunk of ≤ 64
 //!   keys is walked **stage by stage** — every key finishes stage `s`, on
 //!   *its own* submodel, whichever one the previous stage routed it to,
@@ -141,30 +143,6 @@ impl Kernel {
         k
     }
 
-    /// Clamped forward pass with the requested instruction set.
-    #[inline]
-    pub fn forward_clamped(&self, x: f32, isa: Isa) -> f32 {
-        assert!(isa.available(), "{isa:?} not supported by this CPU");
-        let y = match isa {
-            Isa::Scalar => self.forward_scalar(x),
-            // SAFETY: SSE2 is part of the x86_64 baseline target, so the
-            // target-feature requirement of `forward_sse` always holds.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse => unsafe { self.forward_sse(x) },
-            // SAFETY: `isa.available()` was asserted above, so AVX is
-            // supported.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx => unsafe { self.forward_avx(x) },
-            // SAFETY: as above — `AvxFma` is available only when the CPU
-            // reports both AVX2 and FMA.
-            #[cfg(target_arch = "x86_64")]
-            Isa::AvxFma => unsafe { self.forward_fma(x) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => self.forward_scalar(x),
-        };
-        y.clamp(0.0, ONE_MINUS_EPS)
-    }
-
     /// Scalar reference over the padded lanes. The ReLU selects a value
     /// instead of branching around the accumulate: for finite weights the
     /// two differ only in the sign of a zero term, which neither the clamp
@@ -288,90 +266,6 @@ impl Kernel {
     /// Kernel weight bytes (same as the source submodel plus padding).
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-    }
-
-    /// Runs a *dependent chain* of `iters` forward passes (each input
-    /// derived from the previous output) and returns the final value — the
-    /// Table 1 latency measurement.
-    ///
-    /// The loop lives inside a `#[target_feature]` function per ISA so the
-    /// vector kernels inline into their own loop; calling `forward_clamped`
-    /// from generic code cannot inline across the feature boundary and
-    /// would time the call overhead instead of the kernel.
-    pub fn latency_chain(&self, x0: f32, iters: usize, isa: Isa) -> f32 {
-        assert!(isa.available(), "{isa:?} not supported by this CPU");
-        match isa {
-            Isa::Scalar => self.chain_scalar(x0, iters),
-            // SAFETY: SSE2 is part of the x86_64 baseline target.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse => unsafe { self.chain_sse(x0, iters) },
-            // SAFETY: `isa.available()` was asserted above, so AVX is
-            // supported.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx => unsafe { self.chain_avx(x0, iters) },
-            // SAFETY: as above — `AvxFma` is available only when the CPU
-            // reports both AVX2 and FMA.
-            #[cfg(target_arch = "x86_64")]
-            Isa::AvxFma => unsafe { self.chain_fma(x0, iters) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => self.chain_scalar(x0, iters),
-        }
-    }
-
-    fn chain_scalar(&self, mut x: f32, iters: usize) -> f32 {
-        for _ in 0..iters {
-            let y = self.forward_scalar(x).clamp(0.0, ONE_MINUS_EPS);
-            // Golden-ratio hop: inputs sweep the whole domain so ReLU
-            // branches stay unpredictable (a fixpoint chain would let the
-            // scalar path win on branch prediction alone).
-            x = (y + 0.618_034).fract();
-        }
-        x
-    }
-
-    /// # Safety
-    /// Requires SSE2 (x86_64 baseline).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "sse2")]
-    unsafe fn chain_sse(&self, mut x: f32, iters: usize) -> f32 {
-        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; every pointer load/store below stays within the bounds of the fixed-size parameter arrays.
-        unsafe {
-            for _ in 0..iters {
-                let y = self.forward_sse(x).clamp(0.0, ONE_MINUS_EPS);
-                x = (y + 0.618_034).fract();
-            }
-            x
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX; dispatch through [`detect`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    unsafe fn chain_avx(&self, mut x: f32, iters: usize) -> f32 {
-        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; every pointer load/store below stays within the bounds of the fixed-size parameter arrays.
-        unsafe {
-            for _ in 0..iters {
-                let y = self.forward_avx(x).clamp(0.0, ONE_MINUS_EPS);
-                x = (y + 0.618_034).fract();
-            }
-            x
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2 + FMA; dispatch through [`detect`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn chain_fma(&self, mut x: f32, iters: usize) -> f32 {
-        // SAFETY: the function's `# Safety` contract guarantees the enabled target features; every pointer load/store below stays within the bounds of the fixed-size parameter arrays.
-        unsafe {
-            for _ in 0..iters {
-                let y = self.forward_fma(x).clamp(0.0, ONE_MINUS_EPS);
-                x = (y + 0.618_034).fract();
-            }
-            x
-        }
     }
 }
 
@@ -733,6 +627,27 @@ mod tests {
             .collect()
     }
 
+    /// One kernel's clamped output on `isa` — the per-ISA `$fwd` of the
+    /// staged walks, called directly.
+    fn forward_clamped(k: &Kernel, x: f32, isa: Isa) -> f32 {
+        assert!(isa.available(), "{isa:?} not supported by this CPU");
+        let y = match isa {
+            Isa::Scalar => k.forward_scalar(x),
+            // SAFETY: SSE2 is part of the x86_64 baseline target.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Sse => unsafe { k.forward_sse(x) },
+            // SAFETY: `isa.available()` was asserted above.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx => unsafe { k.forward_avx(x) },
+            // SAFETY: as above — AVX2 and FMA are both reported.
+            #[cfg(target_arch = "x86_64")]
+            Isa::AvxFma => unsafe { k.forward_fma(x) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => k.forward_scalar(x),
+        };
+        y.clamp(0.0, ONE_MINUS_EPS)
+    }
+
     #[test]
     fn kernels_match_scalar_reference() {
         for seed in 0..20u64 {
@@ -741,10 +656,10 @@ mod tests {
             for i in 0..200 {
                 let x = i as f32 / 200.0;
                 let reference = net.forward_clamped(x);
-                let scalar = k.forward_clamped(x, Isa::Scalar);
+                let scalar = forward_clamped(&k, x, Isa::Scalar);
                 assert!((reference - scalar).abs() <= 1e-6, "scalar kernel diverged at x={x}");
                 for isa in testable_isas() {
-                    let v = k.forward_clamped(x, isa);
+                    let v = forward_clamped(&k, x, isa);
                     assert!(
                         (reference - v).abs() <= 1e-5,
                         "{isa:?} diverged at x={x}: {reference} vs {v}"
@@ -767,7 +682,7 @@ mod tests {
                 let x = i as f32 / 200.0;
                 let reference = net.forward_clamped_f64(x as f64);
                 for isa in testable_isas() {
-                    let y = k.forward_clamped(x, isa);
+                    let y = forward_clamped(&k, x, isa);
                     assert!(
                         (reference - y as f64).abs() <= delta,
                         "{isa:?} left the ±{delta} band at x={x}: {reference} vs {y}"
@@ -802,7 +717,7 @@ mod tests {
             }
             for l in 0..8 {
                 let i = idx[l] as usize;
-                assert_eq!(ys[l], stage[i].forward_clamped(xs[l], Isa::AvxFma), "lane {l}");
+                assert_eq!(ys[l], forward_clamped(&stage[i], xs[l], Isa::AvxFma), "lane {l}");
                 let reference = nets[i].forward_clamped_f64(xs[l] as f64);
                 assert!((reference - ys[l] as f64).abs() <= eval_delta(&nets[i]), "lane {l}");
             }
@@ -815,7 +730,7 @@ mod tests {
         let k = Kernel::from_mlp(&net);
         for i in 0..50 {
             let x = i as f32 / 50.0;
-            assert!((net.forward_clamped(x) - k.forward_clamped(x, Isa::Scalar)).abs() < 1e-6);
+            assert!((net.forward_clamped(x) - forward_clamped(&k, x, Isa::Scalar)).abs() < 1e-6);
         }
     }
 
@@ -891,8 +806,11 @@ mod tests {
         // scalar walk computes it), not only at the leaf.
         let reference = CompiledRqRmi::with_isa(&m, Isa::Scalar);
         let internal = |key: u64| {
-            let y = reference.stages[0][0]
-                .forward_clamped((key as f64 * reference.scale) as f32, Isa::Scalar);
+            let y = forward_clamped(
+                &reference.stages[0][0],
+                (key as f64 * reference.scale) as f32,
+                Isa::Scalar,
+            );
             ((y * 4.0) as usize).min(3)
         };
         assert!(keys.chunks_exact(8).all(|g| g.iter().any(|&k| internal(k) != internal(g[0]))));

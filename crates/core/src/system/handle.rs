@@ -71,6 +71,10 @@ struct RetrainRecipe<R> {
     builder: Arc<dyn EngineBuilder<Engine = R>>,
 }
 
+/// What a retrain path makes: the fresh classifier, and whether the partial
+/// (leaf-level) path made it.
+type Made<R> = (NuevoMatch<R>, bool);
+
 /// Control-plane state, touched only by writers (apply / retrain).
 struct Control<R> {
     recipe: RetrainRecipe<R>,
@@ -275,21 +279,22 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// [`ClassifierHandle::retrain_partial`] — and falls back to the full
     /// rebuild ([`ClassifierHandle::retrain_full`]) when a gate fires:
     /// drift spread over too many leaf submodels, too few drifted rules
-    /// re-admittable, or post-patch validation failure. Either way the
-    /// published snapshot serves exactly the current rule truth; the two
-    /// paths are verdict-equivalent.
+    /// re-admittable, or post-patch validation failure. Both attempts are
+    /// one retrain — one pin, one replay queue. Either way the published
+    /// snapshot serves exactly the current rule truth; the two paths are
+    /// verdict-equivalent.
     ///
     /// Errors if a retrain is already in flight or if training fails.
     pub fn retrain(&self) -> Result<Generation, Error> {
-        let partial_enabled = self.shared.cell.write().recipe.cfg.partial_retrain.enabled;
-        if partial_enabled {
-            // A gate error falls back to the full rebuild; an "in flight"
-            // error resurfaces there unchanged (the flag is still set).
-            if let Ok(generation) = self.retrain_partial() {
-                return Ok(generation);
+        self.retrain_with("retrain", |pinned, recipe| {
+            if recipe.cfg.partial_retrain.enabled {
+                // A gate error falls back to the full rebuild.
+                if let Ok(patched) = Self::patch(&pinned, recipe) {
+                    return Ok(patched);
+                }
             }
-        }
-        self.retrain_full()
+            Self::rebuild(pinned, recipe)
+        })
     }
 
     /// Incremental (partial) retrain: patches the pinned snapshot through
@@ -305,13 +310,7 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// (use [`ClassifierHandle::retrain`] for automatic fallback) or when a
     /// retrain is already in flight.
     pub fn retrain_partial(&self) -> Result<Generation, Error> {
-        let _in_flight = InFlight::begin(&self.shared, "retrain_partial")?;
-        let (pinned, recipe) = self.pin_for_retrain();
-        // Patch: leaf-level work, no locks held.
-        let (fresh, _report) = pinned.engine().partial_retrain(&recipe.cfg)?;
-        let generation = self.publish_retrained(fresh);
-        self.shared.partial_retrains.fetch_add(1, SeqCst);
-        Ok(generation)
+        self.retrain_with("retrain_partial", |pinned, recipe| Self::patch(&pinned, recipe))
     }
 
     /// Rebuilds the classifier from scratch over the rules the live snapshot
@@ -323,33 +322,25 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     ///
     /// Errors if a retrain is already in flight or if training fails.
     pub fn retrain_full(&self) -> Result<Generation, Error> {
-        let _in_flight = InFlight::begin(&self.shared, "retrain")?;
-        let (pinned, recipe) = self.pin_for_retrain();
-        // Train: the long pole, executed with no locks held. Rebuild in
-        // priority order, not export order: engines whose build is
-        // insertion-order-sensitive (TupleMerge's table formation) degrade
-        // badly on a shuffled rule order, and determinism makes retrains
-        // reproducible.
-        let mut rules = pinned.engine().live_rules();
-        rules.sort_by_key(|r| (r.priority, r.id));
-        let set = RuleSet::new(pinned.engine().spec().clone(), rules)?;
-        drop(pinned);
-        let fresh = NuevoMatch::build(&set, &recipe.cfg, recipe.builder)?;
-        Ok(self.publish_retrained(fresh))
+        self.retrain_with("retrain", Self::rebuild)
     }
 
-    /// What either retrain path works from — the live snapshot and the
-    /// recipe — taken under the lock, so no batch lands between the
-    /// pending-queue reset and the pin.
-    fn pin_for_retrain(&self) -> (Arc<NmSnapshot<R>>, RetrainRecipe<R>) {
-        let mut ctl = self.shared.cell.write();
-        ctl.pending.clear();
-        (self.snapshot(), ctl.recipe.clone())
-    }
-
-    /// Replays what arrived while `fresh` was in the making, then swaps it
-    /// in.
-    fn publish_retrained(&self, mut fresh: NuevoMatch<R>) -> Generation {
+    /// The one retrain body: mark it in flight, pin the live snapshot and
+    /// the recipe under the lock (so no batch lands between the replay
+    /// queue's reset and the pin), `make` the fresh classifier with no lock
+    /// held, replay what arrived meanwhile, publish.
+    fn retrain_with(
+        &self,
+        what: &str,
+        make: impl FnOnce(Arc<NmSnapshot<R>>, &RetrainRecipe<R>) -> Result<Made<R>, Error>,
+    ) -> Result<Generation, Error> {
+        let _in_flight = InFlight::begin(&self.shared, what)?;
+        let (pinned, recipe) = {
+            let mut ctl = self.shared.cell.write();
+            ctl.pending.clear();
+            (self.snapshot(), ctl.recipe.clone())
+        };
+        let (mut fresh, partial) = make(pinned, &recipe)?;
         let mut ctl = self.shared.cell.write();
         if !ctl.pending.is_empty() {
             let replay: UpdateBatch = ctl.pending.drain(..).collect();
@@ -357,7 +348,26 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
         }
         let generation = ctl.publish(fresh);
         self.shared.retrains.fetch_add(1, SeqCst);
-        generation
+        self.shared.partial_retrains.fetch_add(partial as u64, SeqCst);
+        Ok(generation)
+    }
+
+    /// The partial path's `make`: leaf-level work on the pinned engine.
+    fn patch(pinned: &NmSnapshot<R>, recipe: &RetrainRecipe<R>) -> Result<Made<R>, Error> {
+        let (patched, _report) = pinned.engine().partial_retrain(&recipe.cfg)?;
+        Ok((patched, true))
+    }
+
+    /// The full path's `make`: the long pole. Rebuilds in priority order,
+    /// not export order: engines whose build is insertion-order-sensitive
+    /// (TupleMerge's table formation) degrade badly on a shuffled rule
+    /// order, and determinism makes retrains reproducible.
+    fn rebuild(pinned: Arc<NmSnapshot<R>>, recipe: &RetrainRecipe<R>) -> Result<Made<R>, Error> {
+        let mut rules = pinned.engine().live_rules();
+        rules.sort_by_key(|r| (r.priority, r.id));
+        let set = RuleSet::new(pinned.engine().spec().clone(), rules)?;
+        drop(pinned);
+        Ok((NuevoMatch::build(&set, &recipe.cfg, recipe.builder.clone())?, false))
     }
 }
 

@@ -842,10 +842,6 @@ impl<R: Classifier> Classifier for NuevoMatch<R> {
         MatchResult::better(best, rem)
     }
 
-    fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
-        self.classify(key).filter(|m| m.priority < floor)
-    }
-
     /// The batched pipeline: all iSets sweep the batch first
     /// ([`NuevoMatch::classify_isets_batch`]), then the remainder runs with
     /// **batch-wide early termination** — every key that already
@@ -854,7 +850,7 @@ impl<R: Classifier> Classifier for NuevoMatch<R> {
     /// are folded into the remainder's pruning floors and applied as a
     /// final filter, which together mirror the per-key
     /// `classify(key).filter(p < floor)` dispatch of
-    /// [`NuevoMatch::classify_with_floor`] bit-for-bit: the fold can only
+    /// [`Classifier::classify_with_floor`] bit-for-bit: the fold can only
     /// suppress remainder candidates the filter would discard.
     fn batch_lookup(
         &self,

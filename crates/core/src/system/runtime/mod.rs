@@ -728,6 +728,53 @@ mod tests {
     }
 
     #[test]
+    fn two_workers_survive_concurrent_updates_and_retrain() {
+        // A run under live control-plane traffic must complete (readers
+        // never block) and every batch must stay internally consistent —
+        // generation pinning means the run equals *some* interleaving of
+        // the update stream, so we assert structural health, not a fixed
+        // checksum.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        /// Stops the writer however the scope's main closure leaves —
+        /// a failed assertion there must fail the test, not hang it on a
+        /// writer that never hears `done`.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let handle =
+            ClassifierHandle::new(&port_set(200), &fast_cfg(), LinearSearch::build).unwrap();
+        let (rt, trace) = (Runtime::new(RuntimeConfig::default()), trace(4_000));
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut i = 0u32;
+                while !done.load(Ordering::SeqCst) {
+                    handle.apply(
+                        &UpdateBatch::new().modify(
+                            FiveTuple::new()
+                                .dst_port_exact(50_000 + (i % 1_000) as u16)
+                                .into_rule(i % 200, i % 200),
+                        ),
+                    );
+                    i += 1;
+                    if i % 64 == 0 {
+                        let _ = handle.retrain();
+                    }
+                }
+            });
+            let _stop = StopOnDrop(&done);
+            for _ in 0..5 {
+                let s = rt.run(&SplitPlan::new(&handle), &trace).unwrap();
+                assert!(s.pps > 0.0);
+            }
+        });
+        assert!(handle.generation() > 1, "updates must have published");
+    }
+
+    #[test]
     fn replicated_plan_matches_sequential_at_any_width() {
         let set = port_set(150);
         let engine = LinearSearch::build(&set);

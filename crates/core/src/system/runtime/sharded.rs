@@ -37,7 +37,8 @@ use nm_common::rule::{Priority, RuleId};
 use nm_common::ruleset::RuleSet;
 use nm_common::shard::{ShardPlan, ShardPlanConfig, ShardRoute};
 use nm_common::update::{
-    BatchUpdatable, EngineBuilder, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
+    apply_ops, BatchUpdatable, EngineBuilder, Generation, Snapshot, UpdateBatch, UpdateOp,
+    UpdateReport,
 };
 use nm_common::Error;
 
@@ -421,45 +422,30 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
         let mut ctl = self.shared.cell.write();
         let broadcast_slot = ctl.home.len();
         let mut per: Vec<UpdateBatch> = (0..=broadcast_slot).map(|_| UpdateBatch::new()).collect();
-        let mut report = UpdateReport::default();
-        for op in batch.ops() {
-            match op {
-                UpdateOp::Insert(r) | UpdateOp::Modify(r) => {
-                    let target = match plan.route_rule(r) {
-                        ShardRoute::Home(s) => s,
-                        ShardRoute::Broadcast => broadcast_slot,
-                    };
-                    let old = ctl.routes.insert(r.id, target);
-                    match old {
-                        Some(o) if o == target => per[target].push(op.clone()),
-                        Some(o) => {
-                            // The rule moved shards: delete the old version
-                            // where it lives, insert the new one where
-                            // steering will look for it.
-                            per[o].push(UpdateOp::Remove(r.id));
-                            per[target].push(UpdateOp::Insert(r.clone()));
-                        }
-                        None => per[target].push(UpdateOp::Insert(r.clone())),
-                    }
-                    // Semantic accounting from the routing truth, not the
-                    // per-shard engine reports (a move shows up down there
-                    // as one removal plus one fresh insert).
-                    report.inserted += 1;
-                    match (old.is_some(), op) {
-                        (true, _) => report.replaced += 1,
-                        (false, UpdateOp::Modify(_)) => report.missing += 1,
-                        (false, _) => {}
-                    }
+        // The op accounting is `apply_ops`'s, over the routing truth rather
+        // than the per-shard engine reports: a rule is wherever `routes`
+        // says, removing it queues a `Remove` for that shard, inserting it
+        // queues an `Insert` for the shard steering will look in. A modify
+        // that steers elsewhere is thereby a move.
+        let report = apply_ops(
+            &mut (&mut ctl.routes, &mut per),
+            batch,
+            |(routes, per), rule| {
+                let slot = match plan.route_rule(&rule) {
+                    ShardRoute::Home(s) => s,
+                    ShardRoute::Broadcast => broadcast_slot,
+                };
+                routes.insert(rule.id, slot);
+                per[slot].push(UpdateOp::Insert(rule));
+            },
+            |(routes, per), id| {
+                let slot = routes.remove(&id);
+                if let Some(slot) = slot {
+                    per[slot].push(UpdateOp::Remove(id));
                 }
-                UpdateOp::Remove(id) => match ctl.routes.remove(id) {
-                    Some(o) => {
-                        per[o].push(UpdateOp::Remove(*id));
-                        report.removed += 1;
-                    }
-                    None => report.missing += 1,
-                },
-            }
-        }
+                slot.is_some()
+            },
+        );
         if report.changed() {
             for (slot, sub) in per.iter().enumerate() {
                 if !sub.is_empty() {
@@ -706,6 +692,42 @@ mod tests {
         let g = sharded.generation();
         let r = sharded.apply(&UpdateBatch::new().remove(9_999));
         assert_eq!((r.missing, sharded.generation()), (1, g));
+        // A seeded stream of every op shape the fan-out distinguishes; ids
+        // below 50 only ever move inside their own 100-port band.
+        let mut rng = nm_common::SplitMix64::new(0x5eed);
+        let mut fresh_id = 1_000u32;
+        for round in 0..40 {
+            let mut batch = UpdateBatch::new();
+            for _ in 0..6 {
+                let id = 50 + rng.below(180) as u32;
+                let port = rng.below(30_000) as u16;
+                let at = |port: u16| FiveTuple::new().dst_port_exact(port);
+                batch = match rng.below(6) {
+                    // Upsert: a new id or a live one, wherever it steers.
+                    0 => batch.insert(at(port).into_rule(id, id)),
+                    // Upsert of a wildcard: the broadcast shard's.
+                    1 => batch.insert(FiveTuple::new().into_rule(id, 10_000 + id)),
+                    // Modify of an id nobody has: a miss and an insert.
+                    2 => {
+                        fresh_id += 1;
+                        batch.modify(at(port).into_rule(fresh_id, fresh_id))
+                    }
+                    // Modify that stays on its shard.
+                    3 => {
+                        let id = rng.below(50) as u16;
+                        batch.modify(at(id * 100 + port % 100).into_rule(id as u32, id as u32))
+                    }
+                    // Modify that may move shards.
+                    4 => batch.modify(at(port).into_rule(id, id)),
+                    // Double remove: the second is a miss.
+                    _ => batch.remove(id).remove(id),
+                };
+            }
+            assert_eq!(reference.apply(&batch), sharded.apply(&batch), "round {round}");
+            if round % 8 == 7 {
+                probe(&reference, &sharded);
+            }
+        }
     }
 
     #[test]

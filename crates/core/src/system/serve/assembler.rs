@@ -9,9 +9,9 @@
 //! the [`ServePlane`], classifies the whole batch against it, and writes
 //! `(rule, priority, generation)` responses back on the assembler's one
 //! [`ReplySink`], coalescing consecutive frames to the same peer into runs
-//! and pushing all runs with batched syscalls — one `sendmmsg(2)` on the
-//! UDP socket, one gathered `writev(2)` on the TCP stream (see
-//! [`super::sysio`]).
+//! — one datagram each through one `sendmmsg(2)` on the UDP socket; a TCP
+//! stream has one peer, so its flush is one contiguous buffer and one
+//! counted `write` loop (see [`super::sysio`]).
 
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -34,6 +34,13 @@ pub enum ReplySink {
     /// Reply on the reader's serving socket, to each request's peer.
     Udp(Arc<UdpSocket>),
     /// Reply on the connection's own stream.
+    Tcp(Arc<TcpStream>),
+}
+
+/// A [`ReplySink`] with what sending on it takes: only datagrams go through
+/// a [`SendRing`].
+enum Sink {
+    Udp(Arc<UdpSocket>, SendRing),
     Tcp(Arc<TcpStream>),
 }
 
@@ -78,7 +85,7 @@ impl Carried {
 /// The per-reader batch assembler.
 pub struct Assembler<P: ServePlane> {
     plane: Arc<P>,
-    sink: ReplySink,
+    sink: Sink,
     max_batch: usize,
     deadline: Duration,
     stride: usize,
@@ -90,7 +97,6 @@ pub struct Assembler<P: ServePlane> {
     /// on UDP: `(byte_start, byte_end, peer)` — consecutive requests of one
     /// peer, whose frames occupy `wire[byte_start..byte_end]`.
     runs: Vec<(usize, usize, SocketAddr)>,
-    send_ring: SendRing,
     validator: Validator,
     stats_slot: Arc<Mutex<ServeStats>>,
     pub(super) carried: Carried,
@@ -113,6 +119,10 @@ impl<P: ServePlane> Assembler<P> {
         stats_slot: Arc<Mutex<ServeStats>>,
     ) -> Self {
         let max_batch = max_batch.max(1);
+        let sink = match sink {
+            ReplySink::Udp(sock) => Sink::Udp(sock, SendRing::new(max_batch)),
+            ReplySink::Tcp(stream) => Sink::Tcp(stream),
+        };
         Self {
             plane,
             sink,
@@ -124,7 +134,6 @@ impl<P: ServePlane> Assembler<P> {
             out: vec![None; max_batch],
             wire: Vec::with_capacity(4096),
             runs: Vec::with_capacity(max_batch),
-            send_ring: SendRing::new(max_batch),
             validator,
             stats_slot,
             carried: Carried::default(),
@@ -207,8 +216,8 @@ impl<P: ServePlane> Assembler<P> {
         pin.classify_batch(&self.keys, self.stride, out);
 
         // Encode the whole flush into one wire buffer, coalescing
-        // consecutive frames of one peer into runs (one datagram / one
-        // gathered stream range per run).
+        // consecutive frames of one peer into runs (one datagram per run;
+        // a stream's one peer makes the whole buffer one run).
         self.wire.clear();
         self.runs.clear();
         let mut start = 0usize;
@@ -250,29 +259,26 @@ impl<P: ServePlane> Assembler<P> {
         self.pending.clear();
     }
 
-    /// Pushes the encoded runs to the sink with batched syscalls: one
-    /// datagram per run through `sendmmsg(2)`, or the whole buffer in one
-    /// gathered `writev(2)`. Returns `(send_calls, send_errors)` — syscalls
-    /// used and requests whose response could not be delivered.
+    /// Pushes the encoded flush to the sink: one datagram per run through
+    /// `sendmmsg(2)`, or the whole buffer down the stream. Returns
+    /// `(send_calls, send_errors)` — syscalls used and requests whose
+    /// response could not be delivered.
     fn dispatch_runs(&mut self) -> (u64, u64) {
-        match &self.sink {
-            ReplySink::Udp(sock) => {
+        match &mut self.sink {
+            Sink::Udp(sock, ring) => {
                 // A refused run costs the requests whose frames it carried.
                 let runs = &self.runs;
                 let mut failed = 0usize;
-                let calls =
-                    sysio::send_udp_runs(sock, &self.wire, runs, &mut self.send_ring, &mut |i| {
-                        failed += runs.get(i).map_or(0, |r| (r.1 - r.0) / RESPONSE_FRAME)
-                    });
+                let calls = sysio::send_udp_runs(sock, &self.wire, runs, ring, &mut |i| {
+                    failed += runs.get(i).map_or(0, |r| (r.1 - r.0) / RESPONSE_FRAME)
+                });
                 (calls, failed as u64)
             }
-            ReplySink::Tcp(stream) => {
-                let all = [(0, self.wire.len())];
-                match sysio::write_gathered(stream, &self.wire, &all, &mut self.send_ring) {
-                    Ok(calls) => (calls, 0),
-                    Err(_) => (0, self.pending.len() as u64),
-                }
-            }
+            // One peer, one run: a dead stream costs the whole flush.
+            Sink::Tcp(stream) => match sysio::write_counted(stream, &self.wire) {
+                Ok(calls) => (calls, 0),
+                Err(_) => (0, self.pending.len() as u64),
+            },
         }
     }
 }
@@ -571,6 +577,47 @@ pub(super) mod tests {
         assert_eq!(ids_of_next_datagram(&b), [7, 8]);
         let stats = stats.lock().unwrap();
         assert_eq!((stats.requests, stats.send_errors, stats.responses), (9, 3, 6));
+    }
+
+    /// The TCP counterpart: a stream whose peer went away costs the flush
+    /// that finds out every request it carried, and nothing before it.
+    #[test]
+    fn tcp_sink_counts_a_dead_peer_per_request() {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("loopback listener");
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (peer, peer_addr) = listener.accept().expect("accept");
+        let stats = Arc::new(Mutex::new(ServeStats::new()));
+        let mut asm = Assembler::new(
+            Arc::new(StubPlane),
+            ReplySink::Tcp(Arc::new(stream)),
+            128,
+            DEADLINE,
+            1,
+            Validator::new(Arc::new(OracleTable::new(1)), 0),
+            stats.clone(),
+        );
+        let mut flush_of = |n: u64| {
+            for id in 0..n {
+                assert!(!asm.push(id, &[0], peer_addr, Instant::now()));
+            }
+            asm.flush(FlushCause::Drain);
+        };
+        flush_of(3);
+        // The peer closes with those three responses unread, which resets
+        // the connection; a write after the reset has landed fails.
+        let mut first = [0u8; 3 * RESPONSE_FRAME];
+        assert_eq!(peer.peek(&mut first).expect("the first flush arrives"), first.len());
+        drop(peer);
+        let mut flushes = 1u64;
+        while stats.lock().unwrap().send_errors == 0 {
+            assert!(flushes < 1_000, "writes to a reset connection kept succeeding");
+            flush_of(4);
+            flushes += 1;
+        }
+        let stats = stats.lock().unwrap();
+        assert_eq!(stats.send_errors, 4, "the failed flush costs exactly its own requests");
+        assert_eq!(stats.requests, 3 + 4 * (flushes - 1));
+        assert_eq!(stats.responses, stats.requests - 4);
     }
 
     proptest! {

@@ -63,8 +63,9 @@ pub struct ServeStats {
     pub empty_recv_calls: u64,
     /// Receive syscalls that failed with anything but a timeout.
     pub recv_errors: u64,
-    /// Send syscalls — `sendmmsg`/`writev` (or fallback `sendto`/`write`)
-    /// calls that pushed response runs to the wire.
+    /// Send syscalls — `sendmmsg` (or fallback `sendto`) calls that pushed
+    /// response runs to the wire, `write` attempts on a stream, the ones a
+    /// full send buffer turned away included.
     pub send_calls: u64,
     /// Response writes that failed (peer gone).
     pub send_errors: u64,

@@ -12,13 +12,17 @@
 //! * **`recvmmsg(2)`** — a [`RecvRing`] drains up to a whole batch of
 //!   datagrams in one syscall. The `mmsghdr`/`iovec` arrays are owned by
 //!   the ring and reused forever; the reader's hot loop never allocates.
-//! * **`sendmmsg(2)` / `writev(2)`** — a flush's coalesced response runs
-//!   go out in one vectored call per socket ([`send_udp_runs`],
-//!   [`write_gathered`]) instead of one `sendto`/`write` per run.
+//! * **`sendmmsg(2)`** — a flush's coalesced response runs, one datagram
+//!   per peer run, go out in one vectored call ([`send_udp_runs`]) instead
+//!   of one `sendto` per run.
 //!
 //! Non-Linux hosts (and Linux boxes where `SO_REUSEPORT` fails) fall back
 //! to the portable one-datagram-per-call `std::net` path behind the same
 //! interface, so the transport layer is written once.
+//!
+//! A TCP flush needs none of this: its responses are one contiguous
+//! buffer for one peer, so the stream gets a plain `write` loop
+//! (`write_counted`) that counts its syscalls like the rest of the layer.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, UdpSocket};
@@ -105,7 +109,6 @@ mod raw {
         pub fn recvmmsg(fd: i32, vec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8)
             -> i32;
         pub fn sendmmsg(fd: i32, vec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
-        pub fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
     }
 }
 
@@ -399,9 +402,9 @@ impl RecvRing {
 // ---------------------------------------------------------------------------
 
 /// Flush-owned send arena: the `mmsghdr`/`iovec`/`sockaddr` arrays
-/// `sendmmsg(2)` and `writev(2)` gather from. Sized once for the
-/// assembler's `max_batch` (a flush can never produce more runs than
-/// requests) and reused for every flush.
+/// `sendmmsg(2)` gathers from. Sized once for the assembler's `max_batch`
+/// (a flush can never produce more runs than requests) and reused for every
+/// flush.
 pub struct SendRing {
     cap: usize,
     #[cfg(target_os = "linux")]
@@ -544,105 +547,30 @@ fn send_udp_chunk(
 }
 
 // ---------------------------------------------------------------------------
-// Gathered TCP writes
+// Counted stream writes
 // ---------------------------------------------------------------------------
 
-/// Writes `runs` (byte ranges of `wire`) to the stream as one gathered
-/// `writev(2)`, spinning through partial writes, `WouldBlock` (yield — the
-/// conn reader flips its fd nonblocking while assembling) and `EINTR`.
-/// Returns the syscall count; a peer that stopped reading is `WriteZero`.
-#[cfg(target_os = "linux")]
-pub fn write_gathered(
-    stream: &TcpStream,
-    wire: &[u8],
-    runs: &[(usize, usize)],
-    ring: &mut SendRing,
-) -> io::Result<u64> {
-    use std::os::fd::AsRawFd;
-
-    let total: usize = runs.iter().map(|&(s, e)| e.saturating_sub(s)).sum();
-    let mut written = 0usize;
-    let mut calls = 0u64;
-    while written < total {
-        // Rebuild the iovec array past what previous partial writes
-        // consumed: skip fully-written runs, trim the first partial one.
-        let mut iovcnt = 0usize;
-        let mut skip = written;
-        for &(s, e) in runs {
-            let len = e.saturating_sub(s);
-            if skip >= len {
-                skip -= len;
-                continue;
-            }
-            let range = wire.get(s + skip..e).unwrap_or(&[]);
-            skip = 0;
-            if range.is_empty() {
-                continue;
-            }
-            // writev never writes through iov_base; the cast only satisfies
-            // the shared C struct.
-            ring.iovecs[iovcnt] = raw::IoVec { base: range.as_ptr() as *mut u8, len: range.len() };
-            iovcnt += 1;
-            if iovcnt == ring.cap {
-                break;
-            }
-        }
-        if iovcnt == 0 {
-            break;
-        }
-        // SAFETY: the first `iovcnt` iovecs point into `wire`, which
-        // outlives the call; the kernel only reads them.
-        let r = unsafe { raw::writev(stream.as_raw_fd(), ring.iovecs.as_ptr(), iovcnt as i32) };
-        calls += 1;
-        if r > 0 {
-            written += r as usize;
-            continue;
-        }
-        if r == 0 {
-            return Err(io::Error::new(io::ErrorKind::WriteZero, "peer stopped reading"));
-        }
-        let e = io::Error::last_os_error();
-        match e.kind() {
-            io::ErrorKind::Interrupted => {}
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => std::thread::yield_now(),
-            _ => return Err(e),
-        }
-    }
-    Ok(calls)
-}
-
-/// Portable fallback: the classic spin-the-write-through loop, one `write`
-/// per contiguous range.
-#[cfg(not(target_os = "linux"))]
-pub fn write_gathered(
-    stream: &TcpStream,
-    wire: &[u8],
-    runs: &[(usize, usize)],
-    _ring: &mut SendRing,
-) -> io::Result<u64> {
+/// Writes all of `bytes` to the stream — `write_all`, except that it counts
+/// its syscalls and rides out `WouldBlock` (yield: the conn reader flips
+/// its fd nonblocking while assembling, so a full send buffer means the
+/// peer needs CPU to drain its side) as well as `EINTR`. Returns the
+/// syscall count; a peer that stopped reading is `WriteZero`.
+pub(super) fn write_counted(mut stream: &TcpStream, bytes: &[u8]) -> io::Result<u64> {
     use std::io::Write;
 
-    let mut calls = 0u64;
-    for &(s, e) in runs {
-        let bytes = wire.get(s..e).unwrap_or(&[]);
-        let mut off = 0;
-        while off < bytes.len() {
-            match (&*stream).write(&bytes[off..]) {
-                Ok(0) => {
-                    return Err(io::Error::new(io::ErrorKind::WriteZero, "peer stopped reading"))
-                }
-                Ok(n) => {
-                    calls += 1;
-                    off += n;
-                }
-                Err(ref e)
-                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-                {
-                    std::thread::yield_now();
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+    let (mut off, mut calls) = (0usize, 0u64);
+    while off < bytes.len() {
+        calls += 1;
+        match stream.write(&bytes[off..]) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "peer stopped reading")),
+            Ok(n) => off += n,
+            Err(ref e)
+                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+            {
+                std::thread::yield_now();
             }
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
     Ok(calls)
@@ -728,24 +656,5 @@ mod tests {
         }
         lens.sort_unstable();
         assert_eq!(lens, vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn write_gathered_delivers_every_range_in_order() {
-        use std::io::Read;
-
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let tx = TcpStream::connect(addr).unwrap();
-        let (mut rx, _) = listener.accept().unwrap();
-        let wire = b"xxhelloyy_world";
-        let runs = [(2usize, 7usize), (10, 15)];
-        let mut ring = SendRing::new(4);
-        let calls = write_gathered(&tx, wire, &runs, &mut ring).unwrap();
-        assert!(calls >= 1);
-        drop(tx);
-        let mut got = Vec::new();
-        rx.read_to_end(&mut got).unwrap();
-        assert_eq!(got, b"helloworld");
     }
 }

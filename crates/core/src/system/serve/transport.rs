@@ -170,7 +170,11 @@ pub(super) fn tcp_acceptor<P: ServePlane>(shared: Arc<Shared<P>>, listener: TcpL
                 stream.set_nodelay(true).ok();
                 let shared2 = shared.clone();
                 let join = std::thread::spawn(move || tcp_conn(shared2, Arc::new(stream)));
-                shared.conn_joins.lock().unwrap_or_else(PoisonError::into_inner).push(join);
+                // Keep only the readers `Server::stop` still has to wait
+                // for: one handle per connection ever accepted is a leak.
+                let mut conns = shared.conn_joins.lock().unwrap_or_else(PoisonError::into_inner);
+                conns.retain(|j| !j.is_finished());
+                conns.push(join);
             }
             Err(ref e) if is_timeout(e) => std::thread::sleep(IDLE_TICK),
             Err(_) => std::thread::sleep(IDLE_TICK),
@@ -244,6 +248,19 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Mutex;
 
+    fn stub_shared() -> Arc<Shared<StubPlane>> {
+        Arc::new(Shared {
+            plane: Arc::new(StubPlane),
+            oracle: Arc::new(OracleTable::new(ORACLE_KEEP)),
+            cfg: ServeConfig { stride: 1, ..ServeConfig::default() },
+            shutdown: AtomicBool::new(false),
+            slots: Mutex::new(Vec::new()),
+            conn_joins: Mutex::new(Vec::new()),
+            cpus: Vec::new(),
+            next_cpu: AtomicUsize::new(0),
+        })
+    }
+
     /// A receive that fails with something other than a timeout is counted,
     /// neither ends nor wedges the reader, and shutdown still joins it.
     #[test]
@@ -254,17 +271,7 @@ mod tests {
         let closed = UdpSocket::bind(("127.0.0.1", 0)).and_then(|s| s.local_addr()).unwrap();
         let sock = Arc::new(UdpSocket::bind(("127.0.0.1", 0)).unwrap());
         sock.connect(closed).unwrap();
-        let cfg = ServeConfig::default();
-        let shared = Arc::new(Shared {
-            plane: Arc::new(StubPlane),
-            oracle: Arc::new(OracleTable::new(ORACLE_KEEP)),
-            cfg,
-            shutdown: AtomicBool::new(false),
-            slots: Mutex::new(Vec::new()),
-            conn_joins: Mutex::new(Vec::new()),
-            cpus: Vec::new(),
-            next_cpu: AtomicUsize::new(0),
-        });
+        let shared = stub_shared();
         let reader = {
             let (shared, sock) = (shared.clone(), sock.clone());
             std::thread::spawn(move || udp_reader(shared, sock))
@@ -280,5 +287,48 @@ mod tests {
         let stats = slots[0].1.lock().unwrap();
         assert!(stats.recv_errors > 0, "no receive error counted: {stats:?}");
         assert_eq!(stats.requests, 0);
+    }
+
+    /// The acceptor keeps join handles for the connections still open, not
+    /// for every connection it ever accepted.
+    #[test]
+    fn closed_connections_are_reaped_on_the_next_accept() {
+        use crate::system::serve::ServeClient;
+        const CLOSED: usize = 24;
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shared = stub_shared();
+        let acceptor = {
+            let shared = shared.clone();
+            std::thread::spawn(move || tcp_acceptor(shared, listener))
+        };
+        // An answered call shows the connection was accepted and is served.
+        let served = |id: u64| {
+            let mut client = ServeClient::tcp(addr).expect("connect");
+            client.call(id, &[0], Duration::from_secs(5)).expect("served");
+            client
+        };
+        for id in 0..CLOSED as u64 {
+            drop(served(id));
+        }
+        // A closed connection's reader takes a moment to see the EOF, so
+        // the bound is reached, not held at every instant: probe until an
+        // accept finds every earlier reader but the last probe's gone.
+        let (waited, mut probes) = (Instant::now(), 0);
+        loop {
+            let probe = served((CLOSED + probes) as u64);
+            probes += 1;
+            if shared.conn_joins.lock().unwrap().len() <= 2 {
+                break;
+            }
+            assert!(waited.elapsed() < Duration::from_secs(10), "finished readers are kept");
+            drop(probe);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        shared.shutdown.store(true, Relaxed);
+        acceptor.join().expect("acceptor panicked");
+        for conn in shared.conn_joins.lock().unwrap().drain(..) {
+            conn.join().expect("connection reader panicked");
+        }
     }
 }

@@ -21,9 +21,8 @@
 //! only the drifted leaf submodels and pulls admissible remainder rules back
 //! into their iSets.
 //!
-//! The entry point is [`NuevoMatch::apply`] with an
-//! [`UpdateBatch`] transaction; `remove` / `insert` /
-//! `modify` remain as single-op conveniences. All of these require exclusive
+//! The one entry point is [`NuevoMatch::apply`] with an [`UpdateBatch`]
+//! transaction (a single op is a batch of one). It requires exclusive
 //! access (`&mut self`) and thus a quiesced data plane — concurrent readers
 //! belong to [`super::ClassifierHandle`], which applies the same batches
 //! against copy-on-write snapshots instead.

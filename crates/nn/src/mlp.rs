@@ -15,7 +15,6 @@ pub const ONE_MINUS_EPS: f32 = 0.999_999_94;
 /// Weights are `f32` — the paper stores single-precision weights so eight
 /// hidden neurons fit one AVX register (§4 "Vectorization").
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mlp {
     /// Hidden-layer weights, one per neuron.
     pub w1: Vec<f32>,

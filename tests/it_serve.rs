@@ -489,6 +489,101 @@ fn dense_traffic_still_assembles_full_batches() {
     }
 }
 
+/// A TCP client that stops reading: the responses back up through both
+/// socket buffers until the connection's reader — whose fd is nonblocking
+/// while it assembles — is writing into a full one. Once the client drains,
+/// every response arrives exactly once and in order, none was given up on,
+/// and the flushes needed more writes than there were flushes (partial
+/// writes, `WouldBlock` retries).
+#[test]
+fn tcp_backpressure_delays_responses_but_loses_none() {
+    use nm_common::frame::{decode_response, encode_request, RESPONSE_FRAME};
+    use std::io::{Read, Write};
+    use std::sync::atomic::AtomicUsize;
+
+    // 8 MB of responses: twice what loopback's send and receive buffers
+    // hold between them at their largest, so the server must stall.
+    const REQUESTS: usize = 300_000;
+    const CHUNK: usize = 500;
+    let set = base_set();
+    let handle = ClassifierHandle::new(&set, &cfg(), TupleMerge::build).expect("build");
+    let generation = handle.generation();
+    // A batch no single 16 KB read can fill, and time to fill it: batches
+    // flush full, mid-assembly, when the reader's fd is nonblocking.
+    let scfg = ServeConfig {
+        transport: Transport::Tcp,
+        max_batch: 1_024,
+        deadline: LONG_DEADLINE,
+        validate_every: 16,
+        ..Default::default()
+    };
+    let server = Server::start(handle, &scfg).expect("bind");
+    let truth = LinearSearch::from_rules(set.rules().to_vec());
+    server.oracle().publish(generation, LinearSearch::from_rules(set.rules().to_vec()));
+    // The sweep revisits 4 096 ports; their verdicts, once.
+    let want: Vec<_> = (0..4_096).map(|i| truth.classify(&sweep_key(i))).collect();
+
+    let mut stream = std::net::TcpStream::connect(server.tcp_addr().expect("bound")).unwrap();
+    let sent = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        // The writer blocks whenever the request path is full, which it is
+        // for as long as the server is stuck on its responses.
+        let mut tx = stream.try_clone().expect("clone");
+        let sent = &sent;
+        scope.spawn(move || {
+            let mut wire = Vec::new();
+            for first in (0..REQUESTS).step_by(CHUNK) {
+                wire.clear();
+                for id in first..first + CHUNK {
+                    encode_request(&mut wire, id as u64, &sweep_key(id as u64 % 4_096));
+                }
+                tx.write_all(&wire).expect("request write");
+                sent.store(first + CHUNK, SeqCst);
+            }
+        });
+        // Read nothing until the writer has stopped making progress.
+        let (mut seen, mut stalled) = (0, 0);
+        while stalled < 20 && seen < REQUESTS {
+            std::thread::sleep(Duration::from_millis(10));
+            let now = sent.load(SeqCst);
+            stalled = if now == seen { stalled + 1 } else { 0 };
+            seen = now;
+        }
+        assert!(seen < REQUESTS, "every request went out with no response read: no back-pressure");
+        // Drain.
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (mut buf, mut carry, mut next) = (vec![0u8; 64 * 1024], Vec::new(), 0usize);
+        while next < REQUESTS {
+            let n = stream.read(&mut buf).expect("response read");
+            assert!(n > 0, "server closed after {next} responses");
+            carry.extend_from_slice(&buf[..n]);
+            let whole = carry.len() / RESPONSE_FRAME * RESPONSE_FRAME;
+            for frame in carry[..whole].chunks(RESPONSE_FRAME) {
+                let (frame, _) = decode_response(frame).unwrap().expect("a whole frame");
+                assert_eq!(frame.id, next as u64, "responses out of order or repeated");
+                assert_eq!(frame.verdict, want[next % 4_096], "verdict for request {next}");
+                assert_eq!(frame.generation, generation);
+                next += 1;
+            }
+            carry.drain(..whole);
+        }
+    });
+    drop(stream);
+    let stats = server.shutdown();
+    assert_eq!(
+        (stats.requests, stats.responses, stats.send_errors),
+        (REQUESTS as u64, REQUESTS as u64, 0)
+    );
+    assert!(
+        stats.send_calls > stats.batches,
+        "{} flushes went out in {} writes: none was partial or retried",
+        stats.batches,
+        stats.send_calls
+    );
+    assert_eq!(stats.mismatches, 0);
+    assert!(stats.validated > 0, "validator never sampled");
+}
+
 /// Property fuzz for the wire decoders the batched data path leans on:
 /// arbitrary bytes never panic, and a stream of valid frames cut at any
 /// byte boundary (a `recvmmsg` datagram edge or a TCP short read) decodes

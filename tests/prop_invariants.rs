@@ -1,6 +1,5 @@
 //! Property-based tests over the workspace's core invariants.
 
-use nm_common::range::low_mask;
 use nm_common::Classifier;
 use nm_common::{FieldRange, FieldsSpec, LinearSearch, RuleSet, SplitMix64};
 use proptest::prelude::*;
@@ -78,23 +77,6 @@ proptest! {
             }
         }
         prop_assert_eq!(greedy, best);
-    }
-
-    /// Range→prefix decomposition covers the range exactly with disjoint
-    /// aligned blocks.
-    #[test]
-    fn to_prefixes_exact_cover(lo in 0u64..65_536, w in 0u64..4_096) {
-        let hi = (lo + w).min(65_535);
-        let r = FieldRange::new(lo, hi);
-        let blocks = r.to_prefixes(16);
-        let mut cursor = lo;
-        for (base, plen) in blocks {
-            prop_assert_eq!(base, cursor, "blocks must tile left to right");
-            let host = 16 - plen;
-            prop_assert_eq!(base & low_mask(host), 0, "blocks must be aligned");
-            cursor = base + low_mask(host) + 1;
-        }
-        prop_assert_eq!(cursor, hi + 1, "blocks must end at the range end");
     }
 
     /// The covering prefix contains the whole range.
