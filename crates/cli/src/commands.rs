@@ -43,12 +43,12 @@ sharding: --shards S > 1 partitions the rule-set (range steering on an
         replica per shard; --workers W threads per shard; --pin pins each
         shard's workers to one NUMA node's CPUs (no-op on 1-CPU machines —
         the runtime degrades to unpinned there). bench and serve run the
-        same sharded plane: bench over engines built once, serve over the
-        snapshots of per-shard handle replicas, fanning its update stream
-        across them and publishing one epoch per logical generation — the
-        broadcast shard included, so a wildcard inserted later is served
-        (--shards 1, the default, is the one-replica case of the same
-        control plane).
+        same sharded plane: bench over engines built once, serve over
+        per-shard NuevoMatch replicas in one publication cell, fanning its
+        update stream across them and publishing one epoch per logical
+        generation — the broadcast shard included, so a wildcard inserted
+        later is served (--shards 1, the default, is the one-replica case
+        of the same control plane).
 serving: serve binds real loopback sockets (--listen, port 0 = ephemeral):
         length-prefixed key frames in, (rule, priority, generation) verdicts
         out. Requests micro-batch per reader — flush at --max-batch, after
@@ -60,9 +60,10 @@ serving: serve binds real loopback sockets (--listen, port 0 = ephemeral):
         back to one shared socket where REUSEPORT is unavailable).
         --readers K drives K loopback *client* threads against the service;
         --json reports measured p50/p99/p99.9 wire service latency plus
-        syscalls-per-packet and the per-UDP-reader request spread. Debug
-        builds replay 1 in --validate-every verdicts against a LinearSearch
-        oracle at the pinned generation (mismatches must be 0).
+        syscalls-per-packet and the per-UDP-reader request spread. 1 in
+        --validate-every verdicts (default 16 in debug builds, 0 = off in
+        release) is replayed against a LinearSearch oracle at the pinned
+        generation; any mismatch makes serve exit 1.
 ";
 
 /// Runs a parsed command, returning the text to print (errors as `Err`).
@@ -594,8 +595,8 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
 
     let trace = uniform_trace(&set, packets, seed);
     let t0 = std::time::Instant::now();
-    // One control plane whatever the shard count: per-shard handle replicas
-    // under one logical generation (one replica when `--shards 1`).
+    // One control plane whatever the shard count: per-shard replicas in one
+    // publication cell (one replica when `--shards 1`).
     let plan = ShardPlanConfig { shards, dim: None };
     let serve = ShardedHandle::new(&set, &NuevoMatchConfig::default(), &plan, TupleMerge::build)
         .map_err(|e| e.to_string())?;
@@ -661,6 +662,12 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
     };
     let reader_requests_min = wire.udp_reader_stats.iter().map(|r| r.requests).min().unwrap_or(0);
     let reader_requests_max = wire.udp_reader_stats.iter().map(|r| r.requests).max().unwrap_or(0);
+    // A served verdict that disagrees with its pinned generation's oracle
+    // fails the run; the report still prints, on stderr.
+    let done = |report: String| match stats.mismatches {
+        0 => Ok(report),
+        n => Err(format!("{report}serve: {n} of {} sampled verdicts disagreed", stats.validated)),
+    };
     if json {
         let doc = Json::obj([
             ("engine", "nm-tm".into()),
@@ -703,11 +710,11 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
             ("p999_us", Json::num(lat.p999_us, 1)),
             ("mean_us", Json::num(lat.mean_us, 1)),
         ]);
-        return Ok(format!("{doc}\n"));
+        return done(format!("{doc}\n"));
     }
     let addr =
         |a: Option<std::net::SocketAddr>| a.map_or_else(|| "-".to_string(), |sa| sa.to_string());
-    Ok(format!(
+    done(format!(
         "served {} verdicts over {:.2}s on the wire (udp {} / tcp {}, {} shard(s)): {:.3e} pps\n\
          {} loopback drivers, window {}; {} batches ({} full / {} deadline / {} idle / {} drain), \
          {} decode errors\n\
@@ -996,7 +1003,7 @@ mod tests {
         assert!(out.contains("\"shards\":1"), "{out}");
         assert!(out.contains("\"workers\":1"), "{out}");
 
-        // serve with per-shard handle replicas: updates fan out, retrains
+        // serve with per-shard replicas: updates fan out, retrains
         // republish one logical generation.
         let out = run(parse_command(&v(&[
             "serve",

@@ -47,9 +47,10 @@ impl MatchResult {
 /// built classifier can be shared by any number of reader threads. Writes
 /// go through the separate control-plane traits: [`crate::BatchUpdatable`]
 /// for engines that accept transactional [`crate::UpdateBatch`]es, and
-/// [`crate::EngineBuilder`] for (re)construction. The [`Self::generation`]
-/// stamp ties the two planes together — it bumps whenever the served rule
-/// content changes, which is how caches above the classifier invalidate.
+/// [`crate::EngineBuilder`] for (re)construction. Engines carry no version:
+/// the [`Self::generation`] stamp belongs to the publication a view reads
+/// (a [`crate::Snapshot`]), which is how caches above the classifier
+/// invalidate.
 ///
 /// ## Tie semantics
 ///
@@ -174,17 +175,15 @@ pub trait Classifier: Send + Sync {
         }
     }
 
-    /// Monotone data-plane version stamp: bumps whenever the rule content
-    /// this classifier serves changes (see [`crate::Generation`]).
+    /// The stamp of the publication this view reads (see
+    /// [`crate::Generation`]), and `0` for an engine that is not published.
     ///
-    /// Engines that never change after build keep the default (a constant
-    /// `0`). [`crate::BatchUpdatable`] engines bump it per applied batch
-    /// whose report [`crate::UpdateReport::changed`]; snapshot handles
-    /// report the published snapshot's generation. Caches layered above a
-    /// classifier (e.g. `nuevomatch::FlowCache`) probe this to drop stale
-    /// verdicts, so a non-bumping implementation on a mutable engine is a
-    /// correctness bug — and a bump for a content-preserving batch is a
-    /// spurious cache stampede.
+    /// Engines keep the default: a bare engine is a value, and whoever
+    /// changes it through `&mut` owns it outright. A [`crate::Snapshot`]
+    /// reports its stamp, and the handles that publish snapshots
+    /// (`nuevomatch::ClassifierHandle`, `nuevomatch::ShardedHandle`) report
+    /// the live one. Caches layered above a classifier (e.g.
+    /// `nuevomatch::FlowCache`) probe this to drop stale verdicts.
     fn generation(&self) -> crate::update::Generation {
         0
     }
@@ -220,7 +219,7 @@ pub fn apply_floors(floors: Option<&[Priority]>, out: &mut [Option<MatchResult>]
 // classifiers themselves, so generic wrappers — `FlowCache`, the sharded
 // runtime — can hold them without knowing the concrete engine. Every method
 // forwards, including the overridable hooks, so a boxed engine keeps its
-// batched pipeline and generation stamp.
+// batched pipeline and a boxed snapshot its generation stamp.
 impl<C: Classifier + ?Sized> Classifier for Box<C> {
     fn classify(&self, key: &[u64]) -> Option<MatchResult> {
         (**self).classify(key)

@@ -4,7 +4,7 @@
 use crate::classifier::{Classifier, MatchResult};
 use crate::rule::{Priority, Rule, RuleId};
 use crate::ruleset::RuleSet;
-use crate::update::{BatchUpdatable, Generation, UpdateBatch, UpdateReport};
+use crate::update::{BatchUpdatable, UpdateBatch, UpdateReport};
 
 /// Brute-force classifier: rules sorted by priority, first match wins.
 ///
@@ -14,8 +14,6 @@ use crate::update::{BatchUpdatable, Generation, UpdateBatch, UpdateReport};
 pub struct LinearSearch {
     /// Rules sorted by (priority, id) so the first hit is the answer.
     rules: Vec<Rule>,
-    /// Update stamp (see [`Classifier::generation`]).
-    generation: Generation,
 }
 
 impl LinearSearch {
@@ -27,7 +25,7 @@ impl LinearSearch {
     /// Builds from an explicit rule list.
     pub fn from_rules(mut rules: Vec<Rule>) -> Self {
         rules.sort_by_key(|r| (r.priority, r.id));
-        Self { rules, generation: 0 }
+        Self { rules }
     }
 
     fn insert_rule(&mut self, rule: Rule) {
@@ -73,22 +71,11 @@ impl Classifier for LinearSearch {
     fn num_rules(&self) -> usize {
         self.rules.len()
     }
-
-    fn generation(&self) -> Generation {
-        self.generation
-    }
 }
 
 impl BatchUpdatable for LinearSearch {
     fn apply(&mut self, batch: &UpdateBatch) -> UpdateReport {
-        let report =
-            crate::update::apply_ops(self, batch, Self::insert_rule, |s, id| s.remove_rule(id));
-        // Bump only when content changed: a batch of pure misses serves the
-        // same rules, and a spurious bump stampedes caches layered above.
-        if report.changed() {
-            self.generation += 1;
-        }
-        report
+        crate::update::apply_ops(self, batch, Self::insert_rule, |s, id| s.remove_rule(id))
     }
 
     fn export_rules(&self) -> Vec<Rule> {
@@ -138,24 +125,18 @@ mod tests {
     fn updates() {
         let set = tiny_set();
         let mut ls = LinearSearch::build(&set);
-        assert_eq!(ls.generation(), 0);
         let report = ls.apply(&UpdateBatch::new().remove(0).remove(0));
         assert_eq!((report.removed, report.missing), (1, 1), "double delete reports absence");
         assert_eq!(ls.classify(&[99, 1]), None);
-        assert_eq!(ls.generation(), 1);
         let add = Rule::new(7, 0, vec![FieldRange::new(90, 100), FieldRange::new(0, 10)]);
         assert_eq!(ls.apply(&UpdateBatch::new().insert(add)).inserted, 1);
         assert_eq!(ls.classify(&[99, 1]).unwrap().rule, 7);
         assert_eq!(ls.num_rules(), 3);
-        assert_eq!(ls.generation(), 2);
-        // The empty batch is a no-op and does not bump the generation.
+        // The empty batch is a no-op, and a batch of pure misses reports no
+        // change (a handle publishes nothing for either).
         assert_eq!(ls.apply(&UpdateBatch::new()), UpdateReport::default());
-        assert_eq!(ls.generation(), 2);
-        // Neither does a non-empty batch of pure misses (regression: this
-        // used to bump per non-empty batch and stampede flow caches).
         let r = ls.apply(&UpdateBatch::new().remove(555).remove(556));
         assert_eq!((r.missing, r.changed()), (2, false));
-        assert_eq!(ls.generation(), 2, "no-op batch must not bump the generation");
         assert_eq!(ls.export_rules().len(), 3);
     }
 

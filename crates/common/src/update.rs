@@ -16,7 +16,8 @@
 //!   together (trivially so for `&mut` engines, and via snapshot swap for
 //!   `nuevomatch`'s `ClassifierHandle`).
 //! * [`Snapshot`] — a generation-stamped immutable wrapper around any
-//!   classifier, the unit the data plane publishes and readers pin.
+//!   classifier, the unit the data plane publishes and readers pin. The
+//!   stamp lives here and nowhere else: engines are unversioned values.
 //!
 //! The paper's §3.9 update story maps onto these directly: a writer applies
 //! [`UpdateBatch`]es (rules drift to the remainder), a background retrain
@@ -27,9 +28,9 @@ use crate::classifier::{Classifier, MatchResult};
 use crate::rule::{Priority, Rule, RuleId};
 use crate::ruleset::RuleSet;
 
-/// Monotone data-plane version number. Bumps whenever the rule content an
-/// engine serves changes (per update batch, and per retrain publish).
-/// Generation `0` is reserved for engines that never change.
+/// Monotone data-plane version number: the stamp a publication carries.
+/// Only a publishing handle mints one (per effective update batch, and per
+/// retrain); engines carry none, and generation `0` means "not published".
 pub type Generation = u64;
 
 /// Constructs a classifier from a rule-set.
@@ -218,9 +219,9 @@ impl UpdateReport {
     }
 
     /// True when the batch changed the served rule content — the condition
-    /// under which [`crate::Classifier::generation`] must bump. A batch made
-    /// entirely of misses (removes/modifies of absent ids) changes nothing,
-    /// and bumping for it would stampede the caches layered above.
+    /// under which a handle publishes a new generation. A batch made
+    /// entirely of misses (removes of absent ids) changes nothing, and
+    /// publishing for it would stampede the caches layered above.
     pub fn changed(&self) -> bool {
         self.inserted > 0 || self.removed > 0 || self.replaced > 0
     }
@@ -231,8 +232,7 @@ impl UpdateReport {
 /// is displaced first and counted as `replaced`), removes report presence,
 /// and a modify is a replace-or-miss followed by an insert. Engines whose
 /// batch semantics match (LinearSearch, TupleMerge) delegate here so the op
-/// accounting has exactly one definition; the caller still owns its
-/// generation bump (gate it on [`UpdateReport::changed`]).
+/// accounting has exactly one definition.
 pub fn apply_ops<T>(
     target: &mut T,
     batch: &UpdateBatch,
@@ -278,11 +278,10 @@ pub fn apply_ops<T>(
 /// `apply` replaced the old per-op `Updatable` `&mut self` insert/remove
 /// pair (removed after its one-release deprecation): a whole [`UpdateBatch`]
 /// lands at once, which lets an engine amortise bookkeeping across the batch
-/// and lets wrappers (snapshot handles, flow caches) make the batch atomic
-/// with respect to readers. Implementations must bump
-/// [`Classifier::generation`] at least once per batch whose report
-/// [`UpdateReport::changed`] — and must *not* bump for a batch of pure
-/// misses, which changes nothing a cache could be stale about.
+/// and lets a snapshot handle make the batch atomic with respect to
+/// readers. An engine keeps no version of its own: the handle that
+/// publishes it stamps each publication, and the report's
+/// [`UpdateReport::changed`] tells it whether there is anything to publish.
 pub trait BatchUpdatable: Classifier {
     /// Applies every op in order. With `&mut self` the batch is trivially
     /// atomic; wrappers that expose concurrent readers must not let a

@@ -32,9 +32,6 @@ pub struct RqRmiParams {
     pub max_attempts: usize,
     /// Weight optimiser.
     pub trainer: TrainerKind,
-    /// RNG seed for sampling (and Adam init); training is deterministic in
-    /// this seed.
-    pub seed: u64,
 }
 
 impl Default for RqRmiParams {
@@ -45,7 +42,6 @@ impl Default for RqRmiParams {
             samples_init: 1 << 10,
             max_attempts: 6,
             trainer: TrainerKind::default(),
-            seed: 0x6e75_6576_6f6d, // "nuevom"
         }
     }
 }

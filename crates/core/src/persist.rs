@@ -615,6 +615,62 @@ mod tests {
             assert!(refusal(&bad).contains("iset model indexes another rule count"));
         }
 
+        /// Seeded fuzz over 4 000 corrupted images of a good snapshot, each
+        /// truncated or with 1–4 bits flipped and then resealed, so the
+        /// checksum passes and the parser meets the damage. The loader must
+        /// answer `Ok` or `Err`, never panic; every image it accepts must
+        /// then survive what a served snapshot meets: per-key and batched
+        /// lookups, a partial retrain and a re-save.
+        #[test]
+        fn corrupted_resealed_images_load_or_refuse_without_panicking() {
+            use crate::config::PartialRetrainPolicy;
+            use std::panic::{catch_unwind, AssertUnwindSafe};
+            let good = save_snapshot(&updated_nm(), 1);
+            let body = (good.len() - 8) as u64;
+            let cfg = NuevoMatchConfig { partial_retrain: PartialRetrainPolicy::always(), ..cfg() };
+            let mut rng = nm_common::SplitMix64::new(0x5eed_f022);
+            let (mut accepted, mut panicked) = (0, Vec::new());
+            for case in 0..4_000 {
+                let mut image = good.clone();
+                if rng.below(2) == 0 {
+                    image.truncate(8 + rng.below(body) as usize);
+                } else {
+                    for _ in 0..1 + rng.below(4) {
+                        let bit = rng.below(8 * body);
+                        image[(bit / 8) as usize] ^= 1 << (bit % 8);
+                    }
+                }
+                reseal(&mut image);
+                let served = catch_unwind(AssertUnwindSafe(|| {
+                    let Ok((nm, generation)) = load_snapshot(&image, &LinearSearch::build) else {
+                        return false;
+                    };
+                    let stride = nm.spec().len();
+                    let keys: Vec<u64> =
+                        (0..64 * stride as u64).map(|i| i * 1_031 % 65_536).collect();
+                    let mut out = vec![None; 64];
+                    nm.classify_batch(&keys, stride, &mut out);
+                    for key in keys.chunks_exact(stride) {
+                        nm.classify(key);
+                    }
+                    let _ = nm.partial_retrain(&cfg);
+                    save_snapshot(&nm, generation);
+                    true
+                }));
+                match served {
+                    Ok(ok) => accepted += ok as usize,
+                    Err(_) => panicked.push(case),
+                }
+            }
+            assert!(
+                panicked.is_empty(),
+                "{} images panicked, first {:?}",
+                panicked.len(),
+                panicked.first()
+            );
+            assert!((500..3_500).contains(&accepted), "{accepted} of 4 000 accepted");
+        }
+
         #[test]
         fn partially_retrained_snapshot_roundtrips_bit_identically() {
             // A partial retrain patches leaf submodels in place (rescaled

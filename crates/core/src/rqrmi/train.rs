@@ -31,6 +31,10 @@ use super::analyze::{
 use super::model::RqRmi;
 use crate::config::{RqRmiParams, TrainerKind};
 
+/// RNG seed for sampling (and Adam init): training is deterministic, so a
+/// model is a function of its ranges and [`RqRmiParams`] alone.
+const SEED: u64 = 0x6e75_6576_6f6d; // "nuevom"
+
 /// Sampling behaviour for training datasets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SampleMode {
@@ -76,7 +80,7 @@ pub fn train_rqrmi_mode(
     let his: Vec<u64> = ranges.iter().map(|r| r.hi).collect();
     let widths = params.widths_for(n);
     let stages = widths.len();
-    let mut rng = SplitMix64::new(params.seed);
+    let mut rng = SplitMix64::new(SEED);
 
     let mut nets: Vec<Vec<Mlp>> = Vec::with_capacity(stages);
     let mut resp: Vec<Responsibility> = vec![vec![(0, km.domain_max())]];
@@ -96,24 +100,9 @@ pub fn train_rqrmi_mode(
             stage_nets.push(fit(&params.trainer, &data, rng.next_u64()));
         }
         if s + 1 < stages {
-            let mut next: Vec<Responsibility> = vec![Vec::new(); widths[s + 1]];
-            for (j, net) in stage_nets.iter().enumerate() {
-                if resp[j].is_empty() {
-                    continue;
-                }
-                let children = child_responsibilities(net, &resp[j], widths[s + 1], &km);
-                for (k, mut ch) in children.into_iter().enumerate() {
-                    next[k].append(&mut ch);
-                }
-            }
-            for r in &mut next {
-                super::analyze::normalize(r);
-            }
-            nets.push(stage_nets);
-            resp = next;
-        } else {
-            nets.push(stage_nets);
+            resp = next_responsibilities(&stage_nets, &resp, widths[s + 1], &km);
         }
+        nets.push(stage_nets);
     }
 
     // Leaf error bounds + the Figure 5 retrain loop.
@@ -168,29 +157,37 @@ fn refine_leaf(
     (best.1, best.0)
 }
 
-/// Materialises each leaf submodel's responsibility by cascading
-/// [`child_responsibilities`] through the (unchanged) internal stages —
-/// exactly the computation [`train_rqrmi`] performs while training, replayed
-/// from the trained weights.
+/// One step of the responsibility cascade: the responsibilities of the
+/// `width` submodels after a trained `stage` whose submodels hold `resp`,
+/// computed analytically from the weights ([`child_responsibilities`], no
+/// key enumeration — Theorem A.1).
+fn next_responsibilities(
+    stage: &[Mlp],
+    resp: &[Responsibility],
+    width: usize,
+    km: &KeyMap,
+) -> Vec<Responsibility> {
+    let mut next: Vec<Responsibility> = vec![Vec::new(); width];
+    for (net, r) in stage.iter().zip(resp).filter(|(_, r)| !r.is_empty()) {
+        for (k, mut ch) in child_responsibilities(net, r, width, km).into_iter().enumerate() {
+            next[k].append(&mut ch);
+        }
+    }
+    for r in &mut next {
+        super::analyze::normalize(r);
+    }
+    next
+}
+
+/// Materialises each leaf submodel's responsibility by running the cascade
+/// through the (unchanged) internal stages — exactly the computation
+/// [`train_rqrmi`] performs while training, replayed from the trained
+/// weights.
 pub(crate) fn leaf_responsibilities(model: &RqRmi) -> Vec<Responsibility> {
     let km = model.key_map();
     let mut resp: Vec<Responsibility> = vec![vec![(0, km.domain_max())]];
-    for s in 0..model.nets.len() - 1 {
-        let w_next = model.widths[s + 1];
-        let mut next: Vec<Responsibility> = vec![Vec::new(); w_next];
-        for (j, net) in model.nets[s].iter().enumerate() {
-            if resp[j].is_empty() {
-                continue;
-            }
-            let children = child_responsibilities(net, &resp[j], w_next, &km);
-            for (k, mut ch) in children.into_iter().enumerate() {
-                next[k].append(&mut ch);
-            }
-        }
-        for r in &mut next {
-            super::analyze::normalize(r);
-        }
-        resp = next;
+    for (stage, &width) in model.nets.iter().zip(&model.widths[1..]) {
+        resp = next_responsibilities(stage, &resp, width, &km);
     }
     resp
 }
@@ -326,7 +323,7 @@ pub fn retrain_leaves(
 
     let mut nets = old.nets.clone();
     let mut leaf_err = old.leaf_err.clone();
-    let mut rng = SplitMix64::new(params.seed ^ 0x7061_7274_6961_6c21); // "partial!"
+    let mut rng = SplitMix64::new(SEED ^ 0x7061_7274_6961_6c21); // "partial!"
     let mode = SampleMode::Rank;
     for (j, p) in plan.iter().enumerate() {
         match p {

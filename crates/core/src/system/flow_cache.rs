@@ -25,11 +25,13 @@
 //!
 //! Updates invalidate by generation: every probe is handed the source's
 //! [`Classifier::generation`] stamp and compares it against the one recorded
-//! at the last probe; a bump (an applied `UpdateBatch`, a snapshot swap
-//! behind a `ClassifierHandle`, a new epoch pinned by the runtime)
-//! invalidates the whole table in O(1), and stale entries die lazily on
-//! their next probe. Every `BatchUpdatable` engine in the workspace bumps
-//! its stamp, so there is no manual invalidation.
+//! at the last probe; a newer stamp (a snapshot published behind a
+//! `ClassifierHandle`, a new epoch pinned by the runtime) invalidates the
+//! whole table in O(1), and stale entries die lazily on their next probe.
+//! Only a publication mints a stamp — engines are unversioned — so a cache
+//! over a bare engine never invalidates, and there is no way to change that
+//! engine under it: a cached classifier that must change is a handle, and
+//! its updates and retrains go through the handle's clones.
 
 use nm_common::classifier::{apply_floors, Classifier, MatchResult};
 use nm_common::rule::Priority;
@@ -44,8 +46,9 @@ struct Entry {
     key: Vec<u64>,
     /// Cached verdict (None = the classifier reported no match).
     verdict: Option<MatchResult>,
-    /// Generation stamp; mismatched entries are stale.
-    generation: u64,
+    /// The source stamp the verdict was read at; an entry at any other is
+    /// stale (a vacant one is at `Generation::MAX`, never a source's).
+    generation: Generation,
     /// Per-set recency counter.
     stamp: u64,
 }
@@ -79,31 +82,31 @@ impl CacheStats {
     }
 }
 
-/// The cache's table: entries, generations, recency tick and counters.
+/// The cache's table: entries, the source stamp, recency tick and counters.
 /// Owned by exactly one party at a time — a [`FlowCache`]'s mutex or a
 /// runtime worker — so every method takes `&mut self`.
 pub(crate) struct FlowTable {
     entries: Vec<Entry>,
     mask: usize,
-    generation: u64,
-    /// The source's [`Classifier::generation`] observed at the last probe;
-    /// a change invalidates every entry.
+    /// The newest [`Classifier::generation`] a probe has observed. Entries
+    /// are tagged with the stamp they were read at, so a newer one
+    /// invalidates every entry at once.
     source_generation: Generation,
     tick: u64,
     stats: CacheStats,
 }
 
 impl FlowTable {
-    /// A table of at least `capacity` flows (rounded up to a power of two
-    /// of sets × 2 ways) over a source currently at `source_generation`.
-    pub(crate) fn new(capacity: usize, source_generation: Generation) -> Self {
+    /// An empty table of at least `capacity` flows (rounded up to a power
+    /// of two of sets × 2 ways).
+    pub(crate) fn new(capacity: usize) -> Self {
         let sets = (capacity.div_ceil(WAYS)).next_power_of_two().max(8);
-        let vacant = Entry { key: Vec::new(), verdict: None, generation: 0, stamp: 0 };
+        let vacant =
+            Entry { key: Vec::new(), verdict: None, generation: Generation::MAX, stamp: 0 };
         Self {
             entries: vec![vacant; sets * WAYS],
             mask: sets - 1,
-            generation: 1,
-            source_generation,
+            source_generation: 0,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -130,18 +133,6 @@ impl FlowTable {
         (h as usize & self.mask) * WAYS
     }
 
-    /// Folds the source's current stamp in, invalidating the table when the
-    /// data plane moved underneath it. Strictly forward-only: generations
-    /// are monotone, so a smaller observed stamp is just a reader that
-    /// sampled before a concurrent bump — rolling back would make two
-    /// interleaved readers ping-pong whole-table invalidations.
-    fn sync_source(&mut self, source: Generation) {
-        if source > self.source_generation {
-            self.source_generation = source;
-            self.generation += 1;
-        }
-    }
-
     /// First half of a cached lookup: resolves every key the table holds a
     /// fresh verdict for into `out` and appends the indices of the rest to
     /// `miss_idx`, for the caller to classify against the source it read
@@ -154,8 +145,12 @@ impl FlowTable {
         out: &mut [Option<MatchResult>],
         miss_idx: &mut Vec<usize>,
     ) {
-        self.sync_source(source);
-        let generation = self.generation;
+        // Fold the source's stamp in, forward only: generations are
+        // monotone, so a smaller observed stamp is just a reader that sampled
+        // before a concurrent publish — rolling back would make two
+        // interleaved readers ping-pong whole-table invalidations.
+        self.source_generation = self.source_generation.max(source);
+        let generation = self.source_generation;
         for (i, verdict) in out.iter_mut().enumerate() {
             let key = &keys[i * stride..(i + 1) * stride];
             let base = self.base(key);
@@ -195,19 +190,13 @@ impl FlowTable {
         if self.source_generation != source {
             return;
         }
-        let (generation, tick) = (self.generation, self.tick);
+        let (generation, tick) = (source, self.tick);
         for (&i, &verdict) in miss_idx.iter().zip(verdicts) {
             let key = &keys[i * stride..(i + 1) * stride];
             let base = self.base(key);
             let victim = self.entries[base..base + WAYS]
                 .iter_mut()
-                .min_by_key(|e| {
-                    if e.generation != generation || e.key.is_empty() {
-                        (0, 0)
-                    } else {
-                        (1, e.stamp)
-                    }
-                })
+                .min_by_key(|e| if e.generation != generation { (0, 0) } else { (1, e.stamp) })
                 .expect("ways > 0");
             *victim = Entry { key: key.to_vec(), verdict, generation, stamp: tick };
         }
@@ -256,20 +245,12 @@ impl<C: Classifier> FlowCache<C> {
     /// Wraps `inner` with a cache of at least `capacity` flows (rounded up
     /// to a power of two of sets × 2 ways).
     pub fn new(inner: C, capacity: usize) -> Self {
-        let table = Mutex::new(FlowTable::new(capacity, inner.generation()));
-        Self { inner, table }
+        Self { inner, table: Mutex::new(FlowTable::new(capacity)) }
     }
 
     /// The wrapped classifier.
     pub fn inner(&self) -> &C {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped classifier. Rule changes applied
-    /// through it bump [`Classifier::generation`] (every `BatchUpdatable`
-    /// in the workspace does) and are picked up on the next probe.
-    pub fn inner_mut(&mut self) -> &mut C {
-        &mut self.inner
     }
 
     /// Hit/miss counters since construction.
@@ -335,8 +316,8 @@ impl<C: Classifier> Classifier for FlowCache<C> {
 
     fn generation(&self) -> Generation {
         // The cache serves verdicts exactly as fresh as the inner stamp
-        // (stale entries are invalidated on the probe that observes a bump),
-        // so forwarding keeps stacked caches honest.
+        // (stale entries are invalidated on the probe that observes a newer
+        // one), so forwarding keeps stacked caches honest.
         self.inner.generation()
     }
 }
@@ -344,16 +325,33 @@ impl<C: Classifier> Classifier for FlowCache<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nm_common::{FieldsSpec, FiveTuple, LinearSearch, RuleSet};
+    use crate::config::{NuevoMatchConfig, RqRmiParams};
+    use crate::system::ClassifierHandle;
+    use nm_common::{FieldsSpec, FiveTuple, LinearSearch, RuleSet, UpdateBatch};
 
-    fn engine() -> FlowCache<LinearSearch> {
+    type Cached = FlowCache<ClassifierHandle<LinearSearch>>;
+
+    fn handle(set: &RuleSet) -> ClassifierHandle<LinearSearch> {
+        let cfg = NuevoMatchConfig {
+            rqrmi: RqRmiParams { samples_init: 256, ..Default::default() },
+            ..Default::default()
+        };
+        ClassifierHandle::new(set, &cfg, LinearSearch::build).unwrap()
+    }
+
+    fn port_set() -> RuleSet {
         let rules: Vec<_> = (0..100u16)
             .map(|i| {
                 FiveTuple::new().dst_port_range(i * 100, i * 100 + 99).into_rule(i as u32, i as u32)
             })
             .collect();
-        let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-        FlowCache::new(LinearSearch::build(&set), 1_024)
+        RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap()
+    }
+
+    /// A cache over a live handle: updates and retrains go through a clone
+    /// of the handle, never through the cache.
+    fn engine() -> Cached {
+        FlowCache::new(handle(&port_set()), 1_024)
     }
 
     #[test]
@@ -418,7 +416,8 @@ mod tests {
         // counters whichever way it is fed.
         let keys: Vec<u64> = (0..200u64).flat_map(|i| [1, 2, 3, (i % 70) * 151, 6]).collect();
         let n = keys.len() / 5;
-        let want: Vec<_> = keys.chunks_exact(5).map(|k| engine().inner().classify(k)).collect();
+        let reference = engine();
+        let want: Vec<_> = keys.chunks_exact(5).map(|k| reference.inner().classify(k)).collect();
         let per_key = engine();
         let got: Vec<_> = keys.chunks_exact(5).map(|k| per_key.classify(k)).collect();
         assert_eq!(got, want, "per key");
@@ -432,7 +431,7 @@ mod tests {
         let mut out = vec![None; n];
         many.classify_batch(&keys, 5, &mut out);
         assert_eq!(out, want, "batch of many");
-        let total = |c: &FlowCache<LinearSearch>| c.stats().hits + c.stats().misses;
+        let total = |c: &Cached| c.stats().hits + c.stats().misses;
         assert_eq!((total(&per_key), total(&ones), total(&many)), (n as u64, n as u64, n as u64));
         // Fed one at a time a repeat hits the entry its first sight filed;
         // inside one batch every repeat is probed before anything installs.
@@ -444,31 +443,60 @@ mod tests {
     fn remove_invalidates_cached_verdict() {
         // Regression: a cached verdict used to survive a `remove()` of its
         // rule. The generation sync is the only invalidation there is, so it
-        // must catch it on the next probe.
-        use nm_common::{BatchUpdatable, UpdateBatch};
-        let mut c = engine();
+        // must catch every publication the handle's clone makes — applies
+        // and retrains alike — on the next probe, per key and batched.
+        let c = engine();
+        let writer = c.inner().clone();
+        let keys: Vec<u64> = (0..64u64).flat_map(|i| [1, 2, 3, i * 157 % 10_000, 6]).collect();
+        let fresh = |step: &str| {
+            let live = writer.snapshot();
+            let want: Vec<_> = keys.chunks_exact(5).map(|k| live.classify(k)).collect();
+            // Twice: the second pass is served from the table.
+            for pass in 0..2 {
+                let per_key: Vec<_> = keys.chunks_exact(5).map(|k| c.classify(k)).collect();
+                assert_eq!(per_key, want, "{step}: stale per-key verdict, pass {pass}");
+                let mut out = vec![None; want.len()];
+                c.classify_batch(&keys, 5, &mut out);
+                assert_eq!(out, want, "{step}: stale batched verdict, pass {pass}");
+            }
+        };
         let key = [1u64, 2, 3, 550, 6]; // rule 5
         assert_eq!(c.classify(&key).unwrap().rule, 5);
         assert_eq!(c.classify(&key).unwrap().rule, 5); // cached
-        c.inner_mut().apply(&UpdateBatch::new().remove(5));
+        fresh("build");
+        writer.apply(&UpdateBatch::new().remove(5));
         assert_eq!(c.classify(&key), None, "cached verdict survived its rule's removal");
-        // And the batched probe path must agree.
-        c.inner_mut().apply(&UpdateBatch::new().remove(6));
-        let batch_key = [1u64, 2, 3, 650, 6];
-        let mut out = [None];
-        let mut flat = Vec::new();
-        flat.extend_from_slice(&batch_key);
-        c.classify_batch(&flat, 5, &mut out);
-        assert_eq!(out[0], None, "batched probe served a stale verdict");
+        fresh("remove");
+        writer.apply(
+            &UpdateBatch::new()
+                .remove(6)
+                .modify(FiveTuple::new().dst_port_range(0, 9_999).into_rule(7, 200)),
+        );
+        fresh("remove + widening modify");
+        writer.retrain().unwrap();
+        fresh("retrain");
+        writer.apply(
+            &UpdateBatch::new().insert(FiveTuple::new().dst_port_exact(550).into_rule(5, 5)),
+        );
+        assert_eq!(c.classify(&key).unwrap().rule, 5, "re-inserted rule not served");
+        fresh("re-insert");
+        writer.retrain_full().unwrap();
+        fresh("full retrain");
     }
 
     #[test]
     fn generation_forwards_inner_stamp() {
-        use nm_common::{BatchUpdatable, UpdateBatch};
-        let mut c = engine();
-        assert_eq!(Classifier::generation(&c), 0);
-        c.inner_mut().apply(&UpdateBatch::new().remove(1));
+        let c = engine();
+        let writer = c.inner().clone();
         assert_eq!(Classifier::generation(&c), 1);
+        writer.apply(&UpdateBatch::new().remove(1));
+        assert_eq!(Classifier::generation(&c), 2);
+        let g = writer.retrain().unwrap();
+        assert_eq!(Classifier::generation(&c), g);
+        // A bare engine is never published: its cache reports (and keys on)
+        // generation 0 for good.
+        let bare = FlowCache::new(LinearSearch::build(&port_set()), 64);
+        assert_eq!(Classifier::generation(&bare), 0);
     }
 
     #[test]
@@ -478,7 +506,7 @@ mod tests {
             .map(|i| FiveTuple::new().dst_port_exact(i).into_rule(i as u32, i as u32))
             .collect();
         let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-        let c = FlowCache::new(LinearSearch::build(&set), 8);
+        let c = FlowCache::new(handle(&set), 8);
         for round in 0..3 {
             for port in 0..50u64 {
                 let got = c.classify(&[0, 0, 0, port, 0]);

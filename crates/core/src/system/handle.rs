@@ -43,6 +43,9 @@
 //! during training and publishes. The swap itself is
 //! one atomic pointer store; readers pinned to the old generation finish
 //! their batches on it and drop it.
+//! [`ShardedHandle`](super::runtime::ShardedHandle) runs the same skeleton
+//! (`Shared::retrain_with`, generic over payload and replay queue) over its
+//! epoch; the classifier inside either is unversioned.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -65,30 +68,128 @@ pub type NmSnapshot<R> = Snapshot<NuevoMatch<R>>;
 
 /// How to rebuild the classifier from scratch: the build parameters plus the
 /// remainder [`EngineBuilder`], held by the control plane for every retrain.
-#[derive(Clone)]
-struct RetrainRecipe<R> {
-    cfg: NuevoMatchConfig,
-    builder: Arc<dyn EngineBuilder<Engine = R>>,
+pub(crate) struct RetrainRecipe<R> {
+    pub(crate) cfg: NuevoMatchConfig,
+    pub(crate) builder: Arc<dyn EngineBuilder<Engine = R>>,
 }
 
-/// What a retrain path makes: the fresh classifier, and whether the partial
-/// (leaf-level) path made it.
-type Made<R> = (NuevoMatch<R>, bool);
+/// What a retrain makes: the fresh payload, and whether the partial
+/// (leaf-level) path made all of it.
+pub(crate) type Made<T> = (T, bool);
 
-/// Control-plane state, touched only by writers (apply / retrain).
-struct Control<R> {
+impl<R: BatchUpdatable + Clone> RetrainRecipe<R> {
+    /// The partial path: leaf-level work on `engine`.
+    fn patch(&self, engine: &NuevoMatch<R>) -> Result<Made<NuevoMatch<R>>, Error> {
+        let (patched, _report) = engine.partial_retrain(&self.cfg)?;
+        Ok((patched, true))
+    }
+
+    /// The full path: the long pole. Rebuilds in priority order, not export
+    /// order: engines whose build is insertion-order-sensitive (TupleMerge's
+    /// table formation) degrade badly on a shuffled rule order, and
+    /// determinism makes retrains reproducible.
+    fn rebuild(&self, engine: &NuevoMatch<R>) -> Result<Made<NuevoMatch<R>>, Error> {
+        let mut rules = engine.live_rules();
+        rules.sort_by_key(|r| (r.priority, r.id));
+        let set = RuleSet::new(engine.spec().clone(), rules)?;
+        Ok((NuevoMatch::build(&set, &self.cfg, self.builder.clone())?, false))
+    }
+
+    /// The auto path: the patch when the policy allows it and its gates
+    /// pass, the rebuild otherwise (a gate error falls back).
+    pub(crate) fn remake(&self, engine: &NuevoMatch<R>) -> Result<Made<NuevoMatch<R>>, Error> {
+        if self.cfg.partial_retrain.enabled {
+            if let Ok(patched) = self.patch(engine) {
+                return Ok(patched);
+            }
+        }
+        self.rebuild(engine)
+    }
+}
+
+/// The replay queue in a handle's control state: the ops that reached
+/// payload `T` while a retrain was in flight.
+pub(crate) trait Replay<T> {
+    /// Drops every queued op.
+    fn clear_pending(&mut self);
+
+    /// Applies the queued ops to `fresh`, made from a pin that predates
+    /// them, and empties the queue.
+    fn replay(&mut self, fresh: &mut T);
+}
+
+/// A plain handle's control state is its replay queue and nothing else.
+impl<R: BatchUpdatable> Replay<NuevoMatch<R>> for Vec<UpdateOp> {
+    fn clear_pending(&mut self) {
+        self.clear();
+    }
+
+    fn replay(&mut self, fresh: &mut NuevoMatch<R>) {
+        if !self.is_empty() {
+            fresh.apply(&self.drain(..).collect());
+        }
+    }
+}
+
+/// A handle's shared state: the publication cell of payload `T`, whose
+/// writer lock also guards the control state `W`, the retrain recipe over
+/// remainder engine `R`, the in-flight flag and the retrain counters.
+pub(crate) struct Shared<T, W, R> {
+    pub(crate) cell: Published<T, W>,
     recipe: RetrainRecipe<R>,
-    /// Ops applied while a retrain is in flight; replayed onto the fresh
-    /// classifier before it is published.
-    pending: Vec<UpdateOp>,
-}
-
-struct Shared<R: Classifier> {
-    cell: Published<NuevoMatch<R>, Control<R>>,
     retraining: AtomicBool,
     retrains: AtomicU64,
     /// How many completed retrains took the partial (leaf-level) path.
     partial_retrains: AtomicU64,
+}
+
+impl<T, W, R> Shared<T, W, R> {
+    pub(crate) fn new(
+        payload: T,
+        generation: Generation,
+        ctl: W,
+        recipe: RetrainRecipe<R>,
+    ) -> Self {
+        Self {
+            cell: Published::new(payload, generation, ctl),
+            recipe,
+            retraining: AtomicBool::new(false),
+            retrains: AtomicU64::new(0),
+            partial_retrains: AtomicU64::new(0),
+        }
+    }
+
+    /// True while a retrain is between pin and publish.
+    pub(crate) fn retraining(&self) -> bool {
+        self.retraining.load(SeqCst)
+    }
+}
+
+impl<T, W: Replay<T>, R> Shared<T, W, R> {
+    /// The one retrain body: mark it in flight, pin the live snapshot under
+    /// the lock (so no batch lands between the replay queue's reset and the
+    /// pin), `make` the fresh payload with no lock held, replay what arrived
+    /// meanwhile, publish. `what` names the caller in the error a second,
+    /// overlapping retrain gets.
+    pub(crate) fn retrain_with(
+        &self,
+        what: &str,
+        make: impl FnOnce(Arc<Snapshot<T>>, &RetrainRecipe<R>) -> Result<Made<T>, Error>,
+    ) -> Result<Generation, Error> {
+        let _in_flight = InFlight::begin(self, what)?;
+        let pinned = {
+            let mut ctl = self.cell.write();
+            ctl.clear_pending();
+            self.cell.pin()
+        };
+        let (mut fresh, partial) = make(pinned, &self.recipe)?;
+        let mut ctl = self.cell.write();
+        ctl.replay(&mut fresh);
+        let generation = ctl.publish(fresh);
+        self.retrains.fetch_add(1, SeqCst);
+        self.partial_retrains.fetch_add(partial as u64, SeqCst);
+        Ok(generation)
+    }
 }
 
 /// A retrain between its pin and its publish. Dropping it — on publish, on
@@ -97,26 +198,24 @@ struct Shared<R: Classifier> {
 /// cannot leave every later one failing "already in flight" and every
 /// `apply` queueing ops nobody will replay. Hold it from before the first
 /// write-lock until after the last: its drop takes that lock.
-struct InFlight<'a, R: Classifier>(&'a Shared<R>);
+struct InFlight<'a, T, W: Replay<T>, R>(&'a Shared<T, W, R>);
 
-impl<'a, R: Classifier> InFlight<'a, R> {
+impl<'a, T, W: Replay<T>, R> InFlight<'a, T, W, R> {
     /// Marks a retrain in flight; errors when one already is.
-    fn begin(shared: &'a Shared<R>, what: &str) -> Result<Self, Error> {
+    fn begin(shared: &'a Shared<T, W, R>, what: &str) -> Result<Self, Error> {
         if shared.retraining.swap(true, SeqCst) {
-            return Err(Error::Build {
-                msg: format!("ClassifierHandle::{what}: a retrain is already in flight"),
-            });
+            return Err(Error::Build { msg: format!("{what}: a retrain is already in flight") });
         }
         Ok(Self(shared))
     }
 }
 
-impl<R: Classifier> Drop for InFlight<'_, R> {
+impl<T, W: Replay<T>, R> Drop for InFlight<'_, T, W, R> {
     fn drop(&mut self) {
         // Both under the lock: a successor's pin cannot slip in between and
         // have the ops queued for it cleared.
         let mut ctl = self.0.cell.write();
-        ctl.pending = Vec::new();
+        ctl.clear_pending();
         self.0.retraining.store(false, SeqCst);
     }
 }
@@ -153,7 +252,7 @@ impl<R: Classifier> Drop for InFlight<'_, R> {
 /// assert_eq!(handle.classify(&[0, 0, 0, 550, 0]), None);
 /// ```
 pub struct ClassifierHandle<R: Classifier> {
-    shared: Arc<Shared<R>>,
+    shared: Arc<Shared<NuevoMatch<R>, Vec<UpdateOp>, R>>,
 }
 
 impl<R: Classifier> Clone for ClassifierHandle<R> {
@@ -176,14 +275,7 @@ impl<R: Classifier> ClassifierHandle<R> {
     }
 
     fn assemble(nm: NuevoMatch<R>, generation: Generation, recipe: RetrainRecipe<R>) -> Self {
-        Self {
-            shared: Arc::new(Shared {
-                cell: Published::new(nm, generation, Control { recipe, pending: Vec::new() }),
-                retraining: AtomicBool::new(false),
-                retrains: AtomicU64::new(0),
-                partial_retrains: AtomicU64::new(0),
-            }),
-        }
+        Self { shared: Arc::new(Shared::new(nm, generation, Vec::new(), recipe)) }
     }
 
     /// Pins the current snapshot. Never blocks (two atomic ops); the
@@ -204,7 +296,7 @@ impl<R: Classifier> ClassifierHandle<R> {
 
     /// True while a retrain is between pin and publish.
     pub fn retrain_in_progress(&self) -> bool {
-        self.shared.retraining.load(SeqCst)
+        self.shared.retraining()
     }
 
     /// Completed retrain publishes since construction (partial + full).
@@ -255,8 +347,8 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
             return UpdateReport::default();
         }
         let mut ctl = self.shared.cell.write();
-        if self.shared.retraining.load(SeqCst) {
-            ctl.pending.extend(batch.ops().iter().cloned());
+        if self.shared.retraining() {
+            ctl.extend(batch.ops().iter().cloned());
         }
         // Copy-on-write: clone the live engine (Arc-shared models +
         // tombstones and remainder), mutate the clone, publish.
@@ -286,14 +378,8 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     ///
     /// Errors if a retrain is already in flight or if training fails.
     pub fn retrain(&self) -> Result<Generation, Error> {
-        self.retrain_with("retrain", |pinned, recipe| {
-            if recipe.cfg.partial_retrain.enabled {
-                // A gate error falls back to the full rebuild.
-                if let Ok(patched) = Self::patch(&pinned, recipe) {
-                    return Ok(patched);
-                }
-            }
-            Self::rebuild(pinned, recipe)
+        self.shared.retrain_with("ClassifierHandle::retrain", |pinned, recipe| {
+            recipe.remake(pinned.engine())
         })
     }
 
@@ -310,7 +396,9 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// (use [`ClassifierHandle::retrain`] for automatic fallback) or when a
     /// retrain is already in flight.
     pub fn retrain_partial(&self) -> Result<Generation, Error> {
-        self.retrain_with("retrain_partial", |pinned, recipe| Self::patch(&pinned, recipe))
+        self.shared.retrain_with("ClassifierHandle::retrain_partial", |pinned, recipe| {
+            recipe.patch(pinned.engine())
+        })
     }
 
     /// Rebuilds the classifier from scratch over the rules the live snapshot
@@ -322,52 +410,9 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     ///
     /// Errors if a retrain is already in flight or if training fails.
     pub fn retrain_full(&self) -> Result<Generation, Error> {
-        self.retrain_with("retrain", Self::rebuild)
-    }
-
-    /// The one retrain body: mark it in flight, pin the live snapshot and
-    /// the recipe under the lock (so no batch lands between the replay
-    /// queue's reset and the pin), `make` the fresh classifier with no lock
-    /// held, replay what arrived meanwhile, publish.
-    fn retrain_with(
-        &self,
-        what: &str,
-        make: impl FnOnce(Arc<NmSnapshot<R>>, &RetrainRecipe<R>) -> Result<Made<R>, Error>,
-    ) -> Result<Generation, Error> {
-        let _in_flight = InFlight::begin(&self.shared, what)?;
-        let (pinned, recipe) = {
-            let mut ctl = self.shared.cell.write();
-            ctl.pending.clear();
-            (self.snapshot(), ctl.recipe.clone())
-        };
-        let (mut fresh, partial) = make(pinned, &recipe)?;
-        let mut ctl = self.shared.cell.write();
-        if !ctl.pending.is_empty() {
-            let replay: UpdateBatch = ctl.pending.drain(..).collect();
-            fresh.apply(&replay);
-        }
-        let generation = ctl.publish(fresh);
-        self.shared.retrains.fetch_add(1, SeqCst);
-        self.shared.partial_retrains.fetch_add(partial as u64, SeqCst);
-        Ok(generation)
-    }
-
-    /// The partial path's `make`: leaf-level work on the pinned engine.
-    fn patch(pinned: &NmSnapshot<R>, recipe: &RetrainRecipe<R>) -> Result<Made<R>, Error> {
-        let (patched, _report) = pinned.engine().partial_retrain(&recipe.cfg)?;
-        Ok((patched, true))
-    }
-
-    /// The full path's `make`: the long pole. Rebuilds in priority order,
-    /// not export order: engines whose build is insertion-order-sensitive
-    /// (TupleMerge's table formation) degrade badly on a shuffled rule
-    /// order, and determinism makes retrains reproducible.
-    fn rebuild(pinned: Arc<NmSnapshot<R>>, recipe: &RetrainRecipe<R>) -> Result<Made<R>, Error> {
-        let mut rules = pinned.engine().live_rules();
-        rules.sort_by_key(|r| (r.priority, r.id));
-        let set = RuleSet::new(pinned.engine().spec().clone(), rules)?;
-        drop(pinned);
-        Ok((NuevoMatch::build(&set, &recipe.cfg, recipe.builder.clone())?, false))
+        self.shared.retrain_with("ClassifierHandle::retrain_full", |pinned, recipe| {
+            recipe.rebuild(pinned.engine())
+        })
     }
 }
 

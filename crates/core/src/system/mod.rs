@@ -35,7 +35,7 @@ use nm_common::prefetch::prefetch_index;
 use nm_common::classifier::{apply_floors, Classifier, MatchResult};
 use nm_common::rule::{Priority, Rule, RuleId};
 use nm_common::ruleset::{FieldsSpec, RuleSet};
-use nm_common::update::{EngineBuilder, Generation};
+use nm_common::update::EngineBuilder;
 use nm_common::Error;
 
 use crate::config::NuevoMatchConfig;
@@ -658,8 +658,6 @@ pub struct NuevoMatch<R> {
     total_rules: usize,
     /// Schema of the rule-set this classifier was built over.
     spec: FieldsSpec,
-    /// Update stamp (see [`Classifier::generation`]).
-    pub(crate) generation: Generation,
     /// Rules that migrated to the remainder through updates (§3.9).
     pub(crate) moved_updates: usize,
     /// Drifted rules that a previous *partial* retrain could not re-admit
@@ -718,7 +716,6 @@ impl<R: Classifier> NuevoMatch<R> {
             early_termination,
             total_rules,
             spec,
-            generation: 0,
             moved_updates: 0,
             residual_drift: 0,
             loc: Arc::new(loc),
@@ -909,12 +906,6 @@ impl<R: Classifier> Classifier for NuevoMatch<R> {
 
     fn num_rules(&self) -> usize {
         self.total_rules
-    }
-
-    fn generation(&self) -> Generation {
-        // The remainder's own stamp (it bumps with every batch that reaches
-        // it) is folded in; both terms are monotone, so the sum is.
-        self.generation + self.remainder.generation()
     }
 }
 

@@ -3,11 +3,11 @@
 //! The lifecycle — readers never block, updates drift rules to the
 //! remainder, a retrain republishes fresh RQ-RMI models — needs exactly one
 //! mechanism: atomically publish a generation-stamped immutable value and
-//! let a reader pin it. [`Published`] is that mechanism, and both
-//! [`ClassifierHandle`](super::handle::ClassifierHandle) (payload: one
-//! `NuevoMatch`) and [`ShardedHandle`](super::runtime::ShardedHandle)
-//! (payload: one cross-shard [`ShardEpoch`](super::runtime::ShardEpoch)) are
-//! built on it.
+//! let a reader pin it. [`Published`] is that mechanism, and each handle is
+//! one cell: [`ClassifierHandle`](super::handle::ClassifierHandle) (payload:
+//! one `NuevoMatch`) and [`ShardedHandle`](super::runtime::ShardedHandle)
+//! (payload: one cross-shard [`ShardEpoch`](super::runtime::ShardEpoch), a
+//! `NuevoMatch` per shard). The engines inside a payload are unversioned.
 //!
 //! * The live value is an [`ArcSwap`] of [`Snapshot`]s: the stamp is stored
 //!   *with* the payload, so one atomic store publishes both and
@@ -15,8 +15,9 @@
 //! * Readers [`Published::pin`] (two atomic ops, never a lock).
 //! * Publishing exists only on the [`WriteGuard`], i.e. behind the writer
 //!   mutex that also guards the control state `W` — "single writer" is
-//!   enforced by the type, not by a comment at each call site. This is the
-//!   only place in the system that increments a published generation.
+//!   enforced by the type, not by a comment at each call site.
+//!   [`WriteGuard::publish`] is the only code in the system that mints a
+//!   generation.
 //!
 //! # Model checking
 //!
@@ -112,32 +113,6 @@ mod model_tests {
     use super::*;
     use nm_model::thread;
 
-    /// The `ShardedHandle` publication order over integer shards: every
-    /// shard cell publishes first, then the epoch cell re-pins them all,
-    /// the whole fan-out under the epoch cell's writer lock.
-    #[cfg(not(nm_model_mutate))]
-    struct Shards {
-        home: Vec<Published<u64, ()>>,
-        epoch: Published<Vec<Arc<Snapshot<u64>>>, ()>,
-    }
-
-    #[cfg(not(nm_model_mutate))]
-    impl Shards {
-        fn new(shards: usize, payload: u64) -> Self {
-            let home: Vec<_> = (0..shards).map(|_| Published::new(payload, 1, ())).collect();
-            let epoch = Published::new(home.iter().map(Published::pin).collect(), 1, ());
-            Self { home, epoch }
-        }
-
-        fn apply_all(&self, payload: u64) -> Generation {
-            let mut w = self.epoch.write();
-            for h in &self.home {
-                h.write().publish(payload);
-            }
-            w.publish(self.home.iter().map(Published::pin).collect())
-        }
-    }
-
     /// Generation monotone per reader, and generation leads the pin both
     /// ways, under 2 readers + 1 writer.
     #[cfg(not(nm_model_mutate))]
@@ -186,52 +161,6 @@ mod model_tests {
             assert_eq!(h.generation(), 3);
         });
         assert!(out.schedules > 1, "exploration degenerated to one schedule");
-    }
-
-    /// No torn epoch: a pinned cross-shard publication always carries every
-    /// shard at one generation, and epoch generations are per-reader
-    /// monotone.
-    #[cfg(not(nm_model_mutate))]
-    #[test]
-    fn model_shard_epoch_is_never_torn() {
-        nm_model::check("sharded epoch publish", || {
-            let h = Arc::new(Shards::new(2, 10));
-            let mut readers = Vec::new();
-            for _ in 0..2 {
-                let h = Arc::clone(&h);
-                readers.push(thread::spawn(move || {
-                    let mut last = 0;
-                    for _ in 0..2 {
-                        let epoch = h.epoch.pin();
-                        let gens: Vec<_> = epoch.engine().iter().map(|s| s.generation()).collect();
-                        assert!(
-                            gens.iter().all(|&g| g == gens[0]),
-                            "torn epoch: shards at mixed generations {gens:?}"
-                        );
-                        let g = epoch.generation();
-                        assert!(g >= last, "epoch generation went backwards: {last} -> {g}");
-                        last = g;
-                        // Classification against the pin reads a coherent
-                        // cross-shard payload: both shards from the same
-                        // publication.
-                        let sum: u64 = epoch.engine().iter().map(|s| *s.engine()).sum();
-                        assert_eq!(sum, 2 * (9 + gens[0]));
-                    }
-                }));
-            }
-            let writer = {
-                let h = Arc::clone(&h);
-                thread::spawn(move || {
-                    h.apply_all(11);
-                })
-            };
-            for r in readers {
-                r.join();
-            }
-            writer.join();
-            assert_eq!(h.epoch.generation(), 2);
-            assert!(h.epoch.pin().engine().iter().all(|s| s.generation() == 2));
-        });
     }
 
     /// Reclamation safety of the two-slot swap: a pinned snapshot's payload

@@ -597,7 +597,7 @@ fn worker_loop<'p, S: ShardedDataPlane + 'p>(
     let pinned = cpu.is_some_and(pin_current_thread);
     // The worker's own table: the pin's generation is the source stamp, so
     // an epoch swap invalidates it exactly like any other update.
-    let mut cache = (flow_cap > 0).then(|| FlowTable::new(flow_cap, 0));
+    let mut cache = (flow_cap > 0).then(|| FlowTable::new(flow_cap));
     let mut buf: Vec<u64> = Vec::new();
     let mut miss_idx: Vec<usize> = Vec::new();
     for job in rx.iter() {

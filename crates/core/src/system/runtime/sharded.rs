@@ -9,18 +9,20 @@
 //!   [`Classifier`] works (TupleMerge, CutSplit, NeuroCuts, NuevoMatch,
 //!   boxed engines); this is the form `nmctl bench --shards` and the
 //!   checksum-equivalence tests use.
-//! * **Live** — [`ShardedHandle`] keeps one [`ClassifierHandle`] per shard
-//!   for the full control-plane lifecycle and publishes, per logical
-//!   generation, one [`ShardEpoch`]: the same plane over the shards' pinned
-//!   snapshots. `UpdateBatch` applies **fan out**: each op routes to the
-//!   shard the plan steers its rule to (moving shards when a modify changes
-//!   the steering field), and the post-apply snapshots of every shard
-//!   publish together, through the same [`Published`] cell a plain handle
-//!   uses. Readers pin the epoch with two atomic ops; a pinned epoch is
-//!   immutable, so **no batch can ever mix generations across shards** —
-//!   the coherence the runtime's checksum equivalence rests on. Retrains
-//!   fan the same way: every shard retrains (concurrently), then one epoch
-//!   publishes the fresh models together.
+//! * **Live** — [`ShardedHandle`] publishes the plane over per-shard
+//!   NuevoMatch engines, one [`ShardEpoch`] per logical generation, through
+//!   the same [`Published`](crate::system::publish::Published) cell and
+//!   retrain skeleton a plain handle uses: one cell, one stamp, one replay
+//!   queue per shard. `UpdateBatch` applies **fan
+//!   out**: each op routes to the shard the plan steers its rule to (moving
+//!   shards when a modify changes the steering field), only the touched
+//!   shards' engines are cloned, and the next epoch publishes with the
+//!   untouched ones shared. Readers pin the epoch with two atomic ops; a
+//!   pinned epoch is immutable, so **no batch can ever mix generations
+//!   across shards** — the coherence the runtime's checksum equivalence
+//!   rests on. A retrain re-makes every shard (concurrently), then one
+//!   epoch publishes the fresh models together — or, if any shard fails,
+//!   none of them.
 //!
 //! The plane is a [`Classifier`], so it drops into every existing harness,
 //! and both it and the handle are [`ShardedDataPlane`]s, so
@@ -33,7 +35,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use nm_common::classifier::{apply_floors, Classifier, MatchResult};
-use nm_common::rule::{Priority, RuleId};
+use nm_common::rule::{Priority, Rule, RuleId};
 use nm_common::ruleset::RuleSet;
 use nm_common::shard::{ShardPlan, ShardPlanConfig, ShardRoute};
 use nm_common::update::{
@@ -44,9 +46,9 @@ use nm_common::Error;
 
 use super::ShardedDataPlane;
 use crate::config::NuevoMatchConfig;
-use crate::system::handle::{ClassifierHandle, NmSnapshot};
-use crate::system::publish::Published;
+use crate::system::handle::{Replay, RetrainRecipe, Shared};
 use crate::system::serve::plane::{PinnedPlane, ServePlane};
+use crate::system::NuevoMatch;
 
 /// Gathers the keys at `idx` into a flat buffer.
 pub(super) fn gather_keys(keys: &[u64], stride: usize, idx: &[u32], buf: &mut Vec<u64>) {
@@ -64,9 +66,10 @@ pub(super) fn gather_keys(keys: &[u64], stride: usize, idx: &[u32], buf: &mut Ve
 /// batch, and verdicts merge by priority — verdict-equivalent to one
 /// whole-set engine by the plan's construction invariant.
 ///
-/// The engines sit behind `Arc`s so that the live instantiation
-/// ([`ShardEpoch`]) shares the snapshots its shard handles published
-/// instead of copying them; a pinned plane is immutable either way.
+/// The engines sit behind `Arc`s so that a live epoch ([`ShardEpoch`])
+/// shares every engine an update did not touch with the epoch before it; a
+/// pinned plane is immutable either way.
+#[derive(Clone)]
 pub struct ShardedClassifier<C> {
     plan: Arc<ShardPlan>,
     home: Vec<Arc<C>>,
@@ -77,11 +80,12 @@ pub struct ShardedClassifier<C> {
 }
 
 /// One coherent cross-shard publication of a [`ShardedHandle`]: the plane
-/// over every shard's pinned snapshot. Published as the payload of one
-/// stamped [`Snapshot`] — the logical generation lives there — and immutable
-/// from then on: a reader holding an epoch can never observe two shards from
-/// different generations, whatever the control plane does meanwhile.
-pub type ShardEpoch<R> = ShardedClassifier<NmSnapshot<R>>;
+/// over one NuevoMatch per shard. Published as the payload of one stamped
+/// [`Snapshot`] — the logical generation lives there, and nowhere else — and
+/// immutable from then on: a reader holding an epoch can never observe two
+/// shards from different generations, whatever the control plane does
+/// meanwhile.
+pub type ShardEpoch<R> = ShardedClassifier<NuevoMatch<R>>;
 
 impl<C: Classifier> ShardedClassifier<C> {
     /// Builds the plan over `set` and one engine per subset.
@@ -118,11 +122,15 @@ impl<C: Classifier> ShardedClassifier<C> {
                     .to_string(),
             });
         }
-        Ok(Self {
-            plan: Arc::new(plan),
+        Ok(Self::assemble(Arc::new(plan), home, broadcast))
+    }
+
+    fn assemble(plan: Arc<ShardPlan>, home: Vec<C>, broadcast: Option<C>) -> Self {
+        Self {
+            plan,
             home: home.into_iter().map(Arc::new).collect(),
             broadcast: broadcast.map(Arc::new),
-        })
+        }
     }
 
     /// The partition this data plane steers by.
@@ -130,15 +138,15 @@ impl<C: Classifier> ShardedClassifier<C> {
         &self.plan
     }
 
-    /// The home-shard engines' own generations (instrumentation: coherence
-    /// tests assert one pinned epoch always reports the same vector).
-    pub fn home_generations(&self) -> Vec<Generation> {
-        self.home.iter().map(|e| e.generation()).collect()
-    }
-
     /// Every engine: the home shards', then the broadcast engine.
     fn engines(&self) -> impl Iterator<Item = &C> {
         self.home.iter().chain(&self.broadcast).map(|e| &**e)
+    }
+
+    /// The engine at `slot`: home shard `slot`, or the broadcast engine at
+    /// slot [`ShardPlan::shards`].
+    fn slot_mut(&mut self, slot: usize) -> Option<&mut Arc<C>> {
+        self.home.get_mut(slot).or(self.broadcast.as_mut())
     }
 
     /// Sweeps the broadcast engine over `keys` and merges its verdicts into
@@ -222,18 +230,13 @@ impl<C: Classifier> Classifier for ShardedClassifier<C> {
     fn num_rules(&self) -> usize {
         self.engines().map(Classifier::num_rules).sum()
     }
-
-    fn generation(&self) -> Generation {
-        // Monotone sum over the replicas, like NuevoMatch over its parts.
-        self.engines().map(Classifier::generation).sum()
-    }
 }
 
 /// The engines of a pinned plane are immutable, so its pin is the reference
-/// itself.
+/// itself, at generation 0: a plane held by reference is never published.
 impl<C: Classifier> PinnedPlane for &ShardedClassifier<C> {
     fn generation(&self) -> Generation {
-        Classifier::generation(*self)
+        0
     }
 
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
@@ -281,68 +284,63 @@ impl<C: Classifier> ShardedDataPlane for ShardedClassifier<C> {
 /// ([`ServePlane`]) and of the worker runtime ([`ShardedDataPlane`]).
 pub type EpochSnapshot<R> = Snapshot<ShardEpoch<R>>;
 
-impl<R: Classifier> PinnedPlane for Arc<EpochSnapshot<R>> {
-    fn generation(&self) -> Generation {
-        EpochSnapshot::generation(self)
-    }
-
-    fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
-        Classifier::classify_batch(&**self, keys, stride, out);
+/// The slot `rule` lives in: its home shard, or the broadcast slot after the
+/// home shards.
+fn slot_of(plan: &ShardPlan, rule: &Rule) -> usize {
+    match plan.route_rule(rule) {
+        ShardRoute::Home(s) => s,
+        ShardRoute::Broadcast => plan.shards(),
     }
 }
 
-/// Writer-side state of a [`ShardedHandle`]: the per-shard handles and the
-/// routing truth, reachable only through the publication cell's write guard.
-struct ShardedCtl<R: Classifier> {
-    home: Vec<ClassifierHandle<R>>,
-    broadcast: ClassifierHandle<R>,
-    /// id → slot (home shard index, or `home.len()` for broadcast). The
-    /// routing truth for update fan-out.
+/// Writer-side state of a [`ShardedHandle`], reachable only through the
+/// publication cell's write guard.
+struct ShardedCtl {
+    /// id → slot (home shard index, or the home shard count for
+    /// broadcast). The routing truth for update fan-out.
     routes: HashMap<RuleId, usize>,
+    /// Per slot, the ops applied while a retrain is in flight; replayed
+    /// onto that shard's fresh engine before the epoch publishes.
+    pending: Vec<Vec<UpdateOp>>,
 }
 
-impl<R: Classifier> ShardedCtl<R> {
-    /// The shards' current snapshots as one epoch.
-    fn epoch(&self, plan: &Arc<ShardPlan>) -> ShardEpoch<R> {
-        ShardedClassifier {
-            plan: plan.clone(),
-            home: self.home.iter().map(ClassifierHandle::snapshot).collect(),
-            broadcast: Some(self.broadcast.snapshot()),
+impl<R: BatchUpdatable + Clone> Replay<ShardEpoch<R>> for ShardedCtl {
+    fn clear_pending(&mut self) {
+        self.pending.iter_mut().for_each(Vec::clear);
+    }
+
+    fn replay(&mut self, fresh: &mut ShardEpoch<R>) {
+        for (slot, ops) in self.pending.iter_mut().enumerate() {
+            if let (false, Some(engine)) = (ops.is_empty(), fresh.slot_mut(slot)) {
+                Arc::make_mut(engine).apply(&ops.drain(..).collect());
+            }
         }
     }
-
-    fn handle_at(&self, slot: usize) -> &ClassifierHandle<R> {
-        self.home.get(slot).unwrap_or(&self.broadcast)
-    }
 }
 
-struct SharedSharded<R: Classifier> {
-    plan: Arc<ShardPlan>,
-    cell: Published<ShardEpoch<R>, ShardedCtl<R>>,
-}
-
-/// Per-shard [`ClassifierHandle`] replicas under one logical generation —
-/// the sharded runtime's live control plane. Clone freely; clones address
-/// the same shards.
+/// Per-shard NuevoMatch replicas under one logical generation — the sharded
+/// runtime's live control plane. Clone freely; clones address the same
+/// shards.
 ///
 /// Writers serialise on the cell's writer lock — an apply for its whole
-/// fan-out, a retrain only to collect the shard handles and to publish —
-/// and publish a fresh [`ShardEpoch`] per effective change; readers pin
-/// epochs lock-free and are never blocked by either.
+/// fan-out, a retrain only to pin and to publish — and publish a fresh
+/// [`ShardEpoch`] per effective change; readers pin epochs lock-free and are
+/// never blocked by either.
 pub struct ShardedHandle<R: Classifier> {
-    shared: Arc<SharedSharded<R>>,
+    plan: Arc<ShardPlan>,
+    shared: Arc<Shared<ShardEpoch<R>, ShardedCtl, R>>,
 }
 
 impl<R: Classifier> Clone for ShardedHandle<R> {
     fn clone(&self) -> Self {
-        Self { shared: self.shared.clone() }
+        Self { plan: self.plan.clone(), shared: self.shared.clone() }
     }
 }
 
 impl<R: Classifier> ShardedHandle<R> {
-    /// Builds the plan over `set` and one [`ClassifierHandle`] per subset
-    /// (the broadcast handle is always built, possibly empty, so later
-    /// updates can route wildcard rules to it).
+    /// Builds the plan over `set` and one NuevoMatch per subset (the
+    /// broadcast shard's is always built, possibly empty, so later updates
+    /// can route wildcard rules to it).
     pub fn new<B>(
         set: &RuleSet,
         cfg: &NuevoMatchConfig,
@@ -354,26 +352,19 @@ impl<R: Classifier> ShardedHandle<R> {
         R: 'static,
     {
         let plan = Arc::new(ShardPlan::build(set, plan_cfg)?);
-        let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
+        let recipe = RetrainRecipe { cfg: cfg.clone(), builder: Arc::new(builder) };
+        let build = |s: &RuleSet| NuevoMatch::build(s, cfg, recipe.builder.clone());
         let (home_sets, broadcast_set) = plan.subsets(set);
-        let home: Vec<ClassifierHandle<R>> = home_sets
-            .iter()
-            .map(|s| ClassifierHandle::new(s, cfg, builder.clone()))
-            .collect::<Result<_, _>>()?;
-        let broadcast = ClassifierHandle::new(&broadcast_set, cfg, builder.clone())?;
-        let slot_of = |rule| match plan.route_rule(rule) {
-            ShardRoute::Home(s) => s,
-            ShardRoute::Broadcast => home.len(),
-        };
-        let routes = set.rules().iter().map(|rule| (rule.id, slot_of(rule))).collect();
-        let ctl = ShardedCtl { home, broadcast, routes };
-        let cell = Published::new(ctl.epoch(&plan), 1, ctl);
-        Ok(Self { shared: Arc::new(SharedSharded { plan, cell }) })
+        let home = home_sets.iter().map(build).collect::<Result<_, _>>()?;
+        let epoch = ShardedClassifier::assemble(plan.clone(), home, Some(build(&broadcast_set)?));
+        let routes = set.rules().iter().map(|rule| (rule.id, slot_of(&plan, rule))).collect();
+        let ctl = ShardedCtl { routes, pending: vec![Vec::new(); plan.shards() + 1] };
+        Ok(Self { plan, shared: Arc::new(Shared::new(epoch, 1, ctl, recipe)) })
     }
 
     /// The partition this handle steers by.
     pub fn plan(&self) -> &ShardPlan {
-        &self.shared.plan
+        &self.plan
     }
 
     /// Pins the current epoch (two atomic ops, never blocks).
@@ -393,9 +384,9 @@ impl<R: Classifier> ShardedHandle<R> {
     pub fn remainder_fraction(&self) -> f64 {
         let pin = self.epoch();
         let (mut rules, mut drifted) = (0usize, 0usize);
-        for snap in pin.engine().engines() {
-            rules += snap.num_rules();
-            drifted += snap.engine().remainder().num_rules();
+        for nm in pin.engine().engines() {
+            rules += nm.num_rules();
+            drifted += nm.remainder().num_rules();
         }
         if rules == 0 {
             0.0
@@ -412,16 +403,17 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
     /// Each op routes to the shard the plan steers its rule to; a modify
     /// whose new box steers elsewhere **moves** — a remove lands on the old
     /// shard and an insert on the new one, inside the same fan-out, so the
-    /// placement invariant survives churn. Readers observe the whole batch
-    /// or none of it: shard snapshots change only at the epoch swap.
+    /// placement invariant survives churn. Only the shards a batch touches
+    /// are cloned (copy-on-write, like a plain handle's apply); the others
+    /// carry over shared. Readers observe the whole batch or none of it:
+    /// shards change only at the epoch swap.
     pub fn apply(&self, batch: &UpdateBatch) -> UpdateReport {
         if batch.is_empty() {
             return UpdateReport::default();
         }
-        let plan = &self.shared.plan;
         let mut ctl = self.shared.cell.write();
-        let broadcast_slot = ctl.home.len();
-        let mut per: Vec<UpdateBatch> = (0..=broadcast_slot).map(|_| UpdateBatch::new()).collect();
+        let mut per: Vec<UpdateBatch> =
+            (0..=self.plan.shards()).map(|_| UpdateBatch::new()).collect();
         // The op accounting is `apply_ops`'s, over the routing truth rather
         // than the per-shard engine reports: a rule is wherever `routes`
         // says, removing it queues a `Remove` for that shard, inserting it
@@ -431,10 +423,7 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
             &mut (&mut ctl.routes, &mut per),
             batch,
             |(routes, per), rule| {
-                let slot = match plan.route_rule(&rule) {
-                    ShardRoute::Home(s) => s,
-                    ShardRoute::Broadcast => broadcast_slot,
-                };
+                let slot = slot_of(&self.plan, &rule);
                 routes.insert(rule.id, slot);
                 per[slot].push(UpdateOp::Insert(rule));
             },
@@ -447,49 +436,48 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
             },
         );
         if report.changed() {
-            for (slot, sub) in per.iter().enumerate() {
-                if !sub.is_empty() {
-                    ctl.handle_at(slot).apply(sub);
+            let retraining = self.shared.retraining();
+            let mut next = self.epoch().engine().clone();
+            for (slot, sub) in per.into_iter().enumerate().filter(|(_, sub)| !sub.is_empty()) {
+                if let Some(engine) = next.slot_mut(slot) {
+                    Arc::make_mut(engine).apply(&sub);
+                }
+                if retraining {
+                    ctl.pending[slot].extend(sub);
                 }
             }
-            ctl.publish(ctl.epoch(plan));
+            ctl.publish(next);
         }
         report
     }
 
-    /// Retrains every shard (concurrently — each shard's train is
-    /// independent) and publishes the fresh models together as one epoch.
-    /// Training runs with the writer lock released: an [`apply`](Self::apply)
-    /// issued meanwhile fans out and publishes at once, and each shard
-    /// handle queues and replays what reached it mid-train. Readers never
-    /// block. Errors if another retrain is already in flight.
+    /// Re-makes every shard — concurrently, each by the same partial-or-full
+    /// make a plain handle's `retrain` runs — and publishes the fresh models
+    /// together as one epoch. Training runs with the writer lock released:
+    /// an [`apply`](Self::apply) issued meanwhile publishes at once and is
+    /// queued per shard for replay onto the fresh models. Readers never
+    /// block. All or nothing: if any shard fails (or its builder panics)
+    /// nothing publishes. Errors if another retrain is already in flight.
     pub fn retrain(&self) -> Result<Generation, Error> {
-        let shards: Vec<ClassifierHandle<R>> = {
-            let ctl = self.shared.cell.write();
-            ctl.home.iter().chain(std::iter::once(&ctl.broadcast)).cloned().collect()
-        };
-        let mut first_err = None;
-        std::thread::scope(|scope| {
-            let joins: Vec<_> = shards.iter().map(|h| scope.spawn(move || h.retrain())).collect();
-            for join in joins {
-                match join.join() {
-                    Ok(Ok(_)) => {}
-                    Ok(Err(e)) => {
-                        first_err.get_or_insert(e);
-                    }
-                    Err(_) => {
-                        first_err.get_or_insert(Error::Build {
-                            msg: "ShardedHandle::retrain: a shard retrain panicked".to_string(),
-                        });
-                    }
-                }
+        self.shared.retrain_with("ShardedHandle::retrain", |pinned, recipe| {
+            let epoch = pinned.engine();
+            let made: Vec<_> = std::thread::scope(|scope| {
+                let joins: Vec<_> =
+                    epoch.engines().map(|nm| scope.spawn(move || recipe.remake(nm))).collect();
+                joins.into_iter().map(|join| join.join()).collect()
+            });
+            let mut fresh = Vec::with_capacity(made.len());
+            let mut partial = true;
+            for shard in made {
+                let (nm, patched) = shard.unwrap_or_else(|_| {
+                    Err(Error::Build { msg: "ShardedHandle::retrain: a shard panicked".into() })
+                })?;
+                partial &= patched;
+                fresh.push(nm);
             }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        let mut ctl = self.shared.cell.write();
-        Ok(ctl.publish(ctl.epoch(&self.shared.plan)))
+            let broadcast = fresh.pop();
+            Ok((ShardedClassifier::assemble(epoch.plan.clone(), fresh, broadcast), partial))
+        })
     }
 }
 
@@ -542,11 +530,11 @@ impl<R: Classifier> ShardedDataPlane for ShardedHandle<R> {
         Self: 'p;
 
     fn shards(&self) -> usize {
-        self.shared.plan.shards()
+        self.plan.shards()
     }
 
     fn steer(&self, key: &[u64], _batch: usize) -> usize {
-        self.shared.plan.steer(key)
+        self.plan.steer(key)
     }
 
     fn pin(&self) -> Self::Pin<'_> {
@@ -570,6 +558,7 @@ impl<R: Classifier> ShardedDataPlane for ShardedHandle<R> {
 mod tests {
     use super::*;
     use crate::config::RqRmiParams;
+    use crate::system::ClassifierHandle;
     use nm_common::{FieldsSpec, FiveTuple, LinearSearch};
 
     fn port_set(n: u16) -> RuleSet {
@@ -758,14 +747,90 @@ mod tests {
         let sharded =
             ShardedHandle::new(&set, &fast_cfg(), &plan_cfg(2), LinearSearch::build).unwrap();
         let pinned = sharded.epoch();
-        let gens = pinned.engine().home_generations();
+        let keys: Vec<u64> = (0..300u64).flat_map(|i| [0, 0, 0, i * 211 % 65_536, 0]).collect();
+        let verdicts = |epoch: &EpochSnapshot<LinearSearch>| {
+            let mut out = vec![None; keys.len() / 5];
+            epoch.classify_batch(&keys, 5, &mut out);
+            out
+        };
+        let before = verdicts(&pinned);
+        // Every shard moves: an insert on each side of the cut, a removal,
+        // a wildcard for the broadcast shard, then a retrain.
         sharded.apply(
-            &UpdateBatch::new().insert(FiveTuple::new().dst_port_exact(61_111).into_rule(700, 0)),
+            &UpdateBatch::new()
+                .insert(FiveTuple::new().dst_port_exact(61_111).into_rule(700, 0))
+                .insert(FiveTuple::new().dst_port_exact(150).into_rule(701, 0))
+                .remove(120)
+                .insert(FiveTuple::new().into_rule(702, 1)),
         );
-        assert_eq!(pinned.engine().home_generations(), gens, "a pinned epoch must never move");
+        sharded.retrain().unwrap();
+        assert_eq!(verdicts(&pinned), before, "a pinned epoch must never move");
         assert!(sharded.generation() > pinned.generation());
         // The pinned epoch still serves the old content.
         assert_eq!(pinned.classify(&[0, 0, 0, 61_111, 0]), None);
         assert_eq!(sharded.classify(&[0, 0, 0, 61_111, 0]).unwrap().rule, 700);
+        assert_ne!(verdicts(&sharded.epoch()), before);
+    }
+
+    /// A retrain is all or nothing: a builder that panics for one shard
+    /// fails the whole retrain, publishes nothing (its siblings' fresh
+    /// models included), and leaves the handle applying and retraining
+    /// normally afterwards.
+    #[test]
+    fn a_shard_whose_builder_panics_fails_the_retrain_and_publishes_nothing() {
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        let set = port_set(240);
+        let armed = Arc::new(AtomicBool::new(false));
+        let builder = {
+            let armed = armed.clone();
+            move |s: &RuleSet| {
+                // Armed, the first shard to reach its builder panics (and
+                // disarms it: its siblings build normally).
+                if armed.swap(false, SeqCst) {
+                    panic!("builder fault injected into one shard's retrain");
+                }
+                LinearSearch::build(s)
+            }
+        };
+        let full_only = NuevoMatchConfig {
+            partial_retrain: crate::config::PartialRetrainPolicy::never(),
+            ..fast_cfg()
+        };
+        let sharded = ShardedHandle::new(&set, &full_only, &plan_cfg(2), builder).unwrap();
+        let drift = UpdateBatch::new()
+            .modify(FiveTuple::new().dst_port_range(3_000, 3_010).into_rule(30, 30))
+            .insert(FiveTuple::new().dst_port_exact(60_000).into_rule(900, 0));
+        sharded.apply(&drift);
+        let before = sharded.epoch();
+        let probe: Vec<_> = (0u64..65_536).step_by(61).collect();
+        let want: Vec<_> = probe.iter().map(|&p| before.classify(&[0, 0, 0, p, 0])).collect();
+
+        armed.store(true, SeqCst);
+        let err = sharded.retrain().expect_err("a panicking shard must fail the retrain");
+        assert!(err.to_string().contains("panicked"), "{err}");
+        assert!(Arc::ptr_eq(&before, &sharded.epoch()), "a failed retrain published an epoch");
+        assert_eq!(sharded.generation(), before.generation());
+
+        // The same handle updates and retrains as usual.
+        assert!(!armed.load(SeqCst), "exactly one shard's builder ran armed");
+        let report = sharded.apply(&UpdateBatch::new().remove(900));
+        assert_eq!(report.removed, 1);
+        let g = sharded.retrain().expect("retrain after the fault");
+        assert_eq!(g, before.generation() + 2);
+        let oracle = LinearSearch::from_rules(
+            set.rules()
+                .iter()
+                .filter(|r| r.id != 30)
+                .cloned()
+                .chain([FiveTuple::new().dst_port_range(3_000, 3_010).into_rule(30, 30)])
+                .collect(),
+        );
+        for (i, &p) in probe.iter().enumerate() {
+            let key = [0, 0, 0, p, 0];
+            assert_eq!(sharded.classify(&key), oracle.classify(&key), "port {p}");
+            if p != 60_000 {
+                assert_eq!(want[i], oracle.classify(&key), "port {p}");
+            }
+        }
     }
 }

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use nm_common::classifier::{Classifier, MatchResult};
-use nm_common::update::Generation;
+use nm_common::update::{Generation, Snapshot};
 
 use crate::system::handle::{ClassifierHandle, NmSnapshot};
 
@@ -67,12 +67,11 @@ where
     }
 }
 
-impl<R> PinnedPlane for Arc<NmSnapshot<R>>
-where
-    R: Classifier + Send + Sync,
-{
+/// A published snapshot — a plain handle's `NuevoMatch` or a sharded
+/// handle's epoch — pins as the `Arc` itself and reports its stamp.
+impl<C: Classifier> PinnedPlane for Arc<Snapshot<C>> {
     fn generation(&self) -> Generation {
-        NmSnapshot::generation(self)
+        Snapshot::generation(self)
     }
 
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {

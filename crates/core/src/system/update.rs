@@ -32,10 +32,11 @@
 //! [`UpdateReport.removed`](nm_common::UpdateReport) counts **true
 //! deletions** (`Remove` hits) only. An `Insert` or `Modify` that displaces
 //! a live version of the same id — tombstoning an iSet copy or upserting in
-//! the remainder — counts under `replaced`. The generation stamp bumps only
-//! when the report shows an effective change
-//! ([`UpdateReport::changed`](nm_common::UpdateReport::changed)): a batch of
-//! misses publishes nothing and invalidates no caches.
+//! the remainder — counts under `replaced`. The classifier itself is
+//! unversioned: a handle publishes the result under a new stamp only when
+//! the report shows an effective change
+//! ([`UpdateReport::changed`](nm_common::UpdateReport::changed)), so a batch
+//! of misses publishes nothing and invalidates no caches.
 
 use nm_common::classifier::Classifier;
 use nm_common::rule::{Rule, RuleId};
@@ -44,9 +45,9 @@ use nm_common::update::{BatchUpdatable, UpdateBatch, UpdateOp, UpdateReport};
 use super::NuevoMatch;
 
 impl<R: BatchUpdatable> NuevoMatch<R> {
-    /// Applies a whole transaction: tombstones iSet rules, routes everything
-    /// else to the remainder engine in a single remainder batch, and bumps
-    /// the generation once. Returns the merged accounting.
+    /// Applies a whole transaction: tombstones iSet rules and routes
+    /// everything else to the remainder engine in a single remainder batch.
+    /// Returns the merged accounting.
     pub fn apply(&mut self, batch: &UpdateBatch) -> UpdateReport {
         let mut report = UpdateReport::default();
         let mut remainder_ops = UpdateBatch::new();
@@ -86,12 +87,6 @@ impl<R: BatchUpdatable> NuevoMatch<R> {
         report.absorb(self.remainder_mut().apply(&remainder_ops));
         // Every insert adds a live rule unless it replaced one.
         self.total_rules = self.total_rules + report.inserted - report.replaced - report.removed;
-        // Bump only on effective change. A batch whose every op missed (e.g.
-        // removes of absent ids) serves the same content; bumping for it
-        // would force a needless invalidation of every FlowCache above us.
-        if report.changed() {
-            self.generation += 1;
-        }
         report
     }
 
@@ -178,13 +173,11 @@ mod tests {
         let mut nm = build(50);
         let key = [0u64, 0, 0, 60_000, 0];
         assert_eq!(nm.classify(&key), None);
-        let g0 = nm.generation();
         let wide = FiveTuple::new().dst_port_range(59_000, 61_000).into_rule(999, 0);
         nm.apply(&UpdateBatch::new().insert(wide));
         assert_eq!(nm.classify(&key).unwrap().rule, 999);
         assert_eq!(nm.moved_to_remainder(), 1);
         assert!(nm.remainder_fraction() > 0.0);
-        assert!(nm.generation() > g0, "updates must bump the generation stamp");
     }
 
     #[test]
@@ -203,9 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_apply_is_one_generation_bump() {
+    fn batch_apply_accounts_every_op() {
         let mut nm = build(60);
-        let g0 = nm.generation();
         let batch = UpdateBatch::new()
             .remove(3)
             .remove(3) // second one is a miss
@@ -216,27 +208,26 @@ mod tests {
         assert_eq!(report.replaced, 1, "rule 8 modify displaces, not deletes");
         assert_eq!(report.inserted, 2);
         assert_eq!(report.missing, 1);
-        assert!(nm.generation() > g0);
         assert_eq!(nm.classify(&[0, 0, 0, 350, 0]), None);
         assert_eq!(nm.classify(&[0, 0, 0, 61_111, 0]).unwrap().rule, 700);
         assert_eq!(nm.classify(&[0, 0, 0, 45_050, 0]).unwrap().rule, 8);
     }
 
     #[test]
-    fn noop_batch_does_not_bump_generation() {
-        // Regression: `apply` used to bump the generation for any non-empty
-        // batch, even when every op was a miss — forcing FlowCache layers to
-        // invalidate for content that never changed.
+    fn noop_batch_reports_no_change() {
+        // A batch whose every op missed serves the same content: its report
+        // says so, and a handle publishes nothing for it (no new stamp, no
+        // FlowCache invalidation).
         let mut nm = build(30);
-        let g0 = nm.generation();
         let report = nm.apply(&UpdateBatch::new().remove(9_999).remove(8_888).remove(7_777));
         assert_eq!(report.missing, 3);
         assert!(!report.changed());
-        assert_eq!(nm.generation(), g0, "miss-only batch must not bump the generation");
-        // An effective op in the same batch shape does bump.
+        assert_eq!(nm.num_rules(), 30);
+        // An effective op in the same batch shape does change it.
         let report = nm.apply(&UpdateBatch::new().remove(9_999).remove(3));
         assert_eq!((report.missing, report.removed), (1, 1));
-        assert_eq!(nm.generation(), g0 + 1);
+        assert!(report.changed());
+        assert_eq!(nm.num_rules(), 29);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `nm-model` — a loom-lite bounded interleaving explorer for the
 //! workspace's hand-rolled lock-free protocols (the left-right
-//! `shims/arc-swap` cell, `ClassifierHandle` pin/publish, `ShardEpoch`
-//! publication).
+//! `shims/arc-swap` cell, and the `Published` pin/publish cell that is the
+//! whole of `ClassifierHandle`'s and `ShardedHandle`'s publication — one
+//! cell per handle, so a sharded epoch has no second cell to tear against).
 //!
 //! [`explore`] runs a closure under a DFS over thread schedules: every
 //! model operation (virtual atomic access, [`cell::RaceCell`] access,

@@ -40,7 +40,7 @@ use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::memsize;
 use nm_common::rule::{Priority, Rule, RuleId};
 use nm_common::ruleset::{FieldsSpec, RuleSet};
-use nm_common::update::{BatchUpdatable, Generation, UpdateBatch, UpdateReport};
+use nm_common::update::{BatchUpdatable, UpdateBatch, UpdateReport};
 use std::collections::HashMap;
 
 /// TupleMerge parameters.
@@ -75,9 +75,6 @@ pub struct TupleMerge {
     removed: usize,
     rules: Rules,
     by_id: HashMap<RuleId, u32>,
-    /// Update stamp (see [`Classifier::generation`]); build-time inserts do
-    /// not count.
-    generation: Generation,
     name: &'static str,
 }
 
@@ -137,7 +134,6 @@ impl TupleMerge {
             removed: 0,
             rules: Rules::new(set.spec().len(), set.len()),
             by_id: HashMap::with_capacity(set.len()),
-            generation: 0,
             name: if cfg.relax { "tm" } else { "tss" },
         };
         for rule in set.rules() {
@@ -525,10 +521,6 @@ impl Classifier for TupleMerge {
     fn num_rules(&self) -> usize {
         self.by_id.len()
     }
-
-    fn generation(&self) -> Generation {
-        self.generation
-    }
 }
 
 impl BatchUpdatable for TupleMerge {
@@ -541,11 +533,6 @@ impl BatchUpdatable for TupleMerge {
         );
         self.refilter_if_stale();
         self.resort_order();
-        // Bump only when content changed: a batch of pure misses serves the
-        // same rules, and a spurious bump stampedes caches layered above.
-        if report.changed() {
-            self.generation += 1;
-        }
         report
     }
 
@@ -555,9 +542,8 @@ impl BatchUpdatable for TupleMerge {
 }
 
 impl TupleMerge {
-    /// Single-rule insert primitive shared by construction (which must not
-    /// bump the generation) and the batch path (which does). The id must not
-    /// be live: a `RuleSet`'s ids are unique and `apply_ops` removes first.
+    /// Single-rule insert primitive shared by construction and the batch
+    /// path. The id must not be live: a `RuleSet`'s ids are unique and `apply_ops` removes first.
     fn insert_rule(&mut self, rule: &Rule) {
         let idx = self.rules.store(rule);
         let stale = self.by_id.insert(rule.id, idx);
@@ -744,7 +730,6 @@ mod tests {
     fn updates_match_rebuild() {
         let set = random_set(5, 200);
         let mut tm = TupleMerge::build(&set);
-        assert_eq!(tm.generation(), 0, "build-time inserts must not count as updates");
         // One transaction: remove every third rule, add 20 new ones.
         let mut rules: Vec<Rule> = set.rules().to_vec();
         rules.retain(|r| r.id % 3 != 0);
@@ -764,7 +749,6 @@ mod tests {
         assert_eq!(report.removed, 67);
         assert_eq!(report.inserted, 20);
         assert_eq!(report.missing, 0);
-        assert_eq!(tm.generation(), 1);
         let rebuilt = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
         let oracle = LinearSearch::build(&rebuilt);
         for key in random_keys(55, 400, &rebuilt) {
@@ -784,9 +768,8 @@ mod tests {
         let r = tm.apply(&UpdateBatch::new().insert(set.rule_at(5).clone()));
         assert_eq!((r.inserted, r.replaced, r.removed), (1, 1, 0));
         assert_eq!(tm.num_rules(), 80);
-        let g = tm.generation();
-        // A non-empty batch of pure misses must not bump the generation
-        // (regression: it used to, stampeding FlowCache invalidation).
+        // Only a non-empty batch of pure misses reports no change — the
+        // report a handle gates its publish on.
         let r = tm.apply(
             &UpdateBatch::new()
                 .remove(9_999)
@@ -796,11 +779,8 @@ mod tests {
         // pure-remove miss leaves content untouched.
         assert_eq!(r.missing, 2);
         assert!(r.changed(), "modify-of-absent still inserts");
-        assert_eq!(tm.generation(), g + 1);
-        let g = tm.generation();
         let r = tm.apply(&UpdateBatch::new().remove(9_999).remove(9_998));
         assert_eq!((r.missing, r.changed()), (2, false));
-        assert_eq!(tm.generation(), g, "miss-only batch must not bump");
     }
 
     #[test]
@@ -812,8 +792,6 @@ mod tests {
         copy.apply(&UpdateBatch::new().remove(0).remove(1).remove(2));
         assert_eq!(tm.num_rules(), 150);
         assert_eq!(copy.num_rules(), 147);
-        assert_eq!(tm.generation(), 0);
-        assert_eq!(copy.generation(), 1);
         let oracle = LinearSearch::build(&set);
         for key in random_keys(77, 200, &set) {
             assert_eq!(tm.classify(&key), oracle.classify(&key), "original drifted on {key:?}");

@@ -81,6 +81,10 @@ pub mod channel {
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
             if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Notify under the lock: a receiver that saw a sender left
+                // holds it until it is parked, so the wake-up cannot land in
+                // between its check and its wait and be lost.
+                let _queue = self.0.queue.lock();
                 self.0.not_empty.notify_all();
             }
         }
@@ -96,6 +100,8 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.0.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Under the lock, for the same reason as the sender's drop.
+                let _queue = self.0.queue.lock();
                 self.0.not_full.notify_all();
             }
         }

@@ -184,26 +184,29 @@ fn epoch_pins_never_mix_generations_across_shards() {
                 flip = !flip;
             }
         });
-        for _ in 0..2_000 {
-            let epoch = sharded.epoch();
-            // Capture the pinned per-shard stamps *before* the writer gets
-            // a chance to race, probe, then re-read: a pinned epoch is
-            // frozen, so the stamps must still be the captured ones.
-            let pinned_gens = epoch.engine().home_generations();
-            // Coherence across shards: one *epoch-pinned* read covers both
-            // shards — the Classifier impl pins once per batch, so both
-            // probes land in one batch_lookup call.
-            let keys = [0u64, 0, 0, 1_100, 0, 0, 0, 0, 50_100, 0];
-            let mut out = [None, None];
-            sharded.classify_batch(&keys, 5, &mut out);
+        let keys = [0u64, 0, 0, 1_100, 0, 0, 0, 0, 50_100, 0];
+        let state = |out: &[Option<nm_common::MatchResult>; 2]| {
             let a_state = out[0].map(|m| m.rule) == Some(2); // rule 2 at 1_100 = state A
             let b_state = out[1].map(|m| m.rule) == Some(100); // rule 100 at 50_100 = state A
             assert_eq!(a_state, b_state, "one transaction split across shard generations: {out:?}");
-            assert_eq!(
-                epoch.engine().home_generations(),
-                pinned_gens,
-                "a pinned epoch's per-shard stamps moved under the writer"
-            );
+        };
+        for _ in 0..2_000 {
+            let epoch = sharded.epoch();
+            // Capture the pinned epoch's verdicts *before* the writer gets
+            // a chance to race, probe, then re-read: a pinned epoch is
+            // frozen, so its verdicts must still be the captured ones.
+            let mut pinned = [None, None];
+            epoch.classify_batch(&keys, 5, &mut pinned);
+            state(&pinned);
+            // Coherence across shards: one *epoch-pinned* read covers both
+            // shards — the Classifier impl pins once per batch, so both
+            // probes land in one batch_lookup call.
+            let mut out = [None, None];
+            sharded.classify_batch(&keys, 5, &mut out);
+            state(&out);
+            let mut again = [None, None];
+            epoch.classify_batch(&keys, 5, &mut again);
+            assert_eq!(again, pinned, "a pinned epoch's verdicts moved under the writer");
         }
         stop.store(true, std::sync::atomic::Ordering::SeqCst);
     });
@@ -474,7 +477,9 @@ fn sharded_apply_is_not_blocked_by_a_retrain_in_flight() {
 
     armed.store(true, SeqCst);
     let before = sharded.epoch();
-    let frozen = before.engine().home_generations();
+    let probe: Vec<u64> = (0u64..65_536).step_by(97).flat_map(|p| [0, 0, 0, p, 0]).collect();
+    let mut frozen = vec![None; probe.len() / 5];
+    before.classify_batch(&probe, 5, &mut frozen);
     let retrainer = {
         let sharded = sharded.clone();
         std::thread::spawn(move || sharded.retrain())
@@ -503,6 +508,8 @@ fn sharded_apply_is_not_blocked_by_a_retrain_in_flight() {
     assert_eq!(sharded.classify(&[0, 0, 0, 1_100, 0]).map(|m| m.rule), Some(2));
 
     // The epoch pinned before all of it never moved.
-    assert_eq!(before.engine().home_generations(), frozen);
+    let mut after = vec![None; frozen.len()];
+    before.classify_batch(&probe, 5, &mut after);
+    assert_eq!(after, frozen);
     assert_eq!(before.classify(&key), None);
 }

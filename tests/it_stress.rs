@@ -159,22 +159,45 @@ fn wire_to_classifier_pipeline() {
 }
 
 /// FlowCache + updates: the generation stamp alone must kill stale verdicts.
+/// The cache fronts a live handle; a clone of the handle updates and
+/// retrains it, and every publication is the whole invalidation.
 #[test]
 fn flow_cache_invalidation_after_update() {
     use nm_common::UpdateBatch;
     use nuevomatch::system::FlowCache;
+    use nuevomatch::ClassifierHandle;
     let rules: Vec<_> = (0..50u16)
         .map(|i| FiveTuple::new().dst_port_exact(i).into_rule(i as u32, i as u32))
         .collect();
     let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-    let nm = NuevoMatch::build(&set, &fast_cfg(), TupleMerge::build).unwrap();
-    let mut cached = FlowCache::new(nm, 128);
+    let handle = ClassifierHandle::new(&set, &fast_cfg(), TupleMerge::build).unwrap();
+    let writer = handle.clone();
+    let cached = FlowCache::new(handle, 128);
+    let keys: Vec<u64> = (0..64u64).flat_map(|p| [0, 0, 0, p, 0]).collect();
+    let check = |step: &str| {
+        let want: Vec<_> = keys.chunks_exact(5).map(|k| writer.snapshot().classify(k)).collect();
+        for pass in 0..2 {
+            let per_key: Vec<_> = keys.chunks_exact(5).map(|k| cached.classify(k)).collect();
+            assert_eq!(per_key, want, "{step}: stale per-key verdict, pass {pass}");
+            let mut out = vec![None; want.len()];
+            cached.classify_batch(&keys, 5, &mut out);
+            assert_eq!(out, want, "{step}: stale batched verdict, pass {pass}");
+        }
+    };
     let key = [0u64, 0, 0, 7, 0];
     assert_eq!(cached.classify(&key).unwrap().rule, 7);
-    // Remove rule 7 through the inner engine; its generation bump is the
-    // whole invalidation.
-    assert_eq!(cached.inner_mut().apply(&UpdateBatch::new().remove(7)).removed, 1);
+    check("build");
+    assert_eq!(writer.apply(&UpdateBatch::new().remove(7)).removed, 1);
     assert_eq!(cached.classify(&key), None, "stale cached verdict survived");
+    check("remove");
+    writer.apply(&UpdateBatch::new().insert(FiveTuple::new().dst_port_exact(7).into_rule(99, 1)));
+    check("insert");
+    writer.retrain().unwrap();
+    check("retrain");
+    writer.apply(&UpdateBatch::new().remove(99).modify(FiveTuple::new().into_rule(3, 3)));
+    check("remove + widening modify");
+    writer.retrain_full().unwrap();
+    check("full retrain");
 }
 
 /// A rule-set where *every* rule overlaps every other (nested ranges):
