@@ -39,9 +39,9 @@ impl MatchResult {
 /// `nm_cutsplit::CutSplit`, `nm_neurocuts::NeuroCuts`,
 /// `nuevomatch::NuevoMatch` (which *wraps* one of the others as its
 /// remainder engine), and the wrappers layered above them:
-/// [`crate::Snapshot`] (a generation-stamped immutable view),
+/// [`crate::Snapshot`] (a generation-stamped immutable view) and
 /// `nuevomatch::ClassifierHandle` (lock-free reads against an atomically
-/// swapped snapshot) and `nuevomatch::FlowCache`.
+/// swapped snapshot).
 ///
 /// Every method takes `&self` and implementations are `Send + Sync`, so a
 /// built classifier can be shared by any number of reader threads. Writes
@@ -182,8 +182,8 @@ pub trait Classifier: Send + Sync {
     /// changes it through `&mut` owns it outright. A [`crate::Snapshot`]
     /// reports its stamp, and the handles that publish snapshots
     /// (`nuevomatch::ClassifierHandle`, `nuevomatch::ShardedHandle`) report
-    /// the live one. Caches layered above a classifier (e.g.
-    /// `nuevomatch::FlowCache`) probe this to drop stale verdicts.
+    /// the live one. The runtime's per-worker flow caches key on the stamp
+    /// of each batch's pin to drop stale verdicts.
     fn generation(&self) -> crate::update::Generation {
         0
     }
@@ -216,8 +216,8 @@ pub fn apply_floors(floors: Option<&[Priority]>, out: &mut [Option<MatchResult>]
 }
 
 // Boxed classifiers (the CLI's `Box<dyn Classifier>` engines) are
-// classifiers themselves, so generic wrappers — `FlowCache`, the sharded
-// runtime — can hold them without knowing the concrete engine. Every method
+// classifiers themselves, so generic code — `nmctl`'s sharded runtime —
+// can hold them without knowing the concrete engine. Every method
 // forwards, including the overridable hooks, so a boxed engine keeps its
 // batched pipeline and a boxed snapshot its generation stamp.
 impl<C: Classifier + ?Sized> Classifier for Box<C> {

@@ -51,7 +51,6 @@ pub mod ruleset;
 pub mod shard;
 pub mod stats;
 pub mod update;
-pub mod wire;
 
 pub use classifier::{Classifier, MatchResult};
 pub use error::Error;

@@ -12,8 +12,6 @@ pub enum TrainerKind {
     Hinge,
     /// Paper-faithful: random init + Adam with MSE loss (§3.5.5).
     Adam(AdamConfig),
-    /// Hinge initialisation refined by Adam — best accuracy per second.
-    HingeThenAdam(AdamConfig),
 }
 
 /// RQ-RMI structure and training parameters.

@@ -76,6 +76,5 @@ pub use system::serve::{
     Transport,
 };
 pub use system::{
-    ClassifierHandle, FlowCache, LookupBreakdown, NmSnapshot, NuevoMatch, PartialRetrainReport,
-    TrainedISet,
+    ClassifierHandle, LookupBreakdown, NmSnapshot, NuevoMatch, PartialRetrainReport, TrainedISet,
 };

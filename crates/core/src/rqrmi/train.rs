@@ -400,11 +400,6 @@ fn fit(trainer: &TrainerKind, data: &[(f32, f32)], seed: u64) -> Mlp {
             Adam::train(&mut net, data, *cfg);
             net
         }
-        TrainerKind::HingeThenAdam(cfg) => {
-            let mut net = fit_hinge(hidden, data);
-            Adam::train(&mut net, data, *cfg);
-            net
-        }
     }
 }
 
@@ -645,10 +640,7 @@ mod tests {
         let ranges = random_disjoint_ranges(7, 100, 16);
         let p = RqRmiParams {
             samples_init: 256,
-            trainer: TrainerKind::HingeThenAdam(nm_nn::AdamConfig {
-                epochs: 60,
-                ..Default::default()
-            }),
+            trainer: TrainerKind::Adam(nm_nn::AdamConfig { epochs: 60, ..Default::default() }),
             max_attempts: 2,
             ..Default::default()
         };

@@ -20,7 +20,7 @@ pub mod serve;
 pub mod update;
 
 pub use breakdown::{measure_breakdown, LookupBreakdown};
-pub use flow_cache::{CacheStats, FlowCache};
+pub use flow_cache::CacheStats;
 pub use handle::{ClassifierHandle, NmSnapshot};
 pub use parallel::run_batched;
 pub use retrain::PartialRetrainReport;

@@ -39,8 +39,9 @@ use crate::config::NuevoMatchConfig;
 use crate::rqrmi::LeafRetrainStats;
 use crate::system::NuevoMatch;
 
-/// What a [`NuevoMatch::partial_retrain`] pass did (observability: the
-/// update bench and `nmctl` report these).
+/// What a [`NuevoMatch::partial_retrain`] pass did. Only tests read it: a
+/// handle's retrain discards it and counts the pass in
+/// `partial_retrains_completed`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PartialRetrainReport {
     /// iSets rebuilt with patched arrays/models.

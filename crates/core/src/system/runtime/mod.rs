@@ -830,6 +830,53 @@ mod tests {
     }
 
     #[test]
+    fn per_worker_flow_cache_drops_verdicts_of_an_older_pin() {
+        // A plane whose every batch pins a newer generation and answers with
+        // it: one repeated key, so a verdict served from an older pin's
+        // entry would fold the wrong rule id into the checksum.
+        use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+        struct Rising(AtomicU64);
+        #[derive(Clone)]
+        struct RisingPin(Generation);
+        impl PinnedPlane for RisingPin {
+            fn generation(&self) -> Generation {
+                self.0
+            }
+            fn classify_batch(&self, _k: &[u64], _stride: usize, out: &mut [Option<MatchResult>]) {
+                out.fill(Some(MatchResult { rule: self.0 as u32, priority: 0 }));
+            }
+        }
+        impl ShardedDataPlane for Rising {
+            type Pin<'p>
+                = RisingPin
+            where
+                Self: 'p;
+            fn shards(&self) -> usize {
+                1
+            }
+            fn pin(&self) -> RisingPin {
+                RisingPin(self.0.fetch_add(1, SeqCst) + 1)
+            }
+        }
+        let (n, batch) = (1_000u64, 64usize);
+        let mut t = TraceBuf::new(5);
+        for _ in 0..n {
+            t.push(&[9, 9, 9, 700, 17]);
+        }
+        let rt = Runtime::new(RuntimeConfig { batch, flow_cache: 1 << 10, ..Default::default() });
+        let stats = rt.run(&Rising(AtomicU64::new(0)), &t).unwrap();
+        let mut want = 0u64;
+        for i in 0..n as usize {
+            let generation = (i / batch) as u32 + 1;
+            fold_checksum(&mut want, Some(MatchResult { rule: generation, priority: 0 }));
+        }
+        assert_eq!(stats.generations, (1, n.div_ceil(batch as u64)));
+        assert_eq!(stats.checksum, want, "a stale entry outlived its pin");
+        // Every batch is a new stamp, so no entry of an earlier one may hit.
+        assert_eq!((stats.cache.hits, stats.cache.misses), (0, n));
+    }
+
+    #[test]
     fn worker_panic_surfaces_as_error() {
         struct Bomb;
         #[derive(Clone)]

@@ -226,9 +226,9 @@ impl<P: ServePlane> Server<P> {
             cpus,
             next_cpu: AtomicUsize::new(0),
         });
-        let mut joins = Vec::new();
-        let mut udp_addr = None;
-        let mut tcp_addr = None;
+        // Built before anything spawns: a later bind's `?` drops it, and
+        // `Drop` stops and joins every reader already running.
+        let mut server = Self { shared, joins: Vec::new(), udp_addr: None, tcp_addr: None };
         if cfg.transport.udp() {
             let n = cfg.udp_readers.max(1);
             // One private SO_REUSEPORT socket per reader; the helper falls
@@ -236,23 +236,23 @@ impl<P: ServePlane> Server<P> {
             // (readers then cycle over that one fd like the old front-end).
             let socks: Vec<Arc<UdpSocket>> =
                 sysio::bind_udp_reader_sockets(cfg.listen, n)?.into_iter().map(Arc::new).collect();
-            udp_addr = match socks.first() {
+            server.udp_addr = match socks.first() {
                 Some(s) => Some(s.local_addr()?),
                 None => None,
             };
             for i in 0..n {
-                let shared2 = shared.clone();
-                let sock2 = socks[i % socks.len()].clone();
-                joins.push(std::thread::spawn(move || transport::udp_reader(shared2, sock2)));
+                let (shared, sock) = (server.shared.clone(), socks[i % socks.len()].clone());
+                server.joins.push(std::thread::spawn(move || transport::udp_reader(shared, sock)));
             }
         }
         if cfg.transport.tcp() {
             let listener = TcpListener::bind(cfg.listen)?;
-            tcp_addr = Some(listener.local_addr()?);
-            let shared2 = shared.clone();
-            joins.push(std::thread::spawn(move || transport::tcp_acceptor(shared2, listener)));
+            server.tcp_addr = Some(listener.local_addr()?);
+            let shared = server.shared.clone();
+            let acceptor = move || transport::tcp_acceptor(shared, listener);
+            server.joins.push(std::thread::spawn(acceptor));
         }
-        Ok(Self { shared, joins, udp_addr, tcp_addr })
+        Ok(server)
     }
 
     /// The UDP serving address (when the transport includes UDP).

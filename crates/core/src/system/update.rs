@@ -217,7 +217,7 @@ mod tests {
     fn noop_batch_reports_no_change() {
         // A batch whose every op missed serves the same content: its report
         // says so, and a handle publishes nothing for it (no new stamp, no
-        // FlowCache invalidation).
+        // flow-cache invalidation).
         let mut nm = build(30);
         let report = nm.apply(&UpdateBatch::new().remove(9_999).remove(8_888).remove(7_777));
         assert_eq!(report.missing, 3);

@@ -5,9 +5,8 @@
 //! CDF-like targets RQ-RMI submodels learn, fixing the knots `q_j` at input
 //! quantiles and solving the output layer by ridge least squares gives an
 //! excellent fit *deterministically* and orders of magnitude faster than
-//! iterative training. The result is a perfectly ordinary [`Mlp`] — the
-//! analysis and inference paths cannot tell how it was trained — and Adam can
-//! refine it further when asked.
+//! iterative training. The result is a perfectly ordinary [`Mlp`]: the
+//! analysis and inference paths cannot tell how it was trained.
 
 use crate::mlp::Mlp;
 

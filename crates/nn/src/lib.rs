@@ -15,8 +15,8 @@
 //!
 //! * **Closed-form hinge fitting** ([`hinge`]): ReLU kinks placed at input
 //!   quantiles + ridge least-squares for the output layer. Deterministic and
-//!   ~100× faster than iterative training for these model sizes; Adam can
-//!   refine the result ("paper-faithful" mode keeps pure Adam).
+//!   ~100× faster than iterative training for these model sizes (the
+//!   "paper-faithful" mode trains with Adam from a random init instead).
 //! * **Piece-wise-linear analysis** ([`piecewise`]): exact extraction of the
 //!   clamped model's linear segments, the foundation of the paper's analytic
 //!   trigger-input / transition-input / error-bound machinery (§3.5,

@@ -14,7 +14,6 @@ use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
 use nm_trace::{uniform_trace, zipf_trace};
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::rqrmi::{train_rqrmi, CompiledRqRmi, Isa, RqRmi};
-use nuevomatch::system::FlowCache;
 use nuevomatch::{NuevoMatch, NuevoMatchConfig, RqRmiParams};
 use proptest::prelude::*;
 
@@ -165,18 +164,6 @@ fn nuevomatch_equal_priority_tie_resolves_by_id() {
         assert_eq!(nm.classify(key), want, "per-key, key {i}");
         assert_eq!(out[i], want, "batched, key {i}");
     }
-}
-
-#[test]
-fn flow_cache_batch_matches_per_key() {
-    let set = generate(AppKind::Ipc, 250, 3);
-    let trace = zipf_trace(&set, 3_000, 1.2, 13);
-    let nm = NuevoMatch::build(&set, &fast_cfg(true), TupleMerge::build).unwrap();
-    let cached = FlowCache::new(nm, 256);
-    // Equivalence must hold across repeated passes (cold cache, then warm).
-    assert_batch_equivalent(&cached, &trace);
-    assert_batch_equivalent(&cached, &trace);
-    assert!(cached.stats().hits > 0, "warm pass should hit the cache");
 }
 
 /// The single-key walk (`predict`) and the batched walk (`predict_batch`,

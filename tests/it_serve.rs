@@ -378,6 +378,24 @@ fn malformed_datagrams_are_counted_and_service_survives() {
     assert_eq!(stats.mismatches, 0, "{stats:?}");
 }
 
+/// A start that fails part-way — UDP bound and its readers running, then
+/// the TCP bind refused — must stop those readers and release the UDP port
+/// before it returns the error.
+#[test]
+fn a_failed_start_releases_every_port_it_bound() {
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("tcp socket");
+    let listen = taken.local_addr().expect("tcp addr");
+    let handle = ClassifierHandle::new(&base_set(), &cfg(), TupleMerge::build).expect("build");
+    let scfg = ServeConfig {
+        transport: Transport::Both,
+        listen,
+        udp_readers: 2,
+        ..ServeConfig::default()
+    };
+    assert!(Server::start(handle, &scfg).is_err(), "the TCP port is taken");
+    std::net::UdpSocket::bind(listen).expect("the failed start still holds its UDP port");
+}
+
 /// The deadline of the two arrival-aware flush tests: long enough that a
 /// noisy box cannot blur "answered when the socket ran dry" into "answered
 /// at the deadline".

@@ -130,76 +130,6 @@ fn parser_never_panics_on_garbage() {
     }
 }
 
-/// Wire → classify pipeline invariant: any parseable frame classifies
-/// identically through the cache-fronted engine and the oracle.
-#[test]
-fn wire_to_classifier_pipeline() {
-    use nm_common::wire::{build_ipv4_frame, parse_five_tuple};
-    use nuevomatch::system::FlowCache;
-    let set = nm_classbench::generate(nm_classbench::AppKind::Ipc, 800, 5);
-    let oracle = LinearSearch::build(&set);
-    let cached =
-        FlowCache::new(NuevoMatch::build(&set, &fast_cfg(), TupleMerge::build).unwrap(), 256);
-    let mut rng = SplitMix64::new(7);
-    for _ in 0..3_000 {
-        let key = [
-            rng.next_u64() & 0xffff_ffff,
-            rng.next_u64() & 0xffff_ffff,
-            rng.below(65_536),
-            rng.below(65_536),
-            rng.below(256),
-        ];
-        let frame = build_ipv4_frame(&key);
-        let parsed = parse_five_tuple(&frame).unwrap();
-        // Portless protocols drop ports on the wire — the classifier must
-        // agree with the oracle on the *parsed* key either way.
-        assert_eq!(cached.classify(&parsed), oracle.classify(&parsed));
-    }
-    assert!(cached.stats().hits + cached.stats().misses == 3_000);
-}
-
-/// FlowCache + updates: the generation stamp alone must kill stale verdicts.
-/// The cache fronts a live handle; a clone of the handle updates and
-/// retrains it, and every publication is the whole invalidation.
-#[test]
-fn flow_cache_invalidation_after_update() {
-    use nm_common::UpdateBatch;
-    use nuevomatch::system::FlowCache;
-    use nuevomatch::ClassifierHandle;
-    let rules: Vec<_> = (0..50u16)
-        .map(|i| FiveTuple::new().dst_port_exact(i).into_rule(i as u32, i as u32))
-        .collect();
-    let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-    let handle = ClassifierHandle::new(&set, &fast_cfg(), TupleMerge::build).unwrap();
-    let writer = handle.clone();
-    let cached = FlowCache::new(handle, 128);
-    let keys: Vec<u64> = (0..64u64).flat_map(|p| [0, 0, 0, p, 0]).collect();
-    let check = |step: &str| {
-        let want: Vec<_> = keys.chunks_exact(5).map(|k| writer.snapshot().classify(k)).collect();
-        for pass in 0..2 {
-            let per_key: Vec<_> = keys.chunks_exact(5).map(|k| cached.classify(k)).collect();
-            assert_eq!(per_key, want, "{step}: stale per-key verdict, pass {pass}");
-            let mut out = vec![None; want.len()];
-            cached.classify_batch(&keys, 5, &mut out);
-            assert_eq!(out, want, "{step}: stale batched verdict, pass {pass}");
-        }
-    };
-    let key = [0u64, 0, 0, 7, 0];
-    assert_eq!(cached.classify(&key).unwrap().rule, 7);
-    check("build");
-    assert_eq!(writer.apply(&UpdateBatch::new().remove(7)).removed, 1);
-    assert_eq!(cached.classify(&key), None, "stale cached verdict survived");
-    check("remove");
-    writer.apply(&UpdateBatch::new().insert(FiveTuple::new().dst_port_exact(7).into_rule(99, 1)));
-    check("insert");
-    writer.retrain().unwrap();
-    check("retrain");
-    writer.apply(&UpdateBatch::new().remove(99).modify(FiveTuple::new().into_rule(3, 3)));
-    check("remove + widening modify");
-    writer.retrain_full().unwrap();
-    check("full retrain");
-}
-
 /// A rule-set where *every* rule overlaps every other (nested ranges):
 /// centrality = n, one rule per iSet, everything lands in the remainder.
 #[test]
