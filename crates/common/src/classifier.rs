@@ -46,8 +46,8 @@ impl MatchResult {
 /// Every method takes `&self` and implementations are `Send + Sync`, so a
 /// built classifier can be shared by any number of reader threads. Writes
 /// go through the separate control-plane traits: [`crate::BatchUpdatable`]
-/// for engines that accept transactional [`crate::UpdateBatch`]es, and
-/// [`crate::EngineBuilder`] for (re)construction. Engines carry no version:
+/// for engines that accept transactional [`crate::UpdateBatch`]es, and a
+/// plain `Fn(&RuleSet) -> E` for (re)construction. Engines carry no version:
 /// the [`Self::generation`] stamp belongs to the publication a view reads
 /// (a [`crate::Snapshot`]), which is how caches above the classifier
 /// invalidate.

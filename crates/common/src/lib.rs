@@ -12,11 +12,11 @@
 //!   (NuevoMatch, TupleMerge, CutSplit, NeuroCuts, linear search), including
 //!   the *early-termination* entry point `classify_with_floor` from §4 of the
 //!   paper and the memory-footprint accounting used by Figure 13.
-//! * [`EngineBuilder`], [`UpdateBatch`], [`BatchUpdatable`] and
-//!   [`Snapshot`] — the control-plane vocabulary of the
-//!   control-plane/data-plane split: reusable engine construction,
-//!   transactional updates, and the generation-stamped immutable views the
-//!   data plane publishes (see [`update`]).
+//! * [`UpdateBatch`], [`BatchUpdatable`] and [`Snapshot`] — the
+//!   control-plane vocabulary of the control-plane/data-plane split:
+//!   transactional updates and the generation-stamped immutable views the
+//!   data plane publishes (see [`update`]). An engine is (re)built by any
+//!   `Fn(&RuleSet) -> E`, such as `LinearSearch::build`.
 //! * [`LinearSearch`] — the trivially-correct reference classifier used as
 //!   ground truth by every correctness test in the workspace.
 //! * [`TraceBuf`] — a flat, zero-copy packet-trace container for the
@@ -63,6 +63,4 @@ pub use rng::SplitMix64;
 pub use rule::{Priority, Rule, RuleId};
 pub use ruleset::{FieldSpec, FieldsSpec, RuleSet};
 pub use shard::{ShardPlan, ShardPlanConfig, ShardRoute};
-pub use update::{
-    BatchUpdatable, EngineBuilder, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
-};
+pub use update::{BatchUpdatable, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport};

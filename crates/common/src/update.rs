@@ -1,15 +1,10 @@
-//! Control-plane types: builders, update transactions and versioned
-//! snapshots.
+//! Control-plane types: update transactions and versioned snapshots.
 //!
 //! The workspace splits every classifier's lifecycle into a **data plane**
 //! (immutable lookup structures, shared by any number of reader threads)
 //! and a **control plane** (rule updates and rebuilds, driven by a single
 //! writer). This module holds the vocabulary both sides agree on:
 //!
-//! * [`EngineBuilder`] — how an engine is (re)constructed from a rule-set.
-//!   Replaces the ad-hoc `build` functions / `make_remainder` closures: a
-//!   builder is a *value* the control plane can hold on to and invoke again
-//!   for every background retrain, not a one-shot closure.
 //! * [`UpdateBatch`] / [`UpdateOp`] — a transaction of inserts, removes and
 //!   modifies. Engines apply a whole batch through
 //!   [`BatchUpdatable::apply`]; the ops inside one batch become visible
@@ -21,65 +16,17 @@
 //!
 //! The paper's §3.9 update story maps onto these directly: a writer applies
 //! [`UpdateBatch`]es (rules drift to the remainder), a background retrain
-//! invokes the stored [`EngineBuilder`] and publishes a fresh [`Snapshot`]
-//! under a new generation.
+//! invokes the stored builder — any `Fn(&RuleSet) -> E`, such as
+//! `TupleMerge::build` — and publishes a fresh [`Snapshot`] under a new
+//! generation.
 
 use crate::classifier::{Classifier, MatchResult};
 use crate::rule::{Priority, Rule, RuleId};
-use crate::ruleset::RuleSet;
 
 /// Monotone data-plane version number: the stamp a publication carries.
 /// Only a publishing handle mints one (per effective update batch, and per
 /// retrain); engines carry none, and generation `0` means "not published".
 pub type Generation = u64;
-
-/// Constructs a classifier from a rule-set.
-///
-/// This is the control plane's handle on *how* an engine is built: unlike a
-/// `FnOnce` closure it can be stored and invoked repeatedly — once at system
-/// bring-up and once per background retrain. Every plain `Fn(&RuleSet) -> E`
-/// (including `build` fn items like `TupleMerge::build`) is an
-/// `EngineBuilder` via the blanket impl, so call sites keep their shape:
-///
-/// ```
-/// use nm_common::{EngineBuilder, FieldsSpec, LinearSearch, RuleSet};
-/// let set = RuleSet::new(FieldsSpec::five_tuple(), vec![]).unwrap();
-/// let builder = LinearSearch::build; // a builder value, reusable
-/// let engine = builder.build_engine(&set);
-/// let again = builder.build_engine(&set); // retrain path re-invokes it
-/// # let _ = (engine, again);
-/// ```
-pub trait EngineBuilder: Send + Sync {
-    /// The engine type this builder produces.
-    type Engine: Classifier;
-
-    /// Builds a fresh engine over `set` (ids and priorities preserved).
-    fn build_engine(&self, set: &RuleSet) -> Self::Engine;
-}
-
-impl<F, E> EngineBuilder for F
-where
-    F: Fn(&RuleSet) -> E + Send + Sync,
-    E: Classifier,
-{
-    type Engine = E;
-
-    fn build_engine(&self, set: &RuleSet) -> E {
-        self(set)
-    }
-}
-
-// `&F` and `Box<F>` are covered by the blanket impl above (shared
-// references to `Fn` closures are themselves `Fn`); `Arc` is not, and it is
-// what control planes store so they can hand the builder to a background
-// retrain thread without giving it up.
-impl<B: EngineBuilder + ?Sized> EngineBuilder for std::sync::Arc<B> {
-    type Engine = B::Engine;
-
-    fn build_engine(&self, set: &RuleSet) -> Self::Engine {
-        (**self).build_engine(set)
-    }
-}
 
 /// One rule update (paper §3.9's taxonomy; action changes are external to
 /// the classifier and have no structural op).
@@ -366,7 +313,7 @@ mod tests {
     use super::*;
     use crate::fivetuple::FiveTuple;
     use crate::linear::LinearSearch;
-    use crate::ruleset::FieldsSpec;
+    use crate::ruleset::{FieldsSpec, RuleSet};
 
     fn rule(id: u32, port: u16) -> Rule {
         FiveTuple::new().dst_port_exact(port).into_rule(id, id)
@@ -380,25 +327,6 @@ mod tests {
         assert_eq!(b.ops()[0].id(), 1);
         assert_eq!(b.ops()[1], UpdateOp::Remove(2));
         assert_eq!(b.ops()[2].id(), 3);
-    }
-
-    #[test]
-    fn closure_and_fn_item_are_builders() {
-        let set = RuleSet::new(FieldsSpec::five_tuple(), vec![rule(0, 80)]).unwrap();
-        // fn item.
-        let b1 = LinearSearch::build;
-        assert_eq!(b1.build_engine(&set).num_rules(), 1);
-        // Capturing closure (must be `Fn`, reusable).
-        let copies = 2;
-        let b2 = move |s: &RuleSet| {
-            let _ = copies;
-            LinearSearch::build(s)
-        };
-        assert_eq!(b2.build_engine(&set).num_rules(), 1);
-        assert_eq!(b2.build_engine(&set).num_rules(), 1);
-        // Boxed trait object (what control planes store).
-        let boxed: Box<dyn EngineBuilder<Engine = LinearSearch>> = Box::new(LinearSearch::build);
-        assert_eq!(boxed.build_engine(&set).num_rules(), 1);
     }
 
     #[test]

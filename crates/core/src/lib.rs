@@ -35,9 +35,9 @@
 //! let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
 //!
 //! // Build NuevoMatch with a linear-search remainder. Any
-//! // `EngineBuilder` (for example a plain `fn(&RuleSet) -> R`) works; the
-//! // same builder value drives background retrains when the classifier is
-//! // served through a `ClassifierHandle`.
+//! // `Fn(&RuleSet) -> R` (here a plain fn item) works; the same builder
+//! // value drives background retrains when the classifier is served
+//! // through a `ClassifierHandle`.
 //! let nm = NuevoMatch::build(&set, &NuevoMatchConfig::default(), LinearSearch::build).unwrap();
 //!
 //! let key = [0u64, 0, 0, 5_500, 6]; // dst-port 5500 -> rule 5

@@ -52,8 +52,7 @@
 
 use crate::rqrmi::RqRmi;
 use crate::system::{slot_bytes, wide, with_table, NuevoMatch, Table, TrainedISet, Word};
-use bytes::{Buf, BufMut};
-use nm_common::update::{BatchUpdatable, EngineBuilder, Generation};
+use nm_common::update::{BatchUpdatable, Generation};
 use nm_common::{Classifier, Error, FieldSpec, FieldsSpec, Rule, RuleSet};
 use nm_nn::Mlp;
 
@@ -69,36 +68,36 @@ fn fnv64(data: &[u8]) -> u64 {
     h
 }
 
+/// The next `N` bytes off `buf`; the caller has checked they are there.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_at(N);
+    *buf = rest;
+    head.try_into().expect("split_at(N) yields N bytes")
+}
+
 /// Serialises a trained model to bytes.
 pub fn save_rqrmi(model: &RqRmi) -> Vec<u8> {
     let mut out = Vec::with_capacity(model.memory_bytes() + 64);
-    out.put_slice(MAGIC);
-    out.put_u8(model.bits);
-    out.put_u64_le(model.n_values as u64);
-    out.put_u8(model.widths.len() as u8);
+    out.extend_from_slice(MAGIC);
+    out.push(model.bits);
+    out.extend_from_slice(&(model.n_values as u64).to_le_bytes());
+    out.push(model.widths.len() as u8);
     for &w in &model.widths {
-        out.put_u32_le(w as u32);
+        out.extend_from_slice(&(w as u32).to_le_bytes());
     }
     for stage in &model.nets {
         for net in stage {
-            out.put_u8(net.hidden() as u8);
-            for &v in &net.w1 {
-                out.put_f32_le(v);
+            out.push(net.hidden() as u8);
+            for &v in net.w1.iter().chain(&net.b1).chain(&net.w2).chain([&net.b2]) {
+                out.extend_from_slice(&v.to_le_bytes());
             }
-            for &v in &net.b1 {
-                out.put_f32_le(v);
-            }
-            for &v in &net.w2 {
-                out.put_f32_le(v);
-            }
-            out.put_f32_le(net.b2);
         }
     }
     for &e in &model.leaf_err {
-        out.put_u32_le(e);
+        out.extend_from_slice(&e.to_le_bytes());
     }
     let sum = fnv64(&out);
-    out.put_u64_le(sum);
+    out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
@@ -115,39 +114,38 @@ pub fn load_rqrmi(data: &[u8]) -> Result<RqRmi, Error> {
         return Err(fail("checksum mismatch"));
     }
     let mut buf = body;
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if take::<8>(&mut buf) != *MAGIC {
         return Err(fail("bad magic"));
     }
-    let need = |buf: &&[u8], n: usize, what: &str| -> Result<(), Error> {
-        if buf.remaining() < n {
+    let need = |buf: &[u8], n: usize, what: &str| -> Result<(), Error> {
+        if buf.len() < n {
             Err(fail(&format!("truncated {what}")))
         } else {
             Ok(())
         }
     };
-    need(&buf, 10, "header")?;
-    let bits = buf.get_u8();
+    need(buf, 10, "header")?;
+    let bits = u8::from_le_bytes(take(&mut buf));
     if !(1..=52).contains(&bits) {
         return Err(fail("bits out of range"));
     }
     // The bounds below are what compiling the model asserts
     // (`CompiledRqRmi::with_isa`, `Kernel::from_mlp`): a checksummed image
     // that breaks them is refused here, not by a panic in the caller.
-    let n_values = buf.get_u64_le() as usize;
+    let n_values = u64::from_le_bytes(take(&mut buf)) as usize;
     if n_values == 0 {
         return Err(fail("empty model"));
     }
     if i32::try_from(n_values).is_err() {
         return Err(fail("range count out of range"));
     }
-    let stages = buf.get_u8() as usize;
+    let stages = u8::from_le_bytes(take(&mut buf)) as usize;
     if stages == 0 || stages > 8 {
         return Err(fail("stage count out of range"));
     }
-    need(&buf, stages * 4, "widths")?;
-    let widths: Vec<usize> = (0..stages).map(|_| buf.get_u32_le() as usize).collect();
+    need(buf, stages * 4, "widths")?;
+    let widths: Vec<usize> =
+        (0..stages).map(|_| u32::from_le_bytes(take(&mut buf)) as usize).collect();
     if widths[0] != 1 || widths.iter().any(|&w| w == 0 || w > 1 << 20) {
         return Err(fail("bad stage widths"));
     }
@@ -155,31 +153,24 @@ pub fn load_rqrmi(data: &[u8]) -> Result<RqRmi, Error> {
     for &w in &widths {
         let mut stage = Vec::with_capacity(w);
         for _ in 0..w {
-            need(&buf, 1, "submodel header")?;
-            let hidden = buf.get_u8() as usize;
+            need(buf, 1, "submodel header")?;
+            let hidden = u8::from_le_bytes(take(&mut buf)) as usize;
             if hidden > Mlp::PAPER_HIDDEN {
                 return Err(fail("hidden width out of range"));
             }
-            need(&buf, (3 * hidden + 1) * 4, "weights")?;
+            need(buf, (3 * hidden + 1) * 4, "weights")?;
             let mut net = Mlp::zeros(hidden);
-            for v in &mut net.w1 {
-                *v = buf.get_f32_le();
+            for v in net.w1.iter_mut().chain(&mut net.b1).chain(&mut net.w2).chain([&mut net.b2]) {
+                *v = f32::from_le_bytes(take(&mut buf));
             }
-            for v in &mut net.b1 {
-                *v = buf.get_f32_le();
-            }
-            for v in &mut net.w2 {
-                *v = buf.get_f32_le();
-            }
-            net.b2 = buf.get_f32_le();
             stage.push(net);
         }
         nets.push(stage);
     }
     let leaves = *widths.last().expect("stages >= 1");
-    need(&buf, leaves * 4, "leaf bounds")?;
-    let leaf_err: Vec<u32> = (0..leaves).map(|_| buf.get_u32_le()).collect();
-    if buf.has_remaining() {
+    need(buf, leaves * 4, "leaf bounds")?;
+    let leaf_err: Vec<u32> = (0..leaves).map(|_| u32::from_le_bytes(take(&mut buf))).collect();
+    if !buf.is_empty() {
         return Err(fail("trailing bytes"));
     }
     Ok(RqRmi { widths, nets, leaf_err, n_values, bits })
@@ -192,56 +183,58 @@ pub fn load_rqrmi(data: &[u8]) -> Result<RqRmi, Error> {
 /// Requires `R: BatchUpdatable` for the remainder rule export.
 pub fn save_snapshot<R: BatchUpdatable>(nm: &NuevoMatch<R>, generation: Generation) -> Vec<u8> {
     let mut out = Vec::with_capacity(nm.memory_bytes() + 4096);
-    out.put_slice(SNAP_MAGIC);
-    out.put_u64_le(generation);
-    out.put_u8(nm.early_termination() as u8);
-    out.put_u64_le(nm.num_rules() as u64);
-    out.put_u64_le(nm.moved_to_remainder() as u64);
+    out.extend_from_slice(SNAP_MAGIC);
+    out.extend_from_slice(&generation.to_le_bytes());
+    out.push(nm.early_termination() as u8);
+    out.extend_from_slice(&(nm.num_rules() as u64).to_le_bytes());
+    out.extend_from_slice(&(nm.moved_to_remainder() as u64).to_le_bytes());
     let spec = nm.spec();
-    out.put_u32_le(spec.len() as u32);
+    out.extend_from_slice(&(spec.len() as u32).to_le_bytes());
     for field in spec.iter() {
-        out.put_u32_le(field.name.len() as u32);
-        out.put_slice(field.name.as_bytes());
-        out.put_u8(field.bits);
+        out.extend_from_slice(&(field.name.len() as u32).to_le_bytes());
+        out.extend_from_slice(field.name.as_bytes());
+        out.push(field.bits);
     }
-    out.put_u32_le(nm.isets().len() as u32);
+    out.extend_from_slice(&(nm.isets().len() as u32).to_le_bytes());
     for iset in nm.isets() {
         let (model, table, deleted) = iset.parts();
-        out.put_u32_le(iset.dim() as u32);
-        out.put_u64_le(iset.len() as u64);
+        out.extend_from_slice(&(iset.dim() as u32).to_le_bytes());
+        out.extend_from_slice(&(iset.len() as u64).to_le_bytes());
         with_table!(table, t => put_words(&mut out, t.records()));
         for &w in deleted {
-            out.put_u64_le(w);
+            out.extend_from_slice(&w.to_le_bytes());
         }
         let blob = save_rqrmi(model);
-        out.put_u32_le(blob.len() as u32);
-        out.put_slice(&blob);
+        out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+        out.extend_from_slice(&blob);
     }
     let remainder_rules = nm.remainder().export_rules();
-    out.put_u64_le(remainder_rules.len() as u64);
+    out.extend_from_slice(&(remainder_rules.len() as u64).to_le_bytes());
     for rule in &remainder_rules {
-        out.put_u32_le(rule.id);
-        out.put_u32_le(rule.priority);
+        out.extend_from_slice(&rule.id.to_le_bytes());
+        out.extend_from_slice(&rule.priority.to_le_bytes());
         for f in &rule.fields {
-            out.put_u64_le(f.lo);
-            out.put_u64_le(f.hi);
+            out.extend_from_slice(&f.lo.to_le_bytes());
+            out.extend_from_slice(&f.hi.to_le_bytes());
         }
     }
     let sum = fnv64(&out);
-    out.put_u64_le(sum);
+    out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
 fn put_words<W: Word>(out: &mut Vec<u8>, words: &[W]) {
     for &w in words {
-        out.put_slice(&wide(w).to_le_bytes()[..std::mem::size_of::<W>()]);
+        out.extend_from_slice(&wide(w).to_le_bytes()[..std::mem::size_of::<W>()]);
     }
 }
 
 /// One little-endian word off `buf`; the caller has checked it is there.
 fn get_word<W: Word>(buf: &mut &[u8]) -> W {
+    let (word, rest) = buf.split_at(std::mem::size_of::<W>());
+    *buf = rest;
     let mut le = [0u8; 8];
-    buf.copy_to_slice(&mut le[..std::mem::size_of::<W>()]);
+    le[..word.len()].copy_from_slice(word);
     W::try_from(u64::from_le_bytes(le)).unwrap_or_else(|_| unreachable!("a word's bytes fit it"))
 }
 
@@ -251,7 +244,7 @@ fn get_word<W: Word>(buf: &mut &[u8]) -> W {
 /// the iSet models load as trained.
 pub fn load_snapshot<R: Classifier>(
     data: &[u8],
-    builder: &(impl EngineBuilder<Engine = R> + ?Sized),
+    builder: &(impl Fn(&RuleSet) -> R + ?Sized),
 ) -> Result<(NuevoMatch<R>, Generation), Error> {
     let fail = |msg: &str| Error::Build { msg: format!("load_snapshot: {msg}") };
     if data.len() < SNAP_MAGIC.len() + 8 {
@@ -263,68 +256,67 @@ pub fn load_snapshot<R: Classifier>(
         return Err(fail("checksum mismatch"));
     }
     let mut buf = body;
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
+    let magic: [u8; 8] = take(&mut buf);
     if &magic == b"NMSNAP01" {
         return Err(fail("snapshot format 1, rebuild"));
     }
-    if &magic != SNAP_MAGIC {
+    if magic != *SNAP_MAGIC {
         return Err(fail("bad magic"));
     }
-    let need = |buf: &&[u8], n: usize, what: &str| -> Result<(), Error> {
-        if buf.remaining() < n {
+    let need = |buf: &[u8], n: usize, what: &str| -> Result<(), Error> {
+        if buf.len() < n {
             Err(fail(&format!("truncated {what}")))
         } else {
             Ok(())
         }
     };
-    need(&buf, 8 + 1 + 8 + 8 + 4, "header")?;
-    let generation = buf.get_u64_le();
-    let early_termination = buf.get_u8() != 0;
+    need(buf, 8 + 1 + 8 + 8 + 4, "header")?;
+    let generation = u64::from_le_bytes(take(&mut buf));
+    let early_termination = u8::from_le_bytes(take(&mut buf)) != 0;
     // Recounted by `assemble`: an image written before the count was live
     // carries the build-time figure here.
-    let _stored_rule_count = buf.get_u64_le();
-    let moved_updates = buf.get_u64_le() as usize;
-    let nfields = buf.get_u32_le() as usize;
+    let _stored_rule_count = u64::from_le_bytes(take(&mut buf));
+    let moved_updates = u64::from_le_bytes(take(&mut buf)) as usize;
+    let nfields = u32::from_le_bytes(take(&mut buf)) as usize;
     if nfields == 0 || nfields > 256 {
         return Err(fail("field count out of range"));
     }
     let mut fields = Vec::with_capacity(nfields);
     for _ in 0..nfields {
-        need(&buf, 4, "field name length")?;
-        let len = buf.get_u32_le() as usize;
+        need(buf, 4, "field name length")?;
+        let len = u32::from_le_bytes(take(&mut buf)) as usize;
         if len > 4096 {
             return Err(fail("field name too long"));
         }
-        need(&buf, len + 1, "field descriptor")?;
-        let mut name = vec![0u8; len];
-        buf.copy_to_slice(&mut name);
-        let name = String::from_utf8(name).map_err(|_| fail("field name not utf-8"))?;
-        let bits = buf.get_u8();
+        need(buf, len + 1, "field descriptor")?;
+        let (name, rest) = buf.split_at(len);
+        buf = rest;
+        let name = String::from_utf8(name.to_vec()).map_err(|_| fail("field name not utf-8"))?;
+        let bits = u8::from_le_bytes(take(&mut buf));
         if !(1..=64).contains(&bits) {
             return Err(fail("field width out of range"));
         }
         fields.push(FieldSpec::new(name, bits));
     }
     let spec = FieldsSpec::new(fields);
-    need(&buf, 4, "iset count")?;
-    let n_isets = buf.get_u32_le() as usize;
+    need(buf, 4, "iset count")?;
+    let n_isets = u32::from_le_bytes(take(&mut buf)) as usize;
     if n_isets > 1 << 16 {
         return Err(fail("iset count out of range"));
     }
     let mut isets = Vec::with_capacity(n_isets);
     for _ in 0..n_isets {
-        need(&buf, 4 + 8, "iset header")?;
-        let dim = buf.get_u32_le() as usize;
+        need(buf, 4 + 8, "iset header")?;
+        let dim = u32::from_le_bytes(take(&mut buf)) as usize;
         if dim >= nfields {
             return Err(fail("iset dim outside schema"));
         }
-        let n = buf.get_u64_le() as usize;
+        let n = u64::from_le_bytes(take(&mut buf)) as usize;
         let bytes = n
             .checked_mul(slot_bytes(nfields, Table::word_bytes(&spec)))
             .and_then(|b| b.checked_add(n.div_ceil(64) * 8))
             .ok_or_else(|| fail("iset size overflow"))?;
-        need(&buf, bytes, "iset arrays")?;
+        need(buf, bytes, "iset arrays")?;
         let mut table = Table::new(&spec, dim, n);
         with_table!(&mut table, t => t.read_records(n, || get_word(&mut buf)));
         // Retrains and saves rebuild `FieldRange`s from the records.
@@ -335,31 +327,33 @@ pub fn load_snapshot<R: Classifier>(
         if inverted {
             return Err(fail("iset record range inverted"));
         }
-        let deleted: Vec<u64> = (0..n.div_ceil(64)).map(|_| buf.get_u64_le()).collect();
+        let deleted: Vec<u64> =
+            (0..n.div_ceil(64)).map(|_| u64::from_le_bytes(take(&mut buf))).collect();
         if n % 64 != 0 && deleted[n / 64] >> (n % 64) != 0 {
             return Err(fail("tombstone bits past the last rule"));
         }
-        need(&buf, 4, "model blob length")?;
-        let blob_len = buf.get_u32_le() as usize;
-        need(&buf, blob_len, "model blob")?;
-        let model = load_rqrmi(&buf[..blob_len])?;
-        buf.advance(blob_len);
+        need(buf, 4, "model blob length")?;
+        let blob_len = u32::from_le_bytes(take(&mut buf)) as usize;
+        need(buf, blob_len, "model blob")?;
+        let (blob, rest) = buf.split_at(blob_len);
+        buf = rest;
+        let model = load_rqrmi(blob)?;
         // The search windows are cut from the model's predictions.
         if model.len() != n {
             return Err(fail("iset model indexes another rule count"));
         }
         isets.push(TrainedISet::from_parts(model, table, deleted));
     }
-    need(&buf, 8, "remainder count")?;
-    let n_remainder = buf.get_u64_le() as usize;
+    need(buf, 8, "remainder count")?;
+    let n_remainder = u64::from_le_bytes(take(&mut buf)) as usize;
     let mut remainder_rules = Vec::with_capacity(n_remainder.min(1 << 20));
     for _ in 0..n_remainder {
-        need(&buf, 8 + nfields * 16, "remainder rule")?;
-        let id = buf.get_u32_le();
-        let priority = buf.get_u32_le();
+        need(buf, 8 + nfields * 16, "remainder rule")?;
+        let id = u32::from_le_bytes(take(&mut buf));
+        let priority = u32::from_le_bytes(take(&mut buf));
         let mut fields = Vec::with_capacity(nfields);
         for _ in 0..nfields {
-            let (lo, hi) = (buf.get_u64_le(), buf.get_u64_le());
+            let (lo, hi) = (u64::from_le_bytes(take(&mut buf)), u64::from_le_bytes(take(&mut buf)));
             if lo > hi {
                 return Err(fail("remainder rule range inverted"));
             }
@@ -367,12 +361,25 @@ pub fn load_snapshot<R: Classifier>(
         }
         remainder_rules.push(Rule::new(id, priority, fields));
     }
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(fail("trailing bytes"));
     }
     let remainder_set = RuleSet::new(spec.clone(), remainder_rules)?;
-    let remainder = builder.build_engine(&remainder_set);
+    let remainder = builder(&remainder_set);
     let mut nm = NuevoMatch::assemble(isets, remainder, early_termination, spec);
+    // One live rule per id: the routing map `assemble` just built sends an
+    // id to one iSet position, and a full rebuild refuses a rule-set that
+    // repeats one. A tombstoned iSet copy beside a remainder version is
+    // what a modify leaves, and loads.
+    if nm.loc.len() < nm.isets().iter().map(TrainedISet::len).sum() {
+        return Err(fail("rule id at two iset positions"));
+    }
+    let live_in_iset = |id| {
+        nm.loc.get(&id).is_some_and(|&(i, pos)| !nm.isets()[i as usize].is_deleted(pos as usize))
+    };
+    if remainder_set.rules().iter().any(|r| live_in_iset(r.id)) {
+        return Err(fail("rule id live in an iset and the remainder"));
+    }
     nm.moved_updates = moved_updates;
     Ok((nm, generation))
 }
@@ -453,6 +460,45 @@ mod tests {
         let bytes = save_rqrmi(&m);
         // Serialised form should be within 2x of the in-memory weight bytes.
         assert!(bytes.len() < m.memory_bytes() * 2 + 128);
+    }
+
+    /// The `NMRQRMI1` bytes of a hand-built two-stage model, pinned. The
+    /// round trips above cannot see an encoder and decoder that change
+    /// together; this literal can. No training, so no trainer change moves it.
+    #[test]
+    fn rqrmi_image_bytes_are_stable() {
+        let net = |w1: &[f32], b1: &[f32], w2: &[f32], b2: f32| Mlp {
+            w1: w1.to_vec(),
+            b1: b1.to_vec(),
+            w2: w2.to_vec(),
+            b2,
+        };
+        let m = RqRmi {
+            widths: vec![1, 2],
+            nets: vec![
+                vec![net(&[0.5, -1.25], &[0.0, 1.0], &[0.75, 2.0], 0.125)],
+                vec![net(&[1.0], &[-0.5], &[0.25], 0.5), net(&[3.0], &[0.0], &[-1.0], 1.0)],
+            ],
+            leaf_err: vec![1, 2],
+            n_values: 5,
+            bits: 16,
+        };
+        #[rustfmt::skip]
+        let image: [u8; 105] = [
+            0x4e, 0x4d, 0x52, 0x51, 0x52, 0x4d, 0x49, 0x31, 0x10, 0x05, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00,
+            0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x3f, 0x00, 0x00, 0xa0, 0xbf, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x40, 0x3f, 0x00,
+            0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x3e, 0x01, 0x00, 0x00, 0x80, 0x3f,
+            0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x80, 0x3e, 0x00, 0x00, 0x00, 0x3f,
+            0x01, 0x00, 0x00, 0x40, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
+            0xbf, 0x00, 0x00, 0x80, 0x3f, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+            0x00, 0xa4, 0x1f, 0xad, 0x62, 0x25, 0xe6, 0xed, 0x1d,
+        ];
+        assert_eq!(save_rqrmi(&m), image);
+        let back = load_rqrmi(&image).unwrap();
+        assert_eq!((&back.widths, &back.nets, &back.leaf_err), (&m.widths, &m.nets, &m.leaf_err));
+        assert_eq!((back.n_values, back.bits), (m.n_values, m.bits));
     }
 
     mod snapshot {
@@ -600,6 +646,32 @@ mod tests {
             bad[lo..lo + 4].copy_from_slice(&u32::MAX.to_le_bytes());
             reseal(&mut bad);
             assert!(refusal(&bad).contains("iset record range inverted"));
+        }
+
+        #[test]
+        fn duplicate_live_rule_id_is_refused() {
+            let nm = updated_nm();
+            let good = save_snapshot(&nm, 1);
+            // The image ends: last remainder rule (id, priority, five
+            // [lo, hi] pairs), checksum. That rule is the modify's new
+            // version of 30, whose iSet copy is tombstoned: the image loads.
+            let id = good.len() - 8 - (8 + 5 * 16);
+            assert_eq!(good[id..id + 4], 30u32.to_le_bytes());
+            assert!(load_snapshot(&good, &LinearSearch::build).is_ok());
+            // Renamed to 5, it is live in an iSet as well.
+            let mut bad = good.clone();
+            bad[id..id + 4].copy_from_slice(&5u32.to_le_bytes());
+            reseal(&mut bad);
+            assert!(refusal(&bad).contains("rule id live in an iset and the remainder"));
+            // The first iSet's second record takes its first record's id.
+            let names: usize = nm.spec().iter().map(|f| 4 + f.name.len() + 1).sum();
+            let first = 37 + names + 4 + 12;
+            let slot = slot_bytes(nm.spec().len(), Table::word_bytes(nm.spec()));
+            let at = first + 2 * nm.spec().len() * Table::word_bytes(nm.spec());
+            let mut bad = good;
+            bad.copy_within(at..at + 4, at + slot);
+            reseal(&mut bad);
+            assert!(refusal(&bad).contains("rule id at two iset positions"));
         }
 
         #[test]

@@ -34,7 +34,7 @@
 //! none of it.
 //!
 //! Every handle is built with its retrain recipe — the build parameters
-//! and the remainder [`EngineBuilder`] — so every handle can retrain; there
+//! and the remainder builder — so every handle can retrain; there
 //! is no serve-only state.
 //! Retraining pins a snapshot under the control lock — the rule truth is
 //! whatever that snapshot serves ([`NuevoMatch::live_rules`]); the handle
@@ -54,7 +54,7 @@ use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::rule::Priority;
 use nm_common::ruleset::RuleSet;
 use nm_common::update::{
-    BatchUpdatable, EngineBuilder, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
+    BatchUpdatable, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
 };
 use nm_common::Error;
 
@@ -67,10 +67,10 @@ use crate::system::NuevoMatch;
 pub type NmSnapshot<R> = Snapshot<NuevoMatch<R>>;
 
 /// How to rebuild the classifier from scratch: the build parameters plus the
-/// remainder [`EngineBuilder`], held by the control plane for every retrain.
+/// remainder builder, held by the control plane for every retrain.
 pub(crate) struct RetrainRecipe<R> {
     pub(crate) cfg: NuevoMatchConfig,
-    pub(crate) builder: Arc<dyn EngineBuilder<Engine = R>>,
+    pub(crate) builder: Arc<dyn Fn(&RuleSet) -> R + Send + Sync>,
 }
 
 /// What a retrain makes: the fresh payload, and whether the partial
@@ -92,7 +92,7 @@ impl<R: BatchUpdatable + Clone> RetrainRecipe<R> {
         let mut rules = engine.live_rules();
         rules.sort_by_key(|r| (r.priority, r.id));
         let set = RuleSet::new(engine.spec().clone(), rules)?;
-        Ok((NuevoMatch::build(&set, &self.cfg, self.builder.clone())?, false))
+        Ok((NuevoMatch::build(&set, &self.cfg, &*self.builder)?, false))
     }
 
     /// The auto path: the patch when the policy allows it and its gates
@@ -267,11 +267,10 @@ impl<R: Classifier> ClassifierHandle<R> {
     /// it on the rules the then-live snapshot serves.
     pub fn new<B>(set: &RuleSet, cfg: &NuevoMatchConfig, builder: B) -> Result<Self, Error>
     where
-        B: EngineBuilder<Engine = R> + 'static,
+        B: Fn(&RuleSet) -> R + Send + Sync + 'static,
     {
-        let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
-        let nm = NuevoMatch::build(set, cfg, builder.clone())?;
-        Ok(Self::assemble(nm, 1, RetrainRecipe { cfg: cfg.clone(), builder }))
+        let nm = NuevoMatch::build(set, cfg, &builder)?;
+        Ok(Self::assemble(nm, 1, RetrainRecipe { cfg: cfg.clone(), builder: Arc::new(builder) }))
     }
 
     fn assemble(nm: NuevoMatch<R>, generation: Generation, recipe: RetrainRecipe<R>) -> Self {
@@ -317,11 +316,11 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// generation, ready to update and retrain.
     pub fn from_snapshot<B>(data: &[u8], cfg: &NuevoMatchConfig, builder: B) -> Result<Self, Error>
     where
-        B: EngineBuilder<Engine = R> + 'static,
+        B: Fn(&RuleSet) -> R + Send + Sync + 'static,
     {
         let (nm, generation) = crate::persist::load_snapshot(data, &builder)?;
-        let builder: Arc<dyn EngineBuilder<Engine = R>> = Arc::new(builder);
-        Ok(Self::assemble(nm, generation.max(1), RetrainRecipe { cfg: cfg.clone(), builder }))
+        let recipe = RetrainRecipe { cfg: cfg.clone(), builder: Arc::new(builder) };
+        Ok(Self::assemble(nm, generation.max(1), recipe))
     }
 
     /// Serialises the live snapshot (see [`crate::persist::save_snapshot`]);

@@ -35,7 +35,6 @@ use nm_common::prefetch::prefetch_index;
 use nm_common::classifier::{apply_floors, Classifier, MatchResult};
 use nm_common::rule::{Priority, Rule, RuleId};
 use nm_common::ruleset::{FieldsSpec, RuleSet};
-use nm_common::update::EngineBuilder;
 use nm_common::Error;
 
 use crate::config::NuevoMatchConfig;
@@ -639,8 +638,8 @@ impl TrainedISet {
 ///
 /// `R` is any [`Classifier`]; the paper evaluates TupleMerge, CutSplit and
 /// NeuroCuts remainders. Build with [`NuevoMatch::build`], passing any
-/// [`EngineBuilder`] — a plain `Fn(&RuleSet) -> R` (such as
-/// `TupleMerge::build`) works via the blanket impl.
+/// `Fn(&RuleSet) -> R` (such as `TupleMerge::build`) as the remainder
+/// builder.
 ///
 /// `NuevoMatch` is a pure **data-plane** value: lookups take `&self`.
 /// Direct `&mut self` updates exist for single-threaded callers (see
@@ -681,7 +680,7 @@ impl<R: Classifier> NuevoMatch<R> {
     pub fn build(
         set: &RuleSet,
         cfg: &NuevoMatchConfig,
-        remainder_builder: impl EngineBuilder<Engine = R>,
+        remainder_builder: impl Fn(&RuleSet) -> R,
     ) -> Result<Self, Error> {
         let partition = partition_isets(set, cfg.max_isets, cfg.min_iset_coverage);
         let mut isets = Vec::with_capacity(partition.isets.len());
@@ -689,7 +688,7 @@ impl<R: Classifier> NuevoMatch<R> {
             isets.push(TrainedISet::build(set, iset, cfg)?);
         }
         let remainder_set = set.subset(&partition.remainder);
-        let remainder = remainder_builder.build_engine(&remainder_set);
+        let remainder = remainder_builder(&remainder_set);
         Ok(Self::assemble(isets, remainder, cfg.early_termination, set.spec().clone()))
     }
 

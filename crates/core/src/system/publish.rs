@@ -35,7 +35,7 @@ use nm_common::update::{Generation, Snapshot};
 #[cfg(nm_model)]
 use nm_model::sync::{Mutex, MutexGuard};
 #[cfg(not(nm_model))]
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A generation-stamped immutable `T`, atomically replaceable by a single
 /// writer that also owns the control state `W`.
@@ -69,8 +69,17 @@ impl<T, W> Published<T, W> {
     }
 
     /// Takes the writer lock. Writers serialise here; readers never do.
+    ///
+    /// A writer that panicked while holding the lock does not poison it for
+    /// the next: a panic mid-replay unwinds into `InFlight::drop`, which must
+    /// lock again to clear the replay queue, and a second panic there would
+    /// abort the process.
     pub fn write(&self) -> WriteGuard<'_, T, W> {
-        WriteGuard { live: &self.live, ctl: self.ctl.lock() }
+        #[cfg(not(nm_model))]
+        let ctl = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        #[cfg(nm_model)]
+        let ctl = self.ctl.lock();
+        WriteGuard { live: &self.live, ctl }
     }
 }
 

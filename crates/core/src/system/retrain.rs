@@ -20,7 +20,7 @@
 //!    zero work.
 //! 3. **Shrink the remainder** — admitted ids are removed from a
 //!    copy-on-write clone of the remainder engine through the ordinary
-//!    [`BatchUpdatable`] path; no [`EngineBuilder`](nm_common::EngineBuilder) is needed.
+//!    [`BatchUpdatable`] path; no remainder builder is needed.
 //!
 //! The result serves exactly [`NuevoMatch::live_rules`] — verdicts are
 //! bit-identical to a from-scratch rebuild (both resolve the same rule
@@ -157,7 +157,7 @@ impl<R: BatchUpdatable + Clone> NuevoMatch<R> {
         }
 
         // Shrink the remainder copy-on-write through the ordinary batch
-        // path (no EngineBuilder needed — nothing is rebuilt).
+        // path (no builder needed — nothing is rebuilt).
         let mut remainder = self.remainder().clone();
         if !claimed.is_empty() {
             let mut removals = UpdateBatch::new();

@@ -59,10 +59,9 @@ pub use sharded::{EpochSnapshot, ShardEpoch, ShardedClassifier, ShardedHandle};
 pub use topology::{pin_current_thread, NumaNode, Topology};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvError, SyncSender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-
-use crossbeam::channel;
 
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::packet::TraceBuf;
@@ -394,25 +393,28 @@ impl Runtime {
             PinPolicy::Numa => self.topo.assign(shards, wps),
         };
 
+        // One job queue per shard. Its workers share the receiver: whoever
+        // holds the lock takes the next job, and the receiver drops with the
+        // shard's last worker, so a dispatcher send then fails.
         let mut job_tx = Vec::with_capacity(shards);
         let mut job_rx = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = channel::bounded::<Job<S::Pin<'_>>>(depth);
+            let (tx, rx) = mpsc::sync_channel::<Job<S::Pin<'_>>>(depth);
             job_tx.push(tx);
-            job_rx.push(rx);
+            job_rx.push(Arc::new(Mutex::new(rx)));
         }
         // Sized so workers can always post every chunk of every in-flight
         // batch without blocking: at most `depth` batches × `shards` chunks
         // are outstanding, so a worker send never deadlocks against a
         // dispatcher that has stopped receiving (e.g. on an error path).
-        let (res_tx, res_rx) = channel::bounded::<Result<Chunk, String>>(depth * shards);
+        let (res_tx, res_rx) = mpsc::sync_channel::<Result<Chunk, String>>(depth * shards);
 
         let start = Instant::now();
         std::thread::scope(|scope| {
             let mut joins = Vec::with_capacity(shards * wps);
             for (s, rx) in job_rx.into_iter().enumerate() {
                 for w in 0..wps {
-                    let rx = rx.clone();
+                    let rx = Arc::clone(&rx);
                     let tx = res_tx.clone();
                     let cpu = grid.get(s).and_then(|row| row.get(w)).copied();
                     let worker = move || worker_loop::<S>(s, cpu, rx, tx, raw, stride, flow_cap);
@@ -569,13 +571,13 @@ const RESULT_POLLS: usize = 256;
 /// The dispatcher's receive: with a CPU to spare, poll (yielding between
 /// tries) before falling back to the blocking `recv` whose wake-up costs
 /// more than a batch's lookups; without one, park at once.
-fn recv_chunk<T>(rx: &channel::Receiver<T>, spare_cpu: bool) -> Result<T, channel::RecvError> {
+fn recv_chunk<T>(rx: &Receiver<T>, spare_cpu: bool) -> Result<T, RecvError> {
     if spare_cpu {
         for _ in 0..RESULT_POLLS {
             match rx.try_recv() {
                 Ok(chunk) => return Ok(chunk),
-                Err(channel::TryRecvError::Disconnected) => break,
-                Err(channel::TryRecvError::Empty) => std::thread::yield_now(),
+                Err(TryRecvError::Disconnected) => break,
+                Err(TryRecvError::Empty) => std::thread::yield_now(),
             }
         }
     }
@@ -588,8 +590,8 @@ fn recv_chunk<T>(rx: &channel::Receiver<T>, spare_cpu: bool) -> Result<T, channe
 fn worker_loop<'p, S: ShardedDataPlane + 'p>(
     shard: usize,
     cpu: Option<usize>,
-    rx: channel::Receiver<Job<S::Pin<'p>>>,
-    tx: channel::Sender<Result<Chunk, String>>,
+    rx: Arc<Mutex<Receiver<Job<S::Pin<'p>>>>>,
+    tx: SyncSender<Result<Chunk, String>>,
     raw: &[u64],
     stride: usize,
     flow_cap: usize,
@@ -600,7 +602,10 @@ fn worker_loop<'p, S: ShardedDataPlane + 'p>(
     let mut cache = (flow_cap > 0).then(|| FlowTable::new(flow_cap));
     let mut buf: Vec<u64> = Vec::new();
     let mut miss_idx: Vec<usize> = Vec::new();
-    for job in rx.iter() {
+    loop {
+        // A `let` statement, not `while let`: the guard drops here, before
+        // the job runs, so the shard's other workers can take the next one.
+        let Ok(job) = rx.lock().unwrap_or_else(PoisonError::into_inner).recv() else { break };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // Mirrored and round-robin plans always steer a contiguous run
             // of packets; classify straight off the trace then, and only

@@ -39,8 +39,7 @@ use nm_common::rule::{Priority, Rule, RuleId};
 use nm_common::ruleset::RuleSet;
 use nm_common::shard::{ShardPlan, ShardPlanConfig, ShardRoute};
 use nm_common::update::{
-    apply_ops, BatchUpdatable, EngineBuilder, Generation, Snapshot, UpdateBatch, UpdateOp,
-    UpdateReport,
+    apply_ops, BatchUpdatable, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
 };
 use nm_common::Error;
 
@@ -92,12 +91,12 @@ impl<C: Classifier> ShardedClassifier<C> {
     pub fn build(
         set: &RuleSet,
         cfg: &ShardPlanConfig,
-        builder: impl EngineBuilder<Engine = C>,
+        builder: impl Fn(&RuleSet) -> C,
     ) -> Result<Self, Error> {
         let plan = ShardPlan::build(set, cfg)?;
         let (home_sets, broadcast_set) = plan.subsets(set);
-        let home = home_sets.iter().map(|s| builder.build_engine(s)).collect();
-        let broadcast = (!broadcast_set.is_empty()).then(|| builder.build_engine(&broadcast_set));
+        let home = home_sets.iter().map(&builder).collect();
+        let broadcast = (!broadcast_set.is_empty()).then(|| builder(&broadcast_set));
         Self::from_parts(plan, home, broadcast)
     }
 
@@ -348,12 +347,12 @@ impl<R: Classifier> ShardedHandle<R> {
         builder: B,
     ) -> Result<Self, Error>
     where
-        B: EngineBuilder<Engine = R> + 'static,
+        B: Fn(&RuleSet) -> R + Send + Sync + 'static,
         R: 'static,
     {
         let plan = Arc::new(ShardPlan::build(set, plan_cfg)?);
         let recipe = RetrainRecipe { cfg: cfg.clone(), builder: Arc::new(builder) };
-        let build = |s: &RuleSet| NuevoMatch::build(s, cfg, recipe.builder.clone());
+        let build = |s: &RuleSet| NuevoMatch::build(s, cfg, &*recipe.builder);
         let (home_sets, broadcast_set) = plan.subsets(set);
         let home = home_sets.iter().map(build).collect::<Result<_, _>>()?;
         let epoch = ShardedClassifier::assemble(plan.clone(), home, Some(build(&broadcast_set)?));

@@ -697,17 +697,8 @@ pub fn lint_source(
 /// Required API names per shim: the std/crates.io surface each offline
 /// stand-in mirrors. A missing name means the shim drifted and swapping the
 /// real crate back in would break.
-const SHIM_SURFACES: [(&str, &[&str]); 5] = [
+const SHIM_SURFACES: [(&str, &[&str]); 2] = [
     ("arc-swap", &["ArcSwap", "new", "from_pointee", "load", "load_full", "store", "swap"]),
-    (
-        "crossbeam",
-        &[
-            "channel", "bounded", "Sender", "Receiver", "send", "recv", "try_recv", "scope",
-            "spawn", "join",
-        ],
-    ),
-    ("parking_lot", &["Mutex", "MutexGuard", "lock"]),
-    ("bytes", &["Buf", "BufMut"]),
     (
         "proptest",
         &[

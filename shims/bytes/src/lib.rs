@@ -1,156 +1,2 @@
-//! Offline stand-in for the `bytes` crate.
-//!
-//! The workspace's build environment has no registry access, so this shim
-//! provides exactly the [`Buf`]/[`BufMut`] surface `nm-common::wire` and
-//! `nuevomatch::persist` consume: cursor-style reads over `&[u8]` and
-//! appending writes into `Vec<u8>`. Semantics match the real crate for this
-//! subset (panics on out-of-bounds reads, little/big-endian getters as
-//! named).
-
-#![warn(missing_docs)]
-
-/// Read access to a buffer of bytes with an advancing cursor.
-pub trait Buf {
-    /// Bytes remaining between the cursor and the end of the buffer.
-    fn remaining(&self) -> usize;
-
-    /// True when any bytes remain.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// The bytes at the cursor.
-    fn chunk(&self) -> &[u8];
-
-    /// Advances the cursor by `cnt` bytes. Panics if `cnt > remaining()`.
-    fn advance(&mut self, cnt: usize);
-
-    /// Copies `dst.len()` bytes into `dst` and advances.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "buffer underflow");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    /// Reads a big-endian `u16`.
-    fn get_u16(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_be_bytes(b)
-    }
-
-    /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `f32`.
-    fn get_f32_le(&mut self) -> f32 {
-        f32::from_bits(self.get_u32_le())
-    }
-}
-
-impl Buf for &[u8] {
-    #[inline]
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    #[inline]
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    #[inline]
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "cannot advance past the end of the buffer");
-        *self = &self[cnt..];
-    }
-}
-
-/// Write access to an append-only byte buffer.
-pub trait BufMut {
-    /// Appends a byte slice.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `f32`.
-    fn put_f32_le(&mut self, v: f32) {
-        self.put_u32_le(v.to_bits());
-    }
-}
-
-impl BufMut for Vec<u8> {
-    #[inline]
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip() {
-        let mut out: Vec<u8> = Vec::new();
-        out.put_slice(b"hd");
-        out.put_u8(7);
-        out.put_u32_le(0xdead_beef);
-        out.put_u64_le(42);
-        out.put_f32_le(1.5);
-        let mut buf: &[u8] = &out;
-        let mut hd = [0u8; 2];
-        buf.copy_to_slice(&mut hd);
-        assert_eq!(&hd, b"hd");
-        assert_eq!(buf.get_u8(), 7);
-        assert_eq!(buf.get_u32_le(), 0xdead_beef);
-        assert_eq!(buf.get_u64_le(), 42);
-        assert_eq!(buf.get_f32_le(), 1.5);
-        assert_eq!(buf.remaining(), 0);
-    }
-
-    #[test]
-    fn big_endian_u16() {
-        let mut buf: &[u8] = &[0x12, 0x34, 0xff];
-        assert_eq!(buf.get_u16(), 0x1234);
-        assert_eq!(buf.remaining(), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn underflow_panics() {
-        let mut buf: &[u8] = &[1];
-        let _ = buf.get_u32_le();
-    }
-}
+//! Empty placeholder: no crate of this workspace uses this package. It stays
+//! only because `benchmark/Cargo.lock` records it.

@@ -1,67 +1,2 @@
-//! Offline stand-in for `parking_lot`.
-//!
-//! Wraps `std::sync::Mutex` behind parking_lot's panic-free `lock()`
-//! signature (no `Result`; a poisoned lock is recovered, matching
-//! parking_lot's no-poisoning behaviour). Only what the workspace uses.
-
-#![warn(missing_docs)]
-
-use std::sync::PoisonError;
-
-/// A mutual-exclusion lock with parking_lot's infallible `lock` API.
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
-
-/// Guard returned by [`Mutex::lock`]; releases the lock on drop.
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-
-impl<T> Mutex<T> {
-    /// Creates a new mutex holding `value`.
-    pub const fn new(value: T) -> Self {
-        Self(std::sync::Mutex::new(value))
-    }
-
-    /// Consumes the mutex and returns the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the lock, blocking until it is available. Unlike std, a
-    /// panic in a previous holder does not poison the lock.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lock_and_mutate() {
-        let m = Mutex::new(1);
-        *m.lock() += 41;
-        assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn survives_poison() {
-        let m = std::sync::Arc::new(Mutex::new(0));
-        let m2 = m.clone();
-        let _ = std::thread::spawn(move || {
-            let _g = m2.lock();
-            panic!("poison attempt");
-        })
-        .join();
-        *m.lock() = 7; // must not panic
-        assert_eq!(*m.lock(), 7);
-    }
-}
+//! Empty placeholder: no crate of this workspace uses this package. It stays
+//! only because `benchmark/Cargo.lock` records it.

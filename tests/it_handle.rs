@@ -13,10 +13,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use nm_common::{
-    Classifier, FieldsSpec, FiveTuple, LinearSearch, Rule, RuleSet, SplitMix64, UpdateBatch,
+    BatchUpdatable, Classifier, FieldsSpec, FiveTuple, LinearSearch, MatchResult, Rule, RuleSet,
+    SplitMix64, UpdateBatch, UpdateReport,
 };
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::{ClassifierHandle, NuevoMatchConfig, RqRmiParams};
@@ -279,4 +280,90 @@ fn a_panicking_retrain_leaves_the_handle_usable() {
     assert!(handle.generation() > g0 + 1);
     assert_eq!(handle.classify(&key).map(|m| m.rule), Some(9_000));
     assert_eq!(handle.classify(&[0, 0, 0, 1_550, 0]).map(|m| m.rule), Some(10));
+}
+
+/// A TupleMerge remainder whose `apply` panics when it was built armed, so
+/// the fault lands in a retrain's replay, under the writer lock.
+#[derive(Clone)]
+struct Fragile {
+    tm: TupleMerge,
+    armed: bool,
+}
+
+impl Classifier for Fragile {
+    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
+        self.tm.classify(key)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.tm.memory_bytes()
+    }
+
+    fn name(&self) -> &'static str {
+        "fragile"
+    }
+
+    fn num_rules(&self) -> usize {
+        self.tm.num_rules()
+    }
+}
+
+impl BatchUpdatable for Fragile {
+    fn apply(&mut self, batch: &UpdateBatch) -> UpdateReport {
+        assert!(!self.armed, "injected replay fault");
+        self.tm.apply(batch)
+    }
+
+    fn export_rules(&self) -> Vec<Rule> {
+        self.tm.export_rules()
+    }
+}
+
+/// A retrain that panics mid-replay must not wedge the handle either. The
+/// panic unwinds with the writer lock held, and the in-flight guard's drop
+/// takes that lock again: the lock must recover, not abort the process.
+/// Afterwards the batch applied during the retrain stays published and
+/// served, the next apply publishes and the next retrain succeeds.
+#[test]
+fn a_retrain_that_panics_mid_replay_leaves_the_handle_usable() {
+    let arm = Arc::new(AtomicBool::new(false));
+    let gate = Arc::new(Barrier::new(2));
+    let builder = {
+        let (arm, gate) = (arm.clone(), gate.clone());
+        move |rem: &RuleSet| {
+            let armed = arm.swap(false, SeqCst);
+            if armed {
+                gate.wait(); // the retrain is in flight, its pin taken
+                gate.wait(); // a batch is queued for its replay
+            }
+            Fragile { tm: TupleMerge::build(rem), armed }
+        }
+    };
+    let handle = ClassifierHandle::new(&base_set(), &cfg(), builder).unwrap();
+
+    arm.store(true, SeqCst);
+    let retrain = {
+        let handle = handle.clone();
+        std::thread::spawn(move || handle.retrain_full())
+    };
+    gate.wait();
+    let key = [0u64, 0, 0, 64_900, 0];
+    handle.apply(
+        &UpdateBatch::new()
+            .insert(FiveTuple::new().dst_port_range(64_800, 64_999).into_rule(9_000, 0)),
+    );
+    let published = handle.generation();
+    gate.wait();
+    assert!(retrain.join().is_err(), "the join must report the panic");
+    assert!(!handle.retrain_in_progress(), "a dead retrain left the in-flight mark set");
+    assert_eq!((handle.retrains_completed(), handle.generation()), (0, published));
+    assert_eq!(handle.classify(&key).map(|m| m.rule), Some(9_000));
+
+    handle.apply(&UpdateBatch::new().remove(10));
+    assert_eq!(handle.generation(), published + 1, "the next apply must publish");
+    assert_eq!(handle.classify(&[0, 0, 0, 1_550, 0]), None);
+    handle.retrain_full().expect("the disarmed retrain must succeed");
+    assert_eq!((handle.retrains_completed(), handle.generation()), (1, published + 2));
+    assert_eq!(handle.classify(&key).map(|m| m.rule), Some(9_000));
+    assert_eq!(handle.classify(&[0, 0, 0, 1_550, 0]), None);
 }
