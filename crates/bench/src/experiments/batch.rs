@@ -39,8 +39,7 @@
 use crate::{measure_seq, nc_config, nm_config, nm_tm, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Json, Table};
 use nm_common::{Classifier, FieldRange, Priority, SplitMix64, TraceBuf};
-use nm_cutsplit::CutSplit;
-use nm_neurocuts::NeuroCuts;
+use nm_cutsplit::{CutSplit, NeuroCuts};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::{ProbeTally, TupleMerge};
 use nuevomatch::rqrmi::{detect, train_rqrmi, CompiledRqRmi, Isa};

@@ -10,8 +10,7 @@ use crate::{nc_config, nm_cs, nm_nc, nm_tm, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Table};
 use nm_common::memsize::human_bytes;
 use nm_common::Classifier;
-use nm_cutsplit::CutSplit;
-use nm_neurocuts::NeuroCuts;
+use nm_cutsplit::{CutSplit, NeuroCuts};
 use nm_tuplemerge::TupleMerge;
 
 pub fn run(ctx: &Ctx) -> Outcome {

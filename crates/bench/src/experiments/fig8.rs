@@ -14,8 +14,7 @@
 use crate::{nc_config, nm_config, nm_tm_handle, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Table};
 use nm_common::{Classifier, RuleSet, TraceBuf};
-use nm_cutsplit::CutSplit;
-use nm_neurocuts::NeuroCuts;
+use nm_cutsplit::{CutSplit, NeuroCuts};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::parallel::BATCH;

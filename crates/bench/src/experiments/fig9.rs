@@ -7,8 +7,7 @@
 
 use crate::{nc_config, nm_cs, nm_nc, nm_tm, seq_speedup, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Table};
-use nm_cutsplit::CutSplit;
-use nm_neurocuts::NeuroCuts;
+use nm_cutsplit::{CutSplit, NeuroCuts};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 

@@ -44,8 +44,7 @@ pub use driver::{drive, Ctx, Outcome};
 pub use experiments::{Experiment, EXPERIMENTS};
 
 use nm_common::{Classifier, FieldRange, RuleSet, TraceBuf};
-use nm_cutsplit::CutSplit;
-use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
+use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::{ClassifierHandle, NuevoMatch, NuevoMatchConfig, RqRmiParams};
 
@@ -154,7 +153,6 @@ pub fn nc_config(quick: bool) -> NeuroCutsConfig {
     NeuroCutsConfig {
         iterations: if quick { 12 } else { 32 },
         sample: if quick { 2_048 } else { 4_096 },
-        ..Default::default()
     }
 }
 

@@ -7,8 +7,7 @@ use nm_common::memsize::human_bytes;
 use nm_common::ShardPlanConfig;
 use nm_common::{fivetuple, Classifier, FiveTuple, LinearSearch, Rule, RuleSet};
 use nm_common::{UpdateBatch, UpdateOp};
-use nm_cutsplit::CutSplit;
-use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
+use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{caida_like_trace, uniform_trace, zipf_trace, CaidaLikeConfig};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
 use nuevomatch::system::parallel::{run_batched, run_sequential};
@@ -148,10 +147,9 @@ fn build_engine(name: &str, set: &RuleSet) -> Result<Box<dyn Classifier>, String
         "tss" => Box::new(TupleSpaceSearch::build(set)),
         "tm" | "tuplemerge" => Box::new(TupleMerge::build(set)),
         "cs" | "cutsplit" => Box::new(CutSplit::build(set)),
-        "nc" | "neurocuts" => Box::new(NeuroCuts::with_config(
-            set,
-            NeuroCutsConfig { iterations: 12, sample: 2_048, ..Default::default() },
-        )),
+        "nc" | "neurocuts" => {
+            Box::new(NeuroCuts::with_config(set, NeuroCutsConfig { iterations: 12, sample: 2_048 }))
+        }
         "nm-tm" => {
             Box::new(NuevoMatch::build(set, &nm_cfg, TupleMerge::build).map_err(|e| e.to_string())?)
         }
@@ -160,10 +158,7 @@ fn build_engine(name: &str, set: &RuleSet) -> Result<Box<dyn Classifier>, String
         }
         "nm-nc" => Box::new(
             NuevoMatch::build(set, &nm_cfg, |rem: &RuleSet| {
-                NeuroCuts::with_config(
-                    rem,
-                    NeuroCutsConfig { iterations: 12, sample: 2_048, ..Default::default() },
-                )
+                NeuroCuts::with_config(rem, NeuroCutsConfig { iterations: 12, sample: 2_048 })
             })
             .map_err(|e| e.to_string())?,
         ),

@@ -36,9 +36,9 @@ impl MatchResult {
 /// A packet classifier — the **data-plane** read interface.
 ///
 /// Implementations: [`crate::LinearSearch`], `nm_tuplemerge::TupleMerge`,
-/// `nm_cutsplit::CutSplit`, `nm_neurocuts::NeuroCuts`,
-/// `nuevomatch::NuevoMatch` (which *wraps* one of the others as its
-/// remainder engine), and the wrappers layered above them:
+/// `nm_cutsplit::Forest` (the one tree classifier, built as CutSplit or as
+/// NeuroCuts), `nuevomatch::NuevoMatch` (which *wraps* one of the others as
+/// its remainder engine), and the wrappers layered above them:
 /// [`crate::Snapshot`] (a generation-stamped immutable view) and
 /// `nuevomatch::ClassifierHandle` (lock-free reads against an atomically
 /// swapped snapshot).
@@ -62,10 +62,12 @@ impl MatchResult {
 /// ([`Self::classify_with_floor`]) is strict on priority, a caller that
 /// holds a candidate and wants ties settled by id passes its priority
 /// **plus one** and merges with [`MatchResult::better`]. The tree engines
-/// (`nm_cutsplit`, `nm_neurocuts`) agree on the winning *priority* only;
-/// give rules unique priorities (the ClassBench position convention, and
-/// effectively what OpenFlow requires) when the exact rule identity matters
-/// there.
+/// (`nm_cutsplit`'s CutSplit and NeuroCuts) agree on the winning *priority*
+/// only: their walks bound later scans strictly below the best match so
+/// far, so an equal-priority rule with a smaller id met later never
+/// replaces it. Give rules unique priorities (the ClassBench position
+/// convention, and effectively what OpenFlow requires) when the exact rule
+/// identity matters there.
 pub trait Classifier: Send + Sync {
     /// Returns the highest-priority rule matching `key`, or `None`.
     ///

@@ -37,11 +37,12 @@ pub enum ReplySink {
     Tcp(Arc<TcpStream>),
 }
 
-/// A [`ReplySink`] with what sending on it takes: only datagrams go through
-/// a [`SendRing`].
+/// A [`ReplySink`] with what sending on it takes: datagrams go through a
+/// [`SendRing`], and a stream's write needs its fd's mode (`true` =
+/// nonblocking: the connection's reader polls while a batch assembles).
 enum Sink {
     Udp(Arc<UdpSocket>, SendRing),
-    Tcp(Arc<TcpStream>),
+    Tcp(Arc<TcpStream>, bool),
 }
 
 struct Pending {
@@ -121,7 +122,8 @@ impl<P: ServePlane> Assembler<P> {
         let max_batch = max_batch.max(1);
         let sink = match sink {
             ReplySink::Udp(sock) => Sink::Udp(sock, SendRing::new(max_batch)),
-            ReplySink::Tcp(stream) => Sink::Tcp(stream),
+            // An accepted stream's fd starts out blocking.
+            ReplySink::Tcp(stream) => Sink::Tcp(stream, false),
         };
         Self {
             plane,
@@ -169,6 +171,17 @@ impl<P: ServePlane> Assembler<P> {
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
+    }
+
+    /// Puts a TCP sink's fd in polling (nonblocking) mode or back to
+    /// blocking, when that is a change. A failed toggle keeps the old mode.
+    /// No-op on UDP, whose receives pick their mode per call.
+    pub(super) fn poll_tcp(&mut self, on: bool) {
+        if let Sink::Tcp(stream, nonblocking) = &mut self.sink {
+            if *nonblocking != on && stream.set_nonblocking(on).is_ok() {
+                *nonblocking = on;
+            }
+        }
     }
 
     /// Time until the oldest pending request's deadline, `None` when empty.
@@ -275,10 +288,12 @@ impl<P: ServePlane> Assembler<P> {
                 (calls, failed as u64)
             }
             // One peer, one run: a dead stream costs the whole flush.
-            Sink::Tcp(stream) => match sysio::write_counted(stream, &self.wire) {
-                Ok(calls) => (calls, 0),
-                Err(_) => (0, self.pending.len() as u64),
-            },
+            Sink::Tcp(stream, nonblocking) => {
+                match sysio::write_counted(stream, &self.wire, *nonblocking) {
+                    Ok(calls) => (calls, 0),
+                    Err(_) => (0, self.pending.len() as u64),
+                }
+            }
         }
     }
 }

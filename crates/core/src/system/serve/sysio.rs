@@ -551,29 +551,49 @@ fn send_udp_chunk(
 // ---------------------------------------------------------------------------
 
 /// Writes all of `bytes` to the stream — `write_all`, except that it counts
-/// its syscalls and rides out `WouldBlock` (yield: the conn reader flips
-/// its fd nonblocking while assembling, so a full send buffer means the
-/// peer needs CPU to drain its side) as well as `EINTR`. Returns the
-/// syscall count; a peer that stopped reading is `WriteZero`.
-pub(super) fn write_counted(mut stream: &TcpStream, bytes: &[u8]) -> io::Result<u64> {
-    use std::io::Write;
+/// its syscalls and rides out `EINTR`. A full send buffer is waited out in
+/// the kernel, never spun on: on a `nonblocking` fd (the conn reader polls
+/// while assembling) the first `WouldBlock` makes the fd blocking for the
+/// rest of the write, and it is nonblocking again after. The stream's write
+/// timeout bounds each wait, so a peer that drains nothing for that long
+/// fails the write (`WouldBlock`), as does one that stopped reading
+/// (`WriteZero`). A failed write may have stopped mid-frame, which leaves
+/// the stream unparseable, so it also shuts the connection down. Returns
+/// the syscall count.
+pub(super) fn write_counted(
+    mut stream: &TcpStream,
+    bytes: &[u8],
+    nonblocking: bool,
+) -> io::Result<u64> {
+    use std::io::{ErrorKind, Write};
 
-    let (mut off, mut calls) = (0usize, 0u64);
-    while off < bytes.len() {
+    let (mut off, mut calls, mut blocking) = (0usize, 0u64, !nonblocking);
+    let written = loop {
+        if off == bytes.len() {
+            break Ok(calls);
+        }
         calls += 1;
         match stream.write(&bytes[off..]) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "peer stopped reading")),
+            Ok(0) => break Err(io::Error::new(ErrorKind::WriteZero, "peer stopped reading")),
             Ok(n) => off += n,
-            Err(ref e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                std::thread::yield_now();
+            Err(ref e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(ref e) if e.kind() == ErrorKind::WouldBlock && !blocking => {
+                if let Err(e) = stream.set_nonblocking(false) {
+                    break Err(e);
+                }
+                blocking = true;
             }
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(e) => break Err(e),
         }
+    };
+    if blocking && nonblocking {
+        // A failed restore degrades the reader to timeout-blocking reads.
+        stream.set_nonblocking(true).ok();
     }
-    Ok(calls)
+    if written.is_err() {
+        stream.shutdown(std::net::Shutdown::Both).ok();
+    }
+    written
 }
 
 #[cfg(test)]

@@ -38,6 +38,9 @@ use super::Shared;
 
 /// How often an idle reader re-checks shutdown.
 const IDLE_TICK: Duration = Duration::from_millis(2);
+/// How long a TCP flush waits on a peer that drains nothing before the
+/// connection is given up on.
+const WRITE_STALL: Duration = Duration::from_secs(2);
 
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
@@ -186,17 +189,22 @@ pub(super) fn tcp_acceptor<P: ServePlane>(shared: Arc<Shared<P>>, listener: TcpL
 /// complete frames to its assembler, drains on EOF / error / shutdown.
 fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
     shared.pin_next_cpu();
-    // As in `udp_reader`: without a timeout the shutdown flag is never
-    // rechecked — drop the connection instead of panicking. A stream with
-    // no peer address is already dead.
-    let (Ok(peer), Ok(())) = (stream.peer_addr(), stream.set_read_timeout(Some(IDLE_TICK))) else {
+    // As in `udp_reader`: without a read timeout the shutdown flag is never
+    // rechecked, and without a write timeout a stalled peer holds a flush
+    // forever — drop the connection instead of panicking. A stream with no
+    // peer address is already dead.
+    let (Ok(peer), Ok(()), Ok(())) = (
+        stream.peer_addr(),
+        stream.set_read_timeout(Some(IDLE_TICK)),
+        stream.set_write_timeout(Some(WRITE_STALL)),
+    ) else {
         return;
     };
     let mut asm = shared.new_assembler(ReplySink::Tcp(stream.clone()));
     let mut carry: Vec<u8> = Vec::new();
     let mut buf = [0u8; 16 * 1024];
     let mut scratch = Vec::new();
-    let (mut polling, mut socket_empty) = (false, false);
+    let mut socket_empty = false;
     loop {
         if shared.shutdown.load(Relaxed) {
             break;
@@ -207,9 +215,7 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
         // Poll while assembling, block (on the read timeout) when idle. A
         // failed mode toggle degrades to timeout-blocking reads.
         let assembling = !asm.is_empty();
-        if polling != assembling && stream.set_nonblocking(assembling).is_ok() {
-            polling = assembling;
-        }
+        asm.poll_tcp(assembling);
         match (&*stream).read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
@@ -229,7 +235,7 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
             Err(ref e) if is_timeout(e) => {
                 socket_empty = true;
                 asm.carried.empty_recv_calls += 1;
-                if polling {
+                if assembling {
                     // See the UDP reader: yield so the peer can run.
                     std::thread::yield_now();
                 }

@@ -1,7 +1,6 @@
 //! Level-synchronous batched descent over a forest of decision trees —
-//! the `Classifier::batch_lookup` implementation shared by CutSplit and
-//! NeuroCuts (both are "smallness partition + one [`DTree`] per subset with
-//! cross-subset early exit"; only the build policy differs).
+//! [`Forest`](crate::Forest)'s `Classifier::batch_lookup`, and so CutSplit's
+//! and NeuroCuts'.
 //!
 //! ## Why a frontier, not a per-key loop
 //!

@@ -1,83 +1,52 @@
-//! CutSplit's size-based pre-partitioning.
+//! The size-based pre-partitioning both tree engines start from.
 //!
 //! A rule is *small* in a dimension when its range covers at most
-//! `2^(bits − threshold)` values — i.e. it is at least a `/threshold`
-//! prefix. Cutting along a dimension where every rule is small produces
+//! `2^(bits − 16)` values — i.e. it is at least a `/16` prefix (CutSplit's
+//! threshold). Cutting along a dimension where every rule is small produces
 //! little replication, which is CutSplit's whole premise: partition first so
 //! each subset has dimensions that are safe to cut.
 
 use nm_common::rule::Rule;
 use nm_common::ruleset::FieldsSpec;
 
-/// Which of the two IP dimensions a subset's rules are small in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Subset {
-    /// Small in both dim0 and dim1 — cut both.
-    SmallSmall,
-    /// Small in dim0 only.
-    SmallBig,
-    /// Small in dim1 only.
-    BigSmall,
-    /// Big in both — cutting IPs would replicate heavily; split on the
-    /// remaining fields instead.
-    BigBig,
+/// A rule is small in a dimension when it is at least a `/SMALL_PREFIX`.
+const SMALL_PREFIX: u8 = 16;
+
+/// The two dimensions the partition looks at: source and destination IP
+/// (fields 0 and 1) — or field 0 twice in a one-field schema.
+pub fn ip_dims(spec: &FieldsSpec) -> (usize, usize) {
+    if spec.len() == 1 {
+        (0, 0)
+    } else {
+        (0, 1)
+    }
 }
 
-/// Result of partitioning: the four subsets in a fixed order.
-#[derive(Debug, Default)]
-pub struct Partition {
-    /// `[SS, SB, BS, BB]` rule groups.
-    pub groups: [Vec<Rule>; 4],
-}
-
-/// True when `rule` is small in `dim` under the `/threshold` criterion.
-pub fn is_small(rule: &Rule, dim: usize, spec: &FieldsSpec, threshold: u8) -> bool {
+/// True when `rule` is small in `dim`.
+pub fn is_small(rule: &Rule, dim: usize, spec: &FieldsSpec) -> bool {
     let bits = spec.bits(dim);
-    if threshold >= bits {
+    if SMALL_PREFIX >= bits {
         return rule.fields[dim].width() == 1;
     }
-    rule.fields[dim].width() <= 1u64 << (bits - threshold)
+    rule.fields[dim].width() <= 1u64 << (bits - SMALL_PREFIX)
 }
 
-/// Splits rules into the four smallness subsets over dimensions
-/// `(dim0, dim1)` (source/destination IP for 5-tuple sets).
-pub fn partition(
-    rules: &[Rule],
-    spec: &FieldsSpec,
-    dim0: usize,
-    dim1: usize,
-    threshold: u8,
-) -> Partition {
-    let mut p = Partition::default();
+/// Splits rules into the four smallness subsets over [`ip_dims`], in the
+/// order small-small, small-big, big-small, big-big (small or big in the
+/// first dimension, then in the second).
+pub fn partition(rules: &[Rule], spec: &FieldsSpec) -> [Vec<Rule>; 4] {
+    let (dim0, dim1) = ip_dims(spec);
+    let mut groups: [Vec<Rule>; 4] = Default::default();
     for rule in rules {
-        let s0 = is_small(rule, dim0, spec, threshold);
-        let s1 = is_small(rule, dim1, spec, threshold);
-        let g = match (s0, s1) {
+        let g = match (is_small(rule, dim0, spec), is_small(rule, dim1, spec)) {
             (true, true) => 0,
             (true, false) => 1,
             (false, true) => 2,
             (false, false) => 3,
         };
-        p.groups[g].push(rule.clone());
+        groups[g].push(rule.clone());
     }
-    p
-}
-
-impl Partition {
-    /// Subset label for group index `g`.
-    pub fn label(g: usize) -> Subset {
-        match g {
-            0 => Subset::SmallSmall,
-            1 => Subset::SmallBig,
-            2 => Subset::BigSmall,
-            _ => Subset::BigBig,
-        }
-    }
-
-    /// Total rules across groups.
-    pub fn total(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
+    groups
 }
 
 #[cfg(test)]
@@ -97,27 +66,20 @@ mod tests {
             FiveTuple::new().dst_prefix([10, 0, 0, 0], 24).into_rule(2, 2), // src wildcard
             FiveTuple::new().into_rule(3, 3),                               // both wildcard
         ];
-        let p = partition(&rules, &spec, 0, 1, 16);
-        assert_eq!(p.groups[0].len(), 1);
-        assert_eq!(p.groups[1].len(), 1);
-        assert_eq!(p.groups[2].len(), 1);
-        assert_eq!(p.groups[3].len(), 1);
-        assert_eq!(p.total(), 4);
+        let groups = partition(&rules, &spec);
+        for (g, group) in groups.iter().enumerate() {
+            let ids: Vec<u32> = group.iter().map(|r| r.id).collect();
+            assert_eq!(ids, [g as u32], "group {g}");
+        }
     }
 
     #[test]
     fn threshold_boundary() {
         let spec = FieldsSpec::five_tuple();
-        // A /16 prefix is exactly small at threshold 16; /15 is big.
+        // A /16 prefix is exactly small; /15 is big.
         let r16 = FiveTuple::new().src_prefix([10, 1, 0, 0], 16).into_rule(0, 0);
         let r15 = FiveTuple::new().src_prefix([10, 0, 0, 0], 15).into_rule(1, 1);
-        assert!(is_small(&r16, 0, &spec, 16));
-        assert!(!is_small(&r15, 0, &spec, 16));
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(Partition::label(0), Subset::SmallSmall);
-        assert_eq!(Partition::label(3), Subset::BigBig);
+        assert!(is_small(&r16, 0, &spec));
+        assert!(!is_small(&r15, 0, &spec));
     }
 }

@@ -1,51 +1,36 @@
 //! Derivative-free policy search (the RL substitute).
 //!
 //! Random restarts + single-parameter hill climbing over [`ParamPolicy`],
-//! scoring each candidate by building trees on a *sample* of the rules and
-//! evaluating the NeuroCuts reward. Deterministic in the seed.
+//! scoring each candidate by building a tree on a *sample* of the rules and
+//! evaluating the NeuroCuts reward. Deterministic: the seed is fixed.
 
 use crate::policy::ParamPolicy;
+use crate::tree::DTree;
 use nm_common::rule::Rule;
 use nm_common::ruleset::FieldsSpec;
 use nm_common::SplitMix64;
-use nm_cutsplit::tree::{DTree, TreeConfig};
 
-/// What the reward penalises (NeuroCuts optimises one or the other; the
-/// blend mirrors its combined objective).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RewardKind {
-    /// Minimise index bytes.
-    Memory,
-    /// Minimise mean lookup access cost.
-    AccessCount,
-    /// `cost = blend · norm_mem + (1 − blend) · norm_access`.
-    Blend(f32),
-}
+/// The search's RNG seed ("nc").
+const SEED: u64 = 0x6e63;
 
 /// Search outcome.
 #[derive(Clone, Debug)]
 pub struct SearchReport {
     /// Best policy found.
     pub policy: ParamPolicy,
-    /// Its cost (lower is better).
-    pub cost: f64,
-    /// Costs per iteration (monotone non-increasing best-so-far).
+    /// Best-so-far cost after each evaluation (lower is better, monotone
+    /// non-increasing); the last entry is `policy`'s.
     pub trajectory: Vec<f64>,
 }
 
-/// Scores one candidate policy on a rule sample.
-fn evaluate(
-    policy: &ParamPolicy,
-    sample: &[Rule],
-    spec: &FieldsSpec,
-    tree_cfg: &TreeConfig,
-    reward: RewardKind,
-    rng: &mut SplitMix64,
-) -> f64 {
+/// Scores one candidate policy on a rule sample: NeuroCuts' combined
+/// objective, an even blend of index size (KiB, so neither term dominates
+/// by sheer unit size) and mean lookup access cost.
+fn evaluate(policy: &ParamPolicy, sample: &[Rule], spec: &FieldsSpec, rng: &mut SplitMix64) -> f64 {
     if sample.is_empty() {
         return 0.0;
     }
-    let tree = DTree::build(sample.to_vec(), spec, policy, tree_cfg);
+    let tree = DTree::build(sample.to_vec(), spec, policy);
     let mem = tree.memory_bytes() as f64;
     // Probe cost on keys drawn from the sample's own rules.
     let probes = 64.min(sample.len());
@@ -56,15 +41,7 @@ fn evaluate(
         access += tree.access_cost(&key) as f64;
     }
     access /= probes as f64;
-    match reward {
-        RewardKind::Memory => mem,
-        RewardKind::AccessCount => access,
-        RewardKind::Blend(b) => {
-            let b = b as f64;
-            // Normalise so neither term dominates by sheer unit size.
-            b * (mem / 1024.0) + (1.0 - b) * access
-        }
-    }
+    0.5 * (mem / 1024.0) + 0.5 * access
 }
 
 /// Runs the search and returns the best policy.
@@ -73,18 +50,13 @@ fn evaluate(
 /// the NuevoMatch paper gave NeuroCuts a multi-hour hyper-parameter sweep —
 /// here a few dozen evaluations on a sample land in the same tree family in
 /// milliseconds-to-seconds.
-#[allow(clippy::too_many_arguments)]
 pub fn policy_search(
     rules: &[Rule],
     spec: &FieldsSpec,
-    binth: usize,
     sample_size: usize,
     iterations: usize,
-    reward: RewardKind,
-    tree_cfg: &TreeConfig,
-    seed: u64,
 ) -> SearchReport {
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = SplitMix64::new(SEED);
     // Deterministic sample (stride subsample keeps the priority mix).
     let sample: Vec<Rule> = if rules.len() <= sample_size {
         rules.to_vec()
@@ -93,25 +65,25 @@ pub fn policy_search(
         rules.iter().step_by(step.max(1)).take(sample_size).cloned().collect()
     };
 
-    let mut best = ParamPolicy::neutral(spec.len(), binth);
-    let mut best_cost = evaluate(&best, &sample, spec, tree_cfg, reward, &mut rng);
+    let mut best = ParamPolicy::neutral(spec.len());
+    let mut best_cost = evaluate(&best, &sample, spec, &mut rng);
     let mut trajectory = vec![best_cost];
 
     for i in 0..iterations {
         // Every 8th evaluation restarts randomly; the rest hill-climb.
         let cand = if i % 8 == 7 {
-            ParamPolicy::random(spec.len(), binth, &mut rng)
+            ParamPolicy::random(spec.len(), &mut rng)
         } else {
             best.neighbour(&mut rng)
         };
-        let cost = evaluate(&cand, &sample, spec, tree_cfg, reward, &mut rng);
+        let cost = evaluate(&cand, &sample, spec, &mut rng);
         if cost < best_cost {
             best = cand;
             best_cost = cost;
         }
         trajectory.push(best_cost);
     }
-    SearchReport { policy: best, cost: best_cost, trajectory }
+    SearchReport { policy: best, trajectory }
 }
 
 #[cfg(test)]
@@ -134,44 +106,22 @@ mod tests {
     #[test]
     fn search_improves_or_matches_neutral() {
         let spec = FieldsSpec::five_tuple();
-        let rs = rules(300);
-        let report = policy_search(
-            &rs,
-            &spec,
-            8,
-            200,
-            24,
-            RewardKind::Blend(0.5),
-            &TreeConfig::default(),
-            42,
-        );
+        let report = policy_search(&rules(300), &spec, 200, 24);
         assert_eq!(report.trajectory.len(), 25);
         // Best-so-far must be monotone non-increasing.
         for w in report.trajectory.windows(2) {
             assert!(w[1] <= w[0]);
         }
-        assert!(report.cost <= report.trajectory[0]);
+        assert!(report.trajectory.iter().all(|c| c.is_finite()));
     }
 
     #[test]
     fn deterministic_in_seed() {
         let spec = FieldsSpec::five_tuple();
         let rs = rules(200);
-        let a =
-            policy_search(&rs, &spec, 8, 100, 10, RewardKind::Memory, &TreeConfig::default(), 7);
-        let b =
-            policy_search(&rs, &spec, 8, 100, 10, RewardKind::Memory, &TreeConfig::default(), 7);
+        let a = policy_search(&rs, &spec, 100, 10);
+        let b = policy_search(&rs, &spec, 100, 10);
         assert_eq!(a.policy, b.policy);
-        assert_eq!(a.cost, b.cost);
-    }
-
-    #[test]
-    fn reward_kinds_all_run() {
-        let spec = FieldsSpec::five_tuple();
-        let rs = rules(100);
-        for reward in [RewardKind::Memory, RewardKind::AccessCount, RewardKind::Blend(0.3)] {
-            let r = policy_search(&rs, &spec, 8, 64, 6, reward, &TreeConfig::default(), 1);
-            assert!(r.cost.is_finite());
-        }
+        assert_eq!(a.trajectory, b.trajectory);
     }
 }

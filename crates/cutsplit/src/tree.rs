@@ -65,23 +65,14 @@ pub trait Policy {
     fn decide(&self, ctx: &NodeCtx<'_>) -> BuildAction;
 }
 
-/// Build limits shared by every tree user.
-#[derive(Clone, Copy, Debug)]
-pub struct TreeConfig {
-    /// Maximum rules per leaf (`binth`); nodes at or below become leaves.
-    pub binth: usize,
-    /// Hard node budget — construction degrades to leaves beyond it
-    /// (replication blow-up guard).
-    pub max_nodes: usize,
-    /// Hard depth limit.
-    pub max_depth: usize,
-}
-
-impl Default for TreeConfig {
-    fn default() -> Self {
-        Self { binth: 8, max_nodes: 1_000_000, max_depth: 32 }
-    }
-}
+/// Maximum rules per leaf (`binth = 8`, the paper's evaluation setting,
+/// §5.1); nodes at or below it become leaves.
+pub(crate) const BINTH: usize = 8;
+/// Hard node budget — construction degrades to leaves beyond it
+/// (replication blow-up guard).
+const MAX_NODES: usize = 1_000_000;
+/// Hard depth limit.
+const MAX_DEPTH: usize = 32;
 
 /// A priority-sorted slice of the refs array.
 #[derive(Clone, Copy, Debug, Default)]
@@ -176,7 +167,7 @@ pub struct DTree {
 }
 
 /// Structural statistics (Figure 13 / NeuroCuts reward inputs).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TreeStats {
     /// Interior + leaf node count.
     pub nodes: usize,
@@ -192,12 +183,7 @@ pub struct TreeStats {
 
 impl DTree {
     /// Builds a tree over `rules` with the given policy.
-    pub fn build(
-        rules: Vec<Rule>,
-        spec: &FieldsSpec,
-        policy: &dyn Policy,
-        cfg: &TreeConfig,
-    ) -> DTree {
+    pub fn build(rules: Vec<Rule>, spec: &FieldsSpec, policy: &dyn Policy) -> DTree {
         let bounds_root: Vec<(u64, u64)> =
             (0..spec.len()).map(|d| (0, spec.max_value(d))).collect();
         let nfields = spec.len();
@@ -212,7 +198,7 @@ impl DTree {
         };
         let all_ids: Vec<u32> = (0..tree.rules.len() as u32).collect();
         tree.nodes.push(Node::Leaf { refs: RefSlice::default(), best_priority: Priority::MAX });
-        tree.build_node(0, all_ids, bounds_root, 0, spec, policy, cfg);
+        tree.build_node(0, all_ids, bounds_root, 0, spec, policy);
         tree
     }
 
@@ -233,7 +219,6 @@ impl DTree {
         RefSlice { start, len }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn build_node(
         &mut self,
         slot: usize,
@@ -242,7 +227,6 @@ impl DTree {
         depth: usize,
         spec: &FieldsSpec,
         policy: &dyn Policy,
-        cfg: &TreeConfig,
     ) {
         self.depth_max = self.depth_max.max(depth);
         let best_priority = rule_ids
@@ -251,10 +235,7 @@ impl DTree {
             .min()
             .unwrap_or(Priority::MAX);
 
-        if rule_ids.len() <= cfg.binth
-            || depth >= cfg.max_depth
-            || self.nodes.len() >= cfg.max_nodes
-        {
+        if rule_ids.len() <= BINTH || depth >= MAX_DEPTH || self.nodes.len() >= MAX_NODES {
             let refs = self.push_refs(rule_ids);
             self.nodes[slot] = Node::Leaf { refs, best_priority };
             return;
@@ -270,14 +251,16 @@ impl DTree {
             }
             BuildAction::Cut { dim, bits } => {
                 let (lo, hi) = bounds[dim];
-                let span = hi - lo + 1;
-                let children = (1u64 << bits.clamp(1, 8)).min(span);
-                if span <= 1 || children <= 1 {
+                // `hi - lo + 1` overflows on a full 64-bit field, so every
+                // span quantity is derived from `hi - lo`.
+                let children = (1u64 << bits.clamp(1, 8)).min((hi - lo).saturating_add(1));
+                if children <= 1 {
                     let refs = self.push_refs(rule_ids);
                     self.nodes[slot] = Node::Leaf { refs, best_priority };
                     return;
                 }
-                let width = span.div_ceil(children);
+                // = ceil((hi - lo + 1) / children).
+                let width = (hi - lo) / children + 1;
                 let mut spill_ids = Vec::new();
                 let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); children as usize];
                 for &id in &rule_ids {
@@ -323,8 +306,10 @@ impl DTree {
                 drop(rule_ids);
                 for (c, bucket) in buckets.into_iter().enumerate() {
                     let mut child_bounds = bounds.clone();
-                    let c_lo = lo + c as u64 * width;
-                    let c_hi = (c_lo + width - 1).min(hi);
+                    // Trailing children can start past `hi` (and past
+                    // `u64::MAX`); they get no rules, so saturating is exact.
+                    let c_lo = lo.saturating_add((c as u64).saturating_mul(width));
+                    let c_hi = c_lo.saturating_add(width - 1).min(hi);
                     child_bounds[dim] = (c_lo, c_hi);
                     self.build_node(
                         (first_child as usize) + c,
@@ -333,7 +318,6 @@ impl DTree {
                         depth + 1,
                         spec,
                         policy,
-                        cfg,
                     );
                 }
             }
@@ -388,8 +372,8 @@ impl DTree {
                 lb[dim] = (lo, threshold);
                 let mut rb = bounds;
                 rb[dim] = (threshold + 1, hi);
-                self.build_node(left as usize, left_ids, lb, depth + 1, spec, policy, cfg);
-                self.build_node(right as usize, right_ids, rb, depth + 1, spec, policy, cfg);
+                self.build_node(left as usize, left_ids, lb, depth + 1, spec, policy);
+                self.build_node(right as usize, right_ids, rb, depth + 1, spec, policy);
             }
         }
     }
@@ -724,7 +708,7 @@ mod tests {
         let rules = random_rules(1, 400);
         let set = RuleSet::new(spec.clone(), rules.clone()).unwrap();
         let oracle = LinearSearch::build(&set);
-        let tree = DTree::build(rules, &spec, &AlwaysCut, &TreeConfig::default());
+        let tree = DTree::build(rules, &spec, &AlwaysCut);
         let mut rng = SplitMix64::new(42);
         for _ in 0..2_000 {
             let key = [rng.below(65_536), rng.below(65_536)];
@@ -742,7 +726,7 @@ mod tests {
         let rules = random_rules(2, 400);
         let set = RuleSet::new(spec.clone(), rules.clone()).unwrap();
         let oracle = LinearSearch::build(&set);
-        let tree = DTree::build(rules, &spec, &AlwaysSplit, &TreeConfig::default());
+        let tree = DTree::build(rules, &spec, &AlwaysSplit);
         let mut rng = SplitMix64::new(43);
         for _ in 0..2_000 {
             let key = [rng.below(65_536), rng.below(65_536)];
@@ -756,7 +740,7 @@ mod tests {
         let rules = rules_with_wildcards(7, 400);
         let set = RuleSet::new(spec.clone(), rules.clone()).unwrap();
         let oracle = LinearSearch::build(&set);
-        let tree = DTree::build(rules, &spec, &AlwaysCut, &TreeConfig::default());
+        let tree = DTree::build(rules, &spec, &AlwaysCut);
         let stats = tree.stats();
         // Spill lists must prevent exponential replication.
         assert!(stats.refs < 400 * 20, "replication exploded: {} refs", stats.refs);
@@ -771,7 +755,7 @@ mod tests {
     fn floor_prunes_like_filter() {
         let spec = FieldsSpec::uniform(2, 16);
         let rules = rules_with_wildcards(3, 200);
-        let tree = DTree::build(rules, &spec, &AlwaysCut, &TreeConfig::default());
+        let tree = DTree::build(rules, &spec, &AlwaysCut);
         let mut rng = SplitMix64::new(45);
         for _ in 0..500 {
             let key = [rng.below(65_536), rng.below(65_536)];
@@ -786,7 +770,7 @@ mod tests {
     fn stats_reflect_structure() {
         let spec = FieldsSpec::uniform(2, 16);
         let rules = random_rules(4, 300);
-        let tree = DTree::build(rules, &spec, &AlwaysCut, &TreeConfig::default());
+        let tree = DTree::build(rules, &spec, &AlwaysCut);
         let s = tree.stats();
         assert!(s.nodes > 1);
         assert!(s.leaves > 0);
@@ -800,7 +784,7 @@ mod tests {
     fn access_cost_counts_spills_and_leaves() {
         let spec = FieldsSpec::uniform(2, 16);
         let rules = rules_with_wildcards(8, 200);
-        let tree = DTree::build(rules, &spec, &AlwaysCut, &TreeConfig::default());
+        let tree = DTree::build(rules, &spec, &AlwaysCut);
         let cost = tree.access_cost(&[100, 100]);
         assert!(cost >= 1);
     }
@@ -811,7 +795,7 @@ mod tests {
         let rules: Vec<Rule> = (0..100)
             .map(|i| Rule::new(i, i, vec![FieldRange::wildcard(16), FieldRange::wildcard(16)]))
             .collect();
-        let tree = DTree::build(rules, &spec, &AlwaysCut, &TreeConfig::default());
+        let tree = DTree::build(rules, &spec, &AlwaysCut);
         assert_eq!(
             tree.classify_floor(&[5, 5], Priority::MAX).unwrap().rule,
             0,
@@ -824,7 +808,7 @@ mod tests {
     #[test]
     fn empty_tree() {
         let spec = FieldsSpec::uniform(2, 16);
-        let tree = DTree::build(vec![], &spec, &AlwaysSplit, &TreeConfig::default());
+        let tree = DTree::build(vec![], &spec, &AlwaysSplit);
         assert_eq!(tree.classify_floor(&[1, 2], Priority::MAX), None);
     }
 }

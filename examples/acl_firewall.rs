@@ -12,8 +12,7 @@ use nm_analysis::Table;
 use nm_classbench::{generate, AppKind};
 use nm_common::memsize::human_bytes;
 use nm_common::{Classifier, RuleSet};
-use nm_cutsplit::CutSplit;
-use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
+use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::parallel::run_sequential;
@@ -21,7 +20,7 @@ use nuevomatch::{NuevoMatch, NuevoMatchConfig};
 
 fn run_suite(label: &str, set: &RuleSet, packets: usize) {
     let trace = uniform_trace(set, packets, 42);
-    let nc_cfg = NeuroCutsConfig { iterations: 8, sample: 1_024, ..Default::default() };
+    let nc_cfg = NeuroCutsConfig { iterations: 8, sample: 1_024 };
 
     let engines: Vec<(String, Box<dyn Classifier>)> = vec![
         ("tm".into(), Box::new(TupleMerge::build(set))),

@@ -7,14 +7,13 @@
 
 use nm_classbench::{generate, stanford_fib, AppKind};
 use nm_common::{Classifier, LinearSearch, RuleSet};
-use nm_cutsplit::CutSplit;
-use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
+use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{caida_like_trace, uniform_trace, zipf_trace, CaidaLikeConfig};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
 use nuevomatch::{NuevoMatch, NuevoMatchConfig, RqRmiParams};
 
 fn engines(set: &RuleSet) -> Vec<(String, Box<dyn Classifier>)> {
-    let nc_cfg = NeuroCutsConfig { iterations: 6, sample: 512, ..Default::default() };
+    let nc_cfg = NeuroCutsConfig { iterations: 6, sample: 512 };
     let nm_cfg = NuevoMatchConfig {
         rqrmi: RqRmiParams { samples_init: 512, ..Default::default() },
         ..Default::default()
@@ -101,5 +100,90 @@ fn random_misses_agree_too() {
         for (ename, engine) in &engines {
             assert_eq!(engine.classify(&key), want, "{ename} diverged on random key");
         }
+    }
+}
+
+/// What pins a built tree engine: exact index bytes, each tree's `(nodes,
+/// leaves, refs, max_depth)`, and an FNV-1a fold of its verdicts on a
+/// seeded uniform trace.
+type Pin = (usize, Vec<(usize, usize, usize, usize)>, u64);
+
+fn pin(engine: &dyn Classifier, trees: &[nm_cutsplit::tree::TreeStats], set: &RuleSet) -> Pin {
+    let shape = trees.iter().map(|t| (t.nodes, t.leaves, t.refs, t.max_depth)).collect();
+    let verdicts =
+        uniform_trace(set, 20_000, 0x901d).iter().fold(0xcbf2_9ce4_8422_2325, |h, key| {
+            let v = engine.classify(key).map_or(0, |m| u64::from(m.rule) + 1);
+            (h ^ v).wrapping_mul(0x0100_0000_01b3)
+        });
+    (engine.memory_bytes(), shape, verdicts)
+}
+
+/// The trees CutSplit and NeuroCuts build are golden: any drift in a tree
+/// constant (binth, the /16 smallness threshold, cut fan-out, split
+/// hand-over, node and depth caps, the search's seed and reward) changes
+/// the bytes or the shape.
+#[test]
+fn tree_engines_build_golden_trees() {
+    let cases: [(&str, RuleSet, Pin, Pin); 3] = [
+        (
+            "acl",
+            generate(AppKind::Acl, 10_000, 29),
+            (
+                1_532_928,
+                vec![
+                    (2703, 1639, 8345, 8),
+                    (53, 34, 187, 3),
+                    (45, 30, 171, 3),
+                    (201, 101, 1297, 9),
+                ],
+                0x36b4_bc0f_bf14_c35c,
+            ),
+            (
+                1_982_496,
+                vec![
+                    (2685, 1715, 9960, 9),
+                    (57, 35, 187, 3),
+                    (55, 31, 171, 3),
+                    (987, 692, 5653, 7),
+                ],
+                0x36b4_bc0f_bf14_c35c,
+            ),
+        ),
+        (
+            "fw",
+            generate(AppKind::Fw, 10_000, 29),
+            (
+                1_280_864,
+                vec![
+                    (1925, 1250, 5968, 8),
+                    (269, 177, 940, 5),
+                    (337, 267, 1242, 5),
+                    (137, 69, 1850, 9),
+                ],
+                0xb214_8748_43fa_41d6,
+            ),
+            (
+                4_141_856,
+                vec![
+                    (2429, 1671, 10095, 9),
+                    (271, 169, 940, 5),
+                    (389, 264, 1242, 7),
+                    (3871, 2737, 19404, 7),
+                ],
+                0xb214_8748_43fa_41d6,
+            ),
+        ),
+        (
+            "stanford",
+            stanford_fib(10_000, 29),
+            (557_840, vec![(3149, 1904, 9676, 7), (117, 59, 324, 6)], 0x8f46_64e2_06f7_9eaa),
+            (548_872, vec![(3307, 2173, 10067, 8)], 0x8f46_64e2_06f7_9eaa),
+        ),
+    ];
+    for (name, set, want_cs, want_nc) in cases {
+        let cs = CutSplit::build(&set);
+        assert_eq!(pin(&cs, &cs.stats(), &set), want_cs, "cs on {name}");
+        let nc = NeuroCuts::with_config(&set, NeuroCutsConfig { iterations: 6, sample: 512 });
+        assert_eq!(pin(&nc, &nc.stats(), &set), want_nc, "nc on {name}");
     }
 }

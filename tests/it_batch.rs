@@ -9,8 +9,7 @@
 use nm_classbench::{generate, AppKind};
 use nm_common::rule::Priority;
 use nm_common::{Classifier, FieldRange, FieldsSpec, LinearSearch, RuleSet};
-use nm_cutsplit::CutSplit;
-use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
+use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{uniform_trace, zipf_trace};
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::rqrmi::{train_rqrmi, CompiledRqRmi, Isa, RqRmi};
@@ -58,10 +57,7 @@ fn every_engine_batch_matches_per_key() {
             Box::new(LinearSearch::build(&set)),
             Box::new(TupleMerge::build(&set)),
             Box::new(CutSplit::build(&set)),
-            Box::new(NeuroCuts::with_config(
-                &set,
-                NeuroCutsConfig { iterations: 4, sample: 512, ..Default::default() },
-            )),
+            Box::new(NeuroCuts::with_config(&set, NeuroCutsConfig { iterations: 4, sample: 512 })),
         ];
         for engine in &engines {
             assert_batch_equivalent(engine.as_ref(), &trace);
@@ -97,7 +93,7 @@ fn batch_with_floors_matches_per_key_dispatch() {
         Box::new(NeuroCuts::with_config(
             // level-synchronous descent, searched trees
             &set,
-            NeuroCutsConfig { iterations: 4, sample: 512, ..Default::default() },
+            NeuroCutsConfig { iterations: 4, sample: 512 },
         )),
         // Phase pipeline with caller floors folded into the remainder's
         // batch-wide early termination.
@@ -375,7 +371,7 @@ proptest! {
             Box::new(CutSplit::build(&set)),
             Box::new(NeuroCuts::with_config(
                 &set,
-                NeuroCutsConfig { iterations: 2, sample: 64, ..Default::default() },
+                NeuroCutsConfig { iterations: 2, sample: 64 },
             )),
         ];
         for engine in &engines {

@@ -15,8 +15,7 @@ use proptest::prelude::*;
 
 use nm_classbench::{generate, AppKind};
 use nm_common::{Classifier, FieldsSpec, FiveTuple, RuleSet, ShardPlanConfig, UpdateBatch};
-use nm_cutsplit::CutSplit;
-use nm_neurocuts::{NeuroCuts, NeuroCutsConfig};
+use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{uniform_trace, zipf_trace};
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::parallel::run_sequential;
@@ -136,7 +135,7 @@ fn sharded_runtime_equals_sequential_on_all_four_engines() {
     })
     .unwrap();
     check_static("cs", &cs, &cs_sharded);
-    let nc_cfg = NeuroCutsConfig { iterations: 8, sample: 1_024, ..Default::default() };
+    let nc_cfg = NeuroCutsConfig { iterations: 8, sample: 1_024 };
     let nc = NeuroCuts::with_config(&set, nc_cfg);
     let nc_sharded = ShardedClassifier::build(&set, &plan(2), move |s: &RuleSet| {
         Box::new(NeuroCuts::with_config(s, nc_cfg)) as Box<dyn Classifier>

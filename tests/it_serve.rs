@@ -512,7 +512,8 @@ fn dense_traffic_still_assembles_full_batches() {
 /// while it assembles — is writing into a full one. Once the client drains,
 /// every response arrives exactly once and in order, none was given up on,
 /// and the flushes needed more writes than there were flushes (partial
-/// writes, `WouldBlock` retries).
+/// writes, `WouldBlock` retries) — but only a few more: a stalled write
+/// waits in the kernel instead of spinning its reader's core on retries.
 #[test]
 fn tcp_backpressure_delays_responses_but_loses_none() {
     use nm_common::frame::{decode_response, encode_request, RESPONSE_FRAME};
@@ -595,6 +596,12 @@ fn tcp_backpressure_delays_responses_but_loses_none() {
     assert!(
         stats.send_calls > stats.batches,
         "{} flushes went out in {} writes: none was partial or retried",
+        stats.batches,
+        stats.send_calls
+    );
+    assert!(
+        stats.send_calls < 20 * stats.batches,
+        "{} flushes took {} writes: a stalled write spun instead of waiting",
         stats.batches,
         stats.send_calls
     );
