@@ -7,30 +7,27 @@
 //! classifier's lines. Both mechanisms shrink the effective L3 the
 //! classifier sees.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Bytes the thrasher sweeps: enough to evict a server-class L3 share.
+const SWEEP_BYTES: usize = 12 * 1024 * 1024;
 
 /// A background cache-polluting thread. Dropping the handle stops it.
 pub struct CacheThrasher {
     stop: Arc<AtomicBool>,
-    sink: Arc<AtomicU64>,
     handle: Option<std::thread::JoinHandle<()>>,
-    buffer_bytes: usize,
 }
 
 impl CacheThrasher {
-    /// Starts a thrasher sweeping `megabytes` MB of memory in cache-line
-    /// strides.
-    pub fn start(megabytes: usize) -> Self {
+    /// Starts a thrasher sweeping 12 MB of memory in cache-line strides.
+    pub fn start() -> Self {
         let stop = Arc::new(AtomicBool::new(false));
-        let sink = Arc::new(AtomicU64::new(0));
-        let buffer_bytes = megabytes.max(1) * 1024 * 1024;
         let stop2 = stop.clone();
-        let sink2 = sink.clone();
         let handle = std::thread::Builder::new()
             .name("cache-thrasher".into())
             .spawn(move || {
-                let words = buffer_bytes / 8;
+                let words = SWEEP_BYTES / 8;
                 let mut buf = vec![1u64; words];
                 let mut acc = 0u64;
                 let mut i = 0usize;
@@ -42,23 +39,12 @@ impl CacheThrasher {
                     i += 8;
                     if i >= words {
                         i = 0;
-                        sink2.store(acc, Ordering::Relaxed);
+                        std::hint::black_box(acc);
                     }
                 }
-                sink2.store(acc, Ordering::Relaxed);
             })
             .expect("spawn thrasher");
-        Self { stop, sink, handle: Some(handle), buffer_bytes }
-    }
-
-    /// Buffer size being swept.
-    pub fn buffer_bytes(&self) -> usize {
-        self.buffer_bytes
-    }
-
-    /// Proof-of-work value (also keeps the buffer observable).
-    pub fn progress(&self) -> u64 {
-        self.sink.load(Ordering::Relaxed)
+        Self { stop, handle: Some(handle) }
     }
 
     /// Stops the thread and waits for it.
@@ -86,15 +72,14 @@ mod tests {
 
     #[test]
     fn starts_works_stops() {
-        let t = CacheThrasher::start(4);
-        assert_eq!(t.buffer_bytes(), 4 * 1024 * 1024);
+        let t = CacheThrasher::start();
         std::thread::sleep(std::time::Duration::from_millis(50));
         t.stop();
     }
 
     #[test]
     fn drop_stops_cleanly() {
-        let t = CacheThrasher::start(1);
+        let t = CacheThrasher::start();
         std::thread::sleep(std::time::Duration::from_millis(10));
         drop(t);
     }

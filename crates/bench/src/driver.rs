@@ -11,42 +11,13 @@ use crate::experiments::{Experiment, EXPERIMENTS};
 use crate::Scale;
 
 /// What every experiment reads its settings from; the environment is
-/// consulted once, here.
+/// consulted once, in [`drive`].
 pub struct Ctx {
     /// `NM_SCALE` (`quick` | `full`).
     pub scale: Scale,
     /// `--readers a,b,c`: the reader counts `serve` sweeps (its scale's
     /// default when absent).
     pub readers: Option<Vec<usize>>,
-    apps: Option<String>,
-    engines: Option<String>,
-}
-
-impl Ctx {
-    /// Reads `NM_SCALE`, `NM_APPS` and `NM_ENGINES`.
-    pub fn from_env(readers: Option<Vec<usize>>) -> Self {
-        Self {
-            scale: Scale::named(&std::env::var("NM_SCALE").unwrap_or_default()),
-            readers,
-            apps: std::env::var("NM_APPS").ok(),
-            engines: std::env::var("NM_ENGINES").ok(),
-        }
-    }
-
-    /// Whether `NM_APPS` (comma-separated, unset = all) selects `app` — the
-    /// focused-rerun filter of the `batch` and `shard` sweeps.
-    pub fn wants_app(&self, app: &str) -> bool {
-        listed(&self.apps, app)
-    }
-
-    /// Whether `NM_ENGINES` (comma-separated, unset = all) selects `engine`.
-    pub fn wants_engine(&self, engine: &str) -> bool {
-        listed(&self.engines, engine)
-    }
-}
-
-fn listed(filter: &Option<String>, name: &str) -> bool {
-    filter.as_ref().map_or(true, |f| f.split(',').any(|w| w.trim() == name))
 }
 
 enum Block {
@@ -179,7 +150,10 @@ pub fn drive(args: &[String], out: &mut dyn Write) -> Result<bool, String> {
     if picked.is_empty() {
         return Err(usage("no experiment named"));
     }
-    let ctx = Ctx::from_env(readers);
+    let name = std::env::var("NM_SCALE").unwrap_or_default();
+    let scale = Scale::named(&name)
+        .ok_or_else(|| usage(&format!("NM_SCALE must be quick or full, not '{name}'")))?;
+    let ctx = Ctx { scale, readers };
     let mut documents = Vec::new();
     let mut passed = true;
     for (name, run) in picked {
@@ -255,6 +229,16 @@ mod tests {
             }
         }
         assert!(run(&["nope"]).0.unwrap_err().contains("unknown experiment 'nope'"));
+    }
+
+    #[test]
+    fn nm_scale_is_unset_quick_or_full_and_nothing_else() {
+        assert!(!Scale::named("").unwrap().full);
+        assert!(!Scale::named("quick").unwrap().full);
+        assert!(Scale::named("full").unwrap().full);
+        for typo in ["ful", "Full", "quick ", "500k"] {
+            assert!(Scale::named(typo).is_none(), "NM_SCALE={typo:?} must be refused");
+        }
     }
 
     #[test]

@@ -91,10 +91,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
             (
                 "adam + rank labels (paper)",
                 RqRmiParams {
-                    trainer: TrainerKind::Adam(nm_nn::AdamConfig {
-                        epochs: 60,
-                        ..Default::default()
-                    }),
+                    trainer: TrainerKind::Adam { epochs: 60 },
                     max_attempts: 3,
                     ..Default::default()
                 },

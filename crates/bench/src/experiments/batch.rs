@@ -8,10 +8,10 @@
 //! CutSplit/NeuroCuts level-synchronous tree descent. Sweeps batch sizes
 //! 1/8/32/128/512 through
 //! [`nuevomatch::system::parallel::run_batched`] over the scale's
-//! application suite at its largest size (`NM_APPS`/`NM_ENGINES` focus a
-//! rerun on a subset), plus a `fib` row pair — `stanford_fib` at the same
-//! size in 8 iSets against bare TupleMerge, the paper's own comparison on
-//! the rule-set where the iSets are the whole lookup. Columns report Mpps;
+//! application suite at its largest size, plus a `fib` row pair —
+//! `stanford_fib` at the same size in 8 iSets against bare TupleMerge, the
+//! paper's own comparison on the rule-set where the iSets are the whole
+//! lookup. Columns report Mpps;
 //! the `seq` column is the per-key `classify` loop for reference.
 //!
 //! Every row's checksum is checked against the sequential per-key
@@ -212,11 +212,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
     // packets/s) per swept row.
     let mut rows: Vec<(&str, String, f64, f64)> = Vec::new();
     for (app, set) in suite(n, s) {
-        if !ctx.wants_app(&app) {
-            continue;
-        }
         let trace = uniform_trace(&set, s.trace_len, 0xba7c4 + n as u64);
-        // Built only when wanted, one engine alive at a time; the two
+        // Built one at a time, so one engine is alive at a time; the two
         // TupleMerge users leave their probe tally behind on acl.
         let acl = app.starts_with("acl");
         let tallies = RefCell::new(Vec::new());
@@ -240,11 +237,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
             ("nc", &|| Box::new(NeuroCuts::with_config(&set, nc_config(!s.full)))),
         ];
         for (engine, build) in engines {
-            if ctx.wants_engine(engine) {
-                let (speedup, pps_128) =
-                    sweep(&mut out, engine, &app, &*build(), &trace, s.warmups, &mut table);
-                rows.push((engine, app.clone(), speedup, pps_128));
-            }
+            let (speedup, pps_128) =
+                sweep(&mut out, engine, &app, &*build(), &trace, s.warmups, &mut table);
+            rows.push((engine, app.clone(), speedup, pps_128));
         }
         for (engine, tally) in tallies.into_inner() {
             ledger.row(ledger_row(&app, engine, &tally, trace.len()));
@@ -268,24 +263,18 @@ pub fn run(ctx: &Ctx) -> Outcome {
     }
     // The paper's comparison where the iSets are the whole lookup: a FIB in
     // 8 iSets (remainder near empty) against the whole set in TupleMerge.
-    let mut fib_pps = [f64::NAN; 2];
-    if ctx.wants_app("fib") {
-        let set = nm_classbench::stanford_fib(n, 0xf1b + n as u64);
-        let trace = uniform_trace(&set, s.trace_len, 0xba7c4 + n as u64);
-        let engines: [(&str, Build<'_>); 2] = [
-            ("nm/tm", &|| {
-                let built = NuevoMatch::build(&set, &nm_config(8, 0.0), TupleMerge::build);
-                Box::new(built.expect("nm/tm build"))
-            }),
-            ("tm", &|| Box::new(TupleMerge::build(&set))),
-        ];
-        for ((engine, build), pps_128) in engines.into_iter().zip(&mut fib_pps) {
-            if ctx.wants_engine(engine) {
-                (_, *pps_128) =
-                    sweep(&mut out, engine, "fib", &*build(), &trace, s.warmups, &mut table);
-            }
-        }
-    }
+    let set = nm_classbench::stanford_fib(n, 0xf1b + n as u64);
+    let trace = uniform_trace(&set, s.trace_len, 0xba7c4 + n as u64);
+    let engines: [(&str, Build<'_>); 2] = [
+        ("nm/tm", &|| {
+            let built = NuevoMatch::build(&set, &nm_config(8, 0.0), TupleMerge::build);
+            Box::new(built.expect("nm/tm build"))
+        }),
+        ("tm", &|| Box::new(TupleMerge::build(&set))),
+    ];
+    let fib_pps = engines.map(|(engine, build)| {
+        sweep(&mut out, engine, "fib", &*build(), &trace, s.warmups, &mut table).1
+    });
     out.table("sweep", table);
     out.say("\n=== Probe ledger — TupleMerge's per-key probe on the acl trace ===");
     out.say("(per packet; reached = tables before the packet's bound ends the probe, hashed = \
@@ -294,7 +283,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     filter_targets.into_iter().for_each(|line| out.say(line));
 
     let nm_speedups: Vec<f64> = rows.iter().filter(|r| r.0 == "nm/tm").map(|r| r.2).collect();
-    let gm = if nm_speedups.is_empty() { f64::NAN } else { geomean(&nm_speedups) };
+    let gm = geomean(&nm_speedups);
     out.say(format!(
         "\nNuevoMatch batch-128 speedup over the per-key loop, geomean across apps: {gm:.2}x"
     ));
@@ -320,11 +309,10 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let tree_pass = target_pass(["cs", "nc"], "fw", 1.5);
     let tm_pass = target_pass(["tm", "nm/tm"], "acl", 1.0);
     // NuevoMatch over bare TupleMerge where the remainder is most of the
-    // lookup, both behind the same table filter. NaN (and WARN) when either
-    // engine was filtered out.
+    // lookup, both behind the same table filter.
     let pps_128 = |engine: &str| {
         let row = rows.iter().find(|r| r.0 == engine && r.1.starts_with("acl"));
-        row.map_or(f64::NAN, |r| r.3)
+        row.expect("every suite has an acl set").3
     };
     let nm_vs_tm_acl = pps_128("nm/tm") / pps_128("tm");
     out.say(format!(

@@ -25,7 +25,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let (nm_free, _, b) = measure_seq(&nm, &trace, s.warmups);
     out.same_results("cs", a, "nm", b);
 
-    let thrasher = CacheThrasher::start(12); // sweep ~12MB to evict L3
+    let thrasher = CacheThrasher::start(); // sweeps 12 MB to evict L3
     let (cs_thr, _, _) = measure_seq(&cs, &trace, s.warmups);
     let (nm_thr, _, _) = measure_seq(&nm, &trace, s.warmups);
     thrasher.stop();

@@ -10,7 +10,7 @@
 use crate::{nm_cs, nm_tm, seq_speedup, suite, Ctx, Outcome};
 use nm_analysis::{geomean, CacheThrasher, Table};
 use nm_cutsplit::CutSplit;
-use nm_trace::{caida_like_trace, zipf_trace, CaidaLikeConfig, FIG12_SKEWS};
+use nm_trace::{caida_like_trace, zipf_trace, FIG12_SKEWS};
 use nm_tuplemerge::TupleMerge;
 
 pub fn run(ctx: &Ctx) -> Outcome {
@@ -39,11 +39,11 @@ pub fn run(ctx: &Ctx) -> Outcome {
         let mut sp_cs = Vec::new();
         let mut sp_tm = Vec::new();
         // CAIDA* restricts effective L3 with a thrasher.
-        let thrasher = (row == 5).then(|| CacheThrasher::start(12));
+        let thrasher = (row == 5).then(CacheThrasher::start);
         for (set, cs, nmcs, tm, nmtm) in &engines {
             let trace = match row {
                 0..=3 => zipf_trace(set, s.trace_len, FIG12_SKEWS[row].1, 0xf12 + row as u64),
-                _ => caida_like_trace(set, s.trace_len, CaidaLikeConfig::default(), 0xf12ca),
+                _ => caida_like_trace(set, s.trace_len, 0xf12ca),
             };
             sp_cs.push(seq_speedup(&mut out, cs, nmcs, &trace, s.warmups));
             sp_tm.push(seq_speedup(&mut out, tm, nmtm, &trace, s.warmups));

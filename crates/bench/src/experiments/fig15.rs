@@ -1,13 +1,14 @@
 //! Figure 15 — RQ-RMI training time vs the maximum search-distance bound,
-//! by rule-set size; plus the §5.3.4 search-distance distribution analysis.
+//! by rule-set size.
 //!
 //! Paper: training with bound 64 is expensive (up to ~40 min for 500K with
 //! their TensorFlow pipeline — ours is native and far faster, see §4 of the
 //! paper conceding the point); larger bounds train much faster and barely
 //! hurt lookups, because the *actual* search distance is usually far below
-//! the worst-case bound (80% of lookups within 64 when trained at 128).
+//! the worst-case bound (80% of lookups within 64 when trained at 128 —
+//! `search_dist` measures that distribution).
 
-use crate::{largest_iset_ranges, percent_within, search_distances, Ctx, Outcome};
+use crate::{largest_iset_ranges, Ctx, Outcome};
 use nm_analysis::Table;
 use nm_classbench::{generate, AppKind};
 use nuevomatch::rqrmi::train_rqrmi;
@@ -61,10 +62,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
             error_target: b,
             samples_init: 256,
             max_attempts: 5,
-            trainer: nuevomatch::TrainerKind::Adam(nm_nn::AdamConfig {
-                epochs: 150,
-                ..Default::default()
-            }),
+            trainer: nuevomatch::TrainerKind::Adam { epochs: 150 },
             ..Default::default()
         };
         let t0 = Instant::now();
@@ -73,19 +71,5 @@ pub fn run(ctx: &Ctx) -> Outcome {
     }
     table2.row(cells);
     out.table("adam", table2);
-    out.say("");
-
-    // §5.3.4: actual search distance distribution when trained at 128.
-    let n = *s.sizes.last().unwrap();
-    let (ranges, bits) = largest_iset_ranges(&generate(AppKind::Acl, n, 0x5d15));
-    let params = RqRmiParams { error_target: 128, ..Default::default() };
-    let dists = search_distances(&train_rqrmi(&ranges, bits, &params).expect("train"), &ranges);
-    out.say(format!(
-        "Search-distance distribution (trained at 128, {n}-rule ACL): \
-         <=32: {:.0}%  <=64: {:.0}%  <=128: {:.0}%  (paper: 60% <=32, 80% <=64)",
-        percent_within(&dists, 32),
-        percent_within(&dists, 64),
-        percent_within(&dists, 128),
-    ));
     out
 }

@@ -7,11 +7,12 @@
 //! training with looser bounds barely hurts lookups while cutting training
 //! cost (the Figure 15 trade-off).
 
-use crate::{largest_iset_ranges, percent_within, search_distances, Ctx, Outcome};
+use crate::{largest_iset_ranges, Ctx, Outcome};
 use nm_analysis::Table;
 use nm_classbench::{generate, AppKind};
 use nuevomatch::rqrmi::train_rqrmi;
-use nuevomatch::RqRmiParams;
+use nm_common::FieldRange;
+use nuevomatch::{RqRmi, RqRmiParams};
 
 pub fn run(ctx: &Ctx) -> Outcome {
     let mut out = Outcome::default();
@@ -54,4 +55,22 @@ pub fn run(ctx: &Ctx) -> Outcome {
          actual distances sit far below the worst-case bound.",
     );
     out
+}
+
+/// §5.3.4: how far each lookup's prediction lands from the true index, over
+/// both ends and the middle of every range `model` was trained on.
+fn search_distances(model: &RqRmi, ranges: &[FieldRange]) -> Vec<u64> {
+    let mut dists = Vec::with_capacity(ranges.len() * 3);
+    for (idx, r) in ranges.iter().enumerate() {
+        for key in [r.lo, (r.lo + r.hi) / 2, r.hi] {
+            let (pred, _) = model.predict(key);
+            dists.push((pred as i64 - idx as i64).unsigned_abs());
+        }
+    }
+    dists
+}
+
+/// The percentage of `dists` that are at most `d`.
+fn percent_within(dists: &[u64], d: u64) -> f64 {
+    100.0 * dists.iter().filter(|&&x| x <= d).count() as f64 / dists.len() as f64
 }

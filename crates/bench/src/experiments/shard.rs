@@ -26,7 +26,7 @@
 
 use crate::{nm_tm_config, nm_tm_handle, suite, Ctx, Outcome};
 use nm_analysis::{Json, Table};
-use nm_common::{FiveTuple, ShardPlanConfig, UpdateBatch};
+use nm_common::{FiveTuple, UpdateBatch};
 use nm_tuplemerge::TupleMerge;
 use nm_trace::uniform_trace;
 use nuevomatch::system::parallel::{run_batched, run_sequential, BATCH};
@@ -97,17 +97,13 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let mut overhead = Table::new(&["set", "run_batched ns/pkt", "Runtime::run ns/pkt", "overhead"]);
     let mut overheads: Vec<f64> = Vec::new();
     for (app, set) in suite(n, s) {
-        if !ctx.wants_app(&app) {
-            continue;
-        }
         let trace = uniform_trace(&set, s.trace_len, 0x5a4d + n as u64);
 
         for &shards in SHARDS {
             // Fresh whole-set reference per grid column: both control
             // planes receive the same update stream from the same state.
             let reference = nm_tm_handle(&set);
-            let plan = ShardPlanConfig { shards, dim: None };
-            let sharded = ShardedHandle::new(&set, &nm_tm_config(), &plan, TupleMerge::build)
+            let sharded = ShardedHandle::new(&set, &nm_tm_config(), shards, TupleMerge::build)
                 .expect("sharded nm/tm build");
             // Fan a concrete update through both control planes before
             // measuring: the sweep then also proves the fan-out path keeps

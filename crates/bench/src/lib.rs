@@ -21,15 +21,13 @@
 //! PASS/WARN and never fail a run — timing regressions are judged by
 //! `benchmark/`, whose bounds were measured.
 //!
-//! `NM_SCALE` selects the workload scale:
+//! `NM_SCALE`, the one environment variable read, selects the workload
+//! scale (any other value is a usage error):
 //!
-//! * `quick` (default) — sizes up to 100K rules, 3 applications, 100K-packet
-//!   traces; minutes on a laptop core.
+//! * `quick` (default, also when unset) — sizes up to 100K rules, 3
+//!   applications, 100K-packet traces; minutes on a laptop core.
 //! * `full` — the paper's 500K rule-sets, 12 applications, 700K-packet
 //!   traces; budget hours on one core.
-//!
-//! `NM_APPS` / `NM_ENGINES` (comma-separated) focus a `batch` or `shard`
-//! rerun on a subset.
 //!
 //! This module holds the pieces every experiment shares: scale selection,
 //! classifier constructors with the paper's §5.1 configurations, and timing
@@ -64,18 +62,23 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The scale `NM_SCALE` names: `full`, or `quick` for anything else.
-    pub fn named(name: &str) -> Self {
-        let full = name == "full";
+    /// The scale `NM_SCALE` names: `full`, `quick` or empty (unset) for
+    /// quick, `None` for anything else.
+    pub fn named(name: &str) -> Option<Self> {
+        let full = match name {
+            "" | "quick" => false,
+            "full" => true,
+            _ => return None,
+        };
         let mut sizes = vec![1_000, 10_000, 100_000];
         sizes.extend(full.then_some(500_000));
-        Scale {
+        Some(Scale {
             sizes,
             apps: if full { 12 } else { 3 },
             trace_len: if full { 700_000 } else { 100_000 },
             warmups: if full { 2 } else { 1 },
             full,
-        }
+        })
     }
 
     /// The sizes the end-to-end figures run at: 100K rules and up (else the
@@ -164,24 +167,6 @@ pub fn largest_iset_ranges(set: &RuleSet) -> (Vec<FieldRange>, u8) {
     let iset = &part.isets[0];
     let ranges = iset.rule_ids.iter().map(|&id| set.rule(id).fields[iset.dim]).collect();
     (ranges, set.spec().bits(iset.dim))
-}
-
-/// §5.3.4: how far each lookup's prediction lands from the true index, over
-/// both ends and the middle of every range `model` was trained on.
-pub fn search_distances(model: &nuevomatch::RqRmi, ranges: &[FieldRange]) -> Vec<u64> {
-    let mut dists = Vec::with_capacity(ranges.len() * 3);
-    for (idx, r) in ranges.iter().enumerate() {
-        for key in [r.lo, (r.lo + r.hi) / 2, r.hi] {
-            let (pred, _) = model.predict(key);
-            dists.push((pred as i64 - idx as i64).unsigned_abs());
-        }
-    }
-    dists
-}
-
-/// The percentage of `dists` that are at most `d`.
-pub fn percent_within(dists: &[u64], d: u64) -> f64 {
-    100.0 * dists.iter().filter(|&&x| x <= d).count() as f64 / dists.len() as f64
 }
 
 /// Measured sequential throughput: `warmups` passes then one timed pass.

@@ -4,11 +4,10 @@ use crate::args::{Args, ParsedCommand};
 use nm_analysis::{centrality_1d, diversity, Json, Table};
 use nm_classbench::{generate, parse_classbench, AppKind};
 use nm_common::memsize::human_bytes;
-use nm_common::ShardPlanConfig;
 use nm_common::{fivetuple, Classifier, FiveTuple, LinearSearch, Rule, RuleSet};
 use nm_common::{UpdateBatch, UpdateOp};
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
-use nm_trace::{caida_like_trace, uniform_trace, zipf_trace, CaidaLikeConfig};
+use nm_trace::{caida_like_trace, uniform_trace, zipf_trace};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
 use nuevomatch::system::parallel::{run_batched, run_sequential};
 use nuevomatch::system::runtime::{PinPolicy, RunStats, Runtime, RuntimeConfig, ShardedClassifier};
@@ -175,7 +174,7 @@ fn cmd_bench(a: &Args) -> Result<String, String> {
     let trace = if trace_spec == "uniform" {
         uniform_trace(&set, packets, seed)
     } else if trace_spec == "caida" {
-        caida_like_trace(&set, packets, CaidaLikeConfig::default(), seed)
+        caida_like_trace(&set, packets, seed)
     } else if let Some(alpha) = trace_spec.strip_prefix("zipf:") {
         let alpha: f64 = alpha.parse().map_err(|_| format!("bad zipf alpha '{alpha}'"))?;
         zipf_trace(&set, packets, alpha, seed)
@@ -199,8 +198,7 @@ fn cmd_bench(a: &Args) -> Result<String, String> {
     // build) surfaces as an error, not a panic inside a builder closure.
     if shards > 1 || workers > 1 {
         let t0 = std::time::Instant::now();
-        let plan_cfg = ShardPlanConfig { shards, dim: None };
-        let plan = nm_common::ShardPlan::build(&set, &plan_cfg).map_err(|e| e.to_string())?;
+        let plan = nm_common::ShardPlan::build(&set, shards).map_err(|e| e.to_string())?;
         let (home_sets, broadcast_set) = plan.subsets(&set);
         let home = home_sets
             .iter()
@@ -592,8 +590,7 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
     let t0 = std::time::Instant::now();
     // One control plane whatever the shard count: per-shard replicas in one
     // publication cell (one replica when `--shards 1`).
-    let plan = ShardPlanConfig { shards, dim: None };
-    let serve = ShardedHandle::new(&set, &NuevoMatchConfig::default(), &plan, TupleMerge::build)
+    let serve = ShardedHandle::new(&set, &NuevoMatchConfig::default(), shards, TupleMerge::build)
         .map_err(|e| e.to_string())?;
     let build_s = t0.elapsed().as_secs_f64();
 

@@ -62,5 +62,5 @@ pub use range::FieldRange;
 pub use rng::SplitMix64;
 pub use rule::{Priority, Rule, RuleId};
 pub use ruleset::{FieldSpec, FieldsSpec, RuleSet};
-pub use shard::{ShardPlan, ShardPlanConfig, ShardRoute};
+pub use shard::{ShardPlan, ShardRoute};
 pub use update::{BatchUpdatable, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport};

@@ -5,7 +5,9 @@
 //! the whole rule-set, and remote-node memory traffic dominates. A
 //! [`ShardPlan`] instead *partitions* the rule-set along one field so each
 //! shard's engine indexes only its slice, packets are **steered** to the
-//! shard owning their key, and per-shard verdicts merge by priority.
+//! shard owning their key, and per-shard verdicts merge by priority. The
+//! caller names only the shard count; the plan always picks the steering
+//! field itself, the one that leaves the busiest worker the fewest rules.
 //!
 //! Correctness is by construction, not by test: a rule is placed in a home
 //! shard only when **every** key it can match steers to that shard (its
@@ -27,29 +29,6 @@
 use crate::error::Error;
 use crate::rule::{Rule, RuleId};
 use crate::ruleset::RuleSet;
-
-/// Parameters for [`ShardPlan::build`]. Steering is by range: contiguous
-/// cuts of the steering field's domain, placed at quantiles of the rule
-/// distribution; rules whose range in that field fits inside one interval
-/// live there, the rest broadcast.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardPlanConfig {
-    /// Number of home shards (≥ 1). `1` means "no sharding": one home shard
-    /// holds everything and the broadcast shard is empty.
-    pub shards: usize,
-    /// Steering field, or `None` to pick the field that minimises the
-    /// busiest worker's rule load (largest home shard + broadcast set),
-    /// preferring fewer broadcast rules on ties — not broadcast-first,
-    /// which would pick degenerate one-shard plans on wildcard-heavy
-    /// fields. Ties break toward the lower dimension.
-    pub dim: Option<usize>,
-}
-
-impl Default for ShardPlanConfig {
-    fn default() -> Self {
-        Self { shards: 1, dim: None }
-    }
-}
 
 /// Where one rule lives under a plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,55 +57,32 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Partitions `set` per `cfg`. Errors when `shards == 0` or the steering
-    /// dimension is out of the schema.
-    pub fn build(set: &RuleSet, cfg: &ShardPlanConfig) -> Result<Self, Error> {
-        if cfg.shards == 0 {
+    /// Partitions `set` into `shards` home shards (≥ 1; `1` means "no
+    /// sharding": one home shard holds everything, nothing broadcasts).
+    /// Steering is by range: contiguous cuts of the steering field's domain,
+    /// placed at quantiles of the rule distribution; rules whose range in
+    /// that field fits inside one interval live there, the rest broadcast.
+    ///
+    /// The steering field is picked, never given: the one that minimises the
+    /// busiest worker's rule load (largest home shard + broadcast set),
+    /// preferring fewer broadcast rules on ties, then the lower field. A pure
+    /// fewest-broadcast score would pick degenerate plans on wildcard-heavy
+    /// fields (every rule "fits" one shard ⇒ zero broadcast, zero
+    /// parallelism); the load term rejects those. Errors when `shards == 0`.
+    pub fn build(set: &RuleSet, shards: usize) -> Result<Self, Error> {
+        if shards == 0 {
             return Err(Error::Build { msg: "ShardPlan: shards must be >= 1".into() });
         }
-        if let Some(dim) = cfg.dim {
-            if dim >= set.num_fields() {
-                return Err(Error::Build {
-                    msg: format!(
-                        "ShardPlan: steering dim {dim} outside schema ({} fields)",
-                        set.num_fields()
-                    ),
-                });
-            }
-        }
-        if cfg.shards == 1 {
-            // A single shard: no content steering, so the dimension is
-            // irrelevant; keep broadcast empty.
-            return Ok(Self {
-                dim: cfg.dim.unwrap_or(0),
-                shards: 1,
-                cuts: Vec::new(),
-                home: vec![set.rules().iter().map(|r| r.id).collect()],
-                broadcast: Vec::new(),
-            });
-        }
-        let dims: Vec<usize> = match cfg.dim {
-            Some(d) => vec![d],
-            None => (0..set.num_fields()).collect(),
-        };
-        // Auto-pick: minimise the busiest worker's rule load — its home
-        // shard plus the broadcast set it merges for every packet
-        // (`max_home + broadcast`), then prefer fewer broadcast rules. A
-        // pure fewest-broadcast score would pick degenerate plans on
-        // wildcard-heavy fields (every rule "fits" one shard ⇒ zero
-        // broadcast, zero parallelism); the load term rejects those.
+        // One shard has no cuts, so every field scores alike and the pick
+        // is field 0.
         let score = |p: &ShardPlan| {
             let max_home = p.home.iter().map(Vec::len).max().unwrap_or(0);
             (max_home + p.broadcast.len(), p.broadcast.len())
         };
-        let mut best: Option<ShardPlan> = None;
-        for dim in dims {
-            let plan = Self::build_in_dim(set, cfg.shards, dim);
-            if best.as_ref().map_or(true, |b| score(&plan) < score(b)) {
-                best = Some(plan);
-            }
-        }
-        Ok(best.expect("at least one candidate dimension"))
+        Ok((0..set.num_fields())
+            .map(|dim| Self::build_in_dim(set, shards, dim))
+            .min_by_key(score)
+            .expect("at least one candidate field"))
     }
 
     fn build_in_dim(set: &RuleSet, n: usize, dim: usize) -> Self {
@@ -241,8 +197,8 @@ mod tests {
     #[test]
     fn range_plan_homes_fitting_rules_and_balances() {
         let set = port_set(400);
-        let cfg = ShardPlanConfig { shards: 4, dim: Some(3) };
-        let plan = ShardPlan::build(&set, &cfg).unwrap();
+        let plan = ShardPlan::build(&set, 4).unwrap();
+        assert_eq!(plan.dim(), 3);
         assert_eq!(plan.shards(), 4);
         let homed: usize = (0..4).map(|s| plan.home(s).len()).sum();
         // A cut can split at most one 100-wide rule per boundary.
@@ -260,8 +216,7 @@ mod tests {
         // home shard (or the rule broadcasts).
         let set = port_set(120);
         for shards in [1usize, 2, 3, 8] {
-            let cfg = ShardPlanConfig { shards, dim: Some(3) };
-            let plan = ShardPlan::build(&set, &cfg).unwrap();
+            let plan = ShardPlan::build(&set, shards).unwrap();
             for rule in set.rules() {
                 let route = plan.route_rule(rule);
                 for v in [
@@ -288,8 +243,7 @@ mod tests {
             .map(|i| FiveTuple::new().dst_port_exact(i * 7).into_rule(i as u32, i as u32))
             .collect();
         let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-        let cfg = ShardPlanConfig { shards: 2, dim: None };
-        let plan = ShardPlan::build(&set, &cfg).unwrap();
+        let plan = ShardPlan::build(&set, 2).unwrap();
         assert_eq!(plan.dim(), 3, "auto-pick must choose the diverse field");
         assert!(plan.broadcast().is_empty());
     }
@@ -297,7 +251,7 @@ mod tests {
     #[test]
     fn single_shard_plan_is_trivial() {
         let set = port_set(10);
-        let plan = ShardPlan::build(&set, &ShardPlanConfig::default()).unwrap();
+        let plan = ShardPlan::build(&set, 1).unwrap();
         assert_eq!(plan.shards(), 1);
         assert_eq!(plan.home(0).len(), 10);
         assert!(plan.broadcast().is_empty());
@@ -307,8 +261,7 @@ mod tests {
     #[test]
     fn subsets_preserve_ids_and_cover_everything() {
         let set = port_set(90);
-        let cfg = ShardPlanConfig { shards: 3, dim: Some(3) };
-        let plan = ShardPlan::build(&set, &cfg).unwrap();
+        let plan = ShardPlan::build(&set, 3).unwrap();
         let (home, broadcast) = plan.subsets(&set);
         let covered: usize = home.iter().map(RuleSet::len).sum::<usize>() + broadcast.len();
         assert_eq!(covered, 90);
@@ -320,11 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_shards_and_bad_dim() {
-        let set = port_set(5);
-        assert!(
-            ShardPlan::build(&set, &ShardPlanConfig { shards: 0, ..Default::default() }).is_err()
-        );
-        assert!(ShardPlan::build(&set, &ShardPlanConfig { shards: 2, dim: Some(9) }).is_err());
+    fn rejects_zero_shards() {
+        assert!(ShardPlan::build(&port_set(5), 0).is_err());
     }
 }

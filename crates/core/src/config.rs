@@ -1,7 +1,5 @@
 //! Configuration for RQ-RMI training and the NuevoMatch system.
 
-use nm_nn::AdamConfig;
-
 /// How submodels are optimised. The model family (1×H×1 ReLU MLP) and the
 /// analytic correctness machinery are identical in all modes; only the weight
 /// search differs.
@@ -10,8 +8,13 @@ pub enum TrainerKind {
     /// Closed-form hinge least squares (deterministic, fastest; default).
     #[default]
     Hinge,
-    /// Paper-faithful: random init + Adam with MSE loss (§3.5.5).
-    Adam(AdamConfig),
+    /// Paper-faithful: random init + Adam with MSE loss (§3.5.5), at most
+    /// `epochs` full-batch steps per submodel. The optimiser's own
+    /// hyper-parameters are `nm_nn::Adam`'s constants.
+    Adam {
+        /// Epoch budget; training stops earlier once the loss settles.
+        epochs: usize,
+    },
 }
 
 /// RQ-RMI structure and training parameters.

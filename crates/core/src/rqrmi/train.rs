@@ -395,9 +395,9 @@ fn fit(trainer: &TrainerKind, data: &[(f32, f32)], seed: u64) -> Mlp {
     let hidden = Mlp::PAPER_HIDDEN;
     match trainer {
         TrainerKind::Hinge => fit_hinge(hidden, data),
-        TrainerKind::Adam(cfg) => {
+        TrainerKind::Adam { epochs } => {
             let mut net = Mlp::random(hidden, seed);
-            Adam::train(&mut net, data, *cfg);
+            Adam::train(&mut net, data, *epochs);
             net
         }
     }
@@ -640,7 +640,7 @@ mod tests {
         let ranges = random_disjoint_ranges(7, 100, 16);
         let p = RqRmiParams {
             samples_init: 256,
-            trainer: TrainerKind::Adam(nm_nn::AdamConfig { epochs: 60, ..Default::default() }),
+            trainer: TrainerKind::Adam { epochs: 60 },
             max_attempts: 2,
             ..Default::default()
         };

@@ -662,7 +662,6 @@ mod tests {
     use super::*;
     use crate::config::{NuevoMatchConfig, RqRmiParams};
     use crate::system::parallel::run_sequential;
-    use nm_common::shard::ShardPlanConfig;
     use nm_common::{FieldsSpec, FiveTuple, LinearSearch, RuleSet, UpdateBatch};
 
     fn port_set(n: u16) -> RuleSet {
@@ -697,13 +696,7 @@ mod tests {
     fn sharded_run_matches_sequential() {
         let set = port_set(200);
         let handle = ClassifierHandle::new(&set, &fast_cfg(), LinearSearch::build).unwrap();
-        let sharded = ShardedHandle::new(
-            &set,
-            &fast_cfg(),
-            &ShardPlanConfig { shards: 2, dim: Some(3) },
-            LinearSearch::build,
-        )
-        .unwrap();
+        let sharded = ShardedHandle::new(&set, &fast_cfg(), 2, LinearSearch::build).unwrap();
         let t = trace(4_000);
         let seq = run_sequential(&handle, &t);
         for (batch, wps) in [(128usize, 1usize), (128, 2), (7, 1), (512, 2)] {
@@ -794,9 +787,7 @@ mod tests {
     #[test]
     fn per_worker_flow_cache_is_transparent() {
         let set = port_set(120);
-        let plan_cfg = ShardPlanConfig { shards: 2, dim: Some(3) };
-        let sharded =
-            ShardedHandle::new(&set, &fast_cfg(), &plan_cfg, LinearSearch::build).unwrap();
+        let sharded = ShardedHandle::new(&set, &fast_cfg(), 2, LinearSearch::build).unwrap();
         let handle = ClassifierHandle::new(&set, &fast_cfg(), LinearSearch::build).unwrap();
         // A skewed trace: few distinct keys, many repeats.
         let mut t = TraceBuf::new(5);

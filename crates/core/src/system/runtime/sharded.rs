@@ -37,7 +37,7 @@ use std::sync::Arc;
 use nm_common::classifier::{apply_floors, Classifier, MatchResult};
 use nm_common::rule::{Priority, Rule, RuleId};
 use nm_common::ruleset::RuleSet;
-use nm_common::shard::{ShardPlan, ShardPlanConfig, ShardRoute};
+use nm_common::shard::{ShardPlan, ShardRoute};
 use nm_common::update::{
     apply_ops, BatchUpdatable, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
 };
@@ -87,13 +87,13 @@ pub struct ShardedClassifier<C> {
 pub type ShardEpoch<R> = ShardedClassifier<NuevoMatch<R>>;
 
 impl<C: Classifier> ShardedClassifier<C> {
-    /// Builds the plan over `set` and one engine per subset.
+    /// Builds a `shards`-way plan over `set` and one engine per subset.
     pub fn build(
         set: &RuleSet,
-        cfg: &ShardPlanConfig,
+        shards: usize,
         builder: impl Fn(&RuleSet) -> C,
     ) -> Result<Self, Error> {
-        let plan = ShardPlan::build(set, cfg)?;
+        let plan = ShardPlan::build(set, shards)?;
         let (home_sets, broadcast_set) = plan.subsets(set);
         let home = home_sets.iter().map(&builder).collect();
         let broadcast = (!broadcast_set.is_empty()).then(|| builder(&broadcast_set));
@@ -337,20 +337,20 @@ impl<R: Classifier> Clone for ShardedHandle<R> {
 }
 
 impl<R: Classifier> ShardedHandle<R> {
-    /// Builds the plan over `set` and one NuevoMatch per subset (the
-    /// broadcast shard's is always built, possibly empty, so later updates
-    /// can route wildcard rules to it).
+    /// Builds a `shards`-way plan over `set` and one NuevoMatch per subset
+    /// (the broadcast shard's is always built, possibly empty, so later
+    /// updates can route wildcard rules to it).
     pub fn new<B>(
         set: &RuleSet,
         cfg: &NuevoMatchConfig,
-        plan_cfg: &ShardPlanConfig,
+        shards: usize,
         builder: B,
     ) -> Result<Self, Error>
     where
         B: Fn(&RuleSet) -> R + Send + Sync + 'static,
         R: 'static,
     {
-        let plan = Arc::new(ShardPlan::build(set, plan_cfg)?);
+        let plan = Arc::new(ShardPlan::build(set, shards)?);
         let recipe = RetrainRecipe { cfg: cfg.clone(), builder: Arc::new(builder) };
         let build = |s: &RuleSet| NuevoMatch::build(s, cfg, &*recipe.builder);
         let (home_sets, broadcast_set) = plan.subsets(set);
@@ -576,10 +576,6 @@ mod tests {
         }
     }
 
-    fn plan_cfg(shards: usize) -> ShardPlanConfig {
-        ShardPlanConfig { shards, dim: Some(3) }
-    }
-
     /// The steering/broadcast contract, for either instantiation of the
     /// plane: per key, batched (with and without floors) and shard by shard
     /// as a runtime worker asks the plan, `plane` answers like the whole-set
@@ -633,8 +629,7 @@ mod tests {
         for (set, broadcasts) in narrow_and_wide_sets().iter().zip([false, true]) {
             let whole = LinearSearch::build(set);
             for shards in [1usize, 2, 5] {
-                let sc =
-                    ShardedClassifier::build(set, &plan_cfg(shards), LinearSearch::build).unwrap();
+                let sc = ShardedClassifier::build(set, shards, LinearSearch::build).unwrap();
                 assert_eq!(sc.plan().broadcast().is_empty(), !broadcasts || shards == 1);
                 assert_plane_equals_whole_set(&sc, &whole, &format!("static, {shards} shard(s)"));
             }
@@ -647,8 +642,7 @@ mod tests {
             let whole = LinearSearch::build(set);
             for shards in [1usize, 2, 5] {
                 let live =
-                    ShardedHandle::new(set, &fast_cfg(), &plan_cfg(shards), LinearSearch::build)
-                        .unwrap();
+                    ShardedHandle::new(set, &fast_cfg(), shards, LinearSearch::build).unwrap();
                 assert_plane_equals_whole_set(&live, &whole, &format!("live, {shards} shard(s)"));
             }
         }
@@ -658,8 +652,7 @@ mod tests {
     fn sharded_handle_apply_fans_and_stays_coherent_with_reference() {
         let set = port_set(200);
         let reference = ClassifierHandle::new(&set, &fast_cfg(), LinearSearch::build).unwrap();
-        let sharded =
-            ShardedHandle::new(&set, &fast_cfg(), &plan_cfg(3), LinearSearch::build).unwrap();
+        let sharded = ShardedHandle::new(&set, &fast_cfg(), 3, LinearSearch::build).unwrap();
         let probe = |a: &dyn Classifier, b: &dyn Classifier| {
             for port in (0u64..30_000).step_by(23) {
                 let key = [0, 0, 0, port, 0];
@@ -721,8 +714,7 @@ mod tests {
     #[test]
     fn sharded_retrain_republishes_one_epoch() {
         let set = port_set(240);
-        let sharded =
-            ShardedHandle::new(&set, &fast_cfg(), &plan_cfg(2), LinearSearch::build).unwrap();
+        let sharded = ShardedHandle::new(&set, &fast_cfg(), 2, LinearSearch::build).unwrap();
         // Drift a few rules (moves to other shards / broadcast included).
         for i in 0..10u32 {
             sharded.apply(
@@ -743,8 +735,7 @@ mod tests {
     #[test]
     fn epoch_pin_is_immutable_under_updates() {
         let set = port_set(150);
-        let sharded =
-            ShardedHandle::new(&set, &fast_cfg(), &plan_cfg(2), LinearSearch::build).unwrap();
+        let sharded = ShardedHandle::new(&set, &fast_cfg(), 2, LinearSearch::build).unwrap();
         let pinned = sharded.epoch();
         let keys: Vec<u64> = (0..300u64).flat_map(|i| [0, 0, 0, i * 211 % 65_536, 0]).collect();
         let verdicts = |epoch: &EpochSnapshot<LinearSearch>| {
@@ -795,7 +786,7 @@ mod tests {
             partial_retrain: crate::config::PartialRetrainPolicy::never(),
             ..fast_cfg()
         };
-        let sharded = ShardedHandle::new(&set, &full_only, &plan_cfg(2), builder).unwrap();
+        let sharded = ShardedHandle::new(&set, &full_only, 2, builder).unwrap();
         let drift = UpdateBatch::new()
             .modify(FiveTuple::new().dst_port_range(3_000, 3_010).into_rule(30, 30))
             .insert(FiveTuple::new().dst_port_exact(60_000).into_rule(900, 0));

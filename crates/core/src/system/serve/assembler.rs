@@ -361,7 +361,7 @@ pub(super) mod tests {
             let sock = UdpSocket::bind(("127.0.0.1", 0)).expect("loopback socket");
             let peer = sock.local_addr().expect("bound address");
             let stats = Arc::new(Mutex::new(ServeStats::new()));
-            let validator = Validator::new(Arc::new(OracleTable::new(1)), 0);
+            let validator = Validator::new(Arc::new(OracleTable::new()), 0);
             Self {
                 asm: Assembler::new(
                     Arc::new(StubPlane),
@@ -566,7 +566,7 @@ pub(super) mod tests {
             128,
             DEADLINE,
             1,
-            Validator::new(Arc::new(OracleTable::new(1)), 0),
+            Validator::new(Arc::new(OracleTable::new()), 0),
             stats.clone(),
         );
         let now = Instant::now();
@@ -608,7 +608,7 @@ pub(super) mod tests {
             128,
             DEADLINE,
             1,
-            Validator::new(Arc::new(OracleTable::new(1)), 0),
+            Validator::new(Arc::new(OracleTable::new()), 0),
             stats.clone(),
         );
         let mut flush_of = |n: u64| {

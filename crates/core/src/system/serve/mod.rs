@@ -41,7 +41,7 @@ pub use assembler::{Assembler, ReplySink};
 pub use client::ServeClient;
 pub use plane::{PinnedPlane, ServePlane};
 pub use stats::{FlushCause, ReaderKind, ServeStats};
-pub use validator::{OracleTable, Validator, ORACLE_KEEP};
+pub use validator::{OracleTable, Validator};
 
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
@@ -219,7 +219,7 @@ impl<P: ServePlane> Server<P> {
         let shared = Arc::new(Shared {
             plane: Arc::new(plane),
             cfg: cfg.clone(),
-            oracle: Arc::new(OracleTable::new(ORACLE_KEEP)),
+            oracle: Arc::new(OracleTable::new()),
             shutdown: AtomicBool::new(false),
             slots: Mutex::new(Vec::new()),
             conn_joins: Mutex::new(Vec::new()),

@@ -250,14 +250,14 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
 mod tests {
     use super::*;
     use crate::system::serve::assembler::tests::StubPlane;
-    use crate::system::serve::{OracleTable, ServeConfig, ORACLE_KEEP};
+    use crate::system::serve::{OracleTable, ServeConfig};
     use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Mutex;
 
     fn stub_shared() -> Arc<Shared<StubPlane>> {
         Arc::new(Shared {
             plane: Arc::new(StubPlane),
-            oracle: Arc::new(OracleTable::new(ORACLE_KEEP)),
+            oracle: Arc::new(OracleTable::new()),
             cfg: ServeConfig { stride: 1, ..ServeConfig::default() },
             shutdown: AtomicBool::new(false),
             slots: Mutex::new(Vec::new()),

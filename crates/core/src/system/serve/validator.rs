@@ -22,20 +22,20 @@ use nm_common::LinearSearch;
 
 use super::stats::ServeStats;
 
-/// Oracle generations a [`super::Server`] retains for validation.
-pub const ORACLE_KEEP: usize = 8;
+/// Oracle generations an [`OracleTable`] retains for validation.
+const ORACLE_KEEP: usize = 8;
 
 /// Generation-indexed [`LinearSearch`] oracles, bounded to the most recent
 /// window so a long-running service does not accumulate truth forever.
+#[derive(Default)]
 pub struct OracleTable {
-    keep: usize,
     inner: Mutex<VecDeque<(Generation, Arc<LinearSearch>)>>,
 }
 
 impl OracleTable {
-    /// A table retaining the `keep` most recently published generations.
-    pub fn new(keep: usize) -> Self {
-        Self { keep: keep.max(1), inner: Mutex::new(VecDeque::new()) }
+    /// A table retaining the 8 most recently published generations.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Publishes the truth for `generation`. Re-publishing a generation
@@ -44,7 +44,7 @@ impl OracleTable {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.retain(|(g, _)| *g != generation);
         inner.push_back((generation, Arc::new(oracle)));
-        while inner.len() > self.keep {
+        while inner.len() > ORACLE_KEEP {
             inner.pop_front();
         }
     }
@@ -128,11 +128,12 @@ mod tests {
 
     #[test]
     fn table_is_bounded_and_generation_indexed() {
-        let t = OracleTable::new(2);
-        t.publish(1, oracle(4, 0));
-        t.publish(2, oracle(4, 100));
-        t.publish(3, oracle(4, 200));
-        assert_eq!(t.generations(), vec![2, 3]);
+        let t = OracleTable::new();
+        let last = ORACLE_KEEP as Generation + 1;
+        for g in 1..=last {
+            t.publish(g, oracle(4, 100 * (g as u32 - 1)));
+        }
+        assert_eq!(t.generations(), (2..=last).collect::<Vec<_>>());
         assert!(t.get(1).is_none(), "evicted");
         let key = [0u64, 0, 0, 15, 0]; // dst_port 15 → rule 1
                                        // Gen 2 and gen 3 oracles disagree on priority — the table must
@@ -143,7 +144,7 @@ mod tests {
 
     #[test]
     fn validator_counts_mismatches_and_skips() {
-        let t = Arc::new(OracleTable::new(4));
+        let t = Arc::new(OracleTable::new());
         t.publish(7, oracle(4, 0));
         let mut v = Validator::new(t, 1);
         let mut stats = ServeStats::new();
@@ -160,11 +161,11 @@ mod tests {
 
     #[test]
     fn sampling_rate_is_one_in_n() {
-        let t = Arc::new(OracleTable::new(1));
+        let t = Arc::new(OracleTable::new());
         let mut v = Validator::new(t, 8);
         let picked = (0..64).filter(|_| v.sample()).count();
         assert_eq!(picked, 8);
-        let mut off = Validator::new(Arc::new(OracleTable::new(1)), 0);
+        let mut off = Validator::new(Arc::new(OracleTable::new()), 0);
         assert!((0..64).all(|_| !off.sample()));
     }
 }

@@ -7,34 +7,21 @@
 
 use crate::mlp::Mlp;
 
-/// Hyper-parameters for [`Adam`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdamConfig {
-    /// Step size (default 0.01 — aggressive but fine for 25 parameters).
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical fuzz.
-    pub eps: f32,
-    /// Number of full-batch epochs.
-    pub epochs: usize,
-    /// Stop early when the epoch-over-epoch loss improvement drops below
-    /// this relative threshold (0 disables early stopping).
-    pub tol: f64,
-}
-
-impl Default for AdamConfig {
-    fn default() -> Self {
-        Self { lr: 0.01, beta1: 0.9, beta2: 0.999, eps: 1e-8, epochs: 400, tol: 1e-7 }
-    }
-}
+/// Step size: aggressive, but fine for 25 parameters.
+const LR: f32 = 0.01;
+/// First-moment decay.
+const BETA1: f32 = 0.9;
+/// Second-moment decay.
+const BETA2: f32 = 0.999;
+/// Numerical fuzz.
+const EPS: f32 = 1e-8;
+/// [`Adam::train`] stops early once an epoch improves the loss by less than
+/// this fraction.
+const TOL: f64 = 1e-7;
 
 /// Adam state for one [`Mlp`]. Parameters are flattened as
 /// `[w1.., b1.., w2.., b2]`.
 pub struct Adam {
-    cfg: AdamConfig,
     m: Vec<f32>,
     v: Vec<f32>,
     t: i32,
@@ -42,29 +29,30 @@ pub struct Adam {
 
 impl Adam {
     /// Creates optimizer state for a network with `hidden` neurons.
-    pub fn new(hidden: usize, cfg: AdamConfig) -> Self {
+    pub fn new(hidden: usize) -> Self {
         let n = 3 * hidden + 1;
-        Self { cfg, m: vec![0.0; n], v: vec![0.0; n], t: 0 }
+        Self { m: vec![0.0; n], v: vec![0.0; n], t: 0 }
     }
 
-    /// Runs full-batch training of `net` on `data`, returning the final MSE.
+    /// Runs up to `epochs` full-batch steps of `net` on `data`, stopping
+    /// early once the loss stops improving, and returns the final MSE.
     ///
     /// `data` must be non-empty; an empty dataset returns 0 and leaves the
     /// network untouched (the RQ-RMI trainer handles empty responsibilities
     /// upstream).
-    pub fn train(net: &mut Mlp, data: &[(f32, f32)], cfg: AdamConfig) -> f64 {
+    pub fn train(net: &mut Mlp, data: &[(f32, f32)], epochs: usize) -> f64 {
         if data.is_empty() {
             return 0.0;
         }
-        let mut opt = Adam::new(net.hidden(), cfg);
+        let mut opt = Adam::new(net.hidden());
         let mut prev = f64::INFINITY;
         let mut loss = net.mse(data);
-        for _ in 0..cfg.epochs {
+        for _ in 0..epochs {
             opt.step(net, data);
             loss = net.mse(data);
-            if cfg.tol > 0.0 && prev.is_finite() {
+            if prev.is_finite() {
                 let improve = (prev - loss).abs() / prev.max(1e-30);
-                if improve < cfg.tol {
+                if improve < TOL {
                     break;
                 }
             }
@@ -106,14 +94,14 @@ impl Adam {
     fn apply(&mut self, net: &mut Mlp, grad: &[f32]) {
         let h = net.hidden();
         self.t += 1;
-        let b1c = 1.0 - self.cfg.beta1.powi(self.t);
-        let b2c = 1.0 - self.cfg.beta2.powi(self.t);
+        let b1c = 1.0 - BETA1.powi(self.t);
+        let b2c = 1.0 - BETA2.powi(self.t);
         let mut upd = |idx: usize, g: f32, p: &mut f32| {
-            self.m[idx] = self.cfg.beta1 * self.m[idx] + (1.0 - self.cfg.beta1) * g;
-            self.v[idx] = self.cfg.beta2 * self.v[idx] + (1.0 - self.cfg.beta2) * g * g;
+            self.m[idx] = BETA1 * self.m[idx] + (1.0 - BETA1) * g;
+            self.v[idx] = BETA2 * self.v[idx] + (1.0 - BETA2) * g * g;
             let mhat = self.m[idx] / b1c;
             let vhat = self.v[idx] / b2c;
-            *p -= self.cfg.lr * mhat / (vhat.sqrt() + self.cfg.eps);
+            *p -= LR * mhat / (vhat.sqrt() + EPS);
         };
         for (j, w) in net.w1.iter_mut().enumerate() {
             upd(j, grad[j], w);
@@ -132,6 +120,15 @@ impl Adam {
 mod tests {
     use super::*;
 
+    /// Every one of `epochs` steps, with no early stop; the final MSE.
+    fn train_every_epoch(net: &mut Mlp, data: &[(f32, f32)], epochs: usize) -> f64 {
+        let mut opt = Adam::new(net.hidden());
+        for _ in 0..epochs {
+            opt.step(net, data);
+        }
+        net.mse(data)
+    }
+
     fn linear_data(n: usize) -> Vec<(f32, f32)> {
         (0..n)
             .map(|i| {
@@ -145,11 +142,7 @@ mod tests {
     fn learns_a_line() {
         let data = linear_data(64);
         let mut net = Mlp::random(8, 1);
-        let loss = Adam::train(
-            &mut net,
-            &data,
-            AdamConfig { epochs: 2000, tol: 0.0, ..Default::default() },
-        );
+        let loss = train_every_epoch(&mut net, &data, 2000);
         assert!(loss < 1e-4, "final loss {loss}");
     }
 
@@ -171,11 +164,7 @@ mod tests {
             .collect();
         let mut net = Mlp::random(8, 2);
         let before = net.mse(&data);
-        let loss = Adam::train(
-            &mut net,
-            &data,
-            AdamConfig { epochs: 3000, tol: 0.0, ..Default::default() },
-        );
+        let loss = train_every_epoch(&mut net, &data, 3000);
         // The target has jump discontinuities, so a continuous model bottoms
         // out near the quantisation floor — just require the rough shape.
         assert!(loss < 2e-2, "final loss {loss}");
@@ -187,7 +176,7 @@ mod tests {
         let data = linear_data(32);
         let mut net = Mlp::random(8, 3);
         let before = net.mse(&data);
-        Adam::train(&mut net, &data, AdamConfig { epochs: 50, tol: 0.0, ..Default::default() });
+        train_every_epoch(&mut net, &data, 50);
         let after = net.mse(&data);
         assert!(after < before, "loss went {before} -> {after}");
     }
@@ -196,7 +185,7 @@ mod tests {
     fn empty_dataset_is_noop() {
         let mut net = Mlp::random(8, 4);
         let copy = net.clone();
-        let loss = Adam::train(&mut net, &[], AdamConfig::default());
+        let loss = Adam::train(&mut net, &[], 400);
         assert_eq!(loss, 0.0);
         assert_eq!(net, copy);
     }

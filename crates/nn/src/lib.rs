@@ -16,7 +16,8 @@
 //! * **Closed-form hinge fitting** ([`hinge`]): ReLU kinks placed at input
 //!   quantiles + ridge least-squares for the output layer. Deterministic and
 //!   ~100× faster than iterative training for these model sizes (the
-//!   "paper-faithful" mode trains with Adam from a random init instead).
+//!   "paper-faithful" mode trains with [`Adam`] from a random init instead:
+//!   fixed hyper-parameters, the caller picks only the epoch budget).
 //! * **Piece-wise-linear analysis** ([`piecewise`]): exact extraction of the
 //!   clamped model's linear segments, the foundation of the paper's analytic
 //!   trigger-input / transition-input / error-bound machinery (§3.5,
@@ -35,7 +36,7 @@ pub mod hinge;
 pub mod mlp;
 pub mod piecewise;
 
-pub use adam::{Adam, AdamConfig};
+pub use adam::Adam;
 pub use hinge::fit_hinge;
 pub use mlp::{Mlp, ONE_MINUS_EPS};
 pub use piecewise::{segments, Segment};

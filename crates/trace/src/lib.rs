@@ -122,35 +122,26 @@ pub fn zipf_trace(set: &RuleSet, n: usize, alpha: f64, seed: u64) -> TraceBuf {
     trace
 }
 
-/// Knobs for the CAIDA-like locality synthesiser.
-#[derive(Clone, Copy, Debug)]
-pub struct CaidaLikeConfig {
-    /// Zipf exponent for flow popularity (measured backbone traces sit
-    /// around 1.1–1.3).
-    pub alpha: f64,
-    /// Mean packet-train length (geometric); CAIDA-style traces show short
-    /// back-to-back bursts per flow at a link.
-    pub mean_train: f64,
-}
+/// Zipf exponent of the CAIDA-like trace's flow popularity (measured
+/// backbone traces sit around 1.1–1.3).
+const CAIDA_ALPHA: f64 = 1.2;
+/// Mean packet-train length of the CAIDA-like trace (geometric):
+/// CAIDA-style traces show short back-to-back bursts per flow at a link.
+const CAIDA_MEAN_TRAIN: f64 = 4.0;
 
-impl Default for CaidaLikeConfig {
-    fn default() -> Self {
-        Self { alpha: 1.2, mean_train: 4.0 }
-    }
-}
-
-/// CAIDA-like trace: Zipf flow popularity plus geometric packet trains —
-/// each draw emits a burst of consecutive packets from one flow.
-pub fn caida_like_trace(set: &RuleSet, n: usize, cfg: CaidaLikeConfig, seed: u64) -> TraceBuf {
+/// CAIDA-like trace: Zipf flow popularity (α 1.2) plus geometric packet
+/// trains (mean length 4, at most 64) — each draw emits a burst of
+/// consecutive packets from one flow.
+pub fn caida_like_trace(set: &RuleSet, n: usize, seed: u64) -> TraceBuf {
     let stride = set.num_fields();
     let mut trace = TraceBuf::with_capacity(stride, n);
     if set.is_empty() {
         return trace;
     }
     let flows = flow_headers(set, seed);
-    let zipf = ZipfSampler::new(flows.len(), cfg.alpha);
+    let zipf = ZipfSampler::new(flows.len(), CAIDA_ALPHA);
     let mut rng = SplitMix64::new(seed ^ 0x000c_a1da);
-    let p = (1.0 / cfg.mean_train).clamp(1e-6, 1.0);
+    let p = 1.0 / CAIDA_MEAN_TRAIN;
     while trace.len() < n {
         let flow = &flows[zipf.sample(rng.f64())];
         // Geometric train length ≥ 1.
@@ -229,7 +220,7 @@ mod tests {
     #[test]
     fn caida_like_has_trains() {
         let set = small_set();
-        let trace = caida_like_trace(&set, 5_000, CaidaLikeConfig::default(), 9);
+        let trace = caida_like_trace(&set, 5_000, 9);
         assert_eq!(trace.len(), 5_000);
         // Count back-to-back repeats: with mean train 4, well over a third
         // of adjacent pairs repeat; a uniform trace would repeat almost never.
@@ -257,6 +248,6 @@ mod tests {
         let set = RuleSet::new(nm_common::FieldsSpec::five_tuple(), vec![]).unwrap();
         assert!(uniform_trace(&set, 100, 1).is_empty());
         assert!(zipf_trace(&set, 100, 1.1, 1).is_empty());
-        assert!(caida_like_trace(&set, 100, CaidaLikeConfig::default(), 1).is_empty());
+        assert!(caida_like_trace(&set, 100, 1).is_empty());
     }
 }

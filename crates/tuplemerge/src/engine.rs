@@ -43,14 +43,15 @@ use nm_common::ruleset::{FieldsSpec, RuleSet};
 use nm_common::update::{BatchUpdatable, UpdateBatch, UpdateReport};
 use std::collections::HashMap;
 
-/// TupleMerge parameters.
+/// TupleMerge parameters: the default is TupleMerge, [`TupleSpaceSearch`]
+/// the one other setting outside tests.
 #[derive(Clone, Copy, Debug)]
-pub struct TupleMergeConfig {
+pub(crate) struct TupleMergeConfig {
     /// Maximum bucket size before a table splits (paper: 40, §5.1).
-    pub collision_limit: usize,
+    pub(crate) collision_limit: usize,
     /// Relax natural tuples so related tuples share tables (TupleMerge).
     /// `false` gives classic Tuple Space Search.
-    pub relax: bool,
+    pub(crate) relax: bool,
 }
 
 impl Default for TupleMergeConfig {
@@ -123,7 +124,7 @@ impl TupleMerge {
     }
 
     /// Builds with explicit parameters.
-    pub fn with_config(set: &RuleSet, cfg: TupleMergeConfig) -> Self {
+    pub(crate) fn with_config(set: &RuleSet, cfg: TupleMergeConfig) -> Self {
         let mut tm = Self {
             spec: set.spec().clone(),
             cfg,

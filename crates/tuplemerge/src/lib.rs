@@ -74,4 +74,4 @@ mod proptests;
 mod rules;
 mod table;
 
-pub use engine::{ProbeTally, TupleMerge, TupleMergeConfig, TupleSpaceSearch};
+pub use engine::{ProbeTally, TupleMerge, TupleSpaceSearch};

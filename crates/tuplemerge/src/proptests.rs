@@ -6,7 +6,8 @@
 //! line, so the comparison also covers the table filter: stale bits after
 //! removals, a split table's column reset, and the recompute.
 
-use crate::{TupleMerge, TupleMergeConfig};
+use crate::engine::TupleMergeConfig;
+use crate::TupleMerge;
 use nm_common::{
     BatchUpdatable, Classifier, FieldsSpec, FiveTuple, LinearSearch, MatchResult, Priority, Rule,
     RuleId, RuleSet, UpdateBatch,

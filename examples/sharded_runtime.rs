@@ -14,7 +14,7 @@
 //! ```
 
 use nm_classbench::{generate, AppKind};
-use nm_common::{FiveTuple, ShardPlanConfig, UpdateBatch};
+use nm_common::{FiveTuple, UpdateBatch};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::system::parallel::run_sequential;
@@ -25,9 +25,9 @@ fn main() {
     let trace = uniform_trace(&set, 100_000, 22);
 
     // Partition: 2 home shards, steering field auto-picked to minimise the
-    // broadcast shard (wildcard-heavy rules every packet must consult).
-    let plan = ShardPlanConfig { shards: 2, dim: None };
-    let sharded = ShardedHandle::new(&set, &NuevoMatchConfig::default(), &plan, TupleMerge::build)
+    // busiest worker's load (its home shard plus the broadcast shard of
+    // wildcard-heavy rules every packet must consult).
+    let sharded = ShardedHandle::new(&set, &NuevoMatchConfig::default(), 2, TupleMerge::build)
         .expect("sharded build");
     println!(
         "plan: {} shards over field {} ({:.1}% broadcast), logical generation {}",

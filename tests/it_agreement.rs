@@ -6,11 +6,11 @@
 //! baseline's, which must be identical to brute force.
 
 use nm_classbench::{generate, stanford_fib, AppKind};
-use nm_common::{Classifier, LinearSearch, RuleSet};
+use nm_common::{Classifier, LinearSearch, RuleSet, ShardPlan};
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
-use nm_trace::{caida_like_trace, uniform_trace, zipf_trace, CaidaLikeConfig};
+use nm_trace::{caida_like_trace, uniform_trace, zipf_trace};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
-use nuevomatch::{NuevoMatch, NuevoMatchConfig, RqRmiParams};
+use nuevomatch::{save_rqrmi, train_rqrmi, NuevoMatch, NuevoMatchConfig, RqRmiParams, TrainerKind};
 
 fn engines(set: &RuleSet) -> Vec<(String, Box<dyn Classifier>)> {
     let nc_cfg = NeuroCutsConfig { iterations: 6, sample: 512 };
@@ -38,7 +38,7 @@ fn check_traces(name: &str, set: &RuleSet) {
     let traces = [
         ("uniform", uniform_trace(set, 1_500, 1)),
         ("zipf", zipf_trace(set, 1_500, 1.2, 2)),
-        ("caida-like", caida_like_trace(set, 1_500, CaidaLikeConfig::default(), 3)),
+        ("caida-like", caida_like_trace(set, 1_500, 3)),
     ];
     for (tname, trace) in &traces {
         for key in trace.iter() {
@@ -185,5 +185,57 @@ fn tree_engines_build_golden_trees() {
         assert_eq!(pin(&cs, &cs.stats(), &set), want_cs, "cs on {name}");
         let nc = NeuroCuts::with_config(&set, NeuroCutsConfig { iterations: 6, sample: 512 });
         assert_eq!(pin(&nc, &nc.stats(), &set), want_nc, "nc on {name}");
+    }
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// What nobody configures is pinned instead: the Adam optimiser's
+/// hyper-parameters (an Adam-trained RQ-RMI's bound and image) and early
+/// stop (where a small fit settles), the CAIDA-like trace's Zipf exponent
+/// and mean train length (its keys), and the shard plan's steering
+/// auto-pick (the field and shard sizes it settles on for `it_parallel`'s
+/// ACL set).
+#[test]
+fn fixed_constants_build_golden_models_traces_and_plans() {
+    let set = generate(AppKind::Acl, 4_000, 61);
+    let part = nuevomatch::iset::partition_isets(&set, 1, 0.0);
+    let iset = &part.isets[0];
+    let ranges: Vec<_> =
+        iset.rule_ids.iter().take(2_000).map(|&id| set.rule(id).fields[iset.dim]).collect();
+    let params = RqRmiParams {
+        samples_init: 256,
+        max_attempts: 2,
+        trainer: TrainerKind::Adam { epochs: 40 },
+        ..Default::default()
+    };
+    let model = train_rqrmi(&ranges, set.spec().bits(iset.dim), &params).unwrap();
+    let image = save_rqrmi(&model);
+    let image_hash = fnv1a(image.iter().map(|&b| b.into()));
+    assert_eq!(
+        (ranges.len(), model.max_error_bound(), image.len(), image_hash),
+        (2_000, 178, 2_223, 0x88a1_7d94_da35_af15),
+        "Adam-trained RQ-RMI"
+    );
+    // Forty epochs never reach the early stop; a staircase fit with a
+    // 2 000-epoch budget stops after 346.
+    let stairs: Vec<(f32, f32)> = (0..256u16)
+        .map(|i| f32::from(i) / 256.0)
+        .map(|x| (x, [0.2, 0.5, 0.9][usize::from(x >= 0.3) + usize::from(x >= 0.7)]))
+        .collect();
+    let loss = nm_nn::Adam::train(&mut nm_nn::Mlp::random(8, 63), &stairs, 2_000);
+    assert_eq!(loss.to_bits(), 0x3f81_4e0a_16ed_87c6, "Adam's early stop");
+
+    let trace = caida_like_trace(&set, 5_000, 62);
+    assert_eq!(fnv1a(trace.raw().iter().copied()), 0xbade_5d68_93db_2ce6, "CAIDA-like trace");
+
+    let set = generate(AppKind::Acl, 1_200, 41);
+    for (shards, want) in [(2, (1, vec![594, 600], 6)), (4, (1, vec![294, 300, 299, 300], 7))] {
+        let plan = ShardPlan::build(&set, shards).unwrap();
+        let homes = (0..plan.shards()).map(|s| plan.home(s).len()).collect();
+        assert_eq!((plan.dim(), homes, plan.broadcast().len()), want, "{shards}-shard plan");
     }
 }

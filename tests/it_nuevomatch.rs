@@ -71,7 +71,7 @@ fn adam_trainer_end_to_end() {
     let cfg = NuevoMatchConfig {
         rqrmi: RqRmiParams {
             samples_init: 256,
-            trainer: TrainerKind::Adam(nm_nn::AdamConfig { epochs: 40, ..Default::default() }),
+            trainer: TrainerKind::Adam { epochs: 40 },
             max_attempts: 2,
             ..Default::default()
         },

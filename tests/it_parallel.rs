@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use nm_classbench::{generate, AppKind};
-use nm_common::{Classifier, FieldsSpec, FiveTuple, RuleSet, ShardPlanConfig, UpdateBatch};
+use nm_common::{Classifier, FieldsSpec, FiveTuple, RuleSet, UpdateBatch};
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{uniform_trace, zipf_trace};
 use nm_tuplemerge::TupleMerge;
@@ -39,10 +39,6 @@ fn build(n: usize, seed: u64) -> (ClassifierHandle<TupleMerge>, nm_common::RuleS
 
 fn runtime(batch: usize) -> Runtime {
     Runtime::new(RuntimeConfig { batch, ..Default::default() })
-}
-
-fn plan(shards: usize) -> ShardPlanConfig {
-    ShardPlanConfig { shards, dim: None }
 }
 
 #[test]
@@ -103,8 +99,7 @@ fn sharded_runtime_equals_sequential_on_all_four_engines() {
         let whole = ClassifierHandle::new(&set, &fast_cfg(), TupleMerge::build).unwrap();
         let seq = run_sequential(&whole, &trace);
         for &(shards, wps) in &grids {
-            let sharded =
-                ShardedHandle::new(&set, &fast_cfg(), &plan(shards), TupleMerge::build).unwrap();
+            let sharded = ShardedHandle::new(&set, &fast_cfg(), shards, TupleMerge::build).unwrap();
             let rt = Runtime::new(RuntimeConfig { workers_per_shard: wps, ..Default::default() });
             let stats = rt.run(&sharded, &trace).unwrap();
             assert_eq!(stats.checksum, seq.checksum, "nm {shards}x{wps}");
@@ -124,20 +119,20 @@ fn sharded_runtime_equals_sequential_on_all_four_engines() {
             assert_eq!(direct.checksum, seq.checksum, "{name} per-key steer");
         };
     let tm = TupleMerge::build(&set);
-    let tm_sharded = ShardedClassifier::build(&set, &plan(2), |s: &RuleSet| {
+    let tm_sharded = ShardedClassifier::build(&set, 2, |s: &RuleSet| {
         Box::new(TupleMerge::build(s)) as Box<dyn Classifier>
     })
     .unwrap();
     check_static("tm", &tm, &tm_sharded);
     let cs = CutSplit::build(&set);
-    let cs_sharded = ShardedClassifier::build(&set, &plan(2), |s: &RuleSet| {
+    let cs_sharded = ShardedClassifier::build(&set, 2, |s: &RuleSet| {
         Box::new(CutSplit::build(s)) as Box<dyn Classifier>
     })
     .unwrap();
     check_static("cs", &cs, &cs_sharded);
     let nc_cfg = NeuroCutsConfig { iterations: 8, sample: 1_024 };
     let nc = NeuroCuts::with_config(&set, nc_cfg);
-    let nc_sharded = ShardedClassifier::build(&set, &plan(2), move |s: &RuleSet| {
+    let nc_sharded = ShardedClassifier::build(&set, 2, move |s: &RuleSet| {
         Box::new(NeuroCuts::with_config(s, nc_cfg)) as Box<dyn Classifier>
     })
     .unwrap();
@@ -156,9 +151,7 @@ fn epoch_pins_never_mix_generations_across_shards() {
         })
         .collect();
     let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-    let cfg = ShardPlanConfig { shards: 2, dim: Some(3) };
-    let sharded =
-        ShardedHandle::new(&set, &fast_cfg(), &cfg, nm_common::LinearSearch::build).unwrap();
+    let sharded = ShardedHandle::new(&set, &fast_cfg(), 2, nm_common::LinearSearch::build).unwrap();
     // Rule 2 lives in shard 0's range, rule 100 in shard 1's.
     assert_ne!(
         sharded.plan().steer(&[0, 0, 0, 1_100, 0]),
@@ -224,10 +217,8 @@ fn insert_into_an_initially_empty_broadcast_shard_is_served() {
         })
         .collect();
     let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-    let cfg = ShardPlanConfig { shards: 2, dim: Some(3) };
     let whole = ClassifierHandle::new(&set, &fast_cfg(), nm_common::LinearSearch::build).unwrap();
-    let sharded =
-        ShardedHandle::new(&set, &fast_cfg(), &cfg, nm_common::LinearSearch::build).unwrap();
+    let sharded = ShardedHandle::new(&set, &fast_cfg(), 2, nm_common::LinearSearch::build).unwrap();
     assert_eq!(sharded.plan().shards(), 2);
     assert_eq!(sharded.plan().broadcast_fraction(), 0.0, "the set must start broadcast-free");
 
@@ -264,7 +255,7 @@ fn insert_into_an_initially_empty_broadcast_shard_is_served() {
 fn one_shard_sharded_handle_equals_classifier_handle_step_by_step() {
     use nuevomatch::{PinnedPlane, ServePlane};
     let (plain, set) = build(500, 51);
-    let sharded = ShardedHandle::new(&set, &fast_cfg(), &plan(1), TupleMerge::build).unwrap();
+    let sharded = ShardedHandle::new(&set, &fast_cfg(), 1, TupleMerge::build).unwrap();
     let trace = uniform_trace(&set, 2_000, 52);
     let verdicts_agree = |step: &str| {
         assert_eq!(sharded.generation(), plain.generation(), "generation after {step}");
@@ -309,7 +300,7 @@ fn one_shard_sharded_handle_equals_classifier_handle_step_by_step() {
 #[test]
 fn sharded_runtime_survives_mid_run_updates_and_retrains() {
     let (reference, set) = build(600, 47);
-    let sharded = ShardedHandle::new(&set, &fast_cfg(), &plan(2), TupleMerge::build).unwrap();
+    let sharded = ShardedHandle::new(&set, &fast_cfg(), 2, TupleMerge::build).unwrap();
     let trace = uniform_trace(&set, 4_000, 48);
     let rt = runtime(128);
     let stop = std::sync::atomic::AtomicBool::new(false);
@@ -376,11 +367,10 @@ proptest! {
             .collect();
         rules.extend((0..seed_wildcards).map(|i| FiveTuple::new().into_rule(3_000 + i, 60 + i)));
         let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
-        let cfg = ShardPlanConfig { shards, dim: Some(3) };
         let reference =
             ClassifierHandle::new(&set, &fast_cfg(), nm_common::LinearSearch::build).unwrap();
         let sharded =
-            ShardedHandle::new(&set, &fast_cfg(), &cfg, nm_common::LinearSearch::build).unwrap();
+            ShardedHandle::new(&set, &fast_cfg(), shards, nm_common::LinearSearch::build).unwrap();
         prop_assert_eq!(sharded.plan().broadcast().len(), seed_wildcards as usize);
         let trace = uniform_trace(&set, 1_500, seed ^ 0xfeed);
         let rt = runtime(64);
@@ -469,8 +459,7 @@ fn sharded_apply_is_not_blocked_by_a_retrain_in_flight() {
         partial_retrain: nuevomatch::PartialRetrainPolicy::never(),
         ..fast_cfg()
     };
-    let cfg = ShardPlanConfig { shards: 2, dim: Some(3) };
-    let sharded = ShardedHandle::new(&set, &full_only, &cfg, builder).unwrap();
+    let sharded = ShardedHandle::new(&set, &full_only, 2, builder).unwrap();
     let key = [0u64, 0, 0, 61_234, 0];
     assert_eq!(sharded.classify(&key), None);
 

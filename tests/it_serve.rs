@@ -21,8 +21,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use nm_common::{
-    Classifier, FieldsSpec, FiveTuple, LinearSearch, Rule, RuleSet, ShardPlanConfig, SplitMix64,
-    UpdateBatch,
+    Classifier, FieldsSpec, FiveTuple, LinearSearch, Rule, RuleSet, SplitMix64, UpdateBatch,
 };
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::{
@@ -190,8 +189,7 @@ fn wire_verdicts_match_pinned_generation_reference_under_updates() {
 #[test]
 fn sharded_plane_serves_coherent_epochs_over_the_wire() {
     let set = base_set();
-    let plan = ShardPlanConfig { shards: 2, dim: None };
-    let sharded = ShardedHandle::new(&set, &cfg(), &plan, TupleMerge::build).expect("build");
+    let sharded = ShardedHandle::new(&set, &cfg(), 2, TupleMerge::build).expect("build");
     let scfg = ServeConfig {
         transport: Transport::Udp,
         max_batch: 16,
