@@ -4,8 +4,8 @@ use crate::args::{Args, ParsedCommand};
 use nm_analysis::{centrality_1d, diversity, Json, Table};
 use nm_classbench::{generate, parse_classbench, AppKind};
 use nm_common::memsize::human_bytes;
-use nm_common::{fivetuple, Classifier, FiveTuple, LinearSearch, Rule, RuleSet};
-use nm_common::{UpdateBatch, UpdateOp};
+use nm_common::{fivetuple, Classifier, FiveTuple, LinearSearch, RuleSet};
+use nm_common::{BatchUpdatable, UpdateBatch};
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{caida_like_trace, uniform_trace, zipf_trace};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
@@ -375,24 +375,12 @@ fn drift_batch(set: &RuleSet, rng: &mut nm_common::SplitMix64, ops: usize) -> Up
     batch
 }
 
-/// Folds an update batch into the oracle's rule truth (upsert on id).
-fn apply_truth(truth: &mut std::collections::HashMap<u32, Rule>, batch: &UpdateBatch) {
-    for op in batch.ops() {
-        match op {
-            UpdateOp::Insert(r) | UpdateOp::Modify(r) => {
-                truth.insert(r.id, r.clone());
-            }
-            UpdateOp::Remove(id) => {
-                truth.remove(id);
-            }
-        }
-    }
-}
-
 /// Ground truth the serve updater publishes into the validator's
-/// [`OracleTable`] whenever the served generation moves.
+/// [`OracleTable`] whenever the served generation moves: a `LinearSearch`
+/// every batch is applied to, so the truth folds updates with the same
+/// op accounting (`apply_ops`, upsert on id) every engine uses.
 struct OracleTruth {
-    rules: Option<std::collections::HashMap<u32, Rule>>,
+    rules: Option<LinearSearch>,
     last_published: Option<u64>,
 }
 
@@ -400,13 +388,12 @@ impl OracleTruth {
     /// Seeds the truth from the initial rule-set (`None` when sampling is
     /// off — release builds by default).
     fn new(enabled: bool, set: &RuleSet) -> Self {
-        let rules = enabled.then(|| set.rules().iter().map(|r| (r.id, r.clone())).collect());
-        Self { rules, last_published: None }
+        Self { rules: enabled.then(|| LinearSearch::build(set)), last_published: None }
     }
 
     fn absorb(&mut self, batch: &UpdateBatch) {
         if let Some(t) = self.rules.as_mut() {
-            apply_truth(t, batch);
+            t.apply(batch);
         }
     }
 
@@ -420,7 +407,7 @@ impl OracleTruth {
         if self.last_published == Some(generation) {
             return;
         }
-        oracle.publish(generation, LinearSearch::from_rules(t.values().cloned().collect()));
+        oracle.publish(generation, t.clone());
         self.last_published = Some(generation);
     }
 }

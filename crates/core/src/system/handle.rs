@@ -43,19 +43,18 @@
 //! during training and publishes. The swap itself is
 //! one atomic pointer store; readers pinned to the old generation finish
 //! their batches on it and drop it.
-//! [`ShardedHandle`](super::runtime::ShardedHandle) runs the same skeleton
-//! (`Shared::retrain_with`, generic over payload and replay queue) over its
-//! epoch; the classifier inside either is unversioned.
+//! [`ShardedHandle`](super::runtime::ShardedHandle) writes through the same
+//! two bodies (`Shared::apply_with`, `Shared::retrain_with`) and supplies
+//! only its routing; the cell's writer lock is their only synchronisation,
+//! and the `model_*` tests at the end of this file explore them as written
+//! under `--cfg nm_model`. The classifier inside either is unversioned.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::rule::Priority;
 use nm_common::ruleset::RuleSet;
-use nm_common::update::{
-    BatchUpdatable, Generation, Snapshot, UpdateBatch, UpdateOp, UpdateReport,
-};
+use nm_common::update::{BatchUpdatable, Generation, Snapshot, UpdateBatch, UpdateReport};
 use nm_common::Error;
 
 use crate::config::NuevoMatchConfig;
@@ -107,116 +106,139 @@ impl<R: BatchUpdatable + Clone> RetrainRecipe<R> {
     }
 }
 
-/// The replay queue in a handle's control state: the ops that reached
-/// payload `T` while a retrain was in flight.
+/// The ops one apply applied to a publication of payload `T`: a retrain in
+/// flight queues them, and applies them again to its fresh payload.
 pub(crate) trait Replay<T> {
-    /// Drops every queued op.
-    fn clear_pending(&mut self);
-
-    /// Applies the queued ops to `fresh`, made from a pin that predates
-    /// them, and empties the queue.
-    fn replay(&mut self, fresh: &mut T);
+    /// Applies these ops to `payload`.
+    fn apply_to(&self, payload: &mut T);
 }
 
-/// A plain handle's control state is its replay queue and nothing else.
-impl<R: BatchUpdatable> Replay<NuevoMatch<R>> for Vec<UpdateOp> {
-    fn clear_pending(&mut self) {
-        self.clear();
+/// A plain handle's ops are the whole batch: its one engine applied all of it.
+impl<R: BatchUpdatable> Replay<NuevoMatch<R>> for UpdateBatch {
+    fn apply_to(&self, payload: &mut NuevoMatch<R>) {
+        payload.apply(self);
     }
+}
 
-    fn replay(&mut self, fresh: &mut NuevoMatch<R>) {
-        if !self.is_empty() {
-            fresh.apply(&self.drain(..).collect());
-        }
-    }
+/// A handle's writer-locked control state: its routing `C`, the replay
+/// queue — `Some` exactly while a retrain is between its pin and its
+/// publish — and the retrain counters (all, and the partial ones).
+pub(crate) struct Ctl<C, Q> {
+    route: C,
+    pending: Option<Vec<Q>>,
+    retrains: u64,
+    partial_retrains: u64,
 }
 
 /// A handle's shared state: the publication cell of payload `T`, whose
-/// writer lock also guards the control state `W`, the retrain recipe over
-/// remainder engine `R`, the in-flight flag and the retrain counters.
-pub(crate) struct Shared<T, W, R> {
-    pub(crate) cell: Published<T, W>,
+/// writer lock guards the control state, and the retrain recipe over
+/// remainder engine `R`. That lock is the only synchronisation a write
+/// needs: every apply and retrain decides and publishes under it.
+pub(crate) struct Shared<T, C, Q, R> {
+    pub(crate) cell: Published<T, Ctl<C, Q>>,
     recipe: RetrainRecipe<R>,
-    retraining: AtomicBool,
-    retrains: AtomicU64,
-    /// How many completed retrains took the partial (leaf-level) path.
-    partial_retrains: AtomicU64,
 }
 
-impl<T, W, R> Shared<T, W, R> {
+impl<T, C, Q, R> Shared<T, C, Q, R> {
     pub(crate) fn new(
         payload: T,
         generation: Generation,
-        ctl: W,
+        route: C,
         recipe: RetrainRecipe<R>,
     ) -> Self {
-        Self {
-            cell: Published::new(payload, generation, ctl),
-            recipe,
-            retraining: AtomicBool::new(false),
-            retrains: AtomicU64::new(0),
-            partial_retrains: AtomicU64::new(0),
-        }
-    }
-
-    /// True while a retrain is between pin and publish.
-    pub(crate) fn retraining(&self) -> bool {
-        self.retraining.load(SeqCst)
+        let ctl = Ctl { route, pending: None, retrains: 0, partial_retrains: 0 };
+        Self { cell: Published::new(payload, generation, ctl), recipe }
     }
 }
 
-impl<T, W: Replay<T>, R> Shared<T, W, R> {
-    /// The one retrain body: mark it in flight, pin the live snapshot under
-    /// the lock (so no batch lands between the replay queue's reset and the
-    /// pin), `make` the fresh payload with no lock held, replay what arrived
-    /// meanwhile, publish. `what` names the caller in the error a second,
-    /// overlapping retrain gets.
+impl<T, C, Q: Replay<T>, R> Shared<T, C, Q, R> {
+    /// The one retrain body: begin (refuse an overlap, install the queue and
+    /// pin, in one lock section), `make` the fresh payload with no lock
+    /// held, then end, replay the queue and publish in one lock section.
+    /// `what` names the caller in the error an overlapping retrain gets.
     pub(crate) fn retrain_with(
         &self,
         what: &str,
         make: impl FnOnce(Arc<Snapshot<T>>, &RetrainRecipe<R>) -> Result<Made<T>, Error>,
     ) -> Result<Generation, Error> {
-        let _in_flight = InFlight::begin(self, what)?;
-        let pinned = {
-            let mut ctl = self.cell.write();
-            ctl.clear_pending();
-            self.cell.pin()
-        };
+        let (in_flight, pinned) = InFlight::begin(self, what)?;
         let (mut fresh, partial) = make(pinned, &self.recipe)?;
         let mut ctl = self.cell.write();
-        ctl.replay(&mut fresh);
+        // The retrain ends in its publish's lock section: nothing is left
+        // for the drop to undo.
+        std::mem::forget(in_flight);
+        for ops in ctl.pending.take().into_iter().flatten() {
+            ops.apply_to(&mut fresh);
+        }
         let generation = ctl.publish(fresh);
-        self.retrains.fetch_add(1, SeqCst);
-        self.partial_retrains.fetch_add(partial as u64, SeqCst);
+        ctl.retrains += 1;
+        ctl.partial_retrains += u64::from(partial);
         Ok(generation)
     }
 }
 
-/// A retrain between its pin and its publish. Dropping it — on publish, on
-/// an error return, or while a panicking builder or trainer unwinds —
-/// unmarks the handle and drops the replay queue, so a retrain that dies
-/// cannot leave every later one failing "already in flight" and every
-/// `apply` queueing ops nobody will replay. Hold it from before the first
-/// write-lock until after the last: its drop takes that lock.
-struct InFlight<'a, T, W: Replay<T>, R>(&'a Shared<T, W, R>);
-
-impl<'a, T, W: Replay<T>, R> InFlight<'a, T, W, R> {
-    /// Marks a retrain in flight; errors when one already is.
-    fn begin(shared: &'a Shared<T, W, R>, what: &str) -> Result<Self, Error> {
-        if shared.retraining.swap(true, SeqCst) {
-            return Err(Error::Build { msg: format!("{what}: a retrain is already in flight") });
+impl<T: Clone, C, Q: Replay<T>, R> Shared<T, C, Q, R> {
+    /// The one apply body: under the lock, clone the live payload and let
+    /// `mutate` route `batch` into the clone, returning the report and the
+    /// ops it applied. Only on a change, and in the same lock section, it
+    /// queues those ops for a retrain in flight and publishes. That is
+    /// enough: a retrain's fresh payload serves its pin's rules, each later
+    /// publication is the pin plus the queued ops in order, and a batch
+    /// that changed nothing left the rules as they were.
+    pub(crate) fn apply_with(
+        &self,
+        batch: &UpdateBatch,
+        mutate: impl FnOnce(&mut C, &mut T, &UpdateBatch) -> (UpdateReport, Q),
+    ) -> UpdateReport {
+        if batch.is_empty() {
+            // Cloning the payload for zero ops would change nothing.
+            return UpdateReport::default();
         }
-        Ok(Self(shared))
+        let mut ctl = self.cell.write();
+        let mut next = self.cell.pin().engine().clone();
+        let (report, ops) = mutate(&mut ctl.route, &mut next, batch);
+        if report.changed() {
+            if let Some(pending) = &mut ctl.pending {
+                pending.push(ops);
+            }
+            // Seeded mutation for the model checker: publish apart.
+            #[cfg(nm_model_mutate_protocol = "queue")]
+            let mut ctl = (drop(ctl), self.cell.write()).1;
+            ctl.publish(next);
+        }
+        report
     }
 }
 
-impl<T, W: Replay<T>, R> Drop for InFlight<'_, T, W, R> {
+/// A retrain between its pin and its publish: the queue is `Some` exactly
+/// while one lives. A retrain that publishes ends it in that lock section;
+/// one that errors or unwinds drops it, which sets the queue back to
+/// `None`, so later retrains are not refused and later applies queue
+/// nothing.
+struct InFlight<'a, T, C, Q, R>(&'a Shared<T, C, Q, R>);
+
+impl<'a, T, C, Q, R> InFlight<'a, T, C, Q, R> {
+    /// Refuses an overlap, installs an empty queue and pins, in one lock
+    /// section: every batch published after the pin is queued, none before.
+    fn begin(
+        shared: &'a Shared<T, C, Q, R>,
+        what: &str,
+    ) -> Result<(Self, Arc<Snapshot<T>>), Error> {
+        let mut ctl = shared.cell.write();
+        if ctl.pending.is_some() {
+            return Err(Error::Build { msg: format!("{what}: a retrain is already in flight") });
+        }
+        ctl.pending = Some(Vec::new());
+        // Seeded mutation for the model checker: pin apart.
+        #[cfg(nm_model_mutate_protocol = "pin")]
+        drop(ctl);
+        Ok((Self(shared), shared.cell.pin()))
+    }
+}
+
+impl<T, C, Q, R> Drop for InFlight<'_, T, C, Q, R> {
     fn drop(&mut self) {
-        // Both under the lock: a successor's pin cannot slip in between and
-        // have the ops queued for it cleared.
-        let mut ctl = self.0.cell.write();
-        ctl.clear_pending();
-        self.0.retraining.store(false, SeqCst);
+        self.0.cell.write().pending = None;
     }
 }
 
@@ -252,7 +274,7 @@ impl<T, W: Replay<T>, R> Drop for InFlight<'_, T, W, R> {
 /// assert_eq!(handle.classify(&[0, 0, 0, 550, 0]), None);
 /// ```
 pub struct ClassifierHandle<R: Classifier> {
-    shared: Arc<Shared<NuevoMatch<R>, Vec<UpdateOp>, R>>,
+    shared: Arc<Shared<NuevoMatch<R>, (), UpdateBatch, R>>,
 }
 
 impl<R: Classifier> Clone for ClassifierHandle<R> {
@@ -274,7 +296,7 @@ impl<R: Classifier> ClassifierHandle<R> {
     }
 
     fn assemble(nm: NuevoMatch<R>, generation: Generation, recipe: RetrainRecipe<R>) -> Self {
-        Self { shared: Arc::new(Shared::new(nm, generation, Vec::new(), recipe)) }
+        Self { shared: Arc::new(Shared::new(nm, generation, (), recipe)) }
     }
 
     /// Pins the current snapshot. Never blocks (two atomic ops); the
@@ -293,19 +315,19 @@ impl<R: Classifier> ClassifierHandle<R> {
         self.shared.cell.generation()
     }
 
-    /// True while a retrain is between pin and publish.
+    /// True while a retrain is between pin and publish (read under the lock).
     pub fn retrain_in_progress(&self) -> bool {
-        self.shared.retraining()
+        self.shared.cell.write().pending.is_some()
     }
 
     /// Completed retrain publishes since construction (partial + full).
     pub fn retrains_completed(&self) -> u64 {
-        self.shared.retrains.load(SeqCst)
+        self.shared.cell.write().retrains
     }
 
     /// Completed retrains that took the partial (leaf-level) path.
     pub fn partial_retrains_completed(&self) -> u64 {
-        self.shared.partial_retrains.load(SeqCst)
+        self.shared.cell.write().partial_retrains
     }
 }
 
@@ -336,29 +358,11 @@ impl<R: BatchUpdatable + Clone> ClassifierHandle<R> {
     /// Concurrent readers never see a partially-applied batch: they keep
     /// classifying against the previous snapshot until the atomic swap, then
     /// see all of it. Writers are serialised by the control lock; returns
-    /// the same accounting as [`NuevoMatch::apply`].
+    /// the same accounting as [`NuevoMatch::apply`]. The body is
+    /// `Shared::apply_with`, the sharded handle's too; this handle routes
+    /// the whole batch into a clone of its one engine.
     pub fn apply(&self, batch: &UpdateBatch) -> UpdateReport {
-        if batch.is_empty() {
-            // Nothing to publish: cloning the engine and bumping the
-            // generation for zero ops would only stampede the caches layered
-            // above (the generation contract is "bumps when content
-            // changes").
-            return UpdateReport::default();
-        }
-        let mut ctl = self.shared.cell.write();
-        if self.shared.retraining() {
-            ctl.extend(batch.ops().iter().cloned());
-        }
-        // Copy-on-write: clone the live engine (Arc-shared models +
-        // tombstones and remainder), mutate the clone, publish.
-        let mut next = self.snapshot().engine().clone();
-        let report = next.apply(batch);
-        if report.changed() {
-            ctl.publish(next);
-        }
-        // A batch of pure misses changed nothing: drop the clone and keep
-        // the published snapshot (and its generation) as they are.
-        report
+        self.shared.apply_with(batch, |_, next, batch| (next.apply(batch), batch.clone()))
     }
 
     /// Retrains and atomically swaps in the result, resetting the §3.9
@@ -468,6 +472,7 @@ mod tests {
     use super::*;
     use crate::config::RqRmiParams;
     use nm_common::{FieldsSpec, FiveTuple, LinearSearch};
+    use std::sync::atomic::Ordering::SeqCst;
 
     fn port_set(n: u16) -> RuleSet {
         let rules: Vec<_> = (0..n)
@@ -824,5 +829,157 @@ mod tests {
         assert!(ra.is_ok() || rb.is_ok());
         assert!(h.retrains_completed() >= 1);
         assert!(!h.retrain_in_progress());
+    }
+}
+
+/// Model-checker tests (compiled only under `--cfg nm_model`): bounded
+/// interleavings of the production writer protocol — `Shared::apply_with`,
+/// `Shared::retrain_with` and `InFlight`, the code both handles run — over
+/// an op-log payload, so a replay that drops an op and one that applies it
+/// twice both show. The only synchronisation is the `Published` cell, whose
+/// writer mutex is `nm_model`'s under this cfg.
+#[cfg(all(test, nm_model))]
+mod model_tests {
+    use super::*;
+    use nm_common::update::UpdateOp;
+    use nm_model::thread;
+
+    /// The payload is the log of the op ids applied to it, and an apply's
+    /// ops are the ids it appends.
+    impl Replay<Vec<u32>> for Vec<u32> {
+        fn apply_to(&self, log: &mut Vec<u32>) {
+            log.extend(self);
+        }
+    }
+
+    type Log = Shared<Vec<u32>, (), Vec<u32>, ()>;
+
+    fn log() -> Arc<Log> {
+        let builder = Arc::new(|_: &RuleSet| ());
+        let recipe = RetrainRecipe { cfg: NuevoMatchConfig::default(), builder };
+        Arc::new(Shared::new(Vec::new(), 1, (), recipe))
+    }
+
+    /// Appends `id` through the production apply skeleton.
+    fn apply(log: &Log, id: u32) {
+        let report = log.apply_with(&UpdateBatch::new().remove(id), |_, next, batch| {
+            let ids: Vec<u32> = batch.ops().iter().map(UpdateOp::id).collect();
+            ids.apply_to(next);
+            (UpdateReport { inserted: ids.len(), ..UpdateReport::default() }, ids)
+        });
+        assert!(report.changed());
+    }
+
+    /// Asserts the publication `live` carries each of `ids` exactly once.
+    fn assert_once(live: &Snapshot<Vec<u32>>, ids: &[u32]) {
+        for id in ids {
+            let n = live.engine().iter().filter(|&x| x == id).count();
+            assert_eq!(n, 1, "op {id} lost or duplicated: {:?}", live.engine());
+        }
+    }
+
+    /// One applier (two single-op batches), one retrainer whose make copies
+    /// the pin and meanwhile tries to overlap a second retrain, one reader.
+    fn apply_retrain_read() {
+        let log = log();
+        let applier = {
+            let log = log.clone();
+            thread::spawn(move || {
+                apply(&log, 1);
+                apply(&log, 2);
+            })
+        };
+        let retrainer = {
+            let log = log.clone();
+            thread::spawn(move || {
+                let copy =
+                    |pinned: Arc<Snapshot<Vec<u32>>>, _: &_| Ok((pinned.engine().clone(), false));
+                log.retrain_with("outer", |pinned, recipe| {
+                    assert!(log.retrain_with("overlap", copy).is_err(), "overlapping retrain ran");
+                    copy(pinned, recipe)
+                })
+                .expect("the retrain in flight publishes");
+            })
+        };
+        // The root thread is the reader: what its first pin serves, both
+        // pins serve exactly once.
+        let (first, second) = (log.cell.pin(), log.cell.pin());
+        let (g1, g2) = (first.generation(), second.generation());
+        assert!(g2 >= g1, "reader generation went backwards: {g1} -> {g2}");
+        for pin in [&first, &second] {
+            assert_once(pin, first.engine());
+        }
+        applier.join();
+        retrainer.join();
+        assert_once(&log.cell.pin(), &[1, 2]);
+        // Two applies and one retrain published, and the retrain is over.
+        assert_eq!(log.cell.generation(), 4);
+        let ctl = log.cell.write();
+        assert!(ctl.pending.is_none());
+        assert_eq!((ctl.retrains, ctl.partial_retrains), (1, 0));
+    }
+
+    /// An op whose apply returned is in every later publication exactly
+    /// once; of two overlapping retrains one errors and one publishes; each
+    /// reader's generation is monotone.
+    #[cfg(not(any(
+        nm_model_mutate,
+        nm_model_mutate_protocol = "pin",
+        nm_model_mutate_protocol = "queue"
+    )))]
+    #[test]
+    fn model_applies_survive_a_concurrent_retrain_exactly_once() {
+        let out = nm_model::check("apply/retrain protocol", apply_retrain_read);
+        assert!(out.schedules > 1, "exploration degenerated to one schedule");
+        eprintln!("apply/retrain: {} schedules, complete: {}", out.schedules, out.complete);
+    }
+
+    /// A retrain whose make fails publishes nothing and leaves no queue,
+    /// whatever an apply does meanwhile.
+    #[cfg(not(any(
+        nm_model_mutate,
+        nm_model_mutate_protocol = "pin",
+        nm_model_mutate_protocol = "queue"
+    )))]
+    #[test]
+    fn model_a_failed_retrain_publishes_nothing_and_ends_its_queue() {
+        let out = nm_model::check("failed retrain", || {
+            let log = log();
+            let applier = {
+                let log = log.clone();
+                thread::spawn(move || apply(&log, 1))
+            };
+            let failed = log.retrain_with("failing", |_, _| {
+                Err(Error::Build { msg: "make failed".to_string() })
+            });
+            assert!(failed.is_err());
+            applier.join();
+            assert_once(&log.cell.pin(), &[1]);
+            assert_eq!(log.cell.generation(), 2, "only the apply publishes");
+            let ctl = log.cell.write();
+            assert!(ctl.pending.is_none(), "a failed retrain left its queue behind");
+            assert_eq!(ctl.retrains, 0);
+        });
+        eprintln!("failed retrain: {} schedules, complete: {}", out.schedules, out.complete);
+    }
+
+    /// Teeth: pinning in a lock section apart from the queue's installation
+    /// lets an apply land in both the pin and the queue.
+    #[cfg(nm_model_mutate_protocol = "pin")]
+    #[test]
+    fn model_mutation_pin_apart_from_the_queue_duplicates_an_op() {
+        let v = nm_model::find_violation(apply_retrain_read)
+            .expect("a pin outside begin's lock section must surface");
+        assert!(v.message.contains("lost or duplicated"), "unexpected violation: {}", v.message);
+    }
+
+    /// Teeth: deciding whether to queue in a lock section apart from the
+    /// publish lets a retrain pin between them and lose the op.
+    #[cfg(nm_model_mutate_protocol = "queue")]
+    #[test]
+    fn model_mutation_queue_apart_from_the_publish_loses_an_op() {
+        let v = nm_model::find_violation(apply_retrain_read)
+            .expect("a queueing decision outside the publish's lock section must surface");
+        assert!(v.message.contains("lost or duplicated"), "unexpected violation: {}", v.message);
     }
 }

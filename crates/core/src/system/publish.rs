@@ -24,7 +24,9 @@
 //! Built with `--cfg nm_model` the writer mutex is `nm_model`'s (the facade
 //! trick `shims/arc-swap` uses for its own primitives), so the `model_*`
 //! tests below explore bounded interleavings of this very cell — the code
-//! the handles run — with integer payloads.
+//! the handles run — with integer payloads. It is also all the handles'
+//! writer protocol synchronises on, so `system/handle.rs`'s `model_*` tests
+//! explore apply, retrain and replay as written, with no facade of their own.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -70,10 +72,9 @@ impl<T, W> Published<T, W> {
 
     /// Takes the writer lock. Writers serialise here; readers never do.
     ///
-    /// A writer that panicked while holding the lock does not poison it for
-    /// the next: a panic mid-replay unwinds into `InFlight::drop`, which must
-    /// lock again to clear the replay queue, and a second panic there would
-    /// abort the process.
+    /// A writer that panicked while holding the lock (an engine's apply, a
+    /// replay) does not poison it for the next: `InFlight::drop` may have to
+    /// lock again while a panic unwinds, and a second panic would abort.
     pub fn write(&self) -> WriteGuard<'_, T, W> {
         #[cfg(not(nm_model))]
         let ctl = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);

@@ -292,26 +292,13 @@ fn slot_of(plan: &ShardPlan, rule: &Rule) -> usize {
     }
 }
 
-/// Writer-side state of a [`ShardedHandle`], reachable only through the
-/// publication cell's write guard.
-struct ShardedCtl {
-    /// id → slot (home shard index, or the home shard count for
-    /// broadcast). The routing truth for update fan-out.
-    routes: HashMap<RuleId, usize>,
-    /// Per slot, the ops applied while a retrain is in flight; replayed
-    /// onto that shard's fresh engine before the epoch publishes.
-    pending: Vec<Vec<UpdateOp>>,
-}
-
-impl<R: BatchUpdatable + Clone> Replay<ShardEpoch<R>> for ShardedCtl {
-    fn clear_pending(&mut self) {
-        self.pending.iter_mut().for_each(Vec::clear);
-    }
-
-    fn replay(&mut self, fresh: &mut ShardEpoch<R>) {
-        for (slot, ops) in self.pending.iter_mut().enumerate() {
-            if let (false, Some(engine)) = (ops.is_empty(), fresh.slot_mut(slot)) {
-                Arc::make_mut(engine).apply(&ops.drain(..).collect());
+/// A sharded handle's ops are one sub-batch per slot, each applied to its
+/// slot's engine; only the engines a non-empty sub-batch touches are cloned.
+impl<R: BatchUpdatable + Clone> Replay<ShardEpoch<R>> for Vec<UpdateBatch> {
+    fn apply_to(&self, epoch: &mut ShardEpoch<R>) {
+        for (slot, sub) in self.iter().enumerate().filter(|(_, sub)| !sub.is_empty()) {
+            if let Some(engine) = epoch.slot_mut(slot) {
+                Arc::make_mut(engine).apply(sub);
             }
         }
     }
@@ -327,8 +314,11 @@ impl<R: BatchUpdatable + Clone> Replay<ShardEpoch<R>> for ShardedCtl {
 /// never blocked by either.
 pub struct ShardedHandle<R: Classifier> {
     plan: Arc<ShardPlan>,
-    shared: Arc<Shared<ShardEpoch<R>, ShardedCtl, R>>,
+    shared: Arc<Shared<ShardEpoch<R>, Routes, Vec<UpdateBatch>, R>>,
 }
+
+/// The fan-out's routing truth: id → slot (home shard, or `shards()` for broadcast).
+type Routes = HashMap<RuleId, usize>;
 
 impl<R: Classifier> Clone for ShardedHandle<R> {
     fn clone(&self) -> Self {
@@ -357,8 +347,7 @@ impl<R: Classifier> ShardedHandle<R> {
         let home = home_sets.iter().map(build).collect::<Result<_, _>>()?;
         let epoch = ShardedClassifier::assemble(plan.clone(), home, Some(build(&broadcast_set)?));
         let routes = set.rules().iter().map(|rule| (rule.id, slot_of(&plan, rule))).collect();
-        let ctl = ShardedCtl { routes, pending: vec![Vec::new(); plan.shards() + 1] };
-        Ok(Self { plan, shared: Arc::new(Shared::new(epoch, 1, ctl, recipe)) })
+        Ok(Self { plan, shared: Arc::new(Shared::new(epoch, 1, routes, recipe)) })
     }
 
     /// The partition this handle steers by.
@@ -405,49 +394,35 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
     /// placement invariant survives churn. Only the shards a batch touches
     /// are cloned (copy-on-write, like a plain handle's apply); the others
     /// carry over shared. Readers observe the whole batch or none of it:
-    /// shards change only at the epoch swap.
+    /// shards change only at the epoch swap. The body is the plain handle's
+    /// (`Shared::apply_with`); this handle adds only its routing.
     pub fn apply(&self, batch: &UpdateBatch) -> UpdateReport {
-        if batch.is_empty() {
-            return UpdateReport::default();
-        }
-        let mut ctl = self.shared.cell.write();
-        let mut per: Vec<UpdateBatch> =
-            (0..=self.plan.shards()).map(|_| UpdateBatch::new()).collect();
-        // The op accounting is `apply_ops`'s, over the routing truth rather
-        // than the per-shard engine reports: a rule is wherever `routes`
-        // says, removing it queues a `Remove` for that shard, inserting it
-        // queues an `Insert` for the shard steering will look in. A modify
-        // that steers elsewhere is thereby a move.
-        let report = apply_ops(
-            &mut (&mut ctl.routes, &mut per),
-            batch,
-            |(routes, per), rule| {
-                let slot = slot_of(&self.plan, &rule);
-                routes.insert(rule.id, slot);
-                per[slot].push(UpdateOp::Insert(rule));
-            },
-            |(routes, per), id| {
-                let slot = routes.remove(&id);
-                if let Some(slot) = slot {
-                    per[slot].push(UpdateOp::Remove(id));
-                }
-                slot.is_some()
-            },
-        );
-        if report.changed() {
-            let retraining = self.shared.retraining();
-            let mut next = self.epoch().engine().clone();
-            for (slot, sub) in per.into_iter().enumerate().filter(|(_, sub)| !sub.is_empty()) {
-                if let Some(engine) = next.slot_mut(slot) {
-                    Arc::make_mut(engine).apply(&sub);
-                }
-                if retraining {
-                    ctl.pending[slot].extend(sub);
-                }
-            }
-            ctl.publish(next);
-        }
-        report
+        self.shared.apply_with(batch, |routes, next, batch| {
+            let mut per_slot = vec![UpdateBatch::new(); self.plan.shards() + 1];
+            // The op accounting is `apply_ops`'s, over the routing truth
+            // rather than the per-shard engine reports: a rule is wherever
+            // `routes` says, removing it routes a `Remove` to that slot,
+            // inserting it routes an `Insert` to the slot steering will look
+            // in. A modify that steers elsewhere is thereby a move.
+            let report = apply_ops(
+                &mut (routes, &mut per_slot),
+                batch,
+                |(routes, per_slot), rule| {
+                    let slot = slot_of(&self.plan, &rule);
+                    routes.insert(rule.id, slot);
+                    per_slot[slot].push(UpdateOp::Insert(rule));
+                },
+                |(routes, per_slot), id| {
+                    let slot = routes.remove(&id);
+                    if let Some(slot) = slot {
+                        per_slot[slot].push(UpdateOp::Remove(id));
+                    }
+                    slot.is_some()
+                },
+            );
+            per_slot.apply_to(next);
+            (report, per_slot)
+        })
     }
 
     /// Re-makes every shard — concurrently, each by the same partial-or-full

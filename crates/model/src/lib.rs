@@ -1,8 +1,9 @@
 //! `nm-model` — a loom-lite bounded interleaving explorer for the
-//! workspace's hand-rolled lock-free protocols (the left-right
-//! `shims/arc-swap` cell, and the `Published` pin/publish cell that is the
-//! whole of `ClassifierHandle`'s and `ShardedHandle`'s publication — one
-//! cell per handle, so a sharded epoch has no second cell to tear against).
+//! workspace's hand-rolled concurrent protocols: the left-right
+//! `shims/arc-swap` cell, the `Published` pin/publish cell that is each
+//! handle's whole publication (so a sharded epoch has no second cell to
+//! tear against), and the apply/retrain/replay protocol both handles run
+//! under that cell's writer lock.
 //!
 //! [`explore`] runs a closure under a DFS over thread schedules: every
 //! model operation (virtual atomic access, [`cell::RaceCell`] access,

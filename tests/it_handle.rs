@@ -367,3 +367,49 @@ fn a_retrain_that_panics_mid_replay_leaves_the_handle_usable() {
     assert_eq!(handle.classify(&key).map(|m| m.rule), Some(9_000));
     assert_eq!(handle.classify(&[0, 0, 0, 1_550, 0]), None);
 }
+
+/// A batch whose apply panics while a retrain is in flight never
+/// published, so the retrain must not publish it either: an apply queues
+/// its ops for the replay only together with its own publish. Here the
+/// live engine's remainder is built armed, so the insert panics under the
+/// writer lock, and the retrain's builder builds unarmed, so a replay of
+/// the insert would succeed and serve it.
+#[test]
+fn a_batch_whose_apply_panics_during_a_retrain_is_not_replayed() {
+    let builds = Arc::new(AtomicU64::new(0));
+    let gate = Arc::new(Barrier::new(2));
+    let builder = {
+        let (builds, gate) = (builds.clone(), gate.clone());
+        move |rem: &RuleSet| {
+            let build = builds.fetch_add(1, SeqCst);
+            if build == 1 {
+                gate.wait(); // the retrain is in flight, its pin taken
+                gate.wait(); // the panicking apply has returned
+            }
+            Fragile { tm: TupleMerge::build(rem), armed: build == 0 }
+        }
+    };
+    let handle = ClassifierHandle::new(&base_set(), &cfg(), builder).unwrap();
+    let g0 = handle.generation();
+
+    let retrain = {
+        let handle = handle.clone();
+        std::thread::spawn(move || handle.retrain_full())
+    };
+    gate.wait();
+    let key = [0u64, 0, 0, 64_900, 0];
+    let insert = UpdateBatch::new()
+        .insert(FiveTuple::new().dst_port_range(64_800, 64_999).into_rule(9_000, 0));
+    let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.apply(&insert)));
+    assert!(applied.is_err(), "the armed remainder's apply must panic");
+    assert_eq!(handle.generation(), g0, "a panicking apply published");
+    gate.wait();
+    let g = retrain.join().unwrap().expect("the retrain publishes");
+    assert_eq!(g, g0 + 1);
+    assert_eq!(handle.classify(&key), None, "the retrain replayed a batch that never published");
+    assert_eq!(handle.snapshot().num_rules(), N_RULES as usize);
+
+    // The fresh remainder is unarmed: the same insert now publishes.
+    assert_eq!(handle.apply(&insert).inserted, 1);
+    assert_eq!(handle.classify(&key).map(|m| m.rule), Some(9_000));
+}

@@ -11,10 +11,15 @@
 //! across shards — one batch of one transaction is visible everywhere or
 //! nowhere.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use nm_classbench::{generate, AppKind};
-use nm_common::{Classifier, FieldsSpec, FiveTuple, RuleSet, UpdateBatch};
+use nm_common::{
+    Classifier, Error, FieldsSpec, FiveTuple, Generation, LinearSearch, RuleSet, UpdateBatch,
+    UpdateReport,
+};
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{uniform_trace, zipf_trace};
 use nm_tuplemerge::TupleMerge;
@@ -422,21 +427,71 @@ proptest! {
     }
 }
 
-/// `ShardedHandle::retrain` trains with the control lock released: an
-/// `apply` issued while every shard's trainer is parked inside its builder
-/// returns (and is visible) before training may finish, survives the
-/// retrain's epoch, and leaves pinned epochs and generation order intact.
-#[test]
-fn sharded_apply_is_not_blocked_by_a_retrain_in_flight() {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
-    use std::sync::{Arc, Condvar, Mutex};
+/// Either handle, as the gated-retrain test drives it.
+trait LiveHandle: Classifier + Clone + Send + 'static {
+    fn apply(&self, batch: &UpdateBatch) -> UpdateReport;
+    fn retrain(&self) -> Result<Generation, Error>;
+    fn pin(&self) -> Arc<dyn Classifier + Send + Sync>;
+    /// The ids of the rules the live publication serves, where the handle
+    /// exposes them.
+    fn live_ids(&self) -> Option<Vec<u32>>;
+}
 
-    let rules: Vec<_> = (0..120u16)
-        .map(|i| {
-            FiveTuple::new().dst_port_range(i * 500, i * 500 + 450).into_rule(i as u32, i as u32)
-        })
-        .collect();
-    let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+impl LiveHandle for ClassifierHandle<LinearSearch> {
+    fn apply(&self, batch: &UpdateBatch) -> UpdateReport {
+        ClassifierHandle::apply(self, batch)
+    }
+
+    fn retrain(&self) -> Result<Generation, Error> {
+        ClassifierHandle::retrain(self)
+    }
+
+    fn pin(&self) -> Arc<dyn Classifier + Send + Sync> {
+        self.snapshot()
+    }
+
+    fn live_ids(&self) -> Option<Vec<u32>> {
+        Some(self.snapshot().engine().live_rules().iter().map(|r| r.id).collect())
+    }
+}
+
+impl LiveHandle for ShardedHandle<LinearSearch> {
+    fn apply(&self, batch: &UpdateBatch) -> UpdateReport {
+        ShardedHandle::apply(self, batch)
+    }
+
+    fn retrain(&self) -> Result<Generation, Error> {
+        ShardedHandle::retrain(self)
+    }
+
+    fn pin(&self) -> Arc<dyn Classifier + Send + Sync> {
+        self.epoch()
+    }
+
+    fn live_ids(&self) -> Option<Vec<u32>> {
+        None
+    }
+}
+
+/// A remainder builder the gated-retrain test can park.
+type GatedBuilder = Box<dyn Fn(&RuleSet) -> LinearSearch + Send + Sync>;
+
+/// A retrain trains with the control lock released. With the retrain's
+/// `builders` builder calls parked (gate shut), an insert, a pure-miss
+/// batch and a modify that moves a rule (across shards, on a two-shard
+/// plan) each return; the insert and the modify are visible at once and
+/// the pure miss publishes nothing. Once the gate opens, the retrain
+/// publishes next, serves exactly the folded rule truth, each id once, and
+/// the view pinned before all of it never moved.
+fn apply_is_not_blocked_by_a_retrain_in_flight<H: LiveHandle>(
+    what: &str,
+    builders: usize,
+    make: impl FnOnce(&RuleSet, &NuevoMatchConfig, GatedBuilder) -> H,
+) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    use std::sync::{Condvar, Mutex};
+
+    let (set, moved) = gated_set();
     // The gate: once armed, every builder call counts itself in and parks
     // until the test opens it.
     let armed = Arc::new(AtomicBool::new(false));
@@ -444,7 +499,7 @@ fn sharded_apply_is_not_blocked_by_a_retrain_in_flight() {
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let builder = {
         let (armed, parked, gate) = (armed.clone(), parked.clone(), gate.clone());
-        move |rem: &RuleSet| {
+        Box::new(move |rem: &RuleSet| {
             if armed.load(SeqCst) {
                 parked.fetch_add(1, SeqCst);
                 let mut open = gate.0.lock().unwrap();
@@ -452,52 +507,114 @@ fn sharded_apply_is_not_blocked_by_a_retrain_in_flight() {
                     open = gate.1.wait(open).unwrap();
                 }
             }
-            nm_common::LinearSearch::build(rem)
-        }
+            LinearSearch::build(rem)
+        })
     };
     let full_only = NuevoMatchConfig {
         partial_retrain: nuevomatch::PartialRetrainPolicy::never(),
         ..fast_cfg()
     };
-    let sharded = ShardedHandle::new(&set, &full_only, 2, builder).unwrap();
+    let handle = make(&set, &full_only, builder);
     let key = [0u64, 0, 0, 61_234, 0];
-    assert_eq!(sharded.classify(&key), None);
+    assert_eq!(handle.classify(&key), None, "{what}");
 
     armed.store(true, SeqCst);
-    let before = sharded.epoch();
+    let before = handle.pin();
+    let g0 = before.generation();
     let probe: Vec<u64> = (0u64..65_536).step_by(97).flat_map(|p| [0, 0, 0, p, 0]).collect();
     let mut frozen = vec![None; probe.len() / 5];
     before.classify_batch(&probe, 5, &mut frozen);
     let retrainer = {
-        let sharded = sharded.clone();
-        std::thread::spawn(move || sharded.retrain())
+        let handle = handle.clone();
+        std::thread::spawn(move || handle.retrain())
     };
-    // Two home shards + the broadcast shard, each inside its builder.
-    while parked.load(SeqCst) < 3 {
+    while parked.load(SeqCst) < builders {
         std::thread::yield_now();
     }
 
-    // Mid-retrain, gate still shut: this must return, not wait for it.
-    let report = sharded.apply(
-        &UpdateBatch::new().insert(FiveTuple::new().dst_port_exact(61_234).into_rule(900, 0)),
-    );
-    assert_eq!(report.inserted, 1);
-    assert!(!retrainer.is_finished(), "the gate is shut: the retrain cannot have published");
-    let g_apply = sharded.generation();
-    assert_eq!(g_apply, before.generation() + 1);
-    assert_eq!(sharded.classify(&key).map(|m| m.rule), Some(900), "visible before the epoch");
+    // Mid-retrain, gate still shut: each of these must return, not wait.
+    let inserted = FiveTuple::new().dst_port_exact(61_234).into_rule(900, 0);
+    let report = handle.apply(&UpdateBatch::new().insert(inserted.clone()));
+    assert_eq!(report.inserted, 1, "{what}");
+    assert_eq!(handle.generation(), g0 + 1, "{what}");
+    assert_eq!(handle.classify(&key).map(|m| m.rule), Some(900), "{what}: visible at once");
+    let report = handle.apply(&UpdateBatch::new().remove(9_999).remove(9_998));
+    assert_eq!((report.missing, report.changed()), (2, false), "{what}");
+    assert_eq!(handle.generation(), g0 + 1, "{what}: a pure-miss batch published");
+    let report = handle.apply(&UpdateBatch::new().modify(moved.clone()));
+    assert_eq!((report.replaced, report.inserted), (1, 1), "{what}");
+    assert_eq!(handle.generation(), g0 + 2, "{what}");
+    assert!(!retrainer.is_finished(), "{what}: the gate is shut, the retrain cannot publish");
 
     *gate.0.lock().unwrap() = true;
     gate.1.notify_all();
-    let g_retrain = retrainer.join().unwrap().expect("sharded retrain");
-    assert_eq!(g_retrain, g_apply + 1, "one epoch per publish, in order");
-    assert_eq!(sharded.generation(), g_retrain);
-    assert_eq!(sharded.classify(&key).map(|m| m.rule), Some(900), "replayed into the fresh models");
-    assert_eq!(sharded.classify(&[0, 0, 0, 1_100, 0]).map(|m| m.rule), Some(2));
+    let g_retrain = retrainer.join().unwrap().expect("retrain");
+    assert_eq!(g_retrain, g0 + 3, "{what}: one publication each, in order");
+    assert_eq!(handle.generation(), g_retrain, "{what}");
 
-    // The epoch pinned before all of it never moved.
+    // The folded truth, served exactly: each id once, every verdict equal.
+    let truth: Vec<_> = set
+        .rules()
+        .iter()
+        .map(|r| if r.id == moved.id { moved.clone() } else { r.clone() })
+        .chain([inserted])
+        .collect();
+    assert_eq!(handle.num_rules(), truth.len(), "{what}: replayed into the fresh models");
+    if let Some(mut ids) = handle.live_ids() {
+        let served = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), served, "{what}: an id is served twice");
+    }
+    let oracle = LinearSearch::from_rules(truth);
+    for port in (0u64..65_536).step_by(7) {
+        let key = [0, 0, 0, port, 0];
+        assert_eq!(handle.classify(&key), oracle.classify(&key), "{what}: port {port}");
+    }
+
+    // The view pinned before all of it never moved.
     let mut after = vec![None; frozen.len()];
     before.classify_batch(&probe, 5, &mut after);
-    assert_eq!(after, frozen);
-    assert_eq!(before.classify(&key), None);
+    assert_eq!(after, frozen, "{what}");
+    assert_eq!(before.classify(&key), None, "{what}");
+}
+
+/// 120 disjoint dst-port rules, and a modify of rule 2 that moves it from
+/// the bottom of the port space to the top.
+fn gated_set() -> (RuleSet, nm_common::Rule) {
+    let rules: Vec<_> = (0..120u16)
+        .map(|i| {
+            FiveTuple::new().dst_port_range(i * 500, i * 500 + 450).into_rule(i as u32, i as u32)
+        })
+        .collect();
+    let moved = FiveTuple::new().dst_port_range(60_460, 60_480).into_rule(2, 2);
+    (RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap(), moved)
+}
+
+/// `ShardedHandle::retrain` on one shard and on two: the retrain parks one
+/// builder per home shard plus the broadcast shard's.
+#[test]
+fn sharded_apply_is_not_blocked_by_a_retrain_in_flight() {
+    for shards in [1usize, 2] {
+        apply_is_not_blocked_by_a_retrain_in_flight(
+            &format!("{shards} shard(s)"),
+            shards + 1,
+            |set, cfg, builder| {
+                let sharded = ShardedHandle::new(set, cfg, shards, builder).unwrap();
+                if shards == 2 {
+                    let (old, new) = ([0, 0, 0, 1_200, 0], [0, 0, 0, 60_470, 0]);
+                    assert_ne!(sharded.plan().steer(&old), sharded.plan().steer(&new));
+                }
+                sharded
+            },
+        );
+    }
+}
+
+/// `ClassifierHandle::retrain` under the same traffic: one builder call.
+#[test]
+fn plain_apply_is_not_blocked_by_a_retrain_in_flight() {
+    apply_is_not_blocked_by_a_retrain_in_flight("plain", 1, |set, cfg, builder| {
+        ClassifierHandle::new(set, cfg, builder).unwrap()
+    });
 }

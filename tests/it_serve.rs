@@ -335,21 +335,32 @@ fn malformed_datagrams_are_counted_and_service_survives() {
     let addr = server.udp_addr().expect("udp bound");
 
     let junk = std::net::UdpSocket::bind("127.0.0.1:0").expect("junk socket");
-    // Truncated length word.
-    junk.send_to(&[0xff, 0xff], addr).expect("send");
     // Body length 13: not 8 + 8n.
     let mut bad = 13u32.to_le_bytes().to_vec();
     bad.extend_from_slice(&[0u8; 16]);
-    junk.send_to(&bad, addr).expect("send");
-    // Oversized length word (caps before allocating).
-    junk.send_to(&u32::MAX.to_le_bytes(), addr).expect("send");
     // A valid frame followed by a truncated sibling in the same datagram:
     // datagrams are self-contained, the tail cannot complete later.
     let mut mixed = Vec::new();
     nm_common::frame::encode_request(&mut mixed, 1, &[0, 0, 0, 100, 0]);
     mixed.extend_from_slice(&44u32.to_le_bytes());
     mixed.extend_from_slice(&[0u8; 3]);
-    junk.send_to(&mixed, addr).expect("send");
+    let datagrams = [
+        vec![0xff, 0xff], // truncated length word
+        bad,
+        u32::MAX.to_le_bytes().to_vec(), // oversized length word (caps before allocating)
+        mixed,
+    ];
+    // Loopback may drop datagrams under load, so delivery is not assumed:
+    // the junk goes out again until the server has counted some of it.
+    let mut sent = 0u64;
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.stats().decode_errors == 0 && std::time::Instant::now() < deadline {
+        for datagram in &datagrams {
+            junk.send_to(datagram, addr).expect("send");
+            sent += 1;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     // Well-formed requests still get exact answers on the same port.
     let mut client = ServeClient::udp(addr).expect("client");
@@ -369,10 +380,10 @@ fn malformed_datagrams_are_counted_and_service_survives() {
     assert!(answered > 32, "service wedged after junk: {answered}/64 answered");
 
     let stats = server.shutdown();
-    // The three broken datagrams plus the truncated tail each count once;
-    // loopback may drop some under pressure, but at least one must land.
-    assert!(stats.decode_errors >= 1, "junk not counted: {stats:?}");
-    assert!(stats.decode_errors <= 4, "over-counted: {stats:?}");
+    // Each junk datagram that arrives counts once (the three broken ones,
+    // and the truncated tail of the mixed one); some may not arrive.
+    assert!(stats.decode_errors >= 1, "no junk counted in 5 s of re-sends: {stats:?}");
+    assert!(stats.decode_errors <= sent, "over-counted {sent} junk datagrams: {stats:?}");
     assert_eq!(stats.mismatches, 0, "{stats:?}");
 }
 
