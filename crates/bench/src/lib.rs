@@ -17,9 +17,9 @@
 //! between engines, fan-out accounting, verdict divergence, `serve`'s tail
 //! and syscall bounds). The [`drive`]r prints the reports, writes the one
 //! `--json` document, and exits nonzero when any check failed. Timing
-//! *targets* (`batch`'s tree speedup, `update`'s model tracking) print
-//! PASS/WARN and never fail a run — timing regressions are judged by
-//! `benchmark/`, whose bounds were measured.
+//! *targets* (`batch`'s tree speedup, `update`'s model tracking, `fig14`'s
+//! fastest iSet count) print PASS/WARN and never fail a run — timing
+//! regressions are judged by `benchmark/`, whose bounds were measured.
 //!
 //! `NM_SCALE`, the one environment variable read, selects the workload
 //! scale (any other value is a usage error):

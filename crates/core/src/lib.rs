@@ -75,6 +75,4 @@ pub use system::serve::{
     OracleTable, PinnedPlane, ReaderKind, ServeClient, ServeConfig, ServePlane, ServeStats, Server,
     Transport,
 };
-pub use system::{
-    ClassifierHandle, LookupBreakdown, NmSnapshot, NuevoMatch, PartialRetrainReport, TrainedISet,
-};
+pub use system::{ClassifierHandle, NmSnapshot, NuevoMatch, PartialRetrainReport, TrainedISet};

@@ -184,7 +184,9 @@ impl<T: Clone, C, Q: Replay<T>, R> Shared<T, C, Q, R> {
     /// queues those ops for a retrain in flight and publishes. That is
     /// enough: a retrain's fresh payload serves its pin's rules, each later
     /// publication is the pin plus the queued ops in order, and a batch
-    /// that changed nothing left the rules as they were.
+    /// that changed nothing left the rules as they were. A `mutate` that
+    /// unwinds publishes nothing, so it must leave the routing as it found
+    /// it until its engine applies have returned.
     pub(crate) fn apply_with(
         &self,
         batch: &UpdateBatch,
@@ -921,7 +923,9 @@ mod model_tests {
 
     /// An op whose apply returned is in every later publication exactly
     /// once; of two overlapping retrains one errors and one publishes; each
-    /// reader's generation is monotone.
+    /// reader's generation is monotone. The exploration must be exhaustive
+    /// (5 769 schedules at 2 preemptions): a schedule cap below that fails
+    /// the test instead of passing on a prefix.
     #[cfg(not(any(
         nm_model_mutate,
         nm_model_mutate_protocol = "pin",
@@ -932,6 +936,7 @@ mod model_tests {
         let out = nm_model::check("apply/retrain protocol", apply_retrain_read);
         assert!(out.schedules > 1, "exploration degenerated to one schedule");
         eprintln!("apply/retrain: {} schedules, complete: {}", out.schedules, out.complete);
+        assert!(out.complete, "the schedule cap truncated the exploration");
     }
 
     /// A retrain whose make fails publishes nothing and leaves no queue,
@@ -961,6 +966,7 @@ mod model_tests {
             assert_eq!(ctl.retrains, 0);
         });
         eprintln!("failed retrain: {} schedules, complete: {}", out.schedules, out.complete);
+        assert!(out.complete, "the schedule cap truncated the exploration");
     }
 
     /// Teeth: pinning in a lock section apart from the queue's installation

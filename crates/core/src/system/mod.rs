@@ -7,7 +7,6 @@
 //! is queried *after* the iSets and may prune all work that cannot beat the
 //! iSets' best candidate.
 
-pub mod breakdown;
 pub mod flow_cache;
 pub mod handle;
 pub mod parallel;
@@ -19,7 +18,6 @@ pub mod runtime;
 pub mod serve;
 pub mod update;
 
-pub use breakdown::{measure_breakdown, LookupBreakdown};
 pub use flow_cache::CacheStats;
 pub use handle::{ClassifierHandle, NmSnapshot};
 pub use parallel::run_batched;
@@ -771,7 +769,10 @@ impl<R: Classifier> NuevoMatch<R> {
         (self.total_rules - self.remainder.num_rules()) as f64 / self.total_rules as f64
     }
 
-    /// Best candidate across the iSets only (phase API for Figure 14).
+    /// Best candidate across the iSets only: the per-key path's iSet side
+    /// ([`Classifier::classify`] and a batch too short for the pipeline),
+    /// also timed on its own by `nm-bench fields` (§5.3.5) and by the
+    /// benchmark's scalar probes.
     #[inline]
     pub fn classify_isets(&self, key: &[u64]) -> Option<MatchResult> {
         let mut best = None;

@@ -394,8 +394,9 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
     /// placement invariant survives churn. Only the shards a batch touches
     /// are cloned (copy-on-write, like a plain handle's apply); the others
     /// carry over shared. Readers observe the whole batch or none of it:
-    /// shards change only at the epoch swap. The body is the plain handle's
-    /// (`Shared::apply_with`); this handle adds only its routing.
+    /// shards change only at the epoch swap; a batch whose engine apply
+    /// panics publishes nothing and moves no route. The body is the plain
+    /// handle's (`Shared::apply_with`); this handle adds only its routing.
     pub fn apply(&self, batch: &UpdateBatch) -> UpdateReport {
         self.shared.apply_with(batch, |routes, next, batch| {
             let mut per_slot = vec![UpdateBatch::new(); self.plan.shards() + 1];
@@ -403,17 +404,21 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
             // rather than the per-shard engine reports: a rule is wherever
             // `routes` says, removing it routes a `Remove` to that slot,
             // inserting it routes an `Insert` to the slot steering will look
-            // in. A modify that steers elsewhere is thereby a move.
+            // in. A modify that steers elsewhere is thereby a move. The
+            // batch's routing lands in an O(ops) overlay (`None`: removed)
+            // that reaches `routes` only once every engine apply has
+            // returned, so one that panics leaves the routes as live.
+            let mut moved: HashMap<RuleId, Option<usize>> = HashMap::new();
             let report = apply_ops(
-                &mut (routes, &mut per_slot),
+                &mut (&mut moved, &mut per_slot),
                 batch,
-                |(routes, per_slot), rule| {
+                |(moved, per_slot), rule| {
                     let slot = slot_of(&self.plan, &rule);
-                    routes.insert(rule.id, slot);
+                    moved.insert(rule.id, Some(slot));
                     per_slot[slot].push(UpdateOp::Insert(rule));
                 },
-                |(routes, per_slot), id| {
-                    let slot = routes.remove(&id);
+                |(moved, per_slot), id| {
+                    let slot = moved.insert(id, None).unwrap_or_else(|| routes.get(&id).copied());
                     if let Some(slot) = slot {
                         per_slot[slot].push(UpdateOp::Remove(id));
                     }
@@ -421,6 +426,12 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
                 },
             );
             per_slot.apply_to(next);
+            for (id, slot) in moved {
+                match slot {
+                    Some(slot) => routes.insert(id, slot),
+                    None => routes.remove(&id),
+                };
+            }
             (report, per_slot)
         })
     }

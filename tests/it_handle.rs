@@ -20,7 +20,7 @@ use nm_common::{
     SplitMix64, UpdateBatch, UpdateReport,
 };
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::{ClassifierHandle, NuevoMatchConfig, RqRmiParams};
+use nuevomatch::{ClassifierHandle, NuevoMatchConfig, RqRmiParams, ShardedHandle};
 use proptest::prelude::*;
 
 const N_RULES: u16 = 400;
@@ -282,12 +282,13 @@ fn a_panicking_retrain_leaves_the_handle_usable() {
     assert_eq!(handle.classify(&[0, 0, 0, 1_550, 0]).map(|m| m.rule), Some(10));
 }
 
-/// A TupleMerge remainder whose `apply` panics when it was built armed, so
-/// the fault lands in a retrain's replay, under the writer lock.
+/// A TupleMerge remainder whose `apply` panics while its switch is armed,
+/// so the fault lands in an apply or a retrain's replay, under the writer
+/// lock. Clones share the switch.
 #[derive(Clone)]
 struct Fragile {
     tm: TupleMerge,
-    armed: bool,
+    armed: Arc<AtomicBool>,
 }
 
 impl Classifier for Fragile {
@@ -310,7 +311,7 @@ impl Classifier for Fragile {
 
 impl BatchUpdatable for Fragile {
     fn apply(&mut self, batch: &UpdateBatch) -> UpdateReport {
-        assert!(!self.armed, "injected replay fault");
+        assert!(!self.armed.load(SeqCst), "injected replay fault");
         self.tm.apply(batch)
     }
 
@@ -336,7 +337,7 @@ fn a_retrain_that_panics_mid_replay_leaves_the_handle_usable() {
                 gate.wait(); // the retrain is in flight, its pin taken
                 gate.wait(); // a batch is queued for its replay
             }
-            Fragile { tm: TupleMerge::build(rem), armed }
+            Fragile { tm: TupleMerge::build(rem), armed: Arc::new(AtomicBool::new(armed)) }
         }
     };
     let handle = ClassifierHandle::new(&base_set(), &cfg(), builder).unwrap();
@@ -386,7 +387,8 @@ fn a_batch_whose_apply_panics_during_a_retrain_is_not_replayed() {
                 gate.wait(); // the retrain is in flight, its pin taken
                 gate.wait(); // the panicking apply has returned
             }
-            Fragile { tm: TupleMerge::build(rem), armed: build == 0 }
+            let armed = Arc::new(AtomicBool::new(build == 0));
+            Fragile { tm: TupleMerge::build(rem), armed }
         }
     };
     let handle = ClassifierHandle::new(&base_set(), &cfg(), builder).unwrap();
@@ -412,4 +414,46 @@ fn a_batch_whose_apply_panics_during_a_retrain_is_not_replayed() {
     // The fresh remainder is unarmed: the same insert now publishes.
     assert_eq!(handle.apply(&insert).inserted, 1);
     assert_eq!(handle.classify(&key).map(|m| m.rule), Some(9_000));
+}
+
+/// A sharded apply whose engine apply panics publishes nothing, so it must
+/// leave the routing as live too: a modify that moved a rule across shards
+/// in the failed batch must not send the next batch's remove of that rule
+/// to the shard it never reached. The remainders of both shards and of the
+/// broadcast slot share one switch, so the batch's first engine apply
+/// panics.
+#[test]
+fn a_sharded_apply_that_panics_leaves_the_routes_as_live() {
+    let fault = Arc::new(AtomicBool::new(false));
+    let builder = {
+        let fault = fault.clone();
+        move |rem: &RuleSet| Fragile { tm: TupleMerge::build(rem), armed: fault.clone() }
+    };
+    let set = base_set();
+    let handle = ShardedHandle::new(&set, &cfg(), 2, builder).unwrap();
+    // Rule 2 (dst port 300-420) moves to the far end of the port space.
+    let (home, away) = ([0u64, 0, 0, 350, 0], [0u64, 0, 0, 59_950, 0]);
+    assert_ne!(
+        handle.plan().steer(&home),
+        handle.plan().steer(&away),
+        "test needs the modify to move rule 2 across shards"
+    );
+    let g0 = handle.generation();
+
+    fault.store(true, SeqCst);
+    let moved =
+        UpdateBatch::new().modify(FiveTuple::new().dst_port_range(59_900, 59_999).into_rule(2, 2));
+    let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.apply(&moved)));
+    assert!(applied.is_err(), "the armed remainders' apply must panic");
+    assert_eq!(handle.generation(), g0, "a panicking apply published");
+    fault.store(false, SeqCst);
+
+    let remove = UpdateBatch::new().remove(2);
+    assert_eq!(handle.apply(&remove).removed, 1);
+    let mut truth = LinearSearch::build(&set);
+    truth.apply(&remove);
+    for port in (0..65_536u64).step_by(25) {
+        let key = [0, 0, 0, port, 0];
+        assert_eq!(handle.classify(&key), truth.classify(&key), "dst port {port}");
+    }
 }
