@@ -15,9 +15,6 @@ use crate::Scale;
 pub struct Ctx {
     /// `NM_SCALE` (`quick` | `full`).
     pub scale: Scale,
-    /// `--readers a,b,c`: the reader counts `serve` sweeps (its scale's
-    /// default when absent).
-    pub readers: Option<Vec<usize>>,
 }
 
 enum Block {
@@ -103,7 +100,7 @@ impl Outcome {
 fn usage(problem: &str) -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
     format!(
-        "{problem}\nusage: nm-bench [--json PATH] [--readers a,b,c] <experiment>... | all | --list\n\
+        "{problem}\nusage: nm-bench [--json PATH] <experiment>... | all | --list\n\
          experiments: {}",
         names.join(" ")
     )
@@ -116,7 +113,6 @@ fn usage(problem: &str) -> String {
 /// experiment recorded a failure, `Err(usage)` when `args` made no sense.
 pub fn drive(args: &[String], out: &mut dyn Write) -> Result<bool, String> {
     let mut json_path = None;
-    let mut readers = None;
     let mut picked: Vec<&Experiment> = Vec::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
@@ -128,16 +124,6 @@ pub fn drive(args: &[String], out: &mut dyn Write) -> Result<bool, String> {
                 return Ok(true);
             }
             "--json" => json_path = Some(args.next().ok_or_else(|| usage("--json needs a path"))?),
-            "--readers" => {
-                let list: Option<Vec<usize>> = args.next().and_then(|v| {
-                    v.split(',')
-                        .map(|x| x.trim().parse().ok().filter(|n| (1..=64).contains(n)))
-                        .collect()
-                });
-                readers = Some(
-                    list.ok_or_else(|| usage("--readers needs counts in 1..=64, e.g. 1,2,4"))?,
-                );
-            }
             "all" => picked.extend(EXPERIMENTS),
             name => picked.push(
                 EXPERIMENTS
@@ -153,7 +139,7 @@ pub fn drive(args: &[String], out: &mut dyn Write) -> Result<bool, String> {
     let name = std::env::var("NM_SCALE").unwrap_or_default();
     let scale = Scale::named(&name)
         .ok_or_else(|| usage(&format!("NM_SCALE must be quick or full, not '{name}'")))?;
-    let ctx = Ctx { scale, readers };
+    let ctx = Ctx { scale };
     let mut documents = Vec::new();
     let mut passed = true;
     for (name, run) in picked {
@@ -184,7 +170,7 @@ mod tests {
         (result, String::from_utf8(out).unwrap())
     }
 
-    const PARENT_BINARIES: [&str; 21] = [
+    const PARENT_BINARIES: [&str; 20] = [
         "ablation",
         "batch",
         "contention",
@@ -200,7 +186,6 @@ mod tests {
         "fig8",
         "fig9",
         "search_dist",
-        "serve",
         "shard",
         "table1",
         "table2",
@@ -209,18 +194,18 @@ mod tests {
     ];
 
     #[test]
-    fn list_prints_the_21_unique_experiment_names() {
+    fn list_prints_the_20_unique_experiment_names() {
         let (result, out) = run(&["--list"]);
         assert_eq!(result, Ok(true));
         let names: Vec<&str> = out.lines().collect();
-        assert_eq!(names, PARENT_BINARIES, "serve_bench -> serve, update_bench -> update only");
+        assert_eq!(names, PARENT_BINARIES, "update_bench -> update is the one rename");
         let unique: std::collections::HashSet<_> = names.iter().collect();
-        assert_eq!(unique.len(), 21);
+        assert_eq!(unique.len(), 20);
     }
 
     #[test]
     fn unknown_or_missing_arguments_are_usage_errors_that_list_the_experiments() {
-        for args in [&["nope"][..], &[], &["fig7", "--json"], &["serve", "--readers", "0,x"]] {
+        for args in [&["nope"][..], &[], &["fig7", "--json"]] {
             let (result, out) = run(args);
             let usage = result.expect_err("must not run anything");
             assert!(out.is_empty(), "{args:?} printed {out}");

@@ -1,5 +1,5 @@
 //! The experiment table: one module per paper table/figure (plus the
-//! batch, shard, serve and update sweeps), each exposing
+//! batch, shard and update sweeps), each exposing
 //! `fn run(&Ctx) -> Outcome`.
 
 use crate::driver::{Ctx, Outcome};
@@ -34,7 +34,6 @@ experiments!(
     fig8,
     fig9,
     search_dist,
-    serve,
     shard,
     table1,
     table2,

@@ -1,22 +1,21 @@
 //! # nm-bench — the experiment harness
 //!
 //! One library, one binary, one experiment per paper table/figure plus the
-//! batch, shard, serve and update sweeps:
+//! batch, shard and update sweeps:
 //!
 //! ```text
-//! cargo run -p nm-bench --release -- --list             # the 21 names
+//! cargo run -p nm-bench --release -- --list             # the 20 names
 //! cargo run -p nm-bench --release -- table1 fig9        # run some
 //! cargo run -p nm-bench --release -- --json out.json all
-//! cargo run -p nm-bench --release -- serve --readers 1,2,4
 //! ```
 //!
 //! Each experiment is a module under `experiments` exposing
 //! `fn run(&Ctx) -> Outcome`: it reads its settings from the [`Ctx`], and
 //! returns the rows/series the paper reports as [`nm_analysis::Table`]s and
 //! prose, named scalars, and the checks that failed (checksum mismatches
-//! between engines, fan-out accounting, verdict divergence, `serve`'s tail
-//! and syscall bounds). The [`drive`]r prints the reports, writes the one
-//! `--json` document, and exits nonzero when any check failed. Timing
+//! between engines, fan-out accounting, verdict divergence). The
+//! [`drive`]r prints the reports, writes the one `--json` document, and
+//! exits nonzero when any check failed. Timing
 //! *targets* (`batch`'s tree speedup, `update`'s model tracking, `fig14`'s
 //! fastest iSet count) print PASS/WARN and never fail a run — timing
 //! regressions are judged by `benchmark/`, whose bounds were measured.
@@ -132,7 +131,7 @@ pub fn nm_tm(set: &RuleSet) -> NuevoMatch<TupleMerge> {
 }
 
 /// The [`nm_tm`] configuration served through a live [`ClassifierHandle`]:
-/// lock-free snapshot readers, transactional updates, background retrains.
+/// lock-free snapshot lookups, transactional updates, background retrains.
 pub fn nm_tm_handle(set: &RuleSet) -> ClassifierHandle<TupleMerge> {
     ClassifierHandle::new(set, &nm_tm_config(), TupleMerge::build).expect("nm/tm handle build")
 }

@@ -1,12 +1,13 @@
 //! Log-bucketed latency histogram (HDR-style) for tail accounting.
 //!
-//! The serve path (`nmctl serve`, `nm-bench serve`) and `nm-bench update` need
-//! p50/p99/p999 over millions of samples without keeping the samples. An
-//! exact array is too big and a fixed linear histogram cannot span the
-//! nanosecond-to-second range, so this uses the classic trick: one octave
-//! per power of two, each split into `2^SUB_BITS` linear sub-buckets. The
-//! relative quantization error is bounded by `2^-SUB_BITS` (~3.1% here),
-//! which is far below run-to-run noise for any latency we report.
+//! The serve path (each reader's `ServeStats`, `nmctl serve`) and
+//! `nm-bench update` need p50/p99/p999 over millions of samples without
+//! keeping the samples. An exact array is too big and a fixed linear
+//! histogram cannot span the nanosecond-to-second range, so this uses the
+//! classic trick: one octave per power of two, each split into
+//! `2^SUB_BITS` linear sub-buckets. The relative quantization error is
+//! bounded by `2^-SUB_BITS` (~3.1% here), which is far below run-to-run
+//! noise for any latency we report.
 //!
 //! Recording is `&mut self` and allocation-free; each worker thread owns a
 //! histogram and the aggregator folds them together with

@@ -99,7 +99,7 @@ pub struct Assembler<P: ServePlane> {
     /// peer, whose frames occupy `wire[byte_start..byte_end]`.
     runs: Vec<(usize, usize, SocketAddr)>,
     validator: Validator,
-    stats_slot: Arc<Mutex<ServeStats>>,
+    pub(super) stats_slot: Arc<Mutex<ServeStats>>,
     pub(super) carried: Carried,
     /// Stamp of the latest push, and the integer EWMA (α = 1/8) of the gaps
     /// between pushes in ns. Starts at the clamp: nothing seen, no wait.

@@ -1,5 +1,6 @@
 //! A small blocking client for the serve protocol — shared by the
-//! integration tests, the CLI's loopback load drivers and `nm-bench serve`.
+//! integration tests, the CLI's loopback load drivers and the loopback
+//! example.
 //!
 //! One client owns one socket. UDP responses arrive as datagrams carrying
 //! one or more frames; TCP responses are a byte stream the client

@@ -150,13 +150,21 @@ impl Default for ServeConfig {
     }
 }
 
+/// The readers' statistics: one slot per live reader, tagged with its
+/// kind, and the fold of every slot whose reader has ended.
+#[derive(Default)]
+struct Slots {
+    live: Vec<(ReaderKind, Arc<Mutex<ServeStats>>)>,
+    retired: ServeStats,
+}
+
 /// Everything the reader threads share.
 pub(crate) struct Shared<P: ServePlane> {
     pub(crate) plane: Arc<P>,
     pub(crate) cfg: ServeConfig,
     pub(crate) oracle: Arc<OracleTable>,
     pub(crate) shutdown: AtomicBool,
-    slots: Mutex<Vec<(stats::ReaderKind, Arc<Mutex<ServeStats>>)>>,
+    slots: Mutex<Slots>,
     pub(crate) conn_joins: Mutex<Vec<JoinHandle<()>>>,
     cpus: Vec<usize>,
     next_cpu: AtomicUsize,
@@ -171,7 +179,7 @@ impl<P: ServePlane> Shared<P> {
             ReplySink::Tcp(_) => ReaderKind::Tcp,
         };
         let slot = Arc::new(Mutex::new(ServeStats::new()));
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner).push((kind, slot.clone()));
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner).live.push((kind, slot.clone()));
         Assembler::new(
             self.plane.clone(),
             sink,
@@ -181,6 +189,28 @@ impl<P: ServePlane> Shared<P> {
             Validator::new(self.oracle.clone(), self.cfg.validate_every),
             slot,
         )
+    }
+
+    /// Folds an ended reader's `slot` into the retired total and drops it
+    /// from the live list, under the one lock [`Shared::stats`] folds
+    /// under, so no count is missed or seen twice. A reader calls this
+    /// after its final flush.
+    pub(crate) fn retire(&self, slot: &Arc<Mutex<ServeStats>>) {
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(i) = slots.live.iter().position(|(_, live)| Arc::ptr_eq(live, slot)) {
+            let (_, ended) = slots.live.remove(i);
+            slots.retired.merge(&ended.lock().unwrap_or_else(PoisonError::into_inner));
+        }
+    }
+
+    /// The retired total plus every live slot.
+    fn stats(&self) -> ServeStats {
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut total = slots.retired.clone();
+        for (_, slot) in &slots.live {
+            total.merge(&slot.lock().unwrap_or_else(PoisonError::into_inner));
+        }
+        total
     }
 
     /// Pins the calling thread to the next CPU in the round-robin plan
@@ -221,7 +251,7 @@ impl<P: ServePlane> Server<P> {
             cfg: cfg.clone(),
             oracle: Arc::new(OracleTable::new()),
             shutdown: AtomicBool::new(false),
-            slots: Mutex::new(Vec::new()),
+            slots: Mutex::default(),
             conn_joins: Mutex::new(Vec::new()),
             cpus,
             next_cpu: AtomicUsize::new(0),
@@ -277,26 +307,25 @@ impl<P: ServePlane> Server<P> {
         self.shared.plane.clone()
     }
 
-    /// A point-in-time fold of every reader thread's statistics.
+    /// A point-in-time fold of every reader thread's statistics, those of
+    /// closed connections included.
     pub fn stats(&self) -> ServeStats {
-        let mut total = ServeStats::new();
-        for (_, slot) in self.shared.slots.lock().unwrap_or_else(PoisonError::into_inner).iter() {
-            total.merge(&slot.lock().unwrap_or_else(PoisonError::into_inner));
-        }
-        total
+        self.shared.stats()
     }
 
-    /// A point-in-time snapshot of each reader thread's own statistics,
-    /// tagged with the reader kind. The fleet-wide fold is
-    /// [`Server::stats`]; this view exposes the per-reader spread — a
-    /// heavily skewed UDP reader means `SO_REUSEPORT` flow steering (or
-    /// the client's source-port spread) is off, which percentiles alone
-    /// would hide.
+    /// A point-in-time snapshot of each live reader thread's own
+    /// statistics, tagged with the reader kind. A closed connection's
+    /// reader is no longer listed; its counts live on in
+    /// [`Server::stats`]. The fleet-wide fold is [`Server::stats`]; this
+    /// view exposes the per-reader spread — a heavily skewed UDP reader
+    /// means `SO_REUSEPORT` flow steering (or the client's source-port
+    /// spread) is off, which percentiles alone would hide.
     pub fn per_reader_stats(&self) -> Vec<(ReaderKind, ServeStats)> {
         self.shared
             .slots
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .live
             .iter()
             .map(|(kind, slot)| {
                 (*kind, slot.lock().unwrap_or_else(PoisonError::into_inner).clone())

@@ -244,6 +244,8 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
         }
     }
     asm.flush(FlushCause::Drain);
+    // One slot per connection ever accepted would grow without bound.
+    shared.retire(&asm.stats_slot);
 }
 
 #[cfg(test)]
@@ -260,7 +262,7 @@ mod tests {
             oracle: Arc::new(OracleTable::new()),
             cfg: ServeConfig { stride: 1, ..ServeConfig::default() },
             shutdown: AtomicBool::new(false),
-            slots: Mutex::new(Vec::new()),
+            slots: Mutex::default(),
             conn_joins: Mutex::new(Vec::new()),
             cpus: Vec::new(),
             next_cpu: AtomicUsize::new(0),
@@ -290,13 +292,14 @@ mod tests {
         shared.shutdown.store(true, Relaxed);
         reader.join().expect("reader panicked");
         let slots = shared.slots.lock().unwrap();
-        let stats = slots[0].1.lock().unwrap();
+        let stats = slots.live[0].1.lock().unwrap();
         assert!(stats.recv_errors > 0, "no receive error counted: {stats:?}");
         assert_eq!(stats.requests, 0);
     }
 
-    /// The acceptor keeps join handles for the connections still open, not
-    /// for every connection it ever accepted.
+    /// The acceptor keeps join handles, and the server stats slots, for the
+    /// connections still open, not for every connection it ever accepted;
+    /// the closed ones' counts live on in the retired total.
     #[test]
     fn closed_connections_are_reaped_on_the_next_accept() {
         use crate::system::serve::ServeClient;
@@ -331,10 +334,17 @@ mod tests {
             drop(probe);
             std::thread::sleep(Duration::from_millis(1));
         }
+        // A reader retires its slot before it finishes, and none was
+        // accepted since the check above.
+        let live = shared.slots.lock().unwrap().live.len();
+        assert!(live <= 2, "{live} stats slots kept for at most 2 open connections");
         shared.shutdown.store(true, Relaxed);
         acceptor.join().expect("acceptor panicked");
         for conn in shared.conn_joins.lock().unwrap().drain(..) {
             conn.join().expect("connection reader panicked");
         }
+        assert!(shared.slots.lock().unwrap().live.is_empty(), "an ended reader kept its slot");
+        let answered = (CLOSED + probes) as u64;
+        assert_eq!(shared.stats().requests, answered, "the fold lost an answered call");
     }
 }

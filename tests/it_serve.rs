@@ -433,15 +433,17 @@ fn long_deadline_server(
 
 /// Sparse requests — one in flight, the client thinking for two deadlines
 /// between calls — are answered when the reader finds its socket empty, not
-/// a deadline later: the median round trip is far under the 5 ms deadline
-/// and the flushes are idle flushes, over UDP and over TCP. (A client that
-/// fires its next request the moment the reply lands is a *dense* stream to
-/// the reader, gap = round trip; the assembler's
+/// a deadline later: the median round trip is far under the 5 ms deadline,
+/// the flushes are idle flushes, and the idle readers block instead of
+/// spinning, over UDP and over TCP. (A client that fires its next request
+/// the moment the reply lands is a *dense* stream to the reader, gap =
+/// round trip; the assembler's
 /// `reply_gated_client_settles_at_half_the_deadline` pins that case.)
 #[test]
 fn sparse_requests_are_answered_when_the_socket_runs_dry() {
     for udp in [true, false] {
         let (server, truth, generation) = long_deadline_server(128);
+        let started = std::time::Instant::now();
         let addr = if udp { server.udp_addr() } else { server.tcp_addr() }.expect("bound");
         let mut client =
             if udp { ServeClient::udp(addr) } else { ServeClient::tcp(addr) }.expect("client");
@@ -462,6 +464,7 @@ fn sparse_requests_are_answered_when_the_socket_runs_dry() {
         }
         drop(client);
         let stats = server.shutdown();
+        let elapsed = started.elapsed();
         rtts.sort();
         assert!(rtts.len() > 80, "udp={udp}: only {} of 100 answered", rtts.len());
         let p50 = rtts[rtts.len() / 2];
@@ -469,6 +472,18 @@ fn sparse_requests_are_answered_when_the_socket_runs_dry() {
         assert!(
             stats.idle_flushes * 10 >= stats.batches * 9,
             "udp={udp}: lone requests waited out the deadline: {stats:?}"
+        );
+        // An idle reader blocks on each receive for the server's 2 ms idle
+        // tick, and a lone request is flushed without polling, so an empty
+        // receive costs a tick: the UDP reader, plus the connection's
+        // reader over TCP, make at most one per tick each. A reader that
+        // busy-spins makes orders of magnitude more.
+        let readers = if udp { 1 } else { 2 };
+        let allowed = readers * (elapsed.as_micros() as u64 / 2_000 + 1);
+        assert!(
+            stats.empty_recv_calls <= allowed,
+            "udp={udp}: {} empty receives in {elapsed:?}, {allowed} allowed: {stats:?}",
+            stats.empty_recv_calls
         );
         assert_eq!(stats.mismatches, 0, "udp={udp}: {stats:?}");
         assert!(stats.validated > 0, "udp={udp}: validator never sampled");
