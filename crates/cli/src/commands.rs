@@ -11,8 +11,10 @@ use nm_trace::{caida_like_trace, uniform_trace, zipf_trace};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
 use nuevomatch::system::parallel::{run_batched, run_sequential};
 use nuevomatch::system::runtime::{PinPolicy, RunStats, Runtime, RuntimeConfig, ShardedClassifier};
-use nuevomatch::{NuevoMatch, NuevoMatchConfig, ShardedHandle, Topology};
-use nuevomatch::{OracleTable, ServeClient, ServeConfig, ServePlane, Server, Transport};
+use nuevomatch::{NuevoMatch, NuevoMatchConfig, ReaderKind, ShardedHandle, Topology};
+use nuevomatch::{OracleTable, ServeClient, ServeConfig, Server, Transport};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// Usage text.
 pub const HELP: &str = "\
@@ -21,17 +23,21 @@ nmctl — NuevoMatch reproduction toolkit
 USAGE:
   nmctl generate --kind <acl|fw|ipc> [--rules N] [--seed S]        # ClassBench text to stdout
   nmctl inspect  <rules.cb>                                        # structure metrics
-  nmctl bench    <rules.cb> [--engine E] [--trace T] [--packets N] [--batch B] [--json true]
+  nmctl bench    <rules.cb> [--engine E] [--trace T] [--packets N] [--batch B] [--seed S]
                  [--shards S] [--workers W] [--pin true|false]     # sharded worker runtime
-  nmctl classify <rules.cb> --key a.b.c.d,a.b.c.d,sport,dport,proto
+  nmctl classify <rules.cb> --key a.b.c.d,a.b.c.d,sport,dport,proto [--engine E]
   nmctl train    <rules.cb> --out <model.rqrmi>                    # persist largest-iSet RQ-RMI
   nmctl serve    <rules.cb> [--seconds S] [--readers K] [--update-rate U]
-                 [--retrain-every R] [--batch B] [--json true]     # wire service + live updates
+                 [--retrain-every R] [--batch B] [--packets N] [--seed S]
                  [--listen IP:PORT] [--transport udp|tcp|both] [--max-batch N]
                  [--deadline-us D] [--validate-every N]            # micro-batching + oracle
                  [--udp-readers N]                                 # SO_REUSEPORT reader fleet
                  [--shards S] [--pin true|false]                   # sharded handle replicas
 
+output: bench and serve print one JSON object per run on stdout. An
+        unknown command, a flag or argument the command does not read, or a
+        value out of range (every count >= 1; serve's --batch <= 512 and
+        --udp-readers <= 64) is an error: exit 1, the token named on stderr.
 engines: linear tss tm cs nc nm-tm nm-cs nm-nc     traces: uniform zipf:<alpha> caida
         (tm/cs/nc also accept tuplemerge/cutsplit/neurocuts; with --batch B > 1
          every engine takes its batched pipeline — tm's table-major probe, the
@@ -52,13 +58,14 @@ serving: serve binds real loopback sockets (--listen, port 0 = ephemeral):
         out. Requests micro-batch per reader — flush at --max-batch, after
         --deadline-us, or once the socket is empty and nobody else is
         expected inside the deadline — and every batch classifies against
-        one pinned generation. --udp-readers N serves UDP from N reader
-        threads, each on a private SO_REUSEPORT socket with batched
+        one pinned generation. --udp-readers N (1..=64) serves UDP from N
+        reader threads, each on a private SO_REUSEPORT socket with batched
         recvmmsg/sendmmsg I/O (the kernel hashes flows across them; falls
         back to one shared socket where REUSEPORT is unavailable).
-        --readers K drives K loopback *client* threads against the service;
-        --json reports measured p50/p99/p99.9 wire service latency plus
-        syscalls-per-packet and the per-UDP-reader request spread. 1 in
+        --readers K drives K loopback *client* threads against the service,
+        each keeping a window of --batch B (1..=512) keys in flight; the
+        report holds measured p50/p99/p99.9 wire service latency, syscall
+        and I/O-error counts, and the per-UDP-reader request spread. 1 in
         --validate-every verdicts (default 16 in debug builds, 0 = off in
         release) is replayed against a LinearSearch oracle at the pinned
         generation; any mismatch makes serve exit 1.
@@ -68,36 +75,43 @@ serving: serve binds real loopback sockets (--listen, port 0 = ephemeral):
 pub fn run(cmd: ParsedCommand) -> Result<String, String> {
     match cmd {
         ParsedCommand::Help => Ok(HELP.to_string()),
-        ParsedCommand::Generate(a) => cmd_generate(&a),
-        ParsedCommand::Inspect(a) => cmd_inspect(&a),
-        ParsedCommand::Bench(a) => cmd_bench(&a),
-        ParsedCommand::Classify(a) => cmd_classify(&a),
-        ParsedCommand::Train(a) => cmd_train(&a),
-        ParsedCommand::Serve(a) => cmd_serve(&a),
+        ParsedCommand::Generate(a) => cmd_generate(a),
+        ParsedCommand::Inspect(a) => cmd_inspect(a),
+        ParsedCommand::Bench(a) => cmd_bench(a),
+        ParsedCommand::Classify(a) => cmd_classify(a),
+        ParsedCommand::Train(a) => cmd_train(a),
+        ParsedCommand::Serve(a) => cmd_serve(a),
     }
 }
 
-fn load_rules(a: &Args) -> Result<RuleSet, String> {
-    let path = a.positional.first().ok_or_else(|| "expected a rule file argument".to_string())?;
+fn rule_file(a: &mut Args) -> Result<String, String> {
+    a.positional().ok_or_else(|| "expected a rule file argument".to_string())
+}
+
+fn load_rules(path: &str) -> Result<RuleSet, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     parse_classbench(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn cmd_generate(a: &Args) -> Result<String, String> {
-    let kind = match a.get_or("kind", "acl") {
+fn cmd_generate(mut a: Args) -> Result<String, String> {
+    let kind = a.get_or("kind", "acl");
+    let rules: usize = a.num_or("rules", 1_000)?;
+    let seed: u64 = a.num_or("seed", 1)?;
+    a.finish()?;
+    let kind = match kind.as_str() {
         "acl" => AppKind::Acl,
         "fw" => AppKind::Fw,
         "ipc" => AppKind::Ipc,
         other => return Err(format!("unknown --kind '{other}' (acl|fw|ipc)")),
     };
-    let rules: usize = a.num_or("rules", 1_000)?;
-    let seed: u64 = a.num_or("seed", 1)?;
     let set = generate(kind, rules, seed);
     Ok(nm_classbench::parse::to_classbench(&set))
 }
 
-fn cmd_inspect(a: &Args) -> Result<String, String> {
-    let set = load_rules(a)?;
+fn cmd_inspect(mut a: Args) -> Result<String, String> {
+    let path = rule_file(&mut a)?;
+    a.finish()?;
+    let set = load_rules(&path)?;
     let mut out = format!("rules: {}   fields: {}\n\n", set.len(), set.num_fields());
     let mut table = Table::new(&["field", "bits", "diversity", "centrality(1-D)"]);
     for d in 0..set.num_fields() {
@@ -165,12 +179,18 @@ fn build_engine(name: &str, set: &RuleSet) -> Result<Box<dyn Classifier>, String
     })
 }
 
-fn cmd_bench(a: &Args) -> Result<String, String> {
-    let set = load_rules(a)?;
-    let engine_name = a.get_or("engine", "nm-tm").to_string();
+fn cmd_bench(mut a: Args) -> Result<String, String> {
+    let path = rule_file(&mut a)?;
+    let engine_name = a.get_or("engine", "nm-tm");
     let packets: usize = a.num_or("packets", 100_000)?;
     let seed: u64 = a.num_or("seed", 1)?;
     let trace_spec = a.get_or("trace", "uniform");
+    let batch: usize = a.num_in("batch", 1, 1..)?;
+    let shards: usize = a.num_in("shards", 1, 1..)?;
+    let workers: usize = a.num_in("workers", 1, 1..)?;
+    let pin: bool = a.num_or("pin", true)?;
+    a.finish()?;
+    let set = load_rules(&path)?;
     let trace = if trace_spec == "uniform" {
         uniform_trace(&set, packets, seed)
     } else if trace_spec == "caida" {
@@ -182,22 +202,13 @@ fn cmd_bench(a: &Args) -> Result<String, String> {
         return Err(format!("unknown --trace '{trace_spec}'"));
     };
 
-    let batch: usize = a.num_or("batch", 1)?;
-    let json: bool = a.num_or("json", false)?;
-    let shards: usize = a.num_or("shards", 1)?;
-    let workers: usize = a.num_or("workers", 1)?;
-    let pin: bool = a.num_or("pin", true)?;
-    if shards == 0 || workers == 0 {
-        return Err("--shards and --workers must be >= 1".into());
-    }
-
     // `--shards`/`--workers` route through the worker runtime: one engine
     // replica per shard (range steering, broadcast shard for wildcard-heavy
     // rules), workers pinned per NUMA node unless --pin false. Engines are
     // built per subset up front so an unknown engine name (or a failing
     // build) surfaces as an error, not a panic inside a builder closure.
     if shards > 1 || workers > 1 {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let plan = nm_common::ShardPlan::build(&set, shards).map_err(|e| e.to_string())?;
         let (home_sets, broadcast_set) = plan.subsets(&set);
         let home = home_sets
@@ -213,74 +224,30 @@ fn cmd_bench(a: &Args) -> Result<String, String> {
             ShardedClassifier::from_parts(plan, home, broadcast).map_err(|e| e.to_string())?;
         let build_s = t0.elapsed().as_secs_f64();
         let rt = Runtime::new(RuntimeConfig {
-            batch: batch.max(1),
+            batch,
             workers_per_shard: workers,
             pin: if pin { PinPolicy::Numa } else { PinPolicy::Never },
             ..Default::default()
         });
         let stats = rt.run(&sharded, &trace).map_err(|e| e.to_string())?;
-        if json {
-            let broadcast = Some(sharded.plan().broadcast_fraction());
-            let batch = batch.max(1);
-            return Ok(bench_json(
-                &engine_name,
-                &set,
-                build_s,
-                &sharded,
-                &trace,
-                batch,
-                &stats,
-                broadcast,
-            ));
-        }
-        return Ok(format!(
-            "engine: {} (sharded runtime)\nrules: {}\nbuild time: {:.2}s\nindex memory: {}\n\
-             packets: {}\nbatch: {}\nshards: {} (broadcast {:.1}%)\nworkers: {} ({} pinned)\n\
-             throughput: {:.3e} pps ({:.0} ns/packet)\n",
-            engine_name,
-            set.len(),
-            build_s,
-            human_bytes(sharded.memory_bytes()),
-            trace.len(),
-            batch.max(1),
-            stats.shards,
-            sharded.plan().broadcast_fraction() * 100.0,
-            stats.workers,
-            stats.pinned_workers,
-            stats.pps,
-            1e9 / stats.pps.max(1e-9),
-        ));
+        let f = Some(sharded.plan().broadcast_fraction());
+        return Ok(bench_json(&engine_name, &set, build_s, &sharded, &trace, batch, &stats, f));
     }
 
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let engine = build_engine(&engine_name, &set)?;
     let build_s = t0.elapsed().as_secs_f64();
     // --batch 1 (default) is the per-key reference loop; larger sizes go
     // through the engine's batched pipeline (`classify_batch`).
-    let stats = if batch <= 1 {
+    let stats = if batch == 1 {
         run_sequential(engine.as_ref(), &trace)
     } else {
         run_batched(engine.as_ref(), &trace, batch)
     };
-    if json {
-        let engine = engine.as_ref();
-        return Ok(bench_json(&engine_name, &set, build_s, engine, &trace, batch, &stats, None));
-    }
-    Ok(format!(
-        "engine: {}\nrules: {}\nbuild time: {:.2}s\nindex memory: {}\npackets: {}\nbatch: {}\nthroughput: {:.3e} pps ({:.0} ns/packet)\ngeneration: {}\n",
-        engine_name,
-        set.len(),
-        build_s,
-        human_bytes(engine.memory_bytes()),
-        trace.len(),
-        batch,
-        stats.pps,
-        1e9 / stats.pps.max(1e-9),
-        engine.generation(),
-    ))
+    Ok(bench_json(&engine_name, &set, build_s, engine.as_ref(), &trace, batch, &stats, None))
 }
 
-/// `bench --json`: one object, shape-compatible with `serve --json` (static
+/// The bench report: one object, shape-compatible with serve's (static
 /// benches report generation 0 and update_rate 0). `broadcast_fraction` is
 /// the shard plan's when the run went through the sharded worker runtime;
 /// the plain loops run on the caller's thread — one shard, one worker,
@@ -319,19 +286,25 @@ fn bench_json(
     format!("{doc}\n")
 }
 
-fn cmd_classify(a: &Args) -> Result<String, String> {
-    let set = load_rules(a)?;
-    let key = parse_key(a.require("key")?)?;
-    let engine = build_engine(a.get_or("engine", "nm-tm"), &set)?;
+fn cmd_classify(mut a: Args) -> Result<String, String> {
+    let path = rule_file(&mut a)?;
+    let key = a.require("key")?;
+    let engine_name = a.get_or("engine", "nm-tm");
+    a.finish()?;
+    let set = load_rules(&path)?;
+    let key = parse_key(&key)?;
+    let engine = build_engine(&engine_name, &set)?;
     Ok(match engine.classify(&key) {
         Some(m) => format!("match: rule {} (priority {})\n", m.rule, m.priority),
         None => "no match\n".to_string(),
     })
 }
 
-fn cmd_train(a: &Args) -> Result<String, String> {
-    let set = load_rules(a)?;
+fn cmd_train(mut a: Args) -> Result<String, String> {
+    let path = rule_file(&mut a)?;
     let out_path = a.require("out")?;
+    a.finish()?;
+    let set = load_rules(&path)?;
     let part = nuevomatch::iset::partition_isets(&set, 1, 0.0);
     let iset = part.isets.first().ok_or_else(|| "no iSet could be formed".to_string())?;
     let ranges: Vec<nm_common::FieldRange> =
@@ -342,7 +315,7 @@ fn cmd_train(a: &Args) -> Result<String, String> {
         .map_err(|e| e.to_string())?;
     let dt = t0.elapsed().as_secs_f64();
     let bytes = nuevomatch::save_rqrmi(&model);
-    std::fs::write(out_path, &bytes).map_err(|e| format!("writing {out_path}: {e}"))?;
+    std::fs::write(&out_path, &bytes).map_err(|e| format!("writing {out_path}: {e}"))?;
     Ok(format!(
         "trained RQ-RMI over field '{}' ({} of {} rules, {:.1}% coverage) in {:.2}s\n\
          worst error bound: {}\nmodel: {} -> {}\n",
@@ -412,22 +385,6 @@ impl OracleTruth {
     }
 }
 
-/// What one wire-serving run produced, for the report.
-struct WireOutcome {
-    stats: nuevomatch::ServeStats,
-    driver_served: u64,
-    driver_timeouts: u64,
-    updates_applied: u64,
-    retrains: u64,
-    udp_addr: Option<std::net::SocketAddr>,
-    tcp_addr: Option<std::net::SocketAddr>,
-    tcp_drivers: usize,
-    /// Per-UDP-reader snapshots (taken before shutdown), for the spread
-    /// report — a skewed reader is a flow-steering problem percentile
-    /// folds would hide.
-    udp_reader_stats: Vec<nuevomatch::ServeStats>,
-}
-
 /// One loopback load-driver thread: windows of trace keys out, verdicts
 /// back, closed-loop. Returns (verdicts received, receive timeouts).
 fn drive_clients(
@@ -435,15 +392,14 @@ fn drive_clients(
     udp: bool,
     trace: &nm_common::TraceBuf,
     window: usize,
-    stop: &std::sync::atomic::AtomicBool,
+    stop: &AtomicBool,
 ) -> (u64, u64) {
     let client = if udp { ServeClient::udp(addr) } else { ServeClient::tcp(addr) };
     let Ok(mut client) = client else { return (0, 0) };
     let (raw, stride, n) = (trace.raw(), trace.stride(), trace.len());
-    let window = window.clamp(1, 512);
     let (mut served, mut timeouts) = (0u64, 0u64);
     let mut lo = 0usize;
-    'outer: while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+    'outer: while !stop.load(Ordering::Relaxed) {
         let hi = (lo + window).min(n);
         if client.send_batch(lo as u64, &raw[lo * stride..hi * stride], stride).is_err() {
             break;
@@ -451,7 +407,7 @@ fn drive_clients(
         let want = hi - lo;
         let mut got = 0usize;
         while got < want {
-            match client.recv(Some(std::time::Duration::from_millis(100))) {
+            match client.recv(Some(Duration::from_millis(100))) {
                 Ok(frames) if frames.is_empty() => break 'outer, // clean TCP EOF
                 Ok(frames) => got += frames.len(),
                 Err(e)
@@ -474,107 +430,42 @@ fn drive_clients(
     (served, timeouts)
 }
 
-/// Starts a [`Server`] over `plane`, drives it with `readers` loopback
-/// client threads replaying `trace`, and runs `updater` (the update /
-/// retrain / oracle-publishing loop, which also decides the duration) on
-/// the calling thread. Returns once everything drained.
-fn serve_wire<P, U>(
-    plane: P,
-    scfg: &ServeConfig,
-    trace: &nm_common::TraceBuf,
-    readers: usize,
-    window: usize,
-    updater: U,
-) -> Result<WireOutcome, String>
-where
-    P: ServePlane,
-    U: FnOnce(&OracleTable) -> (u64, u64),
-{
-    let server =
-        Server::start(plane, scfg).map_err(|e| format!("serve: binding {}: {e}", scfg.listen))?;
-    let (udp_addr, tcp_addr) = (server.udp_addr(), server.tcp_addr());
-    let oracle = server.oracle();
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let mut driver_served = 0u64;
-    let mut driver_timeouts = 0u64;
-    let mut tcp_drivers = 0usize;
-    let mut counts = (0u64, 0u64);
-    std::thread::scope(|scope| {
-        let mut joins = Vec::new();
-        for r in 0..readers.max(1) {
-            let use_udp = match scfg.transport {
-                Transport::Udp => true,
-                Transport::Tcp => false,
-                Transport::Both => r % 2 == 0,
-            };
-            tcp_drivers += usize::from(!use_udp);
-            let addr = if use_udp { udp_addr } else { tcp_addr }.expect("transport bound");
-            let stop = &stop;
-            joins.push(scope.spawn(move || drive_clients(addr, use_udp, trace, window, stop)));
-        }
-        counts = updater(&oracle);
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
-        for j in joins {
-            let (s, t) = j.join().expect("load driver panicked");
-            driver_served += s;
-            driver_timeouts += t;
-        }
-    });
-    let udp_reader_stats = server
-        .per_reader_stats()
-        .into_iter()
-        .filter(|(kind, _)| *kind == nuevomatch::system::serve::ReaderKind::Udp)
-        .map(|(_, st)| st)
-        .collect();
-    let stats = server.shutdown();
-    Ok(WireOutcome {
-        stats,
-        driver_served,
-        driver_timeouts,
-        updates_applied: counts.0,
-        retrains: counts.1,
-        udp_addr,
-        tcp_addr,
-        tcp_drivers,
-        udp_reader_stats,
-    })
-}
-
-fn cmd_serve(a: &Args) -> Result<String, String> {
-    let set = load_rules(a)?;
-    if set.is_empty() {
-        return Err("serve: the rule file holds no rules (nothing to update or classify)".into());
-    }
+/// Serves the rule file on real sockets for `--seconds`: `--readers`
+/// loopback client threads replay a trace against a [`Server`] over a
+/// [`ShardedHandle`] while this thread applies the update stream, spawns
+/// retrains and publishes the oracle's truth. Prints one JSON report.
+fn cmd_serve(mut a: Args) -> Result<String, String> {
+    let path = rule_file(&mut a)?;
     let seconds: f64 = a.num_or("seconds", 2.0)?;
-    let readers: usize = a.num_or("readers", 2)?;
+    let readers: usize = a.num_in("readers", 2, 1..)?;
     let update_rate: f64 = a.num_or("update-rate", 1_000.0)?;
     let retrain_every: f64 = a.num_or("retrain-every", 0.0)?;
-    let batch: usize = a.num_or("batch", 128)?;
+    let window: usize = a.num_in("batch", 128, 1..=512)?;
     let packets: usize = a.num_or("packets", 50_000)?;
     let seed: u64 = a.num_or("seed", 1)?;
-    let json: bool = a.num_or("json", false)?;
-    let shards: usize = a.num_or("shards", 1)?;
-    let pin: bool = a.num_or("pin", true)?;
-    if shards == 0 {
-        return Err("--shards must be >= 1".into());
-    }
+    let shards: usize = a.num_in("shards", 1, 1..)?;
     let mut scfg = ServeConfig {
         listen: a
             .get_or("listen", "127.0.0.1:0")
             .parse()
             .map_err(|e| format!("bad --listen address: {e}"))?,
         transport: a.get_or("transport", "both").parse()?,
-        max_batch: a.num_or("max-batch", 128usize)?.max(1),
-        deadline: std::time::Duration::from_micros(a.num_or("deadline-us", 20u64)?),
-        stride: set.num_fields(),
-        udp_readers: a.num_or("udp-readers", 1usize)?.clamp(1, 64),
-        pin,
+        max_batch: a.num_in("max-batch", 128, 1..)?,
+        deadline: Duration::from_micros(a.num_or("deadline-us", 20)?),
+        udp_readers: a.num_in("udp-readers", 1, 1..=64)?,
+        pin: a.num_or("pin", true)?,
         ..ServeConfig::default()
     };
     scfg.validate_every = a.num_or("validate-every", scfg.validate_every)?;
+    a.finish()?;
+    let set = load_rules(&path)?;
+    if set.is_empty() {
+        return Err("serve: the rule file holds no rules (nothing to update or classify)".into());
+    }
+    scfg.stride = set.num_fields();
 
     let trace = uniform_trace(&set, packets, seed);
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     // One control plane whatever the shard count: per-shard replicas in one
     // publication cell (one replica when `--shards 1`).
     let serve = ShardedHandle::new(&set, &NuevoMatchConfig::default(), shards, TupleMerge::build)
@@ -582,162 +473,150 @@ fn cmd_serve(a: &Args) -> Result<String, String> {
     let build_s = t0.elapsed().as_secs_f64();
 
     let ops_per_batch = 16usize;
-    let validate = scfg.validate_every > 0;
     let mut rng = nm_common::SplitMix64::new(seed ^ 0xdead_beef);
-    let start = std::time::Instant::now();
-    // Paced fan-out applies; retrains fan across every shard on a background
-    // thread, so a multi-second retrain neither stalls this updater loop nor
-    // overshoots the requested duration — the serve path keeps pinning
-    // coherent epochs.
-    let wire = serve_wire(serve.clone(), &scfg, &trace, readers, batch, |oracle| {
-        let mut truth = OracleTruth::new(validate, &set);
-        truth.publish(oracle, serve.generation());
+    let start = Instant::now();
+    let server = Server::start(serve.clone(), &scfg)
+        .map_err(|e| format!("serve: binding {}: {e}", scfg.listen))?;
+    let (udp_addr, tcp_addr) = (server.udp_addr(), server.tcp_addr());
+    let oracle = server.oracle();
+    // Under `both` the load drivers alternate transports, UDP first.
+    let udp_driver = |r: usize| match scfg.transport {
+        Transport::Udp => true,
+        Transport::Tcp => false,
+        Transport::Both => r % 2 == 0,
+    };
+    let stop = AtomicBool::new(false);
+    let (served, timeouts, applied, retrains) = std::thread::scope(|scope| {
+        let drivers: Vec<_> = (0..readers)
+            .map(|r| {
+                let udp = udp_driver(r);
+                let addr = if udp { udp_addr } else { tcp_addr }.expect("transport bound");
+                let (trace, stop) = (&trace, &stop);
+                scope.spawn(move || drive_clients(addr, udp, trace, window, stop))
+            })
+            .collect();
+        // Paced fan-out applies; retrains fan across every shard on a
+        // background thread, so a multi-second retrain neither stalls this
+        // updater loop nor overshoots the requested duration — the serve
+        // path keeps pinning coherent epochs.
+        let mut truth = OracleTruth::new(scfg.validate_every > 0, &set);
+        truth.publish(&oracle, serve.generation());
         let interval = (update_rate > 0.0)
-            .then(|| std::time::Duration::from_secs_f64(ops_per_batch as f64 / update_rate));
-        let mut next_fire = std::time::Instant::now();
-        let mut last_retrain = std::time::Instant::now();
+            .then(|| Duration::from_secs_f64(ops_per_batch as f64 / update_rate));
+        let mut next_fire = Instant::now();
+        let mut last_retrain = Instant::now();
         let mut retrain_joins = Vec::new();
         let mut applied = 0u64;
         while start.elapsed().as_secs_f64() < seconds {
             match interval {
-                Some(dt) if std::time::Instant::now() >= next_fire => {
+                Some(dt) if Instant::now() >= next_fire => {
                     let batch = drift_batch(&set, &mut rng, ops_per_batch);
                     applied += batch.len() as u64;
                     truth.absorb(&batch);
                     serve.apply(&batch);
                     next_fire += dt;
                 }
-                _ => std::thread::sleep(std::time::Duration::from_micros(200)),
+                _ => std::thread::sleep(Duration::from_micros(200)),
             }
             let idle = retrain_joins.last().map_or(true, std::thread::JoinHandle::is_finished);
             if retrain_every > 0.0 && idle && last_retrain.elapsed().as_secs_f64() >= retrain_every
             {
-                last_retrain = std::time::Instant::now();
+                last_retrain = Instant::now();
                 let serve = serve.clone();
                 retrain_joins.push(std::thread::spawn(move || serve.retrain()));
             }
-            truth.publish(oracle, serve.generation());
+            truth.publish(&oracle, serve.generation());
         }
         // Wait out every spawned retrain so the stats below are settled and
         // no trainer is killed by process exit; a retrain bumps the
         // generation with the same rule truth.
         let retrains =
-            retrain_joins.into_iter().filter_map(|j| j.join().ok()).filter(Result::is_ok).count()
-                as u64;
-        truth.publish(oracle, serve.generation());
-        (applied, retrains)
-    })?;
+            retrain_joins.into_iter().filter_map(|j| j.join().ok()).filter(Result::is_ok).count();
+        truth.publish(&oracle, serve.generation());
+        stop.store(true, Ordering::SeqCst);
+        let (mut served, mut timeouts) = (0u64, 0u64);
+        for d in drivers {
+            let (s, t) = d.join().expect("load driver panicked");
+            served += s;
+            timeouts += t;
+        }
+        (served, timeouts, applied, retrains)
+    });
+    // Per-UDP-reader request counts (taken before shutdown), for the spread
+    // report — a skewed reader is a flow-steering problem percentile folds
+    // would hide.
+    let udp_reader_requests: Vec<u64> = server
+        .per_reader_stats()
+        .into_iter()
+        .filter(|(kind, _)| *kind == ReaderKind::Udp)
+        .map(|(_, st)| st.requests)
+        .collect();
+    let stats = server.shutdown();
     let elapsed = start.elapsed().as_secs_f64();
-    let stats = &wire.stats;
     let lat = stats.latency.summary_us();
     // Serve-side reader threads pinned round-robin over the topology: the
     // UDP readers plus one connection thread per TCP driver (no-op and
     // reported 0 on 1-CPU boxes or with --pin false).
-    let pinning = pin && Topology::discover().num_cpus() > 1;
-    let pinned_readers = if pinning {
-        scfg.udp_readers * usize::from(scfg.transport.udp()) + wire.tcp_drivers
+    let pinned_readers = if scfg.pin && Topology::discover().num_cpus() > 1 {
+        let tcp_drivers = (0..readers).filter(|&r| !udp_driver(r)).count();
+        scfg.udp_readers * usize::from(scfg.transport.udp()) + tcp_drivers
     } else {
         0
     };
-    let reader_requests_min = wire.udp_reader_stats.iter().map(|r| r.requests).min().unwrap_or(0);
-    let reader_requests_max = wire.udp_reader_stats.iter().map(|r| r.requests).max().unwrap_or(0);
+    let addr = |a: Option<std::net::SocketAddr>| a.map_or(Json::Null, |a| a.to_string().into());
+    let doc = Json::obj([
+        ("engine", "nm-tm".into()),
+        ("rules", set.len().into()),
+        ("build_s", Json::num(build_s, 3)),
+        ("readers", readers.into()),
+        ("window", window.into()),
+        ("seconds", Json::num(elapsed, 3)),
+        ("requests", stats.requests.into()),
+        ("packets", stats.responses.into()),
+        ("pps", Json::num(stats.responses as f64 / elapsed, 1)),
+        ("update_rate", Json::num(update_rate, 1)),
+        ("updates_applied", applied.into()),
+        ("generation", serve.generation().into()),
+        ("retrains", retrains.into()),
+        ("remainder_fraction", Json::num(serve.remainder_fraction(), 4)),
+        ("shards", shards.into()),
+        ("pinned_readers", pinned_readers.into()),
+        ("udp_readers", scfg.udp_readers.into()),
+        ("transport", scfg.transport.to_string().into()),
+        ("udp_addr", addr(udp_addr)),
+        ("tcp_addr", addr(tcp_addr)),
+        ("max_batch", scfg.max_batch.into()),
+        ("deadline_us", scfg.deadline.as_micros().into()),
+        ("served", served.into()),
+        ("driver_timeouts", timeouts.into()),
+        ("batches", stats.batches.into()),
+        ("full_flushes", stats.full_flushes.into()),
+        ("deadline_flushes", stats.deadline_flushes.into()),
+        ("idle_flushes", stats.idle_flushes.into()),
+        ("drain_flushes", stats.drain_flushes.into()),
+        ("decode_errors", stats.decode_errors.into()),
+        ("recv_calls", stats.recv_calls.into()),
+        ("empty_recv_calls", stats.empty_recv_calls.into()),
+        ("recv_errors", stats.recv_errors.into()),
+        ("send_calls", stats.send_calls.into()),
+        ("send_errors", stats.send_errors.into()),
+        ("syscalls_per_packet", Json::num(stats.syscalls_per_packet(), 4)),
+        ("reader_requests_min", udp_reader_requests.iter().min().copied().unwrap_or(0).into()),
+        ("reader_requests_max", udp_reader_requests.iter().max().copied().unwrap_or(0).into()),
+        ("validated", stats.validated.into()),
+        ("oracle_skipped", stats.oracle_skipped.into()),
+        ("mismatches", stats.mismatches.into()),
+        ("p50_us", Json::num(lat.p50_us, 1)),
+        ("p99_us", Json::num(lat.p99_us, 1)),
+        ("p999_us", Json::num(lat.p999_us, 1)),
+        ("mean_us", Json::num(lat.mean_us, 1)),
+    ]);
     // A served verdict that disagrees with its pinned generation's oracle
     // fails the run; the report still prints, on stderr.
-    let done = |report: String| match stats.mismatches {
-        0 => Ok(report),
-        n => Err(format!("{report}serve: {n} of {} sampled verdicts disagreed", stats.validated)),
-    };
-    if json {
-        let doc = Json::obj([
-            ("engine", "nm-tm".into()),
-            ("rules", set.len().into()),
-            ("build_s", Json::num(build_s, 3)),
-            ("readers", readers.max(1).into()),
-            ("seconds", Json::num(elapsed, 3)),
-            ("packets", stats.responses.into()),
-            ("pps", Json::num(stats.responses as f64 / elapsed, 1)),
-            ("update_rate", Json::num(update_rate, 1)),
-            ("updates_applied", wire.updates_applied.into()),
-            ("generation", serve.generation().into()),
-            ("retrains", wire.retrains.into()),
-            ("remainder_fraction", Json::num(serve.remainder_fraction(), 4)),
-            ("shards", shards.into()),
-            ("pinned_readers", pinned_readers.into()),
-            ("udp_readers", scfg.udp_readers.into()),
-            ("transport", scfg.transport.to_string().into()),
-            ("max_batch", scfg.max_batch.into()),
-            ("deadline_us", scfg.deadline.as_micros().into()),
-            ("served", wire.driver_served.into()),
-            ("driver_timeouts", wire.driver_timeouts.into()),
-            ("batches", stats.batches.into()),
-            ("full_flushes", stats.full_flushes.into()),
-            ("deadline_flushes", stats.deadline_flushes.into()),
-            ("idle_flushes", stats.idle_flushes.into()),
-            ("drain_flushes", stats.drain_flushes.into()),
-            ("decode_errors", stats.decode_errors.into()),
-            ("recv_calls", stats.recv_calls.into()),
-            ("empty_recv_calls", stats.empty_recv_calls.into()),
-            ("send_calls", stats.send_calls.into()),
-            ("syscalls_per_packet", Json::num(stats.syscalls_per_packet(), 4)),
-            ("reader_requests_min", reader_requests_min.into()),
-            ("reader_requests_max", reader_requests_max.into()),
-            ("validated", stats.validated.into()),
-            ("oracle_skipped", stats.oracle_skipped.into()),
-            ("mismatches", stats.mismatches.into()),
-            ("p50_us", Json::num(lat.p50_us, 1)),
-            ("p99_us", Json::num(lat.p99_us, 1)),
-            ("p999_us", Json::num(lat.p999_us, 1)),
-            ("mean_us", Json::num(lat.mean_us, 1)),
-        ]);
-        return done(format!("{doc}\n"));
+    match stats.mismatches {
+        0 => Ok(format!("{doc}\n")),
+        n => Err(format!("{doc}\nserve: {n} of {} sampled verdicts disagreed", stats.validated)),
     }
-    let addr =
-        |a: Option<std::net::SocketAddr>| a.map_or_else(|| "-".to_string(), |sa| sa.to_string());
-    done(format!(
-        "served {} verdicts over {:.2}s on the wire (udp {} / tcp {}, {} shard(s)): {:.3e} pps\n\
-         {} loopback drivers, window {}; {} batches ({} full / {} deadline / {} idle / {} drain), \
-         {} decode errors\n\
-         syscalls: {} recv + {} send for {} requests = {:.4}/pkt \
-         ({} udp reader(s), requests {}..{})\n\
-         service latency: p50 {:.1}us  p99 {:.1}us  p99.9 {:.1}us  mean {:.1}us\n\
-         updates applied: {} ({:.0}/s target) -> generation {}\n\
-         retrains completed: {}   remainder fraction now: {:.1}%\n\
-         oracle validation: {} sampled, {} mismatches ({} skipped)\n\
-         readers never blocked: every batch classified one pinned generation\n",
-        stats.responses,
-        elapsed,
-        addr(wire.udp_addr),
-        addr(wire.tcp_addr),
-        shards,
-        stats.responses as f64 / elapsed,
-        readers.max(1),
-        batch.clamp(1, 512),
-        stats.batches,
-        stats.full_flushes,
-        stats.deadline_flushes,
-        stats.idle_flushes,
-        stats.drain_flushes,
-        stats.decode_errors,
-        stats.recv_calls,
-        stats.send_calls,
-        stats.requests,
-        stats.syscalls_per_packet(),
-        scfg.udp_readers,
-        reader_requests_min,
-        reader_requests_max,
-        lat.p50_us,
-        lat.p99_us,
-        lat.p999_us,
-        lat.mean_us,
-        wire.updates_applied,
-        update_rate,
-        serve.generation(),
-        wire.retrains,
-        serve.remainder_fraction() * 100.0,
-        stats.validated,
-        stats.mismatches,
-        stats.oracle_skipped,
-    ))
 }
 
 /// Parses `a.b.c.d,a.b.c.d,sport,dport,proto` into a 5-tuple key.
@@ -779,16 +658,58 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    fn run_args(s: &[&str]) -> Result<String, String> {
+        run(parse_command(&v(s))?)
+    }
+
+    /// `out` as the one JSON object a report command prints: one line, one
+    /// `{…}`.
+    fn report(out: &str) -> &str {
+        assert!(out.starts_with('{') && out.ends_with("}\n") && out.lines().count() == 1, "{out}");
+        out
+    }
+
+    /// The raw value text of `key` in a flat one-line JSON object.
+    fn field<'a>(json: &'a str, key: &str) -> &'a str {
+        let pat = format!("\"{key}\":");
+        let at = json.find(&pat).unwrap_or_else(|| panic!("missing {key} in {json}"));
+        let rest = &json[at + pat.len()..];
+        &rest[..rest.find([',', '}']).unwrap()]
+    }
+
+    /// A temp dir holding a generated `rules.cb`; removed on drop.
+    struct RuleFile(std::path::PathBuf);
+
+    impl RuleFile {
+        fn new(tag: &str, kind: &str, rules: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("nmctl-{tag}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let gen = run_args(&["generate", "--kind", kind, "--rules", rules]).unwrap();
+            std::fs::write(dir.join("rules.cb"), gen).unwrap();
+            Self(dir)
+        }
+
+        fn path(&self) -> String {
+            self.0.join("rules.cb").to_str().unwrap().to_string()
+        }
+    }
+
+    impl Drop for RuleFile {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
     #[test]
     fn help_is_returned_for_no_args() {
-        let out = run(parse_command(&v(&[])).unwrap()).unwrap();
-        assert!(out.contains("USAGE"));
+        for argv in [&[][..], &["help"], &["--help"]] {
+            assert!(run_args(argv).unwrap().contains("USAGE"), "{argv:?}");
+        }
     }
 
     #[test]
     fn generate_emits_classbench_text() {
-        let cmd = parse_command(&v(&["generate", "--kind", "fw", "--rules", "25"])).unwrap();
-        let out = run(cmd).unwrap();
+        let out = run_args(&["generate", "--kind", "fw", "--rules", "25"]).unwrap();
         assert_eq!(out.lines().count(), 25);
         assert!(out.starts_with('@'));
         // And it parses back.
@@ -797,88 +718,56 @@ mod tests {
 
     #[test]
     fn generate_rejects_bad_kind() {
-        let cmd = parse_command(&v(&["generate", "--kind", "bogus"])).unwrap();
-        assert!(run(cmd).is_err());
+        assert!(run_args(&["generate", "--kind", "bogus"]).is_err());
     }
 
     #[test]
     fn full_file_workflow() {
-        let dir = std::env::temp_dir().join(format!("nmctl-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let rules = dir.join("rules.cb");
-        let gen = run(parse_command(&v(&["generate", "--kind", "acl", "--rules", "300"])).unwrap())
-            .unwrap();
-        std::fs::write(&rules, gen).unwrap();
-        let rp = rules.to_str().unwrap();
+        let file = RuleFile::new("test", "acl", "300");
+        let rp = &file.path();
 
-        let out = run(parse_command(&v(&["inspect", rp])).unwrap()).unwrap();
+        let out = run_args(&["inspect", rp]).unwrap();
         assert!(out.contains("rules: 300"));
         assert!(out.contains("iSet coverage"));
 
-        let out =
-            run(parse_command(&v(&["bench", rp, "--engine", "tm", "--packets", "2000"])).unwrap())
-                .unwrap();
-        assert!(out.contains("throughput"));
+        let out = run_args(&["bench", rp, "--engine", "tm", "--packets", "2000"]).unwrap();
+        assert_eq!(field(report(&out), "packets"), "2000");
 
-        let out =
-            run(parse_command(&v(&["classify", rp, "--key", "10.0.0.1,10.0.0.2,1,2,6"])).unwrap())
-                .unwrap();
+        let out = run_args(&["classify", rp, "--key", "10.0.0.1,10.0.0.2,1,2,6"]).unwrap();
         assert!(out.contains("match") || out.contains("no match"));
 
-        let model = dir.join("m.rqrmi");
-        let out = run(parse_command(&v(&["train", rp, "--out", model.to_str().unwrap()])).unwrap())
-            .unwrap();
+        let model = file.0.join("m.rqrmi");
+        let out = run_args(&["train", rp, "--out", model.to_str().unwrap()]).unwrap();
         assert!(out.contains("worst error bound"));
         // The persisted model loads back.
         let bytes = std::fs::read(&model).unwrap();
         assert!(nuevomatch::load_rqrmi(&bytes).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn batched_bench_covers_tree_engines_with_aliases() {
-        let dir = std::env::temp_dir().join(format!("nmctl-batch-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let rules = dir.join("rules.cb");
-        let gen = run(parse_command(&v(&["generate", "--kind", "fw", "--rules", "200"])).unwrap())
-            .unwrap();
-        std::fs::write(&rules, gen).unwrap();
-        let rp = rules.to_str().unwrap();
+        let file = RuleFile::new("batch-test", "fw", "200");
+        let rp = &file.path();
         // cs/nc (and their long aliases) run the batched pipeline and emit
         // the same JSON fields as the nm/tm runs.
         for engine in ["cs", "cutsplit", "neurocuts", "tuplemerge"] {
-            let out = run(parse_command(&v(&[
-                "bench",
-                rp,
-                "--engine",
-                engine,
-                "--packets",
-                "1500",
-                "--batch",
-                "128",
-                "--json",
-                "true",
-            ]))
-            .unwrap())
-            .unwrap();
-            for field in ["\"engine\":", "\"batch\":128", "\"pps\":", "\"generation\":"] {
-                assert!(out.contains(field), "{engine}: missing {field} in {out}");
-            }
+            let out =
+                run_args(&["bench", rp, "--engine", engine, "--packets", "1500", "--batch", "128"])
+                    .unwrap();
+            let out = report(&out);
+            assert_eq!(field(out, "engine"), format!("\"{engine}\""));
+            assert_eq!(field(out, "batch"), "128");
+            field(out, "pps");
+            field(out, "generation");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn serve_smoke() {
-        let dir = std::env::temp_dir().join(format!("nmctl-serve-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let rules = dir.join("rules.cb");
-        let gen = run(parse_command(&v(&["generate", "--kind", "acl", "--rules", "300"])).unwrap())
-            .unwrap();
-        std::fs::write(&rules, gen).unwrap();
-        let rp = rules.to_str().unwrap();
+        let file = RuleFile::new("serve-test", "acl", "300");
+        let rp = &file.path();
 
-        let out = run(parse_command(&v(&[
+        let out = run_args(&[
             "serve",
             rp,
             "--seconds",
@@ -893,50 +782,42 @@ mod tests {
             "0.2",
             "--packets",
             "3000",
-        ]))
-        .unwrap())
+        ])
         .unwrap();
-        assert!(out.contains("updates applied"), "{out}");
-        assert!(out.contains("retrains completed"), "{out}");
-        assert!(out.contains("service latency:"), "{out}");
-        // The batched-I/O accounting line: recv/send syscalls plus the
-        // per-UDP-reader request spread across the SO_REUSEPORT fleet.
-        assert!(out.contains("syscalls:"), "{out}");
-        assert!(out.contains("2 udp reader(s)"), "{out}");
+        let out = report(&out);
+        assert_ne!(field(out, "updates_applied"), "0", "{out}");
+        field(out, "retrains");
+        for key in ["p50_us", "p99_us", "p999_us", "mean_us"] {
+            field(out, key);
+        }
+        // The batched-I/O accounting: recv/send syscalls, their errors, and
+        // the per-UDP-reader request spread across the SO_REUSEPORT fleet.
+        for key in ["recv_calls", "send_calls", "syscalls_per_packet", "reader_requests_min"] {
+            field(out, key);
+        }
+        let count = |key| field(out, key).parse::<u64>().unwrap();
+        count("recv_errors");
+        count("send_errors");
+        assert_eq!(field(out, "udp_readers"), "2");
+        // `packets` counts the responses: the requests read, less any whose
+        // reply a departed client never took.
+        assert!(count("packets") > 0 && count("requests") >= count("packets"), "{out}");
         // Debug builds sample served verdicts against the oracle at the
         // pinned generation; any disagreement is a torn generation.
-        assert!(out.contains(", 0 mismatches"), "oracle mismatches: {out}");
+        assert_eq!(field(out, "mismatches"), "0", "oracle mismatches: {out}");
 
-        let out = run(parse_command(&v(&[
-            "bench",
-            rp,
-            "--engine",
-            "tm",
-            "--packets",
-            "2000",
-            "--json",
-            "true",
-        ]))
-        .unwrap())
-        .unwrap();
-        assert!(out.contains("\"generation\":0"), "{out}");
-        assert!(out.contains("\"update_rate\":0.0"), "{out}");
-
-        std::fs::remove_dir_all(&dir).ok();
+        let out = run_args(&["bench", rp, "--engine", "tm", "--packets", "2000"]).unwrap();
+        assert_eq!(field(report(&out), "generation"), "0");
+        assert_eq!(field(&out, "update_rate"), "0.0");
     }
 
     #[test]
     fn sharded_bench_and_serve_emit_runtime_fields() {
-        let dir = std::env::temp_dir().join(format!("nmctl-shard-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let rules = dir.join("rules.cb");
-        let gen = run(parse_command(&v(&["generate", "--kind", "acl", "--rules", "300"])).unwrap())
-            .unwrap();
-        std::fs::write(&rules, gen).unwrap();
-        let rp = rules.to_str().unwrap();
+        let file = RuleFile::new("shard-test", "acl", "300");
+        let rp = &file.path();
 
         // bench through the sharded worker runtime: 2 shards × 2 workers.
-        let out = run(parse_command(&v(&[
+        let out = run_args(&[
             "bench",
             rp,
             "--engine",
@@ -949,42 +830,24 @@ mod tests {
             "2",
             "--workers",
             "2",
-            "--json",
-            "true",
-        ]))
-        .unwrap())
+        ])
         .unwrap();
-        for field in [
-            "\"shards\":2",
-            "\"workers\":4",
-            "\"pinned_workers\":",
-            "\"broadcast_fraction\":",
-            "\"pps\":",
-            "\"generation\":",
-        ] {
-            assert!(out.contains(field), "sharded bench missing {field}: {out}");
+        let out = report(&out);
+        assert_eq!(field(out, "shards"), "2", "{out}");
+        assert_eq!(field(out, "workers"), "4", "{out}");
+        for key in ["pinned_workers", "broadcast_fraction", "pps", "generation"] {
+            field(out, key);
         }
 
         // The unsharded path reports the same fields (trivial values) so
         // downstream JSON consumers see one shape.
-        let out = run(parse_command(&v(&[
-            "bench",
-            rp,
-            "--engine",
-            "tm",
-            "--packets",
-            "1000",
-            "--json",
-            "true",
-        ]))
-        .unwrap())
-        .unwrap();
-        assert!(out.contains("\"shards\":1"), "{out}");
-        assert!(out.contains("\"workers\":1"), "{out}");
+        let out = run_args(&["bench", rp, "--engine", "tm", "--packets", "1000"]).unwrap();
+        assert_eq!(field(report(&out), "shards"), "1");
+        assert_eq!(field(&out, "workers"), "1");
 
         // serve with per-shard replicas: updates fan out, retrains
         // republish one logical generation.
-        let out = run(parse_command(&v(&[
+        let out = run_args(&[
             "serve",
             rp,
             "--seconds",
@@ -1001,41 +864,69 @@ mod tests {
             "3000",
             "--shards",
             "2",
-            "--json",
-            "true",
-        ]))
-        .unwrap())
+            "--batch",
+            "64",
+        ])
         .unwrap();
-        for field in [
-            "\"shards\":2",
-            "\"pinned_readers\":",
-            "\"udp_readers\":2",
-            "\"generation\":",
-            "\"retrains\":",
-            "\"transport\":\"both\"",
-            "\"served\":",
-            "\"p50_us\":",
-            "\"p99_us\":",
-            "\"p999_us\":",
-            "\"mean_us\":",
-            "\"recv_calls\":",
-            "\"empty_recv_calls\":",
-            "\"send_calls\":",
-            "\"syscalls_per_packet\":",
-            "\"reader_requests_min\":",
-            "\"reader_requests_max\":",
-            "\"mismatches\":0",
-        ] {
-            assert!(out.contains(field), "sharded serve missing {field}: {out}");
+        let out = report(&out);
+        assert_eq!(field(out, "shards"), "2");
+        assert_eq!(field(out, "udp_readers"), "2");
+        assert_eq!(field(out, "transport"), "\"both\"");
+        assert_eq!(field(out, "window"), "64");
+        assert_eq!(field(out, "mismatches"), "0");
+        // Both transports bound on loopback, each at its own ephemeral port.
+        for key in ["udp_addr", "tcp_addr"] {
+            assert!(field(out, key).starts_with("\"127.0.0.1:"), "{key}: {out}");
         }
+        for key in ["pinned_readers", "generation", "retrains", "served", "empty_recv_calls"] {
+            field(out, key);
+        }
+        for key in ["reader_requests_max", "driver_timeouts", "build_s", "p99_us"] {
+            field(out, key);
+        }
+    }
 
-        // Bad grids are rejected up front.
-        assert!(run(parse_command(&v(&[
-            "bench", rp, "--engine", "tm", "--shards", "0", "--json", "true",
-        ]))
-        .unwrap())
-        .is_err());
-        std::fs::remove_dir_all(&dir).ok();
+    #[test]
+    fn unread_input_is_an_error_naming_it() {
+        // Each is refused before the (absent) rule file is read.
+        for (argv, token) in [
+            (&["bench", "f.cb", "--shard", "4"][..], "--shard"),
+            (&["serve", "f.cb", "--validate-evry", "64"], "--validate-evry"),
+            (&["bench", "f.cb", "g.cb"], "'g.cb'"),
+            (&["srve", "f.cb"], "'srve'"),
+            (&["bench", "f.cb", "--json", "true"], "--json"),
+            (&["serve", "f.cb", "--json", "true"], "--json"),
+            (&["inspect", "f.cb", "--engine", "tm"], "--engine"),
+            (&["generate", "extra"], "'extra'"),
+        ] {
+            let err = run_args(argv).unwrap_err();
+            assert!(err.contains(token), "{argv:?}: {err}");
+        }
+        // With a readable rule file too: a misspelt flag is not a default.
+        let file = RuleFile::new("unread-test", "acl", "50");
+        let err = run_args(&["bench", &file.path(), "--packets", "100", "--shard", "4"]);
+        assert_eq!(err.unwrap_err(), "unknown flag --shard for this command");
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_not_clamped() {
+        for (argv, message) in [
+            (&["serve", "f.cb", "--readers", "0"][..], "--readers must be in 1.., got 0"),
+            (
+                &["serve", "f.cb", "--udp-readers", "100"],
+                "--udp-readers must be in 1..=64, got 100",
+            ),
+            (&["serve", "f.cb", "--udp-readers", "0"], "--udp-readers must be in 1..=64, got 0"),
+            (&["serve", "f.cb", "--batch", "0"], "--batch must be in 1..=512, got 0"),
+            (&["serve", "f.cb", "--batch", "513"], "--batch must be in 1..=512, got 513"),
+            (&["serve", "f.cb", "--max-batch", "0"], "--max-batch must be in 1.., got 0"),
+            (&["serve", "f.cb", "--shards", "0"], "--shards must be in 1.., got 0"),
+            (&["bench", "f.cb", "--batch", "0"], "--batch must be in 1.., got 0"),
+            (&["bench", "f.cb", "--shards", "0"], "--shards must be in 1.., got 0"),
+            (&["bench", "f.cb", "--workers", "0"], "--workers must be in 1.., got 0"),
+        ] {
+            assert_eq!(run_args(argv).unwrap_err(), message, "{argv:?}");
+        }
     }
 
     #[test]
