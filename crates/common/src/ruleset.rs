@@ -135,8 +135,9 @@ impl FieldsSpec {
 pub struct RuleSet {
     spec: FieldsSpec,
     rules: Vec<Rule>,
-    /// id → position. Dense id sets map to themselves; sparse ones (post-
-    /// update rebuilds) still resolve in O(1).
+    /// id → position, consulted only when position `id` holds another
+    /// rule: dense id sets (every generated set) resolve without hashing;
+    /// sparse ones (post-update rebuilds) still resolve in O(1).
     index: std::collections::HashMap<RuleId, u32>,
 }
 
@@ -191,14 +192,17 @@ impl RuleSet {
     /// The rule with the given id. Panics if the id is not in the set.
     #[inline]
     pub fn rule(&self, id: RuleId) -> &Rule {
-        let pos = self.index[&id] as usize;
-        &self.rules[pos]
+        self.get(id).unwrap_or_else(|| panic!("rule id {id} is not in the set"))
     }
 
-    /// The rule with the given id, or `None`.
+    /// The rule with the given id, or `None`. Tries position `id` first
+    /// (ids equal positions in every set built from rows), then the map.
     #[inline]
     pub fn get(&self, id: RuleId) -> Option<&Rule> {
-        self.index.get(&id).map(|&pos| &self.rules[pos as usize])
+        match self.rules.get(id as usize) {
+            Some(rule) if rule.id == id => Some(rule),
+            _ => self.index.get(&id).map(|&pos| &self.rules[pos as usize]),
+        }
     }
 
     /// The rule at a position (0..len), regardless of its id. Workload
@@ -357,5 +361,9 @@ mod tests {
         assert_eq!(sub.len(), 2);
         assert_eq!(sub.rules()[0].id, 3);
         assert_eq!(sub.rules()[1].priority, 1);
+        // Ids no longer equal positions: lookups by id still resolve.
+        assert_eq!(sub.rule(3).id, 3);
+        assert_eq!(sub.rule(1).id, 1);
+        assert!(sub.get(0).is_none() && sub.get(2).is_none() && sub.get(9).is_none());
     }
 }

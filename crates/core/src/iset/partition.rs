@@ -11,6 +11,8 @@
 use nm_common::rule::RuleId;
 use nm_common::ruleset::RuleSet;
 
+use crate::par;
+
 /// One independent set: rules that do not overlap in field `dim`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ISet {
@@ -55,29 +57,33 @@ impl PartitionResult {
     }
 }
 
-/// Finds the largest conflict-free subset of `candidates` in field `dim`
-/// (interval scheduling maximisation). Returns rule ids sorted by range
-/// lower bound.
-pub fn largest_iset_in_dim(set: &RuleSet, candidates: &[RuleId], dim: usize) -> Vec<RuleId> {
-    let mut intervals: Vec<(u64, u64, RuleId)> = candidates
+/// Finds the largest conflict-free subset of the rules at `candidates` —
+/// positions in `set.rules()` — in field `dim` (interval scheduling
+/// maximisation). Returns their positions, sorted by range lower bound.
+///
+/// Intervals are taken in ascending `(hi, lo, id)` order, which is unique
+/// per rule, so the pick is a function of the rules alone. Picks in
+/// ascending `hi` that do not overlap also ascend in `lo`, so the pick order
+/// is already the value-array order.
+pub fn largest_iset_in_dim(set: &RuleSet, candidates: &[u32], dim: usize) -> Vec<u32> {
+    let rules = set.rules();
+    let mut intervals: Vec<(u64, u64, RuleId, u32)> = candidates
         .iter()
-        .map(|&id| {
-            let r = &set.rule(id).fields[dim];
-            (r.hi, r.lo, id)
+        .map(|&pos| {
+            let rule = &rules[pos as usize];
+            let r = rule.fields[dim];
+            (r.hi, r.lo, rule.id, pos)
         })
         .collect();
     intervals.sort_unstable();
-    let mut picked: Vec<RuleId> = Vec::new();
+    let mut picked = Vec::new();
     let mut last_hi: Option<u64> = None;
-    for (hi, lo, id) in intervals {
+    for (hi, lo, _, pos) in intervals {
         if last_hi.map_or(true, |prev| lo > prev) {
-            picked.push(id);
+            picked.push(pos);
             last_hi = Some(hi);
         }
     }
-    // Sorted by hi implies sorted by lo for non-overlapping picks, but make
-    // the contract explicit.
-    picked.sort_unstable_by_key(|&id| set.rule(id).fields[dim].lo);
     picked
 }
 
@@ -87,29 +93,44 @@ pub fn largest_iset_in_dim(set: &RuleSet, candidates: &[RuleId], dim: usize) -> 
 /// Construction stops early once the best remaining candidate covers less
 /// than `min_coverage` of the *input* rules — small iSets cost an RQ-RMI
 /// query each without offloading enough of the remainder (§3.7).
+///
+/// Works on rule positions throughout; a round scans every field at once
+/// and keeps the first of the largest candidates.
 pub fn partition_isets(set: &RuleSet, max_isets: usize, min_coverage: f64) -> PartitionResult {
     let total = set.len();
-    let mut remaining: Vec<RuleId> = set.rules().iter().map(|r| r.id).collect();
+    let rules = set.rules();
+    let dims: Vec<usize> = (0..set.num_fields()).collect();
+    let mut remaining: Vec<u32> = (0..total as u32).collect();
+    // One bit per position: taken by a kept iSet.
+    let mut taken = vec![0u64; total.div_ceil(64)];
     let mut isets = Vec::new();
 
     while isets.len() < max_isets && !remaining.is_empty() {
-        let mut best: Option<ISet> = None;
-        for dim in 0..set.num_fields() {
-            let picked = largest_iset_in_dim(set, &remaining, dim);
-            if best.as_ref().map_or(true, |b| picked.len() > b.len()) {
-                best = Some(ISet { dim, rule_ids: picked });
+        let mut picks = par::map(&dims, |&dim| largest_iset_in_dim(set, &remaining, dim))
+            .into_iter()
+            .enumerate();
+        let mut best = picks.next().expect("at least one field");
+        for (dim, picked) in picks {
+            if picked.len() > best.1.len() {
+                best = (dim, picked);
             }
         }
-        let best = best.expect("at least one field");
-        if (best.len() as f64) < min_coverage * total as f64 || best.is_empty() {
+        let (dim, picked) = best;
+        if (picked.len() as f64) < min_coverage * total as f64 || picked.is_empty() {
             break;
         }
-        let member: std::collections::HashSet<RuleId> = best.rule_ids.iter().copied().collect();
-        remaining.retain(|id| !member.contains(id));
-        isets.push(best);
+        for &pos in &picked {
+            taken[pos as usize / 64] |= 1 << (pos % 64);
+        }
+        remaining.retain(|&pos| taken[pos as usize / 64] & (1 << (pos % 64)) == 0);
+        isets.push(ISet {
+            dim,
+            rule_ids: picked.iter().map(|&pos| rules[pos as usize].id).collect(),
+        });
     }
 
-    PartitionResult { isets, remainder: remaining, total }
+    let remainder = remaining.iter().map(|&pos| rules[pos as usize].id).collect();
+    PartitionResult { isets, remainder, total }
 }
 
 /// Greedy re-admission for partial retrains (§3.9 refinement): which of

@@ -60,6 +60,7 @@
 
 pub mod config;
 pub mod iset;
+mod par;
 pub mod persist;
 pub mod rqrmi;
 pub mod system;

@@ -19,6 +19,19 @@
 //! training signal without touching the correctness argument (bounds are
 //! computed over covered keys only). `SampleMode::Reject` keeps the literal
 //! paper behaviour for comparison.
+//!
+//! ## One stream, walked in a fixed order
+//!
+//! Every draw comes from one SplitMix64 stream seeded with `SEED`, in the
+//! order a serial walk makes them: each stage's submodels in index order,
+//! then the leaves' retries in leaf order. A first fit draws exactly
+//! `samples + 1` values — its keys, then one trainer seed — whatever the
+//! trainer, so a stage knows every submodel's stream position before it
+//! starts, and fits its submodels (and bounds its leaves) side by side, each
+//! from its own position ([`SplitMix64::skip`]). Only the retries run one
+//! after another: how many draws a leaf's retries make depends on its
+//! bounds. A model therefore depends only on its ranges and
+//! [`RqRmiParams`], never on the thread count.
 
 use nm_common::range::FieldRange;
 use nm_common::{Error, SplitMix64};
@@ -30,9 +43,12 @@ use super::analyze::{
 };
 use super::model::RqRmi;
 use crate::config::{RqRmiParams, TrainerKind};
+use crate::par;
 
 /// RNG seed for sampling (and Adam init): training is deterministic, so a
-/// model is a function of its ranges and [`RqRmiParams`] alone.
+/// model is a function of its ranges and [`RqRmiParams`] alone — never of
+/// the thread count, as each fit starts from the stream position a serial
+/// walk would reach (see the module docs).
 const SEED: u64 = 0x6e75_6576_6f6d; // "nuevom"
 
 /// Sampling behaviour for training datasets.
@@ -80,57 +96,73 @@ pub fn train_rqrmi_mode(
     let his: Vec<u64> = ranges.iter().map(|r| r.hi).collect();
     let widths = params.widths_for(n);
     let stages = widths.len();
-    let mut rng = SplitMix64::new(SEED);
+    // Draws the first fits have made along the SEED stream.
+    let mut drawn = 0u64;
 
     let mut nets: Vec<Vec<Mlp>> = Vec::with_capacity(stages);
     let mut resp: Vec<Responsibility> = vec![vec![(0, km.domain_max())]];
+    let mut leaf_err = Vec::new();
 
     for s in 0..stages {
-        let w = widths[s];
-        debug_assert_eq!(resp.len(), w);
+        let leaf = s + 1 == stages;
+        debug_assert_eq!(resp.len(), widths[s]);
         // Internal stages see larger responsibilities; give them more samples.
-        let samples = if s + 1 < stages { params.samples_init * 4 } else { params.samples_init };
-        let mut stage_nets = Vec::with_capacity(w);
-        for r in resp.iter() {
+        let samples = if leaf { params.samples_init } else { params.samples_init * 4 };
+        let starts: Vec<(&Responsibility, u64)> = resp
+            .iter()
+            .map(|r| {
+                let start = drawn;
+                if responsibility_size(r) != 0 {
+                    drawn += samples as u64 + 1;
+                }
+                (r, start)
+            })
+            .collect();
+        let fitted = par::map(&starts, |&(r, start)| {
             if responsibility_size(r) == 0 {
-                stage_nets.push(Mlp::zeros(Mlp::PAPER_HIDDEN));
-                continue;
+                return (Mlp::zeros(Mlp::PAPER_HIDDEN), 0);
             }
+            let mut rng = SplitMix64::new(SEED);
+            rng.skip(start);
             let data = sample_dataset(r, samples, &mut rng, &km, &los, &his, n, mode);
-            stage_nets.push(fit(&params.trainer, &data, rng.next_u64()));
-        }
-        if s + 1 < stages {
+            let net = fit(&params.trainer, &data, rng.next_u64());
+            let bound = if leaf { leaf_error_bound(&net, r, &km, &los, &his, n) } else { 0 };
+            (net, bound)
+        });
+        let (stage_nets, bounds): (Vec<Mlp>, Vec<u32>) = fitted.into_iter().unzip();
+        if leaf {
+            leaf_err = bounds;
+        } else {
             resp = next_responsibilities(&stage_nets, &resp, widths[s + 1], &km);
         }
         nets.push(stage_nets);
     }
 
-    // Leaf error bounds + the Figure 5 retrain loop.
-    let leaf_stage = stages - 1;
-    let mut leaf_err = vec![0u32; widths[leaf_stage]];
-    for j in 0..widths[leaf_stage] {
-        if responsibility_size(&resp[j]) == 0 {
+    // The Figure 5 retries, in leaf order, from where the first fits ended.
+    let leaves = nets.last_mut().expect("at least one stage");
+    let mut rng = SplitMix64::new(SEED);
+    rng.skip(drawn);
+    for (j, net) in leaves.iter_mut().enumerate() {
+        if leaf_err[j] <= params.error_target {
             continue;
         }
-        let initial = nets[leaf_stage][j].clone();
-        let (net, bound) =
-            refine_leaf(initial, &resp[j], &mut rng, &km, &los, &his, n, params, mode);
-        nets[leaf_stage][j] = net;
+        let first = (net.clone(), leaf_err[j]);
         // §3.5.6: if training does not converge the bound is raised to the
         // achieved value (lookups stay correct, just search further).
-        leaf_err[j] = bound;
+        (*net, leaf_err[j]) =
+            refine_leaf(first, &resp[j], &mut rng, &km, &los, &his, n, params, mode);
     }
 
     Ok(RqRmi { widths, nets, leaf_err, n_values: n, bits })
 }
 
 /// The Figure 5 leaf loop shared by [`train_rqrmi`] and [`retrain_leaves`]:
-/// bounds `initial` analytically, then — while the bound misses the target
-/// and attempts remain — refits from a doubled sample count, keeping the
-/// best (bound, net) pair seen.
+/// from a first fit and its analytic bound, while the bound misses the
+/// target and attempts remain, refits from a doubled sample count, keeping
+/// the best (net, bound) pair seen.
 #[allow(clippy::too_many_arguments)]
 fn refine_leaf(
-    initial: Mlp,
+    first: (Mlp, u32),
     resp: &Responsibility,
     rng: &mut SplitMix64,
     km: &KeyMap,
@@ -140,7 +172,7 @@ fn refine_leaf(
     params: &RqRmiParams,
     mode: SampleMode,
 ) -> (Mlp, u32) {
-    let mut bound = leaf_error_bound(&initial, resp, km, los, his, n);
+    let (initial, mut bound) = first;
     let mut best = (bound, initial);
     let mut samples = params.samples_init;
     let mut attempt = 1;
@@ -354,7 +386,15 @@ pub fn retrain_leaves(
                     // The rescale came out worse than before (pathological
                     // weights): fall through to a refit of this leaf.
                     let (net, bound) = refine_leaf(
-                        net, &resp[j], &mut rng, &km, &new_los, &new_his, n_new, params, mode,
+                        (net, bound),
+                        &resp[j],
+                        &mut rng,
+                        &km,
+                        &new_los,
+                        &new_his,
+                        n_new,
+                        params,
+                        mode,
                     );
                     nets[leaf_stage][j] = net;
                     leaf_err[j] = bound;
@@ -374,8 +414,17 @@ pub fn retrain_leaves(
                     mode,
                 );
                 let initial = fit(&params.trainer, &data, rng.next_u64());
+                let bound = leaf_error_bound(&initial, &resp[j], &km, &new_los, &new_his, n_new);
                 let (net, bound) = refine_leaf(
-                    initial, &resp[j], &mut rng, &km, &new_los, &new_his, n_new, params, mode,
+                    (initial, bound),
+                    &resp[j],
+                    &mut rng,
+                    &km,
+                    &new_los,
+                    &new_his,
+                    n_new,
+                    params,
+                    mode,
                 );
                 nets[leaf_stage][j] = net;
                 leaf_err[j] = bound;
@@ -432,8 +481,12 @@ fn sample_dataset(
     if total == 0 {
         return Vec::new();
     }
+    // Every key lies between the responsibility's two ends, so its rank lies
+    // between theirs: ranges before `r0` end below every key, and range `r1`
+    // (if any) ends at or above every key.
+    let (r0, r1) = (rank(his, resp[0].0), rank(his, resp[resp.len() - 1].1));
     let label = |key: u64| -> Option<f32> {
-        let r = rank(his, key);
+        let r = r0 + rank(&his[r0..r1], key);
         let covered = r < n && los[r] <= key;
         match mode {
             SampleMode::Reject if !covered => None,

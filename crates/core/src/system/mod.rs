@@ -37,6 +37,7 @@ use nm_common::Error;
 
 use crate::config::NuevoMatchConfig;
 use crate::iset::{partition_isets, ISet};
+use crate::par;
 use crate::rqrmi::{train_rqrmi, CompiledRqRmi, RqRmi};
 
 /// A word of the search array and the validation records: `u32` when every
@@ -675,18 +676,21 @@ impl<R: Classifier> NuevoMatch<R> {
     /// priorities preserved) and returns the external classifier. Pass the
     /// same builder to [`ClassifierHandle::new`] so background retrains can
     /// reconstruct the remainder.
+    ///
+    /// The remainder builds beside the iSets' training, on the cores the
+    /// machine has; the result is the same on one. A panic in either comes
+    /// out of this call with its own payload.
     pub fn build(
         set: &RuleSet,
         cfg: &NuevoMatchConfig,
-        remainder_builder: impl Fn(&RuleSet) -> R,
+        remainder_builder: impl Fn(&RuleSet) -> R + Sync,
     ) -> Result<Self, Error> {
         let partition = partition_isets(set, cfg.max_isets, cfg.min_iset_coverage);
-        let mut isets = Vec::with_capacity(partition.isets.len());
-        for iset in &partition.isets {
-            isets.push(TrainedISet::build(set, iset, cfg)?);
-        }
-        let remainder_set = set.subset(&partition.remainder);
-        let remainder = remainder_builder(&remainder_set);
+        let (remainder, isets) = par::join(
+            || remainder_builder(&set.subset(&partition.remainder)),
+            || par::map(&partition.isets, |iset| TrainedISet::build(set, iset, cfg)),
+        );
+        let isets = isets.into_iter().collect::<Result<_, _>>()?;
         Ok(Self::assemble(isets, remainder, cfg.early_termination, set.spec().clone()))
     }
 
@@ -940,6 +944,21 @@ mod tests {
             let key = [1, 2, 3, port, 6];
             assert_eq!(nm.classify(&key), oracle.classify(&key), "diverged at port {port}");
         }
+    }
+
+    #[test]
+    fn a_panicking_remainder_builder_panics_out_of_build_with_its_message() {
+        let set = port_set(500);
+        let builder = |rem: &RuleSet| -> LinearSearch {
+            panic!("remainder builder refused {} rules", rem.len());
+        };
+        let payload = std::panic::catch_unwind(|| NuevoMatch::build(&set, &fast_cfg(), builder))
+            .err()
+            .expect("the builder's panic comes out of build");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("remainder builder refused 0 rules")
+        );
     }
 
     #[test]

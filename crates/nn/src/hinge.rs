@@ -22,19 +22,7 @@ pub fn fit_hinge(hidden: usize, data: &[(f32, f32)]) -> Mlp {
         return Mlp::zeros(hidden);
     }
     let mut xs: Vec<f32> = data.iter().map(|&(x, _)| x).collect();
-    xs.sort_by(f32::total_cmp);
-    let x_min = xs[0];
-
-    // Knots: q_0 at the left edge carries the global linear term
-    // (relu(x - x_min) == x - x_min over the whole responsibility);
-    // the rest sit at interior quantiles.
-    let mut knots = Vec::with_capacity(hidden);
-    knots.push(x_min);
-    for j in 1..hidden {
-        let frac = j as f64 / hidden as f64;
-        let idx = ((xs.len() - 1) as f64 * frac).round() as usize;
-        knots.push(xs[idx]);
-    }
+    let mut knots = knots(&mut xs, hidden);
     knots.dedup();
     let k = knots.len();
 
@@ -78,6 +66,34 @@ pub fn fit_hinge(hidden: usize, data: &[(f32, f32)]) -> Mlp {
     // yields pre-activation 0 which ReLU kills for every x.
     net.b2 = coef[k] as f32;
     net
+}
+
+/// The knots before deduplication: `q_0` at the smallest input carries the
+/// global linear term (`relu(x - q_0) == x - q_0` over the whole
+/// responsibility); `q_j` for `j ≥ 1` sits at the input quantile `j/hidden`
+/// — index `round((len - 1)·j/hidden)` of the inputs sorted by
+/// [`f32::total_cmp`].
+///
+/// Only those `hidden` order statistics are needed, so each is selected
+/// from what lies right of the previous one instead of sorting every input.
+/// Values equal under `total_cmp` are equal bit for bit, so the knots are
+/// exactly a full sort's. `xs` is left permuted.
+fn knots(xs: &mut [f32], hidden: usize) -> Vec<f32> {
+    let mut knots: Vec<f32> = Vec::with_capacity(hidden);
+    // xs[..done] hold the `done` smallest inputs.
+    let mut done = 0;
+    for j in 0..hidden {
+        let idx = ((xs.len() - 1) as f64 * (j as f64 / hidden as f64)).round() as usize;
+        if idx < done {
+            // Same index as the previous knot.
+            knots.push(knots[knots.len() - 1]);
+            continue;
+        }
+        let (_, q, _) = xs[done..].select_nth_unstable_by(idx - done, f32::total_cmp);
+        knots.push(*q);
+        done = idx + 1;
+    }
+    knots
 }
 
 /// Solves `A·x = b` for symmetric positive-definite `A` (size `n×n`,
@@ -179,6 +195,44 @@ mod tests {
     fn single_point() {
         let net = fit_hinge(8, &[(0.2, 0.7)]);
         assert!((net.forward(0.2) - 0.7).abs() < 1e-4);
+    }
+
+    /// The knots as a full sort places them.
+    fn knots_by_sorting(xs: &[f32], hidden: usize) -> Vec<f32> {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(f32::total_cmp);
+        (0..hidden)
+            .map(|j| {
+                let frac = j as f64 / hidden as f64;
+                sorted[((sorted.len() - 1) as f64 * frac).round() as usize]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selected_knots_equal_a_full_sort_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in [1usize, 2, 3, 7, 8, 9, 64, 1_000, 4_097] {
+            // Few distinct values, so duplicates abound, with both zeros,
+            // negatives, and the odd subnormal.
+            let pool = [-1.5f32, -0.0, 0.0, 0.25, 0.25, 1e-40, 0.5, 0.75, 1.0];
+            let xs: Vec<f32> = (0..len).map(|_| pool[(draw() % 9) as usize]).collect();
+            for hidden in [1, 2, 8, 16] {
+                let want = knots_by_sorting(&xs, hidden);
+                let got = knots(&mut xs.clone(), hidden);
+                assert_eq!(bits(&got), bits(&want), "len {len}, hidden {hidden}");
+            }
+        }
+        // -0.0 sorts before +0.0: the smallest knot keeps its sign.
+        let got = knots(&mut [0.0, -0.0, 0.0], 2);
+        assert_eq!(bits(&got), bits(&[-0.0, 0.0]));
     }
 
     #[test]

@@ -239,3 +239,53 @@ fn fixed_constants_build_golden_models_traces_and_plans() {
         assert_eq!((plan.dim(), homes, plan.broadcast().len()), want, "{shards}-shard plan");
     }
 }
+
+/// A full build is a function of the rules and the configuration alone,
+/// however many cores train it: the partition (every iSet's field and
+/// rule ids, then the remainder) and the snapshot image are pinned for a
+/// 20K ACL set and a 20K FIB. Each largest iSet holds over 10 000 rules, so
+/// its RQ-RMI has a 128-wide leaf stage whose first fits run side by side;
+/// the FIB's error target of 16 sends 16 of those leaves into the Figure-5
+/// retries, which follow the first fits on the one sampling stream.
+#[test]
+fn full_builds_are_byte_identical_to_the_pinned_partitions_and_images() {
+    let cfg = |max_isets, min_iset_coverage, error_target| NuevoMatchConfig {
+        max_isets,
+        min_iset_coverage,
+        rqrmi: RqRmiParams { error_target, ..Default::default() },
+        ..Default::default()
+    };
+    let cases = [
+        (
+            "acl",
+            generate(AppKind::Acl, 20_000, 71),
+            cfg(4, 0.05, 64),
+            0xfbc6_a5ea_1856_b42d,
+            (1_350_008, 0x1e80_d1f1_1500_3383),
+        ),
+        (
+            "fib",
+            stanford_fib(20_000, 72),
+            cfg(8, 0.0, 16),
+            0xa1a1_a67f_9b14_3c3b,
+            (343_365, 0x70a1_1fb9_7422_d967),
+        ),
+    ];
+    for (name, set, cfg, want_partition, want_image) in cases {
+        let part = nuevomatch::partition_isets(&set, cfg.max_isets, cfg.min_iset_coverage);
+        assert!(part.isets[0].len() > 10_000, "{name}: the largest iSet gets 128 leaves");
+        let mut words = Vec::new();
+        for iset in &part.isets {
+            words.extend([iset.dim as u64, iset.len() as u64]);
+            words.extend(iset.rule_ids.iter().map(|&id| u64::from(id)));
+        }
+        words.push(part.remainder.len() as u64);
+        words.extend(part.remainder.iter().map(|&id| u64::from(id)));
+        assert_eq!(fnv1a(words), want_partition, "{name}: partition");
+
+        let nm = NuevoMatch::build(&set, &cfg, TupleMerge::build).unwrap();
+        let image = nuevomatch::save_snapshot(&nm, 1);
+        let image_hash = fnv1a(image.iter().map(|&b| b.into()));
+        assert_eq!((image.len(), image_hash), want_image, "{name}: snapshot image");
+    }
+}
