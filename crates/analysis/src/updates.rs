@@ -15,8 +15,8 @@
 //! this model: the **publish period** `T` drops from full-rebuild training
 //! time to the partial patch time. The drift accumulated at the worst point
 //! of a steady-state cycle is `u·(τ+T)/r`, so [`drift_floor`] rises as `T`
-//! shrinks; model a partial-retrain deployment with
-//! [`UpdateModel::with_train_time`] carrying the measured partial latency.
+//! shrinks; model a partial-retrain deployment by setting
+//! [`UpdateModel::train_time`] to the measured partial latency.
 //! `nm-bench update` measures both latencies and reports both
 //! predicted floors next to the measured curve.
 
@@ -37,16 +37,6 @@ pub struct UpdateModel {
     /// Relative throughput of the remainder alone (e.g. 1/speedup; the
     /// update-free speedup is `fresh/remainder`).
     pub remainder_throughput: f64,
-}
-
-impl UpdateModel {
-    /// The same deployment with a different publish period `T` — the
-    /// partial-retraining counterfactual: substitute the measured partial
-    /// patch latency for full training time and the drift floor rises
-    /// accordingly (everything else in the §3.9 model is unchanged).
-    pub fn with_train_time(&self, train_time: f64) -> Self {
-        Self { train_time, ..*self }
-    }
 }
 
 /// The steady-state throughput floor: the weighted average at the worst
@@ -182,7 +172,7 @@ mod tests {
         let worst = throughput_at(&m, 2.0 * m.retrain_period + m.train_time - 1e-6);
         assert!((worst - floor).abs() < 0.01, "worst {worst} vs floor {floor}");
         // ...and rises when the publish period shrinks (partial retrains).
-        let partial = m.with_train_time(m.train_time / 20.0);
+        let partial = UpdateModel { train_time: m.train_time / 20.0, ..m };
         assert!(drift_floor(&partial) > floor);
         assert!(partial.retrain_period == m.retrain_period && partial.rules == m.rules);
     }

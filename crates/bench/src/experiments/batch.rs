@@ -11,11 +11,14 @@
 //! application suite at its largest size, plus a `fib` row pair —
 //! `stanford_fib` at the same size in 8 iSets against bare TupleMerge, the
 //! paper's own comparison on the rule-set where the iSets are the whole
-//! lookup. Columns report Mpps;
-//! the `seq` column is the per-key `classify` loop for reference.
+//! lookup. Columns report Mpps; the `seq` column is the reference:
+//! [`nuevomatch::system::parallel::run_sequential`], the engine's one
+//! lookup hook called on one key per packet (the small-batch branch of the
+//! engines that have one), where column 1 is the same hook through
+//! `run_batched`.
 //!
-//! Every row's checksum is checked against the sequential per-key
-//! reference, so the sweep double-checks batch/scalar equivalence on the
+//! Every row's checksum is checked against the sequential one-key
+//! reference, so the sweep double-checks batch-size equivalence on the
 //! measured trace — a mismatch fails the run. An inference table times
 //! `CompiledRqRmi::predict_batch` on its own: ns/key over independent
 //! 64-key chunks of uniform keys, one row per instruction set this CPU
@@ -58,7 +61,7 @@ const PASSES: usize = 3;
 type Build<'a> = &'a dyn Fn() -> Box<dyn Classifier + 'a>;
 
 /// Sweeps one engine over one rule-set, adds its row to `table`, and
-/// returns the batch-128 speedup over the per-key classify loop and the
+/// returns the batch-128 speedup over the one-key loop and the
 /// batch-128 throughput itself (packets/s).
 fn sweep(
     out: &mut Outcome,
@@ -200,7 +203,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let s = &ctx.scale;
     let n = *s.sizes.last().expect("scale has sizes");
     out.say(format!("=== Batch-size sweep — {n} rules, uniform traffic, single core ==="));
-    out.say("(columns in Mpps; seq = per-key classify loop; speedup = batch 128 vs seq)\n");
+    out.say("(columns in Mpps; seq = one key per lookup call; speedup = batch 128 vs seq)\n");
     let mut table =
         Table::new(&["set", "engine", "seq", "b=1", "b=8", "b=32", "b=128", "b=512", "128/seq"]);
     let mut ledger = Table::new(&[

@@ -237,8 +237,8 @@ fn cmd_bench(mut a: Args) -> Result<String, String> {
     let t0 = Instant::now();
     let engine = build_engine(&engine_name, &set)?;
     let build_s = t0.elapsed().as_secs_f64();
-    // --batch 1 (default) is the per-key reference loop; larger sizes go
-    // through the engine's batched pipeline (`classify_batch`).
+    // --batch 1 (default) is the sequential reference loop, one key per
+    // lookup; larger sizes go through the engine's batched pipeline.
     let stats = if batch == 1 {
         run_sequential(engine.as_ref(), &trace)
     } else {
@@ -294,7 +294,9 @@ fn cmd_classify(mut a: Args) -> Result<String, String> {
     let set = load_rules(&path)?;
     let key = parse_key(&key)?;
     let engine = build_engine(&engine_name, &set)?;
-    Ok(match engine.classify(&key) {
+    let mut verdict = [None];
+    engine.classify_batch(&key, key.len(), &mut verdict);
+    Ok(match verdict[0] {
         Some(m) => format!("match: rule {} (priority {})\n", m.rule, m.priority),
         None => "no match\n".to_string(),
     })

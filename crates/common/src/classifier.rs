@@ -52,51 +52,89 @@ impl MatchResult {
 /// (a [`crate::Snapshot`]), which is how caches above the classifier
 /// invalidate.
 ///
+/// ## One lookup hook
+///
+/// [`Self::batch_lookup`] is the one lookup method an implementation
+/// writes; §5.1 of the paper serves packets in batches of 128, and every
+/// data path here calls it. [`Self::classify`], [`Self::classify_with_floor`],
+/// [`Self::classify_batch`] and [`Self::classify_batch_with_floors`] are
+/// provided: each validates its arguments and calls the hook with one key
+/// or many. An engine whose batched walk costs more on a key or two keeps
+/// its per-key walk as the small-batch branch of its own hook.
+///
 /// ## Tie semantics
 ///
 /// When several rules match, the one with the smallest priority value wins;
 /// among matching rules that share that priority, the smallest id.
 /// [`crate::LinearSearch`] is the reference, and `nm_tuplemerge`'s engines
 /// and `nuevomatch::NuevoMatch` over them reproduce it exactly: candidates
-/// are compared as `(priority, id)`, and because a floor
-/// ([`Self::classify_with_floor`]) is strict on priority, a caller that
-/// holds a candidate and wants ties settled by id passes its priority
-/// **plus one** and merges with [`MatchResult::better`]. The tree engines
-/// (`nm_cutsplit`'s CutSplit and NeuroCuts) agree on the winning *priority*
-/// only: their walks bound later scans strictly below the best match so
-/// far, so an equal-priority rule with a smaller id met later never
-/// replaces it. Give rules unique priorities (the ClassBench position
-/// convention, and effectively what OpenFlow requires) when the exact rule
-/// identity matters there.
+/// are compared as `(priority, id)`, and because a floor is strict on
+/// priority, a caller that holds a candidate and wants ties settled by id
+/// passes its priority **plus one** and merges with
+/// [`MatchResult::better`]. The tree engines (`nm_cutsplit`'s CutSplit and
+/// NeuroCuts) agree on the winning *priority* only: their walks bound later
+/// scans strictly below the best match so far, so an equal-priority rule
+/// with a smaller id met later never replaces it. Give rules unique
+/// priorities (the ClassBench position convention, and effectively what
+/// OpenFlow requires) when the exact rule identity matters there.
 pub trait Classifier: Send + Sync {
-    /// Returns the highest-priority rule matching `key`, or `None`.
+    /// The lookup hook: classifies `out.len()` keys packed back-to-back in
+    /// `keys`, each `stride` fields wide in the rule-set's schema order (the
+    /// [`crate::TraceBuf`] layout — `trace.raw()` + `trace.stride()` feed
+    /// this directly), and writes key `i`'s verdict — the best matching
+    /// rule, or `None` — to `out[i]`.
     ///
-    /// `key` has one `u64` per field in the rule-set's schema order.
-    fn classify(&self, key: &[u64]) -> Option<MatchResult>;
+    /// `floors` carries early termination (§4 of the paper): `floors[i]` is
+    /// the priority of a candidate the caller already holds for key `i`, and
+    /// the engine may prune any work that cannot produce a strictly smaller
+    /// priority, returning `None` for "nothing better". `Priority::MAX` is
+    /// the "no candidate" sentinel — no filter for that key, not a `< MAX`
+    /// one — and `floors == None` means no key carries a floor. NuevoMatch
+    /// hands its remainder engine the iSet candidates' priorities this way.
+    ///
+    /// Callers go through the provided methods, which validate lengths
+    /// first, or (a wrapper, NuevoMatch's remainder call) pass lengths that
+    /// already hold, so an implementation may assume `stride > 0`,
+    /// `keys.len() == stride * out.len()` and, when present,
+    /// `floors.len() == out.len()`. Whatever the batch size, a key's verdict
+    /// is the same: `tests/it_batch.rs` checks every engine at batch sizes
+    /// from 1 up against LinearSearch.
+    fn batch_lookup(
+        &self,
+        keys: &[u64],
+        stride: usize,
+        floors: Option<&[Priority]>,
+        out: &mut [Option<MatchResult>],
+    );
 
-    /// Early-termination variant (§4 of the paper): like [`Self::classify`],
-    /// but the caller already holds a candidate with priority `floor`; the
-    /// classifier may prune any work that cannot produce a strictly better
-    /// (smaller) priority. Returning `None` means "nothing better than
-    /// `floor`".
+    /// Returns the highest-priority rule matching `key`, or `None`: the
+    /// hook on one key. `key` has one `u64` per field in the rule-set's
+    /// schema order.
     ///
-    /// The default implementation ignores the hint.
-    fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
-        self.classify(key).filter(|m| m.priority < floor)
+    /// Panics if `key` is empty.
+    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
+        assert!(!key.is_empty(), "classify: a key has at least one field");
+        let mut out = [None];
+        self.batch_lookup(key, key.len(), None, &mut out);
+        out[0]
     }
 
-    /// Batched lookup over a flat key buffer (§5.1 of the paper processes
-    /// packets in batches of 128).
+    /// Early-termination variant (§4 of the paper): like [`Self::classify`],
+    /// but the caller already holds a candidate with priority `floor`, and
+    /// only a strictly smaller priority is returned (`None` means "nothing
+    /// better than `floor`"). The filter is strict for every floor, so
+    /// `Priority::MAX` excludes rules at `MAX` too.
     ///
-    /// `keys` packs `out.len()` keys back-to-back, each `stride` fields wide
-    /// in the rule-set's schema order (the [`crate::TraceBuf`] layout —
-    /// `trace.raw()` + `trace.stride()` feed this directly). On return,
-    /// `out[i]` holds the verdict for key `i`.
-    ///
-    /// **Contract:** results are bit-identical to calling [`Self::classify`]
-    /// on each key in order. This entry point validates lengths and
-    /// delegates to [`Self::batch_lookup`] — override *that* hook, not this
-    /// method, to batch an engine.
+    /// Panics if `key` is empty.
+    fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
+        assert!(!key.is_empty(), "classify_with_floor: a key has at least one field");
+        let mut out = [None];
+        self.batch_lookup(key, key.len(), Some(&[floor]), &mut out);
+        out[0].filter(|m| m.priority < floor)
+    }
+
+    /// Batched lookup over a flat key buffer: [`Self::batch_lookup`] with no
+    /// floors, after checking the lengths.
     ///
     /// Panics if `keys.len() != stride * out.len()` or `stride == 0`.
     fn classify_batch(&self, keys: &[u64], stride: usize, out: &mut [Option<MatchResult>]) {
@@ -109,19 +147,10 @@ pub trait Classifier: Send + Sync {
         self.batch_lookup(keys, stride, None, out);
     }
 
-    /// Batched lookup with **per-key priority floors** — the batch form of
-    /// [`Self::classify_with_floor`], used for batch-wide early termination:
-    /// NuevoMatch hands its remainder engine the iSet candidates' priorities
-    /// so the remainder can prune per key while sweeping the whole batch.
-    ///
-    /// `floors[i] == Priority::MAX` is the "no candidate" sentinel and means
-    /// plain [`Self::classify`] semantics for that key (not a `< MAX`
-    /// filter), exactly mirroring the per-key dispatch
-    /// `match candidate { Some(b) => classify_with_floor(key, b.priority),
-    /// None => classify(key) }`.
-    ///
-    /// Like [`Self::classify_batch`], this validates and delegates to
-    /// [`Self::batch_lookup`]; engines override only the hook.
+    /// Batched lookup with **per-key priority floors**: [`Self::batch_lookup`]
+    /// with `Some(floors)`, after checking the lengths. `floors[i] ==
+    /// Priority::MAX` means plain [`Self::classify`] for key `i`; any other
+    /// floor means [`Self::classify_with_floor`].
     ///
     /// Panics on the same length mismatches as [`Self::classify_batch`],
     /// plus `floors.len() != out.len()`.
@@ -144,37 +173,6 @@ pub trait Classifier: Send + Sync {
             "classify_batch_with_floors: one floor per output slot"
         );
         self.batch_lookup(keys, stride, Some(floors), out);
-    }
-
-    /// The single batched-lookup hook behind [`Self::classify_batch`] and
-    /// [`Self::classify_batch_with_floors`]. `floors == None` means no key
-    /// carries a floor (equivalent to all-`Priority::MAX`); with
-    /// `Some(floors)`, each key follows the sentinel dispatch documented on
-    /// `classify_batch_with_floors`.
-    ///
-    /// Lengths are validated by the public entry points before the hook
-    /// runs, so implementations may assume `stride > 0`,
-    /// `keys.len() == stride * out.len()` and, when present,
-    /// `floors.len() == out.len()`. The default is the per-key reference
-    /// loop; engines override this one method to amortise dispatch,
-    /// vectorise across packets, and overlap memory latency (TupleMerge's
-    /// table-major probe, the CutSplit/NeuroCuts level-synchronous descent,
-    /// NuevoMatch's phase pipeline).
-    fn batch_lookup(
-        &self,
-        keys: &[u64],
-        stride: usize,
-        floors: Option<&[Priority]>,
-        out: &mut [Option<MatchResult>],
-    ) {
-        for (i, key) in keys.chunks_exact(stride).enumerate() {
-            let floor = floors.map_or(Priority::MAX, |f| f[i]);
-            out[i] = if floor == Priority::MAX {
-                self.classify(key)
-            } else {
-                self.classify_with_floor(key, floor)
-            };
-        }
     }
 
     /// The stamp of the publication this view reads (see
@@ -203,9 +201,9 @@ pub trait Classifier: Send + Sync {
 }
 
 /// Applies caller floors as the last step of a [`Classifier::batch_lookup`]
-/// override whose sweep computed unfloored verdicts — the
-/// `classify_with_floor ≡ classify().filter(p < floor)` contract, batch-wide
-/// (`Priority::MAX` is the "no floor" sentinel, not a `< MAX` filter).
+/// whose sweep computed unfloored verdicts: each key keeps only a verdict
+/// strictly below its floor (`Priority::MAX` is the "no floor" sentinel,
+/// not a `< MAX` filter).
 #[inline]
 pub fn apply_floors(floors: Option<&[Priority]>, out: &mut [Option<MatchResult>]) {
     if let Some(f) = floors {
@@ -219,18 +217,10 @@ pub fn apply_floors(floors: Option<&[Priority]>, out: &mut [Option<MatchResult>]
 
 // Boxed classifiers (the CLI's `Box<dyn Classifier>` engines) are
 // classifiers themselves, so generic code — `nmctl`'s sharded runtime —
-// can hold them without knowing the concrete engine. Every method
-// forwards, including the overridable hooks, so a boxed engine keeps its
-// batched pipeline and a boxed snapshot its generation stamp.
+// can hold them without knowing the concrete engine. Every required or
+// overridden method forwards, so a boxed engine keeps its lookup hook and
+// a boxed snapshot its generation stamp.
 impl<C: Classifier + ?Sized> Classifier for Box<C> {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        (**self).classify(key)
-    }
-
-    fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
-        (**self).classify_with_floor(key, floor)
-    }
-
     fn batch_lookup(
         &self,
         keys: &[u64],
@@ -257,12 +247,6 @@ impl<C: Classifier + ?Sized> Classifier for Box<C> {
         (**self).num_rules()
     }
 }
-
-// The deprecated per-op `Updatable` trait lived here for one release after
-// the control-plane split; it and its TupleMerge/LinearSearch shims are gone.
-// Migrate by wrapping ops in a [`crate::UpdateBatch`]:
-// `engine.apply(&UpdateBatch::new().insert(rule))` /
-// `engine.apply(&UpdateBatch::new().remove(id)).removed == 1`.
 
 #[cfg(test)]
 mod tests {

@@ -9,9 +9,11 @@
 //!   [`FieldsSpec`] (per-field bit widths), with the classic 5-tuple as a
 //!   convenience constructor.
 //! * [`Classifier`] — the trait every engine in this workspace implements
-//!   (NuevoMatch, TupleMerge, CutSplit, NeuroCuts, linear search), including
-//!   the *early-termination* entry point `classify_with_floor` from §4 of the
-//!   paper and the memory-footprint accounting used by Figure 13.
+//!   (NuevoMatch, TupleMerge, CutSplit, NeuroCuts, linear search) through
+//!   one batched lookup hook, `batch_lookup`, whose per-key priority floors
+//!   carry the *early termination* of §4 of the paper; the per-key and
+//!   batch entry points are provided on top of it, next to the
+//!   memory-footprint accounting used by Figure 13.
 //! * [`UpdateBatch`], [`BatchUpdatable`] and [`Snapshot`] — the
 //!   control-plane vocabulary of the control-plane/data-plane split:
 //!   transactional updates and the generation-stamped immutable views the

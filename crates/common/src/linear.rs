@@ -41,22 +41,24 @@ impl LinearSearch {
 }
 
 impl Classifier for LinearSearch {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        self.rules.iter().find(|r| r.matches(key)).map(|r| MatchResult::new(r.id, r.priority))
-    }
-
-    fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
-        // Rules are priority-sorted: once priorities reach the floor no rule
-        // can improve on it.
-        for r in &self.rules {
-            if r.priority >= floor {
-                return None;
-            }
-            if r.matches(key) {
-                return Some(MatchResult::new(r.id, r.priority));
-            }
+    fn batch_lookup(
+        &self,
+        keys: &[u64],
+        stride: usize,
+        floors: Option<&[Priority]>,
+        out: &mut [Option<MatchResult>],
+    ) {
+        for (i, (key, o)) in keys.chunks_exact(stride).zip(out).enumerate() {
+            // Rules are priority-sorted: once priorities reach the floor no
+            // rule can improve on it (`MAX` is no floor, so it scans all).
+            let floor = floors.map_or(Priority::MAX, |f| f[i]);
+            *o = self
+                .rules
+                .iter()
+                .take_while(|r| floor == Priority::MAX || r.priority < floor)
+                .find(|r| r.matches(key))
+                .map(|r| MatchResult::new(r.id, r.priority));
         }
-        None
     }
 
     fn memory_bytes(&self) -> usize {

@@ -94,23 +94,6 @@ impl FieldRange {
         self.lo == 0 && self.hi == domain_max(bits)
     }
 
-    /// True iff the range is exactly one aligned prefix block; returns the
-    /// prefix length if so.
-    ///
-    /// Used by hash-based classifiers (TSS/TupleMerge) which key tables on
-    /// prefix lengths.
-    pub fn as_prefix(&self, bits: u8) -> Option<u8> {
-        let w = self.width();
-        if !w.is_power_of_two() {
-            return None;
-        }
-        let host_bits = w.trailing_zeros() as u8;
-        if host_bits > bits {
-            return None;
-        }
-        (self.lo.trailing_zeros() as u8 >= host_bits || host_bits == 0).then_some(bits - host_bits)
-    }
-
     /// The "longest covering prefix" of the range: the longest prefix length
     /// `p` such that one aligned `p`-block covers the whole range. Always
     /// exists (`p == 0` covers everything). Hash classifiers use this to file
@@ -143,7 +126,7 @@ pub fn domain_max(bits: u8) -> u64 {
 
 /// A mask with the low `n` bits set.
 #[inline]
-pub fn low_mask(n: u8) -> u64 {
+fn low_mask(n: u8) -> u64 {
     if n >= 64 {
         u64::MAX
     } else {
@@ -174,7 +157,6 @@ mod tests {
         let r = FieldRange::from_prefix(ip, 16, 32);
         assert_eq!(r.lo, ip);
         assert_eq!(r.hi, ip | 0xffff);
-        assert_eq!(r.as_prefix(32), Some(16));
         // low bits of value are ignored
         let r2 = FieldRange::from_prefix(ip | 0xabcd, 16, 32);
         assert_eq!(r, r2);
@@ -193,15 +175,6 @@ mod tests {
         assert!(!a.overlaps(&c));
         assert!(FieldRange::new(0, 100).covers(&a));
         assert!(!a.covers(&FieldRange::new(10, 21)));
-    }
-
-    #[test]
-    fn as_prefix_rejects_non_blocks() {
-        assert_eq!(FieldRange::new(0, 2).as_prefix(8), None); // width 3
-        assert_eq!(FieldRange::new(1, 2).as_prefix(8), None); // unaligned
-        assert_eq!(FieldRange::new(4, 7).as_prefix(8), Some(6));
-        assert_eq!(FieldRange::new(0, 255).as_prefix(8), Some(0));
-        assert_eq!(FieldRange::exact(255).as_prefix(8), Some(8));
     }
 
     #[test]

@@ -273,14 +273,6 @@ impl<C> Snapshot<C> {
 }
 
 impl<C: Classifier> Classifier for Snapshot<C> {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        self.engine.classify(key)
-    }
-
-    fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
-        self.engine.classify_with_floor(key, floor)
-    }
-
     fn batch_lookup(
         &self,
         keys: &[u64],

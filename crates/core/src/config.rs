@@ -56,7 +56,7 @@ impl RqRmiParams {
     /// | 1 000–10 000   | 3      | [1, 4, 16]    |
     /// | 10 000–100 000 | 3      | [1, 4, 128]   |
     /// | > 100 000      | 3      | [1, 8, 256] or [1, 8, 512] |
-    pub fn table4_widths(n_ranges: usize) -> Vec<usize> {
+    fn table4_widths(n_ranges: usize) -> Vec<usize> {
         if n_ranges < 1_000 {
             vec![1, 4]
         } else if n_ranges < 10_000 {

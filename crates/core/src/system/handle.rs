@@ -432,14 +432,6 @@ impl<R: BatchUpdatable + Clone + Send + Sync + 'static> ClassifierHandle<R> {
 }
 
 impl<R: Classifier> Classifier for ClassifierHandle<R> {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        self.snapshot().classify(key)
-    }
-
-    fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
-        self.snapshot().classify_with_floor(key, floor)
-    }
-
     /// One snapshot pin per batch: every packet in the batch is classified
     /// against the same generation.
     fn batch_lookup(

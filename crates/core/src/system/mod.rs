@@ -773,10 +773,9 @@ impl<R: Classifier> NuevoMatch<R> {
         (self.total_rules - self.remainder.num_rules()) as f64 / self.total_rules as f64
     }
 
-    /// Best candidate across the iSets only: the per-key path's iSet side
-    /// ([`Classifier::classify`] and a batch too short for the pipeline),
-    /// also timed on its own by `nm-bench fields` (§5.3.5) and by the
-    /// benchmark's scalar probes.
+    /// Best candidate across the iSets only: the iSet side of a batch too
+    /// short for the pipeline (one key included), also timed on its own by
+    /// `nm-bench fields` (§5.3.5) and by the benchmark's scalar probes.
     #[inline]
     pub fn classify_isets(&self, key: &[u64]) -> Option<MatchResult> {
         let mut best = None;
@@ -784,6 +783,38 @@ impl<R: Classifier> NuevoMatch<R> {
             best = MatchResult::better(best, iset.lookup(key));
         }
         best
+    }
+
+    /// Runs the remainder engine over the batch, `N` keys per call, and
+    /// merges its verdicts into the iSets' candidates in `out`. With early
+    /// termination each key's remainder floor is one past its candidate's
+    /// priority (a tie is kept, for `better` to settle by id; `MAX` = no
+    /// candidate, and a candidate at `MAX` saturates into the same "prune
+    /// nothing"), folded with the caller's floor.
+    fn merge_remainder<const N: usize>(
+        &self,
+        keys: &[u64],
+        stride: usize,
+        caller_floors: Option<&[Priority]>,
+        out: &mut [Option<MatchResult>],
+    ) {
+        let mut rem = [None; N];
+        let mut floors = [Priority::MAX; N];
+        for (c, (keys, out)) in keys.chunks(N * stride).zip(out.chunks_mut(N)).enumerate() {
+            let (rem, floors) = (&mut rem[..out.len()], &mut floors[..out.len()]);
+            if self.early_termination {
+                for (i, floor) in floors.iter_mut().enumerate() {
+                    let cand = out[i].map_or(Priority::MAX, |b| b.priority.saturating_add(1));
+                    *floor = cand.min(caller_floors.map_or(Priority::MAX, |f| f[c * N + i]));
+                }
+                self.remainder.batch_lookup(keys, stride, Some(floors), rem);
+            } else {
+                self.remainder.batch_lookup(keys, stride, None, rem);
+            }
+            for (o, &r) in out.iter_mut().zip(rem.iter()) {
+                *o = MatchResult::better(*o, r);
+            }
+        }
     }
 
     /// Batched [`NuevoMatch::classify_isets`]: 128 keys at a time, every
@@ -830,73 +861,29 @@ impl<R: Classifier> NuevoMatch<R> {
 }
 
 impl<R: Classifier> Classifier for NuevoMatch<R> {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        let best = self.classify_isets(key);
-        let rem = match best {
-            // The remainder may prune what cannot even *tie* the iSets'
-            // candidate; a tie is kept, for `better` to settle by id.
-            Some(b) if self.early_termination && b.priority < Priority::MAX => {
-                self.remainder.classify_with_floor(key, b.priority + 1)
-            }
-            _ => self.remainder.classify(key),
-        };
-        MatchResult::better(best, rem)
-    }
-
     /// The batched pipeline: all iSets sweep the batch first
     /// ([`NuevoMatch::classify_isets_batch`]), then the remainder runs with
-    /// **batch-wide early termination** — every key that already
-    /// holds an iSet candidate hands the remainder its priority floor, so
-    /// the remainder prunes exactly as in the per-key path. Caller floors
-    /// are folded into the remainder's pruning floors and applied as a
-    /// final filter, which together mirror the per-key
-    /// `classify(key).filter(p < floor)` dispatch of
-    /// [`Classifier::classify_with_floor`] bit-for-bit: the fold can only
-    /// suppress remainder candidates the filter would discard.
+    /// **batch-wide early termination** — every key that already holds an
+    /// iSet candidate hands the remainder its priority floor, so the
+    /// remainder prunes what cannot even tie it. Caller floors are folded
+    /// into the remainder's pruning floors and applied as a final filter;
+    /// the fold can only suppress remainder candidates the filter would
+    /// discard. A batch too short for the iSets' 8-lane groups uses an
+    /// 8-key remainder scratch, so one key does not clear 128 slots.
     fn batch_lookup(
         &self,
         keys: &[u64],
         stride: usize,
-        caller_floors: Option<&[Priority]>,
+        floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
     ) {
-        // Keys per remainder-engine call (the size of its scratch here).
-        const REMAINDER_BATCH: usize = 128;
         self.classify_isets_batch(keys, stride, out);
-        let mut rem = [None; REMAINDER_BATCH];
-        let mut floors = [Priority::MAX; REMAINDER_BATCH];
-        let mut base = 0;
-        while base < out.len() {
-            let m = REMAINDER_BATCH.min(out.len() - base);
-            let chunk_keys = &keys[base * stride..(base + m) * stride];
-            if self.early_termination {
-                // Batch-wide early termination: each key's remainder floor
-                // is one past its iSet candidate's priority (what cannot
-                // even tie it is pruned; MAX = no candidate, and a candidate
-                // at MAX saturates into the same "prune nothing"), folded
-                // with the caller's floor — any remainder result at or
-                // above the caller floor would be discarded by the final
-                // filter anyway, so the remainder may prune against it.
-                for i in 0..m {
-                    let cand =
-                        out[base + i].map_or(Priority::MAX, |b| b.priority.saturating_add(1));
-                    floors[i] = cand.min(caller_floors.map_or(Priority::MAX, |f| f[base + i]));
-                }
-                self.remainder.classify_batch_with_floors(
-                    chunk_keys,
-                    stride,
-                    &floors[..m],
-                    &mut rem[..m],
-                );
-            } else {
-                self.remainder.classify_batch(chunk_keys, stride, &mut rem[..m]);
-            }
-            for i in 0..m {
-                out[base + i] = MatchResult::better(out[base + i], rem[i]);
-            }
-            base += m;
+        if out.len() < 8 {
+            self.merge_remainder::<8>(keys, stride, floors, out);
+        } else {
+            self.merge_remainder::<128>(keys, stride, floors, out);
         }
-        apply_floors(caller_floors, out);
+        apply_floors(floors, out);
     }
 
     fn memory_bytes(&self) -> usize {

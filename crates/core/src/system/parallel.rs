@@ -1,9 +1,10 @@
-//! The two single-threaded reference loops (paper §5.2 methodology):
-//! [`run_sequential`] (per-key `classify`) and [`run_batched`] (the
-//! `classify_batch` path). Every parallel checksum — each plan
+//! The two single-threaded reference loops (paper §5.2 methodology), both
+//! through `Classifier::classify_batch`: [`run_sequential`] calls it with
+//! one key per packet, [`run_batched`] with a batch. Every parallel
+//! checksum — each plan
 //! [`Runtime::run`](crate::system::runtime::Runtime::run) executes — is
-//! validated against them, and they report the same
-//! [`RunStats`] the runtime does (one shard, no worker threads).
+//! validated against them, and they report the same [`RunStats`] the
+//! runtime does (one shard, no worker threads).
 
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::packet::TraceBuf;
@@ -55,15 +56,18 @@ pub fn run_batched(c: &dyn Classifier, trace: &TraceBuf, batch: usize) -> RunSta
     stats(n, start.elapsed().as_secs_f64(), n.div_ceil(batch), checksum)
 }
 
-/// Sequential reference run (single core, early termination as configured) —
-/// the §5.2 single-core methodology, also used to validate the parallel
-/// paths' checksums.
+/// Sequential reference run (single core, early termination as configured,
+/// the lookup hook on one key per packet) — the §5.2 single-core
+/// methodology, also used to validate the parallel paths' checksums.
 pub fn run_sequential(c: &dyn Classifier, trace: &TraceBuf) -> RunStats {
     let n = trace.len();
+    let stride = trace.stride();
     let start = std::time::Instant::now();
     let mut checksum = 0u64;
+    let mut verdict = [None];
     for key in trace.iter() {
-        fold_checksum(&mut checksum, c.classify(key));
+        c.classify_batch(key, stride, &mut verdict);
+        fold_checksum(&mut checksum, verdict[0]);
     }
     stats(n, start.elapsed().as_secs_f64(), n, checksum)
 }

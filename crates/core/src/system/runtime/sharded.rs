@@ -175,11 +175,6 @@ impl<C: Classifier> ShardedClassifier<C> {
 }
 
 impl<C: Classifier> Classifier for ShardedClassifier<C> {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        let home = self.home[self.plan.steer(key)].classify(key);
-        MatchResult::better(home, self.broadcast.as_ref().and_then(|b| b.classify(key)))
-    }
-
     /// The steering stage: steer per key, gather per home shard, sweep each
     /// sub-batch through its shard's engine, merge the broadcast engine over
     /// the whole batch, apply caller floors last.
@@ -190,9 +185,10 @@ impl<C: Classifier> Classifier for ShardedClassifier<C> {
         floors: Option<&[Priority]>,
         out: &mut [Option<MatchResult>],
     ) {
-        if self.home.len() == 1 {
-            // A single home shard: nothing to steer or gather.
-            self.home[0].classify_batch(keys, stride, out);
+        if self.home.len() == 1 || out.len() == 1 {
+            // One home shard or one key: nothing to gather.
+            let home = if self.home.len() == 1 { 0 } else { self.plan.steer(keys) };
+            self.home[home].batch_lookup(keys, stride, None, out);
         } else {
             out.fill(None);
             let mut idx: Vec<Vec<u32>> = vec![Vec::new(); self.home.len()];
@@ -469,10 +465,6 @@ impl<R: BatchUpdatable + Clone> ShardedHandle<R> {
 /// One epoch pin per call: every packet of a batch classifies against the
 /// same logical generation on every shard.
 impl<R: Classifier> Classifier for ShardedHandle<R> {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        self.epoch().classify(key)
-    }
-
     fn batch_lookup(
         &self,
         keys: &[u64],

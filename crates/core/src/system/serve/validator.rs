@@ -101,7 +101,9 @@ impl Validator {
             None => stats.oracle_skipped += 1,
             Some(oracle) => {
                 stats.validated += 1;
-                if oracle.classify(key) != verdict {
+                let mut want = [None];
+                oracle.classify_batch(key, key.len(), &mut want);
+                if want[0] != verdict {
                     stats.mismatches += 1;
                 }
             }

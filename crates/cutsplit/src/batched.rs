@@ -20,8 +20,8 @@
 //! ## Invariants (bit-identity with the per-key walk)
 //!
 //! * **Same visit order per key.** A key visits the same nodes in the same
-//!   order as `DTree::classify_floor`, scans the same spill/leaf slices
-//!   under the same strict priority bound, and retires at the same point
+//!   order as the per-key walk (`DTree::walk`), scans the same spill/leaf
+//!   slices under the same strict priority bound, and retires at the same point
 //!   (leaf reached, box left, or `bound <= subtree best_priority`). Level
 //!   interleaving across keys never reorders one key's own work.
 //! * **Same tree order across the forest.** Trees are visited in ascending
@@ -32,13 +32,15 @@
 //! * **Bounds only tighten.** `bound(k) = min(best[k].priority, floor(k))`
 //!   is re-read each level from the merged running best, exactly as the
 //!   per-key walk folds its candidate — all matches are strictly better
-//!   than the bound at scan time, so floors need no final filter pass.
+//!   than the bound at scan time, so floors need no final filter pass. A
+//!   key with neither a floor nor a candidate has the open bound,
+//!   `Priority::MAX + 1`, so rules at `Priority::MAX` are served.
 //!
 //! `tests/it_batch.rs` property-checks the equivalence across engines,
 //! batch sizes and floor patterns; the batch sweep (`nm-bench batch`)
 //! checks it on every measured trace.
 
-use crate::tree::{DTree, FrontierScratch};
+use crate::tree::{limit, DTree, FrontierScratch};
 use nm_common::classifier::MatchResult;
 use nm_common::rule::Priority;
 
@@ -70,9 +72,7 @@ pub fn classify_forest_batch(
         for &(tree_best, ti) in order {
             frontier.clear();
             for i in base..base + m {
-                let floor = floors.map_or(Priority::MAX, |f| f[i]);
-                let bound = out[i].map_or(floor, |b| b.priority.min(floor));
-                if bound > tree_best {
+                if limit(floors.map_or(Priority::MAX, |f| f[i]), out[i]) > u64::from(tree_best) {
                     frontier.push(i as u32);
                 }
             }

@@ -23,7 +23,7 @@ pub fn ip_dims(spec: &FieldsSpec) -> (usize, usize) {
 }
 
 /// True when `rule` is small in `dim`.
-pub fn is_small(rule: &Rule, dim: usize, spec: &FieldsSpec) -> bool {
+fn is_small(rule: &Rule, dim: usize, spec: &FieldsSpec) -> bool {
     let bits = spec.bits(dim);
     if SMALL_PREFIX >= bits {
         return rule.fields[dim].width() == 1;

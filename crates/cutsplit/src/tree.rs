@@ -74,6 +74,16 @@ const MAX_NODES: usize = 1_000_000;
 /// Hard depth limit.
 const MAX_DEPTH: usize = 32;
 
+/// The strict priority limit of a key that holds `best` under the caller's
+/// `floor` (`Priority::MAX` is no floor, as in `Classifier::batch_lookup`):
+/// a rule qualifies only below it. It is a `u64`, so a key with neither a
+/// floor nor a candidate admits rules at `Priority::MAX` too.
+#[inline]
+pub(crate) fn limit(floor: Priority, best: Option<MatchResult>) -> u64 {
+    let floor = if floor == Priority::MAX { 1 << 32 } else { u64::from(floor) };
+    best.map_or(floor, |b| floor.min(u64::from(b.priority)))
+}
+
 /// A priority-sorted slice of the refs array.
 #[derive(Clone, Copy, Debug, Default)]
 struct RefSlice {
@@ -92,7 +102,7 @@ struct ScanState {
     pos: u32,
     /// Absolute end of the slice.
     end: u32,
-    bound: Priority,
+    bound: u64,
 }
 
 /// Reusable working state for [`DTree::descend_frontier`]: the in-flight
@@ -385,13 +395,13 @@ impl DTree {
     /// ref-major streams, so a deep scan runs at hardware-prefetch speed and
     /// only a *match* touches the `Rule` itself (for its id).
     #[inline]
-    fn scan_refs(&self, refs: RefSlice, key: &[u64], bound: Priority) -> Option<MatchResult> {
+    fn scan_refs(&self, refs: RefSlice, key: &[u64], bound: u64) -> Option<MatchResult> {
         let s = refs.start as usize;
         let e = s + refs.len as usize;
         let nf2 = self.nfields * 2;
         for p in s..e {
             let pri = self.ref_pri[p];
-            if pri >= bound {
+            if u64::from(pri) >= bound {
                 return None;
             }
             let b = &self.ref_boxes[p * nf2..(p + 1) * nf2];
@@ -409,17 +419,18 @@ impl DTree {
         None
     }
 
-    /// Walks the tree for `key`; `floor` prunes subtrees that cannot beat it
-    /// (pass `Priority::MAX` for an unconstrained lookup).
+    /// The per-key walk: the best rule of this tree matching `key` below the
+    /// strict limit `floor` (see `limit`), pruning subtrees that cannot beat
+    /// it.
     #[inline]
-    pub fn classify_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
+    pub(crate) fn walk(&self, key: &[u64], floor: u64) -> Option<MatchResult> {
         let mut best: Option<MatchResult> = None;
         let mut idx = 0usize;
         loop {
-            let bound = best.map_or(floor, |b| b.priority.min(floor));
+            let bound = best.map_or(floor, |b| floor.min(u64::from(b.priority)));
             match &self.nodes[idx] {
                 Node::Cut { dim, lo, width, first_child, children, spill, best_priority } => {
-                    if bound <= *best_priority {
+                    if bound <= u64::from(*best_priority) {
                         return best;
                     }
                     best = MatchResult::better(best, self.scan_refs(*spill, key, bound));
@@ -434,7 +445,7 @@ impl DTree {
                     idx = *first_child as usize + c as usize;
                 }
                 Node::Split { dim, threshold, left, right, spill, best_priority } => {
-                    if bound <= *best_priority {
+                    if bound <= u64::from(*best_priority) {
                         return best;
                     }
                     best = MatchResult::better(best, self.scan_refs(*spill, key, bound));
@@ -445,7 +456,7 @@ impl DTree {
                     };
                 }
                 Node::Leaf { refs, best_priority } => {
-                    if bound <= *best_priority {
+                    if bound <= u64::from(*best_priority) {
                         return best;
                     }
                     best = MatchResult::better(best, self.scan_refs(*refs, key, bound));
@@ -484,9 +495,9 @@ impl DTree {
     /// covered box, or hit the subtree priority bound.
     ///
     /// Per key, the node sequence, spill/leaf scans and bound updates are
-    /// exactly [`DTree::classify_floor`]'s with
-    /// `floor = min(best[k].priority, floors[k])`: a key has at most one
-    /// scan per level and a scan's bound is fixed at its node's entry (as
+    /// exactly the per-key walk's under the limit `floors[k]` and `best[k]`
+    /// set: a key has at most one scan per level and a scan's bound is
+    /// fixed at its node's entry (as
     /// in `DTree::scan_refs`), so deferring scans to the second pass
     /// cannot change any scan's outcome, and results merged into `best[k]`
     /// are bit-identical to the per-key walk (asserted across engines in
@@ -501,8 +512,7 @@ impl DTree {
         scratch: &mut FrontierScratch,
     ) {
         let bound_of = |best: &[Option<MatchResult>], ki: usize| {
-            let floor = floors.map_or(Priority::MAX, |f| f[ki]);
-            best[ki].map_or(floor, |b| b.priority.min(floor))
+            limit(floors.map_or(Priority::MAX, |f| f[ki]), best[ki])
         };
         let nf2 = self.nfields * 2;
         let live = &mut scratch.live;
@@ -537,7 +547,7 @@ impl DTree {
                     }
                     Node::Leaf { refs, best_priority } => (*refs, *best_priority, None),
                 };
-                if bound <= subtree_best {
+                if bound <= u64::from(subtree_best) {
                     continue; // nothing in this subtree can beat the bound
                 }
                 if spill.len > 0 {
@@ -656,6 +666,14 @@ mod tests {
     use super::*;
     use nm_common::classifier::Classifier;
     use nm_common::{FieldRange, FieldsSpec, LinearSearch, RuleSet, SplitMix64};
+
+    impl DTree {
+        /// Walks the tree for `key` with no candidate; `floor` prunes
+        /// subtrees that cannot beat it (`Priority::MAX`: unconstrained).
+        pub(crate) fn classify_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
+            self.walk(key, limit(floor, None))
+        }
+    }
 
     /// A trivial policy: always cut dim 0 by 2 bits until binth is reached.
     struct AlwaysCut;

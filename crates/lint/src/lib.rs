@@ -19,7 +19,11 @@
 //!   batch loops);
 //! * **shim-drift** — the offline shims keep the API names of the real
 //!   crates they mirror, so swapping the registry versions back in stays a
-//!   manifest-only change.
+//!   manifest-only change;
+//! * **one-lookup-hook** — an `impl … Classifier for …` block defines
+//!   `batch_lookup` and none of the four lookup methods the trait provides
+//!   on top of it (`classify`, `classify_with_floor`, `classify_batch`,
+//!   `classify_batch_with_floors`), so every engine has one lookup path.
 //!
 //! `#[cfg(test)]`-gated code is exempt from stray-relaxed and worker-panic
 //! (tests may take shortcuts; shipped code may not).
@@ -383,6 +387,54 @@ const HOTPATH_PATHS: [(&str, &str); 8] = [
 const HOTPATH_METHODS: [&str; 4] = ["to_vec", "to_string", "to_owned", "collect"];
 const HOTPATH_MACROS: [&str; 2] = ["vec", "format"];
 
+/// The lookup methods `Classifier` provides on top of `batch_lookup`.
+const PROVIDED_LOOKUPS: [&str; 4] =
+    ["classify", "classify_with_floor", "classify_batch", "classify_batch_with_floors"];
+
+/// `one-lookup-hook`: a provided lookup method defined in the body of an
+/// `impl … Classifier for …` block, whose trait is the last identifier
+/// before the header's first `for` outside its generics.
+fn lookup_overrides(file: &str, toks: &[Token], findings: &mut Vec<Finding>) {
+    // Per open brace: whether it opens a `Classifier` impl's body.
+    let mut bodies: Vec<bool> = Vec::new();
+    // The impl header being read: angle depth, last identifier, its trait test.
+    let mut header: Option<(usize, &str, Option<bool>)> = None;
+    for (i, t) in toks.iter().enumerate() {
+        match (&t.tok, header.as_mut()) {
+            (Tok::Ident(id), None) if id == "impl" => header = Some((0, "", None)),
+            (Tok::Punct('<'), Some(h)) => h.0 += 1,
+            (Tok::Punct('>'), Some(h)) if toks[i - 1].tok != Tok::Punct('-') => {
+                h.0 = h.0.saturating_sub(1)
+            }
+            (Tok::Ident(id), Some(h)) if h.0 == 0 && h.2.is_none() => match id.as_str() {
+                "for" => h.2 = Some(h.1 == "Classifier"),
+                _ => h.1 = id,
+            },
+            (Tok::Punct(';'), Some(_)) => header = None,
+            (Tok::Punct('{'), _) => bodies.push(header.take().and_then(|h| h.2).unwrap_or(false)),
+            (Tok::Punct('}'), _) => {
+                bodies.pop();
+            }
+            (Tok::Ident(f), None) if f == "fn" && bodies.last() == Some(&true) => {
+                if let Some(Token { tok: Tok::Ident(name), line }) = toks.get(i + 1) {
+                    if PROVIDED_LOOKUPS.contains(&name.as_str()) {
+                        findings.push(Finding {
+                            file: file.into(),
+                            line: *line,
+                            rule: "one-lookup-hook",
+                            message: format!(
+                                "`{name}` in a `Classifier` impl: implement `batch_lookup` \
+                                 alone, the trait provides `{name}`"
+                            ),
+                        });
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Token-index ranges gated behind `#[cfg(test)]` / `#[test]`.
 fn test_ranges(toks: &[Token]) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
@@ -586,6 +638,7 @@ pub fn lint_source(
     let tests = test_ranges(&tokens);
     let mut findings = Vec::new();
     let hot = hotpath_ranges(&comments, &mut findings, file);
+    lookup_overrides(file, &tokens, &mut findings);
     let in_worker_scope = WORKER_SCOPES.iter().any(|s| file.starts_with(s));
 
     for (i, t) in tokens.iter().enumerate() {

@@ -69,6 +69,13 @@ fn worker_unwrap_fixture_trips_only_in_worker_scope() {
 }
 
 #[test]
+fn one_lookup_hook_fixture_trips_only_that_rule() {
+    let f = run("tests/fixture.rs", "one_lookup_hook.rs");
+    assert_eq!(rules(&f), ["one-lookup-hook"], "{f:#?}");
+    assert_eq!(f[0].line, 7, "only the `Classifier` impl's `classify`: {f:#?}");
+}
+
+#[test]
 fn clean_fixture_trips_nothing() {
     let f = run("crates/core/src/system/runtime/fixture.rs", "clean.rs");
     assert!(f.is_empty(), "{f:#?}");

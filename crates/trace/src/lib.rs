@@ -9,7 +9,7 @@
 //! * **Zipf-skewed** — flow popularity follows a Zipf distribution with the
 //!   skew parameterised by "how much traffic the 3% most frequent flows
 //!   account for" (80%→α1.05 … 95%→α1.25) ([`zipf_trace`],
-//!   [`zipf_alpha_for_top3`]).
+//!   [`FIG12_SKEWS`]).
 //! * **CAIDA-like** — the paper rewrites a real CAIDA trace so each packet
 //!   maps to a generated five-tuple "while maintaining a consistent mapping
 //!   between the original and the generated one", preserving only the
@@ -29,21 +29,9 @@ use nm_common::{RuleSet, SplitMix64, TraceBuf};
 /// The Zipf skew settings of Figure 12: (top-3% traffic share, α).
 pub const FIG12_SKEWS: &[(f64, f64)] = &[(0.80, 1.05), (0.85, 1.10), (0.90, 1.15), (0.95, 1.25)];
 
-/// Maps the paper's "3% of flows account for `share` of traffic" knob to
-/// its Zipf α (the paper's own calibration, Figure 12 captions).
-pub fn zipf_alpha_for_top3(share: f64) -> f64 {
-    let mut best = FIG12_SKEWS[0];
-    for &(s, a) in FIG12_SKEWS {
-        if (share - s).abs() < (share - best.0).abs() {
-            best = (s, a);
-        }
-    }
-    best.1
-}
-
 /// One representative header per rule — the paper's "for each rule, we
 /// generate one matching five-tuple".
-pub fn flow_headers(set: &RuleSet, seed: u64) -> Vec<Vec<u64>> {
+fn flow_headers(set: &RuleSet, seed: u64) -> Vec<Vec<u64>> {
     let mut rng = SplitMix64::new(seed ^ 0x000f_10e5);
     set.rules()
         .iter()
@@ -208,13 +196,6 @@ mod tests {
         let max = counts.values().copied().max().unwrap();
         assert!(max > 10_000 / 50, "top flow should dominate, got {max}");
         assert!(counts.len() < 500);
-    }
-
-    #[test]
-    fn zipf_alpha_mapping() {
-        assert_eq!(zipf_alpha_for_top3(0.80), 1.05);
-        assert_eq!(zipf_alpha_for_top3(0.95), 1.25);
-        assert_eq!(zipf_alpha_for_top3(0.87), 1.10);
     }
 
     #[test]

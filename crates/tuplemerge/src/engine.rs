@@ -92,20 +92,13 @@ impl Cut {
     /// No floor and no candidate yet: everything qualifies.
     const OPEN: Cut = Cut { bound: u64::MAX, lim: EMPTY };
 
-    /// Only priorities strictly below `floor` qualify.
-    fn below(floor: Priority) -> Cut {
-        match floor.checked_sub(1) {
-            Some(p) => Cut { bound: (p as u64) << 32 | u32::MAX as u64, lim: floor },
-            None => Cut { bound: 0, lim: 0 },
-        }
-    }
-
-    /// The batch floor convention: `Priority::MAX` means no floor.
+    /// Only priorities strictly below `floor` qualify, except that
+    /// `Priority::MAX` means no floor (the batch convention).
     fn for_floor(floor: Priority) -> Cut {
-        if floor == Priority::MAX {
-            Cut::OPEN
-        } else {
-            Cut::below(floor)
+        match floor {
+            Priority::MAX => Cut::OPEN,
+            0 => Cut { bound: 0, lim: 0 },
+            _ => Cut { bound: ((floor - 1) as u64) << 32 | u32::MAX as u64, lim: floor },
         }
     }
 
@@ -476,14 +469,6 @@ impl Tally for ProbeTally {
 }
 
 impl Classifier for TupleMerge {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        self.probe(key, Cut::OPEN, &mut ())
-    }
-
-    fn classify_with_floor(&self, key: &[u64], floor: Priority) -> Option<MatchResult> {
-        self.probe(key, Cut::below(floor), &mut ())
-    }
-
     fn batch_lookup(
         &self,
         keys: &[u64],

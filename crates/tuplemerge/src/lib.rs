@@ -42,12 +42,12 @@
 //! A lookup ANDs its key's rows, then probes the tables that remain in
 //! ascending best-priority order and stops at the first table that cannot
 //! beat, or tie, what it already holds — the "early termination" contract
-//! NuevoMatch relies on (`classify_with_floor`). A batch does the same
-//! table-major: per 128 keys each key's candidate tables are scattered into
-//! per-table key lists, and each table hashes, slot-tests and scans only
-//! its own list. Equal priorities resolve toward the smaller rule id,
-//! whichever tables the contenders sit in, as in
-//! `nm_common::LinearSearch`.
+//! NuevoMatch relies on (the floors of `Classifier::batch_lookup`). A batch
+//! of three keys or more does the same table-major: per 128 keys each key's
+//! candidate tables are scattered into per-table key lists, and each table
+//! hashes, slot-tests and scans only its own list. Equal priorities resolve
+//! toward the smaller rule id, whichever tables the contenders sit in, as
+//! in `nm_common::LinearSearch`.
 //!
 //! Updates keep runs sorted in place (a run that outgrows its cells moves
 //! to the arena tail), re-derive a slot's best and key filter exactly after a

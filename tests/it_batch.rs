@@ -1,17 +1,20 @@
-//! Batch/scalar equivalence: `classify_batch` must be **bit-identical** to
-//! per-key `classify` for every engine in the workspace — the contract the
-//! batched pipeline (`nuevomatch::system`) is built on. See
+//! Batch-size equivalence: every engine implements one lookup hook,
+//! `Classifier::batch_lookup`, and a key's verdict must not depend on the
+//! size of the batch it arrives in — `classify` is the hook on one key, and
+//! the engines whose batched walk costs more on one key (TupleMerge, the
+//! tree forest, the iSets) serve it with their per-key walk, so batch 1
+//! against batch 128 compares two real implementations. Verdicts are
+//! checked against LinearSearch over the same rules. See
 //! `crates/core/src/rqrmi/simd.rs` module docs for why the cross-packet
 //! kernels cannot change classification results, and `nm_cutsplit::batched`
-//! for the
-//! level-synchronous tree-descent invariants checked here.
+//! for the level-synchronous tree-descent invariants checked here.
 
 use nm_classbench::{generate, AppKind};
 use nm_common::rule::Priority;
-use nm_common::{Classifier, FieldRange, FieldsSpec, LinearSearch, RuleSet};
+use nm_common::{Classifier, FieldRange, FieldsSpec, LinearSearch, MatchResult, RuleSet};
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{uniform_trace, zipf_trace};
-use nm_tuplemerge::TupleMerge;
+use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
 use nuevomatch::rqrmi::{train_rqrmi, CompiledRqRmi, Isa, RqRmi};
 use nuevomatch::{NuevoMatch, NuevoMatchConfig, RqRmiParams};
 use proptest::prelude::*;
@@ -29,13 +32,28 @@ fn fast_cfg(early_termination: bool) -> NuevoMatchConfig {
     }
 }
 
-/// Asserts batch == per-key over the trace, in several ragged batch sizes
+/// What a verdict must share with LinearSearch's: all of it, or only its
+/// priority where the trait's tie note lets an engine over decision trees
+/// (`trees`) return another rule of the same priority.
+fn seen(m: Option<MatchResult>, trees: bool) -> Option<MatchResult> {
+    m.map(|m| if trees { MatchResult::new(0, m.priority) } else { m })
+}
+
+/// Asserts that every batch size returns LinearSearch's verdicts over `set`
+/// and the same verdicts as batch 1, in several ragged batch sizes
 /// (covering the 8-lane SIMD groups, their tails, and whole-trace calls).
-fn assert_batch_equivalent(c: &dyn Classifier, trace: &nm_common::TraceBuf) {
+fn assert_batch_equivalent(
+    c: &dyn Classifier,
+    set: &RuleSet,
+    trees: bool,
+    trace: &nm_common::TraceBuf,
+) {
     let stride = trace.stride();
     let raw = trace.raw();
     let n = trace.len();
-    let expect: Vec<_> = trace.iter().map(|k| c.classify(k)).collect();
+    let oracle = LinearSearch::build(set);
+    let expect: Vec<_> = trace.iter().map(|k| seen(oracle.classify(k), trees)).collect();
+    let mut first: Option<Vec<_>> = None;
     for batch in [1usize, 5, 8, 32, 127, 128, n] {
         let mut out = vec![None; n];
         let mut lo = 0;
@@ -44,7 +62,10 @@ fn assert_batch_equivalent(c: &dyn Classifier, trace: &nm_common::TraceBuf) {
             c.classify_batch(&raw[lo * stride..hi * stride], stride, &mut out[lo..hi]);
             lo = hi;
         }
-        assert_eq!(out, expect, "{} diverged from per-key at batch {batch}", c.name());
+        let got: Vec<_> = out.iter().map(|&m| seen(m, trees)).collect();
+        assert_eq!(got, expect, "{} diverged from LinearSearch at batch {batch}", c.name());
+        let first = first.get_or_insert_with(|| out.clone());
+        assert_eq!(&out, first, "{} diverged from batch 1 at batch {batch}", c.name());
     }
 }
 
@@ -53,14 +74,20 @@ fn every_engine_batch_matches_per_key() {
     for (app, seed) in [(AppKind::Acl, 11u64), (AppKind::Fw, 22), (AppKind::Ipc, 33)] {
         let set = generate(app, 300, seed);
         let trace = uniform_trace(&set, 2_000, seed * 7 + 1);
-        let engines: Vec<Box<dyn Classifier>> = vec![
-            Box::new(LinearSearch::build(&set)),
-            Box::new(TupleMerge::build(&set)),
-            Box::new(CutSplit::build(&set)),
-            Box::new(NeuroCuts::with_config(&set, NeuroCutsConfig { iterations: 4, sample: 512 })),
+        let engines: Vec<(Box<dyn Classifier>, bool)> = vec![
+            (Box::new(LinearSearch::build(&set)), false),
+            (Box::new(TupleMerge::build(&set)), false),
+            (Box::new(CutSplit::build(&set)), true),
+            (
+                Box::new(NeuroCuts::with_config(
+                    &set,
+                    NeuroCutsConfig { iterations: 4, sample: 512 },
+                )),
+                true,
+            ),
         ];
-        for engine in &engines {
-            assert_batch_equivalent(engine.as_ref(), &trace);
+        for (engine, trees) in &engines {
+            assert_batch_equivalent(engine.as_ref(), &set, *trees, &trace);
         }
     }
 }
@@ -76,9 +103,9 @@ fn nuevomatch_batch_matches_per_key_all_remainders() {
         let nm_cs = NuevoMatch::build(&set, &cfg, CutSplit::build).unwrap();
         let nm_ls = NuevoMatch::build(&set, &cfg, LinearSearch::build).unwrap();
         for trace in [&uni, &skew] {
-            assert_batch_equivalent(&nm_tm, trace);
-            assert_batch_equivalent(&nm_cs, trace);
-            assert_batch_equivalent(&nm_ls, trace);
+            assert_batch_equivalent(&nm_tm, &set, false, trace);
+            assert_batch_equivalent(&nm_cs, &set, true, trace);
+            assert_batch_equivalent(&nm_ls, &set, false, trace);
         }
     }
 }
@@ -87,19 +114,21 @@ fn nuevomatch_batch_matches_per_key_all_remainders() {
 fn batch_with_floors_matches_per_key_dispatch() {
     let set = generate(AppKind::Fw, 300, 8);
     let trace = uniform_trace(&set, 1_500, 21);
-    let engines: Vec<Box<dyn Classifier>> = vec![
-        Box::new(TupleMerge::build(&set)), // table-major batched override
-        Box::new(CutSplit::build(&set)),   // level-synchronous descent
-        Box::new(NeuroCuts::with_config(
+    // Each engine with whether it is a tree engine (see `seen`).
+    let engines: Vec<(Box<dyn Classifier>, bool)> = vec![
+        (Box::new(TupleMerge::build(&set)), false), // table-major probe
+        (Box::new(CutSplit::build(&set)), true),    // level-synchronous descent
+        (
             // level-synchronous descent, searched trees
-            &set,
-            NeuroCutsConfig { iterations: 4, sample: 512 },
-        )),
+            Box::new(NeuroCuts::with_config(&set, NeuroCutsConfig { iterations: 4, sample: 512 })),
+            true,
+        ),
         // Phase pipeline with caller floors folded into the remainder's
         // batch-wide early termination.
-        Box::new(NuevoMatch::build(&set, &fast_cfg(true), TupleMerge::build).unwrap()),
-        Box::new(LinearSearch::build(&set)), // default per-key loop
+        (Box::new(NuevoMatch::build(&set, &fast_cfg(true), TupleMerge::build).unwrap()), false),
+        (Box::new(LinearSearch::build(&set)), false), // floor-aware scan
     ];
+    let oracle = LinearSearch::build(&set);
     let stride = trace.stride();
     let raw = trace.raw();
     let n = trace.len();
@@ -112,17 +141,89 @@ fn batch_with_floors_matches_per_key_dispatch() {
             _ => 0,
         })
         .collect();
-    for engine in &engines {
+    for (engine, trees) in &engines {
         let mut out = vec![None; n];
         engine.classify_batch_with_floors(raw, stride, &floors, &mut out);
         for (i, key) in trace.iter().enumerate() {
             let expect = if floors[i] == Priority::MAX {
-                engine.classify(key)
+                oracle.classify(key)
             } else {
-                engine.classify_with_floor(key, floors[i])
+                oracle.classify_with_floor(key, floors[i])
             };
-            assert_eq!(out[i], expect, "{} diverged at packet {i}", engine.name());
+            assert_eq!(
+                seen(out[i], *trees),
+                seen(expect, *trees),
+                "{} diverged at packet {i}",
+                engine.name()
+            );
         }
+    }
+}
+
+/// Regression: rules at `Priority::MAX` are served by every engine, per key
+/// and batched, and only an explicit `Priority::MAX` floor (strict) excludes
+/// them. The tree engines used to start a key's walk with the bound
+/// `Priority::MAX`, so a tree whose best rule sat at `MAX` was never walked.
+#[test]
+fn priority_max_rules_are_served_by_every_engine() {
+    use nm_common::FiveTuple;
+    let rules = vec![
+        FiveTuple::new().dst_port_exact(80).into_rule(9, Priority::MAX),
+        FiveTuple::new().src_prefix([10, 0, 0, 0], 8).into_rule(4, Priority::MAX),
+    ];
+    let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
+    let oracle = LinearSearch::build(&set);
+    let nc = |s: &RuleSet| NeuroCuts::with_config(s, NeuroCutsConfig { iterations: 2, sample: 64 });
+    let mut engines: Vec<(String, Box<dyn Classifier>, bool)> = vec![
+        ("linear".into(), Box::new(LinearSearch::build(&set)), false),
+        ("tm".into(), Box::new(TupleMerge::build(&set)), false),
+        ("tss".into(), Box::new(TupleSpaceSearch::build(&set)), false),
+        ("cs".into(), Box::new(CutSplit::build(&set)), true),
+        ("nc".into(), Box::new(nc(&set)), true),
+    ];
+    // NuevoMatch over each remainder: the rules in iSets, and forced into
+    // the remainder (no iSets), with early termination on and off.
+    for (max_isets, et) in [(4, true), (0, true), (0, false)] {
+        let cfg = NuevoMatchConfig { max_isets, ..fast_cfg(et) };
+        let what = format!("max_isets {max_isets} et {et}");
+        let nm_ls = NuevoMatch::build(&set, &cfg, LinearSearch::build).unwrap();
+        let nm_tm = NuevoMatch::build(&set, &cfg, TupleMerge::build).unwrap();
+        let nm_cs = NuevoMatch::build(&set, &cfg, CutSplit::build).unwrap();
+        let nm_nc = NuevoMatch::build(&set, &cfg, nc).unwrap();
+        if max_isets == 0 {
+            assert_eq!(nm_tm.remainder().num_rules(), 2, "{what}: all rules in the remainder");
+        }
+        engines.push((format!("nm/linear {what}"), Box::new(nm_ls), false));
+        engines.push((format!("nm/tm {what}"), Box::new(nm_tm), false));
+        engines.push((format!("nm/cs {what}"), Box::new(nm_cs), true));
+        engines.push((format!("nm/nc {what}"), Box::new(nm_nc), true));
+    }
+    // Rule 9 alone, both rules (4 wins on id), rule 4 alone, neither.
+    let keys: Vec<u64> = [
+        [1, 2, 3, 80, 6],
+        [0x0a00_0001, 2, 3, 80, 6],
+        [0x0a00_0001, 2, 3, 81, 6],
+        [1, 2, 3, 81, 6],
+    ]
+    .concat();
+    let want: Vec<_> = keys.chunks_exact(5).map(|k| oracle.classify(k)).collect();
+    assert_eq!(want[0], Some(MatchResult::new(9, Priority::MAX)));
+    assert_eq!(want[1], Some(MatchResult::new(4, Priority::MAX)));
+    for (name, engine, trees) in &engines {
+        let want: Vec<_> = want.iter().map(|&m| seen(m, *trees)).collect();
+        for (i, key) in keys.chunks_exact(5).enumerate() {
+            assert_eq!(seen(engine.classify(key), *trees), want[i], "{name} per key, key {i}");
+            let floored = engine.classify_with_floor(key, Priority::MAX);
+            assert_eq!(floored, None, "{name}: a MAX floor is strict, key {i}");
+        }
+        let mut out = vec![None; want.len()];
+        engine.classify_batch(&keys, 5, &mut out);
+        let got: Vec<_> = out.iter().map(|&m| seen(m, *trees)).collect();
+        assert_eq!(got, want, "{name} batched");
+        // A `Priority::MAX` batch floor is the "no floor" sentinel.
+        engine.classify_batch_with_floors(&keys, 5, &[Priority::MAX; 4], &mut out);
+        let got: Vec<_> = out.iter().map(|&m| seen(m, *trees)).collect();
+        assert_eq!(got, want, "{name} batched under MAX floors");
     }
 }
 

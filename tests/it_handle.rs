@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Barrier, Mutex};
 
 use nm_common::{
-    BatchUpdatable, Classifier, FieldsSpec, FiveTuple, LinearSearch, MatchResult, Rule, RuleSet,
-    SplitMix64, UpdateBatch, UpdateReport,
+    BatchUpdatable, Classifier, FieldsSpec, FiveTuple, LinearSearch, MatchResult, Priority, Rule,
+    RuleSet, SplitMix64, UpdateBatch, UpdateReport,
 };
 use nm_tuplemerge::TupleMerge;
 use nuevomatch::{ClassifierHandle, NuevoMatchConfig, RqRmiParams, ShardedHandle};
@@ -292,8 +292,14 @@ struct Fragile {
 }
 
 impl Classifier for Fragile {
-    fn classify(&self, key: &[u64]) -> Option<MatchResult> {
-        self.tm.classify(key)
+    fn batch_lookup(
+        &self,
+        keys: &[u64],
+        stride: usize,
+        floors: Option<&[Priority]>,
+        out: &mut [Option<MatchResult>],
+    ) {
+        self.tm.batch_lookup(keys, stride, floors, out);
     }
 
     fn memory_bytes(&self) -> usize {
