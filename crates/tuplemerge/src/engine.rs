@@ -6,8 +6,9 @@
 //! layers above — copies a few arrays per table.
 //!
 //! **Lookup.** A key first reads the table filter ([`crate::filter`]): one
-//! row per address field, indexed by the field's top byte and ANDed, names
-//! the tables that can hold a rule for it; the rest are skipped unhashed.
+//! row per address field, indexed by the field's top 12 bits and ANDed,
+//! names the tables that file a rule whose range reaches the key's rows;
+//! the rest are skipped unhashed.
 //! The named tables are probed in ascending `best_priority` order. Per table
 //! the key hashes its non-wildcard fields and tests its slot with one load —
 //! empty test, early-exit test and *per-slot* floor test at once; only a
@@ -20,13 +21,13 @@
 //! and scans only its own list.
 //!
 //! **Filter upkeep.** A table lays its column when it files its first rule
-//! (so does a table `split` re-lays), an insert sets one bit per address
-//! field and a removal leaves its bit: a superset stays exact. Once removals
-//! since the last recompute exceed a quarter of the live rules, the batch
-//! that crossed the line rebuilds the filter from the filed rules and makes
-//! every table's `best_priority` exact — an emptied table then has an empty
-//! column and is never hashed again. Only the first 64 tables have bits; a
-//! table past them is probed by every key.
+//! (so does a table `split` re-lays), an insert sets the rows its range
+//! reaches per address field and a removal leaves its bits: a superset stays
+//! exact. Once removals since the last recompute exceed a quarter of the
+//! live rules, the batch that crossed the line rebuilds the filter from the
+//! filed rules and makes every table's `best_priority` exact — an emptied
+//! table then has an empty column and is never hashed again. Only the first
+//! 64 tables have bits; a table past them is probed by every key.
 //!
 //! **Ties.** Candidates compare as `(priority, id)`, so among equal
 //! priorities the smaller id wins whichever table holds it — the verdict of
@@ -183,7 +184,7 @@ impl TupleMerge {
                 self.filter.lay_column(t, &table.lens);
             }
             for m in table.members() {
-                self.filter.add(t, self.rules.bounds(m));
+                self.filter.add(t, &table.lens, self.rules.bounds(m));
             }
         }
     }
@@ -204,7 +205,7 @@ impl TupleMerge {
         if table.is_empty() {
             self.filter.lay_column(ti, &table.lens);
         }
-        self.filter.add(ti, self.rules.bounds(idx));
+        self.filter.add(ti, &table.lens, self.rules.bounds(idx));
         let before = table.best_priority;
         let bucket_len = table.insert(idx, &self.rules);
         self.order_stale |= table.best_priority != before;
@@ -563,15 +564,11 @@ impl TupleMerge {
         assert_eq!(order, (0..self.tables.len() as u32).collect::<Vec<_>>());
         for (t, table) in self.tables.iter().enumerate() {
             table.assert_invariants(&self.rules);
-            for m in table.members() {
-                assert_eq!(self.rules.home(m), t as u32);
-                // The filter names the table at both corners of the rule.
-                for corner in 0..2 {
-                    let key: Vec<u64> =
-                        self.rules.bounds(m).chunks_exact(2).map(|b| b[corner]).collect();
-                    let named = t >= FILTERED || self.filter.candidates(&key) >> t & 1 == 1;
-                    assert!(named, "filter hides rule {m} of table {t}");
-                }
+            let members = table.members();
+            assert!(members.iter().all(|&m| self.rules.home(m) == t as u32));
+            if !table.is_empty() {
+                let filed = members.iter().map(|&m| self.rules.bounds(m));
+                self.filter.assert_names(t, &table.lens, filed);
             }
         }
         let filed: usize = self.tables.iter().map(|t| t.members().len()).sum();
@@ -995,8 +992,9 @@ mod tests {
         let set = RuleSet::new(FieldsSpec::five_tuple(), rules).unwrap();
         let mut tm = TupleMerge::build(&set);
         assert_eq!(tm.num_tables(), 2);
-        // Keys under 10/8 that match nothing: every table they hash is waste.
-        let keys: Vec<u64> = (0..64u64).flat_map(|i| [0x0aff_0000 | i, 0, 0, 0, 6]).collect();
+        // Keys in the /24s' filter row (10.0/12) that match nothing: every
+        // table they hash is waste.
+        let keys: Vec<u64> = (0..64u64).flat_map(|i| [0x0a0f_0000 | i, 0, 0, 0, 6]).collect();
         let remove = |tm: &mut TupleMerge, ids: std::ops::Range<u32>| {
             tm.apply(&ids.fold(UpdateBatch::new(), |batch, id| batch.remove(id)));
             tm.assert_invariants();
@@ -1012,7 +1010,7 @@ mod tests {
         let tally = tm.probe_tally(&keys, 5, None);
         assert_eq!((tally.tables, tally.passed_floor, tally.admitted), (2, 64, 64));
         // It is found again by the next rule that fits it.
-        let rule = FiveTuple::new().src_prefix_raw(0x0aff_0000, 24).into_rule(900, 0);
+        let rule = FiveTuple::new().src_prefix_raw(0x0a0f_0000, 24).into_rule(900, 0);
         tm.apply(&UpdateBatch::new().insert(rule));
         tm.assert_invariants();
         assert_eq!(tm.classify(&keys[..5]), Some(MatchResult::new(900, 0)));

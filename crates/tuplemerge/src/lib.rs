@@ -22,7 +22,7 @@
 //!
 //! One flat, update-in-place representation serves lookups and updates
 //! alike. Rules live in two flat arrays (boxes, `lo, hi` per field; ids
-//! with priorities). Each table is a power-of-two slot array at load ≤ ½,
+//! with priorities). Each table is a power-of-two slot array at load ≤ ¾,
 //! indexed by the top bits of a hash of the table's *non-wildcard* fields
 //! (precomputed `(field, shift)` pairs); a slot holds the best priority
 //! filed under it (`Priority::MAX` when empty) and a 32-bit key filter, and
@@ -33,11 +33,13 @@
 //! per-slot floor test.
 //!
 //! In front of the tables sits one **table filter**: per address field
-//! (wider than 16 bits) 256 rows indexed by a key's top byte, each a bitset
-//! over tables. A set bit promises only that the table *may* hold a rule
-//! for that byte; a clear bit proves it holds none. Rows are as many bytes
-//! wide as the table count needs, up to eight: the first 64 tables are
-//! filtered, a table past them is probed by every key.
+//! (wider than 16 bits) 4096 rows indexed by a key's top 12 bits, each a
+//! bitset over tables. A set bit promises only that the table *may* hold a
+//! rule whose range reaches those 12 bits; a clear bit proves it holds none.
+//! Rows are as many bytes wide as the table count needs, up to eight: the
+//! first 64 tables are filtered, a table past them is probed by every key.
+//! The finer the filter, the fewer strangers reach a slot, which is what
+//! lets the slot arrays run ¾ full.
 //!
 //! A lookup ANDs its key's rows, then probes the tables that remain in
 //! ascending best-priority order and stops at the first table that cannot
@@ -54,12 +56,13 @@
 //! removal, and compact the arena or double the slot array when a table
 //! gets wasteful or crowded; a table's own best priority is only a
 //! conservative bound between those rebuilds. The table filter is as
-//! conservative: an insert sets one bit per address field, a removal leaves its bit
-//! (a superset stays exact), and once removals since the last recompute
-//! exceed a quarter of the live rules the filter is rebuilt from the filed
-//! rules and every table's bound made exact, so an emptied table is never
-//! hashed again. `Clone` copies a handful of arrays per table and the
-//! filter's rows, which is what makes copy-on-write applies cheap.
+//! conservative: an insert sets the rows its range reaches (at most 16) per
+//! address field, a removal leaves its bits (a superset stays exact), and
+//! once removals since the last recompute exceed a quarter of the live rules
+//! the filter is rebuilt from the filed rules and every table's bound made
+//! exact, so an emptied table is never hashed again. `Clone` copies a
+//! handful of arrays per table and the filter's rows, which is what makes
+//! copy-on-write applies cheap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

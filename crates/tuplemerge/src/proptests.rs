@@ -2,9 +2,10 @@
 //! insert / modify / remove / re-insert-same-id, with priorities duplicated
 //! on purpose, checked after every batch against [`LinearSearch`] over the
 //! same live rules — on every lookup entry point — and against the layout's
-//! own invariants. Address prefixes vary in top byte and straddle the /8
-//! line, so the comparison also covers the table filter: stale bits after
-//! removals, a split table's column reset, and the recompute.
+//! own invariants. Address prefixes vary in their top 12 bits and straddle
+//! the /8 and /12 lines, so the comparison also covers the table filter:
+//! rules that span several rows, stale bits after removals, a split table's
+//! column reset, and the recompute.
 
 use crate::engine::TupleMergeConfig;
 use crate::TupleMerge;
@@ -29,16 +30,21 @@ fn rule(id: RuleId, x: u64) -> Rule {
         // Many distinct ports: the same table's slot array has to grow.
         1 => FiveTuple::new().dst_port_exact(b as u16).proto_exact(6),
         // Nested prefixes: refinable, so an overflowing bucket can split.
-        // Few top bytes, and lengths on both sides of a byte: tables that
-        // set every filter row, tables that set one per rule, and the line
+        // Few top bytes, bits 20–23 varied under them, and lengths on both
+        // sides of a byte and of 12 bits: tables that set every filter row,
+        // rules that set up to 16 rows and rules that set one, and the lines
         // between them — on one address or on both.
         2 => {
-            const LENS: [u8; 13] = [0, 4, 7, 8, 9, 12, 16, 18, 20, 24, 27, 28, 32];
-            let ip = |n: u64| ([0x0a, 0x0b, 0xc0, 0xc1][n as usize % 4] << 24 | n << 8) as u32;
-            let ft = FiveTuple::new().src_prefix_raw(ip(b), LENS[a as usize]);
+            const LENS: [u8; 17] = [0, 4, 7, 8, 9, 10, 11, 12, 13, 14, 16, 18, 20, 24, 27, 28, 32];
+            let ip = |n: u64| {
+                ([0x0a, 0x0b, 0xc0, 0xc1][n as usize % 4] << 24 | (n / 4 % 16) << 20 | n << 8)
+                    as u32
+            };
+            let len = |i: u64| LENS[i as usize % LENS.len()];
+            let ft = FiveTuple::new().src_prefix_raw(ip(b), len(x / 11));
             match b % 3 {
                 0 => ft,
-                _ => ft.dst_prefix_raw(ip(b / 3), LENS[(a + b) as usize % 13]),
+                _ => ft.dst_prefix_raw(ip(b / 3), len(x / 11 + b)),
             }
         }
         // A range whose covering prefix is short: lives in a coarse table.

@@ -6,7 +6,7 @@
 //! baseline's, which must be identical to brute force.
 
 use nm_classbench::{generate, stanford_fib, AppKind};
-use nm_common::{Classifier, LinearSearch, RuleSet, ShardPlan};
+use nm_common::{Classifier, LinearSearch, Priority, RuleSet, ShardPlan};
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{caida_like_trace, uniform_trace, zipf_trace};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
@@ -288,4 +288,36 @@ fn full_builds_are_byte_identical_to_the_pinned_partitions_and_images() {
         let image_hash = fnv1a(image.iter().map(|&b| b.into()));
         assert_eq!((image.len(), image_hash), want_image, "{name}: snapshot image");
     }
+}
+
+/// The remainder engine's probe work is pinned: exact index bytes, and per
+/// seeded uniform trace the tables a key reached, those the table filter
+/// let through, the slots that could hold it and the boxes checked. Bare
+/// TupleMerge over a 20K ACL, and NuevoMatch's TupleMerge remainder under
+/// the floors its iSets hand it. A change to the filter's rows or to the
+/// slot arrays' load moves them.
+#[test]
+fn tuplemerge_probe_counts_are_pinned() {
+    let set = generate(AppKind::Acl, 20_000, 29);
+    let trace = uniform_trace(&set, 20_000, 0x901d);
+    let pin = |engine: &TupleMerge, floors: Option<&[Priority]>| {
+        let t = engine.probe_tally(trace.raw(), trace.stride(), floors);
+        (engine.memory_bytes(), t.passed_floor, t.admitted, t.slot_hits, t.box_checks)
+    };
+    let tm = TupleMerge::build(&set);
+    assert_eq!(pin(&tm, None), (626_896, 563_041, 59_347, 24_466, 43_926), "bare tm");
+
+    let cfg = NuevoMatchConfig {
+        max_isets: 4,
+        min_iset_coverage: 0.05,
+        rqrmi: RqRmiParams { error_target: 64, ..Default::default() },
+        ..Default::default()
+    };
+    let nm = NuevoMatch::build(&set, &cfg, TupleMerge::build).unwrap();
+    let mut isets = vec![None; trace.len()];
+    nm.classify_isets_batch(trace.raw(), trace.stride(), &mut isets);
+    let floors: Vec<Priority> =
+        isets.iter().map(|m| m.map_or(Priority::MAX, |m| m.priority.saturating_add(1))).collect();
+    let want = (90_538, 285_529, 12_242, 4_975, 15_833);
+    assert_eq!(pin(nm.remainder(), Some(&floors)), want, "nm/tm remainder");
 }
