@@ -599,6 +599,7 @@ fn cmd_serve(mut a: Args) -> Result<String, String> {
         ("decode_errors", stats.decode_errors.into()),
         ("recv_calls", stats.recv_calls.into()),
         ("empty_recv_calls", stats.empty_recv_calls.into()),
+        ("blocking_recv_calls", stats.blocking_recv_calls.into()),
         ("recv_errors", stats.recv_errors.into()),
         ("send_calls", stats.send_calls.into()),
         ("send_errors", stats.send_errors.into()),
@@ -883,7 +884,9 @@ mod tests {
         for key in ["pinned_readers", "generation", "retrains", "served", "empty_recv_calls"] {
             field(out, key);
         }
-        for key in ["reader_requests_max", "driver_timeouts", "build_s", "p99_us"] {
+        for key in
+            ["reader_requests_max", "driver_timeouts", "build_s", "p99_us", "blocking_recv_calls"]
+        {
             field(out, key);
         }
     }

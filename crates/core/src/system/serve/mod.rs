@@ -6,8 +6,11 @@
 //! threads coalesce them with **arrival-aware micro-batching** (flush at
 //! `max_batch`, after `deadline`, or once the socket runs dry and the
 //! reader's inter-arrival estimate expects nobody inside the deadline),
-//! every flushed batch classifies against **one pinned generation**, and
-//! `(rule, priority, generation)` verdicts go back on the wire. Service
+//! and keep polling between batches while the traffic is dense, so a
+//! request rarely waits for its reader to wake up
+//! ([`Assembler::should_block`]). Every flushed batch classifies against
+//! **one pinned generation**, and `(rule, priority, generation)` verdicts
+//! go back on the wire. Service
 //! latency — request decoded to response written, any micro-batching wait
 //! included — lands in a log-bucketed [`nm_common::LatencyHistogram`] for
 //! p50/p99/p999 tail accounting.

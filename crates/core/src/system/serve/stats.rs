@@ -58,11 +58,17 @@ pub struct ServeStats {
     pub recv_calls: u64,
     /// Receive syscalls that returned nothing (busy-poll probes and idle
     /// ticks). Reported separately from [`ServeStats::recv_calls`]: their
-    /// cost is bounded by the deadline and the idle tick, not the packet
-    /// rate, so they do not belong in the per-packet ratio.
+    /// cost is bounded by the deadline, the 200 µs an awake reader polls
+    /// after a dense arrival and the idle tick, not the packet rate, so
+    /// they do not belong in the per-packet ratio.
     pub empty_recv_calls: u64,
     /// Receive syscalls that failed with anything but a timeout.
     pub recv_errors: u64,
+    /// Receive syscalls made in blocking mode, whatever they returned: the
+    /// times a reader went to sleep waiting for a request instead of
+    /// polling (see `Assembler::should_block`). Dense traffic keeps this
+    /// far below [`ServeStats::requests`].
+    pub blocking_recv_calls: u64,
     /// Send syscalls — `sendmmsg` (or fallback `sendto`) calls that pushed
     /// response runs to the wire, `write` attempts on a stream, the ones a
     /// full send buffer turned away included.
@@ -112,6 +118,7 @@ impl ServeStats {
         self.recv_calls += other.recv_calls;
         self.empty_recv_calls += other.empty_recv_calls;
         self.recv_errors += other.recv_errors;
+        self.blocking_recv_calls += other.blocking_recv_calls;
         self.send_calls += other.send_calls;
         self.send_errors += other.send_errors;
         self.validated += other.validated;

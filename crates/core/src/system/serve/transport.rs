@@ -3,16 +3,25 @@
 //! `std::net` (plus the raw batched syscalls in [`super::sysio`]).
 //!
 //! Every reader thread owns one [`Assembler`] and asks it at each loop head
-//! whether to flush ([`Assembler::due`]), around a two-mode read loop:
-//! **idle** (no pending requests) blocks for the first datagram with a
-//! short timeout so shutdown is always noticed, while **assembling** (a
-//! partial batch waiting) busy-polls nonblocking until the batch is full,
-//! the deadline passes, or the socket is known empty — a receive came back
-//! empty or short of its buffer — with nobody expected inside what is
-//! left. Sparse traffic never polls: the blocking receive that delivered
-//! the request was itself short. Where the poll runs it is mandatory —
-//! `SO_RCVTIMEO` rounds up to kernel scheduler ticks (milliseconds), which
-//! would stretch a 20µs deadline by 100x — and the deadline caps it.
+//! whether to flush ([`Assembler::due`]) and then whether to block on the
+//! next receive ([`Assembler::should_block`]). A reader is in one of three
+//! states:
+//!
+//! - **assembling** (a partial batch waiting): it busy-polls nonblocking
+//!   until the batch is full, the deadline passes, or the socket is known
+//!   empty — a receive came back empty or short of its buffer — with nobody
+//!   expected inside what is left. The poll is mandatory — `SO_RCVTIMEO`
+//!   rounds up to kernel scheduler ticks (milliseconds), which would stretch
+//!   a 20µs deadline by 100x — and the deadline caps it.
+//! - **awake** (nothing pending, traffic dense: the last request came less
+//!   than [`SPIN`](super::assembler::SPIN) after the one before, and less
+//!   than `SPIN` ago): it keeps polling the same way, so the next request
+//!   finds it running instead of paying a scheduler and VM wake-up. `SPIN`
+//!   caps it.
+//! - **asleep** (nothing pending, traffic sparse or silent): it blocks for
+//!   the first datagram with a short timeout so shutdown is always noticed.
+//!   Sparse traffic never polls: a request that follows a gap of `SPIN` or
+//!   more is answered, and the reader blocks again.
 //!
 //! UDP readers each own a *private* `SO_REUSEPORT` fd (the kernel hashes
 //! flows across them) and drain up to a whole batch per `recvmmsg(2)`
@@ -107,13 +116,16 @@ pub(super) fn udp_reader<P: ServePlane>(shared: Arc<Shared<P>>, sock: Arc<UdpSoc
             asm.flush(FlushCause::Drain);
             return;
         }
-        if let Some(cause) = asm.due(Instant::now(), socket_empty) {
+        let now = Instant::now();
+        if let Some(cause) = asm.due(now, socket_empty) {
             asm.flush(cause);
         }
-        // Idle: block for the first datagram (SO_RCVTIMEO keeps the
+        // Asleep: block for the first datagram (SO_RCVTIMEO keeps the
         // shutdown checks live), then grab whatever else is queued.
-        // Assembling: nonblocking drains only; `due` bounds the busy-poll.
-        let block = asm.is_empty();
+        // Assembling or awake: nonblocking drains only; the deadline and
+        // `SPIN` bound the busy-poll.
+        let block = asm.should_block(now);
+        asm.carried.blocking_recv_calls += u64::from(block);
         match ring.recv(&sock, block) {
             Ok(count) => {
                 let arrived = Instant::now();
@@ -209,13 +221,15 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
         if shared.shutdown.load(Relaxed) {
             break;
         }
-        if let Some(cause) = asm.due(Instant::now(), socket_empty) {
+        let now = Instant::now();
+        if let Some(cause) = asm.due(now, socket_empty) {
             asm.flush(cause);
         }
-        // Poll while assembling, block (on the read timeout) when idle. A
-        // failed mode toggle degrades to timeout-blocking reads.
-        let assembling = !asm.is_empty();
-        asm.poll_tcp(assembling);
+        // Poll while assembling or awake, block (on the read timeout) when
+        // asleep. A failed mode toggle degrades to timeout-blocking reads.
+        let block = asm.should_block(now);
+        asm.poll_tcp(!block);
+        asm.carried.blocking_recv_calls += u64::from(block);
         match (&*stream).read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
@@ -235,7 +249,7 @@ fn tcp_conn<P: ServePlane>(shared: Arc<Shared<P>>, stream: Arc<TcpStream>) {
             Err(ref e) if is_timeout(e) => {
                 socket_empty = true;
                 asm.carried.empty_recv_calls += 1;
-                if assembling {
+                if !block {
                     // See the UDP reader: yield so the peer can run.
                     std::thread::yield_now();
                 }
