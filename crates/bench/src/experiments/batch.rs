@@ -11,14 +11,12 @@
 //! application suite at its largest size, plus a `fib` row pair —
 //! `stanford_fib` at the same size in 8 iSets against bare TupleMerge, the
 //! paper's own comparison on the rule-set where the iSets are the whole
-//! lookup. Columns report Mpps; the `seq` column is the reference:
-//! [`nuevomatch::system::parallel::run_sequential`], the engine's one
-//! lookup hook called on one key per packet (the small-batch branch of the
-//! engines that have one), where column 1 is the same hook through
-//! `run_batched`.
+//! lookup. Columns report Mpps; the `b=1` column is the reference: the
+//! engine's one lookup hook called on one key per packet (the small-batch
+//! branch of the engines that have one).
 //!
-//! Every row's checksum is checked against the sequential one-key
-//! reference, so the sweep double-checks batch-size equivalence on the
+//! Every row's checksum at every batch size is checked against its `b=1`
+//! checksum, so the sweep double-checks batch-size equivalence on the
 //! measured trace — a mismatch fails the run. An inference table times
 //! `CompiledRqRmi::predict_batch` on its own: ns/key over independent
 //! 64-key chunks of uniform keys, one row per instruction set this CPU
@@ -39,7 +37,7 @@
 //! only this table can see it rot: a remainder of 16 tables or more whose
 //! filter pruned nothing fails the run.
 
-use crate::{measure_seq, nc_config, nm_config, nm_tm, suite, Ctx, Outcome};
+use crate::{nc_config, nm_config, nm_tm, suite, Ctx, Outcome};
 use nm_analysis::{geomean, Json, Table};
 use nm_common::{Classifier, FieldRange, Priority, SplitMix64, TraceBuf};
 use nm_cutsplit::{CutSplit, NeuroCuts};
@@ -50,6 +48,7 @@ use nuevomatch::system::parallel::run_batched;
 use nuevomatch::{NuevoMatch, RqRmiParams};
 use std::cell::RefCell;
 
+/// Batch sizes swept; the first, 1, is every row's reference.
 const BATCHES: &[usize] = &[1, 8, 32, 128, 512];
 
 /// Measured passes per point; the best is kept. The box this sweep runs on
@@ -61,7 +60,7 @@ const PASSES: usize = 3;
 type Build<'a> = &'a dyn Fn() -> Box<dyn Classifier + 'a>;
 
 /// Sweeps one engine over one rule-set, adds its row to `table`, and
-/// returns the batch-128 speedup over the one-key loop and the
+/// returns the batch-128 speedup over batch 1 (the one-key loop) and the
 /// batch-128 throughput itself (packets/s).
 fn sweep(
     out: &mut Outcome,
@@ -72,32 +71,30 @@ fn sweep(
     warmups: usize,
     table: &mut Table,
 ) -> (f64, f64) {
-    // Sequential per-key reference: the honest "before" point. All points
-    // (seq + every batch size) are measured round-robin PASSES times so
-    // machine drift between measurements lands on both sides of every
-    // ratio; the best pass per point is kept.
-    let (mut seq_pps, _, seq_sum) = measure_seq(c, trace, warmups);
+    // Batch 1, the per-key loop, is the honest "before" point. All batch
+    // sizes are measured round-robin PASSES times so machine drift between
+    // measurements lands on both sides of every ratio; the best pass per
+    // point is kept.
     for &b in BATCHES {
         for _ in 0..warmups {
             let _ = run_batched(c, trace, b);
         }
     }
     let mut pps = vec![0.0f64; BATCHES.len()];
-    for pass in 0..PASSES {
-        if pass > 0 {
-            seq_pps = seq_pps.max(measure_seq(c, trace, 0).0);
-        }
+    let mut per_key_sum = None;
+    for _ in 0..PASSES {
         for (i, &b) in BATCHES.iter().enumerate() {
             let stats = run_batched(c, trace, b);
-            out.check(stats.checksum == seq_sum, || {
-                format!("{engine}/{app}: batch {b} diverged from the sequential reference")
+            let want = *per_key_sum.get_or_insert(stats.checksum);
+            out.check(stats.checksum == want, || {
+                format!("{engine}/{app}: batch {b} diverged from batch 1")
             });
             pps[i] = pps[i].max(stats.pps);
         }
     }
     let pps_128 = pps[BATCHES.iter().position(|&b| b == 128).expect("128 is swept")];
-    let speedup = pps_128 / seq_pps;
-    let mut row = vec![app.to_string(), engine.to_string(), format!("{:.2}", seq_pps / 1e6)];
+    let speedup = pps_128 / pps[0];
+    let mut row = vec![app.to_string(), engine.to_string()];
     row.extend(pps.iter().map(|p| format!("{:.2}", p / 1e6)));
     row.push(format!("{speedup:.2}x"));
     table.row(row);
@@ -203,9 +200,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let s = &ctx.scale;
     let n = *s.sizes.last().expect("scale has sizes");
     out.say(format!("=== Batch-size sweep — {n} rules, uniform traffic, single core ==="));
-    out.say("(columns in Mpps; seq = one key per lookup call; speedup = batch 128 vs seq)\n");
-    let mut table =
-        Table::new(&["set", "engine", "seq", "b=1", "b=8", "b=32", "b=128", "b=512", "128/seq"]);
+    out.say("(columns in Mpps; b=1 = one key per lookup call; speedup = batch 128 vs b=1)\n");
+    let mut table = Table::new(&["set", "engine", "b=1", "b=8", "b=32", "b=128", "b=512", "128/1"]);
     let mut ledger = Table::new(&[
         "set", "engine", "tables", "reached", "hashed", "slot hits", "walked", "box checks",
         "wins", "won 1st/2nd/later",
@@ -348,7 +344,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
 
     out.scalar("rules", n);
     out.scalar("isa", format!("{:?}", detect()));
-    out.scalar("nm_tm_geomean_128_vs_seq", Json::num(gm, 3));
+    out.scalar("nm_tm_geomean_128_vs_b1", Json::num(gm, 3));
     out.scalar("tree_target_pass", tree_pass);
     out.scalar("tm_target_pass", tm_pass);
     out.scalar("nm_vs_tm_acl_128", Json::num(nm_vs_tm_acl, 3));

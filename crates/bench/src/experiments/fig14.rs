@@ -11,8 +11,8 @@
 //! [`CompiledRqRmi::predict_batch`] over each iSet's field in 64-key chunks
 //! (inference), [`NuevoMatch::classify_isets_batch`] in [`BATCH`]-key
 //! chunks (+ search and validation), and [`run_batched`] at [`BATCH`]
-//! (+ the remainder), whose checksum must equal [`run_sequential`]'s or the
-//! run fails. Each column is the difference of two prefixes. Search and
+//! (+ the remainder), whose checksum must equal the per-key loop's
+//! (`run_batched` at batch 1) or the run fails. Each column is the difference of two prefixes. Search and
 //! validation share one: the batched pipeline fuses them per chunk, so no
 //! prefix ends between them and the paper's split of the two is not
 //! separable there. Means are arithmetic, per set and across sets, and a
@@ -25,7 +25,7 @@ use nm_common::TraceBuf;
 use nm_cutsplit::CutSplit;
 use nm_trace::uniform_trace;
 use nuevomatch::rqrmi::CompiledRqRmi;
-use nuevomatch::system::parallel::{run_batched, run_sequential, BATCH};
+use nuevomatch::system::parallel::{run_batched, BATCH};
 use nuevomatch::NuevoMatch;
 use std::hint::black_box;
 use std::time::Instant;
@@ -90,8 +90,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
             let nm = NuevoMatch::build(set, &nm_config(k, 0.0), CutSplit::build).expect("build");
             let trace = uniform_trace(set, (s.trace_len / 4).max(10_000), 0xf14);
             let ([infer, isets, whole], checksum) = prefixes(&nm, &trace);
-            out.check(checksum == run_sequential(&nm, &trace).checksum, || {
-                format!("{app} at {k} iSets: run_batched diverged from run_sequential")
+            out.check(checksum == run_batched(&nm, &trace, 1).checksum, || {
+                format!("{app} at {k} iSets: batch {BATCH} diverged from batch 1")
             });
             let cells = [nm.coverage(), infer, isets - infer, whole - isets, whole];
             table.row(row(k, app, &cells));

@@ -43,6 +43,7 @@ pub use experiments::{Experiment, EXPERIMENTS};
 use nm_common::{Classifier, FieldRange, RuleSet, TraceBuf};
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_tuplemerge::TupleMerge;
+use nuevomatch::system::parallel::run_batched;
 use nuevomatch::{ClassifierHandle, NuevoMatch, NuevoMatchConfig, RqRmiParams};
 
 /// Workload scale for the harness.
@@ -168,13 +169,13 @@ pub fn largest_iset_ranges(set: &RuleSet) -> (Vec<FieldRange>, u8) {
     (ranges, set.spec().bits(iset.dim))
 }
 
-/// Measured sequential throughput: `warmups` passes then one timed pass.
-/// Returns (packets/s, ns/packet, checksum).
+/// Measured per-key throughput — [`run_batched`] at batch 1: `warmups`
+/// passes then one timed pass. Returns (packets/s, ns/packet, checksum).
 pub fn measure_seq(c: &dyn Classifier, trace: &TraceBuf, warmups: usize) -> (f64, f64, u64) {
     for _ in 0..warmups {
-        let _ = nuevomatch::system::parallel::run_sequential(c, trace);
+        let _ = run_batched(c, trace, 1);
     }
-    let stats = nuevomatch::system::parallel::run_sequential(c, trace);
+    let stats = run_batched(c, trace, 1);
     (stats.pps, 1e9 / stats.pps.max(1e-9), stats.checksum)
 }
 

@@ -9,7 +9,7 @@ use nm_common::{BatchUpdatable, UpdateBatch};
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{caida_like_trace, uniform_trace, zipf_trace};
 use nm_tuplemerge::{TupleMerge, TupleSpaceSearch};
-use nuevomatch::system::parallel::{run_batched, run_sequential};
+use nuevomatch::system::parallel::run_batched;
 use nuevomatch::system::runtime::{PinPolicy, RunStats, Runtime, RuntimeConfig, ShardedClassifier};
 use nuevomatch::{NuevoMatch, NuevoMatchConfig, ReaderKind, ShardedHandle, Topology};
 use nuevomatch::{OracleTable, ServeClient, ServeConfig, Server, Transport};
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Usage text.
-pub const HELP: &str = "\
+const HELP: &str = "\
 nmctl — NuevoMatch reproduction toolkit
 
 USAGE:
@@ -237,13 +237,9 @@ fn cmd_bench(mut a: Args) -> Result<String, String> {
     let t0 = Instant::now();
     let engine = build_engine(&engine_name, &set)?;
     let build_s = t0.elapsed().as_secs_f64();
-    // --batch 1 (default) is the sequential reference loop, one key per
-    // lookup; larger sizes go through the engine's batched pipeline.
-    let stats = if batch == 1 {
-        run_sequential(engine.as_ref(), &trace)
-    } else {
-        run_batched(engine.as_ref(), &trace, batch)
-    };
+    // --batch 1 (default) is the per-key loop, one key per lookup call;
+    // larger sizes go through the engine's batched pipeline.
+    let stats = run_batched(engine.as_ref(), &trace, batch);
     Ok(bench_json(&engine_name, &set, build_s, engine.as_ref(), &trace, batch, &stats, None))
 }
 
@@ -623,7 +619,7 @@ fn cmd_serve(mut a: Args) -> Result<String, String> {
 }
 
 /// Parses `a.b.c.d,a.b.c.d,sport,dport,proto` into a 5-tuple key.
-pub fn parse_key(s: &str) -> Result<[u64; 5], String> {
+fn parse_key(s: &str) -> Result<[u64; 5], String> {
     let parts: Vec<&str> = s.split(',').collect();
     if parts.len() != 5 {
         return Err(format!("--key needs 5 comma-separated values, got {}", parts.len()));
@@ -945,7 +941,7 @@ mod tests {
             shards: 2,
             workers: 4,
             pinned_workers: 3,
-            ..run_sequential(&engine, &trace)
+            ..run_batched(&engine, &trace, 1)
         };
         assert_eq!(
             bench_json("tm", &set, 0.01249, &engine, &trace, 1, &at(4e6), None),

@@ -21,14 +21,14 @@ use crate::classifier::MatchResult;
 use crate::update::Generation;
 
 /// `rule` sentinel in a response frame meaning "no match".
-pub const NO_MATCH: u32 = u32::MAX;
+const NO_MATCH: u32 = u32::MAX;
 
 /// Hard cap on a request frame's body, bounding `keys` allocation from
 /// untrusted lengths: 8 bytes of id + 256 key words.
-pub const MAX_REQUEST_BODY: usize = 8 + 256 * 8;
+const MAX_REQUEST_BODY: usize = 8 + 256 * 8;
 
 /// Response body size: id + rule + priority + generation.
-pub const RESPONSE_BODY: usize = 8 + 4 + 4 + 8;
+const RESPONSE_BODY: usize = 8 + 4 + 4 + 8;
 
 /// Whole response frame size on the wire (length word included).
 pub const RESPONSE_FRAME: usize = 4 + RESPONSE_BODY;
@@ -36,10 +36,10 @@ pub const RESPONSE_FRAME: usize = 4 + RESPONSE_BODY;
 /// A decode failure that poisons the containing datagram/stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameError {
-    /// Body length is not `8 + 8*n` (request) or not [`RESPONSE_BODY`]
+    /// Body length is not `8 + 8*n` (request) or not `RESPONSE_BODY`
     /// (response).
     BadLength(u32),
-    /// Body length exceeds [`MAX_REQUEST_BODY`].
+    /// Body length exceeds `MAX_REQUEST_BODY`.
     Oversize(u32),
 }
 

@@ -260,16 +260,10 @@ pub fn normalize(resp: &mut Responsibility) {
     resp.truncate(w + 1);
 }
 
-/// The bucket the *inference* path selects for `key` (reference routing used
-/// by tests to validate that responsibilities are supersets of reality).
-pub fn route_bucket(net: &Mlp, key: u64, w_next: usize, km: &KeyMap) -> usize {
-    let y = net.forward_clamped(km.x(key));
-    ((y * w_next as f32) as usize).min(w_next - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rqrmi::model::bucket;
 
     #[test]
     fn keymap_roundtrips() {
@@ -341,7 +335,8 @@ mod tests {
                 let children = child_responsibilities(&net, &resp, w_next, &km);
                 // Spot-check every 13th key exhaustively-ish.
                 for key in (0..=km.domain_max()).step_by(13) {
-                    let b = route_bucket(&net, key, w_next, &km);
+                    // The bucket the inference walk routes `key` to.
+                    let b = bucket(net.forward_clamped(km.x(key)), w_next);
                     let covered = children[b].iter().any(|&(a, z)| a <= key && key <= z);
                     assert!(
                         covered,

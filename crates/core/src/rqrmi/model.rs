@@ -69,31 +69,26 @@ impl RqRmi {
     /// (hot path for batched lookups that hoist the scaling).
     #[inline]
     pub fn predict_x(&self, x: f32) -> (usize, u32) {
-        let stages = self.nets.len();
-        let mut idx = 0usize;
-        for s in 0..stages - 1 {
-            let y = self.nets[s][idx].forward_clamped(x);
-            let w_next = self.widths[s + 1];
-            idx = ((y * w_next as f32) as usize).min(w_next - 1);
-        }
-        let leaf = &self.nets[stages - 1][idx];
+        let idx = self.leaf_of(x);
         // Final multiply in f64: n_values can exceed f32's integer range of
         // exact products, and the error-bound analysis assumes this exact
         // quantisation of the f32 output.
-        let y = leaf.forward_clamped(x) as f64;
+        let y = self.nets[self.nets.len() - 1][idx].forward_clamped(x) as f64;
         let pred = ((y * self.n_values as f64) as usize).min(self.n_values - 1);
         (pred, self.leaf_err[idx])
     }
 
     /// The leaf submodel index `key` routes to (diagnostics / tests).
     pub fn route(&self, key: u64) -> usize {
-        let km = self.key_map();
-        let x = km.x(key);
+        self.leaf_of(self.key_map().x(key))
+    }
+
+    /// The stage walk: the leaf the internal stages route input `x` to.
+    #[inline]
+    fn leaf_of(&self, x: f32) -> usize {
         let mut idx = 0usize;
         for s in 0..self.nets.len() - 1 {
-            let y = self.nets[s][idx].forward_clamped(x);
-            let w_next = self.widths[s + 1];
-            idx = ((y * w_next as f32) as usize).min(w_next - 1);
+            idx = bucket(self.nets[s][idx].forward_clamped(x), self.widths[s + 1]);
         }
         idx
     }
@@ -111,6 +106,13 @@ impl RqRmi {
     pub fn leaf_error_bounds(&self) -> &[u32] {
         &self.leaf_err
     }
+}
+
+/// One routing step of the inference walk: the submodel of a `w`-wide stage
+/// that a clamped output `y` selects.
+#[inline]
+pub(crate) fn bucket(y: f32, w: usize) -> usize {
+    ((y * w as f32) as usize).min(w - 1)
 }
 
 #[cfg(test)]

@@ -149,7 +149,7 @@ impl Kernel {
     /// nor the routing cast can see, and in a walk over many submodels the
     /// branch mispredicts on every other neuron.
     #[inline]
-    pub fn forward_scalar(&self, x: f32) -> f32 {
+    fn forward_scalar(&self, x: f32) -> f32 {
         let mut acc = 0.0f32;
         for j in 0..8 {
             let pre = self.w1[j] * x + self.b1[j];

@@ -1,44 +1,32 @@
-//! The two single-threaded reference loops (paper §5.2 methodology), both
-//! through `Classifier::classify_batch`: [`run_sequential`] calls it with
-//! one key per packet, [`run_batched`] with a batch. Every parallel
-//! checksum — each plan
-//! [`Runtime::run`](crate::system::runtime::Runtime::run) executes — is
-//! validated against them, and they report the same [`RunStats`] the
-//! runtime does (one shard, no worker threads).
+//! The single-threaded reference loop (paper §5.2 methodology):
+//! [`run_batched`] hands `Classifier::classify_batch` the trace `batch`
+//! packets at a time, and at batch 1 it is the per-key loop, the engine's
+//! one lookup hook called on one key per packet. Every parallel checksum —
+//! each plan [`Runtime::run`](crate::system::runtime::Runtime::run)
+//! executes — is validated against it, and it reports the same
+//! [`RunStats`] the runtime does (one shard, no worker threads).
 
 use nm_common::classifier::{Classifier, MatchResult};
 use nm_common::packet::TraceBuf;
 
 use super::runtime::{fold_checksum, RunStats};
 
-/// The paper's §5.1 classification batch of 128 — the reference loops'
-/// default and [`RuntimeConfig`](crate::system::runtime::RuntimeConfig)'s.
+/// The paper's §5.1 classification batch of 128 — the reference loop's
+/// usual size and [`RuntimeConfig`](crate::system::runtime::RuntimeConfig)'s.
 pub const BATCH: usize = 128;
 
-/// The reference loops' result: one shard on the caller's thread.
-fn stats(n: usize, seconds: f64, batches: usize, checksum: u64) -> RunStats {
-    RunStats {
-        seconds,
-        pps: n as f64 / seconds.max(1e-12),
-        mean_batch_latency_ns: seconds * 1e9 / batches.max(1) as f64,
-        checksum,
-        batches,
-        steered: vec![n as u64],
-        ..RunStats::empty(1, 0)
-    }
-}
-
-/// Single-core **batched** run: the trace flows through
-/// [`Classifier::classify_batch`] in batches of `batch` packets on the
-/// caller's thread. The checksum folds per-packet results in trace order, so
-/// it must equal [`run_sequential`]'s — the batch-size sweep in
-/// `nm-bench batch` measures exactly this path against `batch = 1`.
+/// Single-core run: the trace flows through [`Classifier::classify_batch`]
+/// in batches of `batch` packets on the caller's thread (a `batch` past the
+/// trace's length is one batch; 0 counts as 1). The checksum folds
+/// per-packet results in trace order, so it is the same at every batch
+/// size — the batch-size sweep in `nm-bench batch` measures exactly this
+/// path against `batch = 1`.
 pub fn run_batched(c: &dyn Classifier, trace: &TraceBuf, batch: usize) -> RunStats {
     let n = trace.len();
     if n == 0 {
         return RunStats::empty(1, 0);
     }
-    let batch = batch.max(1);
+    let batch = batch.clamp(1, n);
     let stride = trace.stride();
     let raw = trace.raw();
     let mut out: Vec<Option<MatchResult>> = vec![None; batch];
@@ -53,23 +41,17 @@ pub fn run_batched(c: &dyn Classifier, trace: &TraceBuf, batch: usize) -> RunSta
         }
         lo = hi;
     }
-    stats(n, start.elapsed().as_secs_f64(), n.div_ceil(batch), checksum)
-}
-
-/// Sequential reference run (single core, early termination as configured,
-/// the lookup hook on one key per packet) — the §5.2 single-core
-/// methodology, also used to validate the parallel paths' checksums.
-pub fn run_sequential(c: &dyn Classifier, trace: &TraceBuf) -> RunStats {
-    let n = trace.len();
-    let stride = trace.stride();
-    let start = std::time::Instant::now();
-    let mut checksum = 0u64;
-    let mut verdict = [None];
-    for key in trace.iter() {
-        c.classify_batch(key, stride, &mut verdict);
-        fold_checksum(&mut checksum, verdict[0]);
+    let seconds = start.elapsed().as_secs_f64();
+    let batches = n.div_ceil(batch);
+    RunStats {
+        seconds,
+        pps: n as f64 / seconds.max(1e-12),
+        mean_batch_latency_ns: seconds * 1e9 / batches as f64,
+        checksum,
+        batches,
+        steered: vec![n as u64],
+        ..RunStats::empty(1, 0)
     }
-    stats(n, start.elapsed().as_secs_f64(), n, checksum)
 }
 
 #[cfg(test)]
@@ -100,21 +82,37 @@ mod tests {
         (nm, trace)
     }
 
+    /// Every batch size folds to the checksum of `Classifier::classify`
+    /// called key by key, a fold that shares no code with the loop.
     #[test]
     fn batched_matches_sequential_checksum() {
         let (nm, trace) = setup();
-        let seq = run_sequential(&nm, &trace);
+        let mut want = 0u64;
+        for key in trace.iter() {
+            fold_checksum(&mut want, nm.classify(key));
+        }
         for batch in [1, 8, 128, 512, 4096, 10_000] {
             let b = run_batched(&nm, &trace, batch);
-            assert_eq!(seq.checksum, b.checksum, "diverged at batch {batch}");
+            assert_eq!(want, b.checksum, "diverged at batch {batch}");
         }
+    }
+
+    /// A batch wider than the trace is one batch of the whole trace: its
+    /// scratch is sized by the trace, not by the request.
+    #[test]
+    fn oversized_batch_is_one_batch() {
+        let (nm, trace) = setup();
+        let huge = run_batched(&nm, &trace, usize::MAX);
+        assert_eq!(huge.checksum, run_batched(&nm, &trace, 1).checksum);
+        assert_eq!(huge.batches, 1);
     }
 
     #[test]
     fn empty_trace() {
         let (nm, _) = setup();
         let empty = TraceBuf::new(5);
-        for stats in [run_sequential(&nm, &empty), run_batched(&nm, &empty, BATCH)] {
+        for batch in [1, BATCH] {
+            let stats = run_batched(&nm, &empty, batch);
             assert_eq!((stats.checksum, stats.batches, stats.pps), (0, 0, 0.0));
         }
     }

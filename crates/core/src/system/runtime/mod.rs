@@ -17,8 +17,8 @@
 //!   batch, steers the batch, keeps [`RuntimeConfig::pipeline_depth`]
 //!   batches in flight — tracked in a small in-flight ring, not a
 //!   trace-length array — and merges per-shard verdicts by priority in
-//!   trace order, so the checksum equals [`run_sequential`] by
-//!   construction. The pin is a plain [`PinnedPlane`] — the very type the
+//!   trace order, so the checksum equals the reference loop's
+//!   ([`run_batched`]) by construction. The pin is a plain [`PinnedPlane`] — the very type the
 //!   serve front-end flushes into, with no per-shard knowledge of its own:
 //!   an `Arc` of a published snapshot for the live planes (the *same*
 //!   `Arc<NmSnapshot>` whether [`Replicated`] runs it whole or
@@ -50,7 +50,7 @@
 //! structure is identical to the paper's; every number so far carries the
 //! 1-core caveat recorded in `benchmark/README.md`.
 //!
-//! [`run_sequential`]: crate::system::parallel::run_sequential
+//! [`run_batched`]: crate::system::parallel::run_batched
 
 pub mod sharded;
 pub mod topology;
@@ -74,7 +74,7 @@ use super::parallel::BATCH;
 use super::serve::plane::PinnedPlane;
 
 /// Default number of batches the dispatcher keeps in flight.
-pub const DEFAULT_PIPELINE_DEPTH: usize = 4;
+const DEFAULT_PIPELINE_DEPTH: usize = 4;
 
 /// Whether (and how) workers pin to CPUs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,8 +128,8 @@ pub struct RunStats {
     pub pps: f64,
     /// Mean per-batch latency in nanoseconds (dispatch → merged).
     pub mean_batch_latency_ns: f64,
-    /// Fold of matched rule ids in trace order — must equal the sequential
-    /// reference's on any static run.
+    /// Fold of matched rule ids in trace order — must equal the reference
+    /// loop's on any static run.
     pub checksum: u64,
     /// Batches dispatched.
     pub batches: usize,
@@ -172,7 +172,7 @@ impl RunStats {
 }
 
 /// Folds one verdict into the order-sensitive run checksum (shared by the
-/// runtime and the sequential/batched reference loops, so "checksums are
+/// runtime and the reference loop, so "checksums are
 /// comparable" is true by definition).
 #[inline]
 pub(crate) fn fold_checksum(checksum: &mut u64, m: Option<MatchResult>) {
@@ -661,7 +661,7 @@ fn worker_loop<'p, S: ShardedDataPlane + 'p>(
 mod tests {
     use super::*;
     use crate::config::{NuevoMatchConfig, RqRmiParams};
-    use crate::system::parallel::run_sequential;
+    use crate::system::parallel::run_batched;
     use nm_common::{FieldsSpec, FiveTuple, LinearSearch, RuleSet, UpdateBatch};
 
     fn port_set(n: u16) -> RuleSet {
@@ -698,7 +698,7 @@ mod tests {
         let handle = ClassifierHandle::new(&set, &fast_cfg(), LinearSearch::build).unwrap();
         let sharded = ShardedHandle::new(&set, &fast_cfg(), 2, LinearSearch::build).unwrap();
         let t = trace(4_000);
-        let seq = run_sequential(&handle, &t);
+        let seq = run_batched(&handle, &t, 1);
         for (batch, wps) in [(128usize, 1usize), (128, 2), (7, 1), (512, 2)] {
             let rt =
                 Runtime::new(RuntimeConfig { batch, workers_per_shard: wps, ..Default::default() });
@@ -716,7 +716,7 @@ mod tests {
         let set = port_set(200);
         let handle = ClassifierHandle::new(&set, &fast_cfg(), LinearSearch::build).unwrap();
         let t = trace(3_000);
-        let seq = run_sequential(&handle, &t);
+        let seq = run_batched(&handle, &t, 1);
         let stats = runtime(128).run(&SplitPlan::new(&handle), &t).unwrap();
         assert_eq!(stats.checksum, seq.checksum);
         assert_eq!(stats.shards, 2);
@@ -777,7 +777,7 @@ mod tests {
         let set = port_set(150);
         let engine = LinearSearch::build(&set);
         let t = trace(2_500);
-        let seq = run_sequential(&engine, &t);
+        let seq = run_batched(&engine, &t, 1);
         for workers in [1usize, 2, 4] {
             let stats = runtime(64).run(&Replicated::new(&engine, workers), &t).unwrap();
             assert_eq!(stats.checksum, seq.checksum, "workers {workers}");
@@ -814,13 +814,13 @@ mod tests {
                 );
             }
         };
-        let before = run_sequential(&handle, &t).checksum;
+        let before = run_batched(&handle, &t, 1).checksum;
         cached_runs(before, "as built");
         // An apply between two runs: flow 1 (port 700) loses its rule, and
         // no table may go on serving it.
         let batch = UpdateBatch::new().remove(7);
         assert_eq!((handle.apply(&batch).removed, sharded.apply(&batch).removed), (1, 1));
-        let after = run_sequential(&handle, &t).checksum;
+        let after = run_batched(&handle, &t, 1).checksum;
         assert_ne!(after, before);
         cached_runs(after, "after an apply");
     }
@@ -918,7 +918,7 @@ mod tests {
         let set = port_set(100);
         let engine = LinearSearch::build(&set);
         let t = trace(1_111);
-        let seq = run_sequential(&engine, &t);
+        let seq = run_batched(&engine, &t, 1);
         for depth in [1usize, 2, 8] {
             let rt = Runtime::new(RuntimeConfig {
                 batch: 32,

@@ -29,13 +29,13 @@ use std::net::{SocketAddr, TcpStream, UdpSocket};
 
 /// `sizeof(struct sockaddr_in6)` on Linux — the largest peer address the
 /// rings store.
-pub const SOCKADDR_LEN: usize = 28;
+const SOCKADDR_LEN: usize = 28;
 
 /// Receive buffer per ring slot. A UDP datagram caps at 64 KiB and the
 /// client side coalesces request frames up to ~32 KiB per datagram;
 /// sizing slots at the protocol maximum makes kernel truncation
 /// impossible rather than merely unlikely.
-pub const RECV_SLOT_LEN: usize = 64 * 1024;
+const RECV_SLOT_LEN: usize = 64 * 1024;
 
 #[cfg(target_os = "linux")]
 mod raw {
@@ -279,7 +279,7 @@ pub struct RecvRing {
 }
 
 impl RecvRing {
-    /// A ring with `slots` receive buffers of [`RECV_SLOT_LEN`] bytes.
+    /// A ring with `slots` receive buffers of 64 KiB each.
     pub fn new(slots: usize) -> Self {
         // The portable fallback receives one datagram per call.
         let slots = if cfg!(target_os = "linux") { slots.max(1) } else { 1 };

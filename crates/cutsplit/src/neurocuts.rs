@@ -37,7 +37,7 @@ impl Forest {
     /// partition on and gets a single tree.
     pub fn with_config(set: &RuleSet, cfg: NeuroCutsConfig) -> Self {
         let spec = set.spec();
-        let policy = policy_search(set.rules(), spec, cfg.sample, cfg.iterations).policy;
+        let policy = policy_search(set.rules(), spec, cfg.sample, cfg.iterations);
         let groups = if spec.len() >= 2 {
             partition(set.rules(), spec).into()
         } else {

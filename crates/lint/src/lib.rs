@@ -767,7 +767,7 @@ const SHIM_SURFACES: [(&str, &[&str]); 2] = [
 ];
 
 /// Checks one shim's collected identifiers against its required surface.
-pub fn shim_drift(shim: &str, idents: &HashSet<String>) -> Vec<Finding> {
+fn shim_drift(shim: &str, idents: &HashSet<String>) -> Vec<Finding> {
     let Some((_, required)) = SHIM_SURFACES.iter().find(|(s, _)| *s == shim) else {
         return Vec::new();
     };

@@ -5,7 +5,7 @@
 //! tear against), and the apply/retrain/replay protocol both handles run
 //! under that cell's writer lock.
 //!
-//! [`explore`] runs a closure under a DFS over thread schedules: every
+//! [`check`] runs a closure under a DFS over thread schedules: every
 //! model operation (virtual atomic access, [`cell::RaceCell`] access,
 //! mutex acquire, spawn/join, spin) is a decision point where the scheduler
 //! picks which thread runs next, bounded by a preemption budget and pruned
@@ -35,14 +35,18 @@
 //! * weak-memory reorderings beyond missing acquire/release edges (no store
 //!   buffering: two SeqCst loads never both see stale values à la the
 //!   classic store-buffer litmus test);
-//! * schedules needing more preemptions than the bound
-//!   (`NM_MODEL_PREEMPTIONS`, default 2);
-//! * runs past the schedule cap (`NM_MODEL_MAX_SCHEDULES`) — [`Outcome`]
-//!   reports whether exploration was exhaustive.
+//! * schedules needing more than 2 preemptions;
+//! * runs past the schedule cap — [`Outcome`] reports whether exploration
+//!   was exhaustive.
 //!
-//! Outside [`explore`], every virtual primitive delegates to its `std`
+//! Outside an exploration, every virtual primitive delegates to its `std`
 //! counterpart, so crates built with `--cfg nm_model` behave normally when
 //! not under the checker.
+//!
+//! # Environment
+//!
+//! `NM_MODEL_MAX_SCHEDULES` (default 20 000) is the one setting: the number
+//! of schedules after which an exploration stops even if not exhaustive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -105,41 +109,10 @@ pub(crate) fn ctx() -> Option<Ctx> {
     CTX.with(|c| c.borrow().clone())
 }
 
-/// Exploration limits; read from the environment by [`Config::from_env`].
-#[derive(Clone, Debug)]
-pub struct Config {
-    /// Stop after this many schedules even if not exhaustive
-    /// (`NM_MODEL_MAX_SCHEDULES`, default 20 000).
-    pub max_schedules: usize,
-    /// Preemption budget per schedule (`NM_MODEL_PREEMPTIONS`, default 2).
-    pub preemption_bound: u32,
-    /// Per-schedule operation cap; exceeding it fails the schedule as a
-    /// livelock (`NM_MODEL_MAX_OPS`, default 50 000).
-    pub max_ops_per_run: usize,
-    /// State-fingerprint pruning (disable with `NM_MODEL_NO_PRUNE=1`).
-    pub prune: bool,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config { max_schedules: 20_000, preemption_bound: 2, max_ops_per_run: 50_000, prune: true }
-    }
-}
-
-impl Config {
-    /// The default limits overridden by `NM_MODEL_*` environment variables.
-    pub fn from_env() -> Self {
-        fn num<T: std::str::FromStr>(key: &str, default: T) -> T {
-            std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-        }
-        let d = Config::default();
-        Config {
-            max_schedules: num("NM_MODEL_MAX_SCHEDULES", d.max_schedules),
-            preemption_bound: num("NM_MODEL_PREEMPTIONS", d.preemption_bound),
-            max_ops_per_run: num("NM_MODEL_MAX_OPS", d.max_ops_per_run),
-            prune: std::env::var("NM_MODEL_NO_PRUNE").is_err(),
-        }
-    }
+/// The schedule cap: `NM_MODEL_MAX_SCHEDULES`, or 20 000 when it is unset
+/// or not a number.
+fn max_schedules() -> usize {
+    std::env::var("NM_MODEL_MAX_SCHEDULES").ok().and_then(|v| v.parse().ok()).unwrap_or(20_000)
 }
 
 /// Result of an exploration.
@@ -148,7 +121,7 @@ pub struct Outcome {
     /// Schedules executed.
     pub schedules: usize,
     /// Whether every schedule within the preemption bound was covered
-    /// (false when capped by `max_schedules` or stopped by a violation).
+    /// (false when stopped by the schedule cap or by a violation).
     pub complete: bool,
     /// The first violating schedule found, if any.
     pub violation: Option<Violation>,
@@ -208,8 +181,8 @@ fn next_prefix(trace: &[Choice]) -> Option<Vec<Choice>> {
 }
 
 /// Runs `f` once per schedule until the DFS is exhausted, a violation is
-/// found, or `cfg.max_schedules` is reached.
-pub fn explore<F>(cfg: &Config, f: F) -> Outcome
+/// found, or `max_schedules` is reached.
+fn explore<F>(max_schedules: usize, f: F) -> Outcome
 where
     F: Fn() + Send + Sync + 'static,
 {
@@ -220,13 +193,8 @@ where
     let mut visited: HashMap<u64, u32> = HashMap::new();
     let mut schedules = 0usize;
     loop {
-        let sched = Arc::new(Scheduler::new(
-            cfg.preemption_bound,
-            cfg.max_ops_per_run,
-            cfg.prune,
-            std::mem::take(&mut prefix),
-            std::mem::take(&mut visited),
-        ));
+        let sched =
+            Arc::new(Scheduler::new(std::mem::take(&mut prefix), std::mem::take(&mut visited)));
         let tid = sched.register_root();
         let s2 = sched.clone();
         let f2 = f.clone();
@@ -243,20 +211,20 @@ where
             None => return Outcome { schedules, complete: true, violation: None },
             Some(p) => prefix = p,
         }
-        if schedules >= cfg.max_schedules.max(1) {
+        if schedules >= max_schedules.max(1) {
             return Outcome { schedules, complete: false, violation: None };
         }
     }
 }
 
-/// Explores `f` under [`Config::from_env`] and panics (with the violating
+/// Explores `f` up to the schedule cap and panics (with the violating
 /// trace) if any schedule fails. Returns the outcome so callers can also
 /// assert exhaustiveness.
 pub fn check<F>(name: &str, f: F) -> Outcome
 where
     F: Fn() + Send + Sync + 'static,
 {
-    let out = explore(&Config::from_env(), f);
+    let out = explore(max_schedules(), f);
     if let Some(v) = &out.violation {
         panic!(
             "model check '{name}' failed after {} schedule(s): {}\ntrace:\n  {}",
@@ -275,7 +243,7 @@ pub fn find_violation<F>(f: F) -> Option<Violation>
 where
     F: Fn() + Send + Sync + 'static,
 {
-    explore(&Config::from_env(), f).violation
+    explore(max_schedules(), f).violation
 }
 
 #[cfg(test)]
@@ -283,13 +251,9 @@ mod tests {
     use super::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use super::*;
 
-    fn quick(max_schedules: usize) -> Config {
-        Config { max_schedules, ..Config::default() }
-    }
-
     #[test]
     fn counter_increments_are_atomic() {
-        let out = explore(&quick(10_000), || {
+        let out = explore(10_000, || {
             let n = Arc::new(AtomicUsize::new(0));
             let hs: Vec<_> = (0..2)
                 .map(|_| {
@@ -311,7 +275,7 @@ mod tests {
 
     #[test]
     fn message_passing_with_release_acquire_passes() {
-        let out = explore(&quick(10_000), || {
+        let out = explore(10_000, || {
             let data = Arc::new(cell::RaceCell::new(0u32));
             let flag = Arc::new(AtomicU64::new(0));
             let (d2, f2) = (data.clone(), flag.clone());
@@ -381,7 +345,7 @@ mod tests {
 
     #[test]
     fn spin_wait_terminates_under_forced_yield() {
-        let out = explore(&quick(10_000), || {
+        let out = explore(10_000, || {
             let flag = Arc::new(AtomicU64::new(0));
             let f2 = flag.clone();
             let t = thread::spawn(move || {

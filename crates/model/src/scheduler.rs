@@ -85,9 +85,14 @@ pub(crate) enum StepResult<R> {
 
 const EVENT_CAP: usize = 200;
 
+/// Preemptions a schedule may spend: a switch away from a thread that could
+/// have continued. Schedules needing more are not explored.
+const PREEMPTION_BOUND: u32 = 2;
+
+/// Operations one schedule may perform before it fails as a livelock.
+const MAX_OPS: usize = 50_000;
+
 pub(crate) struct RunState {
-    max_ops: usize,
-    prune: bool,
     prefix: Vec<Choice>,
     pub(crate) trace: Vec<Choice>,
     threads: Vec<ThreadSt>,
@@ -197,7 +202,7 @@ impl RunState {
             (v, true)
         };
         let mut n = options.len();
-        if n > 1 && self.prune && !self.replaying() {
+        if n > 1 && !self.replaying() {
             let fp = self.fingerprint();
             match self.visited.get(&fp) {
                 Some(&budget) if budget >= self.preemptions_left => n = 1,
@@ -323,25 +328,6 @@ impl RunState {
         old
     }
 
-    pub(crate) fn atomic_cas(
-        &mut self,
-        me: usize,
-        loc: usize,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        let latest = self.locations[loc].history.len() - 1;
-        let v = self.locations[loc].history[latest].value;
-        if v == current {
-            Ok(self.atomic_rmw(me, loc, success, |_| new))
-        } else {
-            let acquire = !matches!(failure, Ordering::Relaxed);
-            Err(self.observe(me, loc, latest, acquire))
-        }
-    }
-
     /// A non-atomic read: it must be uniquely determined — if more than one
     /// store is observable (the thread's floor is below the latest store),
     /// the read is unsynchronized and the run fails as a data race.
@@ -431,18 +417,10 @@ fn relock<'a>(
 }
 
 impl Scheduler {
-    pub(crate) fn new(
-        preemption_bound: u32,
-        max_ops: usize,
-        prune: bool,
-        prefix: Vec<Choice>,
-        visited: HashMap<u64, u32>,
-    ) -> Self {
+    pub(crate) fn new(prefix: Vec<Choice>, visited: HashMap<u64, u32>) -> Self {
         Scheduler {
             uid: NEXT_UID.fetch_add(1, Ordering::SeqCst),
             inner: Mutex::new(RunState {
-                max_ops,
-                prune,
                 prefix,
                 trace: Vec::new(),
                 threads: Vec::new(),
@@ -450,7 +428,7 @@ impl Scheduler {
                 mutexes: Vec::new(),
                 active: 0,
                 alive: 0,
-                preemptions_left: preemption_bound,
+                preemptions_left: PREEMPTION_BOUND,
                 ops: 0,
                 violation: None,
                 abort: false,
@@ -527,11 +505,10 @@ impl Scheduler {
             self.abort_unwind();
         }
         g.ops += 1;
-        if g.ops > g.max_ops {
-            let cap = g.max_ops;
+        if g.ops > MAX_OPS {
             g.record_violation(
                 me,
-                format!("run exceeded {cap} operations — livelock or unbounded loop"),
+                format!("run exceeded {MAX_OPS} operations — livelock or unbounded loop"),
             );
             drop(g);
             self.abort_unwind();

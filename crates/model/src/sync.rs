@@ -2,7 +2,7 @@
 //!
 //! Outside an exploration every type delegates straight to its `std`
 //! counterpart, so code built with `--cfg nm_model` still behaves normally
-//! when not running under [`crate::explore`]. Inside an exploration each
+//! when not running under [`crate::check`]. Inside an exploration each
 //! access becomes a scheduler decision point with the store-history
 //! semantics described in the crate docs.
 
@@ -35,7 +35,7 @@ impl LocKey {
 }
 
 macro_rules! model_atomic {
-    ($name:ident, $std:ty, $raw:ty, $from:expr, $into:expr) => {
+    ($name:ident, $std:ty, $raw:ty) => {
         /// Model counterpart of the same-named `std::sync::atomic` type.
         pub struct $name {
             std: $std,
@@ -52,7 +52,7 @@ macro_rules! model_atomic {
                 match self.key.get(c.sched.uid) {
                     Some(loc) => loc,
                     None => {
-                        let seed = ($into)(self.std.load(Ordering::SeqCst));
+                        let seed = self.std.load(Ordering::SeqCst) as u64;
                         let loc = g.register_loc(seed);
                         self.key.set(c.sched.uid, loc);
                         loc
@@ -74,7 +74,7 @@ macro_rules! model_atomic {
                                 StepResult::Ready(g.atomic_load(me, loc, ord))
                             },
                         );
-                        ($from)(v)
+                        v as $raw
                     }
                 }
             }
@@ -90,7 +90,7 @@ macro_rules! model_atomic {
                             |_: &()| format!("store({ord:?}) {v:?}"),
                             |g, me| {
                                 let loc = self.loc(&c, g);
-                                g.atomic_store(me, loc, ($into)(v), ord);
+                                g.atomic_store(me, loc, v as u64, ord);
                                 StepResult::Ready(())
                             },
                         );
@@ -99,132 +99,42 @@ macro_rules! model_atomic {
                 }
             }
 
-            /// Mirrors [`std::sync::atomic`] `swap`.
-            pub fn swap(&self, v: $raw, ord: Ordering) -> $raw {
-                match ctx() {
-                    None => self.std.swap(v, ord),
-                    Some(c) => {
-                        let old = c.sched.step(
-                            c.tid,
-                            false,
-                            |o| format!("swap({ord:?}) -> {o}"),
-                            |g, me| {
-                                let loc = self.loc(&c, g);
-                                StepResult::Ready(g.atomic_rmw(me, loc, ord, |_| ($into)(v)))
-                            },
-                        );
-                        self.std.store(v, Ordering::SeqCst);
-                        ($from)(old)
-                    }
-                }
-            }
-
-            /// Mirrors [`std::sync::atomic`] `compare_exchange`.
-            pub fn compare_exchange(
-                &self,
-                current: $raw,
-                new: $raw,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$raw, $raw> {
-                match ctx() {
-                    None => self.std.compare_exchange(current, new, success, failure),
-                    Some(c) => {
-                        let r = c.sched.step(
-                            c.tid,
-                            false,
-                            |r| format!("cas -> {r:?}"),
-                            |g, me| {
-                                let loc = self.loc(&c, g);
-                                StepResult::Ready(g.atomic_cas(
-                                    me,
-                                    loc,
-                                    ($into)(current),
-                                    ($into)(new),
-                                    success,
-                                    failure,
-                                ))
-                            },
-                        );
-                        if r.is_ok() {
-                            self.std.store(new, Ordering::SeqCst);
-                        }
-                        r.map($from).map_err($from)
-                    }
-                }
-            }
-
-            /// Mirrors [`std::sync::atomic`] `compare_exchange_weak` (never
-            /// fails spuriously in the model).
-            pub fn compare_exchange_weak(
-                &self,
-                current: $raw,
-                new: $raw,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$raw, $raw> {
-                self.compare_exchange(current, new, success, failure)
-            }
-        }
-    };
-}
-
-macro_rules! model_atomic_int {
-    ($name:ident, $std:ty, $raw:ty) => {
-        model_atomic!($name, $std, $raw, |v: u64| v as $raw, |v: $raw| v as u64);
-
-        impl $name {
             /// Mirrors [`std::sync::atomic`] `fetch_add` (wrapping).
             pub fn fetch_add(&self, v: $raw, ord: Ordering) -> $raw {
-                self.fetch_update_model(ord, |x| x.wrapping_add(v), v, "fetch_add")
+                match ctx() {
+                    None => self.std.fetch_add(v, ord),
+                    Some(c) => self.rmw(c, ord, |x| x.wrapping_add(v), v, "fetch_add"),
+                }
             }
 
             /// Mirrors [`std::sync::atomic`] `fetch_sub` (wrapping).
             pub fn fetch_sub(&self, v: $raw, ord: Ordering) -> $raw {
-                self.fetch_update_model(ord, |x| x.wrapping_sub(v), v, "fetch_sub")
+                match ctx() {
+                    None => self.std.fetch_sub(v, ord),
+                    Some(c) => self.rmw(c, ord, |x| x.wrapping_sub(v), v, "fetch_sub"),
+                }
             }
 
-            /// Mirrors [`std::sync::atomic`] `fetch_max`.
-            pub fn fetch_max(&self, v: $raw, ord: Ordering) -> $raw {
-                self.fetch_update_model(ord, |x| x.max(v), v, "fetch_max")
-            }
-
-            fn fetch_update_model(
+            fn rmw(
                 &self,
+                c: Ctx,
                 ord: Ordering,
                 f: impl Fn($raw) -> $raw,
                 arg: $raw,
                 name: &str,
             ) -> $raw {
-                match ctx() {
-                    None => {
-                        // Delegate via a CAS loop so one impl serves every op.
-                        let mut cur = self.std.load(Ordering::SeqCst);
-                        loop {
-                            match self.std.compare_exchange_weak(cur, f(cur), ord, Ordering::SeqCst)
-                            {
-                                Ok(old) => return old,
-                                Err(now) => cur = now,
-                            }
-                        }
-                    }
-                    Some(c) => {
-                        let old = c.sched.step(
-                            c.tid,
-                            false,
-                            |o| format!("{name}({arg}, {ord:?}) -> {o}"),
-                            |g, me| {
-                                let loc = self.loc(&c, g);
-                                StepResult::Ready(
-                                    g.atomic_rmw(me, loc, ord, |x| (f(x as $raw)) as u64),
-                                )
-                            },
-                        );
-                        let old = old as $raw;
-                        self.std.store(f(old), Ordering::SeqCst);
-                        old
-                    }
-                }
+                let old = c.sched.step(
+                    c.tid,
+                    false,
+                    |o| format!("{name}({arg}, {ord:?}) -> {o}"),
+                    |g, me| {
+                        let loc = self.loc(&c, g);
+                        StepResult::Ready(g.atomic_rmw(me, loc, ord, |x| f(x as $raw) as u64))
+                    },
+                );
+                let old = old as $raw;
+                self.std.store(f(old), Ordering::SeqCst);
+                old
             }
         }
     };
@@ -236,11 +146,8 @@ pub mod atomic {
 
     use super::*;
 
-    model_atomic_int!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-    model_atomic_int!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-    model_atomic_int!(AtomicU32, std::sync::atomic::AtomicU32, u32);
-    model_atomic!(AtomicBool, std::sync::atomic::AtomicBool, bool, |v: u64| v != 0, |v: bool| v
-        as u64);
+    model_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
+    model_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
 }
 
 /// Model mutex: blocking is mediated by the scheduler (with deadlock

@@ -62,13 +62,13 @@ pub fn uniform_trace(set: &RuleSet, n: usize, seed: u64) -> TraceBuf {
 
 /// Precomputed Zipf sampler over `n` ranks: rank `k` (0-based) has weight
 /// `(k+1)^-α`. Sampling is a binary search over the cumulative table.
-pub struct ZipfSampler {
+struct ZipfSampler {
     cumulative: Vec<f64>,
 }
 
 impl ZipfSampler {
     /// Builds the table for `n` ranks with exponent `alpha`.
-    pub fn new(n: usize, alpha: f64) -> Self {
+    fn new(n: usize, alpha: f64) -> Self {
         assert!(n > 0, "ZipfSampler needs at least one rank");
         let mut cumulative = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -80,7 +80,7 @@ impl ZipfSampler {
     }
 
     /// Samples a rank with a uniform draw `u ∈ [0, 1)`.
-    pub fn sample(&self, u: f64) -> usize {
+    fn sample(&self, u: f64) -> usize {
         let target = u * *self.cumulative.last().expect("non-empty");
         self.cumulative.partition_point(|&c| c <= target).min(self.cumulative.len() - 1)
     }

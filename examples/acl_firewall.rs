@@ -15,7 +15,7 @@ use nm_common::{Classifier, RuleSet};
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::system::parallel::run_sequential;
+use nuevomatch::system::parallel::run_batched;
 use nuevomatch::{NuevoMatch, NuevoMatchConfig};
 
 fn run_suite(label: &str, set: &RuleSet, packets: usize) {
@@ -53,7 +53,7 @@ fn run_suite(label: &str, set: &RuleSet, packets: usize) {
     let mut table = Table::new(&["engine", "throughput (pps)", "ns/packet", "index memory"]);
     let mut checksum = None;
     for (name, engine) in &engines {
-        let stats = run_sequential(engine.as_ref(), &trace);
+        let stats = run_batched(engine.as_ref(), &trace, 1);
         match checksum {
             None => checksum = Some(stats.checksum),
             Some(c) => assert_eq!(c, stats.checksum, "{name} disagrees with the other engines"),

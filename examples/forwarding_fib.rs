@@ -16,7 +16,7 @@ use nm_common::memsize::human_bytes;
 use nm_common::Classifier;
 use nm_trace::{uniform_trace, zipf_trace};
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::system::parallel::run_sequential;
+use nuevomatch::system::parallel::run_batched;
 use nuevomatch::{NuevoMatch, NuevoMatchConfig};
 
 fn main() {
@@ -48,8 +48,8 @@ fn main() {
         ("uniform", uniform_trace(&fib, packets, 3)),
         ("zipf a=1.25", zipf_trace(&fib, packets, 1.25, 3)),
     ] {
-        let a = run_sequential(&tm, &trace);
-        let b = run_sequential(&nm, &trace);
+        let a = run_batched(&tm, &trace, 1);
+        let b = run_batched(&nm, &trace, 1);
         assert_eq!(a.checksum, b.checksum, "engines disagree");
         table.row(vec![
             label.into(),

@@ -12,7 +12,7 @@ use nm_classbench::{generate, AppKind};
 use nm_common::{Classifier, FiveTuple, SplitMix64, UpdateBatch};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::system::parallel::run_sequential;
+use nuevomatch::system::parallel::run_batched;
 use nuevomatch::{ClassifierHandle, NuevoMatchConfig};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     let handle = ClassifierHandle::new(&set, &NuevoMatchConfig::default(), TupleMerge::build)
         .expect("build");
     let fresh = handle.snapshot();
-    let fresh_pps = run_sequential(&*fresh, &trace).pps;
+    let fresh_pps = run_batched(&*fresh, &trace, 1).pps;
     println!(
         "built: {} rules, {:.1}% iSet coverage, remainder {} rules, {:.2e} pps, generation {}",
         n,
@@ -66,7 +66,7 @@ fn main() {
         report.absorb(handle.apply(&batch));
     }
     let drifted = handle.snapshot();
-    let drifted_pps = run_sequential(&*drifted, &trace).pps;
+    let drifted_pps = run_batched(&*drifted, &trace, 1).pps;
     println!(
         "after {} applied ops (+{} inserted, ~{} replaced, -{} removed, {} missing): \
          remainder fraction {:.1}%, generation {}, {:.2e} pps ({:.0}% of fresh)",
@@ -103,7 +103,7 @@ fn main() {
         drifted.engine().remainder_fraction() * 100.0,
         retrained.engine().remainder_fraction() * 100.0,
     );
-    let retrained_pps = run_sequential(&*retrained, &trace).pps;
+    let retrained_pps = run_batched(&*retrained, &trace, 1).pps;
     println!(
         "after retrain: {:.2e} pps ({:.0}% of fresh — the random port-range modifies \
          genuinely degrade the rule-set's iSet structure; pure-drift recovery is \

@@ -17,7 +17,7 @@ use nm_classbench::{generate, AppKind};
 use nm_common::{FiveTuple, UpdateBatch};
 use nm_trace::uniform_trace;
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::system::parallel::run_sequential;
+use nuevomatch::system::parallel::run_batched;
 use nuevomatch::{NuevoMatchConfig, Runtime, RuntimeConfig, ShardedHandle, Topology};
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
 
     // Verdict equivalence is the contract: the sharded grid's checksum
     // equals a sequential whole-set pass over the very same handle.
-    let seq = run_sequential(&sharded, &trace);
+    let seq = run_batched(&sharded, &trace, 1);
     let stats = rt.run(&sharded, &trace).expect("sharded run");
     assert_eq!(stats.checksum, seq.checksum, "sharded ≠ sequential");
     println!(
@@ -76,7 +76,7 @@ fn main() {
     // fresh models, then one epoch publishes them together.
     let g = sharded.retrain().expect("sharded retrain");
     let stats = rt.run(&sharded, &trace).expect("post-retrain run");
-    let seq = run_sequential(&sharded, &trace);
+    let seq = run_batched(&sharded, &trace, 1);
     assert_eq!(stats.checksum, seq.checksum, "post-retrain sharded ≠ sequential");
     println!(
         "retrain: republished at generation {g}, remainder fraction {:.2}%, checksum OK",

@@ -23,7 +23,7 @@ use nm_common::{
 use nm_cutsplit::{CutSplit, NeuroCuts, NeuroCutsConfig};
 use nm_trace::{uniform_trace, zipf_trace};
 use nm_tuplemerge::TupleMerge;
-use nuevomatch::system::parallel::run_sequential;
+use nuevomatch::system::parallel::run_batched;
 use nuevomatch::system::runtime::{Replicated, SplitPlan};
 use nuevomatch::{
     ClassifierHandle, NuevoMatchConfig, RqRmiParams, Runtime, RuntimeConfig, ShardedClassifier,
@@ -50,7 +50,7 @@ fn runtime(batch: usize) -> Runtime {
 fn two_workers_equal_sequential_across_batch_sizes() {
     let (nm, set) = build(1_500, 31);
     let trace = uniform_trace(&set, 6_000, 32);
-    let seq = run_sequential(&nm, &trace);
+    let seq = run_batched(&nm, &trace, 1);
     for batch in [1usize, 7, 128, 1_024, 10_000] {
         let par = runtime(batch).run(&SplitPlan::new(&nm), &trace).unwrap();
         assert_eq!(par.checksum, seq.checksum, "batch {batch}");
@@ -61,7 +61,7 @@ fn two_workers_equal_sequential_across_batch_sizes() {
 fn two_workers_on_skewed_traffic() {
     let (nm, set) = build(1_000, 33);
     let trace = zipf_trace(&set, 6_000, 1.25, 34);
-    let seq = run_sequential(&nm, &trace);
+    let seq = run_batched(&nm, &trace, 1);
     let par = runtime(128).run(&SplitPlan::new(&nm), &trace).unwrap();
     assert_eq!(par.checksum, seq.checksum);
 }
@@ -72,7 +72,7 @@ fn replicated_equals_sequential_at_every_width() {
     // is comparable at any thread count (the legacy XOR fold was not).
     let (nm, set) = build(800, 35);
     let trace = uniform_trace(&set, 4_000, 36);
-    let seq = run_sequential(&nm, &trace);
+    let seq = run_batched(&nm, &trace, 1);
     for threads in [1usize, 2, 4] {
         let rep = runtime(64).run(&Replicated::new(&nm, threads), &trace).unwrap();
         assert_eq!(rep.checksum, seq.checksum, "threads {threads}");
@@ -85,14 +85,14 @@ fn replicated_equals_sequential_at_every_width() {
 fn trace_shorter_than_batch() {
     let (nm, set) = build(300, 39);
     let trace = uniform_trace(&set, 50, 40);
-    let seq = run_sequential(&nm, &trace);
+    let seq = run_batched(&nm, &trace, 1);
     let par = runtime(128).run(&SplitPlan::new(&nm), &trace).unwrap();
     assert_eq!(par.checksum, seq.checksum);
 }
 
 /// The acceptance matrix: the sharded runtime is checksum-equivalent to
-/// `run_sequential` over the whole-set engine on all four engine families,
-/// across shard counts and worker widths.
+/// the per-key loop (`run_batched` at batch 1) over the whole-set engine on
+/// all four engine families, across shard counts and worker widths.
 #[test]
 fn sharded_runtime_equals_sequential_on_all_four_engines() {
     let set = generate(AppKind::Acl, 1_200, 41);
@@ -102,7 +102,7 @@ fn sharded_runtime_equals_sequential_on_all_four_engines() {
     // nm (handle replicas — the live control plane's data path).
     {
         let whole = ClassifierHandle::new(&set, &fast_cfg(), TupleMerge::build).unwrap();
-        let seq = run_sequential(&whole, &trace);
+        let seq = run_batched(&whole, &trace, 1);
         for &(shards, wps) in &grids {
             let sharded = ShardedHandle::new(&set, &fast_cfg(), shards, TupleMerge::build).unwrap();
             let rt = Runtime::new(RuntimeConfig { workers_per_shard: wps, ..Default::default() });
@@ -115,12 +115,12 @@ fn sharded_runtime_equals_sequential_on_all_four_engines() {
     // tm / cs / nc (static per-shard replicas).
     let check_static =
         |name: &str, engine: &dyn Classifier, sharded: &ShardedClassifier<Box<dyn Classifier>>| {
-            let seq = run_sequential(engine, &trace);
+            let seq = run_batched(engine, &trace, 1);
             let rt = Runtime::new(RuntimeConfig { workers_per_shard: 2, ..Default::default() });
             let stats = rt.run(sharded, &trace).unwrap();
             assert_eq!(stats.checksum, seq.checksum, "{name}");
             // And the sharded engine's own (single-threaded) batch path agrees.
-            let direct = run_sequential(sharded, &trace);
+            let direct = run_batched(sharded, &trace, 1);
             assert_eq!(direct.checksum, seq.checksum, "{name} per-key steer");
         };
     let tm = TupleMerge::build(&set);
@@ -246,7 +246,7 @@ fn insert_into_an_initially_empty_broadcast_shard_is_served() {
     ServePlane::pin(&sharded).classify_batch(trace.raw(), trace.stride(), &mut out);
     assert_eq!(out, want, "serve pin");
     let run = runtime(64).run(&sharded, &trace).unwrap();
-    assert_eq!(run.checksum, run_sequential(&whole, &trace).checksum, "Runtime::run");
+    assert_eq!(run.checksum, run_batched(&whole, &trace, 1).checksum, "Runtime::run");
     assert_eq!((sharded.num_rules(), whole.num_rules()), (201, 201));
 }
 
@@ -264,8 +264,8 @@ fn one_shard_sharded_handle_equals_classifier_handle_step_by_step() {
     let trace = uniform_trace(&set, 2_000, 52);
     let verdicts_agree = |step: &str| {
         assert_eq!(sharded.generation(), plain.generation(), "generation after {step}");
-        let seq = run_sequential(&plain, &trace);
-        assert_eq!(run_sequential(&sharded, &trace).checksum, seq.checksum, "per-key, {step}");
+        let seq = run_batched(&plain, &trace, 1);
+        assert_eq!(run_batched(&sharded, &trace, 1).checksum, seq.checksum, "per-key, {step}");
         let (pin, mut out) = (ServePlane::pin(&sharded), vec![None; trace.len()]);
         assert_eq!(pin.generation(), plain.generation(), "pinned generation after {step}");
         pin.classify_batch(trace.raw(), trace.stride(), &mut out);
@@ -337,7 +337,7 @@ fn sharded_runtime_survives_mid_run_updates_and_retrains() {
     });
     // Quiesced: both control planes received the same stream; the sharded
     // run must now equal the whole-set sequential reference exactly.
-    let seq = run_sequential(&reference, &trace);
+    let seq = run_batched(&reference, &trace, 1);
     let stats = rt.run(&sharded, &trace).unwrap();
     assert_eq!(stats.checksum, seq.checksum, "post-quiesce sharded ≠ whole-set");
     assert!(sharded.generation() > 1, "updates must have published epochs");
@@ -349,7 +349,7 @@ proptest! {
     /// Property: after every fanned update batch — inserts, removes,
     /// modifies that move rules across shards, and wide rules that land in
     /// the broadcast shard — the sharded runtime's checksum equals
-    /// `run_sequential` over a whole-set handle fed the same transactions,
+    /// the per-key loop over a whole-set handle fed the same transactions,
     /// for random shard counts and batches, whether or not the set starts
     /// with anything to broadcast.
     #[test]
@@ -417,7 +417,7 @@ proptest! {
                 ShardedHandle::generation(&sharded) > 1,
                 "publish parity"
             );
-            let seq = run_sequential(&reference, &trace);
+            let seq = run_batched(&reference, &trace, 1);
             let run = rt.run(&sharded, &trace).unwrap();
             prop_assert_eq!(seq.checksum, run.checksum, "verdicts diverged after a batch");
             // No batch mixed generations: the quiesced run pinned exactly
