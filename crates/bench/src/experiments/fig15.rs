@@ -7,8 +7,8 @@
 //! hurt lookups, because the *actual* search distance is usually far below
 //! the worst-case bound (80% of lookups within 64 when trained at 128 —
 //! `search_dist` measures that distribution). Each row also counts the
-//! leaves still above bound 64 after every attempt: their retries are the
-//! serial part of a build's training.
+//! leaves still above bound 64 after every attempt: each of them runs every
+//! Figure-5 retry, the longest fits of a build's training.
 
 use crate::{largest_iset_ranges, Ctx, Outcome};
 use nm_analysis::Table;
@@ -62,9 +62,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.table("hinge", table);
     out.say(
         "\nabove(64) counts the leaves still above bound 64 after every Figure 5 attempt.\n\
-         A stage's first fits run side by side; a leaf's retries run one after another\n\
-         on the one sampling stream, so the leaves that use up every attempt are the\n\
-         serial floor of training time. With the closed-form hinge trainer the ACL\n\
+         A stage's leaves run side by side, each through its own retries on its own\n\
+         sampling stream, so the leaves that use up every attempt are the longest\n\
+         tasks of training time. With the closed-form hinge trainer the ACL\n\
          projections leave none; at NM_SCALE=full the 500K FIB's largest iSet leaves\n\
          dozens, and they are most of its b=64 time. The iterative trainer below\n\
          reproduces the paper's shape: tighter bounds trigger the Figure 5 retrain loop.\n",

@@ -36,8 +36,10 @@ USAGE:
 
 output: bench and serve print one JSON object per run on stdout. An
         unknown command, a flag or argument the command does not read, or a
-        value out of range (every count >= 1; serve's --batch <= 512 and
-        --udp-readers <= 64) is an error: exit 1, the token named on stderr.
+        value out of range (every count >= 1; serve's --batch <= 512,
+        --max-batch <= 2339, and --readers, --udp-readers and --shards <= 64;
+        bench's --shards x --workers <= 64) is an error: exit 1, the token
+        named on stderr.
 engines: linear tss tm cs nc nm-tm nm-cs nm-nc     traces: uniform zipf:<alpha> caida
         (tm/cs/nc also accept tuplemerge/cutsplit/neurocuts; with --batch B > 1
          every engine takes its batched pipeline — tm's table-major probe, the
@@ -70,6 +72,10 @@ serving: serve binds real loopback sockets (--listen, port 0 = ephemeral):
         release) is replayed against a LinearSearch oracle at the pinned
         generation; any mismatch makes serve exit 1.
 ";
+
+/// The most threads one count flag may start: serve's client drivers, UDP
+/// readers or retrain shards, and bench's shards × workers.
+const MAX_THREADS: usize = 64;
 
 /// Runs a parsed command, returning the text to print (errors as `Err`).
 pub fn run(cmd: ParsedCommand) -> Result<String, String> {
@@ -186,8 +192,8 @@ fn cmd_bench(mut a: Args) -> Result<String, String> {
     let seed: u64 = a.num_or("seed", 1)?;
     let trace_spec = a.get_or("trace", "uniform");
     let batch: usize = a.num_in("batch", 1, 1..)?;
-    let shards: usize = a.num_in("shards", 1, 1..)?;
-    let workers: usize = a.num_in("workers", 1, 1..)?;
+    let shards: usize = a.num_in("shards", 1, 1..=MAX_THREADS)?;
+    let workers: usize = a.num_in("workers", 1, 1..=MAX_THREADS / shards)?;
     let pin: bool = a.num_or("pin", true)?;
     a.finish()?;
     let set = load_rules(&path)?;
@@ -435,22 +441,22 @@ fn drive_clients(
 fn cmd_serve(mut a: Args) -> Result<String, String> {
     let path = rule_file(&mut a)?;
     let seconds: f64 = a.num_or("seconds", 2.0)?;
-    let readers: usize = a.num_in("readers", 2, 1..)?;
+    let readers: usize = a.num_in("readers", 2, 1..=MAX_THREADS)?;
     let update_rate: f64 = a.num_or("update-rate", 1_000.0)?;
     let retrain_every: f64 = a.num_or("retrain-every", 0.0)?;
     let window: usize = a.num_in("batch", 128, 1..=512)?;
     let packets: usize = a.num_or("packets", 50_000)?;
     let seed: u64 = a.num_or("seed", 1)?;
-    let shards: usize = a.num_in("shards", 1, 1..)?;
+    let shards: usize = a.num_in("shards", 1, 1..=MAX_THREADS)?;
     let mut scfg = ServeConfig {
         listen: a
             .get_or("listen", "127.0.0.1:0")
             .parse()
             .map_err(|e| format!("bad --listen address: {e}"))?,
         transport: a.get_or("transport", "both").parse()?,
-        max_batch: a.num_in("max-batch", 128, 1..)?,
+        max_batch: a.num_in("max-batch", 128, 1..=ServeConfig::MAX_BATCH)?,
         deadline: Duration::from_micros(a.num_or("deadline-us", 20)?),
-        udp_readers: a.num_in("udp-readers", 1, 1..=64)?,
+        udp_readers: a.num_in("udp-readers", 1, 1..=MAX_THREADS)?,
         pin: a.num_or("pin", true)?,
         ..ServeConfig::default()
     };
@@ -912,7 +918,8 @@ mod tests {
     #[test]
     fn out_of_range_values_are_errors_not_clamped() {
         for (argv, message) in [
-            (&["serve", "f.cb", "--readers", "0"][..], "--readers must be in 1.., got 0"),
+            (&["serve", "f.cb", "--readers", "0"][..], "--readers must be in 1..=64, got 0"),
+            (&["serve", "f.cb", "--readers", "65"], "--readers must be in 1..=64, got 65"),
             (
                 &["serve", "f.cb", "--udp-readers", "100"],
                 "--udp-readers must be in 1..=64, got 100",
@@ -920,11 +927,22 @@ mod tests {
             (&["serve", "f.cb", "--udp-readers", "0"], "--udp-readers must be in 1..=64, got 0"),
             (&["serve", "f.cb", "--batch", "0"], "--batch must be in 1..=512, got 0"),
             (&["serve", "f.cb", "--batch", "513"], "--batch must be in 1..=512, got 513"),
-            (&["serve", "f.cb", "--max-batch", "0"], "--max-batch must be in 1.., got 0"),
-            (&["serve", "f.cb", "--shards", "0"], "--shards must be in 1.., got 0"),
+            (&["serve", "f.cb", "--max-batch", "0"], "--max-batch must be in 1..=2339, got 0"),
+            (
+                &["serve", "f.cb", "--max-batch", "100000000000"],
+                "--max-batch must be in 1..=2339, got 100000000000",
+            ),
+            (&["serve", "f.cb", "--shards", "0"], "--shards must be in 1..=64, got 0"),
+            (&["serve", "f.cb", "--shards", "65"], "--shards must be in 1..=64, got 65"),
             (&["bench", "f.cb", "--batch", "0"], "--batch must be in 1.., got 0"),
-            (&["bench", "f.cb", "--shards", "0"], "--shards must be in 1.., got 0"),
-            (&["bench", "f.cb", "--workers", "0"], "--workers must be in 1.., got 0"),
+            (&["bench", "f.cb", "--shards", "0"], "--shards must be in 1..=64, got 0"),
+            (&["bench", "f.cb", "--shards", "65"], "--shards must be in 1..=64, got 65"),
+            (&["bench", "f.cb", "--workers", "0"], "--workers must be in 1..=64, got 0"),
+            (&["bench", "f.cb", "--workers", "65"], "--workers must be in 1..=64, got 65"),
+            (
+                &["bench", "f.cb", "--shards", "4", "--workers", "17"],
+                "--workers must be in 1..=16, got 17",
+            ),
         ] {
             assert_eq!(run_args(argv).unwrap_err(), message, "{argv:?}");
         }

@@ -4,9 +4,8 @@
 //! that just need a fast, reproducible stream (sampling responsibilities
 //! during RQ-RMI training, hash seeds) use this SplitMix64, which is two
 //! instructions-ish per draw and has no crate-version drift in its output.
-//! Its state advances by one constant per draw, so [`SplitMix64::skip`] can
-//! land anywhere in a stream in O(1): RQ-RMI training gives each submodel of
-//! a stage the stream position a serial walk would reach.
+//! RQ-RMI training gives each submodel its own stream, seeded by a draw
+//! from a generator seeded with the submodel's stage and index.
 
 /// SplitMix64 — the classic 64-bit mixer (Steele et al., used to seed
 /// xoshiro). Deterministic across platforms and releases.
@@ -23,15 +22,6 @@ impl SplitMix64 {
     #[inline]
     pub fn new(seed: u64) -> Self {
         Self { state: seed }
-    }
-
-    /// Moves the stream on by `n` draws without making them: afterwards the
-    /// generator is where `n` calls of [`next_u64`](Self::next_u64) (or of
-    /// `below`, `f64`, or `range_inclusive` short of a full-domain span, one
-    /// draw each) would have left it.
-    #[inline]
-    pub fn skip(&mut self, n: u64) {
-        self.state = self.state.wrapping_add(GAMMA.wrapping_mul(n));
     }
 
     /// Next raw 64-bit value.
@@ -76,36 +66,16 @@ mod tests {
 
     #[test]
     fn deterministic() {
+        // The published SplitMix64 stream from seed 0.
+        let mut r = SplitMix64::new(0);
+        assert_eq!(r.next_u64(), 0xe220_a839_7b1d_cdaf);
+        r.next_u64();
+        assert_eq!(r.next_u64(), 0x06c4_5d18_8009_454f, "third draw");
         let mut a = SplitMix64::new(42);
         let mut b = SplitMix64::new(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn skip_lands_where_the_draws_would() {
-        // The published SplitMix64 stream from seed 0.
-        let mut r = SplitMix64::new(0);
-        assert_eq!(r.next_u64(), 0xe220_a839_7b1d_cdaf);
-        let mut s = SplitMix64::new(0);
-        s.skip(2);
-        assert_eq!(s.next_u64(), 0x06c4_5d18_8009_454f, "third draw");
-        // A count whose `n × gamma` wraps many times over.
-        let n = 1_000_003u64;
-        let (mut walked, mut skipped) = (SplitMix64::new(42), SplitMix64::new(42));
-        for _ in 0..n {
-            walked.next_u64();
-        }
-        skipped.skip(n);
-        assert_eq!(skipped.next_u64(), walked.next_u64());
-        // Skipping composes, and zero is the identity.
-        let (mut a, mut b) = (SplitMix64::new(7), SplitMix64::new(7));
-        a.skip(3);
-        a.skip(0);
-        a.skip(4);
-        b.skip(7);
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

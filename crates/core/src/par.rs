@@ -2,8 +2,8 @@
 //! process-wide budget of `available_parallelism() - 1` helpers.
 //!
 //! Every concurrent step of a build goes through [`map`] or [`join`]: the
-//! partition's per-field scans, a stage's first fits and the leaves' first
-//! bounds, the iSets beside the remainder. The calling thread always works
+//! partition's per-field scans, a stage's fits (each leaf's whole Figure-5
+//! loop), a partial retrain's leaf refits, the iSets beside the remainder. The calling thread always works
 //! too, and it adds a helper only while the budget has room, re-checking
 //! before every item it takes. So nested calls (a stage's fits inside an
 //! iSet's training) never run more threads than the machine has cores, a

@@ -20,18 +20,17 @@
 //! computed over covered keys only). `SampleMode::Reject` keeps the literal
 //! paper behaviour for comparison.
 //!
-//! ## One stream, walked in a fixed order
+//! ## One stream per submodel
 //!
-//! Every draw comes from one SplitMix64 stream seeded with `SEED`, in the
-//! order a serial walk makes them: each stage's submodels in index order,
-//! then the leaves' retries in leaf order. A first fit draws exactly
-//! `samples + 1` values — its keys, then one trainer seed — whatever the
-//! trainer, so a stage knows every submodel's stream position before it
-//! starts, and fits its submodels (and bounds its leaves) side by side, each
-//! from its own position ([`SplitMix64::skip`]). Only the retries run one
-//! after another: how many draws a leaf's retries make depends on its
-//! bounds. A model therefore depends only on its ranges and
-//! [`RqRmiParams`], never on the thread count.
+//! Submodel `j` of stage `s` draws from its own SplitMix64 stream, seeded
+//! from `(SEED, s, j)`: its first fit and every Figure-5 retry take their
+//! keys and trainer seeds from it, in a full build and in a partial
+//! retrain alike. A submodel's fit is therefore a function of its
+//! responsibility, the ranges and [`RqRmiParams`] alone — never of the
+//! thread count, nor of which other submodels were fitted, or in what
+//! order. So a stage fits its submodels side by side, each leaf running its
+//! whole Figure-5 loop in `fit_leaf`, and [`retrain_leaves`] refits the
+//! leaves drift touched side by side through that same function.
 
 use nm_common::range::FieldRange;
 use nm_common::{Error, SplitMix64};
@@ -45,10 +44,8 @@ use super::model::RqRmi;
 use crate::config::{RqRmiParams, TrainerKind};
 use crate::par;
 
-/// RNG seed for sampling (and Adam init): training is deterministic, so a
-/// model is a function of its ranges and [`RqRmiParams`] alone — never of
-/// the thread count, as each fit starts from the stream position a serial
-/// walk would reach (see the module docs).
+/// RNG seed for sampling (and Adam init), mixed with a submodel's stage and
+/// index into that submodel's own stream (`submodel_rng`).
 const SEED: u64 = 0x6e75_6576_6f6d; // "nuevom"
 
 /// Sampling behaviour for training datasets.
@@ -59,6 +56,36 @@ pub enum SampleMode {
     Rank,
     /// Paper-literal: discard samples that no range matches.
     Reject,
+}
+
+/// The ranges a model indexes, as sampling and bounding read them: their
+/// ends over the key map, and how a sampled key is labelled.
+struct TrainData {
+    km: KeyMap,
+    los: Vec<u64>,
+    his: Vec<u64>,
+    mode: SampleMode,
+}
+
+impl TrainData {
+    /// Fails on zero ranges, or on ranges unsorted by `lo` or overlapping.
+    fn new(ranges: &[FieldRange], km: KeyMap, mode: SampleMode) -> Result<Self, Error> {
+        if ranges.is_empty() {
+            return Err(Error::Build { msg: "cannot train an RQ-RMI on zero ranges".into() });
+        }
+        for w in ranges.windows(2) {
+            if w[1].lo <= w[0].hi {
+                return Err(Error::Build {
+                    msg: format!(
+                        "ranges must be sorted and non-overlapping: {:?} then {:?}",
+                        w[0], w[1]
+                    ),
+                });
+            }
+        }
+        let (los, his) = ranges.iter().map(|r| (r.lo, r.hi)).unzip();
+        Ok(Self { km, los, his, mode })
+    }
 }
 
 /// Trains an RQ-RMI over `ranges`, which must be sorted by `lo` and
@@ -77,116 +104,76 @@ pub fn train_rqrmi_mode(
     params: &RqRmiParams,
     mode: SampleMode,
 ) -> Result<RqRmi, Error> {
-    if ranges.is_empty() {
-        return Err(Error::Build { msg: "cannot train an RQ-RMI on zero ranges".into() });
-    }
-    for w in ranges.windows(2) {
-        if w[1].lo <= w[0].hi {
-            return Err(Error::Build {
-                msg: format!(
-                    "ranges must be sorted and non-overlapping: {:?} then {:?}",
-                    w[0], w[1]
-                ),
-            });
-        }
-    }
-    let km = KeyMap::new(bits);
+    let data = TrainData::new(ranges, KeyMap::new(bits), mode)?;
     let n = ranges.len();
-    let los: Vec<u64> = ranges.iter().map(|r| r.lo).collect();
-    let his: Vec<u64> = ranges.iter().map(|r| r.hi).collect();
     let widths = params.widths_for(n);
     let stages = widths.len();
-    // Draws the first fits have made along the SEED stream.
-    let mut drawn = 0u64;
 
     let mut nets: Vec<Vec<Mlp>> = Vec::with_capacity(stages);
-    let mut resp: Vec<Responsibility> = vec![vec![(0, km.domain_max())]];
+    let mut resp: Vec<Responsibility> = vec![vec![(0, data.km.domain_max())]];
     let mut leaf_err = Vec::new();
 
     for s in 0..stages {
         let leaf = s + 1 == stages;
         debug_assert_eq!(resp.len(), widths[s]);
-        // Internal stages see larger responsibilities; give them more samples.
-        let samples = if leaf { params.samples_init } else { params.samples_init * 4 };
-        let starts: Vec<(&Responsibility, u64)> = resp
-            .iter()
-            .map(|r| {
-                let start = drawn;
-                if responsibility_size(r) != 0 {
-                    drawn += samples as u64 + 1;
-                }
-                (r, start)
-            })
-            .collect();
-        let fitted = par::map(&starts, |&(r, start)| {
+        let submodels: Vec<(usize, &Responsibility)> = resp.iter().enumerate().collect();
+        let fitted = par::map(&submodels, |&(j, r)| {
             if responsibility_size(r) == 0 {
-                return (Mlp::zeros(Mlp::PAPER_HIDDEN), 0);
+                (Mlp::zeros(Mlp::PAPER_HIDDEN), 0)
+            } else if leaf {
+                fit_leaf(s, j, r, &data, params)
+            } else {
+                // Internal stages see larger responsibilities; give them
+                // more samples.
+                let samples = params.samples_init * 4;
+                (fit(&params.trainer, r, samples, &mut submodel_rng(s, j), &data), 0)
             }
-            let mut rng = SplitMix64::new(SEED);
-            rng.skip(start);
-            let data = sample_dataset(r, samples, &mut rng, &km, &los, &his, n, mode);
-            let net = fit(&params.trainer, &data, rng.next_u64());
-            let bound = if leaf { leaf_error_bound(&net, r, &km, &los, &his, n) } else { 0 };
-            (net, bound)
         });
         let (stage_nets, bounds): (Vec<Mlp>, Vec<u32>) = fitted.into_iter().unzip();
         if leaf {
             leaf_err = bounds;
         } else {
-            resp = next_responsibilities(&stage_nets, &resp, widths[s + 1], &km);
+            resp = next_responsibilities(&stage_nets, &resp, widths[s + 1], &data.km);
         }
         nets.push(stage_nets);
-    }
-
-    // The Figure 5 retries, in leaf order, from where the first fits ended.
-    let leaves = nets.last_mut().expect("at least one stage");
-    let mut rng = SplitMix64::new(SEED);
-    rng.skip(drawn);
-    for (j, net) in leaves.iter_mut().enumerate() {
-        if leaf_err[j] <= params.error_target {
-            continue;
-        }
-        let first = (net.clone(), leaf_err[j]);
-        // §3.5.6: if training does not converge the bound is raised to the
-        // achieved value (lookups stay correct, just search further).
-        (*net, leaf_err[j]) =
-            refine_leaf(first, &resp[j], &mut rng, &km, &los, &his, n, params, mode);
     }
 
     Ok(RqRmi { widths, nets, leaf_err, n_values: n, bits })
 }
 
-/// The Figure 5 leaf loop shared by [`train_rqrmi`] and [`retrain_leaves`]:
-/// from a first fit and its analytic bound, while the bound misses the
-/// target and attempts remain, refits from a doubled sample count, keeping
-/// the best (net, bound) pair seen.
-#[allow(clippy::too_many_arguments)]
-fn refine_leaf(
-    first: (Mlp, u32),
+/// The stream submodel `j` of stage `stage` draws every fit from.
+fn submodel_rng(stage: usize, j: usize) -> SplitMix64 {
+    SplitMix64::new(SplitMix64::new(SEED ^ ((stage as u64) << 32 | j as u64)).next_u64())
+}
+
+/// The Figure 5 loop of leaf `j` in stage `stage`, shared by
+/// [`train_rqrmi`] and [`retrain_leaves`]: fit from `samples_init` samples
+/// and bound the fit analytically; while the bound misses the target and
+/// attempts remain, refit from double the samples. Returns the best
+/// (net, bound) pair seen — §3.5.6: a leaf that never converges keeps the
+/// bound it achieved (lookups stay correct, just search further).
+fn fit_leaf(
+    stage: usize,
+    j: usize,
     resp: &Responsibility,
-    rng: &mut SplitMix64,
-    km: &KeyMap,
-    los: &[u64],
-    his: &[u64],
-    n: usize,
+    data: &TrainData,
     params: &RqRmiParams,
-    mode: SampleMode,
 ) -> (Mlp, u32) {
-    let (initial, mut bound) = first;
-    let mut best = (bound, initial);
+    let mut rng = submodel_rng(stage, j);
     let mut samples = params.samples_init;
-    let mut attempt = 1;
-    while bound > params.error_target && attempt < params.max_attempts {
-        samples *= 2;
-        attempt += 1;
-        let data = sample_dataset(resp, samples, rng, km, los, his, n, mode);
-        let net = fit(&params.trainer, &data, rng.next_u64());
-        bound = leaf_error_bound(&net, resp, km, los, his, n);
-        if bound < best.0 {
-            best = (bound, net);
+    let mut best: Option<(Mlp, u32)> = None;
+    for _ in 0..params.max_attempts.max(1) {
+        let net = fit(&params.trainer, resp, samples, &mut rng, data);
+        let bound = leaf_error_bound(&net, resp, data);
+        if best.as_ref().map_or(true, |b| bound < b.1) {
+            best = Some((net, bound));
         }
+        if bound <= params.error_target {
+            break;
+        }
+        samples *= 2;
     }
-    (best.1, best.0)
+    best.expect("at least one attempt")
 }
 
 /// One step of the responsibility cascade: the responsibilities of the
@@ -256,8 +243,9 @@ pub struct LeafRetrainStats {
 ///   (`w2 *= n_old/n_new`, `b2 = b2·n_old/n_new + s/n_new`) and its error
 ///   bound recomputed analytically (Theorem A.13) — no sampling, no fitting.
 /// * **refit** — the range *content* inside `R` changed (drift landed
-///   here): the leaf runs the ordinary Figure 5 fit/bound/double loop over
-///   the new ranges.
+///   here): the leaf runs the Figure 5 fit/bound/double loop over the new
+///   ranges — `fit_leaf`, from the leaf's own stream, as a full build
+///   does — side by side with the other leaves.
 ///
 /// Fails (so callers can fall back to a full rebuild) when `new_ranges` is
 /// empty/unsorted, or when more than `max_refit_fraction` of the reachable
@@ -275,9 +263,6 @@ pub fn retrain_leaves(
     params: &RqRmiParams,
     max_refit_fraction: f64,
 ) -> Result<(RqRmi, LeafRetrainStats), Error> {
-    if new_ranges.is_empty() {
-        return Err(Error::Build { msg: "retrain_leaves: no surviving ranges".into() });
-    }
     if old_ranges.len() != old.n_values {
         return Err(Error::Build {
             msg: format!(
@@ -287,22 +272,9 @@ pub fn retrain_leaves(
             ),
         });
     }
-    for w in new_ranges.windows(2) {
-        if w[1].lo <= w[0].hi {
-            return Err(Error::Build {
-                msg: format!(
-                    "retrain_leaves: ranges must be sorted and non-overlapping: {:?} then {:?}",
-                    w[0], w[1]
-                ),
-            });
-        }
-    }
-    let km = old.key_map();
+    let new = TrainData::new(new_ranges, old.key_map(), SampleMode::Rank)?;
     let (n_old, n_new) = (old.n_values, new_ranges.len());
-    let old_los: Vec<u64> = old_ranges.iter().map(|r| r.lo).collect();
-    let old_his: Vec<u64> = old_ranges.iter().map(|r| r.hi).collect();
-    let new_los: Vec<u64> = new_ranges.iter().map(|r| r.lo).collect();
-    let new_his: Vec<u64> = new_ranges.iter().map(|r| r.hi).collect();
+    let (old_los, old_his): (Vec<u64>, Vec<u64>) = old_ranges.iter().map(|r| (r.lo, r.hi)).unzip();
     let resp = leaf_responsibilities(old);
     let leaf_stage = old.nets.len() - 1;
 
@@ -324,7 +296,7 @@ pub fn retrain_leaves(
         let mut clean = true;
         for &(a, b) in r {
             let (o0, o1) = ranges_in(&old_los, &old_his, a, b);
-            let (m0, m1) = ranges_in(&new_los, &new_his, a, b);
+            let (m0, m1) = ranges_in(&new.los, &new.his, a, b);
             let s = m0 as i64 - o0 as i64;
             if *shift.get_or_insert(s) != s || (o1 - o0) != (m1 - m0) {
                 clean = false;
@@ -338,8 +310,10 @@ pub fn retrain_leaves(
         // Some(Some(shift)) = clean, Some(None) = refit; unreachable leaves
         // stay None.
         plan[j] = if clean { Some(Some(shift.unwrap_or(0))) } else { Some(None) };
-        if !clean {
-            stats.refit += 1;
+        match plan[j] {
+            Some(None) => stats.refit += 1,
+            Some(Some(0)) if n_old == n_new => stats.untouched += 1,
+            _ => stats.rescaled += 1,
         }
     }
     let max_refit = (max_refit_fraction * stats.leaves as f64).floor() as usize;
@@ -353,84 +327,43 @@ pub fn retrain_leaves(
         });
     }
 
-    let mut nets = old.nets.clone();
-    let mut leaf_err = old.leaf_err.clone();
-    let mut rng = SplitMix64::new(SEED ^ 0x7061_7274_6961_6c21); // "partial!"
-    let mode = SampleMode::Rank;
-    for (j, p) in plan.iter().enumerate() {
+    let leaves: Vec<(usize, Option<Option<i64>>)> = plan.into_iter().enumerate().collect();
+    let patched = par::map(&leaves, |&(j, p)| {
+        let kept = (old.nets[leaf_stage][j].clone(), old.leaf_err[j]);
         match p {
-            None => {} // unreachable leaf: zero net stays
-            Some(Some(shift)) if *shift == 0 && n_old == n_new => {
-                // Nothing in this leaf's key region changed: weights and
-                // bound carry over bit-identically.
-                stats.untouched += 1;
-            }
+            // An unreachable leaf keeps its zero net; one whose key region
+            // saw no change keeps its weights and bound bit-identically.
+            None => kept,
+            Some(Some(0)) if n_old == n_new => kept,
             Some(Some(shift)) => {
                 // Affine rescale: y' = y·(n_old/n_new) + shift/n_new maps
                 // the learned (rank+0.5)/n_old onto (rank+shift+0.5)/n_new
                 // exactly, so the index-space error is preserved; the bound
                 // is recomputed analytically to also absorb the (slightly
                 // different) f32 evaluation band of the scaled weights.
-                stats.rescaled += 1;
-                let mut net = nets[leaf_stage][j].clone();
+                let mut net = kept.0;
                 let scale = n_old as f32 / n_new as f32;
                 for w in &mut net.w2 {
                     *w *= scale;
                 }
-                net.b2 = net.b2 * scale + *shift as f32 / n_new as f32;
-                let bound = leaf_error_bound(&net, &resp[j], &km, &new_los, &new_his, n_new);
-                if bound <= params.error_target.max(leaf_err[j]) {
-                    nets[leaf_stage][j] = net;
-                    leaf_err[j] = bound;
+                net.b2 = net.b2 * scale + shift as f32 / n_new as f32;
+                let bound = leaf_error_bound(&net, &resp[j], &new);
+                if bound <= params.error_target.max(kept.1) {
+                    (net, bound)
                 } else {
                     // The rescale came out worse than before (pathological
-                    // weights): fall through to a refit of this leaf.
-                    let (net, bound) = refine_leaf(
-                        (net, bound),
-                        &resp[j],
-                        &mut rng,
-                        &km,
-                        &new_los,
-                        &new_his,
-                        n_new,
-                        params,
-                        mode,
-                    );
-                    nets[leaf_stage][j] = net;
-                    leaf_err[j] = bound;
+                    // weights): refit this leaf instead.
+                    fit_leaf(leaf_stage, j, &resp[j], &new, params)
                 }
             }
-            Some(None) => {
-                // Drift landed in this leaf: ordinary Figure 5 loop over the
-                // new ranges, seeded by a fresh fit.
-                let data = sample_dataset(
-                    &resp[j],
-                    params.samples_init,
-                    &mut rng,
-                    &km,
-                    &new_los,
-                    &new_his,
-                    n_new,
-                    mode,
-                );
-                let initial = fit(&params.trainer, &data, rng.next_u64());
-                let bound = leaf_error_bound(&initial, &resp[j], &km, &new_los, &new_his, n_new);
-                let (net, bound) = refine_leaf(
-                    (initial, bound),
-                    &resp[j],
-                    &mut rng,
-                    &km,
-                    &new_los,
-                    &new_his,
-                    n_new,
-                    params,
-                    mode,
-                );
-                nets[leaf_stage][j] = net;
-                leaf_err[j] = bound;
-            }
+            // Drift landed in this leaf: the Figure 5 loop over the new
+            // ranges.
+            Some(None) => fit_leaf(leaf_stage, j, &resp[j], &new, params),
         }
-    }
+    });
+    let (leaf_nets, leaf_err): (Vec<Mlp>, Vec<u32>) = patched.into_iter().unzip();
+    let mut nets = old.nets[..leaf_stage].to_vec();
+    nets.push(leaf_nets);
 
     Ok((
         RqRmi { widths: old.widths.clone(), nets, leaf_err, n_values: n_new, bits: old.bits },
@@ -439,14 +372,23 @@ pub fn retrain_leaves(
 }
 
 /// Trains one submodel — [`Mlp::PAPER_HIDDEN`] neurons, the width the
-/// inference kernels are built for — with the configured optimiser.
-fn fit(trainer: &TrainerKind, data: &[(f32, f32)], seed: u64) -> Mlp {
+/// inference kernels are built for — with the configured optimiser, on
+/// `samples` keys drawn from `rng` over `resp` (plus the range-start
+/// anchors, [`sample_dataset`]), the trainer's seed drawn after them.
+fn fit(
+    trainer: &TrainerKind,
+    resp: &Responsibility,
+    samples: usize,
+    rng: &mut SplitMix64,
+    data: &TrainData,
+) -> Mlp {
+    let set = sample_dataset(resp, samples, rng, data);
     let hidden = Mlp::PAPER_HIDDEN;
     match trainer {
-        TrainerKind::Hinge => fit_hinge(hidden, data),
+        TrainerKind::Hinge => fit_hinge(hidden, &set),
         TrainerKind::Adam { epochs } => {
-            let mut net = Mlp::random(hidden, seed);
-            Adam::train(&mut net, data, *epochs);
+            let mut net = Mlp::random(hidden, rng.next_u64());
+            Adam::train(&mut net, &set, *epochs);
             net
         }
     }
@@ -466,17 +408,14 @@ pub(crate) fn rank(his: &[u64], key: u64) -> usize {
 /// (each range's `lo` inside the responsibility) that pin the staircase the
 /// model must learn. All labels use the scaled mid-bucket target
 /// `(v + 0.5) / n`.
-#[allow(clippy::too_many_arguments)]
 fn sample_dataset(
     resp: &Responsibility,
     samples: usize,
     rng: &mut SplitMix64,
-    km: &KeyMap,
-    los: &[u64],
-    his: &[u64],
-    n: usize,
-    mode: SampleMode,
+    data: &TrainData,
 ) -> Vec<(f32, f32)> {
+    let TrainData { km, los, his, mode } = data;
+    let n = los.len();
     let total = responsibility_size(resp);
     if total == 0 {
         return Vec::new();
@@ -496,7 +435,7 @@ fn sample_dataset(
             }
         }
     };
-    let mut data = Vec::with_capacity(samples + 64);
+    let mut set = Vec::with_capacity(samples + 64);
 
     // Uniform samples across the responsibility.
     for _ in 0..samples {
@@ -511,7 +450,7 @@ fn sample_dataset(
             off -= len;
         }
         if let Some(y) = label(key) {
-            data.push((km.x(key), y));
+            set.push((km.x(key), y));
         }
     }
 
@@ -526,12 +465,12 @@ fn sample_dataset(
         while i < n && los[i] <= b {
             let key = los[i].max(a);
             if let Some(y) = label(key) {
-                data.push((km.x(key), y));
+                set.push((km.x(key), y));
             }
             i += step;
         }
     }
-    data
+    set
 }
 
 /// Worst-case index prediction error of a leaf over its responsibility
@@ -543,14 +482,9 @@ fn sample_dataset(
 /// both are constant, so one evaluation per run suffices; the prediction is
 /// then widened by `ceil(delta·n) + 1` to cover anything the real `f32`
 /// pipeline (any summation order) can produce.
-pub(crate) fn leaf_error_bound(
-    net: &Mlp,
-    resp: &Responsibility,
-    km: &KeyMap,
-    los: &[u64],
-    his: &[u64],
-    n: usize,
-) -> u32 {
+fn leaf_error_bound(net: &Mlp, resp: &Responsibility, data: &TrainData) -> u32 {
+    let TrainData { km, los, his, .. } = data;
+    let n = los.len();
     let delta = eval_delta(net) + 1e-9; // +interp fuzz of segment eval
     let dq = (delta * n as f64).ceil() as u64 + 1;
     let nf = n as f64;
@@ -821,6 +755,44 @@ mod tests {
         for key in (0..65_536u64).step_by(131) {
             assert_eq!(a.predict(key), b.predict(key));
         }
+    }
+
+    #[test]
+    fn a_leaf_refit_does_not_depend_on_which_other_leaves_refit() {
+        // Shrink one range inside leaf `a`, then that range and one inside
+        // an earlier leaf `b`: leaf `a` refits in both retrains and must
+        // come out bit-identical, whatever else refits beside it.
+        let ranges = random_disjoint_ranges(5, 300, 16);
+        let m = train_rqrmi(&ranges, 16, &params()).unwrap();
+        // Per leaf, the first range wholly inside its responsibility.
+        let inside: Vec<(usize, usize)> = leaf_responsibilities(&m)
+            .iter()
+            .enumerate()
+            .filter_map(|(j, r)| {
+                let within = |x: &FieldRange| r.iter().any(|&(a, b)| a <= x.lo && x.hi <= b);
+                Some((j, ranges.iter().position(|x| x.hi > x.lo && within(x))?))
+            })
+            .collect();
+        let (&(b, ib), &(a, ia)) = (inside.first().unwrap(), inside.last().unwrap());
+        assert!(b < a, "need two leaves with a range inside: {inside:?}");
+        let refit_a = |shrunk: &[usize]| {
+            let mut new_ranges = ranges.clone();
+            for &i in shrunk {
+                new_ranges[i].hi -= 1;
+            }
+            let (m2, stats) = retrain_leaves(&m, &ranges, &new_ranges, &params(), 1.0).unwrap();
+            let net = &m2.nets[m2.nets.len() - 1][a];
+            let weights = [&net.w1, &net.b1, &net.w2, &vec![net.b2]]
+                .map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            (weights, m2.leaf_err[a], stats.refit)
+        };
+        let (alone, together) = (refit_a(&[ia]), refit_a(&[ib, ia]));
+        assert!(together.2 > alone.2, "leaf {b} refits too: {} vs {}", together.2, alone.2);
+        assert_eq!(
+            (alone.0, alone.1),
+            (together.0, together.1),
+            "leaf {a}'s refit moved when leaf {b} refit too"
+        );
     }
 
     #[test]

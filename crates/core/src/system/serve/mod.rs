@@ -52,6 +52,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use nm_common::frame::RESPONSE_FRAME;
+
 use crate::system::runtime::topology::{pin_current_thread, Topology};
 
 #[allow(unused_imports)] // doc links
@@ -114,7 +116,7 @@ pub struct ServeConfig {
     pub listen: SocketAddr,
     /// Socket families to serve.
     pub transport: Transport,
-    /// Flush a batch at this many requests…
+    /// Flush a batch at this many requests (at most [`Self::MAX_BATCH`])…
     pub max_batch: usize,
     /// …or when the oldest pending request has waited this long: the upper
     /// bound on the assembly wait. A batch is flushed earlier when no
@@ -151,6 +153,13 @@ impl Default for ServeConfig {
             validate_every: if cfg!(debug_assertions) { 16 } else { 0 },
         }
     }
+}
+
+impl ServeConfig {
+    /// The largest `max_batch` [`Server::start`] accepts: a flush answers
+    /// one peer's consecutive requests in one UDP datagram, which carries
+    /// at most 65 507 bytes, so 2 339 response frames.
+    pub const MAX_BATCH: usize = 65_507 / RESPONSE_FRAME;
 }
 
 /// The readers' statistics: one slot per live reader, tagged with its
@@ -238,7 +247,15 @@ pub struct Server<P: ServePlane> {
 
 impl<P: ServePlane> Server<P> {
     /// Binds the configured transports and spawns the reader threads.
+    /// Refuses a `max_batch` above [`ServeConfig::MAX_BATCH`]
+    /// (`InvalidInput`) before binding anything.
     pub fn start(plane: P, cfg: &ServeConfig) -> std::io::Result<Self> {
+        if cfg.max_batch > ServeConfig::MAX_BATCH {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("max_batch {} exceeds {}", cfg.max_batch, ServeConfig::MAX_BATCH),
+            ));
+        }
         let cpus = if cfg.pin {
             let topo = Topology::discover();
             if topo.num_cpus() > 1 {
@@ -364,5 +381,24 @@ impl<P: ServePlane> Server<P> {
 impl<P: ServePlane> Drop for Server<P> {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::assembler::tests::StubPlane;
+    use super::*;
+
+    #[test]
+    fn start_refuses_a_batch_one_datagram_cannot_answer() {
+        let cfg = |max_batch| ServeConfig {
+            max_batch,
+            transport: Transport::Udp,
+            pin: false,
+            ..ServeConfig::default()
+        };
+        let err = Server::start(StubPlane, &cfg(ServeConfig::MAX_BATCH + 1)).err();
+        assert_eq!(err.map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
+        Server::start(StubPlane, &cfg(ServeConfig::MAX_BATCH)).unwrap().shutdown();
     }
 }
