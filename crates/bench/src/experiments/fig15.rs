@@ -8,13 +8,15 @@
 //! the worst-case bound (80% of lookups within 64 when trained at 128 —
 //! `search_dist` measures that distribution). Each row also counts the
 //! leaves still above bound 64 after every attempt: each of them runs every
-//! Figure-5 retry, the longest fits of a build's training.
+//! Figure-5 retry, the longest fits of a build's training. Beside them
+//! stands an FNV-1a hash of the b=64 model's `save_rqrmi` image, so two
+//! builds of the driver show at a glance whether training moved a bit.
 
 use crate::{largest_iset_ranges, Ctx, Outcome};
 use nm_analysis::Table;
 use nm_classbench::{generate, stanford_fib, AppKind};
 use nuevomatch::rqrmi::train_rqrmi;
-use nuevomatch::RqRmiParams;
+use nuevomatch::{save_rqrmi, RqRmiParams};
 use std::time::Instant;
 
 const BOUNDS: [u32; 5] = [64, 128, 256, 512, 1024];
@@ -33,6 +35,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         "b=1024",
         "achieved(64)",
         "above(64)",
+        "image(64)",
     ]);
 
     for &n in s.sizes.iter().filter(|&&n| n >= 10_000) {
@@ -42,7 +45,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
             // Train on the largest iSet's projection, like the real build.
             let (ranges, bits) = largest_iset_ranges(&set);
             let mut cells = vec![name.to_string(), format!("{n}")];
-            let (mut achieved64, mut above64) = (0, 0);
+            let (mut achieved64, mut above64, mut image64) = (0, 0, 0);
             for &b in &BOUNDS {
                 let params = RqRmiParams { error_target: b, ..Default::default() };
                 let t0 = Instant::now();
@@ -51,11 +54,13 @@ pub fn run(ctx: &Ctx) -> Outcome {
                 if b == 64 {
                     achieved64 = model.max_error_bound();
                     above64 = model.leaf_error_bounds().iter().filter(|&&e| e > b).count();
+                    image64 = fnv1a(&save_rqrmi(&model));
                 }
                 cells.push(format!("{dt:.2}"));
             }
             cells.push(format!("{achieved64}"));
             cells.push(format!("{above64}"));
+            cells.push(format!("{image64:016x}"));
             table.row(cells);
         }
     }
@@ -67,7 +72,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
          tasks of training time. With the closed-form hinge trainer the ACL\n\
          projections leave none; at NM_SCALE=full the 500K FIB's largest iSet leaves\n\
          dozens, and they are most of its b=64 time. The iterative trainer below\n\
-         reproduces the paper's shape: tighter bounds trigger the Figure 5 retrain loop.\n",
+         reproduces the paper's shape: tighter bounds trigger the Figure 5 retrain loop.\n\
+         image(64) is an FNV-1a hash of the b=64 model's saved image.\n",
     );
 
     // Paper-faithful mode: iterative (Adam) training, where the sample-
@@ -91,4 +97,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
     table2.row(cells);
     out.table("adam", table2);
     out
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }

@@ -383,11 +383,10 @@ fn fit(
     data: &TrainData,
 ) -> Mlp {
     let set = sample_dataset(resp, samples, rng, data);
-    let hidden = Mlp::PAPER_HIDDEN;
     match trainer {
-        TrainerKind::Hinge => fit_hinge(hidden, &set),
+        TrainerKind::Hinge => fit_hinge(&set),
         TrainerKind::Adam { epochs } => {
-            let mut net = Mlp::random(hidden, rng.next_u64());
+            let mut net = Mlp::random(Mlp::PAPER_HIDDEN, rng.next_u64());
             Adam::train(&mut net, &set, *epochs);
             net
         }
@@ -489,6 +488,7 @@ fn leaf_error_bound(net: &Mlp, resp: &Responsibility, data: &TrainData) -> u32 {
     let dq = (delta * n as f64).ceil() as u64 + 1;
     let nf = n as f64;
     let mut max_err: u64 = 0;
+    let mut crit: Vec<u64> = Vec::new();
 
     for &(ka, kb) in resp {
         let segs = segments(net, km.x64(ka), km.x64(kb));
@@ -505,7 +505,8 @@ fn leaf_error_bound(net: &Mlp, resp: &Responsibility, data: &TrainData) -> u32 {
             cursor = k_end + 1;
 
             // Critical keys inside this run.
-            let mut crit: Vec<u64> = vec![k_start];
+            crit.clear();
+            crit.push(k_start);
             for t in transitions_in_segment(seg, n) {
                 let k = km.ceil_key(t);
                 if k > k_start && k <= k_end {
@@ -513,7 +514,8 @@ fn leaf_error_bound(net: &Mlp, resp: &Responsibility, data: &TrainData) -> u32 {
                 }
             }
             // Range boundaries (lo and hi+1) falling inside the run.
-            let mut i = rank(his, k_start);
+            let first = rank(his, k_start);
+            let mut i = first;
             while i < n && los[i] <= k_end {
                 if los[i] > k_start {
                     crit.push(los[i]);
@@ -528,13 +530,20 @@ fn leaf_error_bound(net: &Mlp, resp: &Responsibility, data: &TrainData) -> u32 {
             crit.dedup();
             crit.push(k_end + 1); // sentinel
 
+            // The windows start in increasing order, so their ranks only
+            // grow: `r` walks forward from the run's first rank instead of
+            // searching `his` once per window.
+            let mut r = first;
             for w in crit.windows(2) {
                 let (g0, g1) = (w[0], w[1] - 1);
                 if g0 > g1 {
                     continue;
                 }
+                while r < n && his[r] < g0 {
+                    r += 1;
+                }
+                debug_assert_eq!(r, rank(his, g0));
                 // Is this run covered by a range?
-                let r = rank(his, g0);
                 if r >= n || los[r] > g0 {
                     continue; // gap keys carry no correctness obligation
                 }
@@ -793,6 +802,120 @@ mod tests {
             (together.0, together.1),
             "leaf {a}'s refit moved when leaf {b} refit too"
         );
+    }
+
+    /// `leaf_error_bound` as it was before the rank cursor: one binary
+    /// search of `his` per window.
+    fn leaf_error_bound_by_search(net: &Mlp, resp: &Responsibility, data: &TrainData) -> u32 {
+        let TrainData { km, los, his, .. } = data;
+        let n = los.len();
+        let delta = eval_delta(net) + 1e-9;
+        let dq = (delta * n as f64).ceil() as u64 + 1;
+        let nf = n as f64;
+        let mut max_err: u64 = 0;
+        for &(ka, kb) in resp {
+            let segs = segments(net, km.x64(ka), km.x64(kb));
+            let mut cursor = ka;
+            for seg in &segs {
+                if cursor > kb {
+                    break;
+                }
+                let k_end = km.floor_key(seg.x1).min(kb);
+                if k_end < cursor {
+                    continue;
+                }
+                let k_start = cursor;
+                cursor = k_end + 1;
+                let mut crit: Vec<u64> = vec![k_start];
+                for t in transitions_in_segment(seg, n) {
+                    let k = km.ceil_key(t);
+                    if k > k_start && k <= k_end {
+                        crit.push(k);
+                    }
+                }
+                let mut i = rank(his, k_start);
+                while i < n && los[i] <= k_end {
+                    if los[i] > k_start {
+                        crit.push(los[i]);
+                    }
+                    let after = his[i].saturating_add(1);
+                    if after > k_start && after <= k_end {
+                        crit.push(after);
+                    }
+                    i += 1;
+                }
+                crit.sort_unstable();
+                crit.dedup();
+                crit.push(k_end + 1);
+                for w in crit.windows(2) {
+                    let (g0, g1) = (w[0], w[1] - 1);
+                    if g0 > g1 {
+                        continue;
+                    }
+                    let r = rank(his, g0);
+                    if r >= n || los[r] > g0 {
+                        continue;
+                    }
+                    let y = seg.eval(km.x64(g0)).clamp(0.0, 1.0);
+                    let p = ((y * nf) as u64).min(n as u64 - 1);
+                    max_err = max_err.max(p.abs_diff(r as u64) + dq);
+                }
+            }
+        }
+        max_err.min(n as u64) as u32
+    }
+
+    #[test]
+    fn the_rank_cursor_bounds_equal_the_binary_search_reference() {
+        let mut rng = SplitMix64::new(0xb0b);
+        // Adjacent ranges: no gap between one range and the next.
+        let mut lo = 17;
+        let adjacent: Vec<FieldRange> = (0..300)
+            .map(|_| {
+                let r = FieldRange::new(lo, lo + rng.below(200));
+                lo = r.hi + 1;
+                r
+            })
+            .collect();
+        // One-key ranges, touching and apart, and a mix of all three.
+        let single: Vec<FieldRange> = (0..400u64)
+            .map(|i| FieldRange::exact(i * 3 + (i % 7 == 0) as u64 * 2 + i / 50 * 9))
+            .collect();
+        let mixed: Vec<FieldRange> = random_disjoint_ranges(21, 200, 16)
+            .into_iter()
+            .flat_map(|r| match r.hi - r.lo {
+                0..=3 => vec![r],
+                w => vec![FieldRange::new(r.lo, r.lo + w / 2), FieldRange::exact(r.lo + w / 2 + 1)],
+            })
+            .collect();
+        let sets = [random_disjoint_ranges(17, 300, 16), adjacent, single, mixed];
+        let trainers = [
+            params(),
+            RqRmiParams {
+                samples_init: 128,
+                trainer: TrainerKind::Adam { epochs: 20 },
+                max_attempts: 1,
+                ..Default::default()
+            },
+        ];
+        for (s, ranges) in sets.iter().enumerate() {
+            for p in &trainers {
+                let m = train_rqrmi(ranges, 16, p).unwrap();
+                let data = TrainData::new(ranges, m.key_map(), SampleMode::Rank).unwrap();
+                let whole = vec![(0, data.km.domain_max())];
+                let leaves = m.nets.last().unwrap();
+                for (j, r) in leaf_responsibilities(&m).iter().enumerate() {
+                    for resp in [r, &whole] {
+                        assert_eq!(
+                            leaf_error_bound(&leaves[j], resp, &data),
+                            leaf_error_bound_by_search(&leaves[j], resp, &data),
+                            "set {s}, {:?}, leaf {j}",
+                            p.trainer
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,53 +10,39 @@
 
 use crate::mlp::Mlp;
 
-/// Fits a `hidden`-neuron MLP to `(x, y)` data with knots at input quantiles
-/// and a ridge least-squares output layer.
+/// Hidden width of every fitted network: the paper's, the width the
+/// inference kernels are built for.
+const H: usize = Mlp::PAPER_HIDDEN;
+
+/// Columns of the accumulated normal-equation block: `H` knot slots, then
+/// the bias.
+const COLS: usize = H + 1;
+
+/// Fits a [`Mlp::PAPER_HIDDEN`]-neuron MLP to `(x, y)` data with knots at
+/// input quantiles and a ridge least-squares output layer.
 ///
 /// Returns a zero network for empty data. `data` does not need to be sorted.
 ///
 /// The ridge term (`lambda = 1e-6`) keeps the normal equations well-posed
 /// when several knots collapse onto the same x (heavily duplicated inputs).
-pub fn fit_hinge(hidden: usize, data: &[(f32, f32)]) -> Mlp {
+pub fn fit_hinge(data: &[(f32, f32)]) -> Mlp {
     if data.is_empty() {
-        return Mlp::zeros(hidden);
+        return Mlp::zeros(H);
     }
     let mut xs: Vec<f32> = data.iter().map(|&(x, _)| x).collect();
-    let mut knots = knots(&mut xs, hidden);
+    let mut knots = knots(&mut xs, H);
     knots.dedup();
     let k = knots.len();
 
-    // Design matrix columns: [relu(x - q_0), ..., relu(x - q_{k-1}), 1].
     let cols = k + 1;
-    let mut ata = vec![0.0f64; cols * cols];
-    let mut atb = vec![0.0f64; cols];
-    let mut row = vec![0.0f64; cols];
-    for &(x, y) in data {
-        for (j, &q) in knots.iter().enumerate() {
-            row[j] = f64::max((x - q) as f64, 0.0);
-        }
-        row[k] = 1.0;
-        for i in 0..cols {
-            if row[i] == 0.0 {
-                continue;
-            }
-            for j in i..cols {
-                ata[i * cols + j] += row[i] * row[j];
-            }
-            atb[i] += row[i] * y as f64;
-        }
-    }
-    // Mirror + ridge.
+    let (mut ata, atb) = normal_equations(&knots, data);
     for i in 0..cols {
-        for j in 0..i {
-            ata[i * cols + j] = ata[j * cols + i];
-        }
         ata[i * cols + i] += 1e-6;
     }
 
     let coef = solve_cholesky(&mut ata, &atb, cols);
 
-    let mut net = Mlp::zeros(hidden);
+    let mut net = Mlp::zeros(H);
     for (j, &q) in knots.iter().enumerate() {
         net.w1[j] = 1.0;
         net.b1[j] = -q;
@@ -68,32 +54,74 @@ pub fn fit_hinge(hidden: usize, data: &[(f32, f32)]) -> Mlp {
     net
 }
 
+/// The normal equations `(AᵀA, Aᵀy)` of the design matrix whose columns are
+/// `[relu(x - q_0), ..., relu(x - q_{k-1}), 1]` over `knots` (`k ≤ H`,
+/// deduplicated): `AᵀA` row-major and symmetric, `(k+1)×(k+1)`.
+///
+/// The kernel accumulates a fixed `COLS × COLS` block, branch-free: the
+/// bias sits in the last slot, and the `H − k` slots no knot fills sit at
+/// `+inf`, where `relu(x − inf)` is 0 for every x — an all-zero column.
+/// Each cell sums its products in sample order, with a separate multiply
+/// and add, so for finite data it holds exactly the bits of a sum that
+/// skips the zero products: adding ±0 to a sum that starts at +0 never
+/// changes it. Products commute bit for bit, so the block is symmetric.
+fn normal_equations(knots: &[f32], data: &[(f32, f32)]) -> (Vec<f64>, Vec<f64>) {
+    let k = knots.len();
+    let mut q = [f32::INFINITY; H];
+    q[..k].copy_from_slice(knots);
+    let mut block = [[0.0f64; COLS]; COLS];
+    let mut aty = [0.0f64; COLS];
+    for &(x, y) in data {
+        let mut row = [1.0f64; COLS];
+        for (r, &q) in row.iter_mut().zip(&q) {
+            *r = f64::max((x - q) as f64, 0.0);
+        }
+        for i in 0..COLS {
+            for j in 0..COLS {
+                block[i][j] += row[i] * row[j];
+            }
+            aty[i] += row[i] * y as f64;
+        }
+    }
+    // Column `c` of the design matrix is slot `c` for a knot, the last
+    // slot for the bias.
+    let slot = |c: usize| if c < k { c } else { H };
+    let cols = k + 1;
+    let ata = (0..cols * cols).map(|c| block[slot(c / cols)][slot(c % cols)]).collect();
+    let atb = (0..cols).map(|c| aty[slot(c)]).collect();
+    (ata, atb)
+}
+
 /// The knots before deduplication: `q_0` at the smallest input carries the
 /// global linear term (`relu(x - q_0) == x - q_0` over the whole
 /// responsibility); `q_j` for `j ≥ 1` sits at the input quantile `j/hidden`
 /// — index `round((len - 1)·j/hidden)` of the inputs sorted by
 /// [`f32::total_cmp`].
 ///
-/// Only those `hidden` order statistics are needed, so each is selected
-/// from what lies right of the previous one instead of sorting every input.
-/// Values equal under `total_cmp` are equal bit for bit, so the knots are
-/// exactly a full sort's. `xs` is left permuted.
+/// Only those `hidden` order statistics are needed, so instead of sorting
+/// every input one recursive pass selects them ([`select`]). Values equal
+/// under `total_cmp` are equal bit for bit, so the knots are exactly a
+/// full sort's. `xs` is left permuted.
 fn knots(xs: &mut [f32], hidden: usize) -> Vec<f32> {
-    let mut knots: Vec<f32> = Vec::with_capacity(hidden);
-    // xs[..done] hold the `done` smallest inputs.
-    let mut done = 0;
-    for j in 0..hidden {
-        let idx = ((xs.len() - 1) as f64 * (j as f64 / hidden as f64)).round() as usize;
-        if idx < done {
-            // Same index as the previous knot.
-            knots.push(knots[knots.len() - 1]);
-            continue;
-        }
-        let (_, q, _) = xs[done..].select_nth_unstable_by(idx - done, f32::total_cmp);
-        knots.push(*q);
-        done = idx + 1;
-    }
+    let at: Vec<usize> = (0..hidden)
+        .map(|j| ((xs.len() - 1) as f64 * (j as f64 / hidden as f64)).round() as usize)
+        .collect();
+    let mut knots = vec![0.0; hidden];
+    select(xs, 0, &at, &mut knots);
     knots
+}
+
+/// Sets `out[t]` to the input of sorted index `at[t]`, for `at`
+/// non-decreasing; `xs` holds the inputs of sorted indices `base..` and
+/// every `at[t]` lies among them. The middle index splits `xs` in place,
+/// and each side selects its own indices.
+fn select(xs: &mut [f32], base: usize, at: &[usize], out: &mut [f32]) {
+    let Some(&m) = at.get(at.len() / 2) else { return };
+    let (left, q, right) = xs.select_nth_unstable_by(m - base, f32::total_cmp);
+    let (lo, hi) = (at.partition_point(|&i| i < m), at.partition_point(|&i| i <= m));
+    out[lo..hi].fill(*q);
+    select(left, base, &at[..lo], &mut out[..lo]);
+    select(right, m + 1, &at[hi..], &mut out[hi..]);
 }
 
 /// Solves `A·x = b` for symmetric positive-definite `A` (size `n×n`,
@@ -137,6 +165,7 @@ fn solve_cholesky(a: &mut [f64], b: &[f64], n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nm_common::SplitMix64;
 
     #[test]
     fn exact_on_linear_target() {
@@ -146,7 +175,7 @@ mod tests {
                 (x, 0.1 + 0.8 * x)
             })
             .collect();
-        let net = fit_hinge(8, &data);
+        let net = fit_hinge(&data);
         assert!(net.mse(&data) < 1e-10, "mse {}", net.mse(&data));
     }
 
@@ -160,7 +189,7 @@ mod tests {
                 (x, y)
             })
             .collect();
-        let net = fit_hinge(8, &data);
+        let net = fit_hinge(&data);
         assert!(net.mse(&data) < 1e-5, "mse {}", net.mse(&data));
     }
 
@@ -174,26 +203,26 @@ mod tests {
                 (x, y)
             })
             .collect();
-        let net = fit_hinge(8, &data);
+        let net = fit_hinge(&data);
         assert!(net.mse(&data) < 1e-5, "mse {}", net.mse(&data));
     }
 
     #[test]
     fn handles_duplicate_inputs() {
         let data = vec![(0.5f32, 0.3f32); 50];
-        let net = fit_hinge(8, &data);
+        let net = fit_hinge(&data);
         assert!((net.forward(0.5) - 0.3).abs() < 1e-3);
     }
 
     #[test]
     fn empty_gives_zeros() {
-        let net = fit_hinge(8, &[]);
+        let net = fit_hinge(&[]);
         assert_eq!(net.forward(0.3), 0.0);
     }
 
     #[test]
     fn single_point() {
-        let net = fit_hinge(8, &[(0.2, 0.7)]);
+        let net = fit_hinge(&[(0.2, 0.7)]);
         assert!((net.forward(0.2) - 0.7).abs() < 1e-4);
     }
 
@@ -235,12 +264,122 @@ mod tests {
         assert_eq!(bits(&got), bits(&[-0.0, 0.0]));
     }
 
+    /// The accumulation `fit_hinge` ran before the fixed-block kernel: a
+    /// triangular loop of runtime width that skips every zero entry of a
+    /// row, mirrored afterwards.
+    fn triangular_normal_equations(knots: &[f32], data: &[(f32, f32)]) -> (Vec<f64>, Vec<f64>) {
+        let k = knots.len();
+        let cols = k + 1;
+        let mut ata = vec![0.0f64; cols * cols];
+        let mut atb = vec![0.0f64; cols];
+        let mut row = vec![0.0f64; cols];
+        for &(x, y) in data {
+            for (j, &q) in knots.iter().enumerate() {
+                row[j] = f64::max((x - q) as f64, 0.0);
+            }
+            row[k] = 1.0;
+            for i in 0..cols {
+                if row[i] == 0.0 {
+                    continue;
+                }
+                for j in i..cols {
+                    ata[i * cols + j] += row[i] * row[j];
+                }
+                atb[i] += row[i] * y as f64;
+            }
+        }
+        for i in 0..cols {
+            for j in 0..i {
+                ata[i * cols + j] = ata[j * cols + i];
+            }
+        }
+        (ata, atb)
+    }
+
+    /// `fit_hinge` over the triangular accumulation and fully sorted knots.
+    fn reference_fit(data: &[(f32, f32)]) -> Mlp {
+        if data.is_empty() {
+            return Mlp::zeros(H);
+        }
+        let xs: Vec<f32> = data.iter().map(|&(x, _)| x).collect();
+        let mut knots = knots_by_sorting(&xs, H);
+        knots.dedup();
+        let (k, cols) = (knots.len(), knots.len() + 1);
+        let (mut ata, atb) = triangular_normal_equations(&knots, data);
+        for i in 0..cols {
+            ata[i * cols + i] += 1e-6;
+        }
+        let coef = solve_cholesky(&mut ata, &atb, cols);
+        let mut net = Mlp::zeros(H);
+        for (j, &q) in knots.iter().enumerate() {
+            net.w1[j] = 1.0;
+            net.b1[j] = -q;
+            net.w2[j] = coef[j] as f32;
+        }
+        net.b2 = coef[k] as f32;
+        net
+    }
+
+    #[test]
+    fn the_block_kernel_equals_the_triangular_reference_bit_for_bit() {
+        let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let net_bits = |m: &Mlp| {
+            [&m.w1[..], &m.b1, &m.w2, &[m.b2]]
+                .concat()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let mut rng = SplitMix64::new(0x4b1d);
+        let mut datasets: Vec<Vec<(f32, f32)>> = vec![Vec::new(), vec![(0.2, 0.7)]];
+        for (i, len) in [2usize, 7, 50, 1_000, 1_024, 4_096, 8_192, 32_768].into_iter().enumerate()
+        {
+            // Keys in [0, 1) as a leaf samples them; every other set draws
+            // from a few values (k < 8 knots after the dedup), with a
+            // negative, both zeros and a subnormal among them.
+            let pool = [-0.5f32, -0.0, 0.0, 1e-40, 0.25, 0.75];
+            let x = |rng: &mut SplitMix64| match i % 2 {
+                0 => rng.f64() as f32,
+                _ => pool[rng.below(pool.len() as u64) as usize],
+            };
+            datasets.push((0..len).map(|_| (x(&mut rng), rng.f64() as f32 * 2.0 - 0.5)).collect());
+        }
+        for data in &datasets {
+            let len = data.len();
+            let mut knots = match len {
+                0 => Vec::new(),
+                _ => knots_by_sorting(&data.iter().map(|&(x, _)| x).collect::<Vec<_>>(), H),
+            };
+            knots.dedup();
+            let (ata, atb) = normal_equations(&knots, data);
+            let (want_ata, want_atb) = triangular_normal_equations(&knots, data);
+            assert_eq!(
+                bits64(&ata),
+                bits64(&want_ata),
+                "AᵀA, {len} samples, {} knots",
+                knots.len()
+            );
+            assert_eq!(
+                bits64(&atb),
+                bits64(&want_atb),
+                "Aᵀy, {len} samples, {} knots",
+                knots.len()
+            );
+            assert_eq!(net_bits(&fit_hinge(data)), net_bits(&reference_fit(data)), "{len} samples");
+        }
+        // The pooled sets really exercise the all-zero columns.
+        let mut pooled = datasets[3].iter().map(|&(x, _)| x).collect::<Vec<_>>();
+        let mut knots = knots(&mut pooled, H);
+        knots.dedup();
+        assert!(knots.len() < H, "{knots:?}");
+    }
+
     #[test]
     fn deterministic() {
         let data: Vec<(f32, f32)> =
             (0..64).map(|i| (i as f32 / 64.0, (i as f32 / 64.0).sqrt())).collect();
-        let a = fit_hinge(8, &data);
-        let b = fit_hinge(8, &data);
+        let a = fit_hinge(&data);
+        let b = fit_hinge(&data);
         assert_eq!(a, b);
     }
 }
